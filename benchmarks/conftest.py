@@ -10,20 +10,18 @@ long and deterministic, so statistical repetition buys nothing.
 
 Machine-readable output
 -----------------------
-Every case that runs through :func:`run_once` is recorded — wall time,
-solve-task count and cache hits read off the shared solve service — and
-written as one ``BENCH_<case>.json`` file per case into
-``$REPRO_BENCH_DIR`` (default: ``benchmarks/out``). CI uploads these as
+Every case that runs through :func:`run_once` is measured — wall time,
+solve-task count and cache hits read off the shared solve service — and,
+when ``$REPRO_BENCH_DIR`` is set, written as one ``BENCH_<case>.json``
+file per case into that directory. With it unset nothing is written, so
+a plain test run never modifies the tree. CI uploads the records as
 artifacts, so the perf trajectory is tracked across PRs.
 
 The in-tree ``benchmarks/out`` is the *committed* baseline, regenerated
-under the compiled backend. When ``REPRO_BENCH_DIR`` is unset, writes
-that would replace a tracked record made under a different backend are
-skipped with a warning — a plain local ``pytest benchmarks/`` run under
-the default numpy backend must not silently rewrite the compiled-backend
-perf record in place. Redirect local runs with
-``REPRO_BENCH_DIR=/tmp/bench`` (as CI does), or rerun under the recorded
-backend (``REPRO_BACKEND=compiled``) to refresh the baseline.
+under the compiled backend; refreshing it is explicit::
+
+    REPRO_BACKEND=compiled REPRO_BENCH_DIR=benchmarks/out \
+        PYTHONPATH=src python -m pytest benchmarks/ -q
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ import os
 import platform
 import re
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -63,48 +60,21 @@ def _environment_fields() -> dict:
     }
 
 
-def _guards_tracked_baseline(path: Path, record: dict) -> bool:
-    """True when writing ``record`` would clobber a tracked record made
-    under a different backend.
-
-    Only consulted for the in-tree default output dir (``REPRO_BENCH_DIR``
-    unset): that directory is the committed perf baseline, so a run under
-    a different backend than the one on record skips the write and warns
-    instead of silently replacing the baseline in place.
-    """
-    try:
-        existing = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return False
-    recorded = existing.get("backend")
-    if recorded is None or recorded == record["backend"]:
-        return False
-    warnings.warn(
-        f"not overwriting tracked baseline {path}: it records "
-        f"backend={recorded!r} but this run uses "
-        f"backend={record['backend']!r}. Set REPRO_BENCH_DIR=/tmp/bench "
-        f"for local runs, or rerun with REPRO_BACKEND={recorded!r} to "
-        f"refresh the committed baseline.",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-    return True
-
-
 def _write_bench_record(record: dict) -> None:
-    """Write one BENCH_<case>.json (the cross-PR perf-trajectory format).
+    """Write one BENCH_<case>.json (the cross-PR perf-trajectory format)
+    into ``$REPRO_BENCH_DIR``; a no-op when it is unset.
 
     Written eagerly per case — benchmarks must never fail the suite over a
     bookkeeping write, so I/O errors are swallowed.
     """
-    record = {**_environment_fields(), **record}
     env_dir = os.environ.get("REPRO_BENCH_DIR")
-    out_dir = Path(env_dir) if env_dir else Path("benchmarks/out")
+    if not env_dir:
+        return
+    record = {**_environment_fields(), **record}
+    out_dir = Path(env_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / f"BENCH_{record['case']}.json"
-        if not env_dir and _guards_tracked_baseline(path, record):
-            return
         with open(path, "w") as handle:
             json.dump(record, handle, indent=2, sort_keys=True)
             handle.write("\n")

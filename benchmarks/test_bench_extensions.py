@@ -2,14 +2,18 @@
 
 * the ISP's static capacity-investment decision across policy regimes,
 * the regulator's constrained welfare problem,
-* the duopoly price-competition equilibrium.
+* the two-carrier (duopoly) price-competition equilibrium.
 """
 
 import numpy as np
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.competition import Duopoly, solve_price_competition
+from repro.competition import (
+    IterationPolicy,
+    OligopolyGame,
+    solve_oligopoly_competition,
+)
 from repro.core.investment import investment_incentive
 from repro.core.regulation import constrained_welfare_optimal_price
 from repro.providers import AccessISP, exponential_cp
@@ -45,17 +49,19 @@ def test_bench_duopoly_price_competition(benchmark):
         exponential_cp(2.0, 2.0, value=1.0),
         exponential_cp(5.0, 3.0, value=0.6),
     ]
-    duo = Duopoly(
+    game = OligopolyGame(
         providers,
-        AccessISP(price=1.0, capacity=0.5),
-        AccessISP(price=1.0, capacity=0.5),
+        (AccessISP(price=1.0, capacity=0.5), AccessISP(price=1.0, capacity=0.5)),
         switching=2.0,
         cap=0.5,
     )
     result = run_once(
         benchmark,
-        lambda: solve_price_competition(
-            duo, tol=1e-4, grid_points=16, price_range=(0.05, 2.0)
+        lambda: solve_oligopoly_competition(
+            game,
+            price_range=(0.05, 2.0),
+            grid_points=16,
+            policy=IterationPolicy(tol=1e-4),
         ),
     )
     p_a, p_b = result.state.prices

@@ -6,9 +6,10 @@ Run with::
 
 Section 6 of the paper conjectures that competition between access ISPs
 would both discipline prices and preserve the incentive to adopt
-subsidization. This example uses the library's duopoly extension: two
-identical carriers split one user base by a logit rule on prices, CPs
-strike per-carrier subsidy deals, and the carriers compete on price.
+subsidization. This example runs the library's oligopoly model with two
+carriers: two identical carriers split one user base by a logit rule on
+prices, CPs strike per-carrier subsidy deals, and the carriers compete on
+price.
 
 Shown below: (1) the duopoly price equilibrium undercuts the monopoly
 price, more so the more easily users switch; (2) even under competition,
@@ -17,7 +18,12 @@ the regulator does not have to choose between the two remedies.
 """
 
 from repro.analysis import format_table
-from repro.competition import Duopoly, solve_price_competition
+from repro.competition import (
+    IterationPolicy,
+    OligopolyCompetitionResult,
+    OligopolyGame,
+    solve_oligopoly_competition,
+)
 from repro.core.revenue import optimal_price
 from repro.providers import AccessISP, Market, exponential_cp
 
@@ -29,13 +35,22 @@ def providers():
     ]
 
 
-def duopoly(switching: float, cap: float) -> Duopoly:
-    return Duopoly(
+def duopoly(switching: float, cap: float) -> OligopolyCompetitionResult:
+    """The two-carrier price equilibrium at one (σ, q)."""
+    game = OligopolyGame(
         providers(),
-        AccessISP(price=1.0, capacity=0.5, name="carrier-a"),
-        AccessISP(price=1.0, capacity=0.5, name="carrier-b"),
+        (
+            AccessISP(price=1.0, capacity=0.5, name="carrier-a"),
+            AccessISP(price=1.0, capacity=0.5, name="carrier-b"),
+        ),
         switching=switching,
         cap=cap,
+    )
+    return solve_oligopoly_competition(
+        game,
+        price_range=(0.05, 2.0),
+        grid_points=20,
+        policy=IterationPolicy(tol=1e-4),
     )
 
 
@@ -52,11 +67,7 @@ def main() -> None:
     print("== duopoly price equilibrium vs switching sensitivity (q = 0.5) ==")
     rows = []
     for switching in (0.5, 1.0, 2.0, 4.0):
-        result = solve_price_competition(
-            duopoly(switching, cap=0.5),
-            tol=1e-4, grid_points=20, price_range=(0.05, 2.0),
-        )
-        state = result.state
+        state = duopoly(switching, cap=0.5).state
         rows.append(
             [
                 switching,
@@ -78,11 +89,7 @@ def main() -> None:
     print("== does subsidization still pay under competition? (σ = 2) ==")
     rows = []
     for cap in (0.0, 0.5):
-        result = solve_price_competition(
-            duopoly(2.0, cap=cap),
-            tol=1e-4, grid_points=20, price_range=(0.05, 2.0),
-        )
-        state = result.state
+        state = duopoly(2.0, cap=cap).state
         rows.append(
             [
                 cap,

@@ -3,22 +3,14 @@
 The paper studies a single access ISP and conjectures in §6 that
 "competition between ISPs will also incentivize them to adopt subsidization
 schemes, through which users can obtain subsidized services". This package
-models that conjecture at two scales: a *duopoly* of access ISPs serving a
-common user base that splits between them by a logit rule on prices
-(:mod:`repro.competition.duopoly`), and its *N-carrier oligopoly*
-generalization (:mod:`repro.competition.oligopoly`) — same decoupling (the
-CPs play independent subsidization games on each carrier because market
-shares depend only on prices), arbitrary carrier counts, Jacobi or
-Gauss-Seidel damped best-response iteration, and bitwise duopoly parity at
-``N = 2``.
+models that conjecture as an *N-carrier oligopoly*
+(:mod:`repro.competition.oligopoly`): ``N`` access ISPs serve a common
+user base that splits between them by a logit rule on prices, and the CPs
+play independent subsidization games on each carrier because market shares
+depend only on prices. ``N = 1`` is the §5 monopoly and ``N = 2`` the
+duopoly; prices iterate by Jacobi or Gauss-Seidel damped best response.
 """
 
-from repro.competition.duopoly import (
-    Duopoly,
-    DuopolyState,
-    PriceCompetitionResult,
-    solve_price_competition,
-)
 from repro.competition.oligopoly import (
     COMPETITION_DEFAULTS,
     CarrierStats,
@@ -36,15 +28,11 @@ __all__ = [
     "COMPETITION_DEFAULTS",
     "CarrierStats",
     "CompetitionSettings",
-    "Duopoly",
-    "DuopolyState",
     "IterationPolicy",
     "OligopolyCompetitionResult",
     "OligopolyGame",
     "OligopolyState",
-    "PriceCompetitionResult",
     "competition_settings",
     "oligopoly_shares",
     "solve_oligopoly_competition",
-    "solve_price_competition",
 ]

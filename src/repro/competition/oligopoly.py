@@ -8,19 +8,21 @@ by a logit rule on prices:
     w_k = e^{−σ·p_k} / Σ_j e^{−σ·p_j}
 
 where ``σ ≥ 0`` is the switching sensitivity (``σ = 0``: captive equal
-shares; ``σ → ∞``: Bertrand-style winner-take-all). Exactly as in the
-duopoly (:mod:`repro.competition.duopoly`), shares depend only on prices
-and each carrier runs its own congestion fixed point, so given the price
-vector the CPs' subsidization games *decouple across carriers*: carrier
-``k`` hosts a standard :class:`~repro.core.game.SubsidizationGame` on a
-market whose demands are scaled by ``w_k``. This module composes those
-per-carrier games into the ISPs' price competition for any ``N``:
+shares; ``σ → ∞``: Bertrand-style winner-take-all). Within carrier ``k``,
+CP ``i`` faces demand ``w_k·m_i(p_k − s_{ik})`` and chooses a per-carrier
+subsidy ``s_{ik} ∈ [0, q]`` — sponsored-data deals are struck per carrier
+in practice (e.g. AT&T's program). Shares depend only on prices and each
+carrier runs its own congestion fixed point, so given the price vector the
+CPs' subsidization games *decouple across carriers*: carrier ``k`` hosts a
+standard :class:`~repro.core.game.SubsidizationGame` on a market whose
+demands are scaled by ``w_k``. This module composes those per-carrier
+games into the ISPs' price competition for any ``N``:
 
 * ``N = 1`` degenerates to the monopoly pricing problem of §5
   (:func:`repro.core.revenue.optimal_price`) — the single carrier owns the
   whole population and best-responds to nobody;
-* ``N = 2`` reproduces :class:`~repro.competition.duopoly.Duopoly`
-  *bitwise* (see below);
+* ``N = 2`` is the duopoly: two carriers splitting one user base
+  (``OligopolyGame(providers, (isp_a, isp_b), ...)``);
 * ``N ≥ 3`` opens the market-structure experiments the paper's §6
   conjecture gestures at: how prices, industry revenue and welfare move as
   carriers are added while total access capacity is held fixed.
@@ -30,15 +32,14 @@ Engine routing
 Every per-carrier best-response price search runs as one content-keyed
 :class:`~repro.engine.service.SolveTask`
 (:func:`solve_oligopoly_sweep`) on the shared
-:class:`~repro.engine.service.SolveService`, exactly like the duopoly's
-sweeps: candidate-price revenue evaluations chained through a warm-start
-profile, golden-section polish at the end. The inner equilibrium solves go
-through :func:`~repro.core.equilibrium.solve_equilibrium`, whose default
+:class:`~repro.engine.service.SolveService`: candidate-price revenue
+evaluations chained through a warm-start profile, golden-section polish at
+the end. The inner equilibrium solves go through
+:func:`~repro.core.equilibrium.solve_equilibrium`, whose default
 vectorized sweep evaluates each CP's candidate caps ``s_i ∈ [0, q]`` as
-one batch (the PR-1 batch evaluation core) — so an oligopoly sweep is a
-batch of batches. With a persistent store configured, re-running a
-competition replays every sweep from cache with **zero** equilibrium
-solves.
+one batch — so an oligopoly sweep is a batch of batches. With a
+persistent store configured, re-running a competition replays every sweep
+from cache with **zero** equilibrium solves.
 
 Iteration modes
 ---------------
@@ -47,23 +48,20 @@ updates the price vector:
 
 ``"gauss-seidel"`` (default)
     Sequential: carrier ``k`` best-responds to the *freshest* prices,
-    including this sweep's updates of carriers ``< k``. For ``N = 2`` this
-    is exactly :func:`~repro.competition.duopoly.solve_price_competition`,
-    bit for bit.
+    including this sweep's updates of carriers ``< k``.
 ``"jacobi"``
     Simultaneous: all carriers best-respond to the same start-of-sweep
     price vector. The ``N`` sweep tasks are independent, so they are
     scheduled through :meth:`~repro.engine.service.SolveService.map` and
     parallelize across worker processes.
 
-Duopoly parity
---------------
-For ``N = 2`` the results are bitwise-identical to the duopoly module:
-:func:`oligopoly_shares` delegates to the duopoly's stabilized two-term
-complement form (``w_B = 1 − w_A``, not an independently normalized
-softmax — the two differ in the last ulp), and the Gauss-Seidel sweep
-replays the duopoly's exact warm-start chain. The golden tests in
-``tests/competition/test_oligopoly.py`` hold this equality exactly.
+Two-carrier shares
+------------------
+For ``N = 2``, :func:`oligopoly_shares` computes the second share as the
+complement ``w_B = 1 − w_A`` instead of normalizing it independently. The
+two forms differ in the last ulp, and every stored ``N = 2`` result was
+computed with the complement form; the frozen goldens in
+``tests/competition/test_oligopoly.py`` hold it.
 """
 
 from __future__ import annotations
@@ -74,12 +72,12 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.competition.duopoly import carrier_shares, scaled_carrier_market
 from repro.core.equilibrium import EquilibriumResult, solve_equilibrium
 from repro.core.game import SubsidizationGame
 from repro.engine.cache import market_fingerprint
 from repro.engine.service import SolveService, SolveTask, default_service
 from repro.exceptions import ConvergenceError, ModelError
+from repro.network.demand import ScaledDemand
 from repro.providers.content_provider import ContentProvider
 from repro.providers.isp import AccessISP
 from repro.providers.market import Market
@@ -99,6 +97,7 @@ __all__ = [
     "OligopolyState",
     "competition_settings",
     "oligopoly_shares",
+    "scaled_carrier_market",
     "solve_oligopoly_competition",
     "solve_oligopoly_state",
     "solve_oligopoly_sweep",
@@ -125,22 +124,45 @@ def oligopoly_shares(
 ) -> tuple[float, ...]:
     """Logit market shares at a price vector (stabilized softmax on −σp).
 
-    ``N = 2`` delegates to the duopoly's two-term complement form
-    (:func:`~repro.competition.duopoly.carrier_shares`), which computes
-    ``w_B`` as ``1 − w_A`` rather than by independent normalization —
-    the two differ in the last ulp, and the bitwise duopoly-parity
-    guarantee hangs on matching the established form exactly.
+    ``N = 2`` uses the two-term complement form: ``w_B`` is ``1 − w_A``
+    rather than an independently normalized term. The two differ in the
+    last ulp, and every stored ``N = 2`` result was computed this way.
     """
     prices = tuple(float(p) for p in prices)
     if not prices:
         raise ModelError("an oligopoly needs at least one carrier price")
-    if len(prices) == 2:
-        return carrier_shares(switching, prices[0], prices[1])
     z = [-switching * p for p in prices]
     top = max(z)
     weights = [math.exp(zk - top) for zk in z]
     total = sum(weights)
+    if len(prices) == 2:
+        w_a = weights[0] / total
+        return (w_a, 1.0 - w_a)
     return tuple(w / total for w in weights)
+
+
+def scaled_carrier_market(
+    providers: Sequence[ContentProvider],
+    isp: AccessISP,
+    share: float,
+    price: float,
+) -> Market:
+    """One carrier's market: demands scaled by its share, ISP repriced.
+
+    The single construction path for the in-process methods and the
+    pool-schedulable tasks, so every route builds the carrier market
+    identically.
+    """
+    scaled = [
+        ContentProvider(
+            demand=ScaledDemand(cp.demand, share),
+            throughput=cp.throughput,
+            value=cp.value,
+            name=cp.name,
+        )
+        for cp in providers
+    ]
+    return Market(scaled, isp.with_price(price))
 
 
 def _with_candidate(
@@ -164,9 +186,7 @@ def solve_oligopoly_sweep(
 ) -> dict[str, np.ndarray]:
     """One carrier's full best-response price search, as a pure task.
 
-    The N-carrier generalization of
-    :func:`~repro.competition.duopoly.solve_best_response_sweep`: carrier
-    ``index``'s equilibrium revenue is evaluated over the candidate price
+    Carrier ``index``'s equilibrium revenue is evaluated over the candidate price
     grid (rival entries of ``prices`` held fixed) and the best bracket is
     polished, with every equilibrium solve warm-started from the previous
     candidate's profile. Returns the maximizer, its revenue, the
@@ -282,8 +302,7 @@ class IterationPolicy:
     Attributes
     ----------
     mode:
-        ``"gauss-seidel"`` (sequential, freshest rival prices — the
-        duopoly's scheme) or ``"jacobi"`` (simultaneous update; the ``N``
+        ``"gauss-seidel"`` (sequential, freshest rival prices) or ``"jacobi"`` (simultaneous update; the ``N``
         sweeps per round are independent and pool-parallelizable).
     damping:
         Step factor in ``(0, 1]`` applied to each best-response move.
@@ -776,9 +795,6 @@ def solve_oligopoly_competition(
     sensitivities; damp harder there). Every best-response search runs as
     a content-keyed service task, so against a warm persistent store a
     repeated competition replays without equilibrium solves.
-
-    For ``N = 2`` under the default Gauss-Seidel policy this is
-    bit-for-bit :func:`~repro.competition.duopoly.solve_price_competition`.
     """
     policy = policy if policy is not None else IterationPolicy()
     n = game.n_carriers

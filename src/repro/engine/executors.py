@@ -19,9 +19,9 @@ submission order. This module turns that one hard-wired schedule into an
     without ever touching — or spawning — the pool.
 ``chunked``
     :class:`ChunkedExecutor` — packs small tasks into size-targeted
-    chunks over the same persistent pool and drains them via
-    ``as_completed``: idle workers steal queued chunks, so ragged task
-    graphs never idle behind a straggler.
+    chunks over the same persistent pool and drains them in completion
+    order: idle workers steal queued chunks, so ragged task graphs never
+    idle behind a straggler.
 
 Executors deliver results through an ``on_result(index, value)`` callback
 *as they complete*, which is what lets the service commit each result to
@@ -34,8 +34,9 @@ results; the choice is purely a throughput knob, selected per process via
 from __future__ import annotations
 
 import os
+import queue
 import threading
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Iterable, Tuple
 
 from repro.backend import get_backend, set_backend, warm_kernels
@@ -110,6 +111,22 @@ def _run_one(task) -> Any:
 def _run_chunk(tasks) -> list:
     """Execute one chunk of tasks in a single worker round-trip."""
     return [_run_one(task) for task in tasks]
+
+
+def _completed(futures):
+    """Yield ``futures`` in completion order, cancelled ones included.
+
+    ``concurrent.futures.as_completed`` never yields a future that a pool
+    shutdown cancelled while it was still queued, so a batch drained with
+    it waits forever once ``shutdown(cancel_futures=True)`` runs on
+    another thread. Done callbacks fire on cancellation too; the caller's
+    ``future.result()`` then raises ``CancelledError``.
+    """
+    done: queue.SimpleQueue = queue.SimpleQueue()
+    for future in futures:
+        future.add_done_callback(done.put)
+    for _ in range(len(futures)):
+        yield done.get()
 
 
 #: The (index, task) pairs an executor schedules.
@@ -220,7 +237,7 @@ class PoolExecutor(Executor):
         pool = self._ensure_pool(workers)
         futures = {pool.submit(_run_one, task): index for index, task in items}
         self.pooled_tasks += len(items)
-        for future in as_completed(futures):
+        for future in _completed(futures):
             on_result(futures[future], future.result())
 
     def shutdown(self) -> None:
@@ -250,7 +267,7 @@ class ChunkedExecutor(Executor):
     refinement columns) drown a per-task pool in dispatch overhead. This
     wrapper packs the batch into roughly ``workers × oversubscription``
     chunks, ships each chunk as one worker round-trip, and drains them
-    via ``as_completed`` — the pool's shared queue hands the next pending
+    in completion order — the pool's shared queue hands the next pending
     chunk to whichever worker frees up first, so a straggler chunk never
     idles the rest of the pool.
 
@@ -299,7 +316,7 @@ class ChunkedExecutor(Executor):
                 pool.submit(_run_one, task): index for index, task in items
             }
             self.pooled_tasks += len(items)
-            for future in as_completed(futures):
+            for future in _completed(futures):
                 on_result(futures[future], future.result())
             return
         pool = self._ensure_pool(workers)
@@ -309,7 +326,7 @@ class ChunkedExecutor(Executor):
         }
         self.chunks += len(chunks)
         self.pooled_tasks += len(items)
-        for future in as_completed(futures):
+        for future in _completed(futures):
             chunk = futures[future]
             for (index, _), value in zip(chunk, future.result()):
                 on_result(index, value)

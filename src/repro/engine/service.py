@@ -1,7 +1,7 @@
 """The solve service: one scheduler + two-tier cache for every solve path.
 
-Every analysis in the reproduction — §5 figure grids, duopoly/oligopoly
-price competition, equilibrium-path continuation, scenario sweeps, market
+Every analysis in the reproduction — §5 figure grids, oligopoly price
+competition, equilibrium-path continuation, scenario sweeps, market
 trajectories — is a batch of
 *pure solve tasks*: functions of picklable inputs whose outputs depend on
 nothing else. :class:`SolveTask` names one such unit (function + arguments
@@ -23,7 +23,7 @@ that claim testable.
 
 The module also owns the process-wide *default* service (lazily built with
 a memory tier and, when ``$REPRO_CACHE_DIR`` is set, a disk store) that
-the figure pipeline, duopoly/oligopoly competition, continuation and
+the figure pipeline, oligopoly competition, continuation and
 analysis sweeps all share — so a continuation trace can hit the very rows
 a figure grid solved.
 
@@ -455,7 +455,7 @@ def default_service() -> SolveService:
     """The process-wide shared service (lazily built).
 
     Backed by a memory tier and, when ``$REPRO_CACHE_DIR`` is set, the
-    persistent store at that directory. The figure pipeline, duopoly,
+    persistent store at that directory. The figure pipeline, oligopoly,
     continuation and analysis sweeps all default to this instance, so
     their solves share one cache.
     """

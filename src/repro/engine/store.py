@@ -4,7 +4,7 @@ The second tier of the solve service's cache: where the in-memory
 :class:`~repro.engine.cache.SolveCache` dies with the process, the
 :class:`SolveStore` keeps solved artifacts on disk under a digest of their
 *content key* — the same key the memory tier uses — so a re-run of any
-figure, duopoly competition or continuation trace against a warm store
+figure, oligopoly competition or continuation trace against a warm store
 performs zero equilibrium solves.
 
 Layout
@@ -57,10 +57,10 @@ explicit codec registry (:data:`CODECS`):
 
 ``"grid-row"``
     ``tuple[EquilibriumResult, ...]`` — one solved cap row, the unit of
-    work of the grid engine, duopoly sweeps and continuation traces.
+    work of the grid engine, oligopoly states and continuation traces.
 ``"ndarrays"``
-    ``dict[str, np.ndarray]`` — generic named-array bundles (duopoly/
-    oligopoly best-response sweeps, dynamics trajectory segments).
+    ``dict[str, np.ndarray]`` — generic named-array bundles (oligopoly
+    best-response sweeps, dynamics trajectory segments).
 ``"json"``
     Any JSON-serializable value (continuation breakpoint refinements).
     Bit-exact for floats: ``json`` round-trips ``repr(float)`` exactly.

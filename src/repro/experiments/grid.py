@@ -38,7 +38,7 @@ def engine() -> GridEngine:
     """The shared engine behind every §5 figure (lazily built).
 
     Bound to the process-wide default solve service, so figure rows share
-    cache tiers with duopoly sweeps, continuation traces and any
+    cache tiers with oligopoly sweeps, continuation traces and any
     configured persistent store. If the default service has been swapped
     since the engine was built (:func:`~repro.engine.service.
     set_default_service`), the engine is rebuilt against the current one —

@@ -3,7 +3,7 @@
 The paper's equilibrium analysis is a snapshot; its economic story —
 subsidization shifting demand, carriers expanding capacity, welfare
 evolving under policy — is a *trajectory*. This module runs those
-trajectories through the shared solve service the same way grids, duopoly
+trajectories through the shared solve service the same way grids, oligopoly
 sweeps and continuation traces already do:
 
 * a :class:`DynamicsSpec` declares the trajectory as *data* — the step

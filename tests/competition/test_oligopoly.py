@@ -3,17 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.backend import get_backend
 from repro.competition import (
     COMPETITION_DEFAULTS,
-    Duopoly,
     IterationPolicy,
     OligopolyGame,
     competition_settings,
     oligopoly_shares,
     solve_oligopoly_competition,
-    solve_price_competition,
 )
-from repro.competition.duopoly import carrier_shares
 from repro.core.revenue import optimal_price
 from repro.engine import SolveCache, SolveService, SolveStore
 from repro.exceptions import ConvergenceError, ModelError
@@ -52,24 +50,36 @@ def game_of(n, *, switching=2.0, cap=0.3, capacity=None, cps=None):
 
 
 class TestShares:
-    def test_two_carriers_delegate_to_duopoly_form_bitwise(self):
+    def test_two_carriers_use_the_complement_form(self):
+        # w_B = 1 - w_A exactly; an independently normalized softmax
+        # differs from it in the last ulp at the second and third pairs.
         for pair in ((1.0, 1.0), (0.3, 1.7), (0.0, 2.5)):
-            assert oligopoly_shares(2.0, pair) == carrier_shares(2.0, *pair)
+            w_a, w_b = oligopoly_shares(2.0, pair)
+            assert w_b == 1.0 - w_a
+
+    def test_equal_prices_split_evenly(self):
+        assert game_of(2, capacity=0.5).shares((1.0, 1.0)) == pytest.approx(
+            (0.5, 0.5)
+        )
 
     def test_single_carrier_owns_the_market(self):
         assert oligopoly_shares(3.0, (1.2,)) == (1.0,)
 
-    def test_three_carriers_sum_to_one_cheapest_wins(self):
-        shares = oligopoly_shares(2.0, (0.5, 1.0, 1.5))
+    @pytest.mark.parametrize("prices", [(0.5, 1.0), (0.5, 1.0, 1.5)])
+    def test_shares_sum_to_one_cheapest_wins(self, prices):
+        shares = oligopoly_shares(2.0, prices)
         assert sum(shares) == pytest.approx(1.0)
-        assert shares[0] > shares[1] > shares[2]
+        assert list(shares) == sorted(shares, reverse=True)
+        assert len(set(shares)) == len(shares)
 
-    def test_zero_switching_is_captive(self):
-        shares = oligopoly_shares(0.0, (0.1, 1.0, 5.0, 2.0))
-        assert shares == pytest.approx((0.25,) * 4)
+    @pytest.mark.parametrize("prices", [(0.1, 2.0), (0.1, 1.0, 5.0, 2.0)])
+    def test_zero_switching_is_captive(self, prices):
+        shares = oligopoly_shares(0.0, prices)
+        assert shares == pytest.approx((1.0 / len(prices),) * len(prices))
 
-    def test_extreme_prices_do_not_overflow(self):
-        shares = oligopoly_shares(10.0, (0.0, 1000.0, 2000.0))
+    @pytest.mark.parametrize("prices", [(0.0, 1000.0), (0.0, 1000.0, 2000.0)])
+    def test_extreme_prices_do_not_overflow(self, prices):
+        shares = oligopoly_shares(10.0, prices)
         assert shares[0] == pytest.approx(1.0)
         assert shares[1] == pytest.approx(0.0)
 
@@ -78,113 +88,244 @@ class TestShares:
             oligopoly_shares(2.0, ())
 
 
-class TestDuopolyParityGolden:
-    """N=2 under Gauss-Seidel is bit-for-bit the duopoly module."""
+class TestTwoCarriers:
+    """N=2 behaviour on the symmetric two-carrier market."""
 
-    def _duopoly(self, cps=providers):
-        return Duopoly(
-            cps(),
-            *carrier_isps(2, 0.5),
-            switching=2.0,
-            cap=0.3,
-            service=SolveService(cache=SolveCache()),
-        )
+    def test_carrier_market_scales_demand_by_share(self):
+        game = game_of(2, capacity=0.5, cap=0.0)
+        prices = (0.8, 1.2)
+        w_a, _ = game.shares(prices)
+        market = game.carrier_market(0, prices)
+        base = providers()[0].population(0.8)
+        assert market.providers[0].population(0.8) == pytest.approx(w_a * base)
 
-    def _oligopoly(self, cps=providers):
-        return game_of(2, capacity=0.5, cps=cps())
-
-    def test_best_response_price_bitwise_parity(self):
-        duo, olig = self._duopoly(), self._oligopoly()
-        for index, rival in ((0, 1.1), (1, 0.7), (0, 0.9)):
-            prices = (1.0, rival) if index == 0 else (rival, 1.0)
-            expected = duo.best_response_price(
-                index, rival, price_range=(0.05, 2.0), grid_points=10
-            )
-            actual = olig.best_response_price(
-                index, prices, price_range=(0.05, 2.0), grid_points=10
-            )
-            assert actual == expected
-
-    def test_solve_state_bitwise_parity(self):
-        duo_state = self._duopoly().solve(0.9, 1.1)
-        olig_state = self._oligopoly().solve((0.9, 1.1))
-        assert olig_state.prices == duo_state.prices
-        assert olig_state.shares == duo_state.shares
-        assert olig_state.revenues == duo_state.revenues
-        assert olig_state.welfare == duo_state.welfare
+    def test_solve_state_consistency(self):
+        state = game_of(2, capacity=0.5).solve((0.9, 1.1))
+        assert state.prices == (0.9, 1.1)
+        assert state.shares[0] > state.shares[1]  # cheaper carrier bigger
         for k in range(2):
-            assert (
-                olig_state.equilibria[k].subsidies.tobytes()
-                == duo_state.equilibria[k].subsidies.tobytes()
+            assert state.revenues[k] == pytest.approx(
+                state.equilibria[k].state.revenue
             )
+        assert state.total_revenue == pytest.approx(sum(state.revenues))
 
-    def test_price_competition_bitwise_parity(self):
-        old = solve_price_competition(
-            self._duopoly(cheap_providers),
-            initial_prices=(0.7, 0.7),
-            tol=1e-3, grid_points=10, price_range=(0.05, 2.0),
+    def test_symmetric_prices_give_symmetric_outcomes(self):
+        state = game_of(2, capacity=0.5).solve((1.0, 1.0))
+        np.testing.assert_allclose(
+            state.equilibria[0].subsidies, state.equilibria[1].subsidies,
+            atol=1e-8,
         )
-        new = solve_oligopoly_competition(
-            self._oligopoly(cheap_providers),
+        assert state.revenues[0] == pytest.approx(state.revenues[1], rel=1e-8)
+
+    def test_more_switching_means_lower_prices(self):
+        def equilibrium_price(switching):
+            result = solve_oligopoly_competition(
+                game_of(2, capacity=0.5, switching=switching, cap=0.0),
+                price_range=(0.05, 2.0),
+                grid_points=14,
+                policy=IterationPolicy(tol=1e-3),
+            )
+            return result.state.prices[0]
+
+        assert equilibrium_price(4.0) < equilibrium_price(0.5)
+
+    def test_deregulation_raises_both_carriers_revenue(self):
+        # §6's conjecture: competition plus subsidization still pays.
+        base = game_of(2, capacity=0.5, cap=0.0).solve((0.6, 0.6))
+        dereg = game_of(2, capacity=0.5, cap=0.5).solve((0.6, 0.6))
+        assert dereg.revenues[0] > base.revenues[0]
+        assert dereg.revenues[1] > base.revenues[1]
+        assert dereg.welfare > base.welfare
+
+
+class TestTwoCarrierPriceEquilibrium:
+    @pytest.fixture(scope="class")
+    def equilibrium(self):
+        return solve_oligopoly_competition(
+            game_of(2, capacity=0.5),
+            price_range=(0.05, 2.0),
+            grid_points=16,
+            policy=IterationPolicy(tol=1e-4),
+        )
+
+    def test_converges_to_symmetric_prices(self, equilibrium):
+        p_a, p_b = equilibrium.state.prices
+        assert p_a == pytest.approx(p_b, abs=1e-3)
+
+    def test_competition_undercuts_monopoly(self, equilibrium):
+        # A monopolist serving the same total demand at the same capacity
+        # per head prices higher than either carrier.
+        monopoly_market = Market(
+            providers(), AccessISP(price=1.0, capacity=1.0)
+        )
+        monopoly = optimal_price(
+            monopoly_market, cap=0.3, price_range=(0.05, 2.0)
+        )
+        assert equilibrium.state.prices[0] < monopoly.price
+
+    def test_competition_result_is_a_mutual_best_response(self, equilibrium):
+        prices = equilibrium.state.prices
+        br_a = game_of(2, capacity=0.5).best_response_price(
+            0, prices, price_range=(0.05, 2.0), grid_points=16
+        )
+        assert br_a == pytest.approx(prices[0], abs=0.02)
+
+
+def sig(x):
+    """``x`` at the repo's 12-significant-digit convention."""
+    return format(float(x), ".12g")
+
+
+def assert_state_matches(state, golden):
+    assert [sig(p) for p in state.prices] == golden["prices"]
+    assert [sig(w) for w in state.shares] == golden["shares"]
+    assert [sig(r) for r in state.revenues] == golden["revenues"]
+    assert sig(state.welfare) == golden["welfare"]
+    assert [
+        [sig(s) for s in eq.subsidies] for eq in state.equilibria
+    ] == golden["subsidies"]
+
+
+def assert_competition_matches(result, golden):
+    assert result.mode == "gauss-seidel"
+    assert result.iterations == golden["iterations"]
+    assert sig(result.residual) == golden["residual"]
+    assert_state_matches(result.state, golden)
+
+
+#: Frozen N=2 outputs under the numpy backend, recorded from the former
+#: two-carrier module (whose results this game reproduced bitwise) before
+#: it was folded into :class:`OligopolyGame`.
+GOLDEN_NUMPY = {
+    "best_responses_g10": ["0.613338579787", "0.545970044402", "0.580208873164"],
+    "state": {
+        "prices": ["0.9", "1.1"],
+        "shares": ["0.598687660112", "0.401312339888"],
+        "revenues": ["0.111342595318", "0.0736076555654"],
+        "welfare": "0.182986635044",
+        "subsidies": [["0.298135079252", "0.3"], ["0.3", "0.3"]],
+    },
+    "competition_cheap": {
+        "iterations": 5,
+        "residual": "0.000530745091085",
+        "prices": ["0.673678232598", "0.673551496795"],
+        "shares": ["0.499936632099", "0.500063367901"],
+        "revenues": ["0.0858518204984", "0.0858572177826"],
+        "welfare": "0.254906845599",
+        "subsidies": [["0.245125146267"], ["0.245061162536"]],
+    },
+    "section5_best_responses": ["0.683538730157", "0.613584507291"],
+    "section5_state": {
+        "prices": ["0.8", "1.2"],
+        "shares": ["0.689974481128", "0.310025518872"],
+        "revenues": ["0.215409075726", "0.128617728158"],
+        "welfare": "0.321107534541",
+        "subsidies": [
+            ["0", "0", "0.293455585962", "0.296746512163", "0.392740029982",
+             "0.445907916002", "0.5", "0.5"],
+            ["0", "0", "0.298910379782", "0.298568072889", "0.439933603734",
+             "0.42141771423", "0.5", "0.5"],
+        ],
+    },
+    "best_responses_g12": ["0.613336259823", "0.545971599501", "0.580210004335"],
+    "competition": {
+        "iterations": 10,
+        "residual": "5.66711527345e-05",
+        "prices": ["0.51397415184", "0.513960934899"],
+        "shares": ["0.499993391529", "0.500006608471"],
+        "revenues": ["0.100877767991", "0.100878391226"],
+        "welfare": "0.350280313932",
+        "subsidies": [["0.282171323157", "0.3"], ["0.282169107962", "0.3"]],
+    },
+}
+
+#: The kernel backends evaluate ``exp`` with libm rather than NumPy, which
+#: moves one case in the tenth digit (recorded on cext; pyloops agrees).
+GOLDEN_KERNEL = {
+    **GOLDEN_NUMPY,
+    "competition": {
+        "iterations": 10,
+        "residual": "5.66711527345e-05",
+        "prices": ["0.51397415184", "0.513960934775"],
+        "shares": ["0.499993391467", "0.500006608533"],
+        "revenues": ["0.100877767985", "0.100878391226"],
+        "welfare": "0.350280313959",
+        "subsidies": [["0.282171323167", "0.3"], ["0.282169107952", "0.3"]],
+    },
+}
+
+
+def golden(name):
+    table = GOLDEN_NUMPY if get_backend().name == "numpy" else GOLDEN_KERNEL
+    return table[name]
+
+
+def best_responses(game, calls, grid_points):
+    """Sequential best responses on one game (the warm-start chain
+    threads through them), at the 12-digit convention."""
+    out = []
+    for index, rival in calls:
+        prices = (1.0, rival) if index == 0 else (rival, 1.0)
+        out.append(sig(game.best_response_price(
+            index, prices, price_range=(0.05, 2.0), grid_points=grid_points
+        )))
+    return out
+
+
+class TestTwoCarrierGolden:
+    """N=2 results equal the frozen goldens (floats at 12 significant
+    digits, iteration counts exactly)."""
+
+    def test_best_response_prices(self):
+        calls = ((0, 1.1), (1, 0.7), (0, 0.9))
+        assert best_responses(
+            game_of(2, capacity=0.5), calls, 10
+        ) == golden("best_responses_g10")
+        assert best_responses(
+            game_of(2, capacity=0.5), calls, 12
+        ) == golden("best_responses_g12")
+
+    def test_solve_state(self):
+        assert_state_matches(
+            game_of(2, capacity=0.5).solve((0.9, 1.1)), golden("state")
+        )
+
+    def test_price_competition_cheap_market(self):
+        result = solve_oligopoly_competition(
+            game_of(2, capacity=0.5, cps=cheap_providers()),
             initial_prices=(0.7, 0.7),
             price_range=(0.05, 2.0),
             grid_points=10,
             policy=IterationPolicy(tol=1e-3),
         )
-        assert new.iterations == old.iterations
-        assert new.residual == old.residual
-        assert new.mode == "gauss-seidel"
-        assert new.state.prices == old.state.prices
-        assert new.state.shares == old.state.shares
-        assert new.state.revenues == old.state.revenues
-        assert new.state.welfare == old.state.welfare
-        for k in range(2):
-            assert (
-                new.state.equilibria[k].subsidies.tobytes()
-                == old.state.equilibria[k].subsidies.tobytes()
-            )
+        assert_competition_matches(result, golden("competition_cheap"))
 
+    def test_price_competition(self):
+        result = solve_oligopoly_competition(
+            game_of(2, capacity=0.5),
+            price_range=(0.05, 2.0),
+            grid_points=12,
+            policy=IterationPolicy(tol=1e-4),
+        )
+        assert_competition_matches(result, golden("competition"))
 
-class TestSection5Parity:
-    """The acceptance market: N=2 on the paper's §5 market, bitwise."""
-
-    def _games(self):
+    def test_best_response_and_state_on_section5(self):
         from repro.experiments.scenarios import section5_market
 
-        market = section5_market()
-        isps = tuple(
-            AccessISP(price=1.0, capacity=0.5, name=f"s5-{k}")
-            for k in range(2)
-        )
-        duo = Duopoly(
-            market.providers, *isps, switching=2.0, cap=0.5,
+        game = OligopolyGame(
+            section5_market().providers,
+            tuple(
+                AccessISP(price=1.0, capacity=0.5, name=f"s5-{k}")
+                for k in range(2)
+            ),
+            switching=2.0,
+            cap=0.5,
             service=SolveService(cache=SolveCache()),
         )
-        olig = OligopolyGame(
-            market.providers, isps, switching=2.0, cap=0.5,
-            service=SolveService(cache=SolveCache()),
-        )
-        return duo, olig
-
-    def test_best_response_and_state_bitwise_on_section5(self):
-        duo, olig = self._games()
-        for index, rival in ((0, 1.2), (1, 0.8)):
-            prices = (1.0, rival) if index == 0 else (rival, 1.0)
-            assert olig.best_response_price(
-                index, prices, price_range=(0.05, 2.0), grid_points=8
-            ) == duo.best_response_price(
-                index, rival, price_range=(0.05, 2.0), grid_points=8
-            )
-        duo_state = duo.solve(0.8, 1.2)
-        olig_state = olig.solve((0.8, 1.2))
-        assert olig_state.shares == duo_state.shares
-        assert olig_state.revenues == duo_state.revenues
-        assert olig_state.welfare == duo_state.welfare
-        for k in range(2):
-            assert (
-                olig_state.equilibria[k].subsidies.tobytes()
-                == duo_state.equilibria[k].subsidies.tobytes()
-            )
+        assert best_responses(
+            game, ((0, 1.2), (1, 0.8)), 8
+        ) == golden("section5_best_responses")
+        assert_state_matches(game.solve((0.8, 1.2)), golden("section5_state"))
 
 
 class TestMonopolyDegeneration:

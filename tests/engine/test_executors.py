@@ -350,7 +350,7 @@ class TestCloseDuringBatch:
             except BaseException as exc:  # CancelledError is a BaseException
                 failures.append(exc)
 
-        thread = threading.Thread(target=run_batch)
+        thread = threading.Thread(target=run_batch, daemon=True)
         thread.start()
         # Wait for the first commit so the close genuinely interrupts a
         # batch that has landed partial work (on a slow machine the batch
@@ -384,6 +384,42 @@ class TestCloseDuringBatch:
         assert [float(v["value"]) for v in values] == [3.0 * x for x in xs]
         assert rerun.counters.store_hits == survivors
         assert rerun.counters.computed == len(xs) - survivors
+
+    @pytest.mark.parametrize("executor_cls", [PoolExecutor, ChunkedExecutor])
+    def test_close_cancels_queued_tasks_and_unblocks_the_batch(
+        self, tmp_path, executor_cls
+    ):
+        # Far more tasks (or chunks) than the pool keeps in flight, so the
+        # close is certain to cancel queued ones; the batch must raise,
+        # not wait on them forever.
+        service = SolveService(
+            cache=SolveCache(),
+            store=SolveStore(tmp_path),
+            executor=executor_cls(),
+        )
+        xs = [float(x) for x in range(1, 25)]
+        failures: list[BaseException] = []
+
+        def run_batch():
+            try:
+                service.map(
+                    [_slow_task(x, delay=0.25) for x in xs], workers=2
+                )
+            except BaseException as exc:
+                failures.append(exc)
+
+        thread = threading.Thread(target=run_batch, daemon=True)
+        thread.start()
+        deadline = time.time() + 30.0
+        while time.time() < deadline and len(service.store) == 0:
+            time.sleep(0.02)
+        assert len(service.store) > 0
+        service.close()
+        thread.join(timeout=60.0)
+        assert not thread.is_alive()
+        assert [type(exc).__name__ for exc in failures] == ["CancelledError"]
+        assert 0 < len(service.store) < len(xs)
+        assert service.inflight == 0
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
