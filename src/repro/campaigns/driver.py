@@ -19,10 +19,11 @@
    (row + metrics in one transaction), which is what makes SIGKILL at
    any instant recoverable: the manifest never names a partial row.
 
-The metric set is fixed per sweep kind (:data:`SWEEP_METRICS`), so a
-campaign's warehouse columns are knowable from its spec — the pipeline
-validates panel quantities against :data:`CAMPAIGN_METRICS` the same way
-grid sweeps validate against the scalar quantity map.
+Each row kind is an entry of
+:data:`repro.experiments.kinds.SWEEP_KINDS`: the driver solves a row with
+the same per-kind solve the experiment pipeline runs and computes the
+kind's metric columns (:data:`SWEEP_METRICS`) from the solved view, so a
+campaign's warehouse columns are knowable from its spec.
 """
 
 from __future__ import annotations
@@ -31,20 +32,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
-import numpy as np
-
-from repro.campaigns.metrics import CAMPAIGN_METRICS, SWEEP_METRICS
 from repro.campaigns.spec import CampaignRow, CampaignSpec
 from repro.campaigns.warehouse import CampaignWarehouse
-from repro.competition.oligopoly import (
-    OligopolyGame,
-    competition_settings,
-    solve_oligopoly_competition,
-)
 from repro.engine import GridEngine
 from repro.engine.service import SolveService, default_service
-from repro.scenarios.spec import ScenarioSpec
-from repro.simulation.trajectory import dynamics_settings, run_trajectory
+from repro.experiments.kinds import (
+    CAMPAIGN_METRICS,
+    SWEEP_KINDS,
+    SWEEP_METRICS,
+)
 
 __all__ = [
     "CAMPAIGN_METRICS",
@@ -73,93 +69,14 @@ def warehouse_for_service(service: SolveService) -> CampaignWarehouse:
     return CampaignWarehouse(Path(store.path) / WAREHOUSE_FILENAME)
 
 
-def _grid_metrics(
-    scn: ScenarioSpec,
-    sweep: str,
-    service: SolveService,
-    workers: int | None,
-) -> dict[str, float]:
-    prices = np.asarray(scn.prices, dtype=float)
-    caps = (
-        np.array([0.0])
-        if sweep == "price"
-        else np.asarray(scn.policy_levels, dtype=float)
-    )
-    engine = GridEngine(workers=workers, service=service)
-    grid = engine.solve_grid(scn.market, prices, caps, workers=workers)
-    revenue = grid.quantity(lambda eq: eq.state.revenue)
-    welfare = grid.quantity(lambda eq: eq.state.welfare)
-    kkt = grid.quantity(lambda eq: eq.kkt_residual)
-    k, j = np.unravel_index(int(np.argmax(revenue)), revenue.shape)
-    star = grid.at(int(k), int(j))
-    return {
-        "welfare": float(welfare[k, j]),
-        "revenue": float(revenue[k, j]),
-        "utilization": float(star.state.utilization),
-        "aggregate_throughput": float(star.state.aggregate_throughput),
-        "price_star": float(prices[j]),
-        "cap_star": float(caps[k]),
-        "welfare_max": float(np.max(welfare)),
-        "welfare_mean": float(np.mean(welfare)),
-        "kkt_max": float(np.max(kkt)),
-    }
-
-
-def _dynamics_metrics(
-    scn: ScenarioSpec, service: SolveService
-) -> dict[str, float]:
-    dspec = dynamics_settings(scn.metadata)
-    trajectory = run_trajectory(scn.market, dspec, service=service)
-    welfares = np.asarray(trajectory.welfares, dtype=float)
-    revenues = np.asarray(trajectory.revenues, dtype=float)
-    adoption = trajectory.adoption()
-    finite = bool(
-        np.all(np.isfinite(welfares))
-        and np.all(np.isfinite(revenues))
-        and np.all(np.isfinite(adoption))
-    )
-    return {
-        "welfare": float(welfares[-1]),
-        "welfare_min": float(np.min(welfares)),
-        "revenue": float(revenues[-1]),
-        "adoption_final": float(adoption[-1]),
-        "capacity_final": float(trajectory.capacities[-1]),
-        "survived": 1.0 if finite and adoption[-1] > 0.0 else 0.0,
-    }
-
-
-def _structure_metrics(
-    scn: ScenarioSpec, service: SolveService
-) -> dict[str, float]:
-    settings = competition_settings(scn.metadata)
-    game = OligopolyGame.from_scenario(scn, service=service)
-    result = solve_oligopoly_competition(
-        game,
-        price_range=settings.price_range,
-        grid_points=settings.grid_points,
-        xtol=settings.xtol,
-        policy=settings.policy,
-    )
-    state = result.state
-    shares = np.asarray(state.shares, dtype=float)
-    return {
-        "welfare": float(state.welfare),
-        "industry_revenue": float(state.total_revenue),
-        "mean_price": float(state.mean_price),
-        "mean_utilization": float(state.mean_utilization),
-        "hhi": float(np.sum(shares**2)),
-        "carriers": float(shares.size),
-    }
-
-
 def _row_metrics(
     row: CampaignRow, service: SolveService, workers: int | None
 ) -> dict[str, float]:
-    if row.sweep in ("price", "grid"):
-        return _grid_metrics(row.scenario, row.sweep, service, workers)
-    if row.sweep == "dynamics":
-        return _dynamics_metrics(row.scenario, service)
-    return _structure_metrics(row.scenario, service)
+    # The same per-kind solve the experiment pipeline runs, on an engine
+    # bound to the campaign's service.
+    kind = SWEEP_KINDS[row.sweep]
+    engine = GridEngine(workers=workers, service=service)
+    return kind.row_metrics(kind.solve(row.scenario, engine, workers=workers))
 
 
 @dataclass(frozen=True)

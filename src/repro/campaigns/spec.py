@@ -59,6 +59,7 @@ import numpy as np
 
 from repro.competition.oligopoly import COMPETITION_DEFAULTS
 from repro.exceptions import ModelError
+from repro.experiments.kinds import CAMPAIGN_SWEEPS
 # Cycle note: repro.io imports the scenario layer, which reaches the
 # experiments pipeline, which reaches this package. repro.io therefore
 # defines CAMPAIGN_FORMAT before its own repro imports (safe to read
@@ -89,10 +90,6 @@ __all__ = [
 
 #: Format tag of one expanded row's digest payload.
 ROW_FORMAT = "repro-campaign-row/1"
-
-#: Row workload kinds a campaign can sweep (the pipeline's sweep kinds
-#: minus ``campaign`` itself — rows are ordinary single-scenario solves).
-CAMPAIGN_SWEEPS = ("price", "grid", "dynamics", "market_structure")
 
 #: Single source of the spec's optional-field defaults (the
 #: :data:`~repro.simulation.trajectory.DYNAMICS_DEFAULTS` house style):

@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import sqlite3
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -363,11 +363,3 @@ class CampaignWarehouse:
             ]
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
-
-    # ------------------------------------------------------------------
-    def iter_metrics(
-        self, campaign: str, names: Sequence[str]
-    ) -> Iterator[tuple[str, np.ndarray]]:
-        """``(name, column)`` pairs for the requested metric names."""
-        for name in names:
-            yield name, self.metric(campaign, name)

@@ -209,12 +209,6 @@ class SubsidizationGame:
     # ------------------------------------------------------------------
     # batched evaluation
     # ------------------------------------------------------------------
-    def states_batch(
-        self, profiles, *, phi0: np.ndarray | None = None
-    ) -> MarketStateBatch:
-        """Solved market states for a whole ``(B, N)`` profile batch."""
-        return self._market.solve_batch(profiles, phi0=phi0)
-
     def marginal_diagnostics_batch(
         self, profiles, *, phi0: np.ndarray | None = None
     ) -> BatchedMarginalDiagnostics:

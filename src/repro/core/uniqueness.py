@@ -43,10 +43,6 @@ class PFunctionViolation:
     s_b: np.ndarray
     products: np.ndarray
 
-    def worst_product(self) -> float:
-        """The least-negative requirement: max over i of the sign product."""
-        return float(np.min(self.products))
-
 
 def _sample_profiles(game: SubsidizationGame, count: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)

@@ -11,97 +11,62 @@ markets and user-supplied scenario files all travel the same code path.
 
 Sweep kinds
 -----------
-``"price"``
-    Zero-subsidy price sweep (the §3 one-sided model). Internally a
-    single-row grid at cap ``q = 0`` — the solver's zero-cap shortcut makes
-    this bitwise-identical to direct ``market.solve()`` calls.
-``"grid"``
-    Full (price × policy) equilibrium grid (the §5 model).
-``"market_structure"``
-    N-carrier oligopoly competition swept over carrier counts
-    (``ExperimentSpec.carrier_counts``): for each ``N`` the scenario's
-    market is split across ``N`` carriers
-    (:meth:`repro.competition.OligopolyGame.from_scenario`) and the price
-    competition is solved to equilibrium; panels read industry-level
-    quantities (:data:`MARKET_STRUCTURE_QUANTITIES`) against the carrier
-    count on the x-axis. Competition parameters come from the scenario's
-    metadata (the :func:`repro.scenarios.oligopoly` generator records
-    them).
-``"dynamics"``
-    A market trajectory (the §6 time-dynamics subsystem): the scenario's
-    ``repro-dynamics/1`` metadata block (the
-    :func:`repro.scenarios.trajectory_variant` /
-    :func:`repro.scenarios.shocked_market` generators record it; plain
-    scenarios run under the defaults) declares the step policy, horizon
-    and shock schedule, :func:`repro.simulation.run_trajectory` resolves
-    it as content-keyed segments on the shared solve service, and panels
-    read trajectory quantities (:data:`DYNAMICS_QUANTITIES` — adoption,
-    utilization, industry revenue, welfare, ...) against the period ``t``
-    on the x-axis.
-``"campaign"``
-    A mass scenario campaign (:mod:`repro.campaigns`): the spec carries a
-    :class:`~repro.campaigns.CampaignSpec` instead of a scenario,
-    :func:`~repro.campaigns.run_campaign` expands it into content-keyed
-    rows on the shared solve service (resumable against the warehouse
-    co-located with any configured persistent store), and panels read
-    warehouse metrics (:data:`CAMPAIGN_QUANTITIES` — one value per
-    campaign row) against the row index on the x-axis.
+``price``, ``grid``, ``dynamics``, ``market_structure`` and ``campaign``
+are entries of :data:`repro.experiments.kinds.SWEEP_KINDS`. Each entry
+owns what is decided per kind — accepted panel quantities, x-axis label,
+solve, figure layout and, for row kinds, warehouse metrics — so this
+module validates, solves and lays out every spec by reading the table.
 
 Panels
 ------
-A :class:`PanelSpec` names a quantity from :data:`SCALAR_QUANTITIES`
-(``revenue``, ``welfare``, ...) or :data:`PROVIDER_QUANTITIES`
-(``subsidies``, ``throughputs``, ...). Scalar panels become one figure
-(one series per policy level on grid sweeps); provider panels become one
-figure per CP on grid sweeps (the paper's 2×4 layouts) or one multi-series
-figure on price sweeps (Figure 5's 3×3).
+A :class:`PanelSpec` names a quantity of its sweep kind: on ``price`` and
+``grid`` sweeps one of :data:`SCALAR_QUANTITIES` (``revenue``,
+``welfare``, ...) or :data:`PROVIDER_QUANTITIES` (``subsidies``,
+``throughputs``, ...). Scalar panels become one figure (one series per
+policy level on grid sweeps); provider panels become one figure per CP on
+grid sweeps (the paper's 2×4 layouts) or one multi-series figure on price
+sweeps (Figure 5's 3×3). Panels of the one-axis kinds become one
+single-series figure against the carrier count, period or row index.
 
 Checks
 ------
-A :class:`CheckSpec` pairs a name with a predicate over the
-:class:`SweepView` (the solved grid with cached quantity extraction);
+A :class:`CheckSpec` pairs a name with a predicate over the solved view
+(:class:`SweepView` for price/grid sweeps, :class:`AxisView` otherwise);
 predicates return a verdict or a ``(verdict, detail)`` pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Sequence, Union
 
 import numpy as np
 
-from repro.analysis.series import FigureData, Series
-# The metric tables come from the campaigns leaf module (not the driver):
-# the driver pulls in the scenario generators, which close a cycle back
-# through this package; the heavy campaign machinery is imported lazily
-# in _solve_campaign.
-from repro.campaigns.metrics import CAMPAIGN_METRICS, SWEEP_METRICS
-from repro.competition.oligopoly import (
-    OligopolyCompetitionResult,
-    OligopolyGame,
-    competition_settings,
-    solve_oligopoly_competition,
-)
-from repro.core.equilibrium import EquilibriumResult
-from repro.engine import EquilibriumGrid, GridEngine
 from repro.exceptions import ModelError
+from repro.engine import GridEngine
 from repro.experiments import grid as _shared_grid
 from repro.experiments.base import ExperimentResult, ShapeCheck
-from repro.experiments.refine import RefineSpec, refine_grid
+from repro.experiments.kinds import (
+    CAMPAIGN_QUANTITIES,
+    DYNAMICS_QUANTITIES,
+    MARKET_STRUCTURE_QUANTITIES,
+    METRICS,
+    PROVIDER_QUANTITIES,
+    SCALAR_QUANTITIES,
+    SWEEP_KINDS,
+    SWEEP_METRICS,
+    AxisView,
+    SweepView,
+)
+from repro.experiments.refine import RefineSpec
 # Submodule imports (not the package root): repro.scenarios.paper closes a
 # cycle back through repro.experiments, so the package __init__ may be
 # partially initialized while this module loads.
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import ScenarioSpec
-from repro.simulation.trajectory import (
-    DynamicsSpec,
-    DynamicsTrajectory,
-    dynamics_settings,
-    run_trajectory,
-)
+from repro.simulation.trajectory import dynamics_settings
 
 if TYPE_CHECKING:  # pragma: no cover — annotations only, see above
-    from repro.campaigns.driver import CampaignReport
     from repro.campaigns.spec import CampaignSpec
 
 __all__ = [
@@ -114,9 +79,7 @@ __all__ = [
     "CheckSpec",
     "check",
     "SweepView",
-    "MarketStructureView",
-    "DynamicsView",
-    "CampaignView",
+    "AxisView",
     "ExperimentSpec",
     "run_spec",
     "scenario_experiment",
@@ -125,60 +88,8 @@ __all__ = [
     "campaign_experiment",
 ]
 
-#: Scalar quantities a panel or check can read off each equilibrium.
-SCALAR_QUANTITIES: Mapping[str, Callable[[EquilibriumResult], float]] = {
-    "revenue": lambda eq: eq.state.revenue,
-    "welfare": lambda eq: eq.state.welfare,
-    "aggregate_throughput": lambda eq: eq.state.aggregate_throughput,
-    "utilization": lambda eq: eq.state.utilization,
-    "kkt_residual": lambda eq: eq.kkt_residual,
-}
-
-#: Per-CP vector quantities a panel or check can read off each equilibrium.
-PROVIDER_QUANTITIES: Mapping[str, Callable[[EquilibriumResult], np.ndarray]] = {
-    "subsidies": lambda eq: eq.subsidies,
-    "populations": lambda eq: eq.state.populations,
-    "throughputs": lambda eq: eq.state.throughputs,
-    "utilities": lambda eq: eq.state.utilities,
-    "rates": lambda eq: eq.state.rates,
-    "effective_prices": lambda eq: eq.state.effective_prices,
-}
-
-#: Industry-level quantities a ``market_structure`` panel or check can read
-#: off each carrier count's solved price competition.
-MARKET_STRUCTURE_QUANTITIES: Mapping[
-    str, Callable[[OligopolyCompetitionResult], float]
-] = {
-    "industry_revenue": lambda r: r.state.total_revenue,
-    "industry_welfare": lambda r: r.state.welfare,
-    "mean_price": lambda r: r.state.mean_price,
-    "mean_utilization": lambda r: r.state.mean_utilization,
-    "price_dispersion": lambda r: (
-        max(r.state.prices) - min(r.state.prices)
-    ),
-    "competition_sweeps": lambda r: float(r.iterations),
-    "equilibrium_solves": lambda r: float(r.total_solves),
-}
-
-#: Trajectory quantities a ``dynamics`` panel or check can read off the
-#: solved trajectory — one value per period, aligned with the step axis.
-DYNAMICS_QUANTITIES: Mapping[str, Callable[[DynamicsTrajectory], np.ndarray]] = {
-    "adoption": lambda tr: tr.adoption(),
-    "utilization": lambda tr: tr.utilizations,
-    "industry_revenue": lambda tr: tr.revenues,
-    "welfare": lambda tr: tr.welfares,
-    "aggregate_throughput": lambda tr: tr.aggregate_throughputs(),
-    "capacity": lambda tr: tr.capacities,
-    "price": lambda tr: tr.prices,
-    "mean_subsidy": lambda tr: tr.subsidies.mean(axis=1),
-}
-
-#: Warehouse metrics a ``campaign`` panel or check can read — one value
-#: per campaign row, aligned with the row-index axis. The mapping (name
-#: → meaning) comes from the driver, which is the one place the metric
-#: sets are defined (:data:`repro.campaigns.SWEEP_METRICS` narrows it
-#: per campaign sweep kind).
-CAMPAIGN_QUANTITIES: Mapping[str, str] = CAMPAIGN_METRICS
+#: A solved sweep as panels and checks see it.
+View = Union[SweepView, AxisView]
 
 
 @dataclass(frozen=True)
@@ -193,7 +104,8 @@ class PanelSpec:
         Figure title. For provider panels on grid sweeps this is a
         template: ``{name}`` interpolates the CP name.
     quantity:
-        Key into :data:`SCALAR_QUANTITIES` or :data:`PROVIDER_QUANTITIES`.
+        A quantity of the experiment's sweep kind (its
+        :attr:`~repro.experiments.kinds.SweepKind.quantities`).
     y_label:
         y-axis label.
     series_name:
@@ -211,21 +123,14 @@ class PanelSpec:
     notes: str = ""
 
     def __post_init__(self) -> None:
-        if (
-            self.quantity not in SCALAR_QUANTITIES
-            and self.quantity not in PROVIDER_QUANTITIES
-            and self.quantity not in MARKET_STRUCTURE_QUANTITIES
-            and self.quantity not in DYNAMICS_QUANTITIES
-            and self.quantity not in CAMPAIGN_QUANTITIES
+        if not any(
+            self.quantity in kind.quantities for kind in SWEEP_KINDS.values()
         ):
-            raise ModelError(
-                f"unknown quantity {self.quantity!r}; scalar quantities: "
-                f"{sorted(SCALAR_QUANTITIES)}, provider quantities: "
-                f"{sorted(PROVIDER_QUANTITIES)}, market-structure "
-                f"quantities: {sorted(MARKET_STRUCTURE_QUANTITIES)}, "
-                f"dynamics quantities: {sorted(DYNAMICS_QUANTITIES)}, "
-                f"campaign quantities: {sorted(CAMPAIGN_QUANTITIES)}"
+            known = "; ".join(
+                f"{name} quantities: {sorted(kind.quantities)}"
+                for name, kind in SWEEP_KINDS.items()
             )
+            raise ModelError(f"unknown quantity {self.quantity!r}; {known}")
 
     @property
     def per_provider(self) -> bool:
@@ -238,9 +143,9 @@ class CheckSpec:
     """A named qualitative claim evaluated against the solved sweep."""
 
     name: str
-    predicate: Callable[["SweepView"], Union[bool, tuple[bool, str]]]
+    predicate: Callable[[View], Union[bool, tuple[bool, str]]]
 
-    def evaluate(self, view: "SweepView") -> ShapeCheck:
+    def evaluate(self, view: View) -> ShapeCheck:
         """Run the predicate and wrap the verdict as a :class:`ShapeCheck`."""
         outcome = self.predicate(view)
         if isinstance(outcome, tuple):
@@ -250,194 +155,10 @@ class CheckSpec:
 
 
 def check(
-    name: str, predicate: Callable[["SweepView"], Union[bool, tuple[bool, str]]]
+    name: str, predicate: Callable[[View], Union[bool, tuple[bool, str]]]
 ) -> CheckSpec:
     """Shorthand constructor for a :class:`CheckSpec`."""
     return CheckSpec(name=name, predicate=predicate)
-
-
-class SweepView:
-    """Solved sweep with cached quantity extraction, shared by panels/checks.
-
-    Scalar quantities come out as ``[cap, price]`` matrices, provider
-    quantities as ``[cap, price, cp]`` arrays. Price-sweep experiments have
-    a single cap row; :meth:`line` / :meth:`provider_line` read it directly.
-    """
-
-    def __init__(self, scenario: ScenarioSpec, grid: EquilibriumGrid) -> None:
-        self.scenario = scenario
-        self.grid = grid
-        self.prices = grid.prices
-        self.caps = grid.caps
-        self.market = scenario.market
-        self._scalar_cache: dict[str, np.ndarray] = {}
-        self._provider_cache: dict[str, np.ndarray] = {}
-
-    def scalar(self, quantity: str) -> np.ndarray:
-        """``[cap, price]`` matrix of a scalar quantity."""
-        if quantity not in self._scalar_cache:
-            if quantity not in SCALAR_QUANTITIES:
-                raise ModelError(
-                    f"unknown scalar quantity {quantity!r}; choose from "
-                    f"{sorted(SCALAR_QUANTITIES)}"
-                )
-            self._scalar_cache[quantity] = self.grid.quantity(
-                SCALAR_QUANTITIES[quantity]
-            )
-        return self._scalar_cache[quantity]
-
-    def provider(self, quantity: str) -> np.ndarray:
-        """``[cap, price, cp]`` array of a per-CP quantity."""
-        if quantity not in self._provider_cache:
-            if quantity not in PROVIDER_QUANTITIES:
-                raise ModelError(
-                    f"unknown provider quantity {quantity!r}; choose from "
-                    f"{sorted(PROVIDER_QUANTITIES)}"
-                )
-            self._provider_cache[quantity] = self.grid.provider_quantity(
-                PROVIDER_QUANTITIES[quantity]
-            )
-        return self._provider_cache[quantity]
-
-    def line(self, quantity: str) -> np.ndarray:
-        """``[price]`` vector of a scalar quantity's first cap row."""
-        return self.scalar(quantity)[0]
-
-    def provider_line(self, quantity: str) -> np.ndarray:
-        """``[price, cp]`` matrix of a per-CP quantity's first cap row."""
-        return self.provider(quantity)[0]
-
-    def at(self, cap_index: int, price_index: int) -> EquilibriumResult:
-        """The raw equilibrium at one grid node."""
-        return self.grid.at(cap_index, price_index)
-
-
-class MarketStructureView:
-    """Solved carrier-count sweep with cached quantity extraction.
-
-    The ``market_structure`` analogue of :class:`SweepView`: one solved
-    :class:`~repro.competition.OligopolyCompetitionResult` per carrier
-    count, with industry-level quantities
-    (:data:`MARKET_STRUCTURE_QUANTITIES`) coming out as ``[count]``
-    vectors aligned with :attr:`counts`.
-    """
-
-    def __init__(
-        self,
-        scenario: ScenarioSpec,
-        counts: tuple[int, ...],
-        results: tuple[OligopolyCompetitionResult, ...],
-    ) -> None:
-        self.scenario = scenario
-        self.counts = tuple(int(n) for n in counts)
-        self.results = tuple(results)
-        self.market = scenario.market
-        self._cache: dict[str, np.ndarray] = {}
-
-    def counts_array(self) -> np.ndarray:
-        """The carrier-count axis as a float ndarray (figure x-axis)."""
-        return np.asarray(self.counts, dtype=float)
-
-    def result(self, index: int) -> OligopolyCompetitionResult:
-        """The raw competition result at one carrier count."""
-        return self.results[index]
-
-    def scalar(self, quantity: str) -> np.ndarray:
-        """``[count]`` vector of a market-structure quantity."""
-        if quantity not in self._cache:
-            if quantity not in MARKET_STRUCTURE_QUANTITIES:
-                raise ModelError(
-                    f"unknown market-structure quantity {quantity!r}; "
-                    f"choose from {sorted(MARKET_STRUCTURE_QUANTITIES)}"
-                )
-            extract = MARKET_STRUCTURE_QUANTITIES[quantity]
-            self._cache[quantity] = np.asarray(
-                [extract(result) for result in self.results], dtype=float
-            )
-        return self._cache[quantity]
-
-
-class DynamicsView:
-    """Solved market trajectory with cached quantity extraction.
-
-    The ``dynamics`` analogue of :class:`SweepView`: one solved
-    :class:`~repro.simulation.DynamicsTrajectory`, with trajectory
-    quantities (:data:`DYNAMICS_QUANTITIES`) coming out as ``[step]``
-    vectors aligned with :meth:`steps_array` (the figure x-axis).
-    """
-
-    def __init__(
-        self,
-        scenario: ScenarioSpec,
-        spec: DynamicsSpec,
-        trajectory: DynamicsTrajectory,
-    ) -> None:
-        self.scenario = scenario
-        self.dynamics = spec
-        self.trajectory = trajectory
-        self.market = scenario.market
-        self._cache: dict[str, np.ndarray] = {}
-
-    def steps_array(self) -> np.ndarray:
-        """The period axis as a float ndarray (figure x-axis)."""
-        return np.asarray(self.trajectory.steps, dtype=float)
-
-    def scalar(self, quantity: str) -> np.ndarray:
-        """``[step]`` vector of a trajectory quantity."""
-        if quantity not in self._cache:
-            if quantity not in DYNAMICS_QUANTITIES:
-                raise ModelError(
-                    f"unknown dynamics quantity {quantity!r}; choose from "
-                    f"{sorted(DYNAMICS_QUANTITIES)}"
-                )
-            self._cache[quantity] = np.asarray(
-                DYNAMICS_QUANTITIES[quantity](self.trajectory), dtype=float
-            )
-        return self._cache[quantity]
-
-
-class CampaignView:
-    """A run (or resumed) campaign with its warehouse rows in memory.
-
-    The ``campaign`` analogue of :class:`SweepView`: the
-    :class:`~repro.campaigns.CampaignReport` of the run plus every
-    completed warehouse row, with metrics (:data:`CAMPAIGN_QUANTITIES`)
-    coming out as ``[row]`` vectors aligned with :meth:`rows_array` (the
-    figure x-axis, the campaign row index).
-    """
-
-    def __init__(
-        self,
-        campaign: CampaignSpec,
-        report: CampaignReport,
-        records: Sequence[dict],
-    ) -> None:
-        self.campaign = campaign
-        self.report = report
-        self.records = tuple(records)
-        self._cache: dict[str, np.ndarray] = {}
-
-    def rows_array(self) -> np.ndarray:
-        """The row-index axis as a float ndarray (figure x-axis)."""
-        return np.asarray(
-            [record["index"] for record in self.records], dtype=float
-        )
-
-    def scalar(self, quantity: str) -> np.ndarray:
-        """``[row]`` vector of a warehouse metric."""
-        if quantity not in self._cache:
-            available = sorted(SWEEP_METRICS[self.campaign.sweep])
-            if quantity not in available:
-                raise ModelError(
-                    f"unknown campaign metric {quantity!r} for a "
-                    f"{self.campaign.sweep!r} campaign; choose from "
-                    f"{available}"
-                )
-            self._cache[quantity] = np.asarray(
-                [record["metrics"][quantity] for record in self.records],
-                dtype=float,
-            )
-        return self._cache[quantity]
 
 
 @dataclass(frozen=True)
@@ -454,10 +175,11 @@ class ExperimentSpec:
         Inline :class:`ScenarioSpec` or the registry id of one (``None``
         only for ``campaign`` sweeps, which carry a campaign instead).
     sweep:
-        ``"price"`` (zero-subsidy, §3 style), ``"grid"`` (§5 style),
-        ``"market_structure"`` (N-carrier oligopoly vs. carrier count),
-        ``"dynamics"`` (a market trajectory vs. the period ``t``) or
-        ``"campaign"`` (warehouse metrics vs. the campaign row index).
+        A key of :data:`~repro.experiments.kinds.SWEEP_KINDS`: ``"price"``
+        (zero-subsidy, §3 style), ``"grid"`` (§5 style), ``"dynamics"`` (a
+        market trajectory vs. the period ``t``), ``"market_structure"``
+        (N-carrier oligopoly vs. carrier count) or ``"campaign"``
+        (warehouse metrics vs. the campaign row index).
     panels:
         Figures to derive from the solved sweep.
     checks:
@@ -485,77 +207,45 @@ class ExperimentSpec:
     campaign: CampaignSpec | None = None
 
     def __post_init__(self) -> None:
-        if self.refine is not None and self.sweep not in ("price", "grid"):
+        kind = SWEEP_KINDS.get(self.sweep)
+        if kind is None:
             raise ModelError(
-                f"refine only applies to 'price' and 'grid' sweeps, "
-                f"not {self.sweep!r}"
-            )
-        if self.sweep not in {
-            "price",
-            "grid",
-            "market_structure",
-            "dynamics",
-            "campaign",
-        }:
-            raise ModelError(
-                f"sweep must be 'price', 'grid', 'market_structure', "
-                f"'dynamics' or 'campaign', got {self.sweep!r}"
+                f"sweep must be one of {tuple(SWEEP_KINDS)}, "
+                f"got {self.sweep!r}"
             )
         if not self.panels:
             raise ModelError("an experiment needs at least one panel")
-        if self.sweep == "campaign":
+        for option in ("refine", "carrier_counts", "campaign"):
+            if getattr(self, option) and option not in kind.options:
+                takers = " and ".join(
+                    repr(name)
+                    for name, other in SWEEP_KINDS.items()
+                    if option in other.options
+                )
+                raise ModelError(
+                    f"{option} only applies to {takers} sweeps, "
+                    f"not {self.sweep!r}"
+                )
+        allowed = kind.quantities
+        if "campaign" in kind.options:
             if self.campaign is None:
                 raise ModelError(
-                    "a campaign experiment needs a CampaignSpec in "
-                    "the 'campaign' field"
+                    f"a {self.sweep!r} experiment needs a CampaignSpec in "
+                    f"the 'campaign' field"
                 )
             if self.scenario is not None:
                 raise ModelError(
-                    "a campaign experiment derives its scenarios from the "
-                    "campaign; leave 'scenario' as None"
-                )
-            if self.carrier_counts:
-                raise ModelError(
-                    "carrier_counts only applies to market_structure "
-                    "sweeps, not 'campaign' (use a 'carriers' axis in "
-                    "the campaign instead)"
+                    f"a {self.sweep!r} experiment derives its scenarios from "
+                    f"the campaign; leave 'scenario' as None"
                 )
             allowed = SWEEP_METRICS[self.campaign.sweep]
-            for panel in self.panels:
-                if panel.quantity not in allowed:
-                    raise ModelError(
-                        f"campaign panels must use the warehouse metrics "
-                        f"of a {self.campaign.sweep!r} campaign, got "
-                        f"{panel.quantity!r}; choose from {sorted(allowed)}"
-                    )
-            return
-        if self.campaign is not None:
-            raise ModelError(
-                f"'campaign' only applies to campaign sweeps, "
-                f"not {self.sweep!r}"
-            )
-        if self.scenario is None:
-            raise ModelError(
-                f"a {self.sweep!r} experiment needs a scenario"
-            )
-        if self.sweep == "dynamics":
-            if self.carrier_counts:
-                raise ModelError(
-                    "carrier_counts only applies to market_structure "
-                    "sweeps, not 'dynamics'"
-                )
-            for panel in self.panels:
-                if panel.quantity not in DYNAMICS_QUANTITIES:
-                    raise ModelError(
-                        f"dynamics panels must use trajectory quantities, "
-                        f"got {panel.quantity!r}; choose from "
-                        f"{sorted(DYNAMICS_QUANTITIES)}"
-                    )
-        elif self.sweep == "market_structure":
+        elif self.scenario is None:
+            raise ModelError(f"a {self.sweep!r} experiment needs a scenario")
+        if "carrier_counts" in kind.options:
             counts = tuple(int(n) for n in self.carrier_counts)
             if not counts:
                 raise ModelError(
-                    "a market_structure experiment needs carrier_counts"
+                    f"a {self.sweep!r} experiment needs carrier_counts"
                 )
             if any(n < 1 for n in counts):
                 raise ModelError(
@@ -567,31 +257,12 @@ class ExperimentSpec:
                     f"got {counts}"
                 )
             object.__setattr__(self, "carrier_counts", counts)
-            for panel in self.panels:
-                if panel.quantity not in MARKET_STRUCTURE_QUANTITIES:
-                    raise ModelError(
-                        f"market_structure panels must use market-structure "
-                        f"quantities, got {panel.quantity!r}; choose from "
-                        f"{sorted(MARKET_STRUCTURE_QUANTITIES)}"
-                    )
-        else:
-            if self.carrier_counts:
+        for panel in self.panels:
+            if panel.quantity not in allowed:
                 raise ModelError(
-                    f"carrier_counts only applies to market_structure "
-                    f"sweeps, not {self.sweep!r}"
+                    f"{self.sweep!r} sweeps cannot use quantity "
+                    f"{panel.quantity!r}; choose from {sorted(allowed)}"
                 )
-            for panel in self.panels:
-                if (
-                    panel.quantity not in SCALAR_QUANTITIES
-                    and panel.quantity not in PROVIDER_QUANTITIES
-                ):
-                    raise ModelError(
-                        f"{self.sweep!r} sweeps cannot use "
-                        f"market-structure or dynamics quantity "
-                        f"{panel.quantity!r}; choose from "
-                        f"{sorted(SCALAR_QUANTITIES)} or "
-                        f"{sorted(PROVIDER_QUANTITIES)}"
-                    )
 
     def resolve_scenario(self) -> ScenarioSpec:
         """The scenario object, looked up in the registry when given by id."""
@@ -605,210 +276,6 @@ class ExperimentSpec:
         return get_scenario(self.scenario)
 
 
-def _realize_panels(
-    spec: ExperimentSpec,
-    view: Union[SweepView, MarketStructureView, DynamicsView, "CampaignView"],
-) -> tuple[FigureData, ...]:
-    figures: list[FigureData] = []
-    if spec.sweep == "campaign":
-        for panel in spec.panels:
-            figures.append(
-                FigureData(
-                    figure_id=panel.figure_id,
-                    title=panel.title,
-                    x_label="row",
-                    y_label=panel.y_label,
-                    x=view.rows_array(),
-                    series=(
-                        Series(
-                            panel.series_name or panel.quantity,
-                            view.scalar(panel.quantity),
-                        ),
-                    ),
-                    notes=panel.notes,
-                )
-            )
-        return tuple(figures)
-    if spec.sweep == "dynamics":
-        for panel in spec.panels:
-            figures.append(
-                FigureData(
-                    figure_id=panel.figure_id,
-                    title=panel.title,
-                    x_label="t",
-                    y_label=panel.y_label,
-                    x=view.steps_array(),
-                    series=(
-                        Series(
-                            panel.series_name or panel.quantity,
-                            view.scalar(panel.quantity),
-                        ),
-                    ),
-                    notes=panel.notes,
-                )
-            )
-        return tuple(figures)
-    if spec.sweep == "market_structure":
-        for panel in spec.panels:
-            figures.append(
-                FigureData(
-                    figure_id=panel.figure_id,
-                    title=panel.title,
-                    x_label="N",
-                    y_label=panel.y_label,
-                    x=view.counts_array(),
-                    series=(
-                        Series(
-                            panel.series_name or panel.quantity,
-                            view.scalar(panel.quantity),
-                        ),
-                    ),
-                    notes=panel.notes,
-                )
-            )
-        return tuple(figures)
-    names = view.market.provider_names()
-    for panel in spec.panels:
-        if spec.sweep == "price":
-            if panel.per_provider:
-                values = view.provider_line(panel.quantity)  # [price, cp]
-                series = tuple(
-                    Series(names[i], values[:, i]) for i in range(len(names))
-                )
-            else:
-                series = (
-                    Series(
-                        panel.series_name or panel.quantity,
-                        view.line(panel.quantity),
-                    ),
-                )
-            figures.append(
-                FigureData(
-                    figure_id=panel.figure_id,
-                    title=panel.title,
-                    x_label="p",
-                    y_label=panel.y_label,
-                    x=view.prices,
-                    series=series,
-                    notes=panel.notes,
-                )
-            )
-        elif panel.per_provider:
-            values = view.provider(panel.quantity)  # [cap, price, cp]
-            for i, name in enumerate(names):
-                series = tuple(
-                    Series(f"q={view.caps[k]:g}", values[k, :, i])
-                    for k in range(view.caps.size)
-                )
-                figures.append(
-                    FigureData(
-                        figure_id=f"{panel.figure_id}-{name}",
-                        title=panel.title.format(name=name),
-                        x_label="p",
-                        y_label=panel.y_label,
-                        x=view.prices,
-                        series=series,
-                        notes=panel.notes,
-                    )
-                )
-        else:
-            matrix = view.scalar(panel.quantity)  # [cap, price]
-            series = tuple(
-                Series(f"q={view.caps[k]:g}", matrix[k])
-                for k in range(view.caps.size)
-            )
-            figures.append(
-                FigureData(
-                    figure_id=panel.figure_id,
-                    title=panel.title,
-                    x_label="p",
-                    y_label=panel.y_label,
-                    x=view.prices,
-                    series=series,
-                    notes=panel.notes,
-                )
-            )
-    return tuple(figures)
-
-
-def _solve_market_structure(
-    spec: ExperimentSpec, scn: ScenarioSpec
-) -> MarketStructureView:
-    """Solve one oligopoly price competition per carrier count.
-
-    Games resolve their sweep tasks on the shared default solve service,
-    so a ``--cache-dir`` run is resumable exactly like a figure grid; and
-    because the per-``N`` games are built fresh, each count's warm-start
-    chain is self-contained (deterministic task keys → a second run
-    replays entirely from a warm store).
-
-    Competition parameters come from the scenario's metadata through the
-    shared :func:`~repro.competition.oligopoly.competition_settings`
-    funnel — malformed metadata (a scenario file is user input) raises
-    :class:`~repro.exceptions.ModelError` before any solve runs.
-    """
-    settings = competition_settings(scn.metadata)
-    results = []
-    for n in spec.carrier_counts:
-        game = OligopolyGame.from_scenario(scn, carriers=n)
-        results.append(
-            solve_oligopoly_competition(
-                game,
-                price_range=settings.price_range,
-                grid_points=settings.grid_points,
-                xtol=settings.xtol,
-                policy=settings.policy,
-            )
-        )
-    return MarketStructureView(scn, spec.carrier_counts, tuple(results))
-
-
-def _solve_dynamics(scn: ScenarioSpec) -> DynamicsView:
-    """Run the scenario's declared trajectory through the solve service.
-
-    The step policy, horizon and shock schedule come from the scenario's
-    ``repro-dynamics/1`` metadata block through the shared
-    :func:`~repro.simulation.trajectory.dynamics_settings` funnel —
-    malformed metadata (a scenario file is user input) raises
-    :class:`~repro.exceptions.ModelError` before any solve runs; plain
-    scenarios run under the defaults. Segments resolve on the shared
-    default solve service, so a ``--cache-dir`` run is resumable exactly
-    like a figure grid.
-    """
-    dspec = dynamics_settings(scn.metadata)
-    trajectory = run_trajectory(scn.market, dspec)
-    return DynamicsView(scn, dspec, trajectory)
-
-
-def _solve_campaign(
-    spec: ExperimentSpec, workers: int | None = None
-) -> CampaignView:
-    """Run (or resume) the experiment's campaign and load its rows.
-
-    Rows execute on the shared default solve service and land in the
-    warehouse co-located with any configured persistent store
-    (``--cache-dir`` / ``$REPRO_CACHE_DIR``), so a re-run resumes at
-    campaign granularity — completed rows are skipped from the digest
-    manifest — and a warm full replay performs zero equilibrium solves.
-    """
-    from repro.campaigns.driver import run_campaign, warehouse_for_service
-    from repro.engine.service import default_service
-
-    service = default_service()
-    warehouse = warehouse_for_service(service)
-    try:
-        report = run_campaign(
-            spec.campaign,
-            service=service,
-            warehouse=warehouse,
-            workers=workers,
-        )
-        records = warehouse.rows(report.campaign)
-    finally:
-        warehouse.close()
-    return CampaignView(spec.campaign, report, records)
-
-
 def run_spec(
     spec: ExperimentSpec,
     *,
@@ -820,88 +287,48 @@ def run_spec(
 ) -> ExperimentResult:
     """Execute an experiment spec end to end.
 
-    ``prices``/``caps`` override the scenario's axes (figure tests run on
-    coarse grids); ``scenario`` substitutes the market entirely (the CLI's
-    ``--scenario file.json``); ``engine`` defaults to the shared cached
-    engine behind :mod:`repro.experiments.grid` — backed by the default
-    solve service, so specs reading different quantities off the same
-    scenario share one grid solve, and with a persistent store configured
+    The spec's sweep kind (:data:`~repro.experiments.kinds.SWEEP_KINDS`)
+    solves it on ``engine`` and its solve service, then lays out each
+    panel. ``engine`` defaults to the shared cached engine behind
+    :mod:`repro.experiments.grid` — backed by the default solve service,
+    so specs reading different quantities off the same scenario share one
+    grid solve, and with a persistent store configured
     (``$REPRO_CACHE_DIR`` / ``--cache-dir``) a re-run of any spec against
-    warm rows performs zero equilibrium solves.
+    warm rows or segments performs zero equilibrium solves.
 
-    ``market_structure`` sweeps ignore the grid axes: the swept axis is
-    ``spec.carrier_counts``, every oligopoly sweep runs as a content-keyed
-    task on the default solve service (same store, same resumability), and
-    competition parameters come from the scenario's metadata (the
-    :func:`repro.scenarios.oligopoly` generator records them; plain
-    scenarios compete under the generator's defaults).
-
-    ``dynamics`` sweeps likewise ignore the grid axes: the swept axis is
-    the trajectory's period ``t``, declared — with the step policy and
-    shock schedule — by the scenario's ``repro-dynamics/1`` metadata
-    block, and every trajectory segment runs as a content-keyed
-    ``dynamics-seg/1`` task on the default solve service.
-
-    ``campaign`` sweeps ignore every override but ``workers``: the spec's
-    :class:`~repro.campaigns.CampaignSpec` expands into its own scenarios,
-    rows run (or resume) against the warehouse next to the configured
-    store, and the swept axis is the campaign row index.
+    ``prices``/``caps`` override the scenario's axes on ``price``/``grid``
+    sweeps (figure tests run on coarse grids; ``price`` sweeps always use
+    the single cap ``q = 0``); ``scenario`` substitutes the market
+    entirely (the CLI's ``--scenario file.json``). ``market_structure``
+    sweeps swap the grid axes for ``spec.carrier_counts`` and ``dynamics``
+    sweeps for the trajectory's periods, both declared by the scenario's
+    metadata. ``campaign`` sweeps ignore every override but ``workers``:
+    the campaign expands into its own scenarios and its rows run (or
+    resume) against the warehouse next to the configured store.
     """
-    if spec.sweep == "campaign":
-        view = _solve_campaign(spec, workers)
-        return ExperimentResult(
-            experiment_id=spec.experiment_id,
-            title=spec.title,
-            figures=_realize_panels(spec, view),
-            checks=tuple(c.evaluate(view) for c in spec.checks),
-        )
-    scn = scenario if scenario is not None else spec.resolve_scenario()
-    if spec.sweep in ("market_structure", "dynamics"):
-        view = (
-            _solve_market_structure(spec, scn)
-            if spec.sweep == "market_structure"
-            else _solve_dynamics(scn)
-        )
-        return ExperimentResult(
-            experiment_id=spec.experiment_id,
-            title=spec.title,
-            figures=_realize_panels(spec, view),
-            checks=tuple(c.evaluate(view) for c in spec.checks),
-        )
-    price_axis = np.asarray(
-        scn.prices if prices is None else prices, dtype=float
+    kind = SWEEP_KINDS[spec.sweep]
+    if spec.campaign is not None:
+        source = spec.campaign
+    else:
+        source = scenario if scenario is not None else spec.resolve_scenario()
+    view = kind.solve(
+        source,
+        engine if engine is not None else _shared_grid.engine(),
+        workers=workers,
+        prices=prices,
+        caps=caps,
+        refine=spec.refine,
+        carrier_counts=spec.carrier_counts,
     )
-    if spec.sweep == "price":
-        cap_axis = np.array([0.0])
-    else:
-        cap_axis = np.asarray(
-            scn.policy_levels if caps is None else caps, dtype=float
-        )
-    eng = engine if engine is not None else _shared_grid.engine()
-    if spec.refine is not None:
-        # Adaptive path: coarse pass + curvature/breakpoint-driven
-        # bisection, pointwise tasks on the engine's service (same store,
-        # same resumability; see repro.experiments.refine).
-        solved, _ = refine_grid(
-            scn.market,
-            price_axis,
-            cap_axis,
-            spec=spec.refine,
-            service=eng.service,
-            workers=eng.resolve_workers(workers),
-        )
-    else:
-        solved = eng.solve_grid(
-            scn.market, price_axis, cap_axis, workers=workers
-        )
-    view = SweepView(scn, solved)
-    figures = _realize_panels(spec, view)
-    checks = tuple(c.evaluate(view) for c in spec.checks)
     return ExperimentResult(
         experiment_id=spec.experiment_id,
         title=spec.title,
-        figures=figures,
-        checks=checks,
+        figures=tuple(
+            figure
+            for panel in spec.panels
+            for figure in kind.figures(panel, view)
+        ),
+        checks=tuple(c.evaluate(view) for c in spec.checks),
     )
 
 
@@ -1106,29 +533,6 @@ def dynamics_experiment(scn: ScenarioSpec) -> ExperimentSpec:
     )
 
 
-#: Panel labels per campaign metric: (title fragment, y-axis label).
-_CAMPAIGN_PANEL_LABELS: Mapping[str, tuple[str, str]] = {
-    "welfare": ("System welfare W", "W"),
-    "revenue": ("ISP revenue R", "R"),
-    "utilization": ("System utilization φ", "φ"),
-    "aggregate_throughput": ("Aggregate throughput θ", "θ"),
-    "price_star": ("Revenue-optimal price p*", "p*"),
-    "cap_star": ("Revenue-optimal policy q", "q"),
-    "welfare_max": ("Grid-max welfare", "W"),
-    "welfare_mean": ("Grid-mean welfare", "W"),
-    "kkt_max": ("Worst KKT residual", "KKT"),
-    "welfare_min": ("Trajectory-min welfare", "W"),
-    "adoption_final": ("Final adoption Σm", "Σm"),
-    "capacity_final": ("Final capacity µ", "µ"),
-    "survived": ("Survival flag", "survived"),
-    "industry_revenue": ("Industry revenue ΣR", "ΣR"),
-    "mean_price": ("Mean carrier price", "p"),
-    "mean_utilization": ("Mean link utilization φ", "φ"),
-    "hhi": ("Herfindahl concentration", "HHI"),
-    "carriers": ("Carrier count N", "N"),
-}
-
-
 def campaign_experiment(cspec: CampaignSpec) -> ExperimentSpec:
     """A generic experiment for an arbitrary campaign (the CLI's ``run``).
 
@@ -1141,10 +545,9 @@ def campaign_experiment(cspec: CampaignSpec) -> ExperimentSpec:
     panels = tuple(
         PanelSpec(
             figure_id=f"{cid}-{quantity}",
-            title=f"{_CAMPAIGN_PANEL_LABELS[quantity][0]} across rows "
-            f"({cid})",
+            title=f"{METRICS[quantity].title} across rows ({cid})",
             quantity=quantity,
-            y_label=_CAMPAIGN_PANEL_LABELS[quantity][1],
+            y_label=METRICS[quantity].y_label,
         )
         for quantity in SWEEP_METRICS[cspec.sweep]
     )

@@ -359,6 +359,19 @@ def _cache_delta(before: dict, after: dict) -> dict:
     return summary
 
 
+def _service_line(cache_summary: dict) -> str:
+    """The human-readable ``solve service: ...`` line of a run's counters."""
+    hits = cache_summary["memory_hits"] + cache_summary["store_hits"]
+    line = (
+        f"solve service: {cache_summary['computed']} task(s) computed, "
+        f"{hits} cache hit(s)"
+    )
+    store = cache_summary["store"]
+    if store is not None:
+        line += f"; store {store['path']}: {store['entries']} entries"
+    return line
+
+
 def _json_summary(
     results: list[ExperimentResult],
     out_dir: str | Path,
@@ -872,17 +885,7 @@ def _main_oligopoly(argv: Sequence[str]) -> int:
         f"welfare {state.welfare:.5f}, "
         f"mean utilization {state.mean_utilization:.4f}"
     )
-    hits = cache_summary["memory_hits"] + cache_summary["store_hits"]
-    line = (
-        f"solve service: {cache_summary['computed']} task(s) computed, "
-        f"{hits} cache hit(s)"
-    )
-    if cache_summary["store"] is not None:
-        line += (
-            f"; store {cache_summary['store']['path']}: "
-            f"{cache_summary['store']['entries']} entries"
-        )
-    print(line)
+    print(_service_line(cache_summary))
     return 0
 
 
@@ -1112,17 +1115,7 @@ def _main_dynamics(argv: Sequence[str]) -> int:
         f"price {final['price']:g}"
     )
     print(f"wrote {csv_path}")
-    hits = cache_summary["memory_hits"] + cache_summary["store_hits"]
-    line = (
-        f"solve service: {cache_summary['computed']} task(s) computed, "
-        f"{hits} cache hit(s)"
-    )
-    if cache_summary["store"] is not None:
-        line += (
-            f"; store {cache_summary['store']['path']}: "
-            f"{cache_summary['store']['entries']} entries"
-        )
-    print(line)
+    print(_service_line(cache_summary))
     return 0
 
 
@@ -1520,20 +1513,7 @@ def _main_campaign(argv: Sequence[str]) -> int:
                     f"{report.rows_resumed} resumed"
                 )
                 print(f"warehouse: {report.warehouse_path}")
-                hits = (
-                    cache_summary["memory_hits"]
-                    + cache_summary["store_hits"]
-                )
-                line = (
-                    f"solve service: {cache_summary['computed']} task(s) "
-                    f"computed, {hits} cache hit(s)"
-                )
-                if cache_summary["store"] is not None:
-                    line += (
-                        f"; store {cache_summary['store']['path']}: "
-                        f"{cache_summary['store']['entries']} entries"
-                    )
-                print(line)
+                print(_service_line(cache_summary))
                 _print_campaign_summary(summary)
                 return 0
             if args.action == "status":
@@ -1561,6 +1541,15 @@ def _main_campaign(argv: Sequence[str]) -> int:
                     file=sys.stderr,
                 )
                 return 2
+            if args.metric is not None:
+                names = warehouse.metric_names(campaign)
+                if args.metric not in names:
+                    print(
+                        f"unknown metric {args.metric!r}; campaign "
+                        f"reports {sorted(names)}",
+                        file=sys.stderr,
+                    )
+                    return 2
             if args.action == "summary":
                 if args.csv:
                     text = warehouse.summary_csv(campaign)
@@ -1576,13 +1565,6 @@ def _main_campaign(argv: Sequence[str]) -> int:
                     return 0
                 summary = warehouse.summary(campaign)
                 if args.metric is not None:
-                    if args.metric not in summary:
-                        print(
-                            f"unknown metric {args.metric!r}; campaign "
-                            f"reports {sorted(summary)}",
-                            file=sys.stderr,
-                        )
-                        return 2
                     summary = {args.metric: summary[args.metric]}
                 if args.json:
                     print(json.dumps(summary, indent=2))
@@ -1595,15 +1577,6 @@ def _main_campaign(argv: Sequence[str]) -> int:
                 return 0
             # query
             records = warehouse.rows(campaign)
-            if args.metric is not None:
-                names = warehouse.metric_names(campaign)
-                if args.metric not in names:
-                    print(
-                        f"unknown metric {args.metric!r}; campaign "
-                        f"reports {sorted(names)}",
-                        file=sys.stderr,
-                    )
-                    return 2
             if args.limit is not None:
                 records = records[: max(args.limit, 0)]
             if args.json:
@@ -2048,17 +2021,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         f"{len(failed)} failure(s)",
         file=stream,
     )
-    hits = cache_summary["memory_hits"] + cache_summary["store_hits"]
-    cache_line = (
-        f"solve service: {cache_summary['computed']} task(s) computed, "
-        f"{hits} cache hit(s)"
-    )
-    if cache_summary["store"] is not None:
-        cache_line += (
-            f"; store {cache_summary['store']['path']}: "
-            f"{cache_summary['store']['entries']} entries"
-        )
-    print(cache_line, file=stream)
+    print(_service_line(cache_summary), file=stream)
     for experiment_id, check_name in failed:
         print(f"  FAIL {experiment_id}: {check_name}", file=stream)
     return 1 if failed else 0

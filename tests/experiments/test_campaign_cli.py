@@ -181,6 +181,16 @@ class TestQueries:
         assert code == 2
         assert "unknown metric" in err
 
+    def test_unknown_metric_fails_in_csv_mode(self, capsys, warm):
+        code, out, err = run_cli(
+            capsys,
+            "campaign", "summary", *SPEC_FLAGS,
+            "--cache-dir", str(warm), "--csv", "--metric", "vibes",
+        )
+        assert code == 2
+        assert out == ""
+        assert "unknown metric 'vibes'; campaign reports [" in err
+
     def test_query_limit_and_metric(self, capsys, warm):
         code, out, _ = run_cli(
             capsys,

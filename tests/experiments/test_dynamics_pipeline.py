@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ModelError
+from repro.experiments.grid import engine
+from repro.experiments.kinds import SWEEP_KINDS
 from repro.experiments.pipeline import (
     DYNAMICS_QUANTITIES,
     CheckSpec,
-    DynamicsView,
     ExperimentSpec,
     PanelSpec,
     dynamics_experiment,
@@ -177,9 +178,7 @@ class TestRunSpec:
 
 class TestDynamicsView:
     def test_scalar_caches_and_validates(self, tiny_scenario):
-        spec = dynamics_settings(tiny_scenario.metadata)
-        trajectory = run_trajectory(tiny_scenario.market, spec)
-        view = DynamicsView(tiny_scenario, spec, trajectory)
+        view = SWEEP_KINDS["dynamics"].solve(tiny_scenario, engine())
         first = view.scalar("adoption")
         assert view.scalar("adoption") is first
         with pytest.raises(ModelError):
@@ -187,8 +186,7 @@ class TestDynamicsView:
 
     def test_every_quantity_extracts(self, tiny_scenario):
         spec = dynamics_settings(tiny_scenario.metadata)
-        trajectory = run_trajectory(tiny_scenario.market, spec)
-        view = DynamicsView(tiny_scenario, spec, trajectory)
+        view = SWEEP_KINDS["dynamics"].solve(tiny_scenario, engine())
         for quantity in DYNAMICS_QUANTITIES:
             values = view.scalar(quantity)
             assert values.shape == (spec.horizon + 1,)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ModelError
+from repro.experiments.grid import engine
+from repro.experiments.kinds import SWEEP_KINDS
 from repro.experiments.pipeline import (
     MARKET_STRUCTURE_QUANTITIES,
     ExperimentSpec,
-    MarketStructureView,
     PanelSpec,
     check,
     market_structure_experiment,
@@ -144,7 +145,9 @@ class TestRunSpec:
 
 class TestMarketStructureView:
     def test_unknown_quantity_rejected(self):
-        view = MarketStructureView(tiny_oligopoly_scenario(), (), ())
+        view = SWEEP_KINDS["market_structure"].solve(
+            tiny_oligopoly_scenario(), engine(), carrier_counts=()
+        )
         with pytest.raises(ModelError):
             view.scalar("revenue")
 

@@ -93,7 +93,12 @@ def _oligopoly_scenario() -> ScenarioSpec:
     scn = oligopoly(base, 2, cap=0.3, scenario_id="golden-olig")
     metadata = dict(scn.metadata)
     metadata.update(
-        {"grid_points": 6, "xtol": 1e-3, "tol": 1e-2, "price_range": [0.05, 2.0]}
+        {
+            "grid_points": 6,
+            "xtol": 1e-3,
+            "tol": 1e-2,
+            "price_range": [0.05, 2.0],
+        }
     )
     return ScenarioSpec(
         scenario_id=scn.scenario_id,
@@ -199,7 +204,7 @@ def _digits(value: float) -> str:
 
 
 def warehouse_rows(kind: str, tmp_path) -> list[list[tuple[str, str]]]:
-    """Per row: ``(metric, value at 12 significant digits)`` in column order."""
+    """Per row: ``(metric, 12-significant-digit value)`` in column order."""
     spec = _campaign(kind)
     service = _store_service(tmp_path)
     with warehouse_for_service(service) as wh:
