@@ -1,10 +1,13 @@
 """Pluggable array/kernel backend for the hot solver paths.
 
-One dispatch point decides how the exponential-family fast paths and the
-batch evaluation stack compute: the default ``numpy`` backend keeps the
+One dispatch point decides how the congestion, marginal-utility and
+best-response paths compute: the default ``numpy`` backend keeps the
 reference lockstep arithmetic untouched, while compiled backends swap in
 fused per-row kernels (and libm-consistent elementwise ops) that exit each
-row at convergence instead of dragging the whole batch along.
+row at convergence instead of dragging the whole batch along. The kernels
+cover every built-in demand family (plain or under one share weight) and
+throughput family on linear utilization; other models stay on lockstep
+under any backend.
 
 Backends
 --------
@@ -26,9 +29,9 @@ Backends
 Selection: ``REPRO_BACKEND`` environment variable (read once at first
 use), :func:`set_backend`, the :func:`use_backend` context manager, or the
 runner's ``--backend`` flag. All compiled backends share one store
-``cache_tag`` (their results are bitwise interchangeable — same libm exp,
-same sequential accumulation) that namespaces solve-cache keys away from
-the numpy backend's entries.
+``cache_tag`` (their results are bitwise interchangeable — same libm
+``exp``/``pow``/``log1p``, same sequential accumulation) that namespaces
+solve-cache keys away from the numpy backend's entries.
 """
 
 from __future__ import annotations
@@ -56,7 +59,10 @@ __all__ = [
 BACKEND_NAMES = ("numpy", "numba", "cext", "pyloops", "compiled")
 
 # All kernel backends share one tag: they are bitwise interchangeable.
-_KERNEL_CACHE_TAG = "libm"
+# "libm2": every built-in demand/throughput family is fused (the first
+# tag covered only the exponential pair), which moves mixed-family
+# results by ulps.
+_KERNEL_CACHE_TAG = "libm2"
 
 
 @dataclass(frozen=True)
@@ -219,43 +225,64 @@ def warm_kernels(backend: Backend | None = None) -> None:
 
     Service pool workers call this at startup so the first real task does
     not absorb numba compilation (or the one-off C build) into its wall
-    time. A no-op for the numpy backend.
+    time. The problem has one column per demand and per throughput family
+    tag, so every per-tag branch is compiled and called here. A no-op for
+    the numpy backend.
     """
     backend = backend or get_backend()
     kernels = backend.kernels
     if kernels is None:
         return
-    populations = np.array([[0.5, 0.5]])
-    beta = np.array([1.0, 2.0])
-    peak = np.array([1.0, 1.0])
+    from repro.backend import dispatch
+
+    n = 4
+    demand_tags = np.array(
+        [
+            dispatch.DEMAND_EXPONENTIAL,
+            dispatch.DEMAND_LOGIT,
+            dispatch.DEMAND_LINEAR,
+            dispatch.DEMAND_POWER,
+        ],
+        dtype=np.int64,
+    )
+    demand_params = np.array(
+        [
+            [1.0, 0.5, 0.0, 0.0, 1.0],
+            [2.0, 1.0, 0.5, 0.0, 0.5],
+            [0.5, 0.5, 1e-3, 0.998, 1.0],
+            [2.0, 0.5, 0.0, 0.0, 1.0],
+        ]
+    )
+    rate_tags = np.array(
+        [
+            dispatch.RATE_EXPONENTIAL,
+            dispatch.RATE_POWER,
+            dispatch.RATE_RATIONAL,
+            dispatch.RATE_EXPONENTIAL,
+        ],
+        dtype=np.int64,
+    )
+    rate_params = np.array([[1.0, 1.0], [2.0, 1.0], [1.5, 0.8], [3.0, 1.0]])
+    values = np.ones(n)
+    populations = np.full((1, n), 0.25)
     phi = np.zeros(1)
     stats = np.zeros(2, dtype=np.int64)
     rows = np.zeros(1, dtype=np.int64)
     flo = np.zeros(1)
     fhi = np.zeros(1)
     kernels.congestion_batch(
-        populations, beta, peak, 1.0, np.zeros(1), False, 1e-10,
+        populations, rate_tags, rate_params, 1.0, np.zeros(1), False, 1e-10,
         phi, stats, rows, flo, fhi,
     )
-    s = np.zeros((1, 2))
-    alpha = np.array([1.0, 1.0])
-    dscale = np.array([1.0, 1.0])
-    weight = np.ones(2)
-    scaled = np.zeros(2, dtype=np.uint8)
-    values = np.array([1.0, 1.0])
-    u = np.zeros((1, 2))
     kernels.marginal_batch(
-        s, 1.0, values, alpha, dscale, weight, scaled, beta, peak, 1.0,
-        1e-10, np.zeros(1), False, u, phi, stats, rows.copy(), rows, flo, fhi,
+        np.zeros((1, n)), 1.0, values, demand_tags, demand_params,
+        rate_tags, rate_params, 1.0, 1e-10, np.zeros(1), False,
+        np.zeros((1, n)), phi, stats, rows.copy(), rows, flo, fhi,
     )
-    responses = np.zeros(2)
-    u_zero = np.zeros(2)
-    u_cap = np.zeros(2)
     kernels.best_response_root(
-        np.zeros(2), 1.0, values, alpha, dscale, weight, scaled, beta, peak,
-        1.0, 1e-10, 0.5, np.zeros(2), False, 1e-6,
-        responses, u_zero, u_cap, stats,
+        np.zeros(n), 1.0, values, demand_tags, demand_params, rate_tags,
+        rate_params, 1.0, 1e-10, 0.5, np.zeros(n), False, 1e-6,
+        np.zeros(n), np.zeros(n), np.zeros(n), stats,
     )
-    out = np.zeros(4)
-    kernels.exp_inplace(np.zeros(4), out)
+    kernels.exp_inplace(np.zeros(4), np.zeros(4))
     kernels.pair_dot_batch(populations, populations, np.zeros(1))

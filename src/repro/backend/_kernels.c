@@ -2,8 +2,14 @@
  *
  * Every function here is a line-for-line translation of the corresponding
  * Python kernel: same operations in the same order, no reassociation, no
- * fast-math (the build uses -fno-fast-math). Both use libm exp, so the two
- * implementations are bitwise interchangeable; the golden tests assert it.
+ * fast-math (the build uses -fno-fast-math). Both call libm exp, pow and
+ * log1p, so the two implementations are bitwise interchangeable; the
+ * golden tests assert it.
+ *
+ * The model arrives as per-column family tags plus parameter rows; the
+ * tag numbers and row layouts are the table in repro/backend/dispatch.py.
+ * Demand rows hold DEMAND_WIDTH doubles (family parameters, then the
+ * share weight in the last slot); throughput rows hold (beta, peak).
  *
  * Keep this file in lockstep with kernels_py.py when editing either.
  */
@@ -12,6 +18,21 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+
+enum {
+    DEMAND_EXPONENTIAL = 0,
+    DEMAND_LOGIT = 1,
+    DEMAND_LINEAR = 2,
+    DEMAND_POWER = 3,
+    DEMAND_WIDTH = 5,
+    RATE_EXPONENTIAL = 0,
+    RATE_POWER = 1,
+    RATE_RATIONAL = 2,
+    RATE_WIDTH = 2
+};
+
+/* Exponent magnitude beyond which e^z over/underflows (demand.py). */
+#define EXP_LIMIT 700.0
 
 static double safe_div(double a, double b) {
     if (b != 0.0) {
@@ -49,40 +70,151 @@ void repro_pair_dot(int64_t rows, int64_t n, const double *a, const double *b,
 }
 
 /* ------------------------------------------------------------------ */
+/* per-tag family formulas                                            */
+/* ------------------------------------------------------------------ */
+
+static double rate(int64_t tag, double beta, double peak, double phi) {
+    if (tag == RATE_EXPONENTIAL) {
+        return peak * exp((-beta) * phi);
+    }
+    if (tag == RATE_POWER) {
+        return peak * pow(1.0 + phi, -beta);
+    }
+    return peak / (1.0 + beta * phi);
+}
+
+static double d_rate(int64_t tag, double beta, double peak, double phi,
+                     double r) {
+    if (tag == RATE_EXPONENTIAL) {
+        return (-beta) * r;
+    }
+    if (tag == RATE_POWER) {
+        return ((-beta) * peak) * pow(1.0 + phi, (-beta) - 1.0);
+    }
+    double d = 1.0 + beta * phi;
+    return ((-beta) * peak) / (d * d);
+}
+
+static double softplus(double t) {
+    if (t > EXP_LIMIT) {
+        return t;
+    }
+    return log1p(exp(t));
+}
+
+static double sigmoid(double t) {
+    double z = exp(-fabs(t));
+    if (t >= 0.0) {
+        return 1.0 / (1.0 + z);
+    }
+    return z / (1.0 + z);
+}
+
+/* (m(t), dm/dt) of one tagged column, before its share weight. */
+static void demand(int64_t tag, const double *p, double t, double *m_out,
+                   double *dm_out) {
+    if (tag == DEMAND_EXPONENTIAL) {
+        double m = p[1] * exp((-p[0]) * t);
+        *m_out = m;
+        *dm_out = (-p[0]) * m;
+        return;
+    }
+    if (tag == DEMAND_LOGIT) {
+        double z = p[0] * (t - p[1]);
+        if (z > EXP_LIMIT) {
+            *m_out = 0.0;
+            *dm_out = 0.0;
+            return;
+        }
+        double ez = exp(z);
+        *m_out = p[2] / (1.0 + ez);
+        if (z < -EXP_LIMIT) {
+            *dm_out = 0.0;
+            return;
+        }
+        double q = 1.0 + ez;
+        *dm_out = (((-p[0]) * p[2]) * ez) / (q * q);
+        return;
+    }
+    if (tag == DEMAND_LINEAR) {
+        if (t <= p[3]) {
+            *m_out = p[0] - p[1] * t;
+            *dm_out = -p[1];
+            return;
+        }
+        double e = ((-p[1]) * (t - p[3])) / p[2];
+        if (e > 0.0) {
+            e = 0.0;
+        }
+        double tail = exp(e);
+        *m_out = p[2] * tail;
+        *dm_out = (-p[1]) * tail;
+        return;
+    }
+    double sp = softplus(t);
+    *m_out = p[1] * pow(1.0 + sp, -p[0]);
+    *dm_out = (((-p[0]) * p[1]) * pow(1.0 + sp, (-p[0]) - 1.0)) * sigmoid(t);
+}
+
+/* Weighted population and dm/ds = -dm/dt of column i at t. */
+static void demand_column(const int64_t *dtags, const double *dparams,
+                          int64_t i, double t, double *m_out, double *dm_out) {
+    const double *p = dparams + i * DEMAND_WIDTH;
+    double m, dpop;
+    demand(dtags[i], p, t, &m, &dpop);
+    double weight = p[DEMAND_WIDTH - 1];
+    m_out[i] = weight * m;
+    dm_out[i] = -(weight * dpop);
+}
+
+static int all_finite(const double *values, int64_t n) {
+    for (int64_t k = 0; k < n; k++) {
+        if (!isfinite(values[k])) {
+            return 0;
+        }
+    }
+    return 1;
+}
+
+/* ------------------------------------------------------------------ */
 /* congestion fixed point, one row at a time                          */
 /* ------------------------------------------------------------------ */
 
-static double gap_value(double phi, const double *m, const double *beta,
-                        const double *peak, double mu, int64_t n) {
-    double demand = 0.0;
+/* The gap on linear utilization: g(phi) = phi*mu - sum_k m_k*rate_k(phi). */
+static double gap_value(double phi, const double *m, const int64_t *rtags,
+                        const double *rparams, double mu, int64_t n) {
+    double total = 0.0;
     for (int64_t k = 0; k < n; k++) {
-        double r = peak[k] * exp((-beta[k]) * phi);
-        demand += m[k] * r;
+        const double *q = rparams + k * RATE_WIDTH;
+        double r = rate(rtags[k], q[0], q[1], phi);
+        total += m[k] * r;
     }
-    return phi * mu - demand;
+    return phi * mu - total;
 }
 
-static void gap_and_slope(double phi, const double *m, const double *beta,
-                          const double *peak, double mu, int64_t n,
+static void gap_and_slope(double phi, const double *m, const int64_t *rtags,
+                          const double *rparams, double mu, int64_t n,
                           double *g_out, double *slope_out) {
-    double demand = 0.0;
+    double total = 0.0;
     double dslope = 0.0;
     for (int64_t k = 0; k < n; k++) {
-        double r = peak[k] * exp((-beta[k]) * phi);
-        demand += m[k] * r;
-        dslope += m[k] * ((-beta[k]) * r);
+        const double *q = rparams + k * RATE_WIDTH;
+        double r = rate(rtags[k], q[0], q[1], phi);
+        total += m[k] * r;
+        dslope += m[k] * d_rate(rtags[k], q[0], q[1], phi, r);
     }
-    *g_out = phi * mu - demand;
+    *g_out = phi * mu - total;
     *slope_out = mu - dslope;
 }
 
-static double newton_row(double x, const double *m, const double *beta,
-                         const double *peak, double mu, int64_t n, double rtol,
-                         int max_iter, int *converged, int64_t *evals) {
+static double newton_row(double x, const double *m, const int64_t *rtags,
+                         const double *rparams, double mu, int64_t n,
+                         double rtol, int max_iter, int *converged,
+                         int64_t *evals) {
     *converged = 0;
     for (int it = 0; it < max_iter; it++) {
         double g, slope;
-        gap_and_slope(x, m, beta, peak, mu, n, &g, &slope);
+        gap_and_slope(x, m, rtags, rparams, mu, n, &g, &slope);
         (*evals)++;
         double step = safe_div(g, slope);
         int informative = isfinite(step) && isfinite(slope) && slope > 0.0;
@@ -97,11 +229,11 @@ static double newton_row(double x, const double *m, const double *beta,
     return x;
 }
 
-static int expand_row(const double *m, const double *beta, const double *peak,
-                      double mu, int64_t n, double *lo_out, double *hi_out,
+static int expand_row(const double *m, const int64_t *rtags,
+                      const double *rparams, double mu, int64_t n, double *lo_out, double *hi_out,
                       double *flo_out, double *fhi_out, int64_t *evals,
                       int64_t *expansions) {
-    double f_lo = gap_value(0.0, m, beta, peak, mu, n);
+    double f_lo = gap_value(0.0, m, rtags, rparams, mu, n);
     (*evals)++;
     if (f_lo >= 0.0) {
         *lo_out = 0.0;
@@ -115,7 +247,7 @@ static int expand_row(const double *m, const double *beta, const double *peak,
     double hi = 1.0;
     double f_hi = f_lo;
     for (int it = 0; it < 200; it++) {
-        double f_probe = gap_value(hi, m, beta, peak, mu, n);
+        double f_probe = gap_value(hi, m, rtags, rparams, mu, n);
         (*evals)++;
         (*expansions)++;
         f_hi = f_probe;
@@ -139,9 +271,10 @@ static int expand_row(const double *m, const double *beta, const double *peak,
 }
 
 static double bracket_row(double lo, double hi, double f_lo, double f_hi,
-                          const double *m, const double *beta,
-                          const double *peak, double mu, int64_t n, double xtol,
-                          int bisect_iters, int max_iter, int64_t *evals) {
+                          const double *m, const int64_t *rtags,
+                          const double *rparams, double mu, int64_t n,
+                          double xtol, int bisect_iters, int max_iter,
+                          int64_t *evals) {
     for (int iteration = 0; iteration < max_iter; iteration++) {
         if (!((hi - lo) > xtol)) {
             break;
@@ -158,7 +291,7 @@ static double bracket_row(double lo, double hi, double f_lo, double f_hi,
                 x = secant;
             }
         }
-        double fx = gap_value(x, m, beta, peak, mu, n);
+        double fx = gap_value(x, m, rtags, rparams, mu, n);
         (*evals)++;
         if (fx == 0.0) {
             return x;
@@ -180,9 +313,9 @@ static double bracket_row(double lo, double hi, double f_lo, double f_hi,
     return 0.5 * (lo + hi);
 }
 
-static int congestion_row(const double *m, const double *beta,
-                          const double *peak, double mu, int64_t n, double phi0,
-                          int has_phi0, double xtol_final, double *phi_out,
+static int congestion_row(const double *m, const int64_t *rtags,
+                          const double *rparams, double mu, int64_t n,
+                          double phi0, int has_phi0, double xtol_final, double *phi_out,
                           double *bad_lo, double *bad_hi, int64_t *evals,
                           int64_t *expansions) {
     int idle = 1;
@@ -202,7 +335,7 @@ static int congestion_row(const double *m, const double *beta,
             start = 0.0;
         }
         int converged;
-        double warm = newton_row(start, m, beta, peak, mu, n, 1e-15, 25,
+        double warm = newton_row(start, m, rtags, rparams, mu, n, 1e-15, 25,
                                  &converged, evals);
         if (converged) {
             *phi_out = warm;
@@ -211,7 +344,7 @@ static int congestion_row(const double *m, const double *beta,
     }
     double lo, hi, f_lo, f_hi;
     int closed =
-        expand_row(m, beta, peak, mu, n, &lo, &hi, &f_lo, &f_hi, evals,
+        expand_row(m, rtags, rparams, mu, n, &lo, &hi, &f_lo, &f_hi, evals,
                    expansions);
     if (!closed) {
         *phi_out = 0.0;
@@ -227,19 +360,19 @@ static int congestion_row(const double *m, const double *beta,
     } else if (hit_hi) {
         coarse = hi;
     } else {
-        coarse = bracket_row(lo, hi, f_lo, f_hi, m, beta, peak, mu, n, 1e-6,
+        coarse = bracket_row(lo, hi, f_lo, f_hi, m, rtags, rparams, mu, n, 1e-6,
                              25, 30, evals);
     }
     int converged;
-    double polished =
-        newton_row(coarse, m, beta, peak, mu, n, 1e-15, 40, &converged, evals);
+    double polished = newton_row(coarse, m, rtags, rparams, mu, n, 1e-15, 40,
+                                 &converged, evals);
     if (!converged) {
         if (hit_lo) {
             polished = lo;
         } else if (hit_hi) {
             polished = hi;
         } else {
-            polished = bracket_row(lo, hi, f_lo, f_hi, m, beta, peak, mu, n,
+            polished = bracket_row(lo, hi, f_lo, f_hi, m, rtags, rparams, mu, n,
                                    xtol_final, 200, 200, evals);
         }
     }
@@ -248,8 +381,8 @@ static int congestion_row(const double *m, const double *beta,
 }
 
 int64_t repro_congestion_batch(int64_t rows, int64_t n,
-                               const double *populations, const double *beta,
-                               const double *peak, double mu,
+                               const double *populations, const int64_t *rtags,
+                               const double *rparams, double mu,
                                const double *phi0, int64_t has_phi0,
                                double xtol_final, double *phi_out,
                                int64_t *stats, int64_t *fail_rows,
@@ -259,7 +392,7 @@ int64_t repro_congestion_batch(int64_t rows, int64_t n,
         double p0 = has_phi0 ? phi0[b] : 0.0;
         double phi = 0.0, bad_lo = 0.0, bad_hi = 0.0;
         int64_t evals = 0, expansions = 0;
-        int ok = congestion_row(populations + b * n, beta, peak, mu, n, p0,
+        int ok = congestion_row(populations + b * n, rtags, rparams, mu, n, p0,
                                 (int)has_phi0, xtol_final, &phi, &bad_lo,
                                 &bad_hi, &evals, &expansions);
         stats[0] += evals;
@@ -281,101 +414,94 @@ int64_t repro_congestion_batch(int64_t rows, int64_t n,
 /* marginal-utility chain, one profile row at a time                  */
 /* ------------------------------------------------------------------ */
 
-/* Returns 0 ok, 3 non-finite populations, 2 bracket failure. */
-static int marginal_row(const double *srow, double price, const double *values,
-                        const double *alpha, const double *dscale,
-                        const double *weight, const uint8_t *scaled,
-                        const double *beta, const double *peak, double mu,
-                        int64_t n, double xtol_final, double phi0,
-                        int has_phi0, double *u_row, double *tmp_m,
-                        double *tmp_mi, double *phi_res, double *bad_lo,
-                        double *bad_hi, int64_t *evals, int64_t *expansions) {
-    int pop_ok = 1;
+/* Populations of one profile row; 0 if any is not finite. */
+static int demand_row(const double *srow, double price, const int64_t *dtags,
+                      const double *dparams, int64_t n, double *m_out,
+                      double *dm_out) {
     for (int64_t i = 0; i < n; i++) {
-        double t = price - srow[i];
-        double e = exp((-alpha[i]) * t);
-        double mi = dscale[i] * e;
-        double mm = scaled[i] ? weight[i] * mi : mi;
-        tmp_mi[i] = mi;
-        tmp_m[i] = mm;
-        if (!isfinite(mm)) {
-            pop_ok = 0;
-        }
+        demand_column(dtags, dparams, i, price - srow[i], m_out, dm_out);
     }
-    if (!pop_ok) {
-        *phi_res = 0.0;
-        return 3;
-    }
+    return all_finite(m_out, n);
+}
+
+/* u(s) for one row with populations m. Returns 1 ok, 0 bracket failure. */
+static int marginal_row(const double *srow, const double *values,
+                        const double *m, const double *dm,
+                        const int64_t *rtags, const double *rparams, double mu,
+                        int64_t n, double xtol_final, double phi0,
+                        int has_phi0, double *u_row, double *tmp_r,
+                        double *tmp_dr, double *phi_res, double *bad_lo,
+                        double *bad_hi, int64_t *evals, int64_t *expansions) {
     double phi;
-    int ok = congestion_row(tmp_m, beta, peak, mu, n, phi0, has_phi0,
+    int ok = congestion_row(m, rtags, rparams, mu, n, phi0, has_phi0,
                             xtol_final, &phi, bad_lo, bad_hi, evals,
                             expansions);
     if (!ok) {
         *phi_res = 0.0;
-        return 2;
+        return 0;
     }
     double dslope = 0.0;
     for (int64_t k = 0; k < n; k++) {
-        double r = peak[k] * exp((-beta[k]) * phi);
-        dslope += tmp_m[k] * ((-beta[k]) * r);
+        const double *q = rparams + k * RATE_WIDTH;
+        double r = rate(rtags[k], q[0], q[1], phi);
+        double dr = d_rate(rtags[k], q[0], q[1], phi, r);
+        tmp_r[k] = r;
+        tmp_dr[k] = dr;
+        dslope += m[k] * dr;
     }
     double slope = mu - dslope;
     for (int64_t i = 0; i < n; i++) {
-        double r = peak[i] * exp((-beta[i]) * phi);
-        double dr = (-beta[i]) * r;
-        double dpop;
-        if (scaled[i]) {
-            dpop = weight[i] * ((-alpha[i]) * tmp_mi[i]);
-        } else {
-            dpop = (-alpha[i]) * tmp_m[i];
-        }
-        double dm = -dpop;
-        double dphi = safe_div(r * dm, slope);
-        double dtheta = dm * r + (tmp_m[i] * dr) * dphi;
-        u_row[i] = (values[i] - srow[i]) * dtheta - tmp_m[i] * r;
+        double r = tmp_r[i];
+        double dphi = safe_div(r * dm[i], slope);
+        double dtheta = dm[i] * r + (m[i] * tmp_dr[i]) * dphi;
+        u_row[i] = (values[i] - srow[i]) * dtheta - m[i] * r;
     }
     *phi_res = phi;
-    return 0;
+    return 1;
 }
 
 void repro_marginal_batch(int64_t rows, int64_t n, const double *s,
                           double price, const double *values,
-                          const double *alpha, const double *dscale,
-                          const double *weight, const uint8_t *scaled,
-                          const double *beta, const double *peak, double mu,
-                          double xtol_final, const double *phi0,
+                          const int64_t *dtags, const double *dparams,
+                          const int64_t *rtags, const double *rparams,
+                          double mu, double xtol_final, const double *phi0,
                           int64_t has_phi0, double *u_out, double *phi_out,
                           int64_t *stats, int64_t *pop_rows,
                           int64_t *fail_rows, double *fail_lo, double *fail_hi,
                           int64_t *counts) {
-    double *tmp_m = (double *)malloc(sizeof(double) * (size_t)n);
-    double *tmp_mi = (double *)malloc(sizeof(double) * (size_t)n);
+    double *work = (double *)malloc(sizeof(double) * 4 * (size_t)n);
+    double *tmp_m = work;
+    double *tmp_dm = work + n;
+    double *tmp_r = work + 2 * n;
+    double *tmp_dr = work + 3 * n;
     int64_t npop = 0;
     int64_t nfail = 0;
     for (int64_t b = 0; b < rows; b++) {
+        const double *srow = s + b * n;
+        if (!demand_row(srow, price, dtags, dparams, n, tmp_m, tmp_dm)) {
+            phi_out[b] = 0.0;
+            pop_rows[npop] = b;
+            npop++;
+            continue;
+        }
         double p0 = has_phi0 ? phi0[b] : 0.0;
         double phi = 0.0, bad_lo = 0.0, bad_hi = 0.0;
         int64_t evals = 0, expansions = 0;
-        int status = marginal_row(s + b * n, price, values, alpha, dscale,
-                                  weight, scaled, beta, peak, mu, n,
-                                  xtol_final, p0, (int)has_phi0, u_out + b * n,
-                                  tmp_m, tmp_mi, &phi, &bad_lo, &bad_hi,
-                                  &evals, &expansions);
+        int ok = marginal_row(srow, values, tmp_m, tmp_dm, rtags, rparams, mu,
+                              n, xtol_final, p0, (int)has_phi0, u_out + b * n,
+                              tmp_r, tmp_dr, &phi, &bad_lo, &bad_hi, &evals,
+                              &expansions);
         stats[0] += evals;
         stats[1] += expansions;
         phi_out[b] = phi;
-        if (status == 3) {
-            pop_rows[npop] = b;
-            npop++;
-        } else if (status == 2) {
+        if (!ok) {
             fail_rows[nfail] = b;
             fail_lo[nfail] = bad_lo;
             fail_hi[nfail] = bad_hi;
             nfail++;
         }
     }
-    free(tmp_m);
-    free(tmp_mi);
+    free(work);
     counts[0] = npop;
     counts[1] = nfail;
 }
@@ -384,32 +510,48 @@ void repro_marginal_batch(int64_t rows, int64_t n, const double *s,
 /* fused best-response root loop                                      */
 /* ------------------------------------------------------------------ */
 
-/* Returns 0 ok, 2 bracket failure, 3 non-finite populations; on failure
+/* Diagonal of u over the (N, N) trial batch; chains phi per row. Columns
+ * other than i keep the populations base_m/base_dm of the clipped profile;
+ * only column i is re-evaluated. work holds six scratch rows of n.
+ * Returns 0 ok, 2 bracket failure, 3 non-finite populations; on failure
  * *bad is the offending trial-row index. */
 static int diag_marginals(const double *own, const double *sclip, double price,
-                          const double *values, const double *alpha,
-                          const double *dscale, const double *weight,
-                          const uint8_t *scaled, const double *beta,
-                          const double *peak, double mu, int64_t n,
+                          const double *values, const int64_t *dtags,
+                          const double *dparams, const int64_t *rtags,
+                          const double *rparams, double mu, int64_t n,
                           double xtol_final, double *phi_io, int has_chain,
-                          double *out_f, double *trial, double *u_row,
-                          double *tmp_m, double *tmp_mi, int64_t *stats,
+                          double *out_f, const double *base_m,
+                          const double *base_dm, double *work, int64_t *stats,
                           int64_t *bad) {
+    size_t nb = sizeof(double) * (size_t)n;
+    double *trial = work;
+    double *tmp_m = work + n;
+    double *tmp_dm = work + 2 * n;
+    double *u_row = work + 3 * n;
+    double *tmp_r = work + 4 * n;
+    double *tmp_dr = work + 5 * n;
     for (int64_t i = 0; i < n; i++) {
-        memcpy(trial, sclip, sizeof(double) * (size_t)n);
+        memcpy(trial, sclip, nb);
+        memcpy(tmp_m, base_m, nb);
+        memcpy(tmp_dm, base_dm, nb);
         trial[i] = clamp0(own[i]);
+        demand_column(dtags, dparams, i, price - trial[i], tmp_m, tmp_dm);
+        if (!all_finite(tmp_m, n)) {
+            *bad = i;
+            return 3;
+        }
         double p0 = has_chain ? phi_io[i] : 0.0;
         double phi = 0.0, bad_lo = 0.0, bad_hi = 0.0;
         int64_t evals = 0, expansions = 0;
-        int status = marginal_row(trial, price, values, alpha, dscale, weight,
-                                  scaled, beta, peak, mu, n, xtol_final, p0,
-                                  has_chain, u_row, tmp_m, tmp_mi, &phi,
-                                  &bad_lo, &bad_hi, &evals, &expansions);
+        int ok = marginal_row(trial, values, tmp_m, tmp_dm, rtags, rparams, mu,
+                              n, xtol_final, p0, has_chain, u_row, tmp_r,
+                              tmp_dr, &phi, &bad_lo, &bad_hi, &evals,
+                              &expansions);
         stats[0] += evals;
         stats[1] += expansions;
-        if (status != 0) {
+        if (!ok) {
             *bad = i;
-            return status;
+            return 2;
         }
         phi_io[i] = phi;
         out_f[i] = u_row[i];
@@ -419,20 +561,18 @@ static int diag_marginals(const double *own, const double *sclip, double price,
 }
 
 void repro_best_response(int64_t n, const double *s, double price,
-                         const double *values, const double *alpha,
-                         const double *dscale, const double *weight,
-                         const uint8_t *scaled, const double *beta,
-                         const double *peak, double mu, double xtol_final,
+                         const double *values, const int64_t *dtags,
+                         const double *dparams, const int64_t *rtags,
+                         const double *rparams, double mu, double xtol_final,
                          double cap, double *phi_io, int64_t has_chain,
                          double root_xtol, double *responses, double *u_zero,
                          double *u_cap, int64_t *stats, int64_t *status_bad) {
     size_t nb = sizeof(double) * (size_t)n;
     double *sclip = (double *)malloc(nb);
     double *hi = (double *)malloc(nb);
-    double *trial = (double *)malloc(nb);
-    double *u_row = (double *)malloc(nb);
-    double *tmp_m = (double *)malloc(nb);
-    double *tmp_mi = (double *)malloc(nb);
+    double *base_m = (double *)malloc(nb);
+    double *base_dm = (double *)malloc(nb);
+    double *work = (double *)malloc(6 * nb);
     double *own = (double *)malloc(nb);
     double *lo_a = (double *)malloc(nb);
     double *hi_a = (double *)malloc(nb);
@@ -452,19 +592,21 @@ void repro_best_response(int64_t n, const double *s, double price,
         responses[i] = 0.0;
         own[i] = 0.0;
     }
-    status = diag_marginals(own, sclip, price, values, alpha, dscale, weight,
-                            scaled, beta, peak, mu, n, xtol_final, phi_io,
-                            (int)has_chain, u_zero, trial, u_row, tmp_m,
-                            tmp_mi, stats, &bad);
+    /* Finiteness is checked per trial row, after column i is replaced. */
+    demand_row(sclip, price, dtags, dparams, n, base_m, base_dm);
+    status = diag_marginals(own, sclip, price, values, dtags, dparams, rtags,
+                            rparams, mu, n, xtol_final, phi_io,
+                            (int)has_chain, u_zero, base_m, base_dm, work,
+                            stats, &bad);
     if (status != 0) {
         goto done;
     }
     for (int64_t i = 0; i < n; i++) {
         own[i] = (hi[i] > 0.0) ? hi[i] : 0.0;
     }
-    status = diag_marginals(own, sclip, price, values, alpha, dscale, weight,
-                            scaled, beta, peak, mu, n, xtol_final, phi_io, 1,
-                            u_cap, trial, u_row, tmp_m, tmp_mi, stats, &bad);
+    status = diag_marginals(own, sclip, price, values, dtags, dparams, rtags,
+                            rparams, mu, n, xtol_final, phi_io, 1, u_cap,
+                            base_m, base_dm, work, stats, &bad);
     if (status != 0) {
         goto done;
     }
@@ -528,10 +670,9 @@ void repro_best_response(int64_t n, const double *s, double price,
                 probe[i] = root[i];
             }
         }
-        status = diag_marginals(probe, sclip, price, values, alpha, dscale,
-                                weight, scaled, beta, peak, mu, n, xtol_final,
-                                phi_io, 1, f, trial, u_row, tmp_m, tmp_mi,
-                                stats, &bad);
+        status = diag_marginals(probe, sclip, price, values, dtags, dparams,
+                                rtags, rparams, mu, n, xtol_final, phi_io, 1,
+                                f, base_m, base_dm, work, stats, &bad);
         if (status != 0) {
             goto done;
         }
@@ -571,10 +712,9 @@ void repro_best_response(int64_t n, const double *s, double price,
 done:
     free(sclip);
     free(hi);
-    free(trial);
-    free(u_row);
-    free(tmp_m);
-    free(tmp_mi);
+    free(base_m);
+    free(base_dm);
+    free(work);
     free(own);
     free(lo_a);
     free(hi_a);

@@ -5,7 +5,8 @@ Compiles ``_kernels.c`` on demand with the system C compiler
 the batch kernels under the exact Python signatures of
 :mod:`repro.backend.kernels_py`, so the dispatch layer can treat the two
 modules interchangeably. Bitwise parity with ``kernels_py`` holds because
-both evaluate libm ``exp`` and accumulate sequentially in the same order.
+both evaluate libm ``exp``/``pow``/``log1p`` and accumulate sequentially
+in the same order.
 
 Import lazily via :func:`load`; a missing compiler or failed build raises
 :class:`CExtUnavailable`, which the backend registry converts into a
@@ -103,7 +104,7 @@ class _Kernels:
     hot equilibrium loops make tens of thousands of small-batch kernel
     calls, so per-argument ``data_as`` wrapper objects would dominate the
     kernel's own runtime. Callers (the dispatch layer) guarantee contiguous
-    float64/int64/uint8 arrays.
+    float64/int64 arrays.
     """
 
     HAVE_NUMBA = False
@@ -121,13 +122,13 @@ class _Kernels:
         ]
         lib.repro_marginal_batch.restype = None
         lib.repro_marginal_batch.argtypes = [
-            _i64, _i64, _ptr, _f64, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr,
-            _ptr, _f64, _f64, _ptr, _i64, _ptr, _ptr, _ptr, _ptr, _ptr,
+            _i64, _i64, _ptr, _f64, _ptr, _ptr, _ptr, _ptr, _ptr,
+            _f64, _f64, _ptr, _i64, _ptr, _ptr, _ptr, _ptr, _ptr,
             _ptr, _ptr, _ptr,
         ]
         lib.repro_best_response.restype = None
         lib.repro_best_response.argtypes = [
-            _i64, _ptr, _f64, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr,
+            _i64, _ptr, _f64, _ptr, _ptr, _ptr, _ptr, _ptr,
             _f64, _f64, _f64, _ptr, _i64, _f64, _ptr, _ptr, _ptr, _ptr,
             _ptr,
         ]
@@ -151,8 +152,8 @@ class _Kernels:
     def congestion_batch(
         self,
         populations,
-        beta,
-        peak,
+        rtags,
+        rparams,
         mu,
         phi0,
         has_phi0,
@@ -168,8 +169,8 @@ class _Kernels:
                 populations.shape[0],
                 populations.shape[1],
                 populations.ctypes.data,
-                beta.ctypes.data,
-                peak.ctypes.data,
+                rtags.ctypes.data,
+                rparams.ctypes.data,
                 mu,
                 phi0.ctypes.data,
                 1 if has_phi0 else 0,
@@ -187,12 +188,10 @@ class _Kernels:
         s,
         price,
         values,
-        alpha,
-        dscale,
-        weight,
-        scaled,
-        beta,
-        peak,
+        dtags,
+        dparams,
+        rtags,
+        rparams,
         mu,
         xtol_final,
         phi0,
@@ -212,12 +211,10 @@ class _Kernels:
             s.ctypes.data,
             price,
             values.ctypes.data,
-            alpha.ctypes.data,
-            dscale.ctypes.data,
-            weight.ctypes.data,
-            scaled.ctypes.data,
-            beta.ctypes.data,
-            peak.ctypes.data,
+            dtags.ctypes.data,
+            dparams.ctypes.data,
+            rtags.ctypes.data,
+            rparams.ctypes.data,
             mu,
             xtol_final,
             phi0.ctypes.data,
@@ -238,12 +235,10 @@ class _Kernels:
         s,
         price,
         values,
-        alpha,
-        dscale,
-        weight,
-        scaled,
-        beta,
-        peak,
+        dtags,
+        dparams,
+        rtags,
+        rparams,
         mu,
         xtol_final,
         cap,
@@ -261,12 +256,10 @@ class _Kernels:
             s.ctypes.data,
             price,
             values.ctypes.data,
-            alpha.ctypes.data,
-            dscale.ctypes.data,
-            weight.ctypes.data,
-            scaled.ctypes.data,
-            beta.ctypes.data,
-            peak.ctypes.data,
+            dtags.ctypes.data,
+            dparams.ctypes.data,
+            rtags.ctypes.data,
+            rparams.ctypes.data,
             mu,
             xtol_final,
             cap,

@@ -1,10 +1,35 @@
 """High-level fused-kernel entry points with exception mapping.
 
 The network/core layers call these when the active backend carries
-compiled kernels and the model is kernel-eligible (exponential-family
-demand/throughput on linear utilization). Each wrapper marshals arrays,
-times the kernel for the profiler, and converts status codes back into
-the exact exceptions (and messages) the lockstep NumPy path raises.
+compiled kernels and the model is kernel-eligible: every demand and
+throughput column carries a family tag (the table below) and the
+utilization is linear. Each wrapper marshals arrays, times the kernel for
+the profiler, and converts status codes back into the exact exceptions
+(and messages) the lockstep NumPy path raises.
+
+Family tags
+-----------
+The kernels see a model as per-column integer tags plus a fixed-width
+float parameter matrix (built by ``DemandTable.kernel_columns`` and
+``ThroughputTable.kernel_columns``). Demand rows hold ``DEMAND_WIDTH``
+floats: up to four family parameters, then the share weight.
+
+* ``DEMAND_EXPONENTIAL`` — ExponentialDemand: ``alpha, scale``
+* ``DEMAND_LOGIT`` — LogitDemand: ``alpha, midpoint, scale``
+* ``DEMAND_LINEAR`` — LinearDemand: ``base, slope, smoothing, t*``
+  (``t*`` is the switch price to the exponential tail)
+* ``DEMAND_POWER`` — ShiftedPowerDemand: ``alpha, scale``
+
+The weight is that of one :class:`~repro.network.demand.ScaledDemand`
+level over the family, ``1.0`` for a bare column (multiplying by one is
+exact, so bare and weighted columns share one code path). Throughput
+rows hold ``beta, peak`` for every family:
+
+* ``RATE_EXPONENTIAL`` — ExponentialThroughput
+* ``RATE_POWER`` — PowerLawThroughput
+* ``RATE_RATIONAL`` — RationalThroughput
+
+The numbers are shared with ``kernels_py.py`` and ``_kernels.c``.
 """
 
 from __future__ import annotations
@@ -18,11 +43,30 @@ from repro.backend import Backend, profiling
 from repro.exceptions import BracketError, ModelError
 
 __all__ = [
+    "DEMAND_EXPONENTIAL",
+    "DEMAND_LOGIT",
+    "DEMAND_LINEAR",
+    "DEMAND_POWER",
+    "DEMAND_WIDTH",
+    "RATE_EXPONENTIAL",
+    "RATE_POWER",
+    "RATE_RATIONAL",
     "KernelPlan",
     "fused_congestion",
     "fused_marginals",
     "fused_best_response",
 ]
+
+DEMAND_EXPONENTIAL = 0
+DEMAND_LOGIT = 1
+DEMAND_LINEAR = 2
+DEMAND_POWER = 3
+#: Four family parameters, then the share weight.
+DEMAND_WIDTH = 5
+
+RATE_EXPONENTIAL = 0
+RATE_POWER = 1
+RATE_RATIONAL = 2
 
 #: Expansion budget mirrored from expand_bracket_batch's default.
 _MAX_EXPANSIONS = 200
@@ -30,21 +74,19 @@ _MAX_EXPANSIONS = 200
 
 @dataclass(frozen=True)
 class KernelPlan:
-    """Precomputed kernel inputs for one market's exponential-family model.
+    """Precomputed kernel inputs for one market's tagged model.
 
     Built once per :class:`~repro.providers.market.Market` (see
-    ``Market.kernel_plan``); ``None`` when the market's demand, throughput
-    or utilization families fall outside what the fused kernels implement.
+    ``Market.kernel_plan``); ``None`` when a demand or throughput column
+    has no tag or the utilization is not linear.
     """
 
     price: float
     values: np.ndarray
-    alphas: np.ndarray
-    scales: np.ndarray
-    weights: np.ndarray
-    scaled: np.ndarray
-    betas: np.ndarray
-    peaks: np.ndarray
+    demand_tags: np.ndarray
+    demand_params: np.ndarray
+    rate_tags: np.ndarray
+    rate_params: np.ndarray
     mu: float
     xtol: float
 
@@ -76,8 +118,8 @@ def _raise_bracket(nfail, fail_rows, fail_lo, fail_hi) -> None:
 def fused_congestion(
     backend: Backend,
     populations: np.ndarray,
-    betas: np.ndarray,
-    peaks: np.ndarray,
+    rate_tags: np.ndarray,
+    rate_params: np.ndarray,
     mu: float,
     xtol: float,
     phi0: np.ndarray | None,
@@ -97,7 +139,8 @@ def fused_congestion(
     start, has_phi0 = _warm_start(phi0, size)
     began = perf_counter() if profiling.enabled else 0.0
     nfail = backend.kernels.congestion_batch(
-        populations, _contig(betas), _contig(peaks), float(mu),
+        populations, np.ascontiguousarray(rate_tags, dtype=np.int64),
+        _contig(rate_params), float(mu),
         start, has_phi0, float(xtol),
         phi_out, stats, fail_rows, fail_lo, fail_hi,
     )
@@ -127,8 +170,8 @@ def fused_marginals(
     start, has_phi0 = _warm_start(phi0, size)
     began = perf_counter() if profiling.enabled else 0.0
     npop, nfail = backend.kernels.marginal_batch(
-        s, plan.price, plan.values, plan.alphas, plan.scales, plan.weights,
-        plan.scaled, plan.betas, plan.peaks, plan.mu, plan.xtol,
+        s, plan.price, plan.values, plan.demand_tags, plan.demand_params,
+        plan.rate_tags, plan.rate_params, plan.mu, plan.xtol,
         start, has_phi0,
         u_out, phi_out, stats, pop_rows, fail_rows, fail_lo, fail_hi,
     )
@@ -171,8 +214,8 @@ def fused_best_response(
         has_chain = True
     began = perf_counter() if profiling.enabled else 0.0
     status, bad = backend.kernels.best_response_root(
-        s, plan.price, plan.values, plan.alphas, plan.scales, plan.weights,
-        plan.scaled, plan.betas, plan.peaks, plan.mu, plan.xtol,
+        s, plan.price, plan.values, plan.demand_tags, plan.demand_params,
+        plan.rate_tags, plan.rate_params, plan.mu, plan.xtol,
         float(cap), phi_io, has_chain, float(root_xtol),
         responses, u_zero, u_cap, stats,
     )

@@ -2,12 +2,22 @@
 
 These are the per-row, early-exit counterparts of the lockstep batch
 solvers: one congestion fixed point per row (warm Newton, bracket
-expansion, bisection/Illinois, Newton polish), the exponential-family
-marginal-utility chain, and the fused best-response root loop. Each row
-follows *exactly* the trajectory the NumPy lockstep path walks for that
-row — same operations in the same order — so, evaluated with the same
-scalar ``exp`` (libm here, via :mod:`math`), the results are bitwise
-identical. That property is what the golden kernel-parity tests pin.
+expansion, bisection/Illinois, Newton polish), the marginal-utility
+chain, and the fused best-response root loop. Each row follows *exactly*
+the trajectory the NumPy lockstep path walks for that row — same
+operations in the same order.
+
+The model reaches the kernels as per-column family tags plus parameter
+rows (see :mod:`repro.backend.dispatch` for the tag table). Per-tag
+helpers (``_rate``/``_d_rate`` for throughput, ``_demand`` for population
+and its derivative) copy each family class's array formulas, including
+the ``_EXP_LIMIT`` guards and the ``LinearDemand`` tail. Exponential
+columns evaluate with the same scalar ``exp`` the lockstep path is bound
+to under a kernel backend (libm here, via :mod:`math`), so for them the
+results are bitwise identical — that is what the golden kernel-parity
+tests pin. The other families call libm ``pow``/``log1p``/``exp`` where
+their lockstep arm uses NumPy ufuncs, so they agree with it to a few
+ulps instead.
 
 The module is written in the restricted style numba can compile: plain
 loops over float64 arrays, scalar math, out-parameters. When numba is
@@ -26,6 +36,15 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from repro.backend.dispatch import (
+    DEMAND_EXPONENTIAL,
+    DEMAND_LINEAR,
+    DEMAND_LOGIT,
+    DEMAND_WIDTH,
+    RATE_EXPONENTIAL,
+    RATE_POWER,
+)
 
 try:  # pragma: no cover - exercised only where numba is installed
     from numba import njit as _njit
@@ -96,38 +115,132 @@ def pair_dot_batch(a, b, out):
 
 
 # ----------------------------------------------------------------------
-# the congestion fixed point, one row at a time
+# per-tag family formulas (tags: repro.backend.dispatch)
 # ----------------------------------------------------------------------
-# The gap closure is the exponential-family/linear-utilization fast path:
-# g(phi) = phi*mu - sum_k m_k * peak_k * exp(-beta_k * phi).
+# Each branch copies its family class's array formula operation for
+# operation (network/demand.py, network/throughput.py), guards included.
+
+#: Exponent magnitude beyond which ``e^z`` over/underflows (demand.py).
+_EXP_LIMIT = 700.0
 
 
 @_jit
-def _gap_value(phi, m, beta, peak, mu):
+def _rate(tag, beta, peak, phi):
+    """Per-user throughput ``rate(phi)`` of one tagged column."""
+    if tag == RATE_EXPONENTIAL:
+        return peak * math.exp((-beta) * phi)
+    if tag == RATE_POWER:
+        return peak * math.pow(1.0 + phi, -beta)
+    return peak / (1.0 + beta * phi)
+
+
+@_jit
+def _d_rate(tag, beta, peak, phi, r):
+    """``d rate / d phi`` of one tagged column; ``r`` is its rate at phi."""
+    if tag == RATE_EXPONENTIAL:
+        return (-beta) * r
+    if tag == RATE_POWER:
+        return ((-beta) * peak) * math.pow(1.0 + phi, (-beta) - 1.0)
+    d = 1.0 + beta * phi
+    return ((-beta) * peak) / (d * d)
+
+
+@_jit
+def _softplus(t):
+    if t > _EXP_LIMIT:
+        return t
+    return math.log1p(math.exp(t))
+
+
+@_jit
+def _sigmoid(t):
+    z = math.exp(-abs(t))
+    if t >= 0.0:
+        return 1.0 / (1.0 + z)
+    return z / (1.0 + z)
+
+
+@_jit
+def _demand(tag, p, t):
+    """``(m(t), dm/dt)`` of one tagged column, before its share weight."""
+    if tag == DEMAND_EXPONENTIAL:
+        m = p[1] * math.exp((-p[0]) * t)
+        return m, (-p[0]) * m
+    if tag == DEMAND_LOGIT:
+        z = p[0] * (t - p[1])
+        if z > _EXP_LIMIT:
+            return 0.0, 0.0
+        ez = math.exp(z)
+        m = p[2] / (1.0 + ez)
+        if z < -_EXP_LIMIT:
+            return m, 0.0
+        q = 1.0 + ez
+        return m, (((-p[0]) * p[2]) * ez) / (q * q)
+    if tag == DEMAND_LINEAR:
+        if t <= p[3]:
+            return p[0] - p[1] * t, -p[1]
+        e = ((-p[1]) * (t - p[3])) / p[2]
+        if e > 0.0:
+            e = 0.0
+        tail = math.exp(e)
+        return p[2] * tail, (-p[1]) * tail
+    sp = _softplus(t)
+    m = p[1] * math.pow(1.0 + sp, -p[0])
+    dm = (((-p[0]) * p[1]) * math.pow(1.0 + sp, (-p[0]) - 1.0)) * _sigmoid(t)
+    return m, dm
+
+
+@_jit
+def _demand_column(dtags, dparams, i, t, m_out, dm_out):
+    """Weighted population and ``dm/ds = -dm/dt`` of column ``i`` at ``t``."""
+    m, dpop = _demand(dtags[i], dparams[i], t)
+    weight = dparams[i, DEMAND_WIDTH - 1]
+    m_out[i] = weight * m
+    dm_out[i] = -(weight * dpop)
+
+
+@_jit
+def _all_finite(values):
+    for k in range(values.shape[0]):
+        if not math.isfinite(values[k]):
+            return False
+    return True
+
+
+# ----------------------------------------------------------------------
+# the congestion fixed point, one row at a time
+# ----------------------------------------------------------------------
+# The gap on linear utilization: g(phi) = phi*mu - sum_k m_k * rate_k(phi).
+
+
+@_jit
+def _gap_value(phi, m, rtags, rparams, mu):
     demand = 0.0
     for k in range(m.shape[0]):
-        r = peak[k] * math.exp((-beta[k]) * phi)
+        r = _rate(rtags[k], rparams[k, 0], rparams[k, 1], phi)
         demand += m[k] * r
     return phi * mu - demand
 
 
 @_jit
-def _gap_and_slope(phi, m, beta, peak, mu):
+def _gap_and_slope(phi, m, rtags, rparams, mu):
     demand = 0.0
     dslope = 0.0
     for k in range(m.shape[0]):
-        r = peak[k] * math.exp((-beta[k]) * phi)
+        beta = rparams[k, 0]
+        peak = rparams[k, 1]
+        r = _rate(rtags[k], beta, peak, phi)
         demand += m[k] * r
-        dslope += m[k] * ((-beta[k]) * r)
+        dslope += m[k] * _d_rate(rtags[k], beta, peak, phi, r)
     return phi * mu - demand, mu - dslope
 
 
 @_jit
-def _newton_row(x, m, beta, peak, mu, rtol, max_iter):
+def _newton_row(x, m, rtags, rparams, mu, rtol, max_iter):
     """Safeguarded Newton; mirrors ``newton_polish_batch`` row-wise."""
     evals = 0
     for _ in range(max_iter):
-        g, slope = _gap_and_slope(x, m, beta, peak, mu)
+        g, slope = _gap_and_slope(x, m, rtags, rparams, mu)
         evals += 1
         step = _safe_div(g, slope)
         informative = (
@@ -145,9 +258,9 @@ def _newton_row(x, m, beta, peak, mu, rtol, max_iter):
 
 
 @_jit
-def _expand_row(m, beta, peak, mu):
+def _expand_row(m, rtags, rparams, mu):
     """Geometric expansion; mirrors ``expand_bracket_batch`` row-wise."""
-    f_lo = _gap_value(0.0, m, beta, peak, mu)
+    f_lo = _gap_value(0.0, m, rtags, rparams, mu)
     evals = 1
     if f_lo >= 0.0:
         # Boundary root: collapsed bracket, resolved at lo by the caller.
@@ -158,7 +271,7 @@ def _expand_row(m, beta, peak, mu):
     f_hi = f_lo
     expansions = 0
     for _ in range(200):
-        f_probe = _gap_value(hi, m, beta, peak, mu)
+        f_probe = _gap_value(hi, m, rtags, rparams, mu)
         evals += 1
         expansions += 1
         f_hi = f_probe
@@ -172,7 +285,9 @@ def _expand_row(m, beta, peak, mu):
 
 
 @_jit
-def _bracket_row(lo, hi, f_lo, f_hi, m, beta, peak, mu, xtol, bisect_iters, max_iter):
+def _bracket_row(
+    lo, hi, f_lo, f_hi, m, rtags, rparams, mu, xtol, bisect_iters, max_iter
+):
     """Bisection + Illinois; mirrors ``bracketed_root_batch`` row-wise.
 
     The caller pre-resolves endpoint roots and collapsed brackets, so the
@@ -191,7 +306,7 @@ def _bracket_row(lo, hi, f_lo, f_hi, m, beta, peak, mu, xtol, bisect_iters, max_
                 x = 0.5 * (lo + hi)
             else:
                 x = secant
-        fx = _gap_value(x, m, beta, peak, mu)
+        fx = _gap_value(x, m, rtags, rparams, mu)
         evals += 1
         if fx == 0.0:
             # Exact hit: lockstep collapses the bracket onto the probe and
@@ -212,7 +327,7 @@ def _bracket_row(lo, hi, f_lo, f_hi, m, beta, peak, mu, xtol, bisect_iters, max_
 
 
 @_jit
-def _congestion_row(m, beta, peak, mu, phi0, has_phi0, xtol_final):
+def _congestion_row(m, rtags, rparams, mu, phi0, has_phi0, xtol_final):
     """One row of ``solve_population_batch``: warm Newton, then cold solve.
 
     Returns ``(phi, ok, bad_lo, bad_hi, evals, expansions)``; ``ok`` is
@@ -232,11 +347,13 @@ def _congestion_row(m, beta, peak, mu, phi0, has_phi0, xtol_final):
         start = _clamp0(phi0)
         if not math.isfinite(start):
             start = 0.0
-        warm, converged, ev = _newton_row(start, m, beta, peak, mu, 1e-15, 25)
+        warm, converged, ev = _newton_row(
+            start, m, rtags, rparams, mu, 1e-15, 25
+        )
         evals += ev
         if converged:
             return warm, True, 0.0, 0.0, evals, expansions
-    lo, hi, f_lo, f_hi, closed, ev, ex = _expand_row(m, beta, peak, mu)
+    lo, hi, f_lo, f_hi, closed, ev, ex = _expand_row(m, rtags, rparams, mu)
     evals += ev
     expansions += ex
     if not closed:
@@ -249,10 +366,12 @@ def _congestion_row(m, beta, peak, mu, phi0, has_phi0, xtol_final):
         coarse = hi
     else:
         coarse, ev = _bracket_row(
-            lo, hi, f_lo, f_hi, m, beta, peak, mu, 1e-6, 25, 30
+            lo, hi, f_lo, f_hi, m, rtags, rparams, mu, 1e-6, 25, 30
         )
         evals += ev
-    polished, converged, ev = _newton_row(coarse, m, beta, peak, mu, 1e-15, 40)
+    polished, converged, ev = _newton_row(
+        coarse, m, rtags, rparams, mu, 1e-15, 40
+    )
     evals += ev
     if not converged:
         # Stragglers re-bisect from the *original* bracket to full xtol.
@@ -262,7 +381,7 @@ def _congestion_row(m, beta, peak, mu, phi0, has_phi0, xtol_final):
             polished = hi
         else:
             polished, ev = _bracket_row(
-                lo, hi, f_lo, f_hi, m, beta, peak, mu, xtol_final, 200, 200
+                lo, hi, f_lo, f_hi, m, rtags, rparams, mu, xtol_final, 200, 200
             )
             evals += ev
     return polished, True, 0.0, 0.0, evals, expansions
@@ -271,8 +390,8 @@ def _congestion_row(m, beta, peak, mu, phi0, has_phi0, xtol_final):
 @_jit
 def congestion_batch(
     populations,
-    beta,
-    peak,
+    rtags,
+    rparams,
     mu,
     phi0,
     has_phi0,
@@ -292,7 +411,7 @@ def congestion_batch(
     for b in range(populations.shape[0]):
         p0 = phi0[b] if has_phi0 else 0.0
         phi, ok, bad_lo, bad_hi, evals, expansions = _congestion_row(
-            populations[b], beta, peak, mu, p0, has_phi0, xtol_final
+            populations[b], rtags, rparams, mu, p0, has_phi0, xtol_final
         )
         stats[0] += evals
         stats[1] += expansions
@@ -310,70 +429,58 @@ def congestion_batch(
 # ----------------------------------------------------------------------
 # the marginal-utility chain, one profile row at a time
 # ----------------------------------------------------------------------
-# Demand columns are ExponentialDemand (m = scale*e^{-alpha t}) or
-# ScaledDemand over one (m = w * scale*e^{-alpha t}); ``scaled`` flags the
-# latter per column. Operation order matches DemandTable._columns /
-# the all-exponential fast path exactly (they agree element-wise).
+# Operation order matches SubsidizationGame.marginal_diagnostics_batch:
+# populations and dm/ds from the demand columns, the congestion solve,
+# then the derivative algebra on the solved rates.
+
+
+@_jit
+def _demand_row(srow, price, dtags, dparams, m_out, dm_out):
+    """Populations of one profile row; False if any is not finite."""
+    for i in range(srow.shape[0]):
+        _demand_column(dtags, dparams, i, price - srow[i], m_out, dm_out)
+    return _all_finite(m_out)
 
 
 @_jit
 def _marginal_row(
     srow,
-    price,
     values,
-    alpha,
-    dscale,
-    weight,
-    scaled,
-    beta,
-    peak,
+    m,
+    dm,
+    rtags,
+    rparams,
     mu,
     xtol_final,
     phi0,
     has_phi0,
     u_row,
-    tmp_m,
-    tmp_mi,
+    tmp_r,
+    tmp_dr,
 ):
-    """u(s) for one profile row; returns (phi, pop_ok, bracket_ok, ...)."""
-    n = srow.shape[0]
-    pop_ok = True
-    for i in range(n):
-        t = price - srow[i]
-        e = math.exp((-alpha[i]) * t)
-        mi = dscale[i] * e
-        if scaled[i]:
-            mm = weight[i] * mi
-        else:
-            mm = mi
-        tmp_mi[i] = mi
-        tmp_m[i] = mm
-        if not math.isfinite(mm):
-            pop_ok = False
-    if not pop_ok:
-        return 0.0, False, True, 0.0, 0.0, 0, 0
+    """u(s) for one row with populations ``m``; returns (phi, ok, ...)."""
     phi, ok, bad_lo, bad_hi, evals, expansions = _congestion_row(
-        tmp_m, beta, peak, mu, phi0, has_phi0, xtol_final
+        m, rtags, rparams, mu, phi0, has_phi0, xtol_final
     )
     if not ok:
-        return 0.0, True, False, bad_lo, bad_hi, evals, expansions
+        return 0.0, False, bad_lo, bad_hi, evals, expansions
+    n = srow.shape[0]
     dslope = 0.0
     for k in range(n):
-        r = peak[k] * math.exp((-beta[k]) * phi)
-        dslope += tmp_m[k] * ((-beta[k]) * r)
+        beta = rparams[k, 0]
+        peak = rparams[k, 1]
+        r = _rate(rtags[k], beta, peak, phi)
+        dr = _d_rate(rtags[k], beta, peak, phi, r)
+        tmp_r[k] = r
+        tmp_dr[k] = dr
+        dslope += m[k] * dr
     slope = mu - dslope
     for i in range(n):
-        r = peak[i] * math.exp((-beta[i]) * phi)
-        dr = (-beta[i]) * r
-        if scaled[i]:
-            dpop = weight[i] * ((-alpha[i]) * tmp_mi[i])
-        else:
-            dpop = (-alpha[i]) * tmp_m[i]
-        dm = -dpop
-        dphi = _safe_div(r * dm, slope)
-        dtheta = dm * r + (tmp_m[i] * dr) * dphi
-        u_row[i] = (values[i] - srow[i]) * dtheta - tmp_m[i] * r
-    return phi, True, True, 0.0, 0.0, evals, expansions
+        r = tmp_r[i]
+        dphi = _safe_div(r * dm[i], slope)
+        dtheta = dm[i] * r + (m[i] * tmp_dr[i]) * dphi
+        u_row[i] = (values[i] - srow[i]) * dtheta - m[i] * r
+    return phi, True, 0.0, 0.0, evals, expansions
 
 
 @_jit
@@ -381,12 +488,10 @@ def marginal_batch(
     s,
     price,
     values,
-    alpha,
-    dscale,
-    weight,
-    scaled,
-    beta,
-    peak,
+    dtags,
+    dparams,
+    rtags,
+    rparams,
     mu,
     xtol_final,
     phi0,
@@ -402,38 +507,26 @@ def marginal_batch(
     """u(s) for a (B, N) batch; returns (n_pop_bad, n_bracket_fail)."""
     n = s.shape[1]
     tmp_m = np.empty(n)
-    tmp_mi = np.empty(n)
+    tmp_dm = np.empty(n)
+    tmp_r = np.empty(n)
+    tmp_dr = np.empty(n)
     npop = 0
     nfail = 0
     for b in range(s.shape[0]):
+        if not _demand_row(s[b], price, dtags, dparams, tmp_m, tmp_dm):
+            phi_out[b] = 0.0
+            pop_rows[npop] = b
+            npop += 1
+            continue
         p0 = phi0[b] if has_phi0 else 0.0
-        phi, pop_ok, bracket_ok, bad_lo, bad_hi, evals, expansions = (
-            _marginal_row(
-                s[b],
-                price,
-                values,
-                alpha,
-                dscale,
-                weight,
-                scaled,
-                beta,
-                peak,
-                mu,
-                xtol_final,
-                p0,
-                has_phi0,
-                u_out[b],
-                tmp_m,
-                tmp_mi,
-            )
+        phi, ok, bad_lo, bad_hi, evals, expansions = _marginal_row(
+            s[b], values, tmp_m, tmp_dm, rtags, rparams, mu, xtol_final,
+            p0, has_phi0, u_out[b], tmp_r, tmp_dr,
         )
         stats[0] += evals
         stats[1] += expansions
         phi_out[b] = phi
-        if not pop_ok:
-            pop_rows[npop] = b
-            npop += 1
-        elif not bracket_ok:
+        if not ok:
             fail_rows[nfail] = b
             fail_lo[nfail] = bad_lo
             fail_hi[nfail] = bad_hi
@@ -452,63 +545,55 @@ def _diag_marginals(
     sclip,
     price,
     values,
-    alpha,
-    dscale,
-    weight,
-    scaled,
-    beta,
-    peak,
+    dtags,
+    dparams,
+    rtags,
+    rparams,
     mu,
     xtol_final,
     phi_io,
     has_chain,
     out_f,
-    trial,
-    u_row,
-    tmp_m,
-    tmp_mi,
+    base_m,
+    base_dm,
+    work,
     stats,
 ):
     """Diagonal of u over the (N, N) trial batch; chains phi per row.
 
     Row ``i`` is the incoming (clipped) profile with entry ``i`` replaced
-    by ``clip(own[i], 0, inf)``. Every row is evaluated every call — the
+    by ``clip(own[i], 0, inf)``. Columns other than ``i`` keep the
+    populations ``base_m``/``base_dm`` of the clipped profile; only
+    column ``i`` is re-evaluated. Every row is evaluated every call — the
     warm-start chain is part of the observable trajectory, so rows are
     never skipped (this mirrors the lockstep batched evaluator exactly).
-    Returns (status, bad_row): 0 ok, 2 bracket failure, 3 non-finite
-    populations.
+    ``work`` holds six scratch rows. Returns (status, bad_row): 0 ok,
+    2 bracket failure, 3 non-finite populations.
     """
     n = own.shape[0]
+    trial = work[0]
+    tmp_m = work[1]
+    tmp_dm = work[2]
+    u_row = work[3]
+    tmp_r = work[4]
+    tmp_dr = work[5]
     for i in range(n):
         for j in range(n):
             trial[j] = sclip[j]
+            tmp_m[j] = base_m[j]
+            tmp_dm[j] = base_dm[j]
         trial[i] = _clamp0(own[i])
+        _demand_column(dtags, dparams, i, price - trial[i], tmp_m, tmp_dm)
+        if not _all_finite(tmp_m):
+            return 3, i
         p0 = phi_io[i] if has_chain else 0.0
-        phi, pop_ok, bracket_ok, _bad_lo, _bad_hi, evals, expansions = (
-            _marginal_row(
-                trial,
-                price,
-                values,
-                alpha,
-                dscale,
-                weight,
-                scaled,
-                beta,
-                peak,
-                mu,
-                xtol_final,
-                p0,
-                has_chain,
-                u_row,
-                tmp_m,
-                tmp_mi,
-            )
+        phi, ok, _bad_lo, _bad_hi, evals, expansions = _marginal_row(
+            trial, values, tmp_m, tmp_dm, rtags, rparams, mu, xtol_final,
+            p0, has_chain, u_row, tmp_r, tmp_dr,
         )
         stats[0] += evals
         stats[1] += expansions
-        if not pop_ok:
-            return 3, i
-        if not bracket_ok:
+        if not ok:
             return 2, i
         phi_io[i] = phi
         out_f[i] = u_row[i]
@@ -520,12 +605,10 @@ def best_response_root(
     s,
     price,
     values,
-    alpha,
-    dscale,
-    weight,
-    scaled,
-    beta,
-    peak,
+    dtags,
+    dparams,
+    rtags,
+    rparams,
     mu,
     xtol_final,
     cap,
@@ -555,25 +638,24 @@ def best_response_root(
         sclip[i] = _clamp0(s[i])
         hi[i] = cap if cap < values[i] else values[i]
         responses[i] = 0.0
-    trial = np.empty(n)
-    u_row = np.empty(n)
-    tmp_m = np.empty(n)
-    tmp_mi = np.empty(n)
+    base_m = np.empty(n)
+    base_dm = np.empty(n)
+    # Finiteness is checked per trial row, after column i is replaced.
+    _demand_row(sclip, price, dtags, dparams, base_m, base_dm)
+    work = np.empty((6, n))
 
     own = np.zeros(n)
     status, bad = _diag_marginals(
-        own, sclip, price, values, alpha, dscale, weight, scaled, beta,
-        peak, mu, xtol_final, phi_io, has_chain, u_zero, trial, u_row,
-        tmp_m, tmp_mi, stats,
+        own, sclip, price, values, dtags, dparams, rtags, rparams, mu,
+        xtol_final, phi_io, has_chain, u_zero, base_m, base_dm, work, stats,
     )
     if status != 0:
         return status, bad
     for i in range(n):
         own[i] = hi[i] if hi[i] > 0.0 else 0.0
     status, bad = _diag_marginals(
-        own, sclip, price, values, alpha, dscale, weight, scaled, beta,
-        peak, mu, xtol_final, phi_io, 1, u_cap, trial, u_row,
-        tmp_m, tmp_mi, stats,
+        own, sclip, price, values, dtags, dparams, rtags, rparams, mu,
+        xtol_final, phi_io, 1, u_cap, base_m, base_dm, work, stats,
     )
     if status != 0:
         return status, bad
@@ -630,9 +712,8 @@ def best_response_root(
             else:
                 probe[i] = root[i]
         status, bad = _diag_marginals(
-            probe, sclip, price, values, alpha, dscale, weight, scaled,
-            beta, peak, mu, xtol_final, phi_io, 1, f, trial, u_row,
-            tmp_m, tmp_mi, stats,
+            probe, sclip, price, values, dtags, dparams, rtags, rparams,
+            mu, xtol_final, phi_io, 1, f, base_m, base_dm, work, stats,
         )
         if status != 0:
             return status, bad

@@ -241,8 +241,9 @@ class SubsidizationGame:
 
         When the active backend carries compiled kernels and the market is
         kernel-eligible, the whole chain (population, congestion solve,
-        derivative algebra) runs in one fused per-row kernel that is bitwise
-        identical to the lockstep path under the same backend.
+        derivative algebra) runs in one fused per-row kernel. Under the
+        same backend it is bitwise identical to the lockstep path on the
+        exponential family and within a few ulps on the other families.
         """
         backend = get_backend()
         plan = (

@@ -540,7 +540,8 @@ def _restore_runtime_options(
             f"kernel_seconds={snapshot['kernel_seconds']:.3f} "
             f"residual_evals={snapshot['residual_evals']} "
             f"brackets_expanded={snapshot['brackets_expanded']} "
-            f"lockstep_calls={snapshot['lockstep_calls']}",
+            f"lockstep_calls={snapshot['lockstep_calls']} "
+            f"lockstep_seconds={snapshot['lockstep_seconds']:.3f}",
             file=sys.stderr,
         )
     if args.backend is not None:

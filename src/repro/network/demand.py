@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.backend import ops
+from repro.backend import dispatch, ops
 from repro.exceptions import ModelError
 
 __all__ = [
@@ -311,6 +311,42 @@ class ScaledDemand(DemandFunction):
         return self.weight * self.inner.d_population(price)
 
 
+#: Fused-kernel tag and parameter row (without the weight) per family.
+_KERNEL_FAMILIES = {
+    ExponentialDemand: lambda d: (
+        dispatch.DEMAND_EXPONENTIAL, (d.alpha, d.scale)
+    ),
+    LogitDemand: lambda d: (
+        dispatch.DEMAND_LOGIT, (d.alpha, d.midpoint, d.scale)
+    ),
+    LinearDemand: lambda d: (
+        dispatch.DEMAND_LINEAR,
+        (d.base, d.slope, d.smoothing, d._switch_price()),
+    ),
+    ShiftedPowerDemand: lambda d: (dispatch.DEMAND_POWER, (d.alpha, d.scale)),
+}
+
+
+def _kernel_columns(
+    demands: Sequence[DemandFunction],
+) -> tuple[np.ndarray, np.ndarray] | None:
+    tags = np.empty(len(demands), dtype=np.int64)
+    params = np.zeros((len(demands), dispatch.DEMAND_WIDTH))
+    for i, d in enumerate(demands):
+        weight = 1.0
+        if type(d) is ScaledDemand:
+            weight = d.weight
+            d = d.inner
+        family = _KERNEL_FAMILIES.get(type(d))
+        if family is None:
+            return None
+        tag, row = family(d)
+        tags[i] = tag
+        params[i, : len(row)] = row
+        params[i, -1] = weight
+    return tags, params
+
+
 class DemandTable:
     """Column-stacked demand evaluation for a fixed list of demand laws.
 
@@ -332,6 +368,9 @@ class DemandTable:
         if self._exponential:
             self._alphas = np.array([d.alpha for d in self._demands])
             self._scales = np.array([d.scale for d in self._demands])
+        self._kernel_columns: tuple[np.ndarray, np.ndarray] | None | bool = (
+            False  # False = not computed yet
+        )
 
     @property
     def size(self) -> int:
@@ -343,34 +382,19 @@ class DemandTable:
         """The underlying demand functions, in column order."""
         return self._demands
 
-    def exponential_columns(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-        """Kernel-ready coefficients when every column is exponential-family.
+    def kernel_columns(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Fused-kernel family tags and parameters, or ``None``.
 
-        A column qualifies if it is exactly :class:`ExponentialDemand` or a
-        :class:`ScaledDemand` wrapping one. Returns
-        ``(alphas, scales, weights, scaled_flags)`` — ``scaled_flags`` is a
-        ``uint8`` mask of wrapped columns (their evaluation order differs:
-        ``w·(scale·e)`` versus ``scale·e``) — or ``None`` if any column is
-        outside the family.
+        Returns ``(tags, params)``: an ``int64`` tag per column and a
+        ``(N, DEMAND_WIDTH)`` float matrix laid out as in
+        :mod:`repro.backend.dispatch`. A column qualifies if it is exactly
+        one of the four built-in families, or one :class:`ScaledDemand`
+        level over one (its weight fills the last slot; bare columns
+        carry ``1.0``). Computed once and cached.
         """
-        alphas = np.empty(self.size)
-        scales = np.empty(self.size)
-        weights = np.ones(self.size)
-        flags = np.zeros(self.size, dtype=np.uint8)
-        for i, d in enumerate(self._demands):
-            if type(d) is ExponentialDemand:
-                alphas[i] = d.alpha
-                scales[i] = d.scale
-            elif type(d) is ScaledDemand and type(d.inner) is ExponentialDemand:
-                alphas[i] = d.inner.alpha
-                scales[i] = d.inner.scale
-                weights[i] = d.weight
-                flags[i] = 1
-            else:
-                return None
-        return alphas, scales, weights, flags
+        if self._kernel_columns is False:
+            self._kernel_columns = _kernel_columns(self._demands)
+        return self._kernel_columns
 
     def _columns(self, method: str, prices: np.ndarray) -> np.ndarray:
         return np.stack(

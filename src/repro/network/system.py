@@ -30,11 +30,7 @@ import numpy as np
 from repro.backend import get_backend, ops, profiling
 from repro.backend.dispatch import fused_congestion
 from repro.exceptions import ModelError
-from repro.network.throughput import (
-    ExponentialThroughput,
-    ThroughputFunction,
-    ThroughputTable,
-)
+from repro.network.throughput import ThroughputFunction, ThroughputTable
 from repro.network.utilization import LinearUtilization, UtilizationFunction
 from repro.solvers.batch_rootfind import (
     bracketed_root_batch,
@@ -244,20 +240,16 @@ class CongestionSystem:
         if not classes or all(cls.population == 0.0 for cls in classes):
             return 0.0
         backend = get_backend()
-        if (
-            backend.kernels is not None
+        columns = (
+            ThroughputTable([cls.throughput for cls in classes]).kernel_columns()
+            if backend.kernels is not None
             and type(self._utilization) is LinearUtilization
-            and all(
-                type(cls.throughput) is ExponentialThroughput
-                for cls in classes
-            )
-            and all(np.isfinite(cls.population) for cls in classes)
-        ):
+            else None
+        )
+        if columns is not None:
             populations = np.array([[cls.population for cls in classes]])
-            betas = np.array([cls.throughput.beta for cls in classes])
-            peaks = np.array([cls.throughput.peak for cls in classes])
             phi = fused_congestion(
-                backend, populations, betas, peaks, self._capacity,
+                backend, populations, *columns, self._capacity,
                 self._xtol, None,
             )
             return float(phi[0])
@@ -332,14 +324,14 @@ class CongestionSystem:
         util = self._utilization
 
         backend = get_backend()
-        if (
-            backend.kernels is not None
-            and table.is_exponential
-            and type(util) is LinearUtilization
-        ):
-            betas, peaks = table.exponential_coefficients()
+        columns = (
+            table.kernel_columns()
+            if backend.kernels is not None and type(util) is LinearUtilization
+            else None
+        )
+        if columns is not None:
             phi = fused_congestion(
-                backend, populations, betas, peaks, mu, self._xtol, phi0
+                backend, populations, *columns, mu, self._xtol, phi0
             )
         else:
             began = perf_counter() if profiling.enabled else 0.0

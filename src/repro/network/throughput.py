@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from repro.backend import ops
+from repro.backend import dispatch, ops
 from repro.exceptions import ModelError
 
 __all__ = [
@@ -213,6 +213,24 @@ class RationalThroughput(ThroughputFunction):
         return RationalThroughput(beta=self.beta, peak=peak)
 
 
+#: Fused-kernel tag per family; every family's row is ``(beta, peak)``.
+_KERNEL_TAGS = {
+    ExponentialThroughput: dispatch.RATE_EXPONENTIAL,
+    PowerLawThroughput: dispatch.RATE_POWER,
+    RationalThroughput: dispatch.RATE_RATIONAL,
+}
+
+
+def _kernel_columns(
+    throughputs: Sequence[ThroughputFunction],
+) -> tuple[np.ndarray, np.ndarray] | None:
+    tags = [_KERNEL_TAGS.get(type(fn)) for fn in throughputs]
+    if None in tags:
+        return None
+    params = np.array([[fn.beta, fn.peak] for fn in throughputs])
+    return np.array(tags, dtype=np.int64), params
+
+
 class ThroughputTable:
     """Stacked rate evaluation for a fixed list of throughput laws.
 
@@ -234,6 +252,9 @@ class ThroughputTable:
         if self._exponential:
             self._betas = np.array([fn.beta for fn in self._throughputs])
             self._peaks = np.array([fn.peak for fn in self._throughputs])
+        self._kernel_columns: tuple[np.ndarray, np.ndarray] | None | bool = (
+            False  # False = not computed yet
+        )
 
     @property
     def size(self) -> int:
@@ -245,16 +266,18 @@ class ThroughputTable:
         """The underlying laws, in column order."""
         return self._throughputs
 
-    @property
-    def is_exponential(self) -> bool:
-        """Whether every column is exactly :class:`ExponentialThroughput`."""
-        return self._exponential
+    def kernel_columns(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Fused-kernel family tags and parameters, or ``None``.
 
-    def exponential_coefficients(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(betas, peaks)`` of an all-exponential table (kernel inputs)."""
-        if not self._exponential:
-            raise ModelError("table is not all-exponential")
-        return self._betas, self._peaks
+        Returns ``(tags, params)``: an ``int64`` tag per column and an
+        ``(N, 2)`` matrix of ``(beta, peak)`` rows (see
+        :mod:`repro.backend.dispatch`), or ``None`` if any column is not
+        exactly one of the three built-in families. Computed once and
+        cached.
+        """
+        if self._kernel_columns is False:
+            self._kernel_columns = _kernel_columns(self._throughputs)
+        return self._kernel_columns
 
     def rates(self, phi: np.ndarray) -> np.ndarray:
         """Rates ``λ_i(φ_b)`` as a ``(B, N)`` matrix for ``φ`` of shape ``(B,)``."""

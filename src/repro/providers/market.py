@@ -288,32 +288,24 @@ class Market:
     def kernel_plan(self) -> KernelPlan | None:
         """Precomputed fused-kernel inputs, or ``None`` if not eligible.
 
-        Eligible markets have linear utilization, all-exponential
-        throughput laws and exponential-family demand columns (plain or
-        share-weighted). The plan is built once and cached; whether it is
-        *used* depends on the active backend at call time.
+        Eligible markets have linear utilization and a family tag for
+        every demand and throughput column (see
+        ``DemandTable.kernel_columns``). The plan is built once and cached;
+        whether it is *used* depends on the active backend at call time.
         """
         if self._kernel_plan is False:
             plan = None
-            if (
-                type(self._system.utilization_function) is LinearUtilization
-                and self._throughput_table.is_exponential
-            ):
-                columns = self._demand_table.exponential_columns()
-                if columns is not None:
-                    alphas, scales, weights, flags = columns
-                    betas, peaks = (
-                        self._throughput_table.exponential_coefficients()
-                    )
+            if type(self._system.utilization_function) is LinearUtilization:
+                demand = self._demand_table.kernel_columns()
+                rates = self._throughput_table.kernel_columns()
+                if demand is not None and rates is not None:
                     plan = KernelPlan(
                         price=self._isp.price,
                         values=np.ascontiguousarray(self._values),
-                        alphas=np.ascontiguousarray(alphas),
-                        scales=np.ascontiguousarray(scales),
-                        weights=np.ascontiguousarray(weights),
-                        scaled=np.ascontiguousarray(flags),
-                        betas=np.ascontiguousarray(betas),
-                        peaks=np.ascontiguousarray(peaks),
+                        demand_tags=demand[0],
+                        demand_params=demand[1],
+                        rate_tags=rates[0],
+                        rate_params=rates[1],
                         mu=self._system.capacity,
                         xtol=self._system.xtol,
                     )

@@ -3,16 +3,23 @@
 The contract the compiled layer is held to (fastmath off, identical
 operation order): under any one kernel backend, the fused per-row kernels
 and the lockstep NumPy path — evaluated with the same backend-bound ops —
-produce *bitwise equal* results for the congestion solve (K1), the batched
-marginal-utility chain (K2) and the vectorized best-response sweep (K3),
-cold and warm-started alike. Cross-backend (numpy vs libm exp) is a
-separate, tolerance-level contract checked at the end.
+produce *bitwise equal* results for the paper's exponential family: the
+congestion solve (K1), the batched marginal-utility chain (K2) and the
+vectorized best-response sweep (K3), cold and warm-started alike.
+
+The other built-in families reach the kernels through libm ``pow``,
+``log1p`` and ``exp`` where their lockstep arm calls NumPy ufuncs, so on
+a market mixing every family the two arms agree to 1e-12 relative on the
+utilizations and marginal utilities, and to the root tolerance on best
+responses. Cross-backend (numpy vs libm exp) is a separate,
+tolerance-level contract checked at the end.
 
 ``pyloops`` always runs; ``cext``/``numba`` join the matrix when their
 toolchain is present.
 """
 
 import contextlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,8 +28,19 @@ from repro.backend import available_backends, use_backend
 from repro.core.best_response import best_response_profile_vectorized
 from repro.core.game import BatchedProfileEvaluator, SubsidizationGame
 from repro.exceptions import ModelError
-from repro.network.demand import ExponentialDemand, ScaledDemand
-from repro.network.throughput import ExponentialThroughput
+from repro.network.demand import (
+    ExponentialDemand,
+    LinearDemand,
+    LogitDemand,
+    ScaledDemand,
+    ShiftedPowerDemand,
+)
+from repro.network.throughput import (
+    ExponentialThroughput,
+    PowerLawThroughput,
+    RationalThroughput,
+    ThroughputTable,
+)
 from repro.providers.content_provider import ContentProvider, exponential_cp
 from repro.providers.isp import AccessISP
 from repro.providers.market import Market
@@ -42,10 +60,17 @@ KERNEL_BACKENDS = _kernel_backends()
 
 @contextlib.contextmanager
 def lockstep(market):
-    """Force the lockstep arm while keeping the backend's ops bound."""
+    """Force the lockstep arm while keeping the backend's ops bound.
+
+    Clears the market's kernel plan (marginals, best responses) and hides
+    the throughput tags from the congestion solver.
+    """
     market._kernel_plan = None
     try:
-        yield
+        with mock.patch.object(
+            ThroughputTable, "kernel_columns", lambda self: None
+        ):
+            yield
     finally:
         market._kernel_plan = False
 
@@ -65,6 +90,43 @@ def make_market() -> Market:
         ),
     ]
     return Market(providers, AccessISP(price=1.0, capacity=0.75))
+
+
+def make_mixed_market() -> Market:
+    """Every demand family, bare and share-weighted, on every throughput law.
+
+    24 columns: for each of the four demand families and each of the
+    three throughput families, one bare and one ``ScaledDemand`` column.
+    The linear columns straddle their tail switch across the profiles.
+    """
+    demands = (
+        lambda k: ExponentialDemand(alpha=1.0 + 0.3 * k, scale=0.05),
+        lambda k: LogitDemand(alpha=2.0 + k, midpoint=0.8, scale=0.06),
+        lambda k: LinearDemand(base=0.05, slope=0.06 + 0.01 * k),
+        lambda k: ShiftedPowerDemand(alpha=1.5 + 0.5 * k, scale=0.07),
+    )
+    throughputs = (
+        lambda k: ExponentialThroughput(beta=1.0 + 0.4 * k, peak=1.1),
+        lambda k: PowerLawThroughput(beta=1.5 + 0.5 * k, peak=0.9),
+        lambda k: RationalThroughput(beta=2.0 + 0.3 * k, peak=1.2),
+    )
+    providers = []
+    for d, demand in enumerate(demands):
+        for t, throughput in enumerate(throughputs):
+            for weighted in (False, True):
+                k = (d + t) % 3
+                law = demand(k)
+                if weighted:
+                    law = ScaledDemand(law, weight=0.4 + 0.1 * t)
+                providers.append(
+                    ContentProvider(
+                        demand=law,
+                        throughput=throughput(k),
+                        value=0.4 + 0.05 * (len(providers) % 7),
+                        name=f"cp{len(providers)}",
+                    )
+                )
+    return Market(providers, AccessISP(price=0.9, capacity=0.6))
 
 
 def make_profiles(market: Market, batch: int = 6) -> np.ndarray:
@@ -191,6 +253,71 @@ class TestGoldenParity:
                 game.marginal_utilities_batch(
                     profiles, phi0=np.zeros(profiles.shape[0] + 2)
                 )
+
+
+def _close(fused, lock, rtol=1e-12):
+    np.testing.assert_allclose(fused, lock, rtol=rtol, atol=0.0)
+
+
+@pytest.mark.parametrize("name", KERNEL_BACKENDS)
+class TestMixedFamilyParity:
+    """Fused vs lockstep on every family: ulp-level, not bitwise."""
+
+    def test_market_is_kernel_eligible(self, name):
+        market = make_mixed_market()
+        with use_backend(name):
+            assert market.kernel_plan() is not None
+
+    def test_congestion_batch_close(self, name):
+        market = make_mixed_market()
+        profiles = make_profiles(market)
+        with use_backend(name):
+            fused = market.solve_batch(profiles)
+            with lockstep(market):
+                lock = market.solve_batch(profiles)
+        _close(fused.utilizations, lock.utilizations)
+
+    def test_congestion_batch_close_warm_started(self, name):
+        market = make_mixed_market()
+        profiles = make_profiles(market)
+        with use_backend(name):
+            phi0 = market.solve_batch(profiles).utilizations
+            shifted = np.clip(profiles + 0.05, 0.0, None)
+            fused = market.solve_batch(shifted, phi0=phi0)
+            with lockstep(market):
+                lock = market.solve_batch(shifted, phi0=phi0)
+        _close(fused.utilizations, lock.utilizations)
+
+    def test_scalar_solve_close(self, name):
+        market = make_mixed_market()
+        s = make_profiles(market)[0]
+        with use_backend(name):
+            fused = market.solve(s)
+            with lockstep(market):
+                lock = market.solve_batch(s[None, :])
+        _close(fused.utilization, lock.utilizations[0])
+
+    def test_marginals_close(self, name):
+        market = make_mixed_market()
+        profiles = make_profiles(market)
+        game = SubsidizationGame(market, cap=1.0)
+        with use_backend(name):
+            fused = game.marginal_utilities_batch(profiles)
+            with lockstep(market):
+                lock = game.marginal_utilities_batch(profiles)
+        _close(fused, lock)
+
+    def test_best_response_within_root_xtol(self, name):
+        market = make_mixed_market()
+        s = make_profiles(market)[0]
+        game = SubsidizationGame(market, cap=0.5)
+        xtol = 1e-10
+        with use_backend(name):
+            fused = best_response_profile_vectorized(game, s, xtol=xtol)
+            with lockstep(market):
+                lock = best_response_profile_vectorized(game, s, xtol=xtol)
+        assert np.any((fused > 0.0) & (fused < 0.5))  # interior roots
+        np.testing.assert_allclose(fused, lock, rtol=0.0, atol=xtol)
 
 
 @pytest.mark.parametrize("name", KERNEL_BACKENDS)

@@ -1,22 +1,33 @@
 """Cross-implementation check: pyloops and cext kernels agree bitwise.
 
 The Python loop kernels (``kernels_py`` undecorated) and the generated C
-kernels are meant to be the *same arithmetic* — libm ``exp``, sequential
-accumulation, identical branch structure. That claim is what justifies all
-kernel backends sharing one solve-cache tag, so it gets its own test:
-every fused entry point must produce byte-identical results under both
-implementations. Skipped wholesale when no C compiler is available.
+kernels are meant to be the *same arithmetic* — libm ``exp``, ``pow`` and
+``log1p``, sequential accumulation, identical branch structure. That claim
+is what justifies all kernel backends sharing one solve-cache tag, so it
+gets its own test: every fused entry point must produce byte-identical
+results under both implementations, on the paper's exponential market and
+on a market mixing every demand and throughput family. Skipped wholesale
+when no C compiler is available.
 """
 
 import numpy as np
 import pytest
 
 from repro.backend import available_backends, use_backend
-from repro.backend.dispatch import fused_congestion
+from repro.backend.dispatch import (
+    RATE_EXPONENTIAL,
+    RATE_POWER,
+    RATE_RATIONAL,
+    fused_congestion,
+)
 from repro.core.best_response import best_response_profile_vectorized
 from repro.core.game import SubsidizationGame
 
-from tests.backend.test_golden_parity import make_market, make_profiles
+from tests.backend.test_golden_parity import (
+    make_market,
+    make_mixed_market,
+    make_profiles,
+)
 
 pytestmark = pytest.mark.skipif(
     available_backends()["cext"] != "resolves to cext",
@@ -35,20 +46,19 @@ def _both(fn):
 def test_fused_congestion_bitwise_across_implementations():
     rng = np.random.default_rng(5)
     populations = rng.uniform(0.0, 2.0, size=(8, 3))
-    betas = np.array([0.8, 1.5, 2.2])
-    peaks = np.array([1.0, 0.7, 1.4])
+    tags = np.array([RATE_EXPONENTIAL, RATE_POWER, RATE_RATIONAL])
+    params = np.array([[0.8, 1.0], [1.5, 0.7], [2.2, 1.4]])
 
     def solve(backend):
         return fused_congestion(
-            backend, populations, betas, peaks, 0.9, 1e-10, None
+            backend, populations, tags, params, 0.9, 1e-10, None
         )
 
     phi_py, phi_c = _both(solve)
     assert np.array_equal(phi_py, phi_c)
 
 
-def test_market_solve_batch_bitwise_across_implementations():
-    market = make_market()
+def _solve_batch_bitwise(market):
     profiles = make_profiles(market)
 
     def solve(_backend):
@@ -61,8 +71,7 @@ def test_market_solve_batch_bitwise_across_implementations():
         ), field
 
 
-def test_marginals_bitwise_across_implementations():
-    market = make_market()
+def _marginals_bitwise(market):
     profiles = make_profiles(market)
     game = SubsidizationGame(market, cap=1.0)
 
@@ -70,11 +79,41 @@ def test_marginals_bitwise_across_implementations():
     assert np.array_equal(u_py, u_c)
 
 
-def test_best_response_bitwise_across_implementations():
-    market = make_market()
-    profiles = make_profiles(market)
+def _best_response_bitwise(market):
     game = SubsidizationGame(market, cap=0.9)
-    s = profiles[0]
+    s = make_profiles(market)[0]
 
     r_py, r_c = _both(lambda _b: best_response_profile_vectorized(game, s))
     assert np.array_equal(r_py, r_c)
+
+
+def test_market_solve_batch_bitwise_across_implementations():
+    _solve_batch_bitwise(make_market())
+
+
+def test_marginals_bitwise_across_implementations():
+    _marginals_bitwise(make_market())
+
+
+def test_best_response_bitwise_across_implementations():
+    _best_response_bitwise(make_market())
+
+
+def test_mixed_market_solve_batch_bitwise_across_implementations():
+    _solve_batch_bitwise(make_mixed_market())
+
+
+def test_mixed_marginals_bitwise_across_implementations():
+    _marginals_bitwise(make_mixed_market())
+
+
+def test_mixed_best_response_bitwise_across_implementations():
+    _best_response_bitwise(make_mixed_market())
+
+
+def test_mixed_scalar_solve_bitwise_across_implementations():
+    market = make_mixed_market()
+    s = make_profiles(market)[0]
+
+    phi_py, phi_c = _both(lambda _b: market.solve(s).utilization)
+    assert phi_py == phi_c

@@ -172,6 +172,44 @@ class TestMain:
             main(["run"])
 
 
+def _profile_fields(stderr: str) -> dict:
+    lines = [ln for ln in stderr.splitlines() if ln.startswith("[profile]")]
+    assert len(lines) == 1, stderr
+    return dict(item.split("=", 1) for item in lines[0].split()[1:])
+
+
+class TestProfileFlag:
+    def test_profile_line_carries_every_counter(self, tmp_path, capsys):
+        code = main(["fig4", "--out", str(tmp_path), "--quiet", "--profile"])
+        assert code == 0
+        fields = _profile_fields(capsys.readouterr().err)
+        assert list(fields) == [
+            "backend",
+            "kernel_calls",
+            "kernel_seconds",
+            "residual_evals",
+            "brackets_expanded",
+            "lockstep_calls",
+            "lockstep_seconds",
+        ]
+        assert float(fields["lockstep_seconds"]) >= 0.0
+
+    def test_compiled_random_market_takes_no_lockstep_solve(
+        self, tmp_path, capsys
+    ):
+        code = main(
+            ["run", "random-12", "--backend", "compiled", "--no-cache",
+             "--profile", "--quiet", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        fields = _profile_fields(capsys.readouterr().err)
+        if fields["backend"] == "numpy":
+            pytest.skip("no kernel backend builds here")
+        assert fields["lockstep_calls"] == "0"
+        assert float(fields["lockstep_seconds"]) == 0.0
+        assert int(fields["kernel_calls"]) > 0
+
+
 class TestVerbs:
     def test_list_shows_experiments_and_scenarios(self, capsys):
         assert main(["list"]) == 0
