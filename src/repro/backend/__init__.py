@@ -77,9 +77,11 @@ class Backend:
     requested:
         The name selection asked for (may be ``compiled``).
     kernels:
-        Object exposing the fused batch kernels (``congestion_batch``,
-        ``marginal_batch``, ``best_response_root``, ``exp_inplace``,
-        ``pair_dot_batch``) or ``None`` for the lockstep numpy path.
+        Object exposing the fused batch kernels (``bind``,
+        ``congestion_batch``, ``marginal_batch``, ``best_response_root``,
+        ``exp_inplace``, ``pair_dot_batch``; call shape in
+        :mod:`repro.backend.dispatch`) or ``None`` for the lockstep numpy
+        path.
     cache_tag:
         Store/cache key namespace; ``""`` for numpy-identical results.
     fallback_reason:
@@ -263,26 +265,20 @@ def warm_kernels(backend: Backend | None = None) -> None:
         dtype=np.int64,
     )
     rate_params = np.array([[1.0, 1.0], [2.0, 1.0], [1.5, 0.8], [3.0, 1.0]])
-    values = np.ones(n)
     populations = np.full((1, n), 0.25)
-    phi = np.zeros(1)
-    stats = np.zeros(2, dtype=np.int64)
-    rows = np.zeros(1, dtype=np.int64)
-    flo = np.zeros(1)
-    fhi = np.zeros(1)
-    kernels.congestion_batch(
-        populations, rate_tags, rate_params, 1.0, np.zeros(1), False, 1e-10,
-        phi, stats, rows, flo, fhi,
+    plan = dispatch.KernelPlan(
+        price=1.0,
+        values=np.ones(n),
+        demand_tags=demand_tags,
+        demand_params=demand_params,
+        rate_tags=rate_tags,
+        rate_params=rate_params,
+        mu=1.0,
+        xtol=1e-10,
     )
-    kernels.marginal_batch(
-        np.zeros((1, n)), 1.0, values, demand_tags, demand_params,
-        rate_tags, rate_params, 1.0, 1e-10, np.zeros(1), False,
-        np.zeros((1, n)), phi, stats, rows.copy(), rows, flo, fhi,
-    )
-    kernels.best_response_root(
-        np.zeros(n), 1.0, values, demand_tags, demand_params, rate_tags,
-        rate_params, 1.0, 1e-10, 0.5, np.zeros(n), False, 1e-6,
-        np.zeros(n), np.zeros(n), np.zeros(n), stats,
-    )
+    bound = plan.bound(kernels)
+    kernels.congestion_batch(bound, populations, None)
+    kernels.marginal_batch(bound, np.zeros((1, n)), None)
+    kernels.best_response_root(bound, np.zeros(n), 0.5, None, 1e-6)
     kernels.exp_inplace(np.zeros(4), np.zeros(4))
     kernels.pair_dot_batch(populations, populations, np.zeros(1))

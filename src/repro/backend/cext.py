@@ -2,8 +2,9 @@
 
 Compiles ``_kernels.c`` on demand with the system C compiler
 (``-O2 -fno-fast-math``, shared object cached by source hash) and exposes
-the batch kernels under the exact Python signatures of
-:mod:`repro.backend.kernels_py`, so the dispatch layer can treat the two
+the batch kernels with the same call shape as
+:mod:`repro.backend.kernels_py` (documented in
+:mod:`repro.backend.dispatch`), so the dispatch layer treats the two
 modules interchangeably. Bitwise parity with ``kernels_py`` holds because
 both evaluate libm ``exp``/``pow``/``log1p`` and accumulate sequentially
 in the same order.
@@ -94,17 +95,31 @@ def _build() -> Path:
 _i64 = ctypes.c_int64
 _f64 = ctypes.c_double
 _ptr = ctypes.c_void_p
+_char = ctypes.c_char
+
+
+def _addr(arr: np.ndarray) -> int:
+    """Data address of a contiguous array.
+
+    ``arr.ctypes.data`` builds a helper object on every read (about a
+    microsecond); a writable, non-empty array hands ctypes its buffer
+    directly for about a quarter of that.
+    """
+    if arr.size and arr.flags.writeable:
+        return ctypes.addressof(_char.from_buffer(arr))
+    return arr.ctypes.data
 
 
 class _Kernels:
-    """Loaded shared object with kernels_py-compatible entry points.
+    """Loaded shared object with the kernel-module call shape.
 
-    Array arguments cross the boundary as raw data pointers
-    (``arr.ctypes.data``) against pre-declared ``c_void_p`` argtypes — the
-    hot equilibrium loops make tens of thousands of small-batch kernel
-    calls, so per-argument ``data_as`` wrapper objects would dominate the
-    kernel's own runtime. Callers (the dispatch layer) guarantee contiguous
-    float64/int64 arrays.
+    Array arguments cross the boundary as raw data pointers against
+    pre-declared ``c_void_p`` argtypes. The hot equilibrium loops make
+    tens of thousands of small-batch kernel calls, so a call reads as few
+    addresses as it can: :meth:`bind` keeps a plan's constant addresses,
+    and each call carves its outputs and status words from one float64
+    and one int64 workspace by offset. Callers (the dispatch layer)
+    guarantee contiguous float64/int64 arrays.
     """
 
     HAVE_NUMBA = False
@@ -139,140 +154,104 @@ class _Kernels:
         self._best_response = lib.repro_best_response
 
     def exp_inplace(self, values: np.ndarray, out: np.ndarray) -> None:
-        self._vexp(values.shape[0], values.ctypes.data, out.ctypes.data)
+        self._vexp(values.shape[0], _addr(values), _addr(out))
 
     def pair_dot_batch(
         self, a: np.ndarray, b: np.ndarray, out: np.ndarray
     ) -> None:
         self._pair_dot(
             a.shape[0], a.shape[1],
-            a.ctypes.data, b.ctypes.data, out.ctypes.data,
+            _addr(a), _addr(b), _addr(out),
         )
 
-    def congestion_batch(
-        self,
-        populations,
-        rtags,
-        rparams,
-        mu,
-        phi0,
-        has_phi0,
-        xtol_final,
-        phi_out,
-        stats,
-        fail_rows,
-        fail_lo,
-        fail_hi,
-    ) -> int:
-        return int(
-            self._congestion(
-                populations.shape[0],
-                populations.shape[1],
-                populations.ctypes.data,
-                rtags.ctypes.data,
-                rparams.ctypes.data,
-                mu,
-                phi0.ctypes.data,
-                1 if has_phi0 else 0,
-                xtol_final,
-                phi_out.ctypes.data,
-                stats.ctypes.data,
-                fail_rows.ctypes.data,
-                fail_lo.ctypes.data,
-                fail_hi.ctypes.data,
-            )
+    def bind(self, plan) -> tuple:
+        """The plan's constant arguments, arrays as addresses.
+
+        Valid while the plan lives: the plan holds the arrays and caches
+        this tuple (``KernelPlan.bound``).
+        """
+        return (
+            plan.price,
+            _addr(plan.values),
+            _addr(plan.demand_tags),
+            _addr(plan.demand_params),
+            _addr(plan.rate_tags),
+            _addr(plan.rate_params),
+            plan.mu,
+            plan.xtol,
         )
 
-    def marginal_batch(
-        self,
-        s,
-        price,
-        values,
-        dtags,
-        dparams,
-        rtags,
-        rparams,
-        mu,
-        xtol_final,
-        phi0,
-        has_phi0,
-        u_out,
-        phi_out,
-        stats,
-        pop_rows,
-        fail_rows,
-        fail_lo,
-        fail_hi,
-    ) -> tuple[int, int]:
-        counts = np.zeros(2, dtype=np.int64)
+    def congestion_batch(self, bound, populations, phi0):
+        _, _, _, _, rtags, rparams, mu, xtol = bound
+        rows, n = populations.shape
+        # float64: phi | fail_lo | fail_hi;  int64: stats[2] | fail_rows
+        fwork = np.empty(3 * rows)
+        iwork = np.zeros(2 + rows, dtype=np.int64)
+        f = _addr(fwork)
+        i = _addr(iwork)
+        nfail = self._congestion(
+            rows, n, _addr(populations), rtags, rparams, mu,
+            0 if phi0 is None else _addr(phi0), phi0 is not None,
+            xtol, f, i, i + 16, f + 8 * rows, f + 16 * rows,
+        )
+        return (
+            fwork[:rows],
+            iwork[:2],
+            iwork[2:2 + nfail],
+            fwork[rows:rows + nfail],
+            fwork[2 * rows:2 * rows + nfail],
+        )
+
+    def marginal_batch(self, bound, s, phi0):
+        price, values, dtags, dparams, rtags, rparams, mu, xtol = bound
+        rows, n = s.shape
+        cells = rows * n
+        # float64: u (rows x n) | phi | fail_lo | fail_hi
+        # int64:   stats[2] | counts[2] | pop_rows | fail_rows
+        fwork = np.empty(cells + 3 * rows)
+        iwork = np.zeros(4 + 2 * rows, dtype=np.int64)
+        f = _addr(fwork)
+        i = _addr(iwork)
+        lo = cells + rows
         self._marginal(
-            s.shape[0],
-            s.shape[1],
-            s.ctypes.data,
-            price,
-            values.ctypes.data,
-            dtags.ctypes.data,
-            dparams.ctypes.data,
-            rtags.ctypes.data,
-            rparams.ctypes.data,
-            mu,
-            xtol_final,
-            phi0.ctypes.data,
-            1 if has_phi0 else 0,
-            u_out.ctypes.data,
-            phi_out.ctypes.data,
-            stats.ctypes.data,
-            pop_rows.ctypes.data,
-            fail_rows.ctypes.data,
-            fail_lo.ctypes.data,
-            fail_hi.ctypes.data,
-            counts.ctypes.data,
+            rows, n, _addr(s), price, values, dtags, dparams, rtags,
+            rparams, mu, xtol,
+            0 if phi0 is None else _addr(phi0), phi0 is not None,
+            f, f + 8 * cells, i, i + 32, i + 32 + 8 * rows,
+            f + 8 * lo, f + 8 * (lo + rows), i + 16,
         )
-        return int(counts[0]), int(counts[1])
+        npop, nfail = iwork[2:4].tolist()
+        return (
+            fwork[:cells].reshape(rows, n),
+            fwork[cells:lo],
+            iwork[:2],
+            npop,
+            iwork[4 + rows:4 + rows + nfail],
+            fwork[lo:lo + nfail],
+            fwork[lo + rows:lo + rows + nfail],
+        )
 
-    def best_response_root(
-        self,
-        s,
-        price,
-        values,
-        dtags,
-        dparams,
-        rtags,
-        rparams,
-        mu,
-        xtol_final,
-        cap,
-        phi_io,
-        has_chain,
-        root_xtol,
-        responses,
-        u_zero,
-        u_cap,
-        stats,
-    ) -> tuple[int, int]:
-        status_bad = np.zeros(2, dtype=np.int64)
+    def best_response_root(self, bound, s, cap, phi0, root_xtol):
+        price, values, dtags, dparams, rtags, rparams, mu, xtol = bound
+        n = s.shape[0]
+        # float64: responses | u_zero | u_cap | phi chain
+        # int64:   stats[2] | status | bad row
+        fwork = np.zeros(4 * n)
+        iwork = np.zeros(4, dtype=np.int64)
+        if phi0 is not None:
+            fwork[3 * n:] = phi0
+        f = _addr(fwork)
+        i = _addr(iwork)
         self._best_response(
-            s.shape[0],
-            s.ctypes.data,
-            price,
-            values.ctypes.data,
-            dtags.ctypes.data,
-            dparams.ctypes.data,
-            rtags.ctypes.data,
-            rparams.ctypes.data,
-            mu,
-            xtol_final,
-            cap,
-            phi_io.ctypes.data,
-            1 if has_chain else 0,
-            root_xtol,
-            responses.ctypes.data,
-            u_zero.ctypes.data,
-            u_cap.ctypes.data,
-            stats.ctypes.data,
-            status_bad.ctypes.data,
+            n, _addr(s), price, values, dtags, dparams, rtags, rparams,
+            mu, xtol, cap, f + 24 * n, phi0 is not None, root_xtol,
+            f, f + 8 * n, f + 16 * n, i, i + 16,
         )
-        return int(status_bad[0]), int(status_bad[1])
+        status, bad = iwork[2:].tolist()
+        return (
+            fwork[:n], fwork[n:2 * n], fwork[2 * n:3 * n], fwork[3 * n:],
+            iwork[:2], status, bad,
+        )
 
 
 _LOADED: _Kernels | None = None

@@ -30,11 +30,32 @@ rows hold ``beta, peak`` for every family:
 * ``RATE_RATIONAL`` — RationalThroughput
 
 The numbers are shared with ``kernels_py.py`` and ``_kernels.c``.
+
+Kernel modules
+--------------
+Every kernel module (``kernels_py`` and the ``cext`` binding) takes the
+same calls, so nothing here branches on the backend:
+
+* ``bind(plan)`` — the plan's constant arguments (price, values, tags,
+  parameters, capacity, tolerance) in the module's own form; built once
+  per plan and module (:meth:`KernelPlan.bound`). The C binding keeps the
+  arrays' addresses, so a call marshals only its per-call arrays.
+* ``congestion_batch(bound, populations, phi0)`` →
+  ``(phi, stats, fail_rows, fail_lo, fail_hi)``
+* ``marginal_batch(bound, s, phi0)`` →
+  ``(u, phi, stats, n_pop_bad, fail_rows, fail_lo, fail_hi)``
+* ``best_response_root(bound, s, cap, phi0, root_xtol)`` →
+  ``(responses, u_zero, u_cap, phi_chain, stats, status, bad_row)``
+
+``phi0`` is a contiguous warm-start vector or ``None``. Each call carves
+its outputs from one fresh float64 and one fresh int64 workspace; the
+``fail_*`` views hold only the failing rows. ``stats`` accumulates
+``[residual_evals, brackets_expanded]``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from time import perf_counter
 
 import numpy as np
@@ -71,14 +92,19 @@ RATE_RATIONAL = 2
 #: Expansion budget mirrored from expand_bracket_batch's default.
 _MAX_EXPANSIONS = 200
 
+_NO_DEMAND_TAGS = np.zeros(0, dtype=np.int64)
+_NO_DEMAND_PARAMS = np.zeros((0, DEMAND_WIDTH))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class KernelPlan:
     """Precomputed kernel inputs for one market's tagged model.
 
     Built once per :class:`~repro.providers.market.Market` (see
     ``Market.kernel_plan``); ``None`` when a demand or throughput column
-    has no tag or the utilization is not linear.
+    has no tag or the utilization is not linear. A congestion-only plan
+    (:meth:`congestion`) carries the throughput side alone. Arrays are
+    contiguous ``float64``/``int64``.
     """
 
     price: float
@@ -89,66 +115,89 @@ class KernelPlan:
     rate_params: np.ndarray
     mu: float
     xtol: float
+    _bound: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    @classmethod
+    def congestion(
+        cls, rate_tags, rate_params, mu: float, xtol: float
+    ) -> "KernelPlan":
+        """A plan for congestion solves only (no demand columns)."""
+        return cls(
+            price=0.0,
+            values=np.zeros(0),
+            demand_tags=_NO_DEMAND_TAGS,
+            demand_params=_NO_DEMAND_PARAMS,
+            rate_tags=np.ascontiguousarray(rate_tags, dtype=np.int64),
+            rate_params=_contig(rate_params),
+            mu=float(mu),
+            xtol=float(xtol),
+        )
+
+    def bound(self, kernels):
+        """``kernels.bind(self)``, built once per kernel module."""
+        args = self._bound.get(kernels)
+        if args is None:
+            args = self._bound[kernels] = kernels.bind(self)
+        return args
+
+    def __reduce__(self):
+        # The bindings hold addresses valid only in this process.
+        return (
+            type(self),
+            tuple(getattr(self, f.name) for f in fields(self) if f.init),
+        )
 
 
 def _contig(arr) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=np.float64)
 
 
-def _warm_start(phi0, size: int) -> tuple[np.ndarray, bool]:
-    """Marshal an optional warm-start vector, guarding the kernel's bounds."""
+def _warm_start(phi0, size: int) -> np.ndarray | None:
+    """Validate an optional warm-start vector against the kernel's bounds."""
     if phi0 is None:
-        return np.zeros(1), False
+        return None
     start = _contig(phi0)
     if start.shape != (size,):
         raise ValueError(
             f"phi0 must have shape ({size},), got {start.shape}"
         )
-    return start, True
+    return start
 
 
-def _raise_bracket(nfail, fail_rows, fail_lo, fail_hi) -> None:
-    rows = [int(r) for r in fail_rows[:nfail]]
+def _raise_bracket(fail_rows, fail_lo, fail_hi) -> None:
+    rows = [int(r) for r in fail_rows]
     intervals = [
-        (float(fail_lo[i]), float(fail_hi[i])) for i in range(nfail)
+        (float(lo), float(hi)) for lo, hi in zip(fail_lo, fail_hi)
     ]
     raise BracketError.unbracketed(_MAX_EXPANSIONS, rows, intervals)
 
 
 def fused_congestion(
     backend: Backend,
+    plan: KernelPlan,
     populations: np.ndarray,
-    rate_tags: np.ndarray,
-    rate_params: np.ndarray,
-    mu: float,
-    xtol: float,
     phi0: np.ndarray | None,
 ) -> np.ndarray:
     """Per-row congestion fixed points via the backend's compiled kernel.
 
-    Input validation (shapes, finite non-negative populations) is the
-    caller's job, exactly as on the lockstep path.
+    Uses the plan's throughput columns, capacity and tolerance. Input
+    validation (shapes, finite non-negative populations) is the caller's
+    job, exactly as on the lockstep path.
     """
     populations = _contig(populations)
-    size = populations.shape[0]
-    phi_out = np.empty(size)
-    stats = np.zeros(2, dtype=np.int64)
-    fail_rows = np.empty(size, dtype=np.int64)
-    fail_lo = np.empty(size)
-    fail_hi = np.empty(size)
-    start, has_phi0 = _warm_start(phi0, size)
+    start = _warm_start(phi0, populations.shape[0])
+    kernels = backend.kernels
     began = perf_counter() if profiling.enabled else 0.0
-    nfail = backend.kernels.congestion_batch(
-        populations, np.ascontiguousarray(rate_tags, dtype=np.int64),
-        _contig(rate_params), float(mu),
-        start, has_phi0, float(xtol),
-        phi_out, stats, fail_rows, fail_lo, fail_hi,
+    phi, stats, fail_rows, fail_lo, fail_hi = kernels.congestion_batch(
+        plan.bound(kernels), populations, start
     )
     if profiling.enabled:
         profiling.record_kernel(stats, perf_counter() - began)
-    if nfail:
-        _raise_bracket(nfail, fail_rows, fail_lo, fail_hi)
-    return phi_out
+    if fail_rows.size:
+        _raise_bracket(fail_rows, fail_lo, fail_hi)
+    return phi
 
 
 def fused_marginals(
@@ -159,29 +208,19 @@ def fused_marginals(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Marginal utilities ``u(s)`` and utilizations for a profile batch."""
     s = _contig(profiles)
-    size, n = s.shape
-    u_out = np.empty((size, n))
-    phi_out = np.empty(size)
-    stats = np.zeros(2, dtype=np.int64)
-    pop_rows = np.empty(size, dtype=np.int64)
-    fail_rows = np.empty(size, dtype=np.int64)
-    fail_lo = np.empty(size)
-    fail_hi = np.empty(size)
-    start, has_phi0 = _warm_start(phi0, size)
+    start = _warm_start(phi0, s.shape[0])
+    kernels = backend.kernels
     began = perf_counter() if profiling.enabled else 0.0
-    npop, nfail = backend.kernels.marginal_batch(
-        s, plan.price, plan.values, plan.demand_tags, plan.demand_params,
-        plan.rate_tags, plan.rate_params, plan.mu, plan.xtol,
-        start, has_phi0,
-        u_out, phi_out, stats, pop_rows, fail_rows, fail_lo, fail_hi,
+    u, phi, stats, npop, fail_rows, fail_lo, fail_hi = kernels.marginal_batch(
+        plan.bound(kernels), s, start
     )
     if profiling.enabled:
         profiling.record_kernel(stats, perf_counter() - began)
     if npop:
         raise ModelError("populations must be finite and non-negative")
-    if nfail:
-        _raise_bracket(nfail, fail_rows, fail_lo, fail_hi)
-    return u_out, phi_out
+    if fail_rows.size:
+        _raise_bracket(fail_rows, fail_lo, fail_hi)
+    return u, phi
 
 
 def fused_best_response(
@@ -200,24 +239,13 @@ def fused_best_response(
     lockstep evaluation order.
     """
     s = _contig(profile)
-    n = s.shape[0]
-    responses = np.empty(n)
-    u_zero = np.empty(n)
-    u_cap = np.empty(n)
-    stats = np.zeros(2, dtype=np.int64)
-    if phi0 is None:
-        phi_io = np.zeros(n)
-        has_chain = False
-    else:
-        start, _ = _warm_start(phi0, n)
-        phi_io = start.copy()
-        has_chain = True
+    start = _warm_start(phi0, s.shape[0])
+    kernels = backend.kernels
     began = perf_counter() if profiling.enabled else 0.0
-    status, bad = backend.kernels.best_response_root(
-        s, plan.price, plan.values, plan.demand_tags, plan.demand_params,
-        plan.rate_tags, plan.rate_params, plan.mu, plan.xtol,
-        float(cap), phi_io, has_chain, float(root_xtol),
-        responses, u_zero, u_cap, stats,
+    responses, u_zero, u_cap, phi_chain, stats, status, bad = (
+        kernels.best_response_root(
+            plan.bound(kernels), s, float(cap), start, float(root_xtol)
+        )
     )
     if profiling.enabled:
         profiling.record_kernel(stats, perf_counter() - began)
@@ -228,4 +256,4 @@ def fused_best_response(
             f"no sign change found after {_MAX_EXPANSIONS} expansions in "
             f"best-response trial row {int(bad)}"
         )
-    return responses, u_zero, u_cap, phi_io
+    return responses, u_zero, u_cap, phi_chain

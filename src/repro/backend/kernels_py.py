@@ -63,6 +63,7 @@ except ImportError:  # pragma: no cover - the only path in numba-less envs
 
 __all__ = [
     "HAVE_NUMBA",
+    "bind",
     "congestion_batch",
     "marginal_batch",
     "best_response_root",
@@ -388,7 +389,7 @@ def _congestion_row(m, rtags, rparams, mu, phi0, has_phi0, xtol_final):
 
 
 @_jit
-def congestion_batch(
+def _congestion_rows(
     populations,
     rtags,
     rparams,
@@ -484,7 +485,7 @@ def _marginal_row(
 
 
 @_jit
-def marginal_batch(
+def _marginal_rows(
     s,
     price,
     values,
@@ -601,7 +602,7 @@ def _diag_marginals(
 
 
 @_jit
-def best_response_root(
+def _best_response_rows(
     s,
     price,
     values,
@@ -742,3 +743,86 @@ def best_response_root(
         if interior[i]:
             responses[i] = 0.5 * (lo_a[i] + hi_a[i])
     return 0, -1
+
+
+# ----------------------------------------------------------------------
+# the kernel-module call shape (see repro.backend.dispatch)
+# ----------------------------------------------------------------------
+# Plain Python: numba compiles the row drivers above; these only carve
+# each call's outputs from one float64 and one int64 workspace, in the
+# same layout as the C binding.
+
+#: Stands in for an absent warm start (the row drivers never read it).
+_NO_START = np.zeros(1)
+
+
+def bind(plan):
+    """The plan's constant kernel arguments, in call order."""
+    return (
+        plan.price, plan.values, plan.demand_tags, plan.demand_params,
+        plan.rate_tags, plan.rate_params, plan.mu, plan.xtol,
+    )
+
+
+def congestion_batch(bound, populations, phi0):
+    """Fixed points of a population batch (see ``_congestion_rows``)."""
+    _, _, _, _, rtags, rparams, mu, xtol = bound
+    rows = populations.shape[0]
+    fwork = np.empty(3 * rows)
+    iwork = np.zeros(2 + rows, dtype=np.int64)
+    phi_out = fwork[:rows]
+    fail_lo = fwork[rows:2 * rows]
+    fail_hi = fwork[2 * rows:]
+    stats = iwork[:2]
+    fail_rows = iwork[2:]
+    nfail = _congestion_rows(
+        populations, rtags, rparams, mu,
+        _NO_START if phi0 is None else phi0, phi0 is not None, xtol,
+        phi_out, stats, fail_rows, fail_lo, fail_hi,
+    )
+    return phi_out, stats, fail_rows[:nfail], fail_lo[:nfail], fail_hi[:nfail]
+
+
+def marginal_batch(bound, s, phi0):
+    """u(s) of a profile batch (see ``_marginal_rows``)."""
+    price, values, dtags, dparams, rtags, rparams, mu, xtol = bound
+    rows, n = s.shape
+    cells = rows * n
+    fwork = np.empty(cells + 3 * rows)
+    iwork = np.zeros(4 + 2 * rows, dtype=np.int64)
+    u_out = fwork[:cells].reshape(rows, n)
+    phi_out = fwork[cells:cells + rows]
+    fail_lo = fwork[cells + rows:cells + 2 * rows]
+    fail_hi = fwork[cells + 2 * rows:]
+    stats = iwork[:2]
+    pop_rows = iwork[4:4 + rows]
+    fail_rows = iwork[4 + rows:]
+    npop, nfail = _marginal_rows(
+        s, price, values, dtags, dparams, rtags, rparams, mu, xtol,
+        _NO_START if phi0 is None else phi0, phi0 is not None,
+        u_out, phi_out, stats, pop_rows, fail_rows, fail_lo, fail_hi,
+    )
+    return (
+        u_out, phi_out, stats, npop,
+        fail_rows[:nfail], fail_lo[:nfail], fail_hi[:nfail],
+    )
+
+
+def best_response_root(bound, s, cap, phi0, root_xtol):
+    """All players' best responses (see ``_best_response_rows``)."""
+    price, values, dtags, dparams, rtags, rparams, mu, xtol = bound
+    n = s.shape[0]
+    fwork = np.zeros(4 * n)
+    iwork = np.zeros(2, dtype=np.int64)
+    responses = fwork[:n]
+    u_zero = fwork[n:2 * n]
+    u_cap = fwork[2 * n:3 * n]
+    phi_io = fwork[3 * n:]
+    if phi0 is not None:
+        phi_io[:] = phi0
+    status, bad = _best_response_rows(
+        s, price, values, dtags, dparams, rtags, rparams, mu, xtol, cap,
+        phi_io, phi0 is not None, root_xtol, responses, u_zero, u_cap, iwork,
+    )
+    return responses, u_zero, u_cap, phi_io, iwork, status, bad
+

@@ -37,6 +37,9 @@ from pathlib import Path
 from typing import Any, Mapping
 
 import numpy as np
+# ``np.quantile`` loads ``numpy.ma`` lazily (through ``np.unique``); load
+# it with this module so the first summary does not pay for it.
+import numpy.ma  # noqa: F401
 
 from repro.exceptions import ModelError
 

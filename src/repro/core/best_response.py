@@ -18,7 +18,6 @@ golden-section/grid maximization of the utility itself.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq
 
 from repro.backend import get_backend
 from repro.backend.dispatch import fused_best_response
@@ -107,6 +106,8 @@ def best_response(
         if u_hi >= 0.0:
             # Still worth subsidizing at the cap (or at full margin).
             return hi
+        from scipy.optimize import brentq  # scalar path only: keep off start-up
+
         root = float(brentq(u, 0.0, hi, xtol=xtol))
         if method == "root":
             return root

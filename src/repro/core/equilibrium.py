@@ -21,6 +21,7 @@ one vectorized evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,7 +85,7 @@ def natural_map_residuals(profiles: np.ndarray, marginals: np.ndarray, cap) -> n
     if profiles.size == 0:
         return np.zeros(profiles.shape[0])
     projected = project_box(profiles + marginals, 0.0, cap)
-    return np.max(np.abs(profiles - projected), axis=-1)
+    return np.abs(profiles - projected).max(axis=-1)
 
 
 def _kkt_residual(game: SubsidizationGame, subsidies: np.ndarray) -> float:
@@ -129,8 +130,20 @@ def _zero_cap_result(game: SubsidizationGame) -> EquilibriumResult:
 #: Per-sweep change below which the vectorized path hands over to Newton.
 _NEWTON_TRIGGER = 1e-3
 
-#: Line-search scales evaluated in a single batched residual check.
-_LINESEARCH_SCALES = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.015625)
+#: Line-search scales evaluated in a single batched residual check, as
+#: the ``(scales, 1)`` column each Newton step is multiplied by.
+_LINESEARCH_SCALES = np.array(
+    [[1.0], [0.5], [0.25], [0.125], [0.0625], [0.015625]]
+)
+_LINESEARCH_SCALES.setflags(write=False)
+
+
+@lru_cache(maxsize=64)
+def _identity(n: int) -> np.ndarray:
+    """A read-only ``np.eye(n)``, built once per game size."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
 
 
 def _batched_residuals(
@@ -161,7 +174,7 @@ def _newton_polish(
     """
     n = game.size
     q = game.cap
-    identity = np.eye(n)
+    identity = _identity(n)
     residuals, u = _batched_residuals(evaluator, q, s[None, :])
     residual = float(residuals[0])
     u = u[0]
@@ -185,18 +198,22 @@ def _newton_polish(
         if np.any(inactive):
             idx = np.flatnonzero(inactive)
             active_idx = np.flatnonzero(~inactive)
+            # The broadcast index np.ix_ builds, without its overhead: the
+            # blocks keep its memory layout, so matmul sums in its order.
+            rows = idx[:, None]
             rhs = -u[idx]
             if active_idx.size:
-                rhs = rhs - jac[np.ix_(idx, active_idx)] @ step[active_idx]
-            block = jac[np.ix_(idx, idx)]
+                rhs = rhs - jac[rows, active_idx] @ step[active_idx]
+            block = jac[rows, idx]
             try:
                 step[idx] = np.linalg.solve(block, rhs)
             except np.linalg.LinAlgError:
                 # Singular inactive block: projected gradient step instead.
                 step[idx] = u[idx]
 
-        scales = np.array(_LINESEARCH_SCALES)
-        trials = project_box(s[None, :] + scales[:, None] * step[None, :], 0.0, q)
+        trials = project_box(
+            s[None, :] + _LINESEARCH_SCALES * step[None, :], 0.0, q
+        )
         trial_residuals, trial_u = _batched_residuals(evaluator, q, trials)
         improving = np.flatnonzero(trial_residuals < residual)
         if improving.size == 0:

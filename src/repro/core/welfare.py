@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from repro.core.policy import PolicyEffect
 from repro.exceptions import ModelError
@@ -106,6 +105,8 @@ def user_surplus(market: Market, state: MarketState) -> float:
     traffic value. Not part of the paper's analysis; used in examples to
     discuss distributional effects of subsidization.
     """
+    from scipy.integrate import quad  # extension metric: keep off start-up
+
     total = 0.0
     for i, cp in enumerate(market.providers):
         t = state.effective_prices[i]

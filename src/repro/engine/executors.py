@@ -213,13 +213,20 @@ class PoolExecutor(Executor):
         self._pool_lock = threading.Lock()
 
     def _ensure_pool(self, workers: int) -> ProcessPoolExecutor:
-        key = (int(workers), get_backend().requested)
+        backend = get_backend()
+        key = (int(workers), backend.requested)
         with self._pool_lock:
             if self._pool is not None and self._pool_key == key:
                 self.pool_reuses += 1
                 return self._pool
             if self._pool is not None:
                 self._pool.shutdown(wait=True, cancel_futures=True)
+            if backend.kernels is None:
+                # Without kernels the workers solve on the scalar brentq
+                # path; load scipy once here so forked workers inherit it
+                # instead of each importing it on its first task.
+                import scipy.optimize  # noqa: F401
+
             self._pool = ProcessPoolExecutor(
                 max_workers=key[0], initializer=_pool_init, initargs=(key[1],)
             )

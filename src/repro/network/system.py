@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.backend import get_backend, ops, profiling
-from repro.backend.dispatch import fused_congestion
+from repro.backend.dispatch import KernelPlan, fused_congestion
 from repro.exceptions import ModelError
 from repro.network.throughput import ThroughputFunction, ThroughputTable
 from repro.network.utilization import LinearUtilization, UtilizationFunction
@@ -235,24 +235,30 @@ class CongestionSystem:
         )
         return supply_slope - demand_slope
 
-    def solve_utilization(self, classes: Sequence[TrafficClass]) -> float:
-        """Unique fixed-point utilization ``φ(m, µ)`` of Definition 1."""
+    def solve_utilization(
+        self,
+        classes: Sequence[TrafficClass],
+        *,
+        plan: KernelPlan | None = None,
+    ) -> float:
+        """Unique fixed-point utilization ``φ(m, µ)`` of Definition 1.
+
+        ``plan`` is a kernel plan of this system whose throughput columns
+        are the classes' (a :class:`~repro.providers.market.Market` passes
+        its cached one); without it, the columns are rebuilt per call.
+        """
         if not classes or all(cls.population == 0.0 for cls in classes):
             return 0.0
         backend = get_backend()
-        columns = (
-            ThroughputTable([cls.throughput for cls in classes]).kernel_columns()
-            if backend.kernels is not None
-            and type(self._utilization) is LinearUtilization
-            else None
-        )
-        if columns is not None:
-            populations = np.array([[cls.population for cls in classes]])
-            phi = fused_congestion(
-                backend, populations, *columns, self._capacity,
-                self._xtol, None,
-            )
-            return float(phi[0])
+        if backend.kernels is not None:
+            if plan is None and type(self._utilization) is LinearUtilization:
+                plan = self._congestion_plan(
+                    ThroughputTable([cls.throughput for cls in classes])
+                )
+            if plan is not None:
+                populations = np.array([[cls.population for cls in classes]])
+                phi = fused_congestion(backend, plan, populations, None)
+                return float(phi[0])
         phi = solve_increasing(
             lambda phi: self.gap(phi, classes), lo=0.0, xtol=self._xtol
         )
@@ -267,9 +273,17 @@ class CongestionSystem:
             phi = refined
         return phi
 
-    def solve(self, classes: Sequence[TrafficClass]) -> SystemState:
-        """Solve the fixed point and return the full :class:`SystemState`."""
-        phi = self.solve_utilization(classes)
+    def solve(
+        self,
+        classes: Sequence[TrafficClass],
+        *,
+        plan: KernelPlan | None = None,
+    ) -> SystemState:
+        """Solve the fixed point and return the full :class:`SystemState`.
+
+        ``plan`` as in :meth:`solve_utilization`.
+        """
+        phi = self.solve_utilization(classes, plan=plan)
         rates = np.array([cls.throughput.rate(phi) for cls in classes])
         populations = np.array([cls.population for cls in classes])
         return SystemState(
@@ -324,15 +338,13 @@ class CongestionSystem:
         util = self._utilization
 
         backend = get_backend()
-        columns = (
-            table.kernel_columns()
+        plan = (
+            self._congestion_plan(table)
             if backend.kernels is not None and type(util) is LinearUtilization
             else None
         )
-        if columns is not None:
-            phi = fused_congestion(
-                backend, populations, *columns, mu, self._xtol, phi0
-            )
+        if plan is not None:
+            phi = fused_congestion(backend, plan, populations, phi0)
         else:
             began = perf_counter() if profiling.enabled else 0.0
             phi = self._solve_phi_lockstep(table, populations, phi0)
@@ -352,6 +364,13 @@ class CongestionSystem:
             gap_slopes=gap_slopes,
             capacity=mu,
         )
+
+    def _congestion_plan(self, table: ThroughputTable) -> KernelPlan | None:
+        """A congestion-only kernel plan for ``table``, if it is tagged."""
+        columns = table.kernel_columns()
+        if columns is None:
+            return None
+        return KernelPlan.congestion(*columns, self._capacity, self._xtol)
 
     def _solve_phi_lockstep(
         self,

@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.backend import get_backend
 from repro.backend.dispatch import KernelPlan
 from repro.exceptions import ModelError
 from repro.network.demand import DemandTable
@@ -151,6 +152,18 @@ class MarketStateBatch:
         )
 
 
+def _clip_subsidies(arr: np.ndarray) -> np.ndarray:
+    """Reject entries that are not finite or below ``-1e-12``; clip at zero.
+
+    One ``min`` and one ``max`` reduction decide it: NaN propagates through
+    both, ``-inf`` and negatives fail the first and ``+inf`` the second.
+    """
+    if arr.size and not (arr.min() >= -1e-12 and arr.max() < np.inf):
+        raise ModelError("subsidies must be finite and non-negative")
+    # The ufunc np.clip(arr, 0.0, None) dispatches to, without the dispatch.
+    return np.maximum(arr, 0.0)
+
+
 class Market:
     """An access ISP together with the CPs whose traffic it terminates.
 
@@ -251,9 +264,7 @@ class Market:
             raise ModelError(
                 f"subsidy profile must have shape ({self.size},), got {arr.shape}"
             )
-        if np.any(arr < -1e-12) or not np.all(np.isfinite(arr)):
-            raise ModelError("subsidies must be finite and non-negative")
-        return np.clip(arr, 0.0, None)
+        return _clip_subsidies(arr)
 
     def _as_subsidy_matrix(self, profiles) -> np.ndarray:
         arr = np.asarray(profiles, dtype=float)
@@ -263,9 +274,7 @@ class Market:
             raise ModelError(
                 f"subsidy batch must have shape (B, {self.size}), got {arr.shape}"
             )
-        if np.any(arr < -1e-12) or not np.all(np.isfinite(arr)):
-            raise ModelError("subsidies must be finite and non-negative")
-        return np.clip(arr, 0.0, None)
+        return _clip_subsidies(arr)
 
     def subsidy_vector(self, subsidies) -> np.ndarray:
         """Validate and clip one profile to the canonical ``(N,)`` form.
@@ -312,6 +321,11 @@ class Market:
             self._kernel_plan = plan
         return self._kernel_plan
 
+    def _active_kernel_plan(self) -> KernelPlan | None:
+        """:meth:`kernel_plan` when a kernel backend is active, else ``None``
+        (the NumPy backend never needs the plan, so never builds it)."""
+        return self.kernel_plan() if get_backend().kernels is not None else None
+
     def traffic_classes(self, subsidies=None) -> list[TrafficClass]:
         """Physical traffic classes induced by a subsidy profile."""
         s = self._as_subsidy_vector(subsidies)
@@ -322,7 +336,9 @@ class Market:
 
     def utilization(self, subsidies=None) -> float:
         """Fixed-point utilization ``φ(s)`` without building a full state."""
-        return self._system.solve_utilization(self.traffic_classes(subsidies))
+        return self._system.solve_utilization(
+            self.traffic_classes(subsidies), plan=self._active_kernel_plan()
+        )
 
     def solve(self, subsidies=None) -> MarketState:
         """Solve the market under subsidy profile ``s`` (zeros by default)."""
@@ -332,7 +348,9 @@ class Market:
         classes = [
             cp.traffic_class(effective[i]) for i, cp in enumerate(self._providers)
         ]
-        state: SystemState = self._system.solve(classes)
+        state: SystemState = self._system.solve(
+            classes, plan=self._active_kernel_plan()
+        )
         throughputs = state.throughputs
         utilities = (self._values - s) * throughputs
         aggregate = float(np.sum(throughputs))

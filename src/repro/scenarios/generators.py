@@ -28,6 +28,9 @@ import math
 from typing import Sequence
 
 import numpy as np
+# NumPy loads ``np.random`` lazily; load it with this module so a
+# campaign does not pay for it inside its first generated market.
+import numpy.random  # noqa: F401
 
 from repro.exceptions import ModelError
 from repro.network.demand import (

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy.optimize import brentq
-
 from repro.exceptions import BracketError
 
 __all__ = [
@@ -152,4 +150,8 @@ def solve_increasing(
         return bracket.lo
     if bracket.f_hi == 0.0:
         return bracket.hi
+    # Imported here: scipy costs ~0.2 s to load and no fused-kernel run
+    # reaches this scalar path.
+    from scipy.optimize import brentq
+
     return float(brentq(func, bracket.lo, bracket.hi, xtol=xtol))

@@ -336,3 +336,41 @@ def test_kernel_backend_tracks_numpy_reference_to_tolerance(name):
     with use_backend(name):
         compiled = game.marginal_utilities_batch(profiles)
     np.testing.assert_allclose(compiled, reference, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", KERNEL_BACKENDS)
+class TestPlanBinding:
+    """A plan's constant kernel arguments are bound once per module and
+    never leave the process (the C binding holds raw addresses)."""
+
+    def test_bound_once_per_kernel_module(self, name):
+        market = make_market()
+        plan = market.kernel_plan()
+        with use_backend(name) as backend:
+            first = plan.bound(backend.kernels)
+            assert plan.bound(backend.kernels) is first
+
+    def test_pickled_market_rebinds_and_matches(self, name):
+        import pickle
+
+        market = make_market()
+        profiles = make_profiles(market)
+        game = SubsidizationGame(market, cap=1.0)
+        with use_backend(name):
+            before = game.marginal_utilities_batch(profiles)
+            assert market.kernel_plan()._bound
+            copy = pickle.loads(pickle.dumps(game))
+            assert not copy.market.kernel_plan()._bound
+            after = copy.marginal_utilities_batch(profiles)
+        assert before.tobytes() == after.tobytes()
+
+    def test_scalar_solve_uses_the_market_plan(self, name):
+        # Market.solve reaches the congestion kernel through its cached
+        # plan: the same columns a fresh throughput table would give.
+        market = make_mixed_market()
+        s = make_profiles(market)[0]
+        with use_backend(name):
+            via_plan = market.solve(s)
+            classes = market.traffic_classes(s)
+            fresh = market.system.solve_utilization(classes)
+        assert via_plan.utilization == fresh

@@ -18,6 +18,7 @@ from repro.backend.dispatch import (
     RATE_EXPONENTIAL,
     RATE_POWER,
     RATE_RATIONAL,
+    KernelPlan,
     fused_congestion,
 )
 from repro.core.best_response import best_response_profile_vectorized
@@ -49,10 +50,12 @@ def test_fused_congestion_bitwise_across_implementations():
     tags = np.array([RATE_EXPONENTIAL, RATE_POWER, RATE_RATIONAL])
     params = np.array([[0.8, 1.0], [1.5, 0.7], [2.2, 1.4]])
 
+    plan = KernelPlan.congestion(tags, params, 0.9, 1e-10)
+
     def solve(backend):
-        return fused_congestion(
-            backend, populations, tags, params, 0.9, 1e-10, None
-        )
+        cold = fused_congestion(backend, plan, populations, None)
+        warm = fused_congestion(backend, plan, populations, cold * 0.9)
+        return np.concatenate([cold, warm])
 
     phi_py, phi_c = _both(solve)
     assert np.array_equal(phi_py, phi_c)

@@ -599,3 +599,69 @@ class TestFromScenario:
             OligopolyGame.from_scenario(
                 get_scenario("oligopoly-4"), carriers=0
             )
+
+
+#: A three-carrier Gauss-Seidel competition on the §5 market under the
+#: fused kernels, frozen as exact floats (``float.hex``) and counters. The
+#: compiled equilibrium path may be made cheaper per call, but never by
+#: changing a floating-point operation: any reordering shows up here.
+FROZEN_KERNEL_N3 = {
+    "iterations": 9,
+    "residual": "0x1.c03d60b7effffp-15",
+    "prices": [
+        "0x1.12b5234200ea2p-1", "0x1.12b40995c3fa1p-1",
+        "0x1.12b359f09ba64p-1",
+    ],
+    "revenues": [
+        "0x1.ea202d7ab0e0ep-4", "0x1.ea2071bc559c3p-4",
+        "0x1.ea209c4b345bbp-4",
+    ],
+    "welfare": "0x1.26770c7a9e5c8p-1",
+    "carrier_stats": [(9, 324, 324)] * 3,
+    "subsidies_sha256": (
+        "37194ae68a3f56aecc7d260aba4ee9e9fbf965c3b8235542f1c32ba9e5504f17"
+    ),
+}
+
+
+class TestFrozenKernelCompetition:
+    def test_three_carriers_bitwise(self):
+        import hashlib
+
+        from repro.backend import use_backend
+        from repro.experiments.scenarios import section5_market
+
+        with use_backend("compiled") as backend:
+            if not backend.compiled:
+                pytest.skip(f"no kernel backend: {backend.fallback_reason}")
+            game = OligopolyGame(
+                section5_market().providers,
+                tuple(
+                    AccessISP(price=1.0, capacity=1.0 / 3, name=f"c{k}")
+                    for k in range(3)
+                ),
+                switching=2.0,
+                cap=0.5,
+                service=SolveService(cache=SolveCache()),
+            )
+            result = solve_oligopoly_competition(
+                game,
+                initial_prices=(0.7, 0.7, 0.7),
+                price_range=(0.05, 2.0),
+                grid_points=8,
+                xtol=1e-5,
+                policy=IterationPolicy(tol=1e-4),
+            )
+        frozen = FROZEN_KERNEL_N3
+        assert result.iterations == frozen["iterations"]
+        assert result.residual.hex() == frozen["residual"]
+        assert [p.hex() for p in result.state.prices] == frozen["prices"]
+        assert [r.hex() for r in result.state.revenues] == frozen["revenues"]
+        assert result.state.welfare.hex() == frozen["welfare"]
+        assert [
+            (s.sweeps, s.solves, s.evaluations) for s in result.carrier_stats
+        ] == frozen["carrier_stats"]
+        digest = hashlib.sha256()
+        for eq in result.state.equilibria:
+            digest.update(np.asarray(eq.subsidies, dtype=np.float64).tobytes())
+        assert digest.hexdigest() == frozen["subsidies_sha256"]

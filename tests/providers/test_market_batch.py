@@ -167,3 +167,40 @@ class TestBatchValidation:
         bad[0, 2] = np.nan
         with pytest.raises(ModelError):
             market.solve_batch(bad)
+
+    def test_validation_accepts_exactly_the_reference_set(self):
+        # The subsidy check reads one min and one max; it must accept and
+        # reject exactly what the elementwise reference check does, give
+        # the same message, and clip with the same bits.
+        market = _exponential_market()
+        edges = (
+            0.0, -0.0, 5e-324, -5e-324, -1e-12, -1.0000000000000002e-12,
+            -2e-12, 0.7, 1e308, np.inf, -np.inf, np.nan,
+        )
+        for value in edges:
+            for row in (0, 1):
+                batch = np.full((2, market.size), 0.25)
+                batch[row, row + 1] = value
+                reference_ok = not (
+                    np.any(batch < -1e-12) or not np.all(np.isfinite(batch))
+                )
+                for check, arg in (
+                    (market.subsidy_matrix, batch),
+                    (market.subsidy_vector, batch[row]),
+                ):
+                    if reference_ok:
+                        assert (
+                            check(arg).tobytes()
+                            == np.clip(arg, 0.0, None).tobytes()
+                        )
+                    else:
+                        with pytest.raises(
+                            ModelError,
+                            match="^subsidies must be finite and non-negative$",
+                        ):
+                            check(arg)
+
+    def test_empty_batch_passes_validation(self):
+        market = _exponential_market()
+        empty = market.subsidy_matrix(np.zeros((0, market.size)))
+        assert empty.shape == (0, market.size)
