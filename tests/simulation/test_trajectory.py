@@ -12,6 +12,7 @@ The tentpole guarantees, held exactly:
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,89 @@ from repro.simulation import (
     trajectory_segment_task,
 )
 from repro.simulation.agents import BestResponseStrategy
+
+
+#: The straight-line loops' outputs on ``two_cp_market``, frozen as
+#: ``float.hex`` strings (nested like the arrays) per case and column.
+FROZEN = json.loads(
+    Path(__file__).with_name("frozen_trajectories.json").read_text()
+)
+
+#: Frozen ``"subsidies"`` cases: the spec and the run's initial state.
+SUBSIDY_CASES = {
+    "subsidies/default": (
+        DynamicsSpec(kind="subsidies", horizon=8, segment_length=3, cap=1.0),
+        {},
+    ),
+    "subsidies/damped": (
+        DynamicsSpec(
+            kind="subsidies",
+            horizon=5,
+            segment_length=2,
+            cap=0.8,
+            damping=0.6,
+            inertia=0.4,
+            update="simultaneous",
+        ),
+        {},
+    ),
+    "subsidies/inertial": (
+        DynamicsSpec(
+            kind="subsidies", horizon=6, segment_length=4, cap=1.0, inertia=0.3
+        ),
+        {},
+    ),
+    "subsidies/initial": (
+        DynamicsSpec(kind="subsidies", horizon=4, segment_length=4, cap=1.0),
+        {"initial_subsidies": [0.3, 0.1], "initial_populations": [0.2, 0.2]},
+    ),
+}
+
+#: Frozen ``"capacity"`` cases: a fixed and a re-optimized price.
+CAPACITY_CASES = {
+    "capacity/fixed_price": DynamicsSpec(
+        kind="capacity",
+        horizon=6,
+        segment_length=2,
+        cap=0.5,
+        reinvestment_rate=0.3,
+        depreciation=0.05,
+    ),
+    "capacity/reoptimized_price": DynamicsSpec(
+        kind="capacity",
+        horizon=2,
+        segment_length=1,
+        cap=0.5,
+        reoptimize_price=True,
+        price_range=(0.2, 2.0),
+    ),
+}
+
+
+def hexed(values) -> list:
+    """``values`` as nested lists of ``float.hex`` strings."""
+    array = np.asarray(values, dtype=float)
+    return np.vectorize(float.hex, otypes=[object])(array).tolist()
+
+
+def assert_frozen(case: str, column) -> None:
+    """Every frozen column of ``case`` equals ``column(name)`` bit for bit."""
+    for name, values in FROZEN[case].items():
+        assert hexed(column(name)) == values, f"{case}: {name}"
+
+
+def legacy_simulation(market, spec: DynamicsSpec) -> MarketSimulation:
+    """The straight-line simulator a ``"subsidies"`` spec describes."""
+    return MarketSimulation(
+        market,
+        spec.cap,
+        strategies=[
+            BestResponseStrategy(damping=spec.damping) for _ in market.providers
+        ],
+        config=SimulationConfig(
+            population_inertia=spec.inertia, update=spec.update
+        ),
+    )
 
 
 def fresh_service(store_dir=None) -> SolveService:
@@ -189,65 +273,42 @@ class TestDynamicsSettings:
             dynamics_settings({"dynamics": {"format": "wrong"}})
 
 
+class TestFrozenLegacyLoops:
+    """The legacy loops against the frozen values."""
+
+    @pytest.mark.parametrize("case", sorted(SUBSIDY_CASES))
+    def test_market_simulation_run(self, two_cp_market, case):
+        spec, initial = SUBSIDY_CASES[case]
+        trace = legacy_simulation(two_cp_market, spec).run(
+            spec.horizon, **initial
+        )
+        assert_frozen(case, lambda name: getattr(trace, name)())
+
+    @pytest.mark.parametrize("case", sorted(CAPACITY_CASES))
+    def test_simulate_capacity_expansion(self, two_cp_market, case):
+        spec = CAPACITY_CASES[case]
+        plan = simulate_capacity_expansion(
+            two_cp_market,
+            spec.cap,
+            spec.horizon,
+            reinvestment_rate=spec.reinvestment_rate,
+            depreciation=spec.depreciation,
+            reoptimize_price=spec.reoptimize_price,
+            price_range=spec.price_range,
+        )
+        assert_frozen(case, lambda name: getattr(plan, name))
+
+
 class TestSubsidiesGolden:
-    def test_bitwise_identical_to_legacy_loop(self, two_cp_market):
-        """Service-backed segments == straight-line MarketSimulation.run."""
-        spec = DynamicsSpec(
-            kind="subsidies", horizon=8, segment_length=3, cap=1.0
-        )
+    @pytest.mark.parametrize("case", sorted(SUBSIDY_CASES))
+    def test_segments_match_frozen_values(self, two_cp_market, case):
+        """Service-backed segments == the frozen straight-line loop."""
+        spec, initial = SUBSIDY_CASES[case]
         trajectory = run_trajectory(
-            two_cp_market, spec, service=fresh_service()
+            two_cp_market, spec, service=fresh_service(), **initial
         )
-        legacy = MarketSimulation(two_cp_market, cap=1.0).run(8)
-        assert np.array_equal(trajectory.subsidies, legacy.subsidies())
-        assert np.array_equal(trajectory.populations, legacy.populations())
-        assert np.array_equal(trajectory.utilizations, legacy.utilizations())
-        assert np.array_equal(trajectory.throughputs, legacy.throughputs())
-        assert np.array_equal(trajectory.utilities, legacy.utilities())
-        assert np.array_equal(trajectory.revenues, legacy.revenues())
-        assert np.array_equal(trajectory.welfares, legacy.welfares())
-        assert trajectory.segments == 3
-
-    def test_damping_and_inertia_match_legacy(self, two_cp_market):
-        spec = DynamicsSpec(
-            kind="subsidies",
-            horizon=5,
-            segment_length=2,
-            cap=0.8,
-            damping=0.6,
-            inertia=0.4,
-            update="simultaneous",
-        )
-        trajectory = run_trajectory(
-            two_cp_market, spec, service=fresh_service()
-        )
-        legacy = MarketSimulation(
-            two_cp_market,
-            cap=0.8,
-            strategies=[BestResponseStrategy(damping=0.6) for _ in range(2)],
-            config=SimulationConfig(
-                population_inertia=0.4, update="simultaneous"
-            ),
-        ).run(5)
-        assert np.array_equal(trajectory.subsidies, legacy.subsidies())
-        assert np.array_equal(trajectory.welfares, legacy.welfares())
-
-    def test_initial_conditions_match_legacy(self, two_cp_market):
-        spec = DynamicsSpec(
-            kind="subsidies", horizon=4, segment_length=4, cap=1.0
-        )
-        trajectory = run_trajectory(
-            two_cp_market,
-            spec,
-            service=fresh_service(),
-            initial_subsidies=[0.3, 0.1],
-            initial_populations=[0.2, 0.2],
-        )
-        legacy = MarketSimulation(two_cp_market, cap=1.0).run(
-            4, initial_subsidies=[0.3, 0.1], initial_populations=[0.2, 0.2]
-        )
-        assert np.array_equal(trajectory.subsidies, legacy.subsidies())
-        assert np.array_equal(trajectory.populations, legacy.populations())
+        assert_frozen(case, lambda name: getattr(trajectory, name))
+        assert trajectory.segments == -(-spec.horizon // spec.segment_length)
 
     def test_segmentation_is_bitwise_invariant(self, two_cp_market):
         spec = DynamicsSpec(
@@ -270,50 +331,14 @@ class TestSubsidiesGolden:
 
 
 class TestCapacityGolden:
-    def test_bitwise_identical_to_legacy_loop(self, two_cp_market):
-        """Service-backed segments == simulate_capacity_expansion."""
-        spec = DynamicsSpec(
-            kind="capacity",
-            horizon=6,
-            segment_length=2,
-            cap=0.5,
-            reinvestment_rate=0.3,
-            depreciation=0.05,
-        )
+    @pytest.mark.parametrize("case", sorted(CAPACITY_CASES))
+    def test_segments_match_frozen_values(self, two_cp_market, case):
+        """Service-backed segments == the frozen expansion loop."""
+        spec = CAPACITY_CASES[case]
         trajectory = run_trajectory(
             two_cp_market, spec, service=fresh_service()
         )
-        plan = simulate_capacity_expansion(
-            two_cp_market, 0.5, 6, reinvestment_rate=0.3, depreciation=0.05
-        )
-        assert np.array_equal(trajectory.capacities, plan.capacities)
-        assert np.array_equal(trajectory.prices, plan.prices)
-        assert np.array_equal(trajectory.revenues, plan.revenues)
-        assert np.array_equal(trajectory.utilizations, plan.utilizations)
-        assert np.array_equal(trajectory.welfares, plan.welfares)
-        assert np.array_equal(trajectory.subsidies, plan.subsidies)
-
-    def test_reoptimized_price_matches_legacy(self, two_cp_market):
-        spec = DynamicsSpec(
-            kind="capacity",
-            horizon=2,
-            segment_length=1,
-            cap=0.5,
-            reoptimize_price=True,
-            price_range=(0.2, 2.0),
-        )
-        trajectory = run_trajectory(
-            two_cp_market, spec, service=fresh_service()
-        )
-        plan = simulate_capacity_expansion(
-            two_cp_market,
-            0.5,
-            2,
-            reoptimize_price=True,
-            price_range=(0.2, 2.0),
-        )
-        assert np.array_equal(trajectory.prices, plan.prices)
-        assert np.array_equal(trajectory.capacities, plan.capacities)
+        assert_frozen(case, lambda name: getattr(trajectory, name))
 
     def test_rejects_initial_state(self, two_cp_market):
         with pytest.raises(ModelError):
