@@ -36,18 +36,13 @@ from repro.simulation.agents import (
     GradientStrategy,
     SubsidyStrategy,
 )
-from repro.simulation.capacity import (
-    CapacityPlan,
-    expansion_step,
-    simulate_capacity_expansion,
-)
+from repro.simulation.capacity import expansion_step
 from repro.simulation.dynamics import MarketSimulation, SimulationConfig
-from repro.simulation.trace import SimulationTrace, TraceRecord
+from repro.simulation.trace import DynamicsTrajectory
 from repro.simulation.trajectory import (
     DYNAMICS_DEFAULTS,
     DYNAMICS_FORMAT,
     DynamicsSpec,
-    DynamicsTrajectory,
     Shock,
     dynamics_settings,
     run_trajectory,
@@ -57,7 +52,6 @@ from repro.simulation.trajectory import (
 
 __all__ = [
     "BestResponseStrategy",
-    "CapacityPlan",
     "DYNAMICS_DEFAULTS",
     "DYNAMICS_FORMAT",
     "DynamicsSpec",
@@ -67,13 +61,10 @@ __all__ = [
     "MarketSimulation",
     "Shock",
     "SimulationConfig",
-    "SimulationTrace",
     "SubsidyStrategy",
-    "TraceRecord",
     "dynamics_settings",
     "expansion_step",
     "run_trajectory",
-    "simulate_capacity_expansion",
     "solve_trajectory_segment",
     "trajectory_segment_task",
 ]

@@ -16,29 +16,26 @@ The resulting trajectory shows whether a policy regime ``q`` funds a growth
 path or stagnates — the quantity regulators care about in §6.
 
 One period of the loop is :func:`expansion_step` — a pure function of the
-current market, so the service-backed dynamics subsystem
-(:mod:`repro.simulation.trajectory`) replays the exact same chain when it
-chunks a trajectory into content-keyed segments. Its per-period equilibrium
-runs through :func:`~repro.core.equilibrium.solve_equilibrium`, whose
-default sweep is the vectorized batch-evaluation core.
+current market. The dynamics subsystem runs the loop as the ``"capacity"``
+kind of :func:`~repro.simulation.trajectory.run_trajectory`, one step per
+period, chunked into content-keyed solve-service segments. Its per-period
+equilibrium runs through :func:`~repro.core.equilibrium.solve_equilibrium`,
+whose default sweep is the vectorized batch-evaluation core.
 
 Example — three reinvestment periods on a tiny market (the trajectory
-holds the initial period plus one record per period):
+holds the initial period plus one row per period):
 
 >>> from repro.providers import AccessISP, Market, exponential_cp
->>> from repro.simulation import simulate_capacity_expansion
+>>> from repro.simulation import DynamicsSpec, run_trajectory
 >>> market = Market([exponential_cp(2.0, 2.0, value=1.0)],
 ...                 AccessISP(price=1.0, capacity=1.0))
->>> plan = simulate_capacity_expansion(market, cap=0.5, periods=3)
->>> plan.periods, bool(plan.capacity_growth() > 0)
+>>> spec = DynamicsSpec(kind="capacity", horizon=3, cap=0.5)
+>>> trajectory = run_trajectory(market, spec)
+>>> trajectory.horizon, bool(trajectory.capacity_growth() > 0)
 (3, True)
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-import numpy as np
 
 from repro.core.equilibrium import EquilibriumResult, solve_equilibrium
 from repro.core.game import SubsidizationGame
@@ -46,37 +43,7 @@ from repro.core.revenue import optimal_price
 from repro.exceptions import ModelError
 from repro.providers.market import Market
 
-__all__ = ["CapacityPlan", "expansion_step", "simulate_capacity_expansion"]
-
-
-@dataclass(frozen=True)
-class CapacityPlan:
-    """Trajectory of the revenue-funded capacity expansion loop.
-
-    All arrays are indexed by period (length ``periods + 1``; entry 0 is the
-    initial condition).
-
-    >>> import numpy as np
-    >>> plan = CapacityPlan(*(np.array([1.0, 2.0]),) * 5, np.zeros((2, 1)))
-    >>> plan.periods, plan.capacity_growth()
-    (1, 1.0)
-    """
-
-    capacities: np.ndarray
-    prices: np.ndarray
-    revenues: np.ndarray
-    utilizations: np.ndarray
-    welfares: np.ndarray
-    subsidies: np.ndarray
-
-    @property
-    def periods(self) -> int:
-        """Number of simulated periods."""
-        return len(self.capacities) - 1
-
-    def capacity_growth(self) -> float:
-        """Total relative capacity growth over the run."""
-        return float(self.capacities[-1] / self.capacities[0] - 1.0)
+__all__ = ["expansion_step"]
 
 
 def validate_expansion_params(
@@ -120,78 +87,3 @@ def expansion_step(
     investment = reinvestment_rate * equilibrium.state.revenue / capacity_cost
     next_capacity = (1.0 - depreciation) * market.isp.capacity + investment
     return market, equilibrium, next_capacity
-
-
-def simulate_capacity_expansion(
-    market: Market,
-    cap: float,
-    periods: int,
-    *,
-    reinvestment_rate: float = 0.2,
-    capacity_cost: float = 1.0,
-    depreciation: float = 0.0,
-    reoptimize_price: bool = False,
-    price_range: tuple[float, float] = (0.0, 3.0),
-) -> CapacityPlan:
-    """Run the revenue → investment → capacity loop for ``periods`` periods.
-
-    Parameters
-    ----------
-    market:
-        Starting market (initial price and capacity).
-    cap:
-        Policy cap ``q`` in force throughout.
-    periods:
-        Number of investment periods.
-    reinvestment_rate:
-        Fraction of per-period revenue converted into investment.
-    capacity_cost:
-        Cost of one unit of capacity.
-    depreciation:
-        Per-period fractional capacity decay.
-    reoptimize_price:
-        When ``True`` the ISP re-solves its revenue-optimal price each
-        period (slower); otherwise the price stays fixed.
-    price_range:
-        Search interval for the optimal price when re-optimizing.
-    """
-    if periods < 0:
-        raise ModelError(f"periods must be non-negative, got {periods}")
-    validate_expansion_params(reinvestment_rate, capacity_cost, depreciation)
-
-    capacities = [market.isp.capacity]
-    prices = []
-    revenues = []
-    utilizations = []
-    welfares = []
-    subsidy_rows = []
-
-    current = market
-    for _ in range(periods + 1):
-        current, equilibrium, next_capacity = expansion_step(
-            current,
-            cap,
-            reinvestment_rate=reinvestment_rate,
-            capacity_cost=capacity_cost,
-            depreciation=depreciation,
-            reoptimize_price=reoptimize_price,
-            price_range=price_range,
-        )
-        state = equilibrium.state
-        prices.append(current.isp.price)
-        revenues.append(state.revenue)
-        utilizations.append(state.utilization)
-        welfares.append(state.welfare)
-        subsidy_rows.append(equilibrium.subsidies.copy())
-
-        capacities.append(next_capacity)
-        current = current.with_capacity(next_capacity)
-
-    return CapacityPlan(
-        capacities=np.array(capacities[: periods + 1]),
-        prices=np.array(prices),
-        revenues=np.array(revenues),
-        utilizations=np.array(utilizations),
-        welfares=np.array(welfares),
-        subsidies=np.array(subsidy_rows),
-    )

@@ -27,13 +27,13 @@ content-keyed solve-service segments without changing a single bit:
 * :meth:`MarketSimulation.resolve_records` resolves every recorded
   period's congestion fixed point in **one**
   :meth:`~repro.network.system.CongestionSystem.solve_population_batch`
-  call (the PR-1 batch core) instead of scalar per-step solves. The batch
+  call instead of scalar per-step solves. The batch
   solver's rows follow trajectories independent of batch composition, so
   any chunking of the steps — one call for the whole run, or one per
   trajectory segment — produces bitwise-identical records.
 
 Example — two noiseless best-response CPs walked three periods forward
-(the trace holds the initial condition plus one record per period):
+(the trajectory holds the initial condition plus one row per period):
 
 >>> from repro.providers import AccessISP, Market, exponential_cp
 >>> from repro.simulation import MarketSimulation
@@ -42,9 +42,9 @@ Example — two noiseless best-response CPs walked three periods forward
 ...      exponential_cp(5.0, 5.0, value=0.5)],
 ...     AccessISP(price=1.0, capacity=1.0),
 ... )
->>> trace = MarketSimulation(market, cap=1.0).run(3)
->>> len(trace), trace.final.step
-(4, 3)
+>>> trajectory = MarketSimulation(market, cap=1.0).run(3)
+>>> trajectory.horizon, trajectory.steps.tolist()
+(3, [0, 1, 2, 3])
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from repro.core.game import SubsidizationGame
 from repro.exceptions import ModelError
 from repro.providers.market import Market
 from repro.simulation.agents import BestResponseStrategy, SubsidyStrategy
-from repro.simulation.trace import SimulationTrace, TraceRecord
+from repro.simulation.trace import DynamicsTrajectory
 
 __all__ = ["SimulationConfig", "MarketSimulation"]
 
@@ -221,7 +221,7 @@ class MarketSimulation:
         *,
         start_step: int = 0,
         include_initial: bool = True,
-    ) -> SimulationTrace:
+    ) -> dict[str, np.ndarray]:
         """Resolve congestion for every recorded period, batched.
 
         ``subsidies``/``populations`` are the ``(K + 1, N)`` arrays of
@@ -231,35 +231,37 @@ class MarketSimulation:
         segment's last). All rows resolve in one
         ``solve_population_batch`` call; the batch rows are independent,
         so the records never depend on how a trajectory was chunked.
+
+        Returns the :class:`~repro.simulation.trace.DynamicsTrajectory`
+        columns (``steps``, ``subsidies``, ..., ``capacities``,
+        ``prices``), one row per recorded period.
         """
-        subsidies = np.asarray(subsidies, dtype=float)
-        populations = np.asarray(populations, dtype=float)
         first = 0 if include_initial else 1
-        rows_s = subsidies[first:]
-        rows_m = populations[first:]
-        trace = SimulationTrace()
-        if rows_s.shape[0] == 0:
-            return trace
+        rows_s = np.array(subsidies, dtype=float)[first:]
+        rows_m = np.array(populations, dtype=float)[first:]
+        count = rows_s.shape[0]
         batch = self._market.system.solve_population_batch(
             self._market.throughput_table, rows_m
         )
+        isp = self._market.isp
         values = self._market.values
-        for j in range(rows_s.shape[0]):
-            throughputs = batch.throughputs[j]
-            aggregate = float(np.sum(throughputs))
-            trace.append(
-                TraceRecord(
-                    step=start_step + first + j,
-                    subsidies=rows_s[j].copy(),
-                    populations=rows_m[j].copy(),
-                    utilization=float(batch.utilizations[j]),
-                    throughputs=throughputs.copy(),
-                    utilities=(values - rows_s[j]) * throughputs,
-                    revenue=self._market.isp.revenue(aggregate),
-                    welfare=float(np.dot(values, throughputs)),
-                )
-            )
-        return trace
+        throughputs = batch.throughputs.copy()
+        return {
+            "steps": np.arange(count, dtype=np.int64) + (start_step + first),
+            "subsidies": rows_s,
+            "populations": rows_m,
+            "utilizations": np.array(batch.utilizations, dtype=float),
+            "throughputs": throughputs,
+            "utilities": (values - rows_s) * throughputs,
+            "revenues": np.array(
+                [isp.revenue(float(np.sum(row))) for row in throughputs]
+            ),
+            "welfares": np.array(
+                [float(np.dot(values, row)) for row in throughputs]
+            ),
+            "capacities": np.full(count, isp.capacity, dtype=float),
+            "prices": np.full(count, isp.price, dtype=float),
+        }
 
     def run(
         self,
@@ -267,13 +269,18 @@ class MarketSimulation:
         *,
         initial_subsidies=None,
         initial_populations=None,
-    ) -> SimulationTrace:
-        """Simulate ``steps`` periods and return the full trace.
+    ) -> DynamicsTrajectory:
+        """Simulate ``steps`` periods and return the full trajectory.
 
-        The trace includes the initial condition as step 0, so it holds
-        ``steps + 1`` records. Equivalent to :meth:`initial_state` →
-        :meth:`advance` → :meth:`resolve_records`.
+        The trajectory includes the initial condition as step 0, so it
+        holds ``steps + 1`` rows; capacity and price stay at the market's.
+        Equivalent to :meth:`initial_state` → :meth:`advance` →
+        :meth:`resolve_records`.
         """
         s, m = self.initial_state(initial_subsidies, initial_populations)
         trajectory_s, trajectory_m = self.advance(s, m, steps)
-        return self.resolve_records(trajectory_s, trajectory_m)
+        return DynamicsTrajectory(
+            kind="subsidies",
+            segments=1,
+            **self.resolve_records(trajectory_s, trajectory_m),
+        )

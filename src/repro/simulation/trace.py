@@ -1,144 +1,88 @@
-"""Time-series records produced by the market simulator."""
+"""The one trajectory result type: a solved market time series.
+
+Both the straight-line simulator (:meth:`MarketSimulation.run
+<repro.simulation.dynamics.MarketSimulation.run>`) and the service-backed
+:func:`~repro.simulation.trajectory.run_trajectory` return a
+:class:`DynamicsTrajectory`.
+
+>>> import numpy as np
+>>> trajectory = DynamicsTrajectory(
+...     kind="subsidies", steps=np.arange(2), subsidies=np.zeros((2, 1)),
+...     populations=np.ones((2, 1)), utilizations=np.full(2, 0.5),
+...     throughputs=np.ones((2, 1)), utilities=np.ones((2, 1)),
+...     revenues=np.ones(2), welfares=np.ones(2), capacities=np.ones(2),
+...     prices=np.ones(2), segments=1)
+>>> trajectory.horizon, trajectory.size
+(1, 1)
+"""
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.exceptions import ModelError
 
-__all__ = ["TraceRecord", "SimulationTrace"]
+__all__ = ["DynamicsTrajectory"]
 
 
 @dataclass(frozen=True)
-class TraceRecord:
-    """One simulated period of the market.
+class DynamicsTrajectory:
+    """A solved market trajectory: one row of every quantity per period.
 
-    Attributes
-    ----------
-    step:
-        Period index (0 is the initial condition, before any update).
-    subsidies:
-        Subsidy profile in force during the period.
-    populations:
-        Realized (inertia-lagged) user populations.
-    utilization:
-        Congestion fixed point given those populations.
-    throughputs:
-        Per-CP delivered throughput.
-    utilities:
-        Per-CP utilities.
-    revenue:
-        ISP usage revenue.
-    welfare:
-        Gross-profit welfare ``Σ v_i·θ_i``.
+    All arrays are aligned with :attr:`steps` (length ``horizon + 1``;
+    row 0 is the initial condition). For the ``"subsidies"`` kind,
+    capacities and prices are constant unless shocked; for the
+    ``"capacity"`` kind, subsidies/populations/... are the per-period
+    equilibrium's.
     """
 
-    step: int
+    kind: str
+    steps: np.ndarray
     subsidies: np.ndarray
     populations: np.ndarray
-    utilization: float
+    utilizations: np.ndarray
     throughputs: np.ndarray
     utilities: np.ndarray
-    revenue: float
-    welfare: float
-
-
-class SimulationTrace:
-    """Ordered collection of :class:`TraceRecord` with array accessors.
-
-    >>> import numpy as np
-    >>> trace = SimulationTrace()
-    >>> trace.append(TraceRecord(
-    ...     step=0, subsidies=np.zeros(1), populations=np.ones(1),
-    ...     utilization=0.5, throughputs=np.ones(1), utilities=np.ones(1),
-    ...     revenue=1.0, welfare=1.0))
-    >>> len(trace), trace.final.step
-    (1, 0)
-    """
-
-    def __init__(self, records: Sequence[TraceRecord] | None = None) -> None:
-        self._records: list[TraceRecord] = list(records) if records else []
-
-    def append(self, record: TraceRecord) -> None:
-        """Append the next period's record (steps must be increasing)."""
-        if self._records and record.step <= self._records[-1].step:
-            raise ModelError(
-                f"trace steps must increase, got {record.step} after "
-                f"{self._records[-1].step}"
-            )
-        self._records.append(record)
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._records)
-
-    def __getitem__(self, index: int) -> TraceRecord:
-        return self._records[index]
+    revenues: np.ndarray
+    welfares: np.ndarray
+    capacities: np.ndarray
+    prices: np.ndarray
+    segments: int
 
     @property
-    def final(self) -> TraceRecord:
-        """The last recorded period."""
-        if not self._records:
-            raise ModelError("trace is empty")
-        return self._records[-1]
+    def horizon(self) -> int:
+        """Number of simulated periods ``T``."""
+        return int(self.steps.size) - 1
 
-    def steps(self) -> np.ndarray:
-        """Array of period indices."""
-        return np.array([r.step for r in self._records])
+    @property
+    def size(self) -> int:
+        """Number of CPs ``N``."""
+        return int(self.subsidies.shape[1])
 
-    def subsidies(self) -> np.ndarray:
-        """Matrix ``[period, cp]`` of subsidies."""
-        return np.array([r.subsidies for r in self._records])
+    def adoption(self) -> np.ndarray:
+        """Total subscribed population ``Σ_i m_i`` per period."""
+        return self.populations.sum(axis=1)
 
-    def populations(self) -> np.ndarray:
-        """Matrix ``[period, cp]`` of populations."""
-        return np.array([r.populations for r in self._records])
+    def aggregate_throughputs(self) -> np.ndarray:
+        """Total delivered throughput ``θ`` per period."""
+        return self.throughputs.sum(axis=1)
 
-    def utilizations(self) -> np.ndarray:
-        """Per-period utilization series."""
-        return np.array([r.utilization for r in self._records])
+    def capacity_growth(self) -> float:
+        """Total relative capacity growth over the run."""
+        return float(self.capacities[-1] / self.capacities[0] - 1.0)
 
-    def throughputs(self) -> np.ndarray:
-        """Matrix ``[period, cp]`` of delivered throughputs."""
-        return np.array([r.throughputs for r in self._records])
-
-    def utilities(self) -> np.ndarray:
-        """Matrix ``[period, cp]`` of CP utilities."""
-        return np.array([r.utilities for r in self._records])
-
-    def revenues(self) -> np.ndarray:
-        """Per-period ISP revenue series."""
-        return np.array([r.revenue for r in self._records])
-
-    def welfares(self) -> np.ndarray:
-        """Per-period welfare series."""
-        return np.array([r.welfare for r in self._records])
-
-    def distance_to_profile(self, profile) -> np.ndarray:
-        """Per-period ``‖s(t) − s*‖_∞`` — convergence-to-equilibrium metric."""
-        target = np.asarray(profile, dtype=float)
-        return np.array(
-            [float(np.max(np.abs(r.subsidies - target))) for r in self._records]
-        )
-
-    def to_csv(self, path: str | Path, *, labels: Sequence[str] | None = None) -> None:
-        """Write the trace to CSV (one row per period, wide format)."""
-        if not self._records:
-            raise ModelError("trace is empty")
-        n = self._records[0].subsidies.size
+    def to_csv(self, path, *, labels=None) -> None:
+        """Write the trajectory to CSV (one row per period, wide format)."""
+        n = self.size
         if labels is None:
             labels = [f"cp{i}" for i in range(n)]
         if len(labels) != n:
             raise ModelError(f"expected {n} labels, got {len(labels)}")
         header = (
-            ["step", "utilization", "revenue", "welfare"]
+            ["step", "utilization", "revenue", "welfare", "capacity", "price"]
             + [f"s_{name}" for name in labels]
             + [f"m_{name}" for name in labels]
             + [f"theta_{name}" for name in labels]
@@ -147,11 +91,18 @@ class SimulationTrace:
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(header)
-            for r in self._records:
+            for j in range(self.steps.size):
                 writer.writerow(
-                    [r.step, r.utilization, r.revenue, r.welfare]
-                    + list(r.subsidies)
-                    + list(r.populations)
-                    + list(r.throughputs)
-                    + list(r.utilities)
+                    [
+                        int(self.steps[j]),
+                        self.utilizations[j],
+                        self.revenues[j],
+                        self.welfares[j],
+                        self.capacities[j],
+                        self.prices[j],
+                    ]
+                    + list(self.subsidies[j])
+                    + list(self.populations[j])
+                    + list(self.throughputs[j])
+                    + list(self.utilities[j])
                 )

@@ -27,12 +27,13 @@ sweeps and continuation traces already do:
   :func:`~repro.core.equilibrium.solve_equilibrium`'s batched sweep.
 
 Because the segment task replays the exact straight-line recursion of
-:class:`~repro.simulation.dynamics.MarketSimulation` /
-:func:`~repro.simulation.capacity.simulate_capacity_expansion` (and the
-batch congestion rows are independent of batch composition), a segmented,
-store-round-tripped trajectory is **bitwise-identical** to the legacy
-loops — the golden tests in ``tests/simulation/test_trajectory.py`` hold
-this equality exactly.
+:class:`~repro.simulation.dynamics.MarketSimulation` (``"subsidies"``) or
+of :func:`~repro.simulation.capacity.expansion_step` (``"capacity"``), and
+the batch congestion rows are independent of batch composition, a
+segmented, store-round-tripped trajectory is **bitwise-identical** to the
+single-segment run and to :meth:`MarketSimulation.run` — the tests in
+``tests/simulation/test_trajectory.py`` hold this equality exactly against
+frozen ``float.hex`` values.
 
 Example — declare a five-period capacity trajectory and inspect its
 canonical metadata block:
@@ -63,6 +64,7 @@ from repro.providers.market import Market
 from repro.simulation.agents import BestResponseStrategy
 from repro.simulation.capacity import expansion_step, validate_expansion_params
 from repro.simulation.dynamics import MarketSimulation, SimulationConfig
+from repro.simulation.trace import DynamicsTrajectory
 
 __all__ = [
     "DYNAMICS_FORMAT",
@@ -151,9 +153,8 @@ class DynamicsSpec:
         ``"subsidies"`` — §6 off-equilibrium play: CPs adapt subsidies by
         damped best responses while populations adjust with inertia
         (:class:`~repro.simulation.dynamics.MarketSimulation` semantics,
-        noiseless); ``"capacity"`` — the revenue-funded expansion loop
-        (:func:`~repro.simulation.capacity.simulate_capacity_expansion`
-        semantics).
+        noiseless); ``"capacity"`` — the revenue-funded expansion loop,
+        one :func:`~repro.simulation.capacity.expansion_step` per period.
     horizon:
         Number of simulated periods ``T`` (the trajectory holds ``T + 1``
         records; record 0 is the initial condition).
@@ -168,7 +169,7 @@ class DynamicsSpec:
     reinvestment_rate / capacity_cost / depreciation / reoptimize_price /
     price_range:
         The ``"capacity"`` kind's investment rule (see
-        :func:`~repro.simulation.capacity.simulate_capacity_expansion`).
+        :func:`~repro.simulation.capacity.expansion_step`).
     shocks:
         Optional :class:`Shock` schedule, normalized to (step, field)
         order; duplicate (step, field) pairs are rejected, as are price
@@ -377,88 +378,6 @@ def dynamics_settings(
         raise ModelError(f"invalid dynamics settings: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class DynamicsTrajectory:
-    """A solved market trajectory: one row of every quantity per period.
-
-    All arrays are aligned with :attr:`steps` (length ``horizon + 1``;
-    row 0 is the initial condition). For the ``"subsidies"`` kind,
-    capacities and prices are constant unless shocked; for the
-    ``"capacity"`` kind, subsidies/populations/... are the per-period
-    equilibrium's.
-    """
-
-    kind: str
-    steps: np.ndarray
-    subsidies: np.ndarray
-    populations: np.ndarray
-    utilizations: np.ndarray
-    throughputs: np.ndarray
-    utilities: np.ndarray
-    revenues: np.ndarray
-    welfares: np.ndarray
-    capacities: np.ndarray
-    prices: np.ndarray
-    segments: int
-
-    @property
-    def horizon(self) -> int:
-        """Number of simulated periods ``T``."""
-        return int(self.steps.size) - 1
-
-    @property
-    def size(self) -> int:
-        """Number of CPs ``N``."""
-        return int(self.subsidies.shape[1])
-
-    def adoption(self) -> np.ndarray:
-        """Total subscribed population ``Σ_i m_i`` per period."""
-        return self.populations.sum(axis=1)
-
-    def aggregate_throughputs(self) -> np.ndarray:
-        """Total delivered throughput ``θ`` per period."""
-        return self.throughputs.sum(axis=1)
-
-    def capacity_growth(self) -> float:
-        """Total relative capacity growth over the run."""
-        return float(self.capacities[-1] / self.capacities[0] - 1.0)
-
-    def to_csv(self, path, *, labels=None) -> None:
-        """Write the trajectory to CSV (one row per period, wide format)."""
-        import csv
-
-        n = self.size
-        if labels is None:
-            labels = [f"cp{i}" for i in range(n)]
-        if len(labels) != n:
-            raise ModelError(f"expected {n} labels, got {len(labels)}")
-        header = (
-            ["step", "utilization", "revenue", "welfare", "capacity", "price"]
-            + [f"s_{name}" for name in labels]
-            + [f"m_{name}" for name in labels]
-            + [f"theta_{name}" for name in labels]
-            + [f"U_{name}" for name in labels]
-        )
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            for j in range(self.steps.size):
-                writer.writerow(
-                    [
-                        int(self.steps[j]),
-                        self.utilizations[j],
-                        self.revenues[j],
-                        self.welfares[j],
-                        self.capacities[j],
-                        self.prices[j],
-                    ]
-                    + list(self.subsidies[j])
-                    + list(self.populations[j])
-                    + list(self.throughputs[j])
-                    + list(self.utilities[j])
-                )
-
-
 # ----------------------------------------------------------------------
 # the segment task (the pure unit of work shipped to the solve service)
 # ----------------------------------------------------------------------
@@ -477,6 +396,20 @@ def _shocked(
     return capacity, price
 
 
+def _simulation(market: Market, spec: DynamicsSpec) -> MarketSimulation:
+    """The noiseless simulator a ``"subsidies"`` spec plays on ``market``."""
+    return MarketSimulation(
+        market,
+        spec.cap,
+        strategies=[
+            BestResponseStrategy(damping=spec.damping) for _ in market.providers
+        ],
+        config=SimulationConfig(
+            population_inertia=spec.inertia, update=spec.update
+        ),
+    )
+
+
 def _subsidy_segment_rows(
     providers: tuple[ContentProvider, ...],
     isp: AccessISP,
@@ -488,13 +421,12 @@ def _subsidy_segment_rows(
     populations0: np.ndarray,
     capacity0: float,
     price0: float,
-) -> tuple[list, np.ndarray, np.ndarray, float, float]:
+) -> dict[str, np.ndarray]:
     """The ``"subsidies"`` kind: off-equilibrium play, chunked at shocks.
 
     Advances the exact :class:`MarketSimulation` recursion; shocks split
     the window into sub-runs (the market changes, the (s, m) state carries
-    over). Returns the emitted per-chunk ``(capacity, price, trace)``
-    triples plus the end state.
+    over). Returns the recorded columns plus the end state.
     """
     end = start_step + n_steps
     s = np.asarray(subsidies0, dtype=float).copy()
@@ -514,27 +446,26 @@ def _subsidy_segment_rows(
         market = Market(
             providers, isp.with_capacity(capacity).with_price(price)
         )
-        sim = MarketSimulation(
-            market,
-            spec.cap,
-            strategies=[
-                BestResponseStrategy(damping=spec.damping) for _ in providers
-            ],
-            config=SimulationConfig(
-                population_inertia=spec.inertia, update=spec.update
-            ),
-        )
+        sim = _simulation(market, spec)
         trajectory_s, trajectory_m = sim.advance(s, m, window_end - window_start)
-        trace = sim.resolve_records(
-            trajectory_s,
-            trajectory_m,
-            start_step=window_start,
-            include_initial=include_initial and i == 0,
+        chunks.append(
+            sim.resolve_records(
+                trajectory_s,
+                trajectory_m,
+                start_step=window_start,
+                include_initial=include_initial and i == 0,
+            )
         )
-        if len(trace):
-            chunks.append((capacity, price, trace))
         s, m = trajectory_s[-1].copy(), trajectory_m[-1].copy()
-    return chunks, s, m, capacity, price
+    result = {
+        name: np.concatenate([chunk[name] for chunk in chunks])
+        for name in chunks[0]
+    }
+    result["end_subsidies"] = s
+    result["end_populations"] = m
+    result["end_capacity"] = np.asarray(capacity, dtype=float)
+    result["end_price"] = np.asarray(price, dtype=float)
+    return result
 
 
 def solve_trajectory_segment(
@@ -564,9 +495,8 @@ def solve_trajectory_segment(
     ``capacity0``/``price0`` state.
     """
     spec = DynamicsSpec.from_dict(json.loads(payload))
-    end = start_step + n_steps
     if spec.kind == "subsidies":
-        chunks, s, m, capacity, price = _subsidy_segment_rows(
+        return _subsidy_segment_rows(
             providers,
             isp,
             spec,
@@ -578,40 +508,15 @@ def solve_trajectory_segment(
             capacity0,
             price0,
         )
-        steps, rows = [], {name: [] for name in (
-            "subsidies", "populations", "utilizations", "throughputs",
-            "utilities", "revenues", "welfares", "capacities", "prices",
-        )}
-        for chunk_capacity, chunk_price, trace in chunks:
-            count = len(trace)
-            steps.append(trace.steps())
-            rows["subsidies"].append(trace.subsidies())
-            rows["populations"].append(trace.populations())
-            rows["utilizations"].append(trace.utilizations())
-            rows["throughputs"].append(trace.throughputs())
-            rows["utilities"].append(trace.utilities())
-            rows["revenues"].append(trace.revenues())
-            rows["welfares"].append(trace.welfares())
-            rows["capacities"].append(np.full(count, chunk_capacity))
-            rows["prices"].append(np.full(count, chunk_price))
-        result = {
-            name: np.concatenate(parts) for name, parts in rows.items()
-        }
-        result["steps"] = np.concatenate(steps).astype(np.int64)
-        result["end_subsidies"] = s
-        result["end_populations"] = m
-        result["end_capacity"] = np.asarray(capacity, dtype=float)
-        result["end_price"] = np.asarray(price, dtype=float)
-        return result
 
     # "capacity" kind: the per-period equilibrium + reinvestment chain.
     capacity, price = float(capacity0), float(price0)
     first = start_step if include_initial else start_step + 1
     columns: dict[str, list] = {name: [] for name in (
-        "steps", "subsidies", "populations", "utilizations", "throughputs",
+        "subsidies", "populations", "utilizations", "throughputs",
         "utilities", "revenues", "welfares", "capacities", "prices",
     )}
-    for step in range(first, end + 1):
+    for step in range(first, start_step + n_steps + 1):
         if step >= 1:
             capacity, price = _shocked(spec.shocks, step, capacity, price)
         market = Market(
@@ -628,7 +533,6 @@ def solve_trajectory_segment(
         )
         price = market.isp.price
         state = equilibrium.state
-        columns["steps"].append(step)
         columns["subsidies"].append(equilibrium.subsidies.copy())
         columns["populations"].append(state.populations.copy())
         columns["utilizations"].append(state.utilization)
@@ -639,22 +543,14 @@ def solve_trajectory_segment(
         columns["capacities"].append(capacity)
         columns["prices"].append(price)
         capacity = next_capacity
-    return {
-        "steps": np.asarray(columns["steps"], dtype=np.int64),
-        "subsidies": np.asarray(columns["subsidies"], dtype=float),
-        "populations": np.asarray(columns["populations"], dtype=float),
-        "utilizations": np.asarray(columns["utilizations"], dtype=float),
-        "throughputs": np.asarray(columns["throughputs"], dtype=float),
-        "utilities": np.asarray(columns["utilities"], dtype=float),
-        "revenues": np.asarray(columns["revenues"], dtype=float),
-        "welfares": np.asarray(columns["welfares"], dtype=float),
-        "capacities": np.asarray(columns["capacities"], dtype=float),
-        "prices": np.asarray(columns["prices"], dtype=float),
-        "end_subsidies": np.asarray(subsidies0, dtype=float),
-        "end_populations": np.asarray(populations0, dtype=float),
-        "end_capacity": np.asarray(capacity, dtype=float),
-        "end_price": np.asarray(price, dtype=float),
-    }
+    result = {"steps": np.arange(first, start_step + n_steps + 1, dtype=np.int64)}
+    for name, values in columns.items():
+        result[name] = np.array(values, dtype=float)
+    result["end_subsidies"] = np.asarray(subsidies0, dtype=float)
+    result["end_populations"] = np.asarray(populations0, dtype=float)
+    result["end_capacity"] = np.asarray(capacity, dtype=float)
+    result["end_price"] = np.asarray(price, dtype=float)
+    return result
 
 
 def _canonical_payload(spec: DynamicsSpec) -> str:
@@ -738,18 +634,9 @@ def run_trajectory(
     """
     resolved = service if service is not None else default_service()
     if spec.kind == "subsidies":
-        sim = MarketSimulation(
-            market,
-            spec.cap,
-            strategies=[
-                BestResponseStrategy(damping=spec.damping)
-                for _ in market.providers
-            ],
-            config=SimulationConfig(
-                population_inertia=spec.inertia, update=spec.update
-            ),
+        s, m = _simulation(market, spec).initial_state(
+            initial_subsidies, initial_populations
         )
-        s, m = sim.initial_state(initial_subsidies, initial_populations)
     else:
         if initial_subsidies is not None or initial_populations is not None:
             raise ModelError(

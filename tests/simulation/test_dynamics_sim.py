@@ -14,6 +14,11 @@ from repro.simulation.agents import (
 from repro.simulation.dynamics import MarketSimulation, SimulationConfig
 
 
+def distance(trajectory, equilibrium) -> np.ndarray:
+    """Per-period ``‖s(t) − s*‖_∞`` to the equilibrium profile."""
+    return np.abs(trajectory.subsidies - equilibrium.subsidies).max(axis=1)
+
+
 class TestConfig:
     def test_validates_inertia(self):
         with pytest.raises(ModelError):
@@ -29,15 +34,15 @@ class TestConfig:
 class TestRunMechanics:
     def test_trace_length_and_steps(self, two_cp_market):
         sim = MarketSimulation(two_cp_market, cap=1.0)
-        trace = sim.run(5)
-        assert len(trace) == 6
-        np.testing.assert_array_equal(trace.steps(), np.arange(6))
+        trajectory = sim.run(5)
+        assert trajectory.horizon == 5
+        np.testing.assert_array_equal(trajectory.steps, np.arange(6))
 
     def test_zero_steps_returns_initial_condition_only(self, two_cp_market):
         sim = MarketSimulation(two_cp_market, cap=1.0)
-        trace = sim.run(0, initial_subsidies=[0.2, 0.1])
-        assert len(trace) == 1
-        np.testing.assert_allclose(trace[0].subsidies, [0.2, 0.1])
+        trajectory = sim.run(0, initial_subsidies=[0.2, 0.1])
+        assert trajectory.horizon == 0
+        np.testing.assert_allclose(trajectory.subsidies[0], [0.2, 0.1])
 
     def test_rejects_bad_inputs(self, two_cp_market):
         sim = MarketSimulation(two_cp_market, cap=1.0)
@@ -54,13 +59,13 @@ class TestRunMechanics:
 
     def test_record_consistency(self, two_cp_market):
         sim = MarketSimulation(two_cp_market, cap=1.0)
-        trace = sim.run(3)
-        for record in trace:
-            assert record.revenue == pytest.approx(
-                1.0 * float(np.sum(record.throughputs))
-            )
-            assert record.welfare == pytest.approx(
-                float(np.dot(two_cp_market.values, record.throughputs))
+        trajectory = sim.run(3)
+        for revenue, welfare, throughputs in zip(
+            trajectory.revenues, trajectory.welfares, trajectory.throughputs
+        ):
+            assert revenue == pytest.approx(1.0 * float(np.sum(throughputs)))
+            assert welfare == pytest.approx(
+                float(np.dot(two_cp_market.values, throughputs))
             )
 
 
@@ -69,16 +74,16 @@ class TestConvergenceToNash:
         game = SubsidizationGame(four_cp_market, 1.0)
         equilibrium = solve_equilibrium(game)
         sim = MarketSimulation(four_cp_market, cap=1.0)
-        trace = sim.run(25)
-        assert trace.distance_to_profile(equilibrium.subsidies)[-1] < 1e-8
+        trajectory = sim.run(25)
+        assert distance(trajectory, equilibrium)[-1] < 1e-8
 
     def test_convergence_from_random_start(self, four_cp_market):
         game = SubsidizationGame(four_cp_market, 1.0)
         equilibrium = solve_equilibrium(game)
         rng = np.random.default_rng(7)
         sim = MarketSimulation(four_cp_market, cap=1.0)
-        trace = sim.run(30, initial_subsidies=rng.uniform(0.0, 1.0, 4))
-        assert trace.distance_to_profile(equilibrium.subsidies)[-1] < 1e-7
+        trajectory = sim.run(30, initial_subsidies=rng.uniform(0.0, 1.0, 4))
+        assert distance(trajectory, equilibrium)[-1] < 1e-7
 
     def test_gradient_play_approaches_equilibrium(self, two_cp_market):
         game = SubsidizationGame(two_cp_market, 1.0)
@@ -88,8 +93,8 @@ class TestConvergenceToNash:
             cap=1.0,
             strategies=[GradientStrategy(0.5), GradientStrategy(0.5)],
         )
-        trace = sim.run(200)
-        assert trace.distance_to_profile(equilibrium.subsidies)[-1] < 1e-3
+        trajectory = sim.run(200)
+        assert distance(trajectory, equilibrium)[-1] < 1e-3
 
     def test_population_inertia_slows_but_does_not_break_convergence(
         self, two_cp_market
@@ -101,17 +106,16 @@ class TestConvergenceToNash:
             cap=1.0,
             config=SimulationConfig(population_inertia=0.3),
         )
-        trace = sim.run(60)
-        assert trace.distance_to_profile(equilibrium.subsidies)[-1] < 1e-6
+        trajectory = sim.run(60)
+        assert distance(trajectory, equilibrium)[-1] < 1e-6
         # Populations lag their demand targets early in the run.
-        early = trace[1]
         demand_target = np.array(
             [
-                cp.population(1.0 - early.subsidies[i])
+                cp.population(1.0 - trajectory.subsidies[1, i])
                 for i, cp in enumerate(two_cp_market.providers)
             ]
         )
-        assert not np.allclose(early.populations, demand_target)
+        assert not np.allclose(trajectory.populations[1], demand_target)
 
     def test_jacobi_schedule_also_converges_here(self, four_cp_market):
         game = SubsidizationGame(four_cp_market, 1.0)
@@ -121,8 +125,8 @@ class TestConvergenceToNash:
             cap=1.0,
             config=SimulationConfig(update="simultaneous"),
         )
-        trace = sim.run(40)
-        assert trace.distance_to_profile(equilibrium.subsidies)[-1] < 1e-6
+        trajectory = sim.run(40)
+        assert distance(trajectory, equilibrium)[-1] < 1e-6
 
     def test_holdout_cp_shifts_the_rest_point(self, four_cp_market):
         # If CP 0 refuses to subsidize, play settles at the best responses
@@ -136,11 +140,11 @@ class TestConvergenceToNash:
             cap=1.0,
             strategies=[FixedStrategy(0.0)] + [BestResponseStrategy()] * 3,
         )
-        trace = sim.run(25)
-        assert trace.final.subsidies[0] == 0.0
+        trajectory = sim.run(25)
+        assert trajectory.subsidies[-1, 0] == 0.0
         # The congestion relief from CP 0's absence shifts the rivals too.
         rival_shift = np.max(
-            np.abs(trace.final.subsidies[1:] - nash.subsidies[1:])
+            np.abs(trajectory.subsidies[-1, 1:] - nash.subsidies[1:])
         )
         assert rival_shift > 1e-4
 
@@ -155,6 +159,6 @@ class TestNoiseRobustness:
             strategies=[BestResponseStrategy(noise=0.01) for _ in range(4)],
             config=SimulationConfig(seed=5),
         )
-        trace = sim.run(30)
-        tail = trace.distance_to_profile(equilibrium.subsidies)[-10:]
+        trajectory = sim.run(30)
+        tail = distance(trajectory, equilibrium)[-10:]
         assert np.max(tail) < 0.1

@@ -6,69 +6,47 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ModelError
-from repro.simulation.trace import SimulationTrace, TraceRecord
+from repro.simulation.trace import DynamicsTrajectory
 
 
-def make_record(step, s=(0.1, 0.2)):
-    s = np.asarray(s, dtype=float)
-    return TraceRecord(
-        step=step,
-        subsidies=s,
-        populations=np.array([1.0, 2.0]),
-        utilization=0.3,
-        throughputs=np.array([0.5, 0.4]),
-        utilities=np.array([0.2, 0.1]),
-        revenue=0.9,
-        welfare=0.7,
+def make_trajectory():
+    return DynamicsTrajectory(
+        kind="capacity",
+        steps=np.arange(2),
+        subsidies=np.array([[0.1, 0.2], [0.3, 0.4]]),
+        populations=np.array([[1.0, 2.0], [1.5, 2.5]]),
+        utilizations=np.array([0.3, 0.25]),
+        throughputs=np.array([[0.5, 0.4], [0.6, 0.5]]),
+        utilities=np.array([[0.2, 0.1], [0.3, 0.2]]),
+        revenues=np.array([0.9, 1.1]),
+        welfares=np.array([0.7, 0.8]),
+        capacities=np.array([1.0, 1.5]),
+        prices=np.array([1.0, 1.0]),
+        segments=1,
     )
 
 
-class TestSimulationTrace:
-    def test_append_enforces_increasing_steps(self):
-        trace = SimulationTrace([make_record(0)])
-        trace.append(make_record(1))
-        with pytest.raises(ModelError):
-            trace.append(make_record(1))
-
-    def test_final_raises_on_empty(self):
-        with pytest.raises(ModelError):
-            SimulationTrace().final
-
-    def test_array_accessors(self):
-        trace = SimulationTrace([make_record(0), make_record(1, (0.3, 0.4))])
-        assert trace.subsidies().shape == (2, 2)
-        assert trace.populations().shape == (2, 2)
-        np.testing.assert_array_equal(trace.utilizations(), [0.3, 0.3])
-        np.testing.assert_array_equal(trace.revenues(), [0.9, 0.9])
-        np.testing.assert_array_equal(trace.welfares(), [0.7, 0.7])
-
-    def test_distance_to_profile(self):
-        trace = SimulationTrace([make_record(0), make_record(1, (0.5, 0.2))])
-        distances = trace.distance_to_profile([0.5, 0.2])
-        assert distances[0] == pytest.approx(0.4)
-        assert distances[1] == pytest.approx(0.0)
-
-    def test_indexing_and_iteration(self):
-        records = [make_record(0), make_record(1)]
-        trace = SimulationTrace(records)
-        assert trace[1].step == 1
-        assert [r.step for r in trace] == [0, 1]
+class TestDynamicsTrajectory:
+    def test_accessors(self):
+        trajectory = make_trajectory()
+        assert trajectory.horizon == 1
+        assert trajectory.size == 2
+        np.testing.assert_allclose(trajectory.adoption(), [3.0, 4.0])
+        np.testing.assert_allclose(trajectory.aggregate_throughputs(), [0.9, 1.1])
+        assert trajectory.capacity_growth() == pytest.approx(0.5)
 
     def test_to_csv_round_trip(self, tmp_path):
-        trace = SimulationTrace([make_record(0), make_record(1)])
-        path = tmp_path / "trace.csv"
-        trace.to_csv(path, labels=["a", "b"])
+        path = tmp_path / "trajectory.csv"
+        make_trajectory().to_csv(path, labels=["a", "b"])
         with open(path) as handle:
             rows = list(csv.reader(handle))
-        assert rows[0][:4] == ["step", "utilization", "revenue", "welfare"]
+        assert rows[0][:6] == [
+            "step", "utilization", "revenue", "welfare", "capacity", "price",
+        ]
         assert "s_a" in rows[0] and "U_b" in rows[0]
         assert len(rows) == 3
+        assert rows[2][:1] == ["1"] and float(rows[2][4]) == 1.5
 
     def test_to_csv_validates_labels(self, tmp_path):
-        trace = SimulationTrace([make_record(0)])
         with pytest.raises(ModelError):
-            trace.to_csv(tmp_path / "x.csv", labels=["only-one"])
-
-    def test_to_csv_rejects_empty_trace(self, tmp_path):
-        with pytest.raises(ModelError):
-            SimulationTrace().to_csv(tmp_path / "x.csv")
+            make_trajectory().to_csv(tmp_path / "x.csv", labels=["only-one"])

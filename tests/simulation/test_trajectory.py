@@ -3,8 +3,9 @@
 The tentpole guarantees, held exactly:
 
 * a service-backed, segmented trajectory is **bitwise-identical** to the
-  straight-line legacy loops (``MarketSimulation.run`` /
-  ``simulate_capacity_expansion``), for any segment length;
+  frozen ``float.hex`` values of the straight-line loops, to the
+  single-segment run and (``"subsidies"`` kind) to ``MarketSimulation.run``,
+  for any segment length and shock schedule;
 * a warm persistent store replays a ``T >= 20``-step trajectory with
   **zero** recomputed equilibrium solves (``computed == 0``) and
   byte-identical arrays.
@@ -16,9 +17,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import SolveCache, SolveService, SolveStore
 from repro.exceptions import ModelError
+from repro.providers import AccessISP, Market, exponential_cp
 from repro.simulation import (
     DYNAMICS_FORMAT,
     DynamicsSpec,
@@ -27,7 +31,6 @@ from repro.simulation import (
     SimulationConfig,
     dynamics_settings,
     run_trajectory,
-    simulate_capacity_expansion,
     trajectory_segment_task,
 )
 from repro.simulation.agents import BestResponseStrategy
@@ -102,7 +105,7 @@ def assert_frozen(case: str, column) -> None:
         assert hexed(column(name)) == values, f"{case}: {name}"
 
 
-def legacy_simulation(market, spec: DynamicsSpec) -> MarketSimulation:
+def simulation_for(market, spec: DynamicsSpec) -> MarketSimulation:
     """The straight-line simulator a ``"subsidies"`` spec describes."""
     return MarketSimulation(
         market,
@@ -273,30 +276,18 @@ class TestDynamicsSettings:
             dynamics_settings({"dynamics": {"format": "wrong"}})
 
 
-class TestFrozenLegacyLoops:
-    """The legacy loops against the frozen values."""
-
+class TestMarketSimulationFrozen:
     @pytest.mark.parametrize("case", sorted(SUBSIDY_CASES))
-    def test_market_simulation_run(self, two_cp_market, case):
+    def test_run_matches_frozen_values(self, two_cp_market, case):
+        """The straight-line simulator == its frozen values."""
         spec, initial = SUBSIDY_CASES[case]
-        trace = legacy_simulation(two_cp_market, spec).run(
+        trajectory = simulation_for(two_cp_market, spec).run(
             spec.horizon, **initial
         )
-        assert_frozen(case, lambda name: getattr(trace, name)())
-
-    @pytest.mark.parametrize("case", sorted(CAPACITY_CASES))
-    def test_simulate_capacity_expansion(self, two_cp_market, case):
-        spec = CAPACITY_CASES[case]
-        plan = simulate_capacity_expansion(
-            two_cp_market,
-            spec.cap,
-            spec.horizon,
-            reinvestment_rate=spec.reinvestment_rate,
-            depreciation=spec.depreciation,
-            reoptimize_price=spec.reoptimize_price,
-            price_range=spec.price_range,
-        )
-        assert_frozen(case, lambda name: getattr(plan, name))
+        assert_frozen(case, lambda name: getattr(trajectory, name))
+        assert trajectory.kind == "subsidies" and trajectory.segments == 1
+        assert np.all(trajectory.capacities == two_cp_market.isp.capacity)
+        assert np.all(trajectory.prices == two_cp_market.isp.price)
 
 
 class TestSubsidiesGolden:
@@ -382,8 +373,8 @@ class TestShocks:
         assert np.all(shocked.prices[:2] == 1.0)
         assert np.all(shocked.prices[2:] == 1.25)
         base = MarketSimulation(two_cp_market, cap=1.0).run(4)
-        assert np.array_equal(shocked.welfares[:2], base.welfares()[:2])
-        assert not np.array_equal(shocked.welfares[2:], base.welfares()[2:])
+        assert np.array_equal(shocked.welfares[:2], base.welfares[:2])
+        assert not np.array_equal(shocked.welfares[2:], base.welfares[2:])
 
     def test_shock_chunking_is_segment_invariant(self, two_cp_market):
         spec = DynamicsSpec(
@@ -402,6 +393,75 @@ class TestShocks:
         assert np.array_equal(chunked.welfares, whole.welfares)
         assert np.array_equal(chunked.capacities, whole.capacities)
         assert np.array_equal(chunked.subsidies, whole.subsidies)
+
+
+COLUMNS = (
+    "steps", "subsidies", "populations", "utilizations", "throughputs",
+    "utilities", "revenues", "welfares", "capacities", "prices",
+)
+
+#: Shock schedules over horizons up to 6: (step, field, scale) entries;
+#: entries past the drawn horizon and repeated (step, field) pairs drop.
+SHOCK_SCHEDULES = st.lists(
+    st.tuples(
+        st.integers(1, 6),
+        st.sampled_from(("capacity", "price")),
+        st.sampled_from((0.5, 0.8, 1.25)),
+    ),
+    max_size=3,
+)
+
+
+class TestSegmentationProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(("subsidies", "capacity")),
+        horizon=st.integers(1, 6),
+        segment_length=st.integers(1, 6),
+        schedule=SHOCK_SCHEDULES,
+    )
+    def test_segments_replay_the_single_segment_run(
+        self, kind, horizon, segment_length, schedule
+    ):
+        market = Market(
+            [
+                exponential_cp(5.0, 2.0, value=1.0, name="big"),
+                exponential_cp(2.0, 5.0, value=0.4, name="small"),
+            ],
+            AccessISP(price=1.0, capacity=1.0),
+        )
+        shocks = {
+            (step, field): scale
+            for step, field, scale in schedule
+            if step <= horizon
+        }
+        spec = DynamicsSpec(
+            kind=kind,
+            horizon=horizon,
+            segment_length=segment_length,
+            cap=0.5,
+            shocks=tuple(Shock(*key, scale) for key, scale in shocks.items()),
+        )
+        segmented = run_trajectory(market, spec, service=fresh_service())
+        whole = run_trajectory(
+            market,
+            dataclasses.replace(spec, segment_length=horizon),
+            service=fresh_service(),
+        )
+        for name in COLUMNS:
+            assert np.array_equal(
+                getattr(segmented, name), getattr(whole, name)
+            ), name
+        assert whole.segments == 1
+        if kind == "subsidies":
+            # The straight-line run holds the market fixed, so it agrees
+            # up to the period before the first shock lands.
+            end = min((step for step, _ in shocks), default=horizon + 1)
+            straight = simulation_for(market, spec).run(horizon)
+            for name in COLUMNS:
+                assert np.array_equal(
+                    getattr(segmented, name)[:end], getattr(straight, name)[:end]
+                ), name
 
 
 class TestWarmStoreResume:
