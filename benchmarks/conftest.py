@@ -37,7 +37,8 @@ import numpy as np
 import pytest
 
 #: Schema identifier of the BENCH_*.json records (v2 adds environment
-#: provenance: backend, numba availability, python/numpy versions).
+#: provenance: backend, python/numpy versions; records written before the
+#: numba backend was removed also carry a ``numba`` flag).
 BENCH_SCHEMA = "repro-bench/2"
 
 #: The paper's price axis, thinned 2x to keep a full benchmark run ~1 min.
@@ -47,14 +48,13 @@ BENCH_CAPS = (0.0, 0.5, 1.0, 1.5, 2.0)
 
 def _environment_fields() -> dict:
     """The schema-v2 provenance fields stamped onto every record."""
-    from repro.backend import get_backend, numba_available
+    from repro.backend import get_backend
 
     backend = get_backend()
     return {
         "bench_schema": BENCH_SCHEMA,
         "backend": backend.name,
         "backend_requested": backend.requested,
-        "numba": numba_available(),
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
     }

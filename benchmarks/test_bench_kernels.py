@@ -7,7 +7,7 @@ default ``numpy`` backend and once under the best available ``compiled``
 backend, asserts the results agree to solver tolerance, and records both
 timings plus the compiled run's kernel counters into ``BENCH_kernels.json``.
 
-On a machine with neither numba nor a C compiler, ``compiled`` resolves to
+On a machine without a C compiler, ``compiled`` resolves to
 numpy and the recorded speedup is ~1; the record's ``compiled_backend``
 field says which kernels actually ran.
 """

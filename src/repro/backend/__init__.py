@@ -13,18 +13,15 @@ Backends
 --------
 ``numpy``
     The tested default. Pure NumPy lockstep; no fused kernels.
-``numba``
-    Fused kernels JIT-compiled by numba (optional dependency). Falls back
-    to ``numpy`` with a recorded reason when numba is not importable.
 ``cext``
     Fused kernels compiled on demand from the generated C source with the
     system C compiler. Falls back to ``numpy`` when no compiler is found.
 ``pyloops``
     The fused kernels run as plain Python loops — identical arithmetic to
-    ``numba``/``cext``, always available, slow. Exists so the compiled
+    ``cext``, always available, slow. Exists so the compiled
     trajectory is testable everywhere.
 ``compiled``
-    Alias: best available of ``numba`` → ``cext`` → ``numpy``.
+    Alias: ``cext`` when a C compiler is available, else ``numpy``.
 
 Selection: ``REPRO_BACKEND`` environment variable (read once at first
 use), :func:`set_backend`, the :func:`use_backend` context manager, or the
@@ -53,10 +50,9 @@ __all__ = [
     "set_backend",
     "use_backend",
     "warm_kernels",
-    "numba_available",
 ]
 
-BACKEND_NAMES = ("numpy", "numba", "cext", "pyloops", "compiled")
+BACKEND_NAMES = ("numpy", "cext", "pyloops", "compiled")
 
 # All kernel backends share one tag: they are bitwise interchangeable.
 # "libm2": every built-in demand/throughput family is fused (the first
@@ -72,8 +68,8 @@ class Backend:
     Attributes
     ----------
     name:
-        The resolved implementation (``numpy``/``numba``/``cext``/
-        ``pyloops``) — never the ``compiled`` alias.
+        The resolved implementation (``numpy``/``cext``/``pyloops``) —
+        never the ``compiled`` alias.
     requested:
         The name selection asked for (may be ``compiled``).
     kernels:
@@ -99,13 +95,6 @@ class Backend:
         return self.kernels is not None
 
 
-def numba_available() -> bool:
-    """Whether the optional numba dependency is importable."""
-    from repro.backend import kernels_py
-
-    return kernels_py.HAVE_NUMBA
-
-
 def _resolve(requested: str) -> Backend:
     name = requested.strip().lower()
     if name not in BACKEND_NAMES:
@@ -119,39 +108,13 @@ def _resolve(requested: str) -> Backend:
         from repro.backend import kernels_py
 
         return Backend("pyloops", requested, kernels_py, _KERNEL_CACHE_TAG)
-    if name == "numba":
-        from repro.backend import kernels_py
-
-        if kernels_py.HAVE_NUMBA:
-            return Backend("numba", requested, kernels_py, _KERNEL_CACHE_TAG)
-        return Backend(
-            "numpy", requested, None, "",
-            fallback_reason="numba is not installed",
-        )
-    if name == "cext":
-        from repro.backend import cext
-
-        try:
-            kernels = cext.load()
-        except cext.CExtUnavailable as exc:
-            return Backend(
-                "numpy", requested, None, "", fallback_reason=str(exc)
-            )
-        return Backend("cext", requested, kernels, _KERNEL_CACHE_TAG)
-    # "compiled": best available of numba -> cext -> numpy.
-    from repro.backend import kernels_py
-
-    if kernels_py.HAVE_NUMBA:
-        return Backend("numba", requested, kernels_py, _KERNEL_CACHE_TAG)
+    # "cext" and its "compiled" alias: the C kernels, else numpy.
     from repro.backend import cext
 
     try:
         kernels = cext.load()
     except cext.CExtUnavailable as exc:
-        return Backend(
-            "numpy", requested, None, "",
-            fallback_reason=f"numba is not installed and {exc}",
-        )
+        return Backend("numpy", requested, None, "", fallback_reason=str(exc))
     return Backend("cext", requested, kernels, _KERNEL_CACHE_TAG)
 
 
@@ -223,12 +186,12 @@ def available_backends() -> dict[str, str]:
 
 
 def warm_kernels(backend: Backend | None = None) -> None:
-    """Run each fused kernel once on a tiny problem to pay JIT/build cost.
+    """Run each fused kernel once on a tiny problem to pay its load cost.
 
     Service pool workers call this at startup so the first real task does
-    not absorb numba compilation (or the one-off C build) into its wall
+    not absorb the one-off C build (or library load) into its wall
     time. The problem has one column per demand and per throughput family
-    tag, so every per-tag branch is compiled and called here. A no-op for
+    tag, so every per-tag branch is called here. A no-op for
     the numpy backend.
     """
     backend = backend or get_backend()

@@ -122,8 +122,6 @@ class _Kernels:
     guarantee contiguous float64/int64 arrays.
     """
 
-    HAVE_NUMBA = False
-
     def __init__(self, lib: ctypes.CDLL) -> None:
         self._lib = lib
         lib.repro_vexp.restype = None

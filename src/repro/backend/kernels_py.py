@@ -19,16 +19,15 @@ tests pin. The other families call libm ``pow``/``log1p``/``exp`` where
 their lockstep arm uses NumPy ufuncs, so they agree with it to a few
 ulps instead.
 
-The module is written in the restricted style numba can compile: plain
-loops over float64 arrays, scalar math, out-parameters. When numba is
-importable every kernel is ``@njit(cache=True)`` (fastmath stays *off* —
-bitwise parity forbids reassociation); otherwise the same functions run
-as pure Python, which is slow but exercises identical arithmetic — the
-``pyloops`` backend and the no-numba CI job both run this fallback.
+The module mirrors the C kernels statement for statement: plain loops
+over float64 arrays, scalar math, out-parameters. It runs as pure Python
+— slow, but with identical arithmetic — as the ``pyloops`` backend, the
+readable reference the cext-vs-pyloops bitwise cross tests compare
+against.
 
 Batch drivers return failure *lists* (all failing rows with their last
 bracket intervals), never raise: exception construction is the caller's
-job (:mod:`repro.backend.dispatch`), keeping these functions numba-pure.
+job (:mod:`repro.backend.dispatch`).
 """
 
 from __future__ import annotations
@@ -46,23 +45,7 @@ from repro.backend.dispatch import (
     RATE_POWER,
 )
 
-try:  # pragma: no cover - exercised only where numba is installed
-    from numba import njit as _njit
-
-    HAVE_NUMBA = True
-
-    def _jit(func):
-        return _njit(cache=True, fastmath=False)(func)
-
-except ImportError:  # pragma: no cover - the only path in numba-less envs
-    HAVE_NUMBA = False
-
-    def _jit(func):
-        return func
-
-
 __all__ = [
-    "HAVE_NUMBA",
     "bind",
     "congestion_batch",
     "marginal_batch",
@@ -72,7 +55,6 @@ __all__ = [
 ]
 
 
-@_jit
 def _safe_div(a: float, b: float) -> float:
     """IEEE-style division: ``b == 0`` yields a signed inf (or nan)."""
     if b != 0.0:
@@ -80,7 +62,6 @@ def _safe_div(a: float, b: float) -> float:
     return a * math.copysign(math.inf, b)
 
 
-@_jit
 def _clamp0(v: float) -> float:
     """``np.maximum(v, 0.0)`` bit-for-bit: ``-0.0`` maps to ``+0.0``."""
     if v <= 0.0:
@@ -88,7 +69,6 @@ def _clamp0(v: float) -> float:
     return v
 
 
-@_jit
 def _sgn(v: float) -> int:
     """Sign of ``v`` as an int (works on numpy scalars in pure Python too)."""
     if v > 0.0:
@@ -98,14 +78,12 @@ def _sgn(v: float) -> int:
     return 0
 
 
-@_jit
 def exp_inplace(values, out):
     """Elementwise libm ``exp`` over a flat float64 array."""
     for k in range(values.shape[0]):
         out[k] = math.exp(values[k])
 
 
-@_jit
 def pair_dot_batch(a, b, out):
     """Row-wise dot of two ``(B, N)`` matrices, sequential accumulation."""
     for row in range(a.shape[0]):
@@ -125,7 +103,6 @@ def pair_dot_batch(a, b, out):
 _EXP_LIMIT = 700.0
 
 
-@_jit
 def _rate(tag, beta, peak, phi):
     """Per-user throughput ``rate(phi)`` of one tagged column."""
     if tag == RATE_EXPONENTIAL:
@@ -135,7 +112,6 @@ def _rate(tag, beta, peak, phi):
     return peak / (1.0 + beta * phi)
 
 
-@_jit
 def _d_rate(tag, beta, peak, phi, r):
     """``d rate / d phi`` of one tagged column; ``r`` is its rate at phi."""
     if tag == RATE_EXPONENTIAL:
@@ -146,14 +122,12 @@ def _d_rate(tag, beta, peak, phi, r):
     return ((-beta) * peak) / (d * d)
 
 
-@_jit
 def _softplus(t):
     if t > _EXP_LIMIT:
         return t
     return math.log1p(math.exp(t))
 
 
-@_jit
 def _sigmoid(t):
     z = math.exp(-abs(t))
     if t >= 0.0:
@@ -161,7 +135,6 @@ def _sigmoid(t):
     return z / (1.0 + z)
 
 
-@_jit
 def _demand(tag, p, t):
     """``(m(t), dm/dt)`` of one tagged column, before its share weight."""
     if tag == DEMAND_EXPONENTIAL:
@@ -191,7 +164,6 @@ def _demand(tag, p, t):
     return m, dm
 
 
-@_jit
 def _demand_column(dtags, dparams, i, t, m_out, dm_out):
     """Weighted population and ``dm/ds = -dm/dt`` of column ``i`` at ``t``."""
     m, dpop = _demand(dtags[i], dparams[i], t)
@@ -200,7 +172,6 @@ def _demand_column(dtags, dparams, i, t, m_out, dm_out):
     dm_out[i] = -(weight * dpop)
 
 
-@_jit
 def _all_finite(values):
     for k in range(values.shape[0]):
         if not math.isfinite(values[k]):
@@ -214,7 +185,6 @@ def _all_finite(values):
 # The gap on linear utilization: g(phi) = phi*mu - sum_k m_k * rate_k(phi).
 
 
-@_jit
 def _gap_value(phi, m, rtags, rparams, mu):
     demand = 0.0
     for k in range(m.shape[0]):
@@ -223,7 +193,6 @@ def _gap_value(phi, m, rtags, rparams, mu):
     return phi * mu - demand
 
 
-@_jit
 def _gap_and_slope(phi, m, rtags, rparams, mu):
     demand = 0.0
     dslope = 0.0
@@ -236,7 +205,6 @@ def _gap_and_slope(phi, m, rtags, rparams, mu):
     return phi * mu - demand, mu - dslope
 
 
-@_jit
 def _newton_row(x, m, rtags, rparams, mu, rtol, max_iter):
     """Safeguarded Newton; mirrors ``newton_polish_batch`` row-wise."""
     evals = 0
@@ -258,7 +226,6 @@ def _newton_row(x, m, rtags, rparams, mu, rtol, max_iter):
     return x, False, evals
 
 
-@_jit
 def _expand_row(m, rtags, rparams, mu):
     """Geometric expansion; mirrors ``expand_bracket_batch`` row-wise."""
     f_lo = _gap_value(0.0, m, rtags, rparams, mu)
@@ -285,7 +252,6 @@ def _expand_row(m, rtags, rparams, mu):
     return lo, hi, f_lo, f_hi, False, evals, expansions
 
 
-@_jit
 def _bracket_row(
     lo, hi, f_lo, f_hi, m, rtags, rparams, mu, xtol, bisect_iters, max_iter
 ):
@@ -327,7 +293,6 @@ def _bracket_row(
     return 0.5 * (lo + hi), evals
 
 
-@_jit
 def _congestion_row(m, rtags, rparams, mu, phi0, has_phi0, xtol_final):
     """One row of ``solve_population_batch``: warm Newton, then cold solve.
 
@@ -388,7 +353,6 @@ def _congestion_row(m, rtags, rparams, mu, phi0, has_phi0, xtol_final):
     return polished, True, 0.0, 0.0, evals, expansions
 
 
-@_jit
 def _congestion_rows(
     populations,
     rtags,
@@ -435,7 +399,6 @@ def _congestion_rows(
 # then the derivative algebra on the solved rates.
 
 
-@_jit
 def _demand_row(srow, price, dtags, dparams, m_out, dm_out):
     """Populations of one profile row; False if any is not finite."""
     for i in range(srow.shape[0]):
@@ -443,7 +406,6 @@ def _demand_row(srow, price, dtags, dparams, m_out, dm_out):
     return _all_finite(m_out)
 
 
-@_jit
 def _marginal_row(
     srow,
     values,
@@ -484,7 +446,6 @@ def _marginal_row(
     return phi, True, 0.0, 0.0, evals, expansions
 
 
-@_jit
 def _marginal_rows(
     s,
     price,
@@ -540,7 +501,6 @@ def _marginal_rows(
 # ----------------------------------------------------------------------
 
 
-@_jit
 def _diag_marginals(
     own,
     sclip,
@@ -601,7 +561,6 @@ def _diag_marginals(
     return 0, -1
 
 
-@_jit
 def _best_response_rows(
     s,
     price,
@@ -748,9 +707,8 @@ def _best_response_rows(
 # ----------------------------------------------------------------------
 # the kernel-module call shape (see repro.backend.dispatch)
 # ----------------------------------------------------------------------
-# Plain Python: numba compiles the row drivers above; these only carve
-# each call's outputs from one float64 and one int64 workspace, in the
-# same layout as the C binding.
+# These only carve each call's outputs from one float64 and one int64
+# workspace, in the same layout as the C binding.
 
 #: Stands in for an absent warm start (the row drivers never read it).
 _NO_START = np.zeros(1)

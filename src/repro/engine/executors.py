@@ -95,7 +95,7 @@ def _pool_init(backend_name: str) -> None:
     """Pool-worker initializer: inherit the parent's array backend.
 
     Resolves the requested backend in the child and warms its kernels once
-    (numba JIT compilation / C extension load) — per worker *lifetime*,
+    (C extension build or load) — per worker *lifetime*,
     not per batch, now that the pool persists across ``map`` calls.
     """
     set_backend(backend_name)

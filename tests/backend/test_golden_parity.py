@@ -14,8 +14,8 @@ utilizations and marginal utilities, and to the root tolerance on best
 responses. Cross-backend (numpy vs libm exp) is a separate,
 tolerance-level contract checked at the end.
 
-``pyloops`` always runs; ``cext``/``numba`` join the matrix when their
-toolchain is present.
+``pyloops`` always runs; ``cext`` joins the matrix when a C compiler is
+present.
 """
 
 import contextlib
@@ -48,10 +48,8 @@ from repro.providers.market import Market
 
 def _kernel_backends() -> list[str]:
     names = ["pyloops"]
-    status = available_backends()
-    for name in ("cext", "numba"):
-        if status[name] == f"resolves to {name}":
-            names.append(name)
+    if available_backends()["cext"] == "resolves to cext":
+        names.append("cext")
     return names
 
 

@@ -13,7 +13,6 @@ from repro.backend import (
     BACKEND_NAMES,
     available_backends,
     get_backend,
-    numba_available,
     ops,
     set_backend,
     use_backend,
@@ -25,6 +24,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 class TestResolution:
     def test_backend_names_are_the_selection_surface(self):
+        assert BACKEND_NAMES == ("numpy", "cext", "pyloops", "compiled")
         assert set(available_backends()) == set(BACKEND_NAMES)
 
     def test_unknown_backend_rejected(self):
@@ -53,25 +53,19 @@ class TestResolution:
             assert backend.cache_tag != ""
             assert backend.fallback_reason is None
 
-    def test_numba_resolves_or_records_fallback(self):
-        with use_backend("numba") as backend:
-            if numba_available():
-                assert backend.name == "numba"
-                assert backend.compiled
-            else:
-                assert backend.name == "numpy"
-                assert backend.kernels is None
-                assert "numba" in backend.fallback_reason
+    def test_numba_is_an_unknown_backend(self):
+        with pytest.raises(ValueError, match="unknown backend"):
+            set_backend("numba")
 
     def test_compiled_alias_always_resolves_to_a_real_backend(self):
         with use_backend("compiled") as backend:
             assert backend.requested == "compiled"
-            assert backend.name in ("numba", "cext", "numpy")
+            assert backend.name in ("cext", "numpy")
             assert backend.name != "compiled"
 
     def test_kernel_backends_share_one_cache_tag(self):
         tags = set()
-        for name in ("numba", "cext", "pyloops", "compiled"):
+        for name in ("cext", "pyloops", "compiled"):
             with use_backend(name) as backend:
                 if backend.compiled:
                     tags.add(backend.cache_tag)
