@@ -1,10 +1,12 @@
-"""Legacy setuptools shim.
+"""Legacy setuptools shim; all metadata lives in ``pyproject.toml``.
 
-The offline environment lacks the ``wheel`` package, so PEP 517 editable
-installs fail with ``invalid command 'bdist_wheel'``. This shim enables
-``pip install -e . --no-use-pep517 --no-build-isolation``, which runs the
-classic ``setup.py develop`` path instead. All metadata lives in
-``pyproject.toml``.
+Without the ``wheel`` package, pip's PEP 517 installs fail with
+``invalid command 'bdist_wheel'`` and ``--no-use-pep517`` needs ``wheel``
+too. Where ``wheel`` is missing, install in development mode with::
+
+    python setup.py develop
+
+Where it is present, ``pip install -e .`` (or ``pip install .``) works.
 """
 
 from setuptools import setup
