@@ -191,8 +191,8 @@ def warm_kernels(backend: Backend | None = None) -> None:
     Service pool workers call this at startup so the first real task does
     not absorb the one-off C build (or library load) into its wall
     time. The problem has one column per demand and per throughput family
-    tag, so every per-tag branch is called here. A no-op for
-    the numpy backend.
+    tag, so every per-tag branch is called here. A no-op for the numpy
+    backend.
     """
     backend = backend or get_backend()
     kernels = backend.kernels

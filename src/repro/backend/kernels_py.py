@@ -19,11 +19,11 @@ tests pin. The other families call libm ``pow``/``log1p``/``exp`` where
 their lockstep arm uses NumPy ufuncs, so they agree with it to a few
 ulps instead.
 
-The module mirrors the C kernels statement for statement: plain loops
-over float64 arrays, scalar math, out-parameters. It runs as pure Python
-— slow, but with identical arithmetic — as the ``pyloops`` backend, the
-readable reference the cext-vs-pyloops bitwise cross tests compare
-against.
+The module computes what the C kernels compute, in the same operation
+order: plain loops over float64 arrays, scalar math, out-parameters. It
+runs as pure Python — slow, but with identical arithmetic — as the
+``pyloops`` backend, the readable reference the cext-vs-pyloops bitwise
+cross tests compare against.
 
 Batch drivers return failure *lists* (all failing rows with their last
 bracket intervals), never raise: exception construction is the caller's

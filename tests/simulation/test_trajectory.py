@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import SolveCache, SolveService, SolveStore
@@ -40,6 +40,12 @@ from repro.simulation.agents import BestResponseStrategy
 #: ``float.hex`` strings (nested like the arrays) per case and column.
 FROZEN = json.loads(
     Path(__file__).with_name("frozen_trajectories.json").read_text()
+)
+
+#: Every per-period column of a :class:`DynamicsTrajectory`.
+COLUMNS = (
+    "steps", "subsidies", "populations", "utilizations", "throughputs",
+    "utilities", "revenues", "welfares", "capacities", "prices",
 )
 
 #: Frozen ``"subsidies"`` cases: the spec and the run's initial state.
@@ -301,25 +307,6 @@ class TestSubsidiesGolden:
         assert_frozen(case, lambda name: getattr(trajectory, name))
         assert trajectory.segments == -(-spec.horizon // spec.segment_length)
 
-    def test_segmentation_is_bitwise_invariant(self, two_cp_market):
-        spec = DynamicsSpec(
-            kind="subsidies", horizon=6, segment_length=1, cap=1.0
-        )
-        per_step = run_trajectory(two_cp_market, spec, service=fresh_service())
-        whole = run_trajectory(
-            two_cp_market,
-            dataclasses.replace(spec, segment_length=6),
-            service=fresh_service(),
-        )
-        for name in (
-            "subsidies", "populations", "utilizations", "throughputs",
-            "utilities", "revenues", "welfares", "capacities", "prices",
-        ):
-            assert np.array_equal(
-                getattr(per_step, name), getattr(whole, name)
-            ), name
-        assert per_step.segments == 6 and whole.segments == 1
-
 
 class TestCapacityGolden:
     @pytest.mark.parametrize("case", sorted(CAPACITY_CASES))
@@ -376,29 +363,6 @@ class TestShocks:
         assert np.array_equal(shocked.welfares[:2], base.welfares[:2])
         assert not np.array_equal(shocked.welfares[2:], base.welfares[2:])
 
-    def test_shock_chunking_is_segment_invariant(self, two_cp_market):
-        spec = DynamicsSpec(
-            kind="subsidies",
-            horizon=6,
-            segment_length=2,
-            cap=1.0,
-            shocks=(Shock(3, "capacity", 0.8), Shock(5, "price", 1.1)),
-        )
-        chunked = run_trajectory(two_cp_market, spec, service=fresh_service())
-        whole = run_trajectory(
-            two_cp_market,
-            dataclasses.replace(spec, segment_length=6),
-            service=fresh_service(),
-        )
-        assert np.array_equal(chunked.welfares, whole.welfares)
-        assert np.array_equal(chunked.capacities, whole.capacities)
-        assert np.array_equal(chunked.subsidies, whole.subsidies)
-
-
-COLUMNS = (
-    "steps", "subsidies", "populations", "utilizations", "throughputs",
-    "utilities", "revenues", "welfares", "capacities", "prices",
-)
 
 #: Shock schedules over horizons up to 6: (step, field, scale) entries;
 #: entries past the drawn horizon and repeated (step, field) pairs drop.
@@ -419,6 +383,13 @@ class TestSegmentationProperty:
         horizon=st.integers(1, 6),
         segment_length=st.integers(1, 6),
         schedule=SHOCK_SCHEDULES,
+    )
+    @example(kind="subsidies", horizon=6, segment_length=1, schedule=[])
+    @example(
+        kind="subsidies",
+        horizon=6,
+        segment_length=2,
+        schedule=[(3, "capacity", 0.8), (5, "price", 1.1)],
     )
     def test_segments_replay_the_single_segment_run(
         self, kind, horizon, segment_length, schedule
@@ -452,6 +423,7 @@ class TestSegmentationProperty:
             assert np.array_equal(
                 getattr(segmented, name), getattr(whole, name)
             ), name
+        assert segmented.segments == -(-horizon // segment_length)
         assert whole.segments == 1
         if kind == "subsidies":
             # The straight-line run holds the market fixed, so it agrees
@@ -480,11 +452,7 @@ class TestWarmStoreResume:
         warm = run_trajectory(two_cp_market, spec, service=warm_service)
         assert warm_service.counters.computed == 0
         assert warm_service.counters.store_hits == 4
-        for name in (
-            "steps", "subsidies", "populations", "utilizations",
-            "throughputs", "utilities", "revenues", "welfares",
-            "capacities", "prices",
-        ):
+        for name in COLUMNS:
             assert np.array_equal(getattr(warm, name), getattr(cold, name)), name
 
     def test_memory_tier_replay_within_one_service(self, two_cp_market):
