@@ -512,11 +512,12 @@ def solve_trajectory_segment(
     # "capacity" kind: the per-period equilibrium + reinvestment chain.
     capacity, price = float(capacity0), float(price0)
     first = start_step if include_initial else start_step + 1
+    end = start_step + n_steps
     columns: dict[str, list] = {name: [] for name in (
         "subsidies", "populations", "utilizations", "throughputs",
         "utilities", "revenues", "welfares", "capacities", "prices",
     )}
-    for step in range(first, start_step + n_steps + 1):
+    for step in range(first, end + 1):
         if step >= 1:
             capacity, price = _shocked(spec.shocks, step, capacity, price)
         market = Market(
@@ -543,7 +544,7 @@ def solve_trajectory_segment(
         columns["capacities"].append(capacity)
         columns["prices"].append(price)
         capacity = next_capacity
-    result = {"steps": np.arange(first, start_step + n_steps + 1, dtype=np.int64)}
+    result = {"steps": np.arange(first, end + 1, dtype=np.int64)}
     for name, values in columns.items():
         result[name] = np.array(values, dtype=float)
     result["end_subsidies"] = np.asarray(subsidies0, dtype=float)

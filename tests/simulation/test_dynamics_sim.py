@@ -6,6 +6,7 @@ import pytest
 from repro.core.equilibrium import solve_equilibrium
 from repro.core.game import SubsidizationGame
 from repro.exceptions import ModelError
+from repro.providers import AccessISP, Market, exponential_cp
 from repro.simulation.agents import (
     BestResponseStrategy,
     FixedStrategy,
@@ -67,6 +68,28 @@ class TestRunMechanics:
             assert welfare == pytest.approx(
                 float(np.dot(two_cp_market.values, throughputs))
             )
+
+    def test_resolve_records_without_the_initial_row(self, two_cp_market):
+        # A trajectory segment's first row repeats the previous segment's
+        # last, so it is skipped and the steps continue from start_step.
+        sim = MarketSimulation(two_cp_market, cap=1.0)
+        s, m = sim.advance(*sim.initial_state(), 3)
+        full = sim.resolve_records(s, m, start_step=10)
+        tail = sim.resolve_records(s, m, start_step=10, include_initial=False)
+        assert full["steps"].tolist() == [10, 11, 12, 13]
+        assert tail["steps"].tolist() == [11, 12, 13]
+        for name, column in tail.items():
+            assert np.array_equal(column, full[name][1:]), name
+
+    def test_integer_market_parameters_give_float_columns(self):
+        market = Market(
+            [exponential_cp(2.0, 2.0, value=1.0)],
+            AccessISP(price=1, capacity=2),
+        )
+        trajectory = MarketSimulation(market, cap=1.0).run(2)
+        assert trajectory.capacities.dtype == np.float64
+        assert trajectory.prices.dtype == np.float64
+        assert trajectory.capacities.tolist() == [2.0, 2.0, 2.0]
 
 
 class TestConvergenceToNash:
