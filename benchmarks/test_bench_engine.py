@@ -30,24 +30,28 @@ def _payload(grid):
 
 def test_bench_engine_sequential(benchmark):
     market = section5_market()
-    engine = GridEngine(workers=1)
+    engine = GridEngine()
     grid = run_once(
         benchmark,
-        lambda: engine.solve_grid(market, ENGINE_PRICES, np.asarray(BENCH_CAPS)),
+        lambda: engine.solve_grid(
+            market, ENGINE_PRICES, np.asarray(BENCH_CAPS), workers=1
+        ),
     )
     assert grid.quantity(lambda eq: eq.kkt_residual).max() <= 1e-7
 
 
 def test_bench_engine_parallel(benchmark):
     market = section5_market()
-    engine = GridEngine(workers=4)
+    engine = GridEngine()
     grid = run_once(
         benchmark,
-        lambda: engine.solve_grid(market, ENGINE_PRICES, np.asarray(BENCH_CAPS)),
+        lambda: engine.solve_grid(
+            market, ENGINE_PRICES, np.asarray(BENCH_CAPS), workers=4
+        ),
     )
     # The scheduling guarantee: any worker count returns bitwise-equal grids.
-    sequential = GridEngine(workers=1).solve_grid(
-        market, ENGINE_PRICES, np.asarray(BENCH_CAPS)
+    sequential = GridEngine().solve_grid(
+        market, ENGINE_PRICES, np.asarray(BENCH_CAPS), workers=1
     )
     seq, par = _payload(sequential), _payload(grid)
     for name in seq:

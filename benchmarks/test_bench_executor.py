@@ -76,11 +76,11 @@ def _jacobi_rounds(service, *, churn: bool) -> tuple[float, ...]:
 
 
 def _timed_arm(*, churn: bool):
-    service = SolveService(executor="pool")
+    service = SolveService()
     start = time.perf_counter()
     prices = _jacobi_rounds(service, churn=churn)
     seconds = time.perf_counter() - start
-    stats = service.resolve_executor().stats()
+    stats = service.executor.stats()
     service.close()
     return seconds, prices, stats
 
@@ -89,13 +89,13 @@ def test_bench_executor(benchmark):
     # Persistent arm: one pool spawn amortized over all rounds. Each arm
     # runs twice and keeps its best time — on a shared 1-core box the
     # min is the noise-robust estimate of the arm's true cost.
-    persistent = SolveService(executor="pool")
+    persistent = SolveService()
     start = time.perf_counter()
     persistent_prices = run_once(
         benchmark, lambda: _jacobi_rounds(persistent, churn=False)
     )
     persistent_seconds = time.perf_counter() - start
-    persistent_stats = persistent.resolve_executor().stats()
+    persistent_stats = persistent.executor.stats()
     persistent.close()
     persistent_seconds = min(
         persistent_seconds, _timed_arm(churn=False)[0]
@@ -122,7 +122,7 @@ def test_bench_executor(benchmark):
     caps = np.asarray(POLICY_LEVELS)
     coarse = np.round(np.linspace(0.0, 2.0, 11), 10)
     fine_points = 81
-    refine_service = SolveService(cache=SolveCache(), executor="pool")
+    refine_service = SolveService(cache=SolveCache())
     start = time.perf_counter()
     _, report = refine_grid(
         market, coarse, caps,

@@ -75,9 +75,7 @@ class _Daemon:
 
 
 def _service(store_dir) -> SolveService:
-    return SolveService(
-        cache=SolveCache(), store=SolveStore(store_dir), executor="serial"
-    )
+    return SolveService(cache=SolveCache(), store=SolveStore(store_dir))
 
 
 def test_bench_serve(benchmark, tmp_path):

@@ -57,6 +57,6 @@ def policy_grid(
     or fed from the shared service's cache tiers — returns bitwise-equal
     results, so both knobs are pure performance choices.
     """
-    return GridEngine(workers=workers, service=default_service()).solve_grid(
-        market, prices, caps, warm_start=warm_start
+    return GridEngine(service=default_service()).solve_grid(
+        market, prices, caps, warm_start=warm_start, workers=workers
     )

@@ -75,7 +75,7 @@ def _row_metrics(
     # The same per-kind solve the experiment pipeline runs, on an engine
     # bound to the campaign's service.
     kind = SWEEP_KINDS[row.sweep]
-    engine = GridEngine(workers=workers, service=service)
+    engine = GridEngine(service=service)
     return kind.row_metrics(kind.solve(row.scenario, engine, workers=workers))
 
 

@@ -30,12 +30,7 @@ from repro.core.equilibrium import (
 )
 from repro.core.game import SubsidizationGame
 from repro.engine.cache import SolveCache, grid_key, market_fingerprint
-from repro.engine.service import (
-    SolveService,
-    SolveTask,
-    get_default_workers,
-    set_default_workers,
-)
+from repro.engine.service import SolveService, SolveTask
 from repro.exceptions import ModelError
 from repro.providers.market import Market
 
@@ -44,8 +39,6 @@ __all__ = [
     "GridEngine",
     "cap_row_task",
     "solve_cap_row",
-    "get_default_workers",
-    "set_default_workers",
 ]
 
 
@@ -156,12 +149,11 @@ def cap_row_task(
 class GridEngine:
     """Schedules, parallelizes and caches (price × policy) grid solves.
 
+    Row-parallelism is chosen per call (``solve_grid(..., workers=)``);
+    parallel and sequential schedules return bitwise-identical grids.
+
     Parameters
     ----------
-    workers:
-        Worker processes for row-parallel solves. ``None`` defers to
-        :func:`get_default_workers` at call time; ``1`` solves in-process.
-        Parallel and sequential schedules return bitwise-identical grids.
     cache:
         Optional :class:`~repro.engine.cache.SolveCache` memoizing whole
         solved *grid objects* (hits return the previously assembled grid,
@@ -178,13 +170,9 @@ class GridEngine:
     def __init__(
         self,
         *,
-        workers: int | None = None,
         cache: SolveCache | None = None,
         service: SolveService | None = None,
     ) -> None:
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be at least 1, got {workers}")
-        self._workers = workers
         self._cache = cache
         self._service = service if service is not None else SolveService()
 
@@ -197,16 +185,6 @@ class GridEngine:
     def service(self) -> SolveService:
         """The solve service resolving this engine's row tasks."""
         return self._service
-
-    def resolve_workers(self, workers: int | None = None) -> int:
-        """The worker count a call would use after all defaults."""
-        if workers is not None:
-            if workers < 1:
-                raise ValueError(f"workers must be at least 1, got {workers}")
-            return workers
-        if self._workers is not None:
-            return self._workers
-        return get_default_workers()
 
     def price_sweep(
         self,
@@ -237,7 +215,13 @@ class GridEngine:
         warm_start: bool = True,
         workers: int | None = None,
     ) -> EquilibriumGrid:
-        """Solve (or fetch) the full (policy × price) equilibrium grid."""
+        """Solve (or fetch) the full (policy × price) equilibrium grid.
+
+        ``workers`` spreads the cap rows over the service's worker pool
+        (``None``: the process default, see
+        :meth:`SolveService.resolve_workers
+        <repro.engine.service.SolveService.resolve_workers>`).
+        """
         prices = np.asarray(prices, dtype=float)
         caps = np.asarray(caps, dtype=float)
         if prices.ndim != 1 or prices.size == 0:
@@ -254,9 +238,7 @@ class GridEngine:
             cap_row_task(market, prices, float(q), warm_start=warm_start)
             for q in caps
         ]
-        rows = tuple(
-            self._service.map(tasks, workers=self.resolve_workers(workers))
-        )
+        rows = tuple(self._service.map(tasks, workers=workers))
         grid = EquilibriumGrid(prices=prices, caps=caps, results=rows)
         if self._cache is not None and key is not None:
             self._cache.put(key, grid)

@@ -6,9 +6,9 @@ trajectories — is a batch of
 *pure solve tasks*: functions of picklable inputs whose outputs depend on
 nothing else. :class:`SolveTask` names one such unit (function + arguments
 + content key + store codec); :class:`SolveService` schedules collections
-of them through a pluggable :mod:`~repro.engine.executors` strategy —
-serial, persistent process pool, or chunked work-stealing — and memoizes
-every keyed result through two tiers:
+of them through one persistent process pool
+(:class:`~repro.engine.executors.PoolExecutor`, inline at one worker) and
+memoizes every keyed result through two tiers:
 
 1. the in-memory :class:`~repro.engine.cache.SolveCache` (process-local,
    object identity preserved),
@@ -50,12 +50,7 @@ from typing import Any, Callable, Sequence
 
 from repro.backend import get_backend
 from repro.engine.cache import SolveCache
-from repro.engine.executors import (
-    EXECUTOR_NAMES,
-    Executor,
-    get_default_executor_name,
-    make_executor,
-)
+from repro.engine.executors import PoolExecutor
 from repro.engine.store import CODECS, SolveStore
 
 __all__ = [
@@ -94,8 +89,11 @@ def get_default_workers() -> int:
             raise ValueError(
                 f"${_WORKERS_ENV} must be an integer, got {env!r}"
             ) from exc
-        if value >= 1:
-            return value
+        if value < 1:
+            raise ValueError(
+                f"${_WORKERS_ENV} must be at least 1, got {env!r}"
+            )
+        return value
     return 1
 
 
@@ -137,7 +135,7 @@ class SolveTask:
 
 
 def run_task(task: SolveTask) -> Any:
-    """Execute a task (the unit of work the executors schedule)."""
+    """Execute a task (the unit of work the executor schedules)."""
     return task.fn(*task.args, **dict(task.kwargs))
 
 
@@ -188,17 +186,9 @@ class SolveService:
         In-memory tier (``None`` disables it).
     store:
         Persistent tier (``None`` disables it).
-    workers:
-        Default pool size for :meth:`map`; ``None`` defers to
-        :func:`get_default_workers` at call time.
-    executor:
-        Batch-execution strategy for :meth:`map`: an executor name from
-        :data:`~repro.engine.executors.EXECUTOR_NAMES`, a ready
-        :class:`~repro.engine.executors.Executor` instance, or ``None``
-        to defer to :func:`~repro.engine.executors.get_default_executor_name`
-        at call time (so ``--executor`` / ``$REPRO_EXECUTOR`` take effect
-        on an already-built service). All executors return
-        bitwise-identical results; this is purely a throughput knob.
+
+    Batches run on the service's one :attr:`executor`; the worker count
+    is chosen per call (see :meth:`resolve_workers`).
     """
 
     def __init__(
@@ -206,25 +196,14 @@ class SolveService:
         *,
         cache: SolveCache | None = None,
         store: SolveStore | None = None,
-        workers: int | None = None,
-        executor: str | Executor | None = None,
     ) -> None:
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be at least 1, got {workers}")
-        if isinstance(executor, str) and executor not in EXECUTOR_NAMES:
-            raise ValueError(
-                f"unknown executor {executor!r}; registered: "
-                f"{list(EXECUTOR_NAMES)}"
-            )
         self._cache = cache
         self._store = store
-        self._workers = workers
-        self._executor_choice = executor
-        self._executors: dict[str, Executor] = {}
-        # One small lock guards the counters, the inflight gauge and the
-        # lazy executor registry, so concurrent server threads driving one
-        # service never lose increments or double-build a pool. It is
-        # never held across a solve or an executor call.
+        #: The persistent pool every :meth:`map` batch runs on.
+        self.executor = PoolExecutor()
+        # One small lock guards the counters and the inflight gauge, so
+        # concurrent server threads driving one service never lose
+        # increments. It is never held across a solve or an executor call.
         self._lock = threading.Lock()
         self.counters = ServiceCounters()
         #: Tasks currently being computed (scheduled past both cache
@@ -244,51 +223,31 @@ class SolveService:
         """The persistent tier (``None`` when disabled)."""
         return self._store
 
-    def resolve_workers(self, workers: int | None = None) -> int:
-        """The worker count a call would use after all defaults."""
-        if workers is not None:
-            if workers < 1:
-                raise ValueError(f"workers must be at least 1, got {workers}")
-            return workers
-        if self._workers is not None:
-            return self._workers
-        return get_default_workers()
+    @staticmethod
+    def resolve_workers(workers: int | None = None) -> int:
+        """The worker count a batch runs on: explicit > process default.
 
-    def resolve_executor(self) -> Executor:
-        """The executor a :meth:`map` call would use right now.
-
-        A service constructed without an explicit choice consults the
-        process-wide default (``--executor`` / ``$REPRO_EXECUTOR``) on
-        every call; instances are built lazily and kept per name, so a
-        persistent pool survives across batches *and* across default
-        switches within one process.
+        ``None`` defers to :func:`get_default_workers` (``--workers`` /
+        :func:`set_default_workers` > ``$REPRO_WORKERS`` > 1).
         """
-        choice = self._executor_choice
-        if isinstance(choice, Executor):
-            return choice
-        name = choice if choice is not None else get_default_executor_name()
-        with self._lock:
-            if name not in self._executors:
-                self._executors[name] = make_executor(name)
-            return self._executors[name]
+        if workers is None:
+            return get_default_workers()
+        if workers < 1:
+            raise ValueError(f"workers must be at least 1, got {workers}")
+        return workers
 
     def close(self) -> None:
-        """Shut down every executor this service spawned (idempotent).
+        """Shut down the executor's worker pool (idempotent).
 
-        Pools respawn lazily on the next :meth:`map` that needs one, so
-        closing is always safe — it trades the persistence win for
+        The pool respawns lazily on the next :meth:`map` that needs one,
+        so closing is always safe — it trades the persistence win for
         reclaimed worker processes. Closing during an in-flight batch
         cancels that batch's queued tasks (its ``map`` raises); every
         result committed before the shutdown stays in both cache tiers,
         so the store remains readable and a rerun computes only the
         missing rows.
         """
-        if isinstance(self._executor_choice, Executor):
-            self._executor_choice.shutdown()
-        with self._lock:
-            executors = list(self._executors.values())
-        for executor in executors:
-            executor.shutdown()
+        self.executor.shutdown()
 
     # ------------------------------------------------------------------
     # the two-tier lookup/commit protocol
@@ -347,14 +306,14 @@ class SolveService:
     def map(
         self, tasks: Sequence[SolveTask], *, workers: int | None = None
     ) -> list[Any]:
-        """Resolve a task batch through the configured executor.
+        """Resolve a task batch through the service's executor.
 
         Cached tasks resolve without occupying a worker; only the missing
         ones are scheduled. Each computed result commits to the cache
         tiers *as it lands* — an interrupted batch keeps every finished
         solve, so a warm rerun recomputes only the missing rows. Results
-        come back in task order; any executor returns bitwise-identical
-        values because the tasks are pure.
+        come back in task order; any worker count returns
+        bitwise-identical values because the tasks are pure.
         """
         tasks = list(tasks)
         results: list[Any] = [None] * len(tasks)
@@ -382,7 +341,7 @@ class SolveService:
             self.inflight += len(pending)
         start = time.perf_counter()
         try:
-            self.resolve_executor().map_tasks(
+            self.executor.map_tasks(
                 [(index, tasks[index]) for index in pending],
                 commit,
                 workers=self.resolve_workers(workers),
@@ -440,7 +399,7 @@ class SolveService:
         payload["store"] = (
             self._store.stats() if self._store is not None else None
         )
-        payload["executor"] = self.resolve_executor().stats()
+        payload["executor"] = self.executor.stats()
         return payload
 
 

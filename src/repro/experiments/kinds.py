@@ -329,7 +329,7 @@ def _solve_grid(
             cap_axis,
             spec=refine,
             service=engine.service,
-            workers=engine.resolve_workers(workers),
+            workers=workers,
         )
     else:
         solved = engine.solve_grid(

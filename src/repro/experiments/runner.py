@@ -18,7 +18,7 @@ Usage::
     python -m repro.experiments run oligopoly --carriers 3 --json
     python -m repro.experiments dynamics dynamics-20   # market trajectory
     python -m repro.experiments run dynamics --horizon 8 --json
-    python -m repro.experiments fig7 --executor chunked  # scheduling strategy
+    python -m repro.experiments fig7 --workers 2       # row-parallel grid
     python -m repro.experiments fig7 --refine          # adaptive grid refinement
     python -m repro.experiments campaign run --rows 100 --cache-dir .cache
     python -m repro.experiments campaign summary --rows 100 --cache-dir .cache
@@ -37,15 +37,14 @@ exits non-zero if any check fails. The check summary and any per-check
 FAIL lines travel together: both go to stderr when something failed, both
 to stdout when everything passed. ``--json`` swaps the human output for a
 single machine-readable summary document (including the run's solve/cache
-counters and the executor that scheduled it). ``--workers`` spreads grid
-rows over a process pool and ``--executor`` picks the scheduling strategy
-— serial, persistent pool, or work-stealing chunks — all
-bitwise-identical (see :mod:`repro.engine.executors`). ``--refine`` swaps
-the uniform price axis of a price/grid sweep for adaptive refinement
-(:mod:`repro.experiments.refine`): a coarse pass, then midpoint insertion
-where welfare/revenue curvature or equilibrium-partition changes warrant
-it. ``bench-summary`` folds the ``BENCH_*.json`` perf records into one
-table.
+counters and the executor's scheduling counters). ``--workers`` spreads
+grid rows over a persistent process pool; every worker count gives
+bitwise-identical results (see :mod:`repro.engine.executors`).
+``--refine`` swaps the uniform price axis of a price/grid sweep for
+adaptive refinement (:mod:`repro.experiments.refine`): a coarse pass,
+then midpoint insertion where welfare/revenue curvature or
+equilibrium-partition changes warrant it. ``bench-summary`` folds the
+``BENCH_*.json`` perf records into one table.
 
 Caching: ``--cache-dir DIR`` (or ``$REPRO_CACHE_DIR``) attaches the
 persistent content-addressed solve store, making runs *resumable* — a
@@ -125,13 +124,10 @@ from repro.backend import (
     set_backend,
 )
 from repro.engine import (
-    EXECUTOR_NAMES,
     SolveCache,
     SolveService,
     SolveStore,
-    get_default_executor_name,
     get_default_workers,
-    set_default_executor,
     set_default_workers,
 )
 from repro.campaigns import (
@@ -352,9 +348,8 @@ def _cache_delta(before: dict, after: dict) -> dict:
         }
     else:
         summary["store"] = None
-    # Which scheduling strategy ran the batch (name + task/pool counters);
-    # totals, not a delta — executor counters live on the executor object,
-    # which may predate this run.
+    # The executor's task/pool counters: totals, not a delta — they live
+    # on the executor object, which may predate this run.
     summary["executor"] = after.get("executor")
     return summary
 
@@ -441,7 +436,8 @@ def _resolve_cli_scenario(args: argparse.Namespace):
 
 
 def _add_runtime_options(parser: argparse.ArgumentParser) -> None:
-    """The worker/cache flags shared by the run and oligopoly verbs."""
+    """The worker/backend/profile/cache flags shared by the run,
+    oligopoly, dynamics, campaign and serve verbs."""
     parser.add_argument(
         "--workers",
         type=int,
@@ -474,15 +470,6 @@ def _add_runtime_options(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="run purely in memory, ignoring --cache-dir and $REPRO_CACHE_DIR",
     )
-    parser.add_argument(
-        "--executor",
-        default=None,
-        choices=list(EXECUTOR_NAMES),
-        help="task scheduling strategy: serial (in-process reference), pool "
-        "(persistent worker pool) or chunked (size-targeted chunks, "
-        "work-stealing); all three produce bitwise-identical results "
-        "(default: $REPRO_EXECUTOR or pool)",
-    )
 
 
 def _apply_runtime_options(
@@ -500,17 +487,13 @@ def _apply_runtime_options(
     if args.workers is not None and args.workers < 1:
         parser.error("--workers must be at least 1")
     try:
-        # Resolve the defaults eagerly so a malformed $REPRO_WORKERS or
-        # $REPRO_EXECUTOR fails with a CLI error up front, not a traceback
-        # mid-computation.
+        # Resolve the default eagerly so a malformed $REPRO_WORKERS fails
+        # with a CLI error up front, not a traceback mid-computation.
         get_default_workers()
-        get_default_executor_name()
     except ValueError as exc:
         parser.error(str(exc))
     if args.workers is not None:
         set_default_workers(args.workers)
-    if args.executor is not None:
-        set_default_executor(args.executor)
     if args.backend is not None:
         args._previous_backend = get_backend().requested
         set_backend(args.backend)
@@ -548,8 +531,6 @@ def _restore_runtime_options(
         set_backend(getattr(args, "_previous_backend", "numpy"))
     if args.workers is not None:
         set_default_workers(None)
-    if args.executor is not None:
-        set_default_executor(None)
     if service_changed:
         # The temporary store-bound service owns any worker pools it
         # spawned; shut them down before restoring the
@@ -565,7 +546,8 @@ def build_run_parser() -> argparse.ArgumentParser:
         description="Regenerate the figures of Ma, 'Subsidization Competition' "
         "(CoNEXT 2014), or sweep arbitrary scenarios. Verbs: list, "
         "describe <id>, run <ids...> [--scenario file.json], "
-        "oligopoly [--carriers N], cache <action>.",
+        "oligopoly [--carriers N], dynamics [id], campaign <action>, "
+        "cache <action>, serve, client <action>, bench-summary.",
     )
     parser.add_argument(
         "experiments",

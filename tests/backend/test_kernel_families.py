@@ -98,8 +98,8 @@ def test_numpy_and_compiled_grids_agree(seed):
     grids = {}
     for name in ("numpy", "compiled"):
         with use_backend(name):
-            engine = GridEngine(workers=1)
-            grid = engine.solve_grid(market, GRID_PRICES, GRID_CAPS)
+            engine = GridEngine()
+            grid = engine.solve_grid(market, GRID_PRICES, GRID_CAPS, workers=1)
             residuals = engine.certify_grid(market, grid)
         assert np.all(residuals <= DEFAULT_CERTIFY_TOL), name
         grids[name] = grid

@@ -1,18 +1,18 @@
-"""The executor layer: selection, fast paths, incremental commit, parity.
+"""The executor layer: fast paths, pool lifecycle, incremental commit, parity.
 
 The contract under test (see :mod:`repro.engine.executors`):
 
-* executor choice resolves explicit > ``$REPRO_EXECUTOR`` > ``pool`` and
-  bad names fail loudly;
+* every service owns one :class:`PoolExecutor` and reports its counters;
 * one-task batches (and ``workers == 1``) run inline and never spawn a
   worker pool;
 * the pool persists across batches and respawns only when the worker
   count or requested backend changes;
 * results commit to the cache tiers *as they complete*, so a batch
   killed midway loses only the unfinished rows;
-* serial, pool and chunked executors produce bitwise-identical results
-  — and identical store contents — for grids, oligopoly rounds and
-  dynamics trajectories, under the numpy and compiled backends.
+* the inline (one worker) and pooled (two workers) schedules produce
+  bitwise-identical results — and identical store contents — for grids,
+  oligopoly rounds and dynamics trajectories, under the numpy and
+  compiled backends.
 """
 
 import threading
@@ -28,17 +28,12 @@ from repro.competition import (
     solve_oligopoly_competition,
 )
 from repro.engine import (
-    EXECUTOR_NAMES,
-    ChunkedExecutor,
     GridEngine,
     PoolExecutor,
-    SerialExecutor,
     SolveCache,
     SolveService,
     SolveStore,
-    get_default_executor_name,
-    make_executor,
-    set_default_executor,
+    set_default_workers,
 )
 from repro.engine.service import SolveTask
 from repro.providers import AccessISP, Market, exponential_cp
@@ -55,7 +50,7 @@ def _backends() -> list[str]:
 BACKENDS = _backends()
 
 
-# Module-level pure functions so tasks pickle for the pool executors.
+# Module-level pure functions so tasks pickle for the worker pool.
 def _square(x, *, offset=0.0):
     return {"value": np.asarray(x * x + offset, dtype=float)}
 
@@ -124,110 +119,66 @@ def store_listing(path) -> list[str]:
     )
 
 
-class TestDefaultSelection:
-    @pytest.fixture(autouse=True)
-    def _clean_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        set_default_executor(None)
-        yield
-        set_default_executor(None)
-
-    def test_builtin_default_is_pool(self):
-        assert get_default_executor_name() == "pool"
-
-    def test_env_selects(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "chunked")
-        assert get_default_executor_name() == "chunked"
-
-    def test_malformed_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "bogus")
-        with pytest.raises(ValueError):
-            get_default_executor_name()
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "chunked")
-        set_default_executor("serial")
-        assert get_default_executor_name() == "serial"
-        set_default_executor(None)
-        assert get_default_executor_name() == "chunked"
-
-    def test_unknown_names_rejected_everywhere(self):
-        with pytest.raises(ValueError):
-            set_default_executor("bogus")
-        with pytest.raises(ValueError):
-            make_executor("bogus")
-        with pytest.raises(ValueError):
-            SolveService(executor="bogus")
-
-    def test_service_resolves_and_reuses_by_name(self):
-        service = SolveService(cache=SolveCache(), executor="serial")
-        executor = service.resolve_executor()
-        assert isinstance(executor, SerialExecutor)
-        assert service.resolve_executor() is executor
-
-    def test_service_follows_process_default(self):
+class TestServiceExecutor:
+    def test_service_owns_one_pool_executor(self):
         service = SolveService(cache=SolveCache())
-        set_default_executor("serial")
-        assert isinstance(service.resolve_executor(), SerialExecutor)
-        set_default_executor("chunked")
-        assert isinstance(service.resolve_executor(), ChunkedExecutor)
+        assert isinstance(service.executor, PoolExecutor)
+        assert SolveService().executor is not service.executor
 
     def test_stats_surface_executor(self):
-        service = SolveService(cache=SolveCache(), executor="serial")
+        service = SolveService(cache=SolveCache())
         service.map([_square_task(1.0)])
         stats = service.stats()["executor"]
-        assert stats["name"] == "serial"
+        assert stats == service.executor.stats()
+        assert set(stats) == {
+            "batches", "tasks", "inline_tasks", "pooled_tasks",
+            "pool_spawns", "pool_reuses",
+        }
         assert stats["tasks"] == 1
 
 
 class TestInlineFastPath:
     """One-task batches (and workers == 1) never touch a worker pool."""
 
-    @pytest.mark.parametrize("executor_cls", [PoolExecutor, ChunkedExecutor])
-    def test_single_task_batch_never_spawns(self, executor_cls):
-        executor = executor_cls()
-        service = SolveService(cache=SolveCache(), executor=executor)
+    def test_single_task_batch_never_spawns(self):
+        service = SolveService(cache=SolveCache())
         (value,) = service.map([_square_task(3.0)], workers=4)
         assert float(value["value"]) == 9.0
-        stats = executor.stats()
+        stats = service.executor.stats()
         assert stats["inline_tasks"] == 1
         assert stats["pooled_tasks"] == 0
         assert stats["pool_spawns"] == 0
 
-    @pytest.mark.parametrize("executor_cls", [PoolExecutor, ChunkedExecutor])
-    def test_workers_one_runs_inline(self, executor_cls):
-        executor = executor_cls()
-        service = SolveService(cache=SolveCache(), executor=executor)
+    def test_workers_one_runs_inline(self):
+        service = SolveService(cache=SolveCache())
         values = service.map(
             [_square_task(x) for x in (1.0, 2.0, 3.0)], workers=1
         )
         assert [float(v["value"]) for v in values] == [1.0, 4.0, 9.0]
-        assert executor.stats()["pool_spawns"] == 0
-        assert executor.stats()["inline_tasks"] == 3
+        assert service.executor.stats()["pool_spawns"] == 0
+        assert service.executor.stats()["inline_tasks"] == 3
 
 
 class TestPoolPersistence:
     def test_pool_survives_across_batches(self):
-        executor = PoolExecutor()
-        service = SolveService(cache=SolveCache(), executor=executor)
+        service = SolveService(cache=SolveCache())
         try:
             service.map([_square_task(x) for x in (1.0, 2.0)], workers=2)
             service.map([_square_task(x) for x in (3.0, 4.0)], workers=2)
-            stats = executor.stats()
+            stats = service.executor.stats()
             assert stats["pool_spawns"] == 1
             assert stats["pool_reuses"] == 1
         finally:
-            executor.shutdown()
+            service.close()
 
     def test_worker_count_change_respawns(self):
-        executor = PoolExecutor()
-        service = SolveService(cache=SolveCache(), executor=executor)
+        service = SolveService(cache=SolveCache())
         try:
             service.map([_square_task(x) for x in (1.0, 2.0)], workers=2)
             service.map([_square_task(x) for x in (3.0, 4.0)], workers=3)
-            assert executor.stats()["pool_spawns"] == 2
+            assert service.executor.stats()["pool_spawns"] == 2
         finally:
-            executor.shutdown()
+            service.close()
 
     def test_shutdown_is_idempotent(self):
         executor = PoolExecutor()
@@ -235,63 +186,17 @@ class TestPoolPersistence:
         executor.shutdown()
 
     def test_service_close_shuts_executors_down(self):
-        executor = PoolExecutor()
-        service = SolveService(cache=SolveCache(), executor=executor)
+        service = SolveService(cache=SolveCache())
         service.map([_square_task(x) for x in (1.0, 2.0)], workers=2)
         service.close()
-        assert executor._pool is None
-
-
-class TestChunking:
-    def test_derived_chunk_size_targets_oversubscription(self):
-        executor = ChunkedExecutor()
-        # ceil(100 / (4 workers * 4 oversubscription)) = 7
-        assert executor._resolve_chunk_size(100, 4) == 7
-        assert executor._resolve_chunk_size(3, 4) == 1
-
-    def test_explicit_chunk_size_wins(self):
-        assert ChunkedExecutor(chunk_size=5)._resolve_chunk_size(100, 4) == 5
-
-    def test_invalid_chunk_size_rejected(self):
-        with pytest.raises(ValueError):
-            ChunkedExecutor(chunk_size=0)
-
-    def test_chunks_counted_and_results_ordered(self):
-        executor = ChunkedExecutor(chunk_size=2)
-        service = SolveService(cache=SolveCache(), executor=executor)
-        try:
-            xs = [float(x) for x in range(10)]
-            values = service.map([_square_task(x) for x in xs], workers=2)
-            assert [float(v["value"]) for v in values] == [x * x for x in xs]
-            stats = executor.stats()
-            assert stats["chunks"] == 5
-            assert stats["pooled_tasks"] == 10
-            assert stats["pool_spawns"] == 1
-        finally:
-            executor.shutdown()
-
-    def test_single_chunk_falls_back_to_per_task_pooling(self):
-        executor = ChunkedExecutor(chunk_size=100)
-        service = SolveService(cache=SolveCache(), executor=executor)
-        try:
-            values = service.map(
-                [_square_task(x) for x in (1.0, 2.0, 3.0)], workers=2
-            )
-            assert [float(v["value"]) for v in values] == [1.0, 4.0, 9.0]
-            stats = executor.stats()
-            assert stats["chunks"] == 0  # per-task fallback, no chunk trips
-            assert stats["pooled_tasks"] == 3
-        finally:
-            executor.shutdown()
+        assert service.executor._pool is None
 
 
 class TestIncrementalCommit:
     """Results land in the cache tiers as they complete, not per batch."""
 
     def test_interrupted_batch_keeps_completed_rows(self, tmp_path):
-        service = SolveService(
-            cache=SolveCache(), store=SolveStore(tmp_path), executor="serial"
-        )
+        service = SolveService(cache=SolveCache(), store=SolveStore(tmp_path))
         tasks = [
             _fragile_task(1.0),
             _fragile_task(2.0, fail=True),  # the "kill" mid-batch
@@ -303,19 +208,14 @@ class TestIncrementalCommit:
         assert len(service.store) == 1
 
         # Warm rerun of the same batch: only the lost rows recompute.
-        rerun = SolveService(
-            cache=SolveCache(), store=SolveStore(tmp_path), executor="serial"
-        )
+        rerun = SolveService(cache=SolveCache(), store=SolveStore(tmp_path))
         values = rerun.map([_fragile_task(x) for x in (1.0, 2.0, 3.0)])
         assert [float(v["value"]) for v in values] == [2.0, 4.0, 6.0]
         assert rerun.counters.store_hits == 1
         assert rerun.counters.computed == 2
 
     def test_pooled_batches_commit_incrementally(self, tmp_path):
-        executor = PoolExecutor()
-        service = SolveService(
-            cache=SolveCache(), store=SolveStore(tmp_path), executor=executor
-        )
+        service = SolveService(cache=SolveCache(), store=SolveStore(tmp_path))
         try:
             committed = []
             original = service._commit
@@ -329,16 +229,14 @@ class TestIncrementalCommit:
             assert len(committed) == 3
             assert len(service.store) == 3
         finally:
-            executor.shutdown()
+            service.close()
 
 
 class TestCloseDuringBatch:
     """service.close() mid-batch: queued work cancels, the store survives."""
 
     def test_close_midbatch_leaves_store_readable(self, tmp_path):
-        service = SolveService(
-            cache=SolveCache(), store=SolveStore(tmp_path), executor="pool"
-        )
+        service = SolveService(cache=SolveCache(), store=SolveStore(tmp_path))
         xs = [float(x) for x in range(1, 7)]
         failures: list[BaseException] = []
 
@@ -377,26 +275,19 @@ class TestCloseDuringBatch:
                 assert float(value["value"]) == 3.0 * x
                 survivors += 1
         assert survivors == len(check)
-        rerun = SolveService(
-            cache=SolveCache(), store=SolveStore(tmp_path), executor="serial"
-        )
+        rerun = SolveService(cache=SolveCache(), store=SolveStore(tmp_path))
         values = rerun.map([_slow_task(x) for x in xs])
         assert [float(v["value"]) for v in values] == [3.0 * x for x in xs]
         assert rerun.counters.store_hits == survivors
         assert rerun.counters.computed == len(xs) - survivors
 
-    @pytest.mark.parametrize("executor_cls", [PoolExecutor, ChunkedExecutor])
     def test_close_cancels_queued_tasks_and_unblocks_the_batch(
-        self, tmp_path, executor_cls
+        self, tmp_path
     ):
-        # Far more tasks (or chunks) than the pool keeps in flight, so the
-        # close is certain to cancel queued ones; the batch must raise,
-        # not wait on them forever.
-        service = SolveService(
-            cache=SolveCache(),
-            store=SolveStore(tmp_path),
-            executor=executor_cls(),
-        )
+        # Far more tasks than the pool keeps in flight, so the close is
+        # certain to cancel queued ones; the batch must raise, not wait on
+        # them forever.
+        service = SolveService(cache=SolveCache(), store=SolveStore(tmp_path))
         xs = [float(x) for x in range(1, 25)]
         failures: list[BaseException] = []
 
@@ -422,16 +313,28 @@ class TestCloseDuringBatch:
         assert service.inflight == 0
 
 
+#: The two schedules every solve path must agree on, bit for bit: the
+#: inline loop (one worker) and the persistent pool (two workers).
+SCHEDULES = {"inline": 1, "pooled": 2}
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestExecutorParityMatrix:
-    """serial / pool / chunked are bitwise-identical, store for store."""
+    """Inline and pooled schedules are bitwise-identical, store for store.
+
+    The oligopoly and dynamics paths take no ``workers`` argument, so each
+    schedule sets the process default; the fixture restores it.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _restore_default_workers(self):
+        yield
+        set_default_workers(None)
 
     def _service(self, tmp_path, backend, name):
         return SolveService(
             cache=SolveCache(),
             store=SolveStore(tmp_path / f"{backend}-{name}"),
-            workers=2,
-            executor=name,
         )
 
     def test_grid_parity(self, tmp_path, backend):
@@ -440,25 +343,27 @@ class TestExecutorParityMatrix:
         caps = np.array([0.0, 0.5, 1.0])
         grids, services = {}, {}
         with use_backend(backend):
-            for name in EXECUTOR_NAMES:
+            for name, workers in SCHEDULES.items():
                 service = self._service(tmp_path, backend, name)
                 engine = GridEngine(cache=SolveCache(), service=service)
-                grids[name] = engine.solve_grid(market, prices, caps)
+                grids[name] = engine.solve_grid(
+                    market, prices, caps, workers=workers
+                )
                 services[name] = service
         try:
-            reference = grids["serial"]
-            for name in ("pool", "chunked"):
-                for k in range(caps.size):
-                    for j in range(prices.size):
-                        a = reference.at(k, j)
-                        b = grids[name].at(k, j)
-                        assert (
-                            a.subsidies.tobytes() == b.subsidies.tobytes()
-                        ), f"{backend}/{name} grid cell ({k},{j}) differs"
-                        assert a.state.welfare == b.state.welfare
-                assert store_listing(
-                    services[name].store.path
-                ) == store_listing(services["serial"].store.path)
+            reference, pooled = grids["inline"], grids["pooled"]
+            for k in range(caps.size):
+                for j in range(prices.size):
+                    a = reference.at(k, j)
+                    b = pooled.at(k, j)
+                    assert (
+                        a.subsidies.tobytes() == b.subsidies.tobytes()
+                    ), f"{backend} grid cell ({k},{j}) differs"
+                    assert a.state.welfare == b.state.welfare
+            assert services["pooled"].executor.pooled_tasks == caps.size
+            assert store_listing(
+                services["pooled"].store.path
+            ) == store_listing(services["inline"].store.path)
         finally:
             for service in services.values():
                 service.close()
@@ -467,7 +372,8 @@ class TestExecutorParityMatrix:
         cps = [exponential_cp(2.0, 2.0, value=1.0)]
         results, services = {}, {}
         with use_backend(backend):
-            for name in EXECUTOR_NAMES:
+            for name, workers in SCHEDULES.items():
+                set_default_workers(workers)
                 service = self._service(tmp_path, backend, name)
                 game = OligopolyGame(
                     cps,
@@ -489,20 +395,19 @@ class TestExecutorParityMatrix:
                 )
                 services[name] = service
         try:
-            reference = results["serial"]
-            for name in ("pool", "chunked"):
-                assert results[name].state.prices == reference.state.prices
-                assert results[name].state.revenues == reference.state.revenues
-                assert results[name].iterations == reference.iterations
-                for eq_a, eq_b in zip(
-                    reference.state.equilibria, results[name].state.equilibria
-                ):
-                    assert (
-                        eq_a.subsidies.tobytes() == eq_b.subsidies.tobytes()
-                    )
-                assert store_listing(
-                    services[name].store.path
-                ) == store_listing(services["serial"].store.path)
+            reference, pooled = results["inline"], results["pooled"]
+            assert pooled.state.prices == reference.state.prices
+            assert pooled.state.revenues == reference.state.revenues
+            assert pooled.iterations == reference.iterations
+            for eq_a, eq_b in zip(
+                reference.state.equilibria, pooled.state.equilibria
+            ):
+                assert eq_a.subsidies.tobytes() == eq_b.subsidies.tobytes()
+            assert services["pooled"].executor.pooled_tasks > 0
+            assert services["inline"].executor.pooled_tasks == 0
+            assert store_listing(
+                services["pooled"].store.path
+            ) == store_listing(services["inline"].store.path)
         finally:
             for service in services.values():
                 service.close()
@@ -512,61 +417,52 @@ class TestExecutorParityMatrix:
         spec = DynamicsSpec(kind="capacity", horizon=20, segment_length=5)
         trajectories, services = {}, {}
         with use_backend(backend):
-            for name in EXECUTOR_NAMES:
+            for name, workers in SCHEDULES.items():
+                set_default_workers(workers)
                 service = self._service(tmp_path, backend, name)
                 trajectories[name] = run_trajectory(
                     market, spec, service=service
                 )
                 services[name] = service
         try:
-            reference = trajectories["serial"]
-            for name in ("pool", "chunked"):
-                got = trajectories[name]
-                for attr in (
-                    "capacities",
-                    "revenues",
-                    "welfares",
-                    "utilizations",
-                    "prices",
-                ):
-                    assert (
-                        getattr(got, attr).tobytes()
-                        == getattr(reference, attr).tobytes()
-                    ), f"{backend}/{name} trajectory {attr} differs"
-                assert store_listing(
-                    services[name].store.path
-                ) == store_listing(services["serial"].store.path)
+            reference, got = trajectories["inline"], trajectories["pooled"]
+            for attr in (
+                "capacities",
+                "revenues",
+                "welfares",
+                "utilizations",
+                "prices",
+            ):
+                assert (
+                    getattr(got, attr).tobytes()
+                    == getattr(reference, attr).tobytes()
+                ), f"{backend} trajectory {attr} differs"
+            assert store_listing(
+                services["pooled"].store.path
+            ) == store_listing(services["inline"].store.path)
         finally:
             for service in services.values():
                 service.close()
 
     def test_stores_are_executor_interchangeable(self, tmp_path, backend):
-        """A store warmed by one executor replays under another: computed == 0."""
+        """A store warmed by one schedule replays under the other: computed == 0."""
         market = small_market()
         prices = np.round(np.linspace(0.1, 1.0, 4), 10)
         caps = np.array([0.0, 0.5])
         store_dir = tmp_path / f"{backend}-shared"
         with use_backend(backend):
-            warm = SolveService(
-                cache=SolveCache(),
-                store=SolveStore(store_dir),
-                workers=2,
-                executor="chunked",
-            )
+            warm = SolveService(cache=SolveCache(), store=SolveStore(store_dir))
             GridEngine(cache=SolveCache(), service=warm).solve_grid(
-                market, prices, caps
+                market, prices, caps, workers=SCHEDULES["pooled"]
             )
             warm.close()
             assert warm.counters.computed > 0
 
             replay = SolveService(
-                cache=SolveCache(),
-                store=SolveStore(store_dir),
-                workers=2,
-                executor="serial",
+                cache=SolveCache(), store=SolveStore(store_dir)
             )
             GridEngine(cache=SolveCache(), service=replay).solve_grid(
-                market, prices, caps
+                market, prices, caps, workers=SCHEDULES["inline"]
             )
             assert replay.counters.computed == 0
             assert replay.counters.store_hits == caps.size

@@ -8,6 +8,7 @@ from repro.core.equilibrium import DEFAULT_CERTIFY_TOL
 from repro.engine import (
     GridEngine,
     SolveCache,
+    SolveService,
     get_default_workers,
     set_default_workers,
 )
@@ -30,10 +31,12 @@ def _grid_payload(grid):
 
 class TestParallelEqualsSequential:
     def test_bitwise_equal_grids(self, two_cp_market):
-        sequential = GridEngine(workers=1).solve_grid(
-            two_cp_market, PRICES, CAPS
+        sequential = GridEngine().solve_grid(
+            two_cp_market, PRICES, CAPS, workers=1
         )
-        parallel = GridEngine(workers=2).solve_grid(two_cp_market, PRICES, CAPS)
+        parallel = GridEngine().solve_grid(
+            two_cp_market, PRICES, CAPS, workers=2
+        )
         seq, par = _grid_payload(sequential), _grid_payload(parallel)
         for name in seq:
             np.testing.assert_array_equal(
@@ -64,11 +67,11 @@ class TestWarmStartCorrectness:
                 )
 
     def test_parallel_engine_warm_equals_cold(self, two_cp_market):
-        warm = GridEngine(workers=2).solve_grid(
-            two_cp_market, PRICES, CAPS, warm_start=True
+        warm = GridEngine().solve_grid(
+            two_cp_market, PRICES, CAPS, warm_start=True, workers=2
         )
-        cold = GridEngine(workers=2).solve_grid(
-            two_cp_market, PRICES, CAPS, warm_start=False
+        cold = GridEngine().solve_grid(
+            two_cp_market, PRICES, CAPS, warm_start=False, workers=2
         )
         np.testing.assert_allclose(
             _grid_payload(warm)["subsidies"],
@@ -128,13 +131,22 @@ class TestConfiguration:
         finally:
             set_default_workers(None)
 
-    def test_invalid_workers_rejected(self):
-        with pytest.raises(ValueError):
-            GridEngine(workers=0)
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_malformed_env_rejected(self, monkeypatch, value):
+        set_default_workers(None)
+        monkeypatch.setenv("REPRO_WORKERS", value)
+        with pytest.raises(ValueError, match="REPRO_WORKERS"):
+            get_default_workers()
+        with pytest.raises(ValueError, match="REPRO_WORKERS"):
+            SolveService.resolve_workers(None)
+
+    def test_invalid_workers_rejected(self, two_cp_market):
         with pytest.raises(ValueError):
             set_default_workers(0)
         with pytest.raises(ValueError):
-            GridEngine().resolve_workers(0)
+            SolveService.resolve_workers(0)
+        with pytest.raises(ValueError):
+            GridEngine().solve_grid(two_cp_market, PRICES, CAPS, workers=0)
 
     def test_axis_validation(self, two_cp_market):
         engine = GridEngine()

@@ -145,7 +145,7 @@ class TestMap:
         with pytest.raises(ValueError):
             SolveService().map([_square_task(1.0)], workers=0)
         with pytest.raises(ValueError):
-            SolveService(workers=0)
+            SolveService().resolve_workers(-3)
 
 
 class TestDefaultService:

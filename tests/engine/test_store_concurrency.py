@@ -148,15 +148,13 @@ class TestConcurrentWriters:
         with use_backend(backend):
             # Writers under this backend's key namespace: go through a
             # real service so keys carry the backend cache tag.
-            warm = SolveService(
-                cache=SolveCache(), store=SolveStore(tmp_path), executor="serial"
-            )
+            warm = SolveService(cache=SolveCache(), store=SolveStore(tmp_path))
             warm.map([_task_for(i) for i in range(keys)])
             assert warm.counters.computed == keys
             # A fresh process-like replay of the same overlapping set:
             # zero duplicate solves after settling.
             replay = SolveService(
-                cache=SolveCache(), store=SolveStore(tmp_path), executor="serial"
+                cache=SolveCache(), store=SolveStore(tmp_path)
             )
             values = replay.map([_task_for(i) for i in range(keys)])
             assert replay.counters.computed == 0
@@ -234,9 +232,7 @@ class TestFaultInjection:
             CORRUPTIONS[case](tmp_path, digest)
             assert store.get(key) is None, case
             # miss-and-recompute through the service: the entry heals.
-            service = SolveService(
-                cache=SolveCache(), store=store, executor="serial"
-            )
+            service = SolveService(cache=SolveCache(), store=store)
             value = service.run(_task_for(3))
             assert value["v"].tobytes() == _value_for(3)["v"].tobytes()
             assert service.counters.computed == 1

@@ -35,9 +35,9 @@ from repro.providers import AccessISP, Market, exponential_cp
 from repro.scenarios import get_scenario
 
 
-def fresh_service(store_dir=None, executor="serial") -> SolveService:
+def fresh_service(store_dir=None) -> SolveService:
     store = SolveStore(store_dir) if store_dir is not None else None
-    return SolveService(cache=SolveCache(), store=store, executor=executor)
+    return SolveService(cache=SolveCache(), store=store)
 
 
 def tiny_market() -> Market:
@@ -97,8 +97,8 @@ class TestRefinementSavings:
         store_dir = tmp_path_factory.mktemp("refine-store")
         spec = RefineSpec(levels=3, threshold=0.002)
 
-        refine_service = fresh_service(store_dir, executor="pool")
-        uniform_service = fresh_service(executor="pool")
+        refine_service = fresh_service(store_dir)
+        uniform_service = fresh_service()
         try:
             refined, report = refine_grid(
                 market, coarse, caps, spec=spec,

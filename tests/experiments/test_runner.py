@@ -165,6 +165,15 @@ class TestMain:
         with pytest.raises(SystemExit):
             main(["fig4", "--out", str(tmp_path), "--workers", "0"])
 
+    @pytest.mark.parametrize("value", ["0", "-3", "abc"])
+    def test_workers_env_validated(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("REPRO_WORKERS", value)
+        with pytest.raises(SystemExit) as exc:
+            main(["fig4", "--out", str(tmp_path), "--quiet"])
+        assert exc.value.code == 2
+        assert "REPRO_WORKERS" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_no_experiments_errors(self):
         with pytest.raises(SystemExit):
             main([])
@@ -385,7 +394,10 @@ class TestJsonSummary:
             "memory_hits", "store_hits", "computed", "store", "executor",
         }
         executor = payload["cache"]["executor"]
-        assert executor["name"] in ("serial", "pool", "chunked")
+        assert set(executor) == {
+            "batches", "tasks", "inline_tasks", "pooled_tasks",
+            "pool_spawns", "pool_reuses",
+        }
         assert executor["tasks"] >= executor["pooled_tasks"]
         (experiment,) = payload["experiments"]
         assert experiment["id"] == "fig4"

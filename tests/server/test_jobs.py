@@ -212,9 +212,7 @@ class TestStats:
 class TestDefaultRunner:
     def test_solves_through_the_given_service(self, tmp_path):
         service = SolveService(
-            cache=SolveCache(),
-            store=SolveStore(tmp_path / "store"),
-            executor="serial",
+            cache=SolveCache(), store=SolveStore(tmp_path / "store")
         )
         mgr = JobManager(service=service, workers=0)
         try:
