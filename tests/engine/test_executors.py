@@ -3,6 +3,8 @@
 The contract under test (see :mod:`repro.engine.executors`):
 
 * every service owns one :class:`PoolExecutor` and reports its counters;
+* a batch's worker count resolves in one place: explicit per call >
+  process default > ``$REPRO_WORKERS`` > 1;
 * one-task batches (and ``workers == 1``) run inline and never spawn a
   worker pool;
 * the pool persists across batches and respawns only when the worker
@@ -137,6 +139,70 @@ class TestServiceExecutor:
         assert stats["tasks"] == 1
 
 
+class TestWorkerResolution:
+    """``SolveService.resolve_workers`` is the one place a batch's worker
+    count is chosen: explicit per call > process default > $REPRO_WORKERS > 1."""
+
+    @pytest.fixture(autouse=True)
+    def _clean_defaults(self, monkeypatch):
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        set_default_workers(None)
+        yield
+        set_default_workers(None)
+
+    def test_builtin_default_is_one_inline_worker(self):
+        assert SolveService.resolve_workers(None) == 1
+        service = SolveService(cache=SolveCache())
+        service.map([_square_task(x) for x in (1.0, 2.0, 3.0)])
+        stats = service.executor.stats()
+        assert stats["inline_tasks"] == 3
+        assert stats["pool_spawns"] == 0
+
+    def test_env_sets_the_default(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "3")
+        assert SolveService.resolve_workers(None) == 3
+
+    def test_process_default_beats_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "3")
+        set_default_workers(2)
+        assert SolveService.resolve_workers(None) == 2
+
+    def test_explicit_beats_default_and_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "3")
+        set_default_workers(2)
+        assert SolveService.resolve_workers(4) == 4
+        assert SolveService.resolve_workers(1) == 1
+
+    def test_map_follows_process_default(self):
+        set_default_workers(2)
+        service = SolveService(cache=SolveCache())
+        try:
+            values = service.map([_square_task(x) for x in (1.0, 2.0)])
+            assert [float(v["value"]) for v in values] == [1.0, 4.0]
+            stats = service.executor.stats()
+            assert stats["pooled_tasks"] == 2
+            assert stats["pool_spawns"] == 1
+        finally:
+            service.close()
+
+    def test_explicit_workers_override_default_in_map(self):
+        set_default_workers(2)
+        service = SolveService(cache=SolveCache())
+        service.map([_square_task(x) for x in (1.0, 2.0)], workers=1)
+        stats = service.executor.stats()
+        assert stats["inline_tasks"] == 2
+        assert stats["pool_spawns"] == 0
+
+    def test_invalid_workers_rejected_before_any_work(self):
+        service = SolveService(cache=SolveCache())
+        with pytest.raises(ValueError, match="at least 1"):
+            service.map([_square_task(x) for x in (1.0, 2.0)], workers=0)
+        with pytest.raises(ValueError, match="at least 1"):
+            set_default_workers(-1)
+        assert service.executor.stats()["tasks"] == 0
+        assert service.inflight == 0
+
+
 class TestInlineFastPath:
     """One-task batches (and workers == 1) never touch a worker pool."""
 
@@ -158,6 +224,19 @@ class TestInlineFastPath:
         assert service.executor.stats()["pool_spawns"] == 0
         assert service.executor.stats()["inline_tasks"] == 3
 
+
+    def test_cached_rows_never_reach_the_executor(self):
+        service = SolveService(cache=SolveCache())
+        service.map([_square_task(x) for x in (1.0, 2.0, 3.0)], workers=1)
+        values = service.map(
+            [_square_task(x) for x in (1.0, 2.0, 3.0, 4.0)], workers=2
+        )
+        assert [float(v["value"]) for v in values] == [1.0, 4.0, 9.0, 16.0]
+        stats = service.executor.stats()
+        # Only the one miss was scheduled, so the batch ran inline.
+        assert stats["tasks"] == 4
+        assert stats["inline_tasks"] == 4
+        assert stats["pool_spawns"] == 0
 
 class TestPoolPersistence:
     def test_pool_survives_across_batches(self):
@@ -191,6 +270,38 @@ class TestPoolPersistence:
         service.close()
         assert service.executor._pool is None
 
+
+    def test_pool_spawns_lazily(self):
+        service = SolveService(cache=SolveCache())
+        assert service.executor._pool is None
+        assert set(service.executor.stats().values()) == {0}
+
+    def test_pooled_results_keep_task_order(self):
+        # Earlier tasks sleep longer, so they complete last; map still
+        # returns values in task order.
+        service = SolveService(cache=SolveCache())
+        try:
+            xs = (1.0, 2.0, 3.0, 4.0)
+            values = service.map(
+                [_slow_task(x, delay=0.1 * (4 - x)) for x in xs], workers=2
+            )
+            assert [float(v["value"]) for v in values] == [3.0 * x for x in xs]
+            assert service.executor.stats()["pooled_tasks"] == len(xs)
+        finally:
+            service.close()
+
+    def test_closed_service_respawns_on_next_batch(self):
+        service = SolveService(cache=SolveCache())
+        try:
+            service.map([_square_task(x) for x in (1.0, 2.0)], workers=2)
+            service.close()
+            values = service.map(
+                [_square_task(x) for x in (3.0, 4.0)], workers=2
+            )
+            assert [float(v["value"]) for v in values] == [9.0, 16.0]
+            assert service.executor.stats()["pool_spawns"] == 2
+        finally:
+            service.close()
 
 class TestIncrementalCommit:
     """Results land in the cache tiers as they complete, not per batch."""
