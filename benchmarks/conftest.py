@@ -86,17 +86,15 @@ def _write_bench_record(record: dict) -> None:
 def _fresh_grid_cache():
     """Each benchmark measures a cold in-process solve.
 
-    Clears the shared engine's grid cache *and* the default service's
-    memory tier (figure rows now memoize there), and zeroes the service
-    counters so each case's solve/hit counts are its own.
+    Clears the default service's memory tier (figure rows memoize there)
+    and zeroes its counters so each case's solve/hit counts are its own.
     """
     from repro.engine.service import default_service
-    from repro.experiments.grid import clear_cache
 
-    clear_cache()
+    default_service().clear_memory()
     default_service().reset_counters()
     yield
-    clear_cache()
+    default_service().clear_memory()
 
 
 def _current_case() -> str:
@@ -111,7 +109,7 @@ def run_once(benchmark, func):
 
     Also records the case's wall time and the solve/cache counters the
     workload moved on the shared solve service (workloads running private
-    engines record zero counters by construction).
+    services record zero counters by construction).
     """
     from repro.engine.service import default_service
 

@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.analysis.sweeps import price_sweep
 from repro.core.equilibrium import (
     solve_equilibrium_best_response,
     solve_equilibrium_vi,
 )
 from repro.core.game import SubsidizationGame
+from repro.engine import price_sweep
 from repro.experiments.scenarios import section5_market
 from repro.providers import AccessISP, Market, exponential_cp
 

@@ -1,4 +1,4 @@
-"""Benchmark: sequential versus parallel grid engine on the §5 grid.
+"""Benchmark: sequential versus parallel grid solves on the §5 grid.
 
 Both benchmarks solve the same (11-price × 5-policy) §5 equilibrium grid —
 55 Nash solves of the 8-CP game through the vectorized Jacobi/Newton path —
@@ -6,13 +6,15 @@ once with a single in-process worker and once with the row-parallel process
 pool. Their timings land side by side in the benchmark JSON, so the
 recorded speedup (or, on single-core machines, the fork overhead) is
 visible per run; the parallel result is additionally asserted bitwise-equal
-to the sequential one, the engine's core scheduling guarantee.
+to the sequential one, the core scheduling guarantee of
+:func:`~repro.engine.solve_grid`. Each solve runs on its own compute-only
+:class:`~repro.engine.SolveService`, so every timing is a cold solve.
 """
 
 import numpy as np
 
 from benchmarks.conftest import BENCH_CAPS, run_once
-from repro.engine import GridEngine
+from repro.engine import SolveService, solve_grid
 from repro.experiments.scenarios import section5_market
 
 #: Thinner price axis than the figure benchmarks: the point here is the
@@ -30,11 +32,14 @@ def _payload(grid):
 
 def test_bench_engine_sequential(benchmark):
     market = section5_market()
-    engine = GridEngine()
     grid = run_once(
         benchmark,
-        lambda: engine.solve_grid(
-            market, ENGINE_PRICES, np.asarray(BENCH_CAPS), workers=1
+        lambda: solve_grid(
+            market,
+            ENGINE_PRICES,
+            np.asarray(BENCH_CAPS),
+            service=SolveService(),
+            workers=1,
         ),
     )
     assert grid.quantity(lambda eq: eq.kkt_residual).max() <= 1e-7
@@ -42,16 +47,23 @@ def test_bench_engine_sequential(benchmark):
 
 def test_bench_engine_parallel(benchmark):
     market = section5_market()
-    engine = GridEngine()
     grid = run_once(
         benchmark,
-        lambda: engine.solve_grid(
-            market, ENGINE_PRICES, np.asarray(BENCH_CAPS), workers=4
+        lambda: solve_grid(
+            market,
+            ENGINE_PRICES,
+            np.asarray(BENCH_CAPS),
+            service=SolveService(),
+            workers=4,
         ),
     )
     # The scheduling guarantee: any worker count returns bitwise-equal grids.
-    sequential = GridEngine().solve_grid(
-        market, ENGINE_PRICES, np.asarray(BENCH_CAPS), workers=1
+    sequential = solve_grid(
+        market,
+        ENGINE_PRICES,
+        np.asarray(BENCH_CAPS),
+        service=SolveService(),
+        workers=1,
     )
     seq, par = _payload(sequential), _payload(grid)
     for name in seq:

@@ -1,7 +1,7 @@
 """Benchmarks: generated scenarios at scale through the engine.
 
 The paper's markets have 8–9 CP types; these benchmarks push the same
-pipeline (scenario → :class:`~repro.engine.GridEngine` → panels → checks)
+pipeline (scenario → :func:`~repro.engine.solve_grid` → panels → checks)
 through 64-, 256- and 1024-CP generated markets, establishing the scaling
 trajectory of the equilibrium path (full subsidization grids up to 256
 CPs) and of the congestion path (regulated price sweep at 1024 CPs), plus

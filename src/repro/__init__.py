@@ -51,7 +51,13 @@ from repro.competition import (
     OligopolyGame,
     solve_oligopoly_competition,
 )
-from repro.engine import GridEngine, SolveCache, SolveService, SolveStore, SolveTask
+from repro.engine import (
+    SolveCache,
+    SolveService,
+    SolveStore,
+    SolveTask,
+    solve_grid,
+)
 from repro.exceptions import (
     BracketError,
     ConvergenceError,
@@ -93,7 +99,6 @@ __all__ = [
     "ConvergenceError",
     "EquilibriumError",
     "EquilibriumResult",
-    "GridEngine",
     "IterationPolicy",
     "OligopolyGame",
     "ExponentialDemand",
@@ -133,6 +138,7 @@ __all__ = [
     "solve_equilibrium",
     "solve_equilibrium_best_response",
     "solve_equilibrium_vi",
+    "solve_grid",
     "solve_oligopoly_competition",
     "thresholds",
     "welfare",

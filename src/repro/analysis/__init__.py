@@ -3,8 +3,11 @@
 The environment regenerates the paper's figures as *data*: named series
 (:mod:`repro.analysis.series`), rendered as ASCII charts
 (:mod:`repro.analysis.ascii_plot`) and plain-text tables / CSV files
-(:mod:`repro.analysis.reporting`). :mod:`repro.analysis.sweeps` runs the
-equilibrium computations behind price/policy grids with warm starting.
+(:mod:`repro.analysis.reporting`). :mod:`repro.analysis.continuation`
+traces equilibrium paths along the price axis. The (price × policy)
+grids themselves are solved by :func:`repro.engine.solve_grid` and
+:func:`repro.engine.price_sweep`; :class:`EquilibriumGrid`, their result
+type, is re-exported here.
 """
 
 from repro.analysis.ascii_plot import render_chart
@@ -15,11 +18,7 @@ from repro.analysis.continuation import (
 )
 from repro.analysis.reporting import format_table, write_csv
 from repro.analysis.series import FigureData, Series
-from repro.analysis.sweeps import (
-    EquilibriumGrid,
-    policy_grid,
-    price_sweep,
-)
+from repro.engine import EquilibriumGrid
 
 __all__ = [
     "Breakpoint",
@@ -29,8 +28,6 @@ __all__ = [
     "Series",
     "trace_equilibrium_path",
     "format_table",
-    "policy_grid",
-    "price_sweep",
     "render_chart",
     "write_csv",
 ]

@@ -12,10 +12,10 @@ are valid.
 Engine routing
 --------------
 The on-grid portion of a trace is exactly one warm-chained *cap row* — the
-same unit the grid engine schedules — so it runs as the shared
-:func:`~repro.engine.grid_engine.cap_row_task`: a trace along a figure's
-price axis resolves from the very rows the figure already solved (and vice
-versa). Each breakpoint refinement is its own content-keyed task
+same unit :func:`~repro.engine.solve_grid` schedules — so it runs as the
+shared :func:`~repro.engine.grid_engine.cap_row_task`: a trace along a
+figure's price axis resolves from the very rows the figure already solved
+(and vice versa). Each breakpoint refinement is its own content-keyed task
 (:func:`refine_breakpoint`), so against a warm persistent store a repeated
 trace performs zero equilibrium solves. Warm-start chains are preserved
 exactly; routing changes where solves run, never their results.
@@ -184,8 +184,8 @@ def trace_equilibrium_path(
         raise ModelError("prices must be strictly increasing")
     svc = service if service is not None else default_service()
 
-    # The on-grid sweep is one warm-chained cap row — the grid engine's
-    # unit of work, shared key included.
+    # The on-grid sweep is one warm-chained cap row — solve_grid's unit
+    # of work, shared key included.
     row = svc.run(cap_row_task(market, prices, cap, warm_start=True))
     subsidies = [eq.subsidies.copy() for eq in row]
     partitions = [

@@ -34,7 +34,6 @@ from typing import Any, Callable
 
 from repro.campaigns.spec import CampaignRow, CampaignSpec
 from repro.campaigns.warehouse import CampaignWarehouse
-from repro.engine import GridEngine
 from repro.engine.service import SolveService, default_service
 from repro.experiments.kinds import (
     CAMPAIGN_METRICS,
@@ -72,11 +71,10 @@ def warehouse_for_service(service: SolveService) -> CampaignWarehouse:
 def _row_metrics(
     row: CampaignRow, service: SolveService, workers: int | None
 ) -> dict[str, float]:
-    # The same per-kind solve the experiment pipeline runs, on an engine
-    # bound to the campaign's service.
+    # The same per-kind solve the experiment pipeline runs, on the
+    # campaign's service.
     kind = SWEEP_KINDS[row.sweep]
-    engine = GridEngine(service=service)
-    return kind.row_metrics(kind.solve(row.scenario, engine, workers=workers))
+    return kind.row_metrics(kind.solve(row.scenario, service, workers=workers))
 
 
 @dataclass(frozen=True)

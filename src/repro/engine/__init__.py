@@ -15,13 +15,15 @@ interchangeable, so ``workers`` and the cache tiers are purely
 throughput knobs.
 """
 
-from repro.engine.cache import SolveCache, grid_key, market_fingerprint
+from repro.engine.cache import SolveCache, market_fingerprint
 from repro.engine.executors import PoolExecutor
 from repro.engine.grid_engine import (
     EquilibriumGrid,
-    GridEngine,
     cap_row_task,
+    certify_grid,
+    price_sweep,
     solve_cap_row,
+    solve_grid,
 )
 from repro.engine.service import (
     SolveService,
@@ -35,19 +37,20 @@ from repro.engine.store import SolveStore, key_digest
 
 __all__ = [
     "EquilibriumGrid",
-    "GridEngine",
     "PoolExecutor",
     "SolveCache",
     "SolveService",
     "SolveStore",
     "SolveTask",
     "cap_row_task",
+    "certify_grid",
     "default_service",
     "get_default_workers",
-    "grid_key",
     "key_digest",
     "market_fingerprint",
+    "price_sweep",
     "set_default_service",
     "set_default_workers",
     "solve_cap_row",
+    "solve_grid",
 ]

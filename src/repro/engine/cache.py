@@ -1,11 +1,11 @@
-"""Content-keyed caching of grid solves.
+"""Content keys and the in-memory tier of the solve service.
 
-The five §5 figures read different quantities off the *same* equilibrium
-grid, so the engine caches solved grids under a key derived from the
-*content* of the request — a fingerprint of the market's economic primitives
-plus the exact grid axes and solve options — rather than from object
-identity. Two `Market` instances built from equal parameters hit the same
-entry; any change to a provider, the ISP, the axes or the options misses.
+Solve tasks are keyed by the *content* of the request — a fingerprint of
+the market's economic primitives plus the exact axes and solve options —
+rather than by object identity. Two `Market` instances built from equal
+parameters hit the same entry; any change to a provider, the ISP, the axes
+or the options misses. :class:`SolveCache` is the bounded memory tier
+that :class:`~repro.engine.service.SolveService` keeps those results in.
 """
 
 from __future__ import annotations
@@ -16,19 +16,17 @@ import weakref
 from collections import OrderedDict
 from typing import Any, Hashable
 
-import numpy as np
-
 from repro.exceptions import ModelError
 from repro.providers.market import Market
 
-__all__ = ["market_fingerprint", "grid_key", "SolveCache"]
+__all__ = ["market_fingerprint", "SolveCache"]
 
 
 #: Fingerprints memoized per Market instance — markets are immutable in
 #: practice (every mutation-style API returns a new object), and a grid
-#: solve fingerprints the same market once per cap row plus once for the
-#: grid key, so recomputing the canonical serialization each time would
-#: tax the warm-replay fast path.
+#: solve fingerprints the same market once per cap row, so recomputing
+#: the canonical serialization each time would tax the warm-replay fast
+#: path.
 _FINGERPRINTS: "weakref.WeakKeyDictionary[Market, str]" = (
     weakref.WeakKeyDictionary()
 )
@@ -67,26 +65,8 @@ def market_fingerprint(market: Market) -> str:
     return fingerprint
 
 
-def grid_key(
-    market: Market,
-    prices: np.ndarray,
-    caps: np.ndarray,
-    *,
-    warm_start: bool,
-) -> tuple:
-    """Cache key for one grid solve: market content + axes + options."""
-    prices = np.ascontiguousarray(np.asarray(prices, dtype=float))
-    caps = np.ascontiguousarray(np.asarray(caps, dtype=float))
-    return (
-        market_fingerprint(market),
-        prices.tobytes(),
-        caps.tobytes(),
-        bool(warm_start),
-    )
-
-
 class SolveCache:
-    """A bounded, thread-safe, content-keyed store of solved grids.
+    """A bounded, thread-safe, content-keyed store of solve results.
 
     Entries evict oldest-first once ``maxsize`` is exceeded; ``hits`` and
     ``misses`` counters make cache behavior observable in benchmarks.

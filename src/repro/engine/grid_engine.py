@@ -1,20 +1,22 @@
-"""The parallel (price × policy) grid engine, built on the solve service.
+"""(price × policy) grid solves, straight on the solve service.
 
 Every §5 figure lives on the same grid: ISP price ``p`` on the x-axis, one
 curve per policy cap ``q``. The rows of that grid are *independent* solve
 chains — warm starts flow along the price axis within a row, never across
-rows — which makes cap rows the natural unit of work. :class:`GridEngine`
+rows — which makes cap rows the natural unit of work. :func:`solve_grid`
 expresses each row as a content-keyed
-:class:`~repro.engine.service.SolveTask` and hands the batch to a
-:class:`~repro.engine.service.SolveService`, which schedules uncached rows
-across a ``concurrent.futures`` worker pool and memoizes results through
-its memory/disk tiers. Because each row's computation is a pure function
-of ``(market, prices, cap)``, every schedule — sequential, pooled, or
-cache-fed — returns bit-for-bit the same equilibria.
+:class:`~repro.engine.service.SolveTask` (:func:`cap_row_task`) and hands
+the batch to a :class:`~repro.engine.service.SolveService` — the
+process-wide default unless one is passed — which schedules uncached rows
+across its worker pool and memoizes results through its memory/disk
+tiers, so a repeated grid resolves row by row from the service's memory
+tier. Because each row's computation is a pure function of ``(market,
+prices, cap)``, every schedule — sequential, pooled, or cache-fed —
+returns bit-for-bit the same equilibria.
 
-The same ``"cap-row"`` tasks are issued by the continuation tracer and the
-analysis sweeps, so e.g. a path trace along a figure's price axis resolves
-entirely from the rows the figure already solved.
+The same ``"cap-row/1"`` tasks are issued by :func:`price_sweep` and the
+continuation tracer, so e.g. a path trace along a figure's price axis
+resolves entirely from the rows the figure already solved.
 """
 
 from __future__ import annotations
@@ -29,16 +31,18 @@ from repro.core.equilibrium import (
     solve_equilibrium,
 )
 from repro.core.game import SubsidizationGame
-from repro.engine.cache import SolveCache, grid_key, market_fingerprint
-from repro.engine.service import SolveService, SolveTask
+from repro.engine.cache import market_fingerprint
+from repro.engine.service import SolveService, SolveTask, default_service
 from repro.exceptions import ModelError
 from repro.providers.market import Market
 
 __all__ = [
     "EquilibriumGrid",
-    "GridEngine",
     "cap_row_task",
+    "certify_grid",
+    "price_sweep",
     "solve_cap_row",
+    "solve_grid",
 ]
 
 
@@ -146,123 +150,88 @@ def cap_row_task(
     )
 
 
-class GridEngine:
-    """Schedules, parallelizes and caches (price × policy) grid solves.
+def _axis(values, name: str) -> np.ndarray:
+    """``values`` as a float axis; :class:`ModelError` unless non-empty 1-D."""
+    try:
+        axis = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        axis = None
+    if axis is None or axis.ndim != 1 or axis.size == 0:
+        raise ModelError(f"{name} must be a non-empty 1-D array")
+    return axis
 
-    Row-parallelism is chosen per call (``solve_grid(..., workers=)``);
-    parallel and sequential schedules return bitwise-identical grids.
 
-    Parameters
-    ----------
-    cache:
-        Optional :class:`~repro.engine.cache.SolveCache` memoizing whole
-        solved *grid objects* (hits return the previously assembled grid,
-        identity included).
-    service:
-        The :class:`~repro.engine.service.SolveService` resolving the
-        engine's row tasks. ``None`` builds a private bare service
-        (compute-only, no cache tiers) so ad-hoc engines keep their
-        historical cold-solve semantics; pass
-        :func:`repro.engine.service.default_service` to share rows with
-        the rest of the process and any configured persistent store.
+def price_sweep(
+    market: Market,
+    prices,
+    *,
+    cap: float = 0.0,
+    service: SolveService | None = None,
+    warm_start: bool = True,
+) -> list[EquilibriumResult]:
+    """Equilibria along a price axis under a fixed policy cap.
+
+    With ``cap = 0`` this is the one-sided model of §3.2. The sweep is one
+    cap-row task on ``service`` (``None``: the process-wide
+    :func:`~repro.engine.service.default_service`), so repeated sweeps —
+    and grids sharing the row — resolve from its cache tiers.
     """
+    service = service if service is not None else default_service()
+    task = cap_row_task(
+        market, _axis(prices, "prices"), cap, warm_start=warm_start
+    )
+    return list(service.run(task))
 
-    def __init__(
-        self,
-        *,
-        cache: SolveCache | None = None,
-        service: SolveService | None = None,
-    ) -> None:
-        self._cache = cache
-        self._service = service if service is not None else SolveService()
 
-    @property
-    def cache(self) -> SolveCache | None:
-        """The engine's grid-object cache (``None`` when disabled)."""
-        return self._cache
+def solve_grid(
+    market: Market,
+    prices,
+    caps,
+    *,
+    service: SolveService | None = None,
+    warm_start: bool = True,
+    workers: int | None = None,
+) -> EquilibriumGrid:
+    """Solve (or fetch) the full (policy × price) equilibrium grid.
 
-    @property
-    def service(self) -> SolveService:
-        """The solve service resolving this engine's row tasks."""
-        return self._service
+    One cap-row task per policy level, resolved by ``service`` (``None``:
+    the process-wide :func:`~repro.engine.service.default_service`);
+    rows already in its memory tier or store are not recomputed.
+    ``workers`` spreads the uncached rows over the service's worker pool
+    (``None``: the process default, see :meth:`SolveService.resolve_workers
+    <repro.engine.service.SolveService.resolve_workers>`); every schedule
+    returns bitwise-identical grids.
+    """
+    prices = _axis(prices, "prices")
+    caps = _axis(caps, "caps")
+    service = service if service is not None else default_service()
+    tasks = [
+        cap_row_task(market, prices, float(q), warm_start=warm_start)
+        for q in caps
+    ]
+    rows = tuple(service.map(tasks, workers=workers))
+    return EquilibriumGrid(prices=prices, caps=caps, results=rows)
 
-    def price_sweep(
-        self,
-        market: Market,
-        prices,
-        *,
-        cap: float = 0.0,
-        warm_start: bool = True,
-    ) -> list[EquilibriumResult]:
-        """Equilibria along a price axis under a fixed policy cap.
 
-        A single cap-row task routed through the service, so repeated
-        sweeps (and grids sharing the row) resolve from cache.
-        """
-        prices = np.asarray(prices, dtype=float)
-        return list(
-            self._service.run(
-                cap_row_task(market, prices, cap, warm_start=warm_start)
-            )
+def certify_grid(market: Market, grid: EquilibriumGrid) -> np.ndarray:
+    """Re-certify every grid equilibrium, one batched check per price.
+
+    Returns the ``[cap, price]`` matrix of natural-map KKT residuals
+    ``‖s − Π_{[0,q]}(s + u(s))‖_∞`` computed through the vectorized
+    marginal-utility path — an independent (array-native) audit of the
+    scalarly certified solves. Marginal utilities do not depend on the
+    cap, so all cap rows of one price column share a single batched
+    evaluation; only the box projection is per-row.
+    """
+    residuals = np.empty((grid.caps.size, grid.prices.size))
+    cap_bounds = grid.caps[:, None]
+    for j, p in enumerate(grid.prices):
+        game = SubsidizationGame(
+            market.with_price(float(p)), float(np.max(grid.caps))
         )
-
-    def solve_grid(
-        self,
-        market: Market,
-        prices,
-        caps,
-        *,
-        warm_start: bool = True,
-        workers: int | None = None,
-    ) -> EquilibriumGrid:
-        """Solve (or fetch) the full (policy × price) equilibrium grid.
-
-        ``workers`` spreads the cap rows over the service's worker pool
-        (``None``: the process default, see
-        :meth:`SolveService.resolve_workers
-        <repro.engine.service.SolveService.resolve_workers>`).
-        """
-        prices = np.asarray(prices, dtype=float)
-        caps = np.asarray(caps, dtype=float)
-        if prices.ndim != 1 or prices.size == 0:
-            raise ModelError("prices must be a non-empty 1-D array")
-        if caps.ndim != 1 or caps.size == 0:
-            raise ModelError("caps must be a non-empty 1-D array")
-        key = None
-        if self._cache is not None:
-            key = grid_key(market, prices, caps, warm_start=warm_start)
-            cached = self._cache.get(key)
-            if cached is not None:
-                return cached
-        tasks = [
-            cap_row_task(market, prices, float(q), warm_start=warm_start)
-            for q in caps
-        ]
-        rows = tuple(self._service.map(tasks, workers=workers))
-        grid = EquilibriumGrid(prices=prices, caps=caps, results=rows)
-        if self._cache is not None and key is not None:
-            self._cache.put(key, grid)
-        return grid
-
-    def certify_grid(self, market: Market, grid: EquilibriumGrid) -> np.ndarray:
-        """Re-certify every grid equilibrium, one batched check per price.
-
-        Returns the ``[cap, price]`` matrix of natural-map KKT residuals
-        ``‖s − Π_{[0,q]}(s + u(s))‖_∞`` computed through the vectorized
-        marginal-utility path — an independent (array-native) audit of the
-        scalarly certified solves. Marginal utilities do not depend on the
-        cap, so all cap rows of one price column share a single batched
-        evaluation; only the box projection is per-row.
-        """
-        residuals = np.empty((grid.caps.size, grid.prices.size))
-        cap_bounds = grid.caps[:, None]
-        for j, p in enumerate(grid.prices):
-            game = SubsidizationGame(
-                market.with_price(float(p)), float(np.max(grid.caps))
-            )
-            profiles = np.stack(
-                [grid.results[k][j].subsidies for k in range(grid.caps.size)]
-            )
-            u = game.marginal_utilities_batch(profiles)
-            residuals[:, j] = natural_map_residuals(profiles, u, cap_bounds)
-        return residuals
+        profiles = np.stack(
+            [grid.results[k][j].subsidies for k in range(grid.caps.size)]
+        )
+        u = game.marginal_utilities_batch(profiles)
+        residuals[:, j] = natural_map_residuals(profiles, u, cap_bounds)
+    return residuals

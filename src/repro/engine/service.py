@@ -22,10 +22,13 @@ store performs zero equilibrium solves; the ``computed`` counter makes
 that claim testable.
 
 The module also owns the process-wide *default* service (lazily built with
-a memory tier and, when ``$REPRO_CACHE_DIR`` is set, a disk store) that
-the figure pipeline, oligopoly competition, continuation and
-analysis sweeps all share — so a continuation trace can hit the very rows
-a figure grid solved.
+a memory tier and, when ``$REPRO_CACHE_DIR`` is set, a disk store). Every
+solve entry point takes ``service=`` and resolves ``None`` to it at call
+time — :func:`~repro.engine.grid_engine.solve_grid` and
+:func:`~repro.engine.grid_engine.price_sweep`, oligopoly competition,
+continuation, refinement and trajectories — so a continuation trace can
+hit the very rows a figure grid solved, and the memory tier is the only
+in-process cache of them.
 
 Example — one keyed task, resolved twice against a memory tier (the
 second resolution is a hit, not a recomputation):
@@ -382,9 +385,6 @@ class SolveService:
             payload = self.counters.as_dict()
             payload["inflight"] = self.inflight
             payload["solve_seconds"] = self.solve_seconds
-        payload["memory_entries"] = (
-            len(self._cache) if self._cache is not None else 0
-        )
         payload["memory"] = (
             {
                 "entries": len(self._cache),
@@ -414,9 +414,9 @@ def default_service() -> SolveService:
     """The process-wide shared service (lazily built).
 
     Backed by a memory tier and, when ``$REPRO_CACHE_DIR`` is set, the
-    persistent store at that directory. The figure pipeline, oligopoly,
-    continuation and analysis sweeps all default to this instance, so
-    their solves share one cache.
+    persistent store at that directory. Grid solves and price sweeps,
+    oligopoly, continuation and trajectories all default to this
+    instance, so their solves share one cache.
     """
     global _DEFAULT_SERVICE
     if _DEFAULT_SERVICE is None:

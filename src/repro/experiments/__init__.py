@@ -4,8 +4,8 @@ Figures 1–3 and 6 are schematic block diagrams with no data; everything
 else is reproduced. Each figure module declares an
 :class:`~repro.experiments.pipeline.ExperimentSpec` — scenario reference,
 sweep kind, derived panels and shape checks — and the shared
-:func:`~repro.experiments.pipeline.run_spec` pipeline executes it through
-the cached parallel grid engine:
+:func:`~repro.experiments.pipeline.run_spec` pipeline executes it on the
+shared, cached solve service:
 
 * :mod:`repro.experiments.fig04` — aggregate throughput and ISP revenue
   versus price (§3.2, 9-CP scenario).

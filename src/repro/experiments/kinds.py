@@ -25,8 +25,8 @@ kind.
     A mass scenario campaign (:mod:`repro.campaigns`) run or resumed
     against the warehouse next to the solve store, against the row index.
 
-Every solve runs on the engine's solve service, so any configured
-persistent store makes every kind resumable.
+Every kind solves on the :class:`~repro.engine.SolveService` it is
+handed, so any configured persistent store makes every kind resumable.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from repro.competition.oligopoly import (
     solve_oligopoly_competition,
 )
 from repro.core.equilibrium import EquilibriumResult
-from repro.engine import EquilibriumGrid, GridEngine
+from repro.engine import EquilibriumGrid, SolveService, solve_grid
 from repro.exceptions import ModelError
 from repro.experiments.refine import refine_grid
 from repro.simulation.trajectory import (
@@ -299,11 +299,11 @@ class AxisView:
 
 
 # ----------------------------------------------------------------------
-# solves: (source, engine, **options) -> view
+# solves: (source, service, **options) -> view
 # ----------------------------------------------------------------------
 def _solve_grid(
     scn: ScenarioSpec,
-    engine: GridEngine,
+    service: SolveService,
     *,
     workers: int | None = None,
     prices=None,
@@ -321,33 +321,33 @@ def _solve_grid(
     )
     if refine is not None:
         # Adaptive path: coarse pass + curvature/breakpoint-driven
-        # bisection, pointwise tasks on the engine's service (same store,
+        # bisection, pointwise tasks on the same service (same store,
         # same resumability; see repro.experiments.refine).
         solved, _ = refine_grid(
             scn.market,
             price_axis,
             cap_axis,
             spec=refine,
-            service=engine.service,
+            service=service,
             workers=workers,
         )
     else:
-        solved = engine.solve_grid(
-            scn.market, price_axis, cap_axis, workers=workers
+        solved = solve_grid(
+            scn.market, price_axis, cap_axis, service=service, workers=workers
         )
     return SweepView(scn, solved)
 
 
 def _solve_price(
-    scn: ScenarioSpec, engine: GridEngine, **options: Any
+    scn: ScenarioSpec, service: SolveService, **options: Any
 ) -> SweepView:
     """The grid solve on the single cap row ``q = 0``."""
     options["caps"] = (0.0,)
-    return _solve_grid(scn, engine, **options)
+    return _solve_grid(scn, service, **options)
 
 
 def _solve_dynamics(
-    scn: ScenarioSpec, engine: GridEngine, **_: Any
+    scn: ScenarioSpec, service: SolveService, **_: Any
 ) -> AxisView:
     """Run the trajectory the scenario's metadata declares.
 
@@ -356,7 +356,7 @@ def _solve_dynamics(
     scenarios run under the defaults.
     """
     dspec = dynamics_settings(scn.metadata)
-    trajectory = run_trajectory(scn.market, dspec, service=engine.service)
+    trajectory = run_trajectory(scn.market, dspec, service=service)
     return AxisView(
         "dynamics",
         trajectory.steps,
@@ -370,7 +370,7 @@ def _solve_dynamics(
 
 def _solve_market_structure(
     scn: ScenarioSpec,
-    engine: GridEngine,
+    service: SolveService,
     *,
     carrier_counts=(None,),
     **_: Any,
@@ -386,9 +386,7 @@ def _solve_market_structure(
     settings = competition_settings(scn.metadata)
     results = tuple(
         solve_oligopoly_competition(
-            OligopolyGame.from_scenario(
-                scn, carriers=n, service=engine.service
-            ),
+            OligopolyGame.from_scenario(scn, carriers=n, service=service),
             price_range=settings.price_range,
             grid_points=settings.grid_points,
             xtol=settings.xtol,
@@ -408,7 +406,7 @@ def _solve_market_structure(
 
 def _solve_campaign(
     cspec: CampaignSpec,
-    engine: GridEngine,
+    service: SolveService,
     *,
     workers: int | None = None,
     **_: Any,
@@ -421,10 +419,10 @@ def _solve_campaign(
     # The driver imports this module: load it on first use.
     from repro.campaigns.driver import run_campaign, warehouse_for_service
 
-    warehouse = warehouse_for_service(engine.service)
+    warehouse = warehouse_for_service(service)
     try:
         report = run_campaign(
-            cspec, service=engine.service, warehouse=warehouse, workers=workers
+            cspec, service=service, warehouse=warehouse, workers=workers
         )
         records = tuple(warehouse.rows(report.campaign))
     finally:
@@ -562,11 +560,11 @@ class SweepKind:
     quantities:
         The panel quantities the kind accepts.
     solve:
-        ``solve(source, engine, **options) -> view``: solves a scenario
+        ``solve(source, service, **options) -> view``: solves a scenario
         (a :class:`~repro.campaigns.CampaignSpec` for ``campaign``) on
-        ``engine`` and its service. Options a kind does not use are
-        ignored: ``workers``, ``prices``/``caps`` axis overrides,
-        ``refine``, ``carrier_counts``.
+        the :class:`~repro.engine.SolveService` ``service``. Options a
+        kind does not use are ignored: ``workers``, ``prices``/``caps``
+        axis overrides, ``refine``, ``carrier_counts``.
     layout:
         ``layout(panel, view)``: one ``(figure_id, title, x, series)``
         tuple per figure the panel derives.

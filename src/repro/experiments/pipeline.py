@@ -5,9 +5,10 @@ build → sweep → extract-series → shape-check structure by hand. Now an
 experiment is *data*: an :class:`ExperimentSpec` names a scenario (inline
 or by registry id), a sweep kind, the panels to derive (named quantity
 extractors) and the shape checks to evaluate; :func:`run_spec` executes any
-spec through the shared :class:`~repro.engine.GridEngine`/
-:class:`~repro.engine.SolveCache`, so the paper figures, generated stress
-markets and user-supplied scenario files all travel the same code path.
+spec on one :class:`~repro.engine.SolveService` (the process-wide default
+unless one is passed), so the paper figures, generated stress markets and
+user-supplied scenario files all travel the same code path and share its
+cache tiers.
 
 Sweep kinds
 -----------
@@ -43,8 +44,7 @@ from typing import TYPE_CHECKING, Callable, Sequence, Union
 import numpy as np
 
 from repro.exceptions import ModelError
-from repro.engine import GridEngine
-from repro.experiments import grid as _shared_grid
+from repro.engine import SolveService, default_service
 from repro.experiments.base import ExperimentResult, ShapeCheck
 from repro.experiments.kinds import (
     CAMPAIGN_QUANTITIES,
@@ -282,19 +282,20 @@ def run_spec(
     prices=None,
     caps=None,
     scenario: ScenarioSpec | None = None,
-    engine: GridEngine | None = None,
+    service: SolveService | None = None,
     workers: int | None = None,
 ) -> ExperimentResult:
     """Execute an experiment spec end to end.
 
     The spec's sweep kind (:data:`~repro.experiments.kinds.SWEEP_KINDS`)
-    solves it on ``engine`` and its solve service, then lays out each
-    panel. ``engine`` defaults to the shared cached engine behind
-    :mod:`repro.experiments.grid` — backed by the default solve service,
-    so specs reading different quantities off the same scenario share one
-    grid solve, and with a persistent store configured
-    (``$REPRO_CACHE_DIR`` / ``--cache-dir``) a re-run of any spec against
-    warm rows or segments performs zero equilibrium solves.
+    solves it on ``service``, then lays out each panel. ``service``
+    defaults to the process-wide
+    :func:`~repro.engine.service.default_service`, so specs reading
+    different quantities off the same scenario share its cached rows (the
+    second spec's grid resolves from the memory tier), and with a
+    persistent store configured (``$REPRO_CACHE_DIR`` / ``--cache-dir``)
+    a re-run of any spec against warm rows or segments performs zero
+    equilibrium solves.
 
     ``prices``/``caps`` override the scenario's axes on ``price``/``grid``
     sweeps (figure tests run on coarse grids; ``price`` sweeps always use
@@ -313,7 +314,7 @@ def run_spec(
         source = scenario if scenario is not None else spec.resolve_scenario()
     view = kind.solve(
         source,
-        engine if engine is not None else _shared_grid.engine(),
+        service if service is not None else default_service(),
         workers=workers,
         prices=prices,
         caps=caps,

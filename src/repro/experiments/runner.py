@@ -138,7 +138,7 @@ from repro.campaigns import (
     run_campaign,
     warehouse_for_service,
 )
-from repro.engine.service import default_service
+from repro.engine.service import default_service, set_default_service
 from repro.exceptions import ConvergenceError, ReproError
 from repro.experiments import fig04, fig05, fig07, fig08, fig09, fig10, fig11
 from repro.experiments.base import ExperimentResult
@@ -152,7 +152,6 @@ from repro.experiments.benchtable import (
     load_bench_records,
     render_table,
 )
-from repro.experiments.grid import reset_engine
 from repro.experiments.refine import REFINE_DEFAULTS, RefineSpec
 from repro.io import load_campaign, load_scenario, save_campaign
 from repro.scenarios import (
@@ -478,8 +477,8 @@ def _apply_runtime_options(
     """Validate and bind the shared worker/cache flags.
 
     Returns whether the default service was swapped (``--cache-dir`` /
-    ``--no-cache`` rebind the shared engine — and every other
-    default-routed solve path — to a service with / without the store);
+    ``--no-cache`` rebind every default-routed solve path to a service
+    with / without the store);
     the caller must pass the flag back to :func:`_restore_runtime_options`.
     """
     if args.no_cache and args.cache_dir is not None:
@@ -503,8 +502,8 @@ def _apply_runtime_options(
     service_changed = args.no_cache or args.cache_dir is not None
     if service_changed:
         store = None if args.no_cache else SolveStore(args.cache_dir)
-        reset_engine(
-            service=SolveService(cache=SolveCache(maxsize=256), store=store)
+        set_default_service(
+            SolveService(cache=SolveCache(maxsize=256), store=store)
         )
     return service_changed
 
@@ -536,7 +535,7 @@ def _restore_runtime_options(
         # spawned; shut them down before restoring the
         # environment-configured default for this process.
         default_service().close()
-        reset_engine(service=None)
+        set_default_service(None)
 
 
 def build_run_parser() -> argparse.ArgumentParser:

@@ -48,8 +48,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.engine.cache import SolveCache
-from repro.engine.grid_engine import GridEngine
 from repro.engine.service import SolveService, default_service
 from repro.experiments.base import ExperimentResult
 from repro.io import scenario_digest
@@ -103,10 +101,10 @@ def experiment_payload(result: ExperimentResult) -> dict:
 def default_runner(scn: ScenarioSpec, service: SolveService) -> dict:
     """Solve one scenario's generic grid experiment on ``service``.
 
-    The engine is built explicitly around the daemon's service (rather
-    than the process-wide default) so a server embedded in a larger
-    process — the tests, the benchmark — never entangles its cache state
-    with whatever the host process is doing.
+    The experiment runs explicitly on the daemon's service (rather than
+    the process-wide default) so a server embedded in a larger process —
+    the tests, the benchmark — never entangles its cache state with
+    whatever the host process is doing.
     """
     # Runtime import: the pipeline sits above the engine layer and pulls
     # in the scenario registry; importing it at module load would make
@@ -114,8 +112,7 @@ def default_runner(scn: ScenarioSpec, service: SolveService) -> dict:
     from repro.experiments.pipeline import run_spec, scenario_experiment
 
     spec = scenario_experiment(scn)
-    engine = GridEngine(cache=SolveCache(maxsize=8), service=service)
-    return experiment_payload(run_spec(spec, scenario=scn, engine=engine))
+    return experiment_payload(run_spec(spec, scenario=scn, service=service))
 
 
 @dataclass

@@ -11,7 +11,7 @@ from repro.analysis.continuation import (
 from repro.core.characterization import classify_providers
 from repro.core.equilibrium import solve_equilibrium
 from repro.core.game import SubsidizationGame
-from repro.engine import GridEngine, SolveCache, SolveService, SolveStore
+from repro.engine import SolveCache, SolveService, SolveStore, solve_grid
 from repro.exceptions import ModelError
 from repro.experiments.scenarios import section5_market
 
@@ -198,15 +198,13 @@ class TestEnginePathGolden:
         assert_paths_bitwise_equal(first, second)
 
     def test_trace_reuses_grid_engine_rows(self):
-        # The on-grid portion of a trace is a cap row with the grid
-        # engine's own content key: tracing along axes a figure grid has
-        # already solved re-solves nothing on that grid.
+        # The on-grid portion of a trace is a cap row with solve_grid's
+        # own content key: tracing along axes a figure grid has already
+        # solved re-solves nothing on that grid.
         market = section5_market()
         service = SolveService(cache=SolveCache())
         prices = np.linspace(0.1, 1.0, 8)
-        GridEngine(service=service).solve_grid(
-            market, prices, np.array([0.3])
-        )
+        solve_grid(market, prices, np.array([0.3]), service=service)
         solved_rows = service.counters.computed
         path = trace_equilibrium_path(market, prices, 0.3, service=service)
         assert service.counters.computed == solved_rows  # row came from cache

@@ -17,7 +17,7 @@ import pytest
 from repro.backend import use_backend
 from repro.core.equilibrium import DEFAULT_CERTIFY_TOL, solve_equilibrium
 from repro.core.game import SubsidizationGame
-from repro.engine import GridEngine
+from repro.engine import SolveService, certify_grid, solve_grid
 from repro.network.demand import DemandFunction, ExponentialDemand, ScaledDemand
 from repro.network.throughput import ExponentialThroughput
 from repro.providers.content_provider import ContentProvider, exponential_cp
@@ -98,9 +98,14 @@ def test_numpy_and_compiled_grids_agree(seed):
     grids = {}
     for name in ("numpy", "compiled"):
         with use_backend(name):
-            engine = GridEngine()
-            grid = engine.solve_grid(market, GRID_PRICES, GRID_CAPS, workers=1)
-            residuals = engine.certify_grid(market, grid)
+            grid = solve_grid(
+                market,
+                GRID_PRICES,
+                GRID_CAPS,
+                service=SolveService(),
+                workers=1,
+            )
+            residuals = certify_grid(market, grid)
         assert np.all(residuals <= DEFAULT_CERTIFY_TOL), name
         grids[name] = grid
     numpy_grid, compiled_grid = grids["numpy"], grids["compiled"]

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.engine.cache import SolveCache, grid_key, market_fingerprint
+from repro.engine.cache import SolveCache, market_fingerprint
+from repro.engine.grid_engine import cap_row_task
 from repro.providers import AccessISP, Market, exponential_cp
 
 
@@ -29,21 +30,24 @@ class TestMarketFingerprint:
         )
 
 
-class TestGridKey:
+def _row_key(market, prices, cap, *, warm_start=True):
+    return cap_row_task(market, prices, cap, warm_start=warm_start).key
+
+
+class TestCapRowKey:
     def test_content_keyed_not_identity_keyed(self):
         prices = np.linspace(0.1, 1.0, 5)
-        caps = np.array([0.0, 1.0])
-        a = grid_key(_market(), prices, caps, warm_start=True)
-        b = grid_key(_market(), prices.copy(), caps.copy(), warm_start=True)
+        a = _row_key(_market(), prices, 1.0)
+        b = _row_key(_market(), prices.copy(), 1.0)
         assert a == b
 
     def test_axes_and_options_distinguish(self):
         prices = np.linspace(0.1, 1.0, 5)
-        caps = np.array([0.0, 1.0])
-        base = grid_key(_market(), prices, caps, warm_start=True)
-        assert base != grid_key(_market(), prices[:-1], caps, warm_start=True)
-        assert base != grid_key(_market(), prices, caps[:-1], warm_start=True)
-        assert base != grid_key(_market(), prices, caps, warm_start=False)
+        base = _row_key(_market(), prices, 1.0)
+        assert base != _row_key(_market(), prices[:-1], 1.0)
+        assert base != _row_key(_market(), prices, 0.0)
+        assert base != _row_key(_market(), prices, 1.0, warm_start=False)
+        assert base != _row_key(_market(alpha=5.0), prices, 1.0)
 
 
 class TestSolveCache:

@@ -30,12 +30,12 @@ from repro.competition import (
     solve_oligopoly_competition,
 )
 from repro.engine import (
-    GridEngine,
     PoolExecutor,
     SolveCache,
     SolveService,
     SolveStore,
     set_default_workers,
+    solve_grid,
 )
 from repro.engine.service import SolveTask
 from repro.providers import AccessISP, Market, exponential_cp
@@ -456,9 +456,8 @@ class TestExecutorParityMatrix:
         with use_backend(backend):
             for name, workers in SCHEDULES.items():
                 service = self._service(tmp_path, backend, name)
-                engine = GridEngine(cache=SolveCache(), service=service)
-                grids[name] = engine.solve_grid(
-                    market, prices, caps, workers=workers
+                grids[name] = solve_grid(
+                    market, prices, caps, service=service, workers=workers
                 )
                 services[name] = service
         try:
@@ -563,8 +562,12 @@ class TestExecutorParityMatrix:
         store_dir = tmp_path / f"{backend}-shared"
         with use_backend(backend):
             warm = SolveService(cache=SolveCache(), store=SolveStore(store_dir))
-            GridEngine(cache=SolveCache(), service=warm).solve_grid(
-                market, prices, caps, workers=SCHEDULES["pooled"]
+            solve_grid(
+                market,
+                prices,
+                caps,
+                service=warm,
+                workers=SCHEDULES["pooled"],
             )
             warm.close()
             assert warm.counters.computed > 0
@@ -572,8 +575,12 @@ class TestExecutorParityMatrix:
             replay = SolveService(
                 cache=SolveCache(), store=SolveStore(store_dir)
             )
-            GridEngine(cache=SolveCache(), service=replay).solve_grid(
-                market, prices, caps, workers=SCHEDULES["inline"]
+            solve_grid(
+                market,
+                prices,
+                caps,
+                service=replay,
+                workers=SCHEDULES["inline"],
             )
             assert replay.counters.computed == 0
             assert replay.counters.store_hits == caps.size

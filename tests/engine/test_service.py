@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.engine import GridEngine, SolveCache, SolveStore
+from repro.engine import SolveCache, SolveStore, solve_grid
 from repro.engine.grid_engine import cap_row_task
 from repro.engine.service import (
     SolveService,
@@ -96,7 +96,7 @@ class TestTwoTierResolution:
         service.run(_square_task(1.0))
         stats = service.stats()
         assert stats["computed"] == 1
-        assert stats["memory_entries"] == 1
+        assert stats["memory"]["entries"] == 1
         assert stats["store"]["entries"] == 1
         assert SolveService().stats()["store"] is None
 
@@ -161,20 +161,33 @@ class TestDefaultService:
         rebuilt = default_service()
         assert rebuilt is not mine
 
-    def test_grid_engine_binds_to_a_service(self, tmp_path):
-        service = SolveService(cache=SolveCache(), store=SolveStore(tmp_path))
-        engine = GridEngine(cache=SolveCache(), service=service)
-        assert engine.service is service
-        grid = engine.solve_grid(
-            small_market(), np.linspace(0.1, 1.0, 3), np.array([0.0, 0.5])
+    def test_solve_grid_commits_to_the_given_service(self, tmp_path):
+        set_default_service(SolveService(cache=SolveCache()))
+        try:
+            service = SolveService(
+                cache=SolveCache(), store=SolveStore(tmp_path)
+            )
+            grid = solve_grid(
+                small_market(),
+                np.linspace(0.1, 1.0, 3),
+                np.array([0.0, 0.5]),
+                service=service,
+            )
+            assert service.counters.computed == 2
+            assert len(service.store) == 2
+            assert default_service().counters.computed == 0
+            assert default_service().stats()["memory"]["entries"] == 0
+        finally:
+            set_default_service(None)
+        # A compute-only service solves the same rows cold, bit for bit.
+        cold = SolveService()
+        regrid = solve_grid(
+            small_market(),
+            np.linspace(0.1, 1.0, 3),
+            np.array([0.0, 0.5]),
+            service=cold,
         )
-        assert service.counters.computed == 2
-        # A private (unbound) engine computes rows itself, cold.
-        cold = GridEngine()
-        regrid = cold.solve_grid(
-            small_market(), np.linspace(0.1, 1.0, 3), np.array([0.0, 0.5])
-        )
-        assert cold.service.counters.computed == 2
+        assert cold.counters.computed == 2
         for k in range(2):
             for j in range(3):
                 assert (

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from repro.campaigns import SWEEP_METRICS, CampaignSpec
-from repro.engine import SolveCache, SolveService, SolveStore
+from repro.engine import (
+    SolveCache,
+    SolveService,
+    SolveStore,
+    set_default_service,
+)
 from repro.exceptions import ModelError
-from repro.experiments.grid import reset_engine
 from repro.experiments.pipeline import (
     CAMPAIGN_QUANTITIES,
     ExperimentSpec,
@@ -17,14 +21,14 @@ from repro.experiments.pipeline import (
 
 
 @pytest.fixture
-def store_engine(tmp_path):
-    """Point the shared engine at a persistent store for the test."""
+def store_service(tmp_path):
+    """Point the default service at a persistent store for the test."""
     service = SolveService(
         cache=SolveCache(), store=SolveStore(tmp_path / "store")
     )
-    reset_engine(service=service)
+    set_default_service(service)
     yield service
-    reset_engine(service=None)
+    set_default_service(None)
 
 
 def campaign() -> CampaignSpec:
@@ -37,7 +41,7 @@ def campaign() -> CampaignSpec:
 
 
 class TestCampaignExperiment:
-    def test_runs_end_to_end_with_passing_checks(self, store_engine):
+    def test_runs_end_to_end_with_passing_checks(self, store_service):
         spec = campaign_experiment(campaign())
         assert spec.sweep == "campaign"
         assert spec.experiment_id == "pipe-campaign"
@@ -47,14 +51,14 @@ class TestCampaignExperiment:
         ]
         assert len(result.figures) == len(SWEEP_METRICS["price"])
 
-    def test_panels_sweep_the_row_index(self, store_engine):
+    def test_panels_sweep_the_row_index(self, store_service):
         result = run_spec(campaign_experiment(campaign()))
         figure = result.figures[0]
         np.testing.assert_array_equal(figure.x, [0, 1, 2, 3])
         assert figure.x_label == "row"
         assert np.all(np.isfinite(figure.series[0].y))
 
-    def test_csv_export(self, store_engine, tmp_path):
+    def test_csv_export(self, store_service, tmp_path):
         result = run_spec(campaign_experiment(campaign()))
         paths = result.write_csv(tmp_path / "out")
         assert len(paths) == len(result.figures)

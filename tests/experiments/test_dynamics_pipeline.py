@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.engine import default_service
 from repro.exceptions import ModelError
-from repro.experiments.grid import engine
 from repro.experiments.kinds import SWEEP_KINDS
 from repro.experiments.pipeline import (
     DYNAMICS_QUANTITIES,
@@ -178,7 +178,7 @@ class TestRunSpec:
 
 class TestDynamicsView:
     def test_scalar_caches_and_validates(self, tiny_scenario):
-        view = SWEEP_KINDS["dynamics"].solve(tiny_scenario, engine())
+        view = SWEEP_KINDS["dynamics"].solve(tiny_scenario, default_service())
         first = view.scalar("adoption")
         assert view.scalar("adoption") is first
         with pytest.raises(ModelError):
@@ -186,7 +186,7 @@ class TestDynamicsView:
 
     def test_every_quantity_extracts(self, tiny_scenario):
         spec = dynamics_settings(tiny_scenario.metadata)
-        view = SWEEP_KINDS["dynamics"].solve(tiny_scenario, engine())
+        view = SWEEP_KINDS["dynamics"].solve(tiny_scenario, default_service())
         for quantity in DYNAMICS_QUANTITIES:
             values = view.scalar(quantity)
             assert values.shape == (spec.horizon + 1,)

@@ -2,7 +2,7 @@
 
 The figure modules used to orchestrate their own sweeps: Figures 4–5
 looped ``market.with_price(p).solve()`` directly, Figures 7–11 read
-quantities off a shared :class:`~repro.engine.GridEngine` grid and built
+quantities off one shared :func:`~repro.engine.solve_grid` grid and built
 the per-CP panel layout by hand. This test re-implements those legacy data
 paths verbatim and asserts the declarative pipeline's CSVs are
 **bitwise-identical** to them — the refactor moved orchestration, not
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.series import FigureData, Series
-from repro.engine import GridEngine
+from repro.engine import SolveService, solve_grid
 from repro.experiments import fig04, fig05, fig07, fig08, fig09, fig10, fig11
 from repro.experiments.scenarios import section3_market, section5_market
 
@@ -31,9 +31,11 @@ def legacy_price_sweep():
 
 @pytest.fixture(scope="module")
 def legacy_grid():
-    """The old §5 grid: engine-solved (price × policy) equilibria."""
+    """The old §5 grid: cold-solved (price × policy) equilibria."""
     market = section5_market()
-    grid = GridEngine().solve_grid(market, PRICES, np.asarray(CAPS, dtype=float))
+    grid = solve_grid(
+        market, PRICES, np.asarray(CAPS, dtype=float), service=SolveService()
+    )
     return market, grid
 
 

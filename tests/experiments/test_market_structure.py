@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.engine import default_service
 from repro.exceptions import ModelError
-from repro.experiments.grid import engine
 from repro.experiments.kinds import SWEEP_KINDS
 from repro.experiments.pipeline import (
     MARKET_STRUCTURE_QUANTITIES,
@@ -146,7 +146,7 @@ class TestRunSpec:
 class TestMarketStructureView:
     def test_unknown_quantity_rejected(self):
         view = SWEEP_KINDS["market_structure"].solve(
-            tiny_oligopoly_scenario(), engine(), carrier_counts=()
+            tiny_oligopoly_scenario(), default_service(), carrier_counts=()
         )
         with pytest.raises(ModelError):
             view.scalar("revenue")

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.experiments.grid import reset_engine
+from repro.engine import set_default_service
 from repro.experiments.runner import main
 
 
@@ -17,9 +17,9 @@ def fresh_default_service():
     resolves as memory hits — ``computed`` counters would depend on test
     order.
     """
-    reset_engine(service=None)
+    set_default_service(None)
     yield
-    reset_engine(service=None)
+    set_default_service(None)
 from repro.io import save_scenario
 from repro.providers import AccessISP, Market, exponential_cp
 from repro.scenarios import ScenarioSpec, oligopoly

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.engine import GridEngine
+from repro.engine import SolveCache, SolveService, set_default_service
 from repro.exceptions import ModelError
 from repro.experiments.pipeline import (
     ExperimentSpec,
@@ -97,7 +97,7 @@ class TestRunSpec:
                 ),
             ),
         )
-        result = run_spec(spec, engine=GridEngine())
+        result = run_spec(spec, service=SolveService())
         series = result.figures[0].series_by_name("theta")
         market = scenario.market
         direct = [
@@ -106,6 +106,24 @@ class TestRunSpec:
         ]
         # The zero-cap shortcut makes the engine route bitwise-identical.
         assert list(series.y) == direct
+
+    def test_default_service_resolves_at_call_time(self, scenario):
+        spec = scenario_experiment(scenario)
+        first = SolveService(cache=SolveCache())
+        set_default_service(first)
+        try:
+            run_spec(spec)
+            assert first.counters.computed == len(CAPS)
+            second = SolveService(cache=SolveCache())
+            set_default_service(second)
+            run_spec(spec)
+            assert second.counters.computed == len(CAPS)
+            # An explicit service bypasses the default entirely.
+            run_spec(spec, service=SolveService())
+            assert second.counters.as_dict()["memory_hits"] == 0
+            assert second.counters.computed == len(CAPS)
+        finally:
+            set_default_service(None)
 
     def test_grid_sweep_series_per_policy_level(self, scenario):
         spec = ExperimentSpec(
@@ -122,7 +140,7 @@ class TestRunSpec:
                 ),
             ),
         )
-        result = run_spec(spec, engine=GridEngine())
+        result = run_spec(spec, service=SolveService())
         assert result.figures[0].names() == ["q=0", "q=1"]
 
     def test_provider_panels_expand_per_cp_on_grid(self, scenario):
@@ -140,7 +158,7 @@ class TestRunSpec:
                 ),
             ),
         )
-        result = run_spec(spec, engine=GridEngine())
+        result = run_spec(spec, service=SolveService())
         assert len(result.figures) == scenario.size
         names = scenario.market.provider_names()
         assert result.figures[0].figure_id == f"percp-{names[0]}"
@@ -165,7 +183,7 @@ class TestRunSpec:
                 check("with detail", lambda v: (False, "why not")),
             ),
         )
-        result = run_spec(spec, engine=GridEngine())
+        result = run_spec(spec, service=SolveService())
         assert result.checks[0].passed
         assert not result.checks[1].passed
         assert result.checks[1].detail == "why not"
@@ -186,7 +204,7 @@ class TestRunSpec:
             ),
         )
         result = run_spec(
-            spec, prices=(0.0, 1.0), caps=(0.0,), engine=GridEngine()
+            spec, prices=(0.0, 1.0), caps=(0.0,), service=SolveService()
         )
         assert list(result.figures[0].x) == [0.0, 1.0]
         assert result.figures[0].names() == ["q=0"]
@@ -207,7 +225,7 @@ class TestRunSpec:
             ),
         )
         other = scaled_market(4, prices=PRICES, policy_levels=CAPS)
-        result = run_spec(spec, scenario=other, engine=GridEngine())
+        result = run_spec(spec, scenario=other, service=SolveService())
         direct = other.market.with_price(1.0).solve().revenue
         j = PRICES.index(1.0)
         assert result.figures[0].series_by_name("q=0").y[j] == direct
@@ -216,7 +234,7 @@ class TestRunSpec:
 class TestScenarioExperiment:
     def test_generic_sweep_passes_on_paper_market(self, scenario):
         spec = scenario_experiment(scenario)
-        result = run_spec(spec, engine=GridEngine())
+        result = run_spec(spec, service=SolveService())
         assert result.experiment_id == "pipe-test"
         failed = [c.name for c in result.checks if not c.passed]
         assert not failed
@@ -231,7 +249,7 @@ class TestScenarioExperiment:
         spec = scenario_experiment(
             scaled_market(4, policy_levels=(0.0, 1.0), prices=PRICES)
         )
-        result = run_spec(spec, caps=(1.0, 2.0), engine=GridEngine())
+        result = run_spec(spec, caps=(1.0, 2.0), service=SolveService())
         thm2 = next(c for c in result.checks if "Thm 2" in c.name)
         assert thm2.passed
         assert thm2.detail == "no q=0 row on the solved grid"

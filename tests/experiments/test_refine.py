@@ -208,7 +208,6 @@ class TestExperimentSpecIntegration:
     def test_refined_sweep_through_the_pipeline(self):
         # The refine option routes a grid sweep through refine_grid and
         # the result still satisfies the generic model-level checks.
-        from repro.engine import GridEngine
         from repro.scenarios import ScenarioSpec
 
         scn = ScenarioSpec(
@@ -222,11 +221,9 @@ class TestExperimentSpecIntegration:
         refined_spec = dataclasses.replace(
             base, refine=RefineSpec(levels=1, threshold=0.002)
         )
-        engine = GridEngine(
-            cache=SolveCache(), service=fresh_service()
-        )
-        result = run_spec(refined_spec, engine=engine)
+        service = fresh_service()
+        result = run_spec(refined_spec, service=service)
         assert result.all_passed()
         # The same spec without refinement passes identically.
-        plain = run_spec(base, engine=engine)
+        plain = run_spec(base, service=service)
         assert plain.all_passed()

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from repro.engine import SolveCache, SolveService, SolveStore
-from repro.engine.service import default_service
+from repro.engine.service import default_service, set_default_service
 from repro.experiments import fig04, fig05, fig07, fig10
-from repro.experiments.grid import reset_engine
 
 PRICES = np.round(np.linspace(0.0, 2.0, 7), 10)
 CAPS = (0.0, 1.0)
@@ -19,15 +18,15 @@ CAPS = (0.0, 1.0)
 
 @pytest.fixture
 def warm_store(tmp_path):
-    """A store directory; the shared engine is restored afterwards."""
+    """A store directory; the default service is restored afterwards."""
     yield tmp_path
-    reset_engine(service=None)
+    set_default_service(None)
 
 
 def fresh_process_service(store_dir) -> SolveService:
     """Simulate a new process: empty memory tiers, same store directory."""
     service = SolveService(cache=SolveCache(), store=SolveStore(store_dir))
-    reset_engine(service=service)
+    set_default_service(service)
     return service
 
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.engine import SolveCache, SolveService, set_default_service
 from repro.experiments import fig04
 from repro.experiments.runner import (
     EXPERIMENT_SPECS,
@@ -114,6 +115,31 @@ class TestRunExperiments:
         out = capsys.readouterr().out
         assert "fig4" in out
         assert "PASS" in out
+
+    def test_all_solves_each_row_once_on_the_default_service(self, tmp_path):
+        # Figs 4-5 share one price row (cap 0) of the section3 market and
+        # Figs 7-11 one 5-cap grid of the section5 market: a cold run
+        # computes those 6 rows, and every later figure, like every figure
+        # of an immediate re-run, resolves from the memory tier.
+        from repro.experiments.runner import _expand_all
+
+        names = _expand_all(["all"])
+        service = SolveService(cache=SolveCache(maxsize=256))
+        set_default_service(service)
+        try:
+            run_experiments(names, out_dir=tmp_path / "cold", quiet=True)
+            assert service.counters.computed == 6
+            assert service.counters.memory_hits == 1 + 4 * 5
+            run_experiments(names, out_dir=tmp_path / "warm", quiet=True)
+            assert service.counters.computed == 6
+            assert service.counters.memory_hits == 21 + 2 + 5 * 5
+        finally:
+            set_default_service(None)
+        cold = sorted((tmp_path / "cold").iterdir())
+        assert cold
+        for path in cold:
+            warm = tmp_path / "warm" / path.name
+            assert path.read_bytes() == warm.read_bytes(), path.name
 
 
 class TestMain:

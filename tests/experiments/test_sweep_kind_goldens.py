@@ -20,8 +20,12 @@ from repro.campaigns import (
     run_campaign,
     warehouse_for_service,
 )
-from repro.engine import SolveCache, SolveService, SolveStore
-from repro.experiments.grid import reset_engine
+from repro.engine import (
+    SolveCache,
+    SolveService,
+    SolveStore,
+    set_default_service,
+)
 from repro.experiments.pipeline import (
     ExperimentSpec,
     PanelSpec,
@@ -44,11 +48,11 @@ def _store_service(path) -> SolveService:
 
 
 @pytest.fixture
-def private_engine(tmp_path):
+def private_service(tmp_path):
     """Run the pipeline on a private store-backed default service."""
-    reset_engine(service=_store_service(tmp_path))
+    set_default_service(_store_service(tmp_path))
     yield
-    reset_engine(service=None)
+    set_default_service(None)
 
 
 def _grid_scenario() -> ScenarioSpec:
@@ -387,7 +391,7 @@ WAREHOUSE_ROWS: dict[str, list[list[tuple[str, str]]]] = {
 
 
 @pytest.mark.parametrize("kind", sorted(CSV_DIGESTS))
-def test_experiment_csv_digests(kind, private_engine, tmp_path):
+def test_experiment_csv_digests(kind, private_service, tmp_path):
     digests = csv_digests(kind, tmp_path / "out")
     assert list(digests.items()) == list(CSV_DIGESTS[kind].items())
 

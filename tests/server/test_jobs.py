@@ -248,6 +248,22 @@ class TestDefaultRunner:
             mgr.close()
             service.close()
 
+    def test_leaves_the_default_service_untouched(self):
+        from repro.engine import set_default_service
+        from repro.server.jobs import default_runner
+
+        bystander = SolveService(cache=SolveCache())
+        set_default_service(bystander)
+        try:
+            service = SolveService(cache=SolveCache())
+            default_runner(tiny_scenario(), service)
+            assert service.counters.computed == 2  # one task per cap row
+            assert bystander.counters.as_dict() == {
+                "memory_hits": 0, "store_hits": 0, "computed": 0,
+            }
+        finally:
+            set_default_service(None)
+
     def test_payload_round_trips_json(self, tmp_path):
         import json as _json
 
