@@ -57,8 +57,11 @@ BACKEND_NAMES = ("numpy", "cext", "pyloops", "compiled")
 # All kernel backends share one tag: they are bitwise interchangeable.
 # "libm2": every built-in demand/throughput family is fused (the first
 # tag covered only the exponential pair), which moves mixed-family
-# results by ulps.
-_KERNEL_CACHE_TAG = "libm2"
+# results by ulps. "libm3": a whole equilibrium solve is one kernel call.
+# Its state sums welfare sequentially (Market.solve calls np.dot) and its
+# Newton polish solves with its own LU (not LAPACK's), which moves welfare
+# by ulps and, on large markets, equilibria in the last digits.
+_KERNEL_CACHE_TAG = "libm3"
 
 
 @dataclass(frozen=True)
@@ -75,9 +78,9 @@ class Backend:
     kernels:
         Object exposing the fused batch kernels (``bind``,
         ``congestion_batch``, ``marginal_batch``, ``best_response_root``,
-        ``exp_inplace``, ``pair_dot_batch``; call shape in
-        :mod:`repro.backend.dispatch`) or ``None`` for the lockstep numpy
-        path.
+        ``equilibrium_solve``, ``exp_inplace``, ``pair_dot_batch``; call
+        shape in :mod:`repro.backend.dispatch`) or ``None`` for the
+        lockstep numpy path.
     cache_tag:
         Store/cache key namespace; ``""`` for numpy-identical results.
     fallback_reason:
@@ -243,5 +246,6 @@ def warm_kernels(backend: Backend | None = None) -> None:
     kernels.congestion_batch(bound, populations, None)
     kernels.marginal_batch(bound, np.zeros((1, n)), None)
     kernels.best_response_root(bound, np.zeros(n), 0.5, None, 1e-6)
+    kernels.equilibrium_solve(bound, np.zeros(n), 0.5, 1e-10, 2)
     kernels.exp_inplace(np.zeros(4), np.zeros(4))
     kernels.pair_dot_batch(populations, populations, np.zeros(1))

@@ -11,6 +11,9 @@
  * Demand rows hold DEMAND_WIDTH doubles (family parameters, then the
  * share weight in the last slot); throughput rows hold (beta, peak).
  *
+ * repro_equilibrium_solve strings the kernels into a whole equilibrium
+ * solve, so one call replaces the Python loop of core/equilibrium.py.
+ *
  * Keep this file in lockstep with kernels_py.py when editing either.
  */
 
@@ -727,4 +730,598 @@ done:
     free(pending);
     status_bad[0] = status;
     status_bad[1] = bad;
+}
+
+/* ------------------------------------------------------------------ */
+/* whole equilibrium solve                                            */
+/* ------------------------------------------------------------------ */
+
+/* Status words of repro_equilibrium_solve (dispatch.py maps them). */
+enum {
+    EQ_CONVERGED = 0,
+    EQ_BUDGET = 1,
+    EQ_BRACKET = 2,
+    EQ_POPULATIONS = 3,
+    EQ_CORNER = 4,
+    EQ_SUBSIDIES = 5,
+    EQ_ROOT_BRACKET = 6
+};
+
+/* Constants of core/equilibrium.py's _vector_solve and _newton_polish. */
+#define NEWTON_TRIGGER 1e-3
+#define NEWTON_MAX_ITER 15
+#define ACTIVE_TOL 1e-12
+#define LINESEARCH_STEPS 6
+static const double LINESEARCH_SCALES[LINESEARCH_STEPS] = {
+    1.0, 0.5, 0.25, 0.125, 0.0625, 0.015625};
+
+/* One solve's model, warm-start chain and scratch. The chain mirrors
+ * BatchedProfileEvaluator: the utilizations of the last evaluated batch,
+ * reused as the next batch's warm start only when the sizes match. */
+typedef struct {
+    int64_t n;
+    double price;
+    const double *values;
+    const int64_t *dtags;
+    const double *dparams;
+    const int64_t *rtags;
+    const double *rparams;
+    double mu;
+    double xtol;
+    double cap;
+    double *chain;
+    double *chain_next;
+    int64_t chain_len;
+    double *clipped;
+    double *tmp_dm;
+    double *tmp_r;
+    double *tmp_dr;
+    double *fail_lo;
+    double *fail_hi;
+    int64_t *pop_rows;
+    int64_t *fail_rows;
+    int64_t *stats;
+    int64_t bad;
+    double bad_lo;
+    double bad_hi;
+} eq_ctx;
+
+/* np.clip(x, lo, hi) bit-for-bit: NaN and -0.0 pass through. */
+static double clip_box(double x, double lo, double hi) {
+    if (x < lo) {
+        return lo;
+    }
+    if (x > hi) {
+        return hi;
+    }
+    return x;
+}
+
+/* np.max(np.abs(v)): NaN wins. */
+static double max_abs(const double *v, int64_t n) {
+    double best = fabs(v[0]);
+    for (int64_t k = 1; k < n; k++) {
+        double a = fabs(v[k]);
+        if (a > best || isnan(a)) {
+            best = a;
+        }
+    }
+    return best;
+}
+
+/* Natural-map residual ||s - clip(s + u, 0, cap)||_inf of one row. */
+static double natural_residual(const double *s, const double *u, double cap,
+                               int64_t n, double *scratch) {
+    for (int64_t k = 0; k < n; k++) {
+        scratch[k] = s[k] - clip_box(s[k] + u[k], 0.0, cap);
+    }
+    return max_abs(scratch, n);
+}
+
+/* np.sum's order over a contiguous vector: NumPy's pairwise summation,
+ * eight interleaved accumulators over blocks of at most 128 values. */
+static double pairwise_sum(const double *a, int64_t n) {
+    if (n < 8) {
+        double res = 0.0;
+        for (int64_t i = 0; i < n; i++) {
+            res += a[i];
+        }
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        for (int j = 0; j < 8; j++) {
+            r[j] = a[j];
+        }
+        int64_t i = 8;
+        for (; i < n - (n % 8); i += 8) {
+            for (int j = 0; j < 8; j++) {
+                r[j] += a[i + j];
+            }
+        }
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) +
+                     ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++) {
+            res += a[i];
+        }
+        return res;
+    }
+    int64_t half = n / 2;
+    half -= half % 8;
+    return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
+}
+
+/* Market.subsidy_matrix's check: finite and at least -1e-12. */
+static int subsidies_valid(const double *s, int64_t count) {
+    for (int64_t k = 0; k < count; k++) {
+        if (!(s[k] >= -1e-12 && s[k] < INFINITY)) {
+            return 0;
+        }
+    }
+    return 1;
+}
+
+/* BatchedProfileEvaluator.marginal_utilities over rows x n profiles:
+ * Market.subsidy_matrix's check and clip, then the marginal batch kernel
+ * on the chained warm start. */
+static int eq_marginals(eq_ctx *c, int64_t rows, const double *s,
+                        double *u_out) {
+    int64_t n = c->n;
+    if (!subsidies_valid(s, rows * n)) {
+        c->bad = -1;
+        return EQ_SUBSIDIES;
+    }
+    for (int64_t k = 0; k < rows * n; k++) {
+        c->clipped[k] = clamp0(s[k]);
+    }
+    int64_t counts[2];
+    repro_marginal_batch(rows, n, c->clipped, c->price, c->values, c->dtags,
+                         c->dparams, c->rtags, c->rparams, c->mu, c->xtol,
+                         c->chain, c->chain_len == rows, u_out, c->chain_next,
+                         c->stats, c->pop_rows, c->fail_rows, c->fail_lo,
+                         c->fail_hi, counts);
+    if (counts[0] > 0) {
+        c->bad = c->pop_rows[0];
+        return EQ_POPULATIONS;
+    }
+    if (counts[1] > 0) {
+        c->bad = c->fail_rows[0];
+        c->bad_lo = c->fail_lo[0];
+        c->bad_hi = c->fail_hi[0];
+        return EQ_BRACKET;
+    }
+    memcpy(c->chain, c->chain_next, sizeof(double) * (size_t)rows);
+    c->chain_len = rows;
+    return EQ_CONVERGED;
+}
+
+/* best_response_profile_vectorized on the fused root loop. */
+static int eq_best_responses(eq_ctx *c, const double *s, double root_xtol,
+                             double *responses, double *u_zero,
+                             double *u_cap) {
+    int64_t n = c->n;
+    int any_playable = 0;
+    for (int64_t i = 0; i < n; i++) {
+        responses[i] = 0.0;
+        double hi = (c->cap < c->values[i]) ? c->cap : c->values[i];
+        if (hi > 0.0) {
+            any_playable = 1;
+        }
+    }
+    if (!any_playable) {
+        return EQ_CONVERGED;
+    }
+    /* The trial batch's off-diagonal entries are the incoming profile. */
+    if (n > 1 && !subsidies_valid(s, n)) {
+        c->bad = -1;
+        return EQ_SUBSIDIES;
+    }
+    int64_t status_bad[2] = {0, -1};
+    repro_best_response(n, s, c->price, c->values, c->dtags, c->dparams,
+                        c->rtags, c->rparams, c->mu, c->xtol, c->cap,
+                        c->chain, c->chain_len == n, root_xtol, responses,
+                        u_zero, u_cap, c->stats, status_bad);
+    if (status_bad[0] != 0) {
+        c->bad = status_bad[1];
+        return status_bad[0] == 3 ? EQ_POPULATIONS : EQ_ROOT_BRACKET;
+    }
+    for (int64_t i = 0; i < n; i++) {
+        double hi = (c->cap < c->values[i]) ? c->cap : c->values[i];
+        if (hi > 0.0 && !(isfinite(u_zero[i]) && isfinite(u_cap[i]))) {
+            c->bad = i;
+            return EQ_CORNER;
+        }
+    }
+    c->chain_len = n;
+    return EQ_CONVERGED;
+}
+
+/* Solve the k x k system a x = b in place: LU with partial pivoting
+ * (first largest |pivot|). Returns 0 when a pivot is exactly zero,
+ * where LAPACK's dgesv reports a singular matrix. */
+static int lu_solve(double *a, double *b, int64_t k) {
+    for (int64_t col = 0; col < k; col++) {
+        int64_t p = col;
+        double biggest = fabs(a[col * k + col]);
+        for (int64_t r = col + 1; r < k; r++) {
+            double v = fabs(a[r * k + col]);
+            if (v > biggest) {
+                biggest = v;
+                p = r;
+            }
+        }
+        if (a[p * k + col] == 0.0) {
+            return 0;
+        }
+        if (p != col) {
+            for (int64_t j = 0; j < k; j++) {
+                double t = a[p * k + j];
+                a[p * k + j] = a[col * k + j];
+                a[col * k + j] = t;
+            }
+            double t = b[p];
+            b[p] = b[col];
+            b[col] = t;
+        }
+        for (int64_t r = col + 1; r < k; r++) {
+            double l = a[r * k + col] / a[col * k + col];
+            a[r * k + col] = l;
+            for (int64_t j = col + 1; j < k; j++) {
+                a[r * k + j] -= l * a[col * k + j];
+            }
+            b[r] -= l * b[col];
+        }
+    }
+    for (int64_t r = k - 1; r >= 0; r--) {
+        double acc = b[r];
+        for (int64_t j = k - 1; j > r; j--) {
+            acc -= a[r * k + j] * b[j];
+        }
+        b[r] = acc / a[r * k + r];
+    }
+    return 1;
+}
+
+/* Scratch of one Newton polish: every array sized for the largest batch
+ * (n Jacobian probes or the line-search rows). */
+typedef struct {
+    double *s;
+    double *u;
+    double *step;
+    double *h;
+    double *probes;
+    double *perturbed;
+    double *jac;
+    double *block;
+    double *rhs;
+    double *residuals;
+    int64_t *idx;
+    int64_t *active;
+} eq_newton_work;
+
+/* core/equilibrium.py's _newton_polish, started at s. On success
+ * *polished is 1, s holds the polished profile and *iters the Newton
+ * steps taken; otherwise s is untouched. Returns a status word. */
+static int eq_newton(eq_ctx *c, eq_newton_work *w, double *s_io, double tol,
+                     int *polished, int64_t *iters) {
+    int64_t n = c->n;
+    double q = c->cap;
+    size_t nb = sizeof(double) * (size_t)n;
+    double *s = w->s;
+    double *u = w->u;
+    double *step = w->step;
+    double *h = w->h;
+    *polished = 0;
+    memcpy(s, s_io, nb);
+    int st = eq_marginals(c, 1, s, u);
+    if (st != EQ_CONVERGED) {
+        return st;
+    }
+    double residual = natural_residual(s, u, q, n, w->residuals);
+    for (int64_t iteration = 1; iteration <= NEWTON_MAX_ITER; iteration++) {
+        if (residual <= tol) {
+            memcpy(s_io, s, nb);
+            *polished = 1;
+            *iters = iteration - 1;
+            return EQ_CONVERGED;
+        }
+        int64_t n_inactive = 0, n_active = 0;
+        for (int64_t i = 0; i < n; i++) {
+            double shifted = s[i] + u[i];
+            int lower = shifted <= ACTIVE_TOL;
+            int upper = shifted >= q - ACTIVE_TOL;
+            step[i] = 0.0;
+            if (lower) {
+                step[i] = -s[i];
+            }
+            if (upper) {
+                step[i] = q - s[i];
+            }
+            if (lower || upper) {
+                w->active[n_active++] = i;
+            } else {
+                w->idx[n_inactive++] = i;
+            }
+        }
+        /* Forward-difference Jacobian: probe j perturbs player j, flipped
+         * where a forward step would leave the box. */
+        for (int64_t j = 0; j < n; j++) {
+            double hj = 1e-7 * (1.0 + fabs(s[j]));
+            h[j] = (s[j] + hj <= q) ? hj : -hj;
+        }
+        for (int64_t j = 0; j < n; j++) {
+            for (int64_t k = 0; k < n; k++) {
+                w->probes[j * n + k] = s[k] + h[j] * ((j == k) ? 1.0 : 0.0);
+            }
+        }
+        st = eq_marginals(c, n, w->probes, w->perturbed);
+        if (st != EQ_CONVERGED) {
+            return st;
+        }
+        for (int64_t i = 0; i < n; i++) {
+            for (int64_t j = 0; j < n; j++) {
+                w->jac[i * n + j] = (w->perturbed[j * n + i] - u[i]) / h[j];
+            }
+        }
+        if (n_inactive > 0) {
+            int64_t k = n_inactive;
+            for (int64_t r = 0; r < k; r++) {
+                int64_t i = w->idx[r];
+                double rhs = -u[i];
+                if (n_active > 0) {
+                    double acc = 0.0;
+                    for (int64_t a = 0; a < n_active; a++) {
+                        acc += w->jac[i * n + w->active[a]] * step[w->active[a]];
+                    }
+                    rhs = rhs - acc;
+                }
+                w->rhs[r] = rhs;
+                for (int64_t col = 0; col < k; col++) {
+                    w->block[r * k + col] = w->jac[i * n + w->idx[col]];
+                }
+            }
+            if (lu_solve(w->block, w->rhs, k)) {
+                for (int64_t r = 0; r < k; r++) {
+                    step[w->idx[r]] = w->rhs[r];
+                }
+            } else {
+                /* Singular inactive block: projected gradient step. */
+                for (int64_t r = 0; r < k; r++) {
+                    step[w->idx[r]] = u[w->idx[r]];
+                }
+            }
+        }
+        for (int64_t t = 0; t < LINESEARCH_STEPS; t++) {
+            for (int64_t k = 0; k < n; k++) {
+                w->probes[t * n + k] =
+                    clip_box(s[k] + LINESEARCH_SCALES[t] * step[k], 0.0, q);
+            }
+        }
+        st = eq_marginals(c, LINESEARCH_STEPS, w->probes, w->perturbed);
+        if (st != EQ_CONVERGED) {
+            return st;
+        }
+        int64_t best = -1;
+        double best_residual = 0.0;
+        for (int64_t t = 0; t < LINESEARCH_STEPS; t++) {
+            double r = natural_residual(w->probes + t * n, w->perturbed + t * n,
+                                        q, n, w->residuals);
+            if (r < residual) {
+                best = t;
+                best_residual = r;
+                break;
+            }
+        }
+        if (best < 0) {
+            return EQ_CONVERGED;
+        }
+        memcpy(s, w->probes + best * n, nb);
+        memcpy(u, w->perturbed + best * n, nb);
+        residual = best_residual;
+    }
+    if (residual <= tol) {
+        memcpy(s_io, s, nb);
+        *polished = 1;
+        *iters = NEWTON_MAX_ITER;
+    }
+    return EQ_CONVERGED;
+}
+
+/* The solved state at s with a cold congestion root, as Market.solve and
+ * the KKT certificate compute it. out: state subsidies | effective prices
+ * | populations | rates | throughputs | utilities | utilization,
+ * gap slope, revenue, welfare, residual. */
+static int eq_state(eq_ctx *c, const double *s, double *out, double *u) {
+    int64_t n = c->n;
+    if (!subsidies_valid(s, n)) {
+        c->bad = -1;
+        return EQ_SUBSIDIES;
+    }
+    double *sc = out;
+    double *effective = out + n;
+    double *m = out + 2 * n;
+    double *r = out + 3 * n;
+    double *theta = out + 4 * n;
+    double *utilities = out + 5 * n;
+    double *scalars = out + 6 * n;
+    for (int64_t i = 0; i < n; i++) {
+        sc[i] = clamp0(s[i]);
+        effective[i] = c->price - sc[i];
+    }
+    if (!demand_row(sc, c->price, c->dtags, c->dparams, n, m, c->tmp_dm)) {
+        c->bad = 0;
+        return EQ_POPULATIONS;
+    }
+    double phi = 0.0, bad_lo = 0.0, bad_hi = 0.0;
+    int64_t evals = 0, expansions = 0;
+    int ok = marginal_row(sc, c->values, m, c->tmp_dm, c->rtags, c->rparams,
+                          c->mu, n, c->xtol, 0.0, 0, u, r, c->tmp_dr, &phi,
+                          &bad_lo, &bad_hi, &evals, &expansions);
+    c->stats[0] += evals;
+    c->stats[1] += expansions;
+    if (!ok) {
+        c->bad = 0;
+        c->bad_lo = bad_lo;
+        c->bad_hi = bad_hi;
+        return EQ_BRACKET;
+    }
+    double dslope = 0.0;
+    double welfare = 0.0;
+    for (int64_t i = 0; i < n; i++) {
+        dslope += m[i] * c->tmp_dr[i];
+        theta[i] = m[i] * r[i];
+        utilities[i] = (c->values[i] - sc[i]) * theta[i];
+        welfare += c->values[i] * theta[i];
+    }
+    scalars[0] = phi;
+    scalars[1] = c->mu - dslope;
+    /* Revenue sums in Market.solve's np.sum order. */
+    scalars[2] = c->price * pairwise_sum(theta, n);
+    scalars[3] = welfare;
+    scalars[4] = natural_residual(s, u, c->cap, n, c->tmp_r);
+    return EQ_CONVERGED;
+}
+
+/* The next count doubles of a workspace. */
+static double *carve(double **cursor, int64_t count) {
+    double *head = *cursor;
+    *cursor += count;
+    return head;
+}
+
+/* core/equilibrium.py's _vector_solve (damping 1) plus the certified
+ * state, in one call. s0 is the starting profile, already in the box.
+ * out (7n + 7 doubles): profile | the eq_state block (6n + 5) | fail_lo,
+ * fail_hi. iout: stats[2] | iterations | status | bad index. */
+void repro_equilibrium_solve(int64_t n, const double *s0, double price,
+                             const double *values, const int64_t *dtags,
+                             const double *dparams, const int64_t *rtags,
+                             const double *rparams, double mu,
+                             double xtol_final, double cap, double tol,
+                             int64_t max_sweeps, double *out, int64_t *iout) {
+    int64_t wide = (n > LINESEARCH_STEPS) ? n : LINESEARCH_STEPS;
+    int64_t cells = wide * n;
+    double *work = (double *)malloc(
+        sizeof(double) * (size_t)(3 * cells + 2 * n * n + 4 * wide + 12 * n));
+    int64_t *iwork =
+        (int64_t *)malloc(sizeof(int64_t) * (size_t)(2 * n + 2 * wide));
+    double *cursor = work;
+    eq_ctx c;
+    c.n = n;
+    c.price = price;
+    c.values = values;
+    c.dtags = dtags;
+    c.dparams = dparams;
+    c.rtags = rtags;
+    c.rparams = rparams;
+    c.mu = mu;
+    c.xtol = xtol_final;
+    c.cap = cap;
+    c.chain = carve(&cursor, wide);
+    c.chain_next = carve(&cursor, wide);
+    c.chain_len = 0;
+    c.clipped = carve(&cursor, cells);
+    c.tmp_dm = carve(&cursor, n);
+    c.tmp_r = carve(&cursor, n);
+    c.tmp_dr = carve(&cursor, n);
+    c.fail_lo = carve(&cursor, wide);
+    c.fail_hi = carve(&cursor, wide);
+    c.pop_rows = iwork + 2 * n;
+    c.fail_rows = iwork + 2 * n + wide;
+    c.stats = iout;
+    c.bad = -1;
+    c.bad_lo = 0.0;
+    c.bad_hi = 0.0;
+    eq_newton_work w;
+    w.probes = carve(&cursor, cells);
+    w.perturbed = carve(&cursor, cells);
+    w.jac = carve(&cursor, n * n);
+    w.block = carve(&cursor, n * n);
+    w.s = carve(&cursor, n);
+    w.u = carve(&cursor, n);
+    w.step = carve(&cursor, n);
+    w.h = carve(&cursor, n);
+    w.rhs = carve(&cursor, n);
+    w.residuals = carve(&cursor, n);
+    w.idx = iwork;
+    w.active = iwork + n;
+    double *s = carve(&cursor, n);
+    double *u = carve(&cursor, n);
+    double *u_cap = carve(&cursor, n);
+    /* The best responses and their corner marginals reuse Newton rows. */
+    double *responses = w.rhs;
+    double *u_zero = w.residuals;
+
+    iout[0] = 0;
+    iout[1] = 0;
+    int64_t iterations = max_sweeps;
+    int status = EQ_BUDGET;
+    double residual_tol = (1e-12 > tol) ? 1e-12 : tol;
+    memcpy(s, s0, sizeof(double) * (size_t)n);
+    /* The initial residual seeds the change estimate, so a warm start
+     * lands straight in the Newton polish. */
+    int st = eq_marginals(&c, 1, s, u);
+    if (st != EQ_CONVERGED) {
+        status = st;
+        goto finish;
+    }
+    double largest_change = natural_residual(s, u, cap, n, w.residuals);
+    double barrier = INFINITY;
+    for (int64_t sweep = 1; sweep <= max_sweeps; sweep++) {
+        double trigger = (barrier < NEWTON_TRIGGER) ? barrier : NEWTON_TRIGGER;
+        if (largest_change <= trigger) {
+            int polished = 0;
+            int64_t newton_iters = 0;
+            st = eq_newton(&c, &w, s, residual_tol, &polished, &newton_iters);
+            if (st != EQ_CONVERGED) {
+                status = st;
+                goto finish;
+            }
+            if (polished) {
+                iterations = sweep - 1 + newton_iters;
+                status = EQ_CONVERGED;
+                break;
+            }
+            /* Newton stalled: sweep until the change shrinks a lot. */
+            barrier = largest_change / 4.0;
+        }
+        double root_xtol = clip_box(0.05 * largest_change, 1e-12, 5e-4);
+        st = eq_best_responses(&c, s, root_xtol, responses, u_zero, u_cap);
+        if (st != EQ_CONVERGED) {
+            status = st;
+            goto finish;
+        }
+        for (int64_t i = 0; i < n; i++) {
+            u_cap[i] = responses[i] - s[i];
+        }
+        largest_change = max_abs(u_cap, n);
+        for (int64_t i = 0; i < n; i++) {
+            s[i] = s[i] + u_cap[i];
+        }
+        if (largest_change <= tol) {
+            st = eq_marginals(&c, 1, s, u);
+            if (st != EQ_CONVERGED) {
+                status = st;
+                goto finish;
+            }
+            if (natural_residual(s, u, cap, n, w.residuals) <= residual_tol) {
+                iterations = sweep;
+                status = EQ_CONVERGED;
+                break;
+            }
+        }
+    }
+    if (status == EQ_CONVERGED) {
+        status = eq_state(&c, s, out + n, u);
+    }
+
+finish:
+    memcpy(out, s, sizeof(double) * (size_t)n);
+    out[7 * n + 5] = c.bad_lo;
+    out[7 * n + 6] = c.bad_hi;
+    iout[2] = iterations;
+    iout[3] = status;
+    iout[4] = c.bad;
+    free(work);
+    free(iwork);
 }

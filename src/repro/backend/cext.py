@@ -145,11 +145,17 @@ class _Kernels:
             _f64, _f64, _f64, _ptr, _i64, _f64, _ptr, _ptr, _ptr, _ptr,
             _ptr,
         ]
+        lib.repro_equilibrium_solve.restype = None
+        lib.repro_equilibrium_solve.argtypes = [
+            _i64, _ptr, _f64, _ptr, _ptr, _ptr, _ptr, _ptr,
+            _f64, _f64, _f64, _f64, _i64, _ptr, _ptr,
+        ]
         self._vexp = lib.repro_vexp
         self._pair_dot = lib.repro_pair_dot
         self._congestion = lib.repro_congestion_batch
         self._marginal = lib.repro_marginal_batch
         self._best_response = lib.repro_best_response
+        self._equilibrium = lib.repro_equilibrium_solve
 
     def exp_inplace(self, values: np.ndarray, out: np.ndarray) -> None:
         self._vexp(values.shape[0], _addr(values), _addr(out))
@@ -249,6 +255,23 @@ class _Kernels:
         return (
             fwork[:n], fwork[n:2 * n], fwork[2 * n:3 * n], fwork[3 * n:],
             iwork[:2], status, bad,
+        )
+
+    def equilibrium_solve(self, bound, s0, cap, tol, max_sweeps):
+        price, values, dtags, dparams, rtags, rparams, mu, xtol = bound
+        n = s0.shape[0]
+        # float64: profile | state row (6n + 5) | failing bracket (2)
+        # int64:   stats[2] | iterations | status | bad index
+        fwork = np.empty(7 * n + 7)
+        iwork = np.empty(5, dtype=np.int64)
+        self._equilibrium(
+            n, _addr(s0), price, values, dtags, dparams, rtags, rparams,
+            mu, xtol, cap, tol, max_sweeps, _addr(fwork), _addr(iwork),
+        )
+        iterations, status, bad = iwork[2:].tolist()
+        return (
+            fwork[:n], fwork[n:7 * n + 5], iwork[:2], iterations, status,
+            bad, fwork[7 * n + 5:],
         )
 
 

@@ -46,6 +46,10 @@ same calls, so nothing here branches on the backend:
   ``(u, phi, stats, n_pop_bad, fail_rows, fail_lo, fail_hi)``
 * ``best_response_root(bound, s, cap, phi0, root_xtol)`` →
   ``(responses, u_zero, u_cap, phi_chain, stats, status, bad_row)``
+* ``equilibrium_solve(bound, s0, cap, tol, max_sweeps)`` →
+  ``(profile, state_row, stats, iterations, status, bad, bad_interval)``:
+  a whole warm-started equilibrium solve (``EQUILIBRIUM_*`` status words
+  below; ``state_row`` is :func:`fused_equilibrium`'s layout)
 
 ``phi0`` is a contiguous warm-start vector or ``None``. Each call carves
 its outputs from one fresh float64 and one fresh int64 workspace; the
@@ -61,7 +65,7 @@ from time import perf_counter
 import numpy as np
 
 from repro.backend import Backend, profiling
-from repro.exceptions import BracketError, ModelError
+from repro.exceptions import BracketError, EquilibriumError, ModelError
 
 __all__ = [
     "DEMAND_EXPONENTIAL",
@@ -76,6 +80,9 @@ __all__ = [
     "fused_congestion",
     "fused_marginals",
     "fused_best_response",
+    "fused_equilibrium",
+    "EQUILIBRIUM_CONVERGED",
+    "EQUILIBRIUM_BUDGET",
 ]
 
 DEMAND_EXPONENTIAL = 0
@@ -88,6 +95,28 @@ DEMAND_WIDTH = 5
 RATE_EXPONENTIAL = 0
 RATE_POWER = 1
 RATE_RATIONAL = 2
+
+#: Status words of ``equilibrium_solve``: converged and certified-ready,
+#: sweep budget spent (the caller's fallback chain takes over), then the
+#: failures :func:`fused_equilibrium` maps to the lockstep path's
+#: exceptions.
+EQUILIBRIUM_CONVERGED = 0
+EQUILIBRIUM_BUDGET = 1
+EQUILIBRIUM_BRACKET = 2
+EQUILIBRIUM_POPULATIONS = 3
+EQUILIBRIUM_CORNER = 4
+EQUILIBRIUM_SUBSIDIES = 5
+EQUILIBRIUM_ROOT_BRACKET = 6
+
+#: The vectorized equilibrium solve's schedule, shared by
+#: ``core/equilibrium.py`` and both kernel implementations (``_kernels.c``
+#: repeats the numbers): the per-sweep change below which the sweeps hand
+#: over to the Newton polish, the polish's step budget and active-set
+#: tolerance, and its line-search scales, tried in order.
+NEWTON_TRIGGER = 1e-3
+NEWTON_MAX_ITER = 15
+NEWTON_ACTIVE_TOL = 1e-12
+LINESEARCH_SCALES = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.015625)
 
 #: Expansion budget mirrored from expand_bracket_batch's default.
 _MAX_EXPANSIONS = 200
@@ -174,6 +203,13 @@ def _raise_bracket(fail_rows, fail_lo, fail_hi) -> None:
     raise BracketError.unbracketed(_MAX_EXPANSIONS, rows, intervals)
 
 
+def _raise_root_bracket(bad_row) -> None:
+    raise BracketError(
+        f"no sign change found after {_MAX_EXPANSIONS} expansions in "
+        f"best-response trial row {int(bad_row)}"
+    )
+
+
 def fused_congestion(
     backend: Backend,
     plan: KernelPlan,
@@ -252,8 +288,57 @@ def fused_best_response(
     if status == 3:
         raise ModelError("populations must be finite and non-negative")
     if status == 2:
-        raise BracketError(
-            f"no sign change found after {_MAX_EXPANSIONS} expansions in "
-            f"best-response trial row {int(bad)}"
-        )
+        _raise_root_bracket(bad)
     return responses, u_zero, u_cap, phi_chain
+
+
+def fused_equilibrium(
+    backend: Backend,
+    plan: KernelPlan,
+    profile: np.ndarray,
+    cap: float,
+    tol: float,
+    max_sweeps: int,
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """One whole equilibrium solve in a single kernel call.
+
+    Runs ``core/equilibrium.py``'s vectorized Jacobi + Newton solve at
+    damping 1 from ``profile`` (shape ``(N,)``, already in ``[0, cap]``)
+    and certifies the result. Returns ``(subsidies, state_row, iterations,
+    status)`` with ``status`` :data:`EQUILIBRIUM_CONVERGED` or
+    :data:`EQUILIBRIUM_BUDGET` (``max_sweeps`` spent; ``state_row`` is
+    then unset). ``state_row`` holds the solved state at the profile, with
+    a cold congestion root as ``Market.solve`` takes it: subsidies,
+    effective prices, populations, rates, throughputs and utilities
+    (``N`` each), then utilization, gap slope, revenue, welfare and the
+    natural-map KKT residual. Failures raise the exceptions the lockstep
+    path raises.
+
+    Timed into the profiler's ``equilibrium_kernel_*`` counters, never
+    ``kernel_calls``; its congestion evaluations count as residual evals.
+    """
+    s = _contig(profile)
+    kernels = backend.kernels
+    began = perf_counter() if profiling.enabled else 0.0
+    subsidies, row, stats, iterations, status, bad, interval = (
+        kernels.equilibrium_solve(
+            plan.bound(kernels), s, float(cap), float(tol), int(max_sweeps)
+        )
+    )
+    if profiling.enabled:
+        profiling.record_equilibrium_kernel(stats, perf_counter() - began)
+    if status <= EQUILIBRIUM_BUDGET:
+        return subsidies, row, iterations, status
+    if status == EQUILIBRIUM_SUBSIDIES:
+        raise ModelError("subsidies must be finite and non-negative")
+    if status == EQUILIBRIUM_POPULATIONS:
+        raise ModelError("populations must be finite and non-negative")
+    if status == EQUILIBRIUM_BRACKET:
+        _raise_bracket([bad], [interval[0]], [interval[1]])
+    if status == EQUILIBRIUM_ROOT_BRACKET:
+        _raise_root_bracket(bad)
+    hi = min(float(cap), float(plan.values[bad]))
+    raise EquilibriumError(
+        f"marginal utility of player {bad} is not finite on "
+        f"[0, {hi}] (degenerate model parameters?)"
+    )

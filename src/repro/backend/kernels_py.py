@@ -5,7 +5,9 @@ solvers: one congestion fixed point per row (warm Newton, bracket
 expansion, bisection/Illinois, Newton polish), the marginal-utility
 chain, and the fused best-response root loop. Each row follows *exactly*
 the trajectory the NumPy lockstep path walks for that row — same
-operations in the same order.
+operations in the same order. On top of them, ``equilibrium_solve`` runs
+a whole equilibrium solve (``core/equilibrium.py``'s Jacobi sweeps and
+Newton polish, then the certified state) in one call.
 
 The model reaches the kernels as per-column family tags plus parameter
 rows (see :mod:`repro.backend.dispatch` for the tag table). Per-tag
@@ -41,6 +43,17 @@ from repro.backend.dispatch import (
     DEMAND_LINEAR,
     DEMAND_LOGIT,
     DEMAND_WIDTH,
+    EQUILIBRIUM_BRACKET,
+    EQUILIBRIUM_BUDGET,
+    EQUILIBRIUM_CONVERGED,
+    EQUILIBRIUM_CORNER,
+    EQUILIBRIUM_POPULATIONS,
+    EQUILIBRIUM_ROOT_BRACKET,
+    EQUILIBRIUM_SUBSIDIES,
+    LINESEARCH_SCALES,
+    NEWTON_ACTIVE_TOL,
+    NEWTON_MAX_ITER,
+    NEWTON_TRIGGER,
     RATE_EXPONENTIAL,
     RATE_POWER,
 )
@@ -50,6 +63,7 @@ __all__ = [
     "congestion_batch",
     "marginal_batch",
     "best_response_root",
+    "equilibrium_solve",
     "exp_inplace",
     "pair_dot_batch",
 ]
@@ -705,6 +719,414 @@ def _best_response_rows(
 
 
 # ----------------------------------------------------------------------
+# the whole equilibrium solve
+# ----------------------------------------------------------------------
+# core/equilibrium.py's _vector_solve at damping 1 (Jacobi sweeps on the
+# fused best-response loop, the projected semismooth Newton polish) and
+# the certified state at the solution, as the C kernel runs them.
+
+
+def _clip_box(x, lo, hi):
+    """``np.clip(x, lo, hi)`` bit-for-bit: NaN and ``-0.0`` pass through."""
+    if x < lo:
+        return lo
+    if x > hi:
+        return hi
+    return x
+
+
+def _max_abs(v, n):
+    """``np.max(np.abs(v[:n]))``: NaN wins."""
+    best = abs(v[0])
+    for k in range(1, n):
+        a = abs(v[k])
+        if a > best or math.isnan(a):
+            best = a
+    return best
+
+
+def _natural_residual(s, u, cap, n, scratch):
+    """``‖s − clip(s + u, 0, cap)‖_∞`` of one profile row."""
+    for k in range(n):
+        scratch[k] = s[k] - _clip_box(s[k] + u[k], 0.0, cap)
+    return _max_abs(scratch, n)
+
+
+def _pairwise_sum(a, n):
+    """``np.sum``'s order over ``a[:n]``: NumPy's pairwise summation,
+    eight interleaved accumulators over blocks of at most 128 values."""
+    if n < 8:
+        res = 0.0
+        for i in range(n):
+            res += a[i]
+        return res
+    if n <= 128:
+        r = [a[j] for j in range(8)]
+        i = 8
+        while i < n - (n % 8):
+            for j in range(8):
+                r[j] += a[i + j]
+            i += 8
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        while i < n:
+            res += a[i]
+            i += 1
+        return res
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(a, half) + _pairwise_sum(a[half:], n - half)
+
+
+def _subsidies_valid(s):
+    """``Market.subsidy_matrix``'s check: finite and at least ``-1e-12``."""
+    for k in range(s.shape[0]):
+        if not (s[k] >= -1e-12 and s[k] < math.inf):
+            return False
+    return True
+
+
+def _lu_solve(a, b, k):
+    """Solve ``a x = b`` in place (``x`` lands in ``b``); False if singular.
+
+    LU with partial pivoting (first largest ``|pivot|``); an exactly zero
+    pivot is where LAPACK's ``dgesv`` reports a singular matrix.
+    """
+    for col in range(k):
+        p = col
+        biggest = abs(a[col, col])
+        for r in range(col + 1, k):
+            v = abs(a[r, col])
+            if v > biggest:
+                biggest = v
+                p = r
+        if a[p, col] == 0.0:
+            return False
+        if p != col:
+            for j in range(k):
+                a[p, j], a[col, j] = a[col, j], a[p, j]
+            b[p], b[col] = b[col], b[p]
+        for r in range(col + 1, k):
+            lower = a[r, col] / a[col, col]
+            a[r, col] = lower
+            for j in range(col + 1, k):
+                a[r, j] -= lower * a[col, j]
+            b[r] -= lower * b[col]
+    for r in range(k - 1, -1, -1):
+        acc = b[r]
+        for j in range(k - 1, r, -1):
+            acc -= a[r, j] * b[j]
+        b[r] = acc / a[r, r]
+    return True
+
+
+class _EquilibriumRun:
+    """One solve's model, warm-start chain and scratch.
+
+    The chain mirrors ``BatchedProfileEvaluator``: the utilizations of the
+    last evaluated batch, reused as the next batch's warm start only when
+    the batch sizes match. ``bad``/``bad_lo``/``bad_hi`` describe the
+    first failure.
+    """
+
+    def __init__(self, bound, cap, n, stats):
+        (self.price, self.values, self.dtags, self.dparams, self.rtags,
+         self.rparams, self.mu, self.xtol) = bound
+        self.cap = cap
+        self.n = n
+        self.stats = stats
+        wide = max(n, len(LINESEARCH_SCALES))
+        self.chain = np.zeros(wide)
+        self.chain_next = np.zeros(wide)
+        self.chain_len = 0
+        self.clipped = np.empty((wide, n))
+        self.tmp_dm = np.empty(n)
+        self.tmp_r = np.empty(n)
+        self.tmp_dr = np.empty(n)
+        self.fail_lo = np.empty(wide)
+        self.fail_hi = np.empty(wide)
+        self.pop_rows = np.empty(wide, dtype=np.int64)
+        self.fail_rows = np.empty(wide, dtype=np.int64)
+        self.bad = -1
+        self.bad_lo = 0.0
+        self.bad_hi = 0.0
+
+    def marginals(self, s, u_out):
+        """u over a ``(rows, n)`` batch, chaining warm starts; a status.
+
+        ``Market.subsidy_matrix``'s check and clip, then the marginal
+        batch kernel.
+        """
+        rows = s.shape[0]
+        if not _subsidies_valid(s.reshape(-1)):
+            self.bad = -1
+            return EQUILIBRIUM_SUBSIDIES
+        clipped = self.clipped[:rows]
+        for b in range(rows):
+            for k in range(self.n):
+                clipped[b, k] = _clamp0(s[b, k])
+        npop, nfail = _marginal_rows(
+            clipped, self.price, self.values, self.dtags, self.dparams,
+            self.rtags, self.rparams, self.mu, self.xtol, self.chain,
+            self.chain_len == rows, u_out, self.chain_next, self.stats,
+            self.pop_rows, self.fail_rows, self.fail_lo, self.fail_hi,
+        )
+        if npop:
+            self.bad = self.pop_rows[0]
+            return EQUILIBRIUM_POPULATIONS
+        if nfail:
+            self.bad = self.fail_rows[0]
+            self.bad_lo = self.fail_lo[0]
+            self.bad_hi = self.fail_hi[0]
+            return EQUILIBRIUM_BRACKET
+        self.chain[:rows] = self.chain_next[:rows]
+        self.chain_len = rows
+        return EQUILIBRIUM_CONVERGED
+
+    def _hi(self, i):
+        cap = self.cap
+        value = self.values[i]
+        return cap if cap < value else value
+
+    def best_responses(self, s, root_xtol, responses, u_zero, u_cap):
+        """``best_response_profile_vectorized`` on the fused root loop."""
+        n = self.n
+        any_playable = False
+        for i in range(n):
+            responses[i] = 0.0
+            if self._hi(i) > 0.0:
+                any_playable = True
+        if not any_playable:
+            return EQUILIBRIUM_CONVERGED
+        # The trial batch's off-diagonal entries are the incoming profile.
+        if n > 1 and not _subsidies_valid(s):
+            self.bad = -1
+            return EQUILIBRIUM_SUBSIDIES
+        phi_io = self.chain[:n]
+        status, bad = _best_response_rows(
+            s, self.price, self.values, self.dtags, self.dparams,
+            self.rtags, self.rparams, self.mu, self.xtol, self.cap, phi_io,
+            self.chain_len == n, root_xtol, responses, u_zero, u_cap,
+            self.stats,
+        )
+        if status != 0:
+            self.bad = bad
+            if status == 3:
+                return EQUILIBRIUM_POPULATIONS
+            return EQUILIBRIUM_ROOT_BRACKET
+        for i in range(n):
+            if self._hi(i) > 0.0 and not (
+                math.isfinite(u_zero[i]) and math.isfinite(u_cap[i])
+            ):
+                self.bad = i
+                return EQUILIBRIUM_CORNER
+        self.chain_len = n
+        return EQUILIBRIUM_CONVERGED
+
+    def newton(self, s_io, tol):
+        """``_newton_polish`` from ``s_io``: ``(status, polished, iters)``.
+
+        On success ``s_io`` holds the polished profile; otherwise it is
+        untouched.
+        """
+        n = self.n
+        q = self.cap
+        steps = len(LINESEARCH_SCALES)
+        wide = max(n, steps)
+        s = s_io.copy()
+        u = np.empty((1, n))
+        scratch = np.empty(n)
+        step = np.empty(n)
+        h = np.empty(n)
+        probes = np.empty((wide, n))
+        perturbed = np.empty((wide, n))
+        jac = np.empty((n, n))
+        status = self.marginals(s[None, :], u)
+        if status != EQUILIBRIUM_CONVERGED:
+            return status, False, 0
+        u = u[0]
+        residual = _natural_residual(s, u, q, n, scratch)
+        for iteration in range(1, NEWTON_MAX_ITER + 1):
+            if residual <= tol:
+                s_io[:] = s
+                return EQUILIBRIUM_CONVERGED, True, iteration - 1
+            inactive = []
+            active = []
+            for i in range(n):
+                shifted = s[i] + u[i]
+                lower = shifted <= NEWTON_ACTIVE_TOL
+                upper = shifted >= q - NEWTON_ACTIVE_TOL
+                step[i] = 0.0
+                if lower:
+                    step[i] = -s[i]
+                if upper:
+                    step[i] = q - s[i]
+                if lower or upper:
+                    active.append(i)
+                else:
+                    inactive.append(i)
+            # Forward-difference Jacobian: probe j perturbs player j,
+            # flipped where a forward step would leave the box.
+            for j in range(n):
+                hj = 1e-7 * (1.0 + abs(s[j]))
+                h[j] = hj if s[j] + hj <= q else -hj
+            for j in range(n):
+                for k in range(n):
+                    probes[j, k] = s[k] + h[j] * (1.0 if j == k else 0.0)
+            status = self.marginals(probes[:n], perturbed[:n])
+            if status != EQUILIBRIUM_CONVERGED:
+                return status, False, 0
+            for i in range(n):
+                for j in range(n):
+                    jac[i, j] = (perturbed[j, i] - u[i]) / h[j]
+            if inactive:
+                k = len(inactive)
+                block = np.empty((k, k))
+                rhs = np.empty(k)
+                for r, i in enumerate(inactive):
+                    value = -u[i]
+                    if active:
+                        acc = 0.0
+                        for a in active:
+                            acc += jac[i, a] * step[a]
+                        value = value - acc
+                    rhs[r] = value
+                    for col, j in enumerate(inactive):
+                        block[r, col] = jac[i, j]
+                if _lu_solve(block, rhs, k):
+                    for r, i in enumerate(inactive):
+                        step[i] = rhs[r]
+                else:
+                    # Singular inactive block: projected gradient step.
+                    for i in inactive:
+                        step[i] = u[i]
+            for t in range(steps):
+                scale = LINESEARCH_SCALES[t]
+                for k in range(n):
+                    probes[t, k] = _clip_box(s[k] + scale * step[k], 0.0, q)
+            status = self.marginals(probes[:steps], perturbed[:steps])
+            if status != EQUILIBRIUM_CONVERGED:
+                return status, False, 0
+            best = -1
+            for t in range(steps):
+                r = _natural_residual(probes[t], perturbed[t], q, n, scratch)
+                if r < residual:
+                    best = t
+                    residual = r
+                    break
+            if best < 0:
+                return EQUILIBRIUM_CONVERGED, False, 0
+            s[:] = probes[best]
+            u[:] = perturbed[best]
+        if residual <= tol:
+            s_io[:] = s
+            return EQUILIBRIUM_CONVERGED, True, NEWTON_MAX_ITER
+        return EQUILIBRIUM_CONVERGED, False, 0
+
+    def state(self, s, out, u):
+        """The certified state at ``s`` with a cold congestion root.
+
+        ``out`` takes the state row: subsidies | effective prices |
+        populations | rates | throughputs | utilities | utilization, gap
+        slope, revenue, welfare, KKT residual.
+        """
+        n = self.n
+        if not _subsidies_valid(s):
+            self.bad = -1
+            return EQUILIBRIUM_SUBSIDIES
+        sc = out[:n]
+        effective = out[n:2 * n]
+        m = out[2 * n:3 * n]
+        r = out[3 * n:4 * n]
+        theta = out[4 * n:5 * n]
+        utilities = out[5 * n:6 * n]
+        for i in range(n):
+            sc[i] = _clamp0(s[i])
+            effective[i] = self.price - sc[i]
+        if not _demand_row(sc, self.price, self.dtags, self.dparams, m,
+                           self.tmp_dm):
+            self.bad = 0
+            return EQUILIBRIUM_POPULATIONS
+        phi, ok, bad_lo, bad_hi, evals, expansions = _marginal_row(
+            sc, self.values, m, self.tmp_dm, self.rtags, self.rparams,
+            self.mu, self.xtol, 0.0, False, u, r, self.tmp_dr,
+        )
+        self.stats[0] += evals
+        self.stats[1] += expansions
+        if not ok:
+            self.bad = 0
+            self.bad_lo = bad_lo
+            self.bad_hi = bad_hi
+            return EQUILIBRIUM_BRACKET
+        dslope = 0.0
+        welfare = 0.0
+        for i in range(n):
+            dslope += m[i] * self.tmp_dr[i]
+            theta[i] = m[i] * r[i]
+            utilities[i] = (self.values[i] - sc[i]) * theta[i]
+            welfare += self.values[i] * theta[i]
+        out[6 * n] = phi
+        out[6 * n + 1] = self.mu - dslope
+        # Revenue sums in Market.solve's np.sum order.
+        out[6 * n + 2] = self.price * _pairwise_sum(theta, n)
+        out[6 * n + 3] = welfare
+        out[6 * n + 4] = _natural_residual(s, u, self.cap, n, self.tmp_r)
+        return EQUILIBRIUM_CONVERGED
+
+
+def _equilibrium_rows(bound, s0, cap, tol, max_sweeps, out, stats):
+    """The Jacobi + Newton solve; returns ``(status, iterations, run)``.
+
+    ``out[:n]`` receives the final profile and, on convergence,
+    ``out[n:]`` the state row (see ``_EquilibriumRun.state``).
+    """
+    n = s0.shape[0]
+    run = _EquilibriumRun(bound, cap, n, stats)
+    s = out[:n]
+    s[:] = s0
+    u = np.empty((1, n))
+    scratch = np.empty(n)
+    responses = np.empty(n)
+    u_zero = np.empty(n)
+    u_cap = np.empty(n)
+    residual_tol = 1e-12 if 1e-12 > tol else tol
+    # The initial residual seeds the change estimate, so a warm start
+    # lands straight in the Newton polish.
+    status = run.marginals(s[None, :], u)
+    if status != EQUILIBRIUM_CONVERGED:
+        return status, max_sweeps, run
+    largest_change = _natural_residual(s, u[0], cap, n, scratch)
+    barrier = math.inf
+    for sweep in range(1, max_sweeps + 1):
+        trigger = barrier if barrier < NEWTON_TRIGGER else NEWTON_TRIGGER
+        if largest_change <= trigger:
+            status, polished, newton_iters = run.newton(s, residual_tol)
+            if status != EQUILIBRIUM_CONVERGED:
+                return status, max_sweeps, run
+            if polished:
+                status = run.state(s, out[n:], u[0])
+                return status, sweep - 1 + newton_iters, run
+            # Newton stalled: sweep until the change shrinks a lot.
+            barrier = largest_change / 4.0
+        root_xtol = _clip_box(0.05 * largest_change, 1e-12, 5e-4)
+        status = run.best_responses(s, root_xtol, responses, u_zero, u_cap)
+        if status != EQUILIBRIUM_CONVERGED:
+            return status, max_sweeps, run
+        for i in range(n):
+            u_cap[i] = responses[i] - s[i]
+        largest_change = _max_abs(u_cap, n)
+        for i in range(n):
+            s[i] = s[i] + u_cap[i]
+        if largest_change <= tol:
+            status = run.marginals(s[None, :], u)
+            if status != EQUILIBRIUM_CONVERGED:
+                return status, max_sweeps, run
+            if _natural_residual(s, u[0], cap, n, scratch) <= residual_tol:
+                status = run.state(s, out[n:], u[0])
+                return status, sweep, run
+    return EQUILIBRIUM_BUDGET, max_sweeps, run
+
+
+# ----------------------------------------------------------------------
 # the kernel-module call shape (see repro.backend.dispatch)
 # ----------------------------------------------------------------------
 # These only carve each call's outputs from one float64 and one int64
@@ -784,3 +1206,18 @@ def best_response_root(bound, s, cap, phi0, root_xtol):
     )
     return responses, u_zero, u_cap, phi_io, iwork, status, bad
 
+
+def equilibrium_solve(bound, s0, cap, tol, max_sweeps):
+    """One whole equilibrium solve (see ``_equilibrium_rows``)."""
+    n = s0.shape[0]
+    fwork = np.zeros(7 * n + 7)
+    iwork = np.zeros(2, dtype=np.int64)
+    status, iterations, run = _equilibrium_rows(
+        bound, s0, cap, tol, max_sweeps, fwork, iwork
+    )
+    fwork[7 * n + 5] = run.bad_lo
+    fwork[7 * n + 6] = run.bad_hi
+    return (
+        fwork[:n], fwork[n:7 * n + 5], iwork, iterations, status, run.bad,
+        fwork[7 * n + 5:],
+    )

@@ -17,6 +17,12 @@ Counters
     Fused compiled-kernel invocations and their wall time.
 ``lockstep_calls`` / ``lockstep_seconds``
     Batch solves served by the NumPy lockstep path instead.
+``equilibrium_kernel_calls`` / ``equilibrium_kernel_seconds``
+    Whole-equilibrium kernel solves and their wall time. Kept apart from
+    ``kernel_calls``, which counts the per-batch kernels only.
+``equilibrium_fallbacks``
+    Entries into the equilibrium fallback chain: Gauss–Seidel sweeps,
+    the damped retry and the VI solver.
 """
 
 from __future__ import annotations
@@ -34,6 +40,8 @@ __all__ = [
     "profiled",
     "record_kernel",
     "record_lockstep",
+    "record_equilibrium_kernel",
+    "record_equilibrium_fallback",
     "add_residual_evals",
     "add_brackets_expanded",
 ]
@@ -47,6 +55,9 @@ _counters = {
     "kernel_seconds": 0.0,
     "lockstep_calls": 0,
     "lockstep_seconds": 0.0,
+    "equilibrium_kernel_calls": 0,
+    "equilibrium_kernel_seconds": 0.0,
+    "equilibrium_fallbacks": 0,
 }
 
 
@@ -95,6 +106,18 @@ def record_kernel(stats, seconds: float) -> None:
 def record_lockstep(seconds: float) -> None:
     _counters["lockstep_calls"] += 1
     _counters["lockstep_seconds"] += seconds
+
+
+def record_equilibrium_kernel(stats, seconds: float) -> None:
+    """Fold one whole-equilibrium kernel call in (not ``kernel_calls``)."""
+    _counters["equilibrium_kernel_calls"] += 1
+    _counters["equilibrium_kernel_seconds"] += seconds
+    add_residual_evals(stats[0])
+    add_brackets_expanded(stats[1])
+
+
+def record_equilibrium_fallback() -> None:
+    _counters["equilibrium_fallbacks"] += 1
 
 
 def add_residual_evals(count: int) -> None:

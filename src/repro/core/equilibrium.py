@@ -16,6 +16,13 @@ path and certifies the result with the Theorem 3 KKT residual, falling back
 to the VI solver when certification fails. :func:`kkt_residuals_batch`
 certifies whole profile batches (e.g. every equilibrium of a grid row) in
 one vectorized evaluation.
+
+Under a kernel backend the undamped Jacobi + Newton solve of a
+kernel-eligible market, with its solved state and KKT residual, is one
+compiled call (:func:`repro.backend.dispatch.fused_equilibrium`); the
+Python :func:`_vector_solve` below stays the ``numpy`` backend's solver
+and the reference the kernel transcribes. Python keeps the fallback
+chain: Gauss–Seidel, the damped retry and the VI solver.
 """
 
 from __future__ import annotations
@@ -25,12 +32,26 @@ from functools import lru_cache
 
 import numpy as np
 
+from repro.backend import get_backend, profiling
+from repro.backend.dispatch import (
+    EQUILIBRIUM_BUDGET,
+    LINESEARCH_SCALES,
+    NEWTON_ACTIVE_TOL,
+    NEWTON_MAX_ITER,
+    NEWTON_TRIGGER,
+    fused_equilibrium,
+)
 from repro.core.best_response import (
     best_response,
     best_response_profile_vectorized,
 )
 from repro.core.game import BatchedProfileEvaluator, SubsidizationGame
-from repro.exceptions import ConvergenceError, EquilibriumError, ReproError
+from repro.exceptions import (
+    ConvergenceError,
+    EquilibriumError,
+    ModelError,
+    ReproError,
+)
 from repro.providers.market import MarketState
 from repro.solvers.projection import project_box
 from repro.solvers.vi import extragradient_box
@@ -127,15 +148,16 @@ def _zero_cap_result(game: SubsidizationGame) -> EquilibriumResult:
     )
 
 
-#: Per-sweep change below which the vectorized path hands over to Newton.
-_NEWTON_TRIGGER = 1e-3
-
 #: Line-search scales evaluated in a single batched residual check, as
 #: the ``(scales, 1)`` column each Newton step is multiplied by.
-_LINESEARCH_SCALES = np.array(
-    [[1.0], [0.5], [0.25], [0.125], [0.0625], [0.015625]]
-)
+_LINESEARCH_SCALES = np.array(LINESEARCH_SCALES)[:, None]
 _LINESEARCH_SCALES.setflags(write=False)
+
+#: Jacobi sweep budget before ``sweep="auto"`` falls back to Gauss–Seidel.
+_JACOBI_BUDGET = 120
+
+#: Default sweep budget of the best-response solver.
+_MAX_SWEEPS = 500
 
 
 @lru_cache(maxsize=64)
@@ -160,8 +182,8 @@ def _newton_polish(
     s: np.ndarray,
     *,
     tol: float,
-    max_iter: int = 15,
-    active_tol: float = 1e-12,
+    max_iter: int = NEWTON_MAX_ITER,
+    active_tol: float = NEWTON_ACTIVE_TOL,
 ) -> tuple[np.ndarray, int] | None:
     """Semismooth Newton on the natural map with batched linear algebra.
 
@@ -249,7 +271,7 @@ def _vector_solve(
     largest_change = float(initial_residuals[0])
     newton_barrier = np.inf
     for sweep in range(1, max_sweeps + 1):
-        if largest_change <= min(_NEWTON_TRIGGER, newton_barrier):
+        if largest_change <= min(NEWTON_TRIGGER, newton_barrier):
             polished = _newton_polish(game, evaluator, s, tol=residual_tol)
             if polished is not None:
                 solution, newton_iters = polished
@@ -269,6 +291,67 @@ def _vector_solve(
             if float(residuals[0]) <= residual_tol:
                 return s, sweep
     return None
+
+
+def _fused_solve(
+    game: SubsidizationGame, plan, s: np.ndarray, *, tol: float, max_sweeps: int
+) -> EquilibriumResult | None:
+    """:func:`_vector_solve` at damping 1 as one compiled call.
+
+    The kernel also returns the solved state and KKT residual at the
+    solution, so no second market solve or certificate runs here. Returns
+    ``None`` when the sweep budget runs out.
+    """
+    subsidies, row, iterations, status = fused_equilibrium(
+        get_backend(), plan, s, game.cap, tol, max_sweeps
+    )
+    if status == EQUILIBRIUM_BUDGET:
+        return None
+    n = game.size
+    utilization, gap_slope, revenue, welfare, residual = row[6 * n:].tolist()
+    state = MarketState(
+        subsidies=row[:n],
+        effective_prices=row[n:2 * n],
+        populations=row[2 * n:3 * n],
+        utilization=utilization,
+        rates=row[3 * n:4 * n],
+        throughputs=row[4 * n:5 * n],
+        utilities=row[5 * n:6 * n],
+        revenue=revenue,
+        welfare=welfare,
+        gap_slope=gap_slope,
+        price=plan.price,
+        capacity=game.market.isp.capacity,
+    )
+    return EquilibriumResult(
+        subsidies=subsidies,
+        state=state,
+        kkt_residual=residual,
+        iterations=iterations,
+        method="best_response",
+    )
+
+
+def _initial_profile(game: SubsidizationGame, initial) -> np.ndarray:
+    """The starting profile: zeros, or ``initial`` clipped into the box.
+
+    ``initial`` must have shape ``(N,)`` and hold no NaN; ``±inf`` entries
+    clip to the box edges.
+    """
+    n = game.size
+    if initial is None:
+        return np.zeros(n)
+    s = np.asarray(initial, dtype=float)
+    if s.shape != (n,):
+        raise ModelError(f"initial profile must have shape ({n},), got {s.shape}")
+    if np.isnan(s).any():
+        raise ModelError("initial profile must not contain NaN")
+    return project_box(s, 0.0, game.cap)
+
+
+def _check_tol(tol: float) -> None:
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ModelError(f"tol must be finite and non-negative, got {tol}")
 
 
 def _gauss_seidel_sweeps(
@@ -305,10 +388,14 @@ def solve_equilibrium_best_response(
     initial=None,
     damping: float = 1.0,
     tol: float = 1e-10,
-    max_sweeps: int = 500,
+    max_sweeps: int = _MAX_SWEEPS,
     sweep: str = "auto",
 ) -> EquilibriumResult:
     """Damped best-response iteration (vectorized Jacobi / Gauss–Seidel).
+
+    Under a kernel backend an undamped Jacobi solve of a kernel-eligible
+    market runs as one compiled call; Gauss–Seidel (``"auto"``) takes
+    over in Python if that call spends its sweep budget.
 
     Parameters
     ----------
@@ -331,32 +418,61 @@ def solve_equilibrium_best_response(
         raise ValueError(f"damping must lie in (0, 1], got {damping}")
     if sweep not in {"auto", "vector", "scalar"}:
         raise ValueError(f"unknown sweep mode {sweep!r}")
+    _check_tol(tol)
+    return _best_response_solve(
+        game,
+        _initial_profile(game, initial),
+        damping=damping,
+        tol=tol,
+        max_sweeps=max_sweeps,
+        sweep=sweep,
+    )
+
+
+def _best_response_solve(
+    game: SubsidizationGame,
+    s: np.ndarray,
+    *,
+    damping: float,
+    tol: float,
+    max_sweeps: int,
+    sweep: str,
+) -> EquilibriumResult:
+    """:func:`solve_equilibrium_best_response` on validated arguments."""
     if game.cap == 0.0:
         return _zero_cap_result(game)
-    n = game.size
-    s = (
-        np.zeros(n)
-        if initial is None
-        else project_box(np.asarray(initial, dtype=float), 0.0, game.cap)
-    )
     iterations = 0
     solution = None
     if sweep in {"auto", "vector"}:
         # The Jacobi map can cycle where Gauss–Seidel contracts, so a spent
         # budget falls through rather than raising when fallback is allowed.
-        jacobi_budget = max_sweeps if sweep == "vector" else min(max_sweeps, 120)
-        outcome = _vector_solve(
-            game, s, damping=damping, tol=tol, max_sweeps=jacobi_budget
+        jacobi_budget = (
+            max_sweeps if sweep == "vector" else min(max_sweeps, _JACOBI_BUDGET)
         )
-        if outcome is not None:
-            solution, iterations = outcome
-        elif sweep == "vector":
+        plan = (
+            game.market.kernel_plan()
+            if damping == 1.0 and get_backend().kernels is not None
+            else None
+        )
+        if plan is not None:
+            result = _fused_solve(game, plan, s, tol=tol, max_sweeps=jacobi_budget)
+            if result is not None:
+                return result
+        else:
+            outcome = _vector_solve(
+                game, s, damping=damping, tol=tol, max_sweeps=jacobi_budget
+            )
+            if outcome is not None:
+                solution, iterations = outcome
+        if solution is None and sweep == "vector":
             raise ConvergenceError(
                 f"vectorized best-response iteration not converged in "
                 f"{jacobi_budget} sweeps",
                 iterations=jacobi_budget,
             )
     if solution is None:
+        if sweep == "auto" and profiling.enabled:
+            profiling.record_equilibrium_fallback()
         solution, iterations = _gauss_seidel_sweeps(
             game, s, damping=damping, tol=tol, max_sweeps=max_sweeps
         )
@@ -427,13 +543,29 @@ def solve_equilibrium(
     ``certify_tol``, retries with damping, then falls back to the
     extragradient VI solver. Raises
     :class:`~repro.exceptions.EquilibriumError` if no solver produces a
-    certified equilibrium.
+    certified equilibrium, and :class:`~repro.exceptions.ModelError` up
+    front for an ``initial`` that is not a NaN-free ``(N,)`` profile, a
+    ``tol`` that is not finite and non-negative, or a ``certify_tol`` that
+    is not finite and positive.
     """
+    _check_tol(tol)
+    if not (np.isfinite(certify_tol) and certify_tol > 0.0):
+        raise ModelError(
+            f"certify_tol must be finite and positive, got {certify_tol}"
+        )
+    s = _initial_profile(game, initial)
     attempts = []
     for damping in (1.0, 0.5):
+        if damping != 1.0 and profiling.enabled:
+            profiling.record_equilibrium_fallback()
         try:
-            result = solve_equilibrium_best_response(
-                game, initial=initial, damping=damping, tol=tol
+            result = _best_response_solve(
+                game,
+                s,
+                damping=damping,
+                tol=tol,
+                max_sweeps=_MAX_SWEEPS,
+                sweep="auto",
             )
         except ReproError as exc:
             # Any library failure (non-convergence, degenerate marginals,
@@ -447,8 +579,10 @@ def solve_equilibrium(
             f"best_response(damping={damping}): KKT residual "
             f"{result.kkt_residual:.3e} > {certify_tol:.1e}"
         )
+    if profiling.enabled:
+        profiling.record_equilibrium_fallback()
     try:
-        result = solve_equilibrium_vi(game, initial=initial, tol=tol)
+        result = solve_equilibrium_vi(game, initial=s, tol=tol)
     except ReproError as exc:
         attempts.append(f"vi: {exc}")
     else:

@@ -523,7 +523,11 @@ def _restore_runtime_options(
             f"residual_evals={snapshot['residual_evals']} "
             f"brackets_expanded={snapshot['brackets_expanded']} "
             f"lockstep_calls={snapshot['lockstep_calls']} "
-            f"lockstep_seconds={snapshot['lockstep_seconds']:.3f}",
+            f"lockstep_seconds={snapshot['lockstep_seconds']:.3f} "
+            f"equilibrium_kernel_calls={snapshot['equilibrium_kernel_calls']} "
+            "equilibrium_kernel_seconds="
+            f"{snapshot['equilibrium_kernel_seconds']:.3f} "
+            f"equilibrium_fallbacks={snapshot['equilibrium_fallbacks']}",
             file=sys.stderr,
         )
     if args.backend is not None:

@@ -6,7 +6,9 @@ kernels are meant to be the *same arithmetic* — libm ``exp``, ``pow`` and
 is what justifies all kernel backends sharing one solve-cache tag, so it
 gets its own test: every fused entry point must produce byte-identical
 results under both implementations, on the paper's exponential market and
-on a market mixing every demand and throughput family. Skipped wholesale
+on a market mixing every demand and throughput family; the whole
+equilibrium solve also runs on the §5 market and on mixed-family
+``random_market`` draws, from cold and warm starts. Skipped wholesale
 when no C compiler is available.
 """
 
@@ -15,6 +17,7 @@ import pytest
 
 from repro.backend import available_backends, use_backend
 from repro.backend.dispatch import (
+    EQUILIBRIUM_CONVERGED,
     RATE_EXPONENTIAL,
     RATE_POWER,
     RATE_RATIONAL,
@@ -22,7 +25,10 @@ from repro.backend.dispatch import (
     fused_congestion,
 )
 from repro.core.best_response import best_response_profile_vectorized
+from repro.core.equilibrium import solve_equilibrium
 from repro.core.game import SubsidizationGame
+from repro.experiments.scenarios import section5_market
+from repro.scenarios.generators import random_market
 
 from tests.backend.test_golden_parity import (
     make_market,
@@ -120,3 +126,50 @@ def test_mixed_scalar_solve_bitwise_across_implementations():
 
     phi_py, phi_c = _both(lambda _b: market.solve(s).utilization)
     assert phi_py == phi_c
+
+
+def _equilibrium_bitwise(market, cap, starts):
+    """``equilibrium_solve`` outputs, pyloops vs cext, from each start.
+
+    The state row is compared only where the solve converged: a spent
+    budget leaves it unset.
+    """
+    plan = market.kernel_plan()
+
+    def solve(backend):
+        bound = plan.bound(backend.kernels)
+        return [
+            backend.kernels.equilibrium_solve(bound, s0, cap, 1e-10, 120)
+            for s0 in starts
+        ]
+
+    runs_py, runs_c = _both(solve)
+    for run_py, run_c in zip(runs_py, runs_c):
+        profile, row, stats, iterations, status, bad, interval = run_py
+        assert status == EQUILIBRIUM_CONVERGED
+        assert np.array_equal(profile, run_c[0])
+        assert np.array_equal(row, run_c[1])
+        assert np.array_equal(stats, run_c[2])
+        assert (iterations, status, bad) == run_c[3:6]
+
+
+def _warm_and_cold(market, cap):
+    """A cold start and a start near the equilibrium (as the oligopoly's
+    candidate-price chain warm-starts)."""
+    cold = np.zeros(market.size)
+    with use_backend("cext"):
+        solution = solve_equilibrium(SubsidizationGame(market, cap)).subsidies
+    warm = np.clip(solution * 0.97 + 0.01, 0.0, cap)
+    return [cold, warm]
+
+
+def test_equilibrium_solve_bitwise_on_section5_market():
+    market = section5_market()
+    _equilibrium_bitwise(market, 0.5, _warm_and_cold(market, 0.5))
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_equilibrium_solve_bitwise_on_mixed_random_markets(seed):
+    market = random_market(seed, 6).market
+    assert market.kernel_plan() is not None
+    _equilibrium_bitwise(market, 1.0, _warm_and_cold(market, 1.0))

@@ -602,9 +602,12 @@ class TestFromScenario:
 
 
 #: A three-carrier Gauss-Seidel competition on the §5 market under the
-#: fused kernels, frozen as exact floats (``float.hex``) and counters. The
-#: compiled equilibrium path may be made cheaper per call, but never by
-#: changing a floating-point operation: any reordering shows up here.
+#: fused kernels, frozen as exact floats (``float.hex``) and counters.
+#: Every CP equilibrium here is one whole-equilibrium kernel call (Jacobi
+#: sweeps, Newton polish, certified state); the values were first recorded
+#: on the per-batch kernels driven from Python and the one-call kernel
+#: reproduces them bit for bit. Any change to a floating-point operation
+#: or summation order on that path shows up here.
 FROZEN_KERNEL_N3 = {
     "iterations": 9,
     "residual": "0x1.c03d60b7effffp-15",

@@ -10,6 +10,7 @@ from repro.core.equilibrium import (
     solve_equilibrium_vi,
 )
 from repro.core.game import SubsidizationGame
+from repro.exceptions import ModelError
 
 
 class TestBestResponseSolver:
@@ -108,3 +109,63 @@ class TestCertifiedFrontend:
         # A monopolist CP's subsidy solves u_1(s) = 0 interior.
         assert 0.0 < result.subsidies[0] < 1.0
         assert result.kkt_residual < 1e-9
+
+
+class TestArgumentValidation:
+    """Bad arguments fail fast with ModelError, before any solve runs."""
+
+    @pytest.fixture(autouse=True)
+    def _no_solver(self, monkeypatch):
+        # Any solve attempt means the check came too late.
+        from repro.core import equilibrium
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a solver ran before validation")
+
+        for name in ("_best_response_solve", "solve_equilibrium_vi"):
+            monkeypatch.setattr(equilibrium, name, forbidden)
+
+    @pytest.mark.parametrize(
+        "initial", [np.zeros(3), np.zeros(5), np.zeros((1, 4)), [0.1]]
+    )
+    def test_rejects_initial_of_wrong_shape(self, four_cp_market, initial):
+        game = SubsidizationGame(four_cp_market, 1.0)
+        with pytest.raises(ModelError, match=r"shape \(4,\)"):
+            solve_equilibrium(game, initial=initial)
+
+    def test_rejects_nan_initial(self, four_cp_market):
+        game = SubsidizationGame(four_cp_market, 1.0)
+        with pytest.raises(ModelError, match="NaN"):
+            solve_equilibrium(game, initial=[0.1, np.nan, 0.2, 0.3])
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-10])
+    def test_rejects_bad_tol(self, four_cp_market, tol):
+        game = SubsidizationGame(four_cp_market, 1.0)
+        with pytest.raises(ModelError, match="tol"):
+            solve_equilibrium(game, tol=tol)
+
+    @pytest.mark.parametrize(
+        "certify_tol", [float("nan"), float("inf"), 0.0, -1e-7]
+    )
+    def test_rejects_bad_certify_tol(self, four_cp_market, certify_tol):
+        game = SubsidizationGame(four_cp_market, 1.0)
+        with pytest.raises(ModelError, match="certify_tol"):
+            solve_equilibrium(game, certify_tol=certify_tol)
+
+    def test_best_response_solver_validates_too(self, four_cp_market):
+        game = SubsidizationGame(four_cp_market, 1.0)
+        with pytest.raises(ModelError):
+            solve_equilibrium_best_response(game, initial=np.zeros(2))
+        with pytest.raises(ModelError):
+            solve_equilibrium_best_response(game, tol=float("nan"))
+
+
+class TestInfiniteInitialIsClipped:
+    def test_infinite_entries_clip_into_the_box(self, four_cp_market):
+        game = SubsidizationGame(four_cp_market, 1.0)
+        result = solve_equilibrium(
+            game, initial=[np.inf, -np.inf, 0.5, np.inf]
+        )
+        reference = solve_equilibrium(game, initial=[1.0, 0.0, 0.5, 1.0])
+        assert result.kkt_residual <= 1e-7
+        np.testing.assert_array_equal(result.subsidies, reference.subsidies)

@@ -226,8 +226,12 @@ class TestProfileFlag:
             "brackets_expanded",
             "lockstep_calls",
             "lockstep_seconds",
+            "equilibrium_kernel_calls",
+            "equilibrium_kernel_seconds",
+            "equilibrium_fallbacks",
         ]
         assert float(fields["lockstep_seconds"]) >= 0.0
+        assert float(fields["equilibrium_kernel_seconds"]) >= 0.0
 
     def test_compiled_random_market_takes_no_lockstep_solve(
         self, tmp_path, capsys
