@@ -164,6 +164,28 @@ class KernelPlan:
             xtol=float(xtol),
         )
 
+    def repriced(self, price: float, weight: float) -> "KernelPlan":
+        """This plan at another price, with every demand column's share
+        weight set to ``weight``.
+
+        The copy shares ``values``, the tags and ``rate_params``, and has
+        its own ``demand_params`` and bindings: it is the plan of the same
+        market with each demand wrapped as ``ScaledDemand(d, weight)`` and
+        the ISP at ``price``, without building that market.
+        """
+        demand_params = self.demand_params.copy()
+        demand_params[:, -1] = weight
+        return KernelPlan(
+            price=price,
+            values=self.values,
+            demand_tags=self.demand_tags,
+            demand_params=demand_params,
+            rate_tags=self.rate_tags,
+            rate_params=self.rate_params,
+            mu=self.mu,
+            xtol=self.xtol,
+        )
+
     def bound(self, kernels):
         """``kernels.bind(self)``, built once per kernel module."""
         args = self._bound.get(kernels)

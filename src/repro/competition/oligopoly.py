@@ -37,9 +37,12 @@ evaluations chained through a warm-start profile, golden-section polish at
 the end. The inner equilibrium solves go through
 :func:`~repro.core.equilibrium.solve_equilibrium`, whose default
 vectorized sweep evaluates each CP's candidate caps ``s_i ∈ [0, q]`` as
-one batch — so an oligopoly sweep is a batch of batches. With a
-persistent store configured, re-running a competition replays every sweep
-from cache with **zero** equilibrium solves.
+one batch — so an oligopoly sweep is a batch of batches. Under a kernel
+backend each candidate after the first reprices the sweep's kernel plan
+instead and solves it in one compiled call (see
+:func:`solve_oligopoly_sweep`). With a persistent store configured,
+re-running a competition replays every sweep from cache with **zero**
+equilibrium solves.
 
 Iteration modes
 ---------------
@@ -72,7 +75,12 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.equilibrium import EquilibriumResult, solve_equilibrium
+from repro.backend import get_backend
+from repro.core.equilibrium import (
+    EquilibriumResult,
+    certified_fused_equilibrium,
+    solve_equilibrium,
+)
 from repro.core.game import SubsidizationGame
 from repro.engine.cache import market_fingerprint
 from repro.engine.service import SolveService, SolveTask, default_service
@@ -192,21 +200,43 @@ def solve_oligopoly_sweep(
     candidate's profile. Returns the maximizer, its revenue, the
     evaluation/solve counts and the final warm profile as arrays, so the
     result persists bit-exactly under the ``"ndarrays"`` codec.
+
+    Under a kernel backend with ``cap > 0`` the first candidate builds its
+    carrier market and keeps that market's kernel plan; each later
+    candidate reprices the plan
+    (:meth:`~repro.backend.dispatch.KernelPlan.repriced`) and solves it in
+    one compiled call (:func:`certified_fused_equilibrium`). A candidate
+    whose call is not certified at once, and every candidate of an
+    ineligible market, builds its market and runs
+    :func:`solve_equilibrium`; both routes give the same bits.
     """
     state = {
         "warm": None if warm0 is None else np.asarray(warm0, dtype=float),
         "solves": 0,
+        "plan": None,
     }
+    use_plan = cap > 0.0 and get_backend().kernels is not None
+    n = len(providers)
 
     def revenue(p: float) -> float:
         at = _with_candidate(prices, index, p)
         share = oligopoly_shares(switching, at)[index]
+        state["solves"] += 1
+        plan = state["plan"]
+        if plan is not None:
+            solved = certified_fused_equilibrium(
+                plan.repriced(p, share), cap, state["warm"]
+            )
+            if solved is not None:
+                state["warm"], row = solved
+                return float(row[6 * n + 2])
         market = scaled_carrier_market(providers, isp, share, at[index])
         equilibrium = solve_equilibrium(
             SubsidizationGame(market, cap), initial=state["warm"]
         )
+        if use_plan and plan is None:
+            state["plan"] = market.kernel_plan()
         state["warm"] = equilibrium.subsidies
-        state["solves"] += 1
         return equilibrium.state.revenue
 
     result = grid_polish_maximize(
@@ -358,7 +388,9 @@ def competition_settings(
     sources — scenario-file metadata and CLI flags. ``overrides`` entries
     that are ``None`` fall through to ``metadata``, which falls through
     to :data:`COMPETITION_DEFAULTS`; any malformed value (wrong type,
-    short ``price_range``, out-of-range damping, unknown mode) raises
+    a ``price_range`` that is short, not finite or not ``0 <= lo <= hi``,
+    fewer than 3 ``grid_points``, an ``xtol`` that is not finite and
+    positive, out-of-range damping, unknown mode) raises
     :class:`~repro.exceptions.ModelError` naming the offending setting,
     never a bare ``ValueError``/``IndexError`` mid-solve.
     """
@@ -392,13 +424,22 @@ def competition_settings(
             raise ValueError(
                 f"price_range needs exactly two entries, got {price_range}"
             )
+        lo, hi = price_range
+        if not 0.0 <= lo <= hi < math.inf:
+            raise ValueError(
+                f"price_range must be finite with 0 <= lo <= hi, got {price_range}"
+            )
         grid_points = int(pick("grid_points"))
+        if grid_points < 3:
+            raise ValueError(f"grid_points must be at least 3, got {grid_points}")
         xtol = float(pick("xtol"))
+        if not 0.0 < xtol < math.inf:
+            raise ValueError(f"xtol must be finite and positive, got {xtol}")
     except (TypeError, ValueError) as exc:
         raise ModelError(f"invalid competition settings: {exc}") from exc
     return CompetitionSettings(
         policy=policy,
-        price_range=(price_range[0], price_range[1]),
+        price_range=(lo, hi),
         grid_points=grid_points,
         xtol=xtol,
     )
@@ -684,9 +725,9 @@ class OligopolyGame:
         index: int,
         prices: Sequence[float],
         *,
-        price_range: tuple[float, float] = (0.0, 3.0),
-        grid_points: int = 32,
-        xtol: float = 1e-7,
+        price_range: tuple[float, float] = COMPETITION_DEFAULTS["price_range"],
+        grid_points: int = COMPETITION_DEFAULTS["grid_points"],
+        xtol: float = COMPETITION_DEFAULTS["xtol"],
     ) -> float:
         """Carrier ``index``'s revenue-maximizing price against a price vector.
 
@@ -718,9 +759,9 @@ class OligopolyGame:
         self,
         prices: Sequence[float],
         *,
-        price_range: tuple[float, float] = (0.0, 3.0),
-        grid_points: int = 32,
-        xtol: float = 1e-7,
+        price_range: tuple[float, float] = COMPETITION_DEFAULTS["price_range"],
+        grid_points: int = COMPETITION_DEFAULTS["grid_points"],
+        xtol: float = COMPETITION_DEFAULTS["xtol"],
         workers: int | None = None,
     ) -> tuple["np.ndarray", ...]:
         """All carriers' best responses to one price vector (Jacobi round).

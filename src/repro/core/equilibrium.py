@@ -58,6 +58,7 @@ from repro.solvers.vi import extragradient_box
 
 __all__ = [
     "EquilibriumResult",
+    "certified_fused_equilibrium",
     "kkt_residuals_batch",
     "natural_map_residuals",
     "solve_equilibrium",
@@ -67,6 +68,9 @@ __all__ = [
 
 #: Default KKT-residual tolerance for certifying an equilibrium.
 DEFAULT_CERTIFY_TOL = 1e-7
+
+#: Default convergence tolerance of :func:`solve_equilibrium`.
+_SOLVE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -293,6 +297,22 @@ def _vector_solve(
     return None
 
 
+def _fused_attempt(
+    plan, s: np.ndarray, cap: float, *, tol: float, max_sweeps: int
+) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """One compiled equilibrium solve from the in-box profile ``s``.
+
+    Returns ``(subsidies, state_row, iterations)``, or ``None`` when the
+    sweep budget runs out.
+    """
+    subsidies, row, iterations, status = fused_equilibrium(
+        get_backend(), plan, s, cap, tol, max_sweeps
+    )
+    if status == EQUILIBRIUM_BUDGET:
+        return None
+    return subsidies, row, iterations
+
+
 def _fused_solve(
     game: SubsidizationGame, plan, s: np.ndarray, *, tol: float, max_sweeps: int
 ) -> EquilibriumResult | None:
@@ -302,11 +322,10 @@ def _fused_solve(
     solution, so no second market solve or certificate runs here. Returns
     ``None`` when the sweep budget runs out.
     """
-    subsidies, row, iterations, status = fused_equilibrium(
-        get_backend(), plan, s, game.cap, tol, max_sweeps
-    )
-    if status == EQUILIBRIUM_BUDGET:
+    attempt = _fused_attempt(plan, s, game.cap, tol=tol, max_sweeps=max_sweeps)
+    if attempt is None:
         return None
+    subsidies, row, iterations = attempt
     n = game.size
     utilization, gap_slope, revenue, welfare, residual = row[6 * n:].tolist()
     state = MarketState(
@@ -332,13 +351,12 @@ def _fused_solve(
     )
 
 
-def _initial_profile(game: SubsidizationGame, initial) -> np.ndarray:
-    """The starting profile: zeros, or ``initial`` clipped into the box.
+def _initial_profile(n: int, cap: float, initial) -> np.ndarray:
+    """The starting profile: zeros, or ``initial`` clipped into ``[0, cap]``.
 
-    ``initial`` must have shape ``(N,)`` and hold no NaN; ``±inf`` entries
+    ``initial`` must have shape ``(n,)`` and hold no NaN; ``±inf`` entries
     clip to the box edges.
     """
-    n = game.size
     if initial is None:
         return np.zeros(n)
     s = np.asarray(initial, dtype=float)
@@ -346,7 +364,7 @@ def _initial_profile(game: SubsidizationGame, initial) -> np.ndarray:
         raise ModelError(f"initial profile must have shape ({n},), got {s.shape}")
     if np.isnan(s).any():
         raise ModelError("initial profile must not contain NaN")
-    return project_box(s, 0.0, game.cap)
+    return project_box(s, 0.0, cap)
 
 
 def _check_tol(tol: float) -> None:
@@ -421,7 +439,7 @@ def solve_equilibrium_best_response(
     _check_tol(tol)
     return _best_response_solve(
         game,
-        _initial_profile(game, initial),
+        _initial_profile(game.size, game.cap, initial),
         damping=damping,
         tol=tol,
         max_sweeps=max_sweeps,
@@ -533,7 +551,7 @@ def solve_equilibrium(
     game: SubsidizationGame,
     *,
     initial=None,
-    tol: float = 1e-10,
+    tol: float = _SOLVE_TOL,
     certify_tol: float = DEFAULT_CERTIFY_TOL,
 ) -> EquilibriumResult:
     """Solve and certify a Nash equilibrium.
@@ -553,7 +571,7 @@ def solve_equilibrium(
         raise ModelError(
             f"certify_tol must be finite and positive, got {certify_tol}"
         )
-    s = _initial_profile(game, initial)
+    s = _initial_profile(game.size, game.cap, initial)
     attempts = []
     for damping in (1.0, 0.5):
         if damping != 1.0 and profiling.enabled:
@@ -594,3 +612,36 @@ def solve_equilibrium(
     raise EquilibriumError(
         "no solver produced a certified equilibrium: " + "; ".join(attempts)
     )
+
+
+def certified_fused_equilibrium(
+    plan, cap: float, initial
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """:func:`solve_equilibrium`'s first attempt, without a market or game.
+
+    For a kernel-eligible market's ``plan`` under a kernel backend and a
+    positive ``cap``, that attempt is one compiled call at the default
+    ``tol`` and the Jacobi sweep budget. When it converges with a KKT
+    residual within :data:`DEFAULT_CERTIFY_TOL` it is the answer, and this
+    returns ``(subsidies, state_row)`` (the row laid out as in
+    :func:`~repro.backend.dispatch.fused_equilibrium`). Otherwise
+    (``initial`` rejected, a spent budget, a raised
+    :class:`~repro.exceptions.ReproError`, a residual above the
+    tolerance) it returns ``None``, and the caller runs
+    :func:`solve_equilibrium` on the market: that repeats the attempt and
+    goes on down the fallback chain, so every outcome stays its outcome.
+    """
+    try:
+        s = _initial_profile(plan.values.shape[0], cap, initial)
+        attempt = _fused_attempt(
+            plan, s, cap, tol=_SOLVE_TOL,
+            max_sweeps=min(_MAX_SWEEPS, _JACOBI_BUDGET),
+        )
+    except ReproError:
+        return None
+    if attempt is None:
+        return None
+    subsidies, row, _ = attempt
+    if not row[-1] <= DEFAULT_CERTIFY_TOL:
+        return None
+    return subsidies, row

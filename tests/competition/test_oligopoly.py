@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.backend import get_backend
+from repro.backend import get_backend, use_backend
 from repro.competition import (
     COMPETITION_DEFAULTS,
     IterationPolicy,
     OligopolyGame,
     competition_settings,
+    oligopoly,
     oligopoly_shares,
     solve_oligopoly_competition,
 )
@@ -16,6 +17,8 @@ from repro.core.revenue import optimal_price
 from repro.engine import SolveCache, SolveService, SolveStore
 from repro.exceptions import ConvergenceError, ModelError
 from repro.providers import AccessISP, Market, exponential_cp
+
+from tests.backend.test_golden_parity import KERNEL_BACKENDS
 
 
 def providers():
@@ -466,9 +469,36 @@ class TestCompetitionSettings:
             {"iteration_mode": "sor"},
             {"grid_points": "many"},
             {"max_sweeps": 0},
+            {"price_range": [3.0, 0.0]},
+            {"price_range": [-1.0, 3.0]},
+            {"price_range": [0.0, float("inf")]},
+            {"price_range": [float("nan"), 3.0]},
+            {"grid_points": 2},
+            {"xtol": 0.0},
+            {"xtol": -1e-7},
+            {"xtol": float("nan")},
+            {"xtol": float("inf")},
         ):
             with pytest.raises(ModelError):
                 competition_settings(bad)
+
+    def test_degenerate_but_valid_search_settings_accepted(self):
+        settings = competition_settings(
+            {"price_range": [1.5, 1.5], "grid_points": 3, "xtol": 1e-12}
+        )
+        assert settings.price_range == (1.5, 1.5)
+        assert settings.grid_points == 3
+
+    def test_game_search_defaults_are_the_competition_defaults(self):
+        import inspect
+
+        for method in (
+            OligopolyGame.best_response_price,
+            OligopolyGame.best_response_prices,
+        ):
+            params = inspect.signature(method).parameters
+            for key in ("price_range", "grid_points", "xtol"):
+                assert params[key].default == COMPETITION_DEFAULTS[key]
 
     def test_unknown_override_key_rejected(self):
         with pytest.raises(ModelError):
@@ -668,3 +698,178 @@ class TestFrozenKernelCompetition:
         for eq in result.state.equilibria:
             digest.update(np.asarray(eq.subsidies, dtype=np.float64).tobytes())
         assert digest.hexdigest() == frozen["subsidies_sha256"]
+
+
+def section5_providers():
+    from repro.experiments.scenarios import section5_market
+
+    return section5_market().providers
+
+
+def section5_sweep(cps, n, index, *, warm0=None):
+    """One best-response search of carrier ``index`` among ``n`` on the
+    §5 market's providers ``cps``, with coarse search settings."""
+    isp = AccessISP(price=1.0, capacity=1.0 / n, name="s5")
+    prices = tuple(0.8 + 0.1 * k for k in range(n))
+    return oligopoly.solve_oligopoly_sweep(
+        cps, isp, 2.0, 0.5, index,
+        oligopoly._with_candidate(prices, index, 0.0),
+        0.05, 2.0, 8, 1e-5, warm0,
+    )
+
+
+def market_route_only(monkeypatch):
+    """Send every candidate price through ``scaled_carrier_market`` and
+    ``solve_equilibrium``, as if no repriced plan were ever certified."""
+    monkeypatch.setattr(
+        oligopoly, "certified_fused_equilibrium", lambda *args: None
+    )
+
+
+def assert_outcomes_identical(got, want):
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key].dtype == want[key].dtype, key
+        assert got[key].tobytes() == want[key].tobytes(), key
+
+
+@pytest.fixture
+def count_markets(monkeypatch):
+    """The number of ``Market`` objects built since the fixture ran."""
+    built = []
+    init = Market.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Market, "__init__", counting)
+    return built
+
+
+@pytest.mark.parametrize("name", KERNEL_BACKENDS)
+class TestRepricedPlanRoute:
+    """Under a kernel backend each candidate price after the first reprices
+    the sweep's kernel plan instead of building its carrier market; the
+    outcome is the market route's, bit for bit."""
+
+    def test_repriced_plan_is_the_scaled_market_plan(self, name):
+        cps = section5_providers()
+        isp = AccessISP(price=1.0, capacity=0.5)
+        base = oligopoly.scaled_carrier_market(cps, isp, 0.5, 1.0)
+        want = oligopoly.scaled_carrier_market(cps, isp, 0.3, 0.7)
+        got = base.kernel_plan().repriced(0.7, 0.3)
+        want = want.kernel_plan()
+        assert got.price == want.price
+        for field in (
+            "values", "demand_tags", "demand_params", "rate_tags",
+            "rate_params",
+        ):
+            assert getattr(got, field).tobytes() == getattr(
+                want, field
+            ).tobytes(), field
+        assert (got.mu, got.xtol) == (want.mu, want.xtol)
+        assert got.values is base.kernel_plan().values
+        assert got.demand_params is not base.kernel_plan().demand_params
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_sweeps_match_the_market_route_bitwise(
+        self, name, n, monkeypatch, count_markets
+    ):
+        cps = section5_providers()
+
+        def chain():
+            first = section5_sweep(cps, n, 0)
+            second = section5_sweep(cps, n, n - 1, warm0=first["warm"])
+            return first, second
+
+        with use_backend(name):
+            count_markets.clear()
+            repriced = chain()
+            repriced_markets = len(count_markets)
+            market_route_only(monkeypatch)
+            reference = chain()
+        for got, want in zip(repriced, reference):
+            assert_outcomes_identical(got, want)
+        # One carrier market per sweep task (the first candidate's).
+        assert repriced_markets == 2
+        assert len(count_markets) - repriced_markets == sum(
+            int(outcome["solves"]) for outcome in reference
+        )
+
+    def test_competition_builds_one_market_per_sweep_task(
+        self, name, count_markets
+    ):
+        n = 4
+        game = game_of(n, cps=cheap_providers())
+        with use_backend(name):
+            count_markets.clear()
+            result = solve_oligopoly_competition(
+                game, price_range=(0.05, 2.0), grid_points=6, xtol=1e-3,
+                policy=IterationPolicy(tol=1e-3),
+            )
+        tasks = sum(stats.sweeps for stats in result.carrier_stats)
+        # Sweep tasks, plus N fingerprint markets and N final states.
+        assert len(count_markets) <= tasks + 2 * n
+        assert result.total_solves > tasks + 2 * n
+
+    def test_spent_jacobi_budget_falls_back_to_solve_equilibrium(
+        self, name, monkeypatch
+    ):
+        from repro.backend import profiling
+        from repro.core import equilibrium
+
+        monkeypatch.setattr(equilibrium, "_JACOBI_BUDGET", 1)
+        cps = section5_providers()
+        with use_backend(name):
+            profiling.reset()
+            with profiling.profiled():
+                got = section5_sweep(cps, 2, 0)
+            counts = profiling.snapshot()
+            market_route_only(monkeypatch)
+            want = section5_sweep(cps, 2, 0)
+        assert counts["equilibrium_fallbacks"] > 0
+        assert float(got["price"]) == float(want["price"])
+        assert_outcomes_identical(got, want)
+
+    def test_invalid_share_on_a_later_candidate_raises_the_market_route_error(
+        self, name, monkeypatch
+    ):
+        # At a huge switching sensitivity every logit term of a candidate
+        # above ~1.8 underflows, so its share is NaN while the first
+        # candidate's (price 0) is 1.
+        cps = section5_providers()
+        isp = AccessISP(price=1.0, capacity=0.5)
+
+        def sweep():
+            return oligopoly.solve_oligopoly_sweep(
+                cps, isp, 1e308, 0.5, 0, (0.0, 2.0), 0.0, 3.0, 8, 1e-5, None
+            )
+
+        with use_backend(name):
+            for force in (False, True):
+                if force:
+                    market_route_only(monkeypatch)
+                with pytest.raises(ModelError, match="weight must be finite"):
+                    sweep()
+
+    @pytest.mark.parametrize(
+        "warm0, message",
+        [
+            (np.zeros(3), r"initial profile must have shape \(8,\), got \(3,\)"),
+            (np.full(8, np.nan), "initial profile must not contain NaN"),
+        ],
+    )
+    def test_malformed_warm_start_raises_the_market_route_error(
+        self, name, warm0, message, monkeypatch
+    ):
+        cps = section5_providers()
+        errors = []
+        with use_backend(name):
+            for force in (False, True):
+                if force:
+                    market_route_only(monkeypatch)
+                with pytest.raises(ModelError, match=message) as caught:
+                    section5_sweep(cps, 2, 0, warm0=warm0)
+                errors.append(str(caught.value))
+        assert errors[0] == errors[1]

@@ -186,6 +186,27 @@ class TestOligopolyVerb:
         err = capsys.readouterr().err
         assert "invalid competition settings" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--price-range", "3", "0"],
+            ["--price-range", "-1", "3"],
+            ["--price-range", "0", "inf"],
+            ["--grid-points", "2"],
+            ["--xtol", "nan"],
+            ["--xtol", "0"],
+        ],
+    )
+    def test_malformed_search_flag_exits_two_without_traceback(
+        self, scenario_file, flags, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["oligopoly", "--scenario-file", scenario_file, *flags])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid competition settings" in err
+        assert "Traceback" not in err
+
     def test_conflicting_cache_flags_rejected(self, scenario_file):
         with pytest.raises(SystemExit) as excinfo:
             main(
