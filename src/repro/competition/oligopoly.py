@@ -70,6 +70,7 @@ computed with the complement form; the frozen goldens in
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
@@ -360,12 +361,28 @@ class IterationPolicy:
             raise ValueError(
                 f"damping must lie in (0, 1], got {self.damping}"
             )
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_sweeps < 1:
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
+        if (
+            isinstance(self.max_sweeps, bool)
+            or not isinstance(self.max_sweeps, numbers.Integral)
+            or self.max_sweeps < 1
+        ):
             raise ValueError(
-                f"max_sweeps must be at least 1, got {self.max_sweeps}"
+                f"max_sweeps must be an integer of at least 1, "
+                f"got {self.max_sweeps!r}"
             )
+
+
+def _whole_number(name: str, value: Any) -> int:
+    """``value`` as an ``int``: an integer, or a finite float with no
+    fractional part. Booleans, strings and anything else raise
+    ``ValueError`` rather than being truncated or coerced."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -389,7 +406,8 @@ def competition_settings(
     that are ``None`` fall through to ``metadata``, which falls through
     to :data:`COMPETITION_DEFAULTS`; any malformed value (wrong type,
     a ``price_range`` that is short, not finite or not ``0 <= lo <= hi``,
-    fewer than 3 ``grid_points``, an ``xtol`` that is not finite and
+    ``grid_points`` or ``max_sweeps`` that are not whole numbers, fewer
+    than 3 ``grid_points``, a ``tol`` or ``xtol`` that is not finite and
     positive, out-of-range damping, unknown mode) raises
     :class:`~repro.exceptions.ModelError` naming the offending setting,
     never a bare ``ValueError``/``IndexError`` mid-solve.
@@ -417,7 +435,7 @@ def competition_settings(
             mode=str(pick("iteration_mode")),
             damping=float(pick("damping")),
             tol=float(pick("tol")),
-            max_sweeps=int(pick("max_sweeps")),
+            max_sweeps=_whole_number("max_sweeps", pick("max_sweeps")),
         )
         price_range = tuple(float(x) for x in pick("price_range"))
         if len(price_range) != 2:
@@ -429,7 +447,7 @@ def competition_settings(
             raise ValueError(
                 f"price_range must be finite with 0 <= lo <= hi, got {price_range}"
             )
-        grid_points = int(pick("grid_points"))
+        grid_points = _whole_number("grid_points", pick("grid_points"))
         if grid_points < 3:
             raise ValueError(f"grid_points must be at least 3, got {grid_points}")
         xtol = float(pick("xtol"))

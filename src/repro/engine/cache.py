@@ -110,6 +110,6 @@ class SolveCache:
                 self.evictions += 1
 
     def clear(self) -> None:
-        """Drop every entry (benchmarks use this to measure cold solves)."""
+        """Drop every entry (tests use this to start from cold solves)."""
         with self._lock:
             self._entries.clear()

@@ -296,8 +296,8 @@ class SolveStore:
 
     Counters (``hits``, ``misses``, ``writes``, ``write_errors``) and the
     cumulative ``read_seconds``/``write_seconds`` latencies make the disk
-    tier observable in the runner's ``--json`` summary, the benchmark
-    JSON and the serve daemon's ``/stats``. Counter updates take a small
+    tier observable in the runner's ``--json`` summary and the serve
+    daemon's ``/stats``. Counter updates take a small
     lock so concurrent server threads never lose increments.
     """
 

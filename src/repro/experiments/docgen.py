@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.experiments.runner import (
-    build_bench_summary_parser,
     build_cache_parser,
     build_campaign_parser,
     build_client_parser,
@@ -180,11 +179,6 @@ def generate_cli_reference() -> str:
             "python -m repro.experiments client "
             "{health,stats,submit,replay} [scenarios...] [options]",
             build_client_parser(),
-        ),
-        _render_parser(
-            "bench-summary",
-            "python -m repro.experiments bench-summary [options]",
-            build_bench_summary_parser(),
         ),
     ]
     return _HEADER + "\n".join(sections)

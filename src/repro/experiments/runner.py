@@ -23,7 +23,6 @@ Usage::
     python -m repro.experiments campaign run --rows 100 --cache-dir .cache
     python -m repro.experiments campaign summary --rows 100 --cache-dir .cache
     python -m repro.experiments campaign run --spec sweep.json --cache-dir .cache
-    python -m repro.experiments bench-summary          # fold BENCH_*.json records
     python -m repro.experiments serve --cache-dir .cache  # the solve daemon
     python -m repro.experiments client replay section3 --clients 4
 
@@ -43,8 +42,7 @@ bitwise-identical results (see :mod:`repro.engine.executors`).
 ``--refine`` swaps the uniform price axis of a price/grid sweep for
 adaptive refinement (:mod:`repro.experiments.refine`): a coarse pass,
 then midpoint insertion where welfare/revenue curvature or
-equilibrium-partition changes warrant it. ``bench-summary`` folds the
-``BENCH_*.json`` perf records into one table.
+equilibrium-partition changes warrant it.
 
 Caching: ``--cache-dir DIR`` (or ``$REPRO_CACHE_DIR``) attaches the
 persistent content-addressed solve store, making runs *resumable* — a
@@ -147,11 +145,6 @@ from repro.experiments.pipeline import (
     run_spec,
     scenario_experiment,
 )
-from repro.experiments.benchtable import (
-    default_bench_dir,
-    load_bench_records,
-    render_table,
-)
 from repro.experiments.refine import REFINE_DEFAULTS, RefineSpec
 from repro.io import load_campaign, load_scenario, save_campaign
 from repro.scenarios import (
@@ -169,7 +162,6 @@ from repro.simulation.trajectory import (
 __all__ = [
     "EXPERIMENTS",
     "EXPERIMENT_SPECS",
-    "build_bench_summary_parser",
     "build_cache_parser",
     "build_campaign_parser",
     "build_client_parser",
@@ -215,7 +207,6 @@ _VERBS = {
     "oligopoly",
     "dynamics",
     "campaign",
-    "bench-summary",
     "serve",
     "client",
 }
@@ -550,7 +541,7 @@ def build_run_parser() -> argparse.ArgumentParser:
         "(CoNEXT 2014), or sweep arbitrary scenarios. Verbs: list, "
         "describe <id>, run <ids...> [--scenario file.json], "
         "oligopoly [--carriers N], dynamics [id], campaign <action>, "
-        "cache <action>, serve, client <action>, bench-summary.",
+        "cache <action>, serve, client <action>.",
     )
     parser.add_argument(
         "experiments",
@@ -1834,49 +1825,6 @@ def _main_client(argv: Sequence[str]) -> int:
     return 0
 
 
-def build_bench_summary_parser() -> argparse.ArgumentParser:
-    """The ``bench-summary`` verb's parser (docgen renders this tree)."""
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments bench-summary",
-        description="Fold the BENCH_*.json perf records (written by the "
-        "benchmarks/ suite; repro-bench schema) into one table: case, "
-        "backend, wall time and the solve/cache counters. Also reachable "
-        "as python benchmarks/summary.py.",
-    )
-    parser.add_argument(
-        "--bench-dir",
-        default=None,
-        metavar="DIR",
-        help="records directory (default: $REPRO_BENCH_DIR, else the "
-        "committed benchmarks/out baseline)",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="print the raw records as a JSON array instead of a table",
-    )
-    return parser
-
-
-def _main_bench_summary(argv: Sequence[str]) -> int:
-    args = build_bench_summary_parser().parse_args(list(argv))
-    bench_dir = Path(args.bench_dir) if args.bench_dir else default_bench_dir()
-    # A missing or empty records directory is an ordinary state (fresh
-    # checkout, benchmarks not yet run), not an error.
-    records = load_bench_records(bench_dir) if bench_dir.is_dir() else []
-    if not records:
-        if args.json:
-            print("[]")
-        else:
-            print(f"no bench records under {bench_dir}")
-        return 0
-    if args.json:
-        print(json.dumps(records, indent=2))
-    else:
-        print(render_table(records))
-    return 0
-
-
 def _main_list() -> int:
     print("Experiments (figure reproductions):")
     for key, spec in EXPERIMENT_SPECS.items():
@@ -1934,8 +1882,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _main_dynamics(argv[1:])
     if verb == "campaign":
         return _main_campaign(argv[1:])
-    if verb == "bench-summary":
-        return _main_bench_summary(argv[1:])
     if verb == "serve":
         return _main_serve(argv[1:])
     if verb == "client":

@@ -13,7 +13,7 @@ memory LRU, shared content-addressed store) across every request:
   external framework) exposing submit/poll/cancel/result plus ``/stats``
   and ``/health``.
 * :mod:`repro.server.client` — a stdlib-``http.client`` client used by
-  the ``repro client`` verb, the serve benchmark and the CI smoke job.
+  the ``repro client`` verb, the serve replay test and the CI smoke job.
 """
 
 from repro.server.client import ServeClient, replay

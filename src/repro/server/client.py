@@ -3,7 +3,7 @@
 :class:`ServeClient` wraps one request/response exchange per call over
 ``http.client`` (the server closes each connection, matching its
 ``Connection: close`` responses), and :func:`replay` is the traffic
-generator the serve benchmark, the ``repro client replay`` verb and the
+generator the serve replay test, the ``repro client replay`` verb and the
 CI smoke job share: N threads, each submitting an overlapping scenario
 set and polling every job to a terminal state, with requests/sec and the
 server-side stats deltas in the summary — the numbers that back the

@@ -103,7 +103,7 @@ def default_runner(scn: ScenarioSpec, service: SolveService) -> dict:
 
     The experiment runs explicitly on the daemon's service (rather than
     the process-wide default) so a server embedded in a larger process —
-    the tests, the benchmark — never entangles its cache state with
+    the tests — never entangles its cache state with
     whatever the host process is doing.
     """
     # Runtime import: the pipeline sits above the engine layer and pulls

@@ -423,6 +423,25 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             IterationPolicy(max_sweeps=0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"tol": float("inf")},
+            {"tol": float("nan")},
+            {"max_sweeps": 2.5},
+            {"max_sweeps": 3.0},
+            {"max_sweeps": True},
+            {"max_sweeps": "3"},
+        ],
+    )
+    def test_iteration_policy_rejects_non_finite_tol_and_non_integral_sweeps(
+        self, kwargs
+    ):
+        # An infinite tol would report convergence after one sweep; a
+        # fractional budget would only fail later, inside range().
+        with pytest.raises(ValueError):
+            IterationPolicy(**kwargs)
+
     def test_game_validation(self):
         with pytest.raises(ModelError):
             OligopolyGame([], carrier_isps(2))
@@ -478,9 +497,23 @@ class TestCompetitionSettings:
             {"xtol": -1e-7},
             {"xtol": float("nan")},
             {"xtol": float("inf")},
+            {"tol": float("inf")},
+            *(
+                {key: value}
+                for key in ("grid_points", "max_sweeps")
+                for value in (32.9, True, "32", float("inf"), float("nan"))
+            ),
         ):
             with pytest.raises(ModelError):
                 competition_settings(bad)
+
+    def test_integral_float_counts_accepted(self):
+        # JSON writers may emit 32.0 for 32; that is still a whole number.
+        settings = competition_settings({"grid_points": 32.0, "max_sweeps": 7.0})
+        assert settings.grid_points == 32
+        assert type(settings.grid_points) is int
+        assert settings.policy.max_sweeps == 7
+        assert type(settings.policy.max_sweeps) is int
 
     def test_degenerate_but_valid_search_settings_accepted(self):
         settings = competition_settings(

@@ -58,3 +58,19 @@ def four_cp_market() -> Market:
         ],
         AccessISP(price=1.0, capacity=1.0),
     )
+
+
+@pytest.fixture
+def fresh_grid_cache():
+    """A cold in-process solve on the default service.
+
+    Clears the default service's memory tier (figure rows memoize there)
+    and zeroes its counters, so a test's solve/hit counts are its own, and
+    clears the memory tier again afterwards.
+    """
+    from repro.engine.service import default_service
+
+    default_service().clear_memory()
+    default_service().reset_counters()
+    yield
+    default_service().clear_memory()

@@ -9,6 +9,7 @@ from repro.core.investment import (
     optimal_price_and_capacity,
 )
 from repro.exceptions import ModelError
+from repro.experiments.scenarios import section5_market
 
 
 class TestOptimalCapacity:
@@ -76,6 +77,14 @@ class TestInvestmentIncentive:
             market, caps=(0.0, 1.0), unit_cost=0.15, capacity_range=(0.1, 6.0)
         )
         assert outcomes[1].profit >= outcomes[0].profit - 1e-9
+
+    def test_deregulation_raises_capacity_on_section5_market(self):
+        # The same §6 claim on the paper's full eight-type §5 market.
+        outcomes = investment_incentive(
+            section5_market(price=0.8), caps=(0.0, 1.0), unit_cost=0.15,
+            capacity_range=(0.1, 6.0),
+        )
+        assert outcomes[1].capacity > outcomes[0].capacity
 
 
 class TestJointOptimization:

@@ -9,6 +9,7 @@ from repro.core.regulation import (
 )
 from repro.core.revenue import optimal_price
 from repro.exceptions import ModelError
+from repro.experiments.scenarios import section5_market
 
 
 class TestConstrainedWelfareOptimum:
@@ -42,6 +43,13 @@ class TestConstrainedWelfareOptimum:
         )
         assert tight.price >= loose.price
         assert tight.welfare <= loose.welfare + 1e-9
+
+    def test_section5_market_meets_revenue_floor(self):
+        outcome = constrained_welfare_optimal_price(
+            section5_market(), cap=1.0, min_revenue=0.3,
+            price_range=(0.0, 2.0), grid_points=64,
+        )
+        assert outcome.revenue >= 0.3 - 1e-6
 
     def test_infeasible_floor_raises(self, four_cp_market):
         with pytest.raises(ModelError):

@@ -4,7 +4,7 @@
 block on the page runs as written; this test extracts them and executes
 each in document order inside one scratch directory (the environment the
 page's conventions describe: ``PYTHONPATH`` on ``src/``, ``REPRO_ROOT``
-at the checkout, ``REPRO_BENCH_DIR`` scratch-local). A command or API
+at the checkout). A command or API
 drifting under the tutorial fails tier-1, so the page cannot rot.
 """
 
@@ -50,9 +50,8 @@ def workdir(tmp_path_factory):
 def _snippet_env(workdir: Path) -> dict:
     env = dict(os.environ)
     env["PATH"] = f"{workdir / 'bin'}{os.pathsep}{env.get('PATH', '')}"
-    env["PYTHONPATH"] = f"{REPO_ROOT / 'src'}{os.pathsep}{REPO_ROOT}"
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
     env["REPRO_ROOT"] = str(REPO_ROOT)
-    env["REPRO_BENCH_DIR"] = str(workdir / "bench-out")
     # The tutorial manages its own store via --cache-dir; an ambient one
     # would silently change the cold run's counters.
     env.pop("REPRO_CACHE_DIR", None)
@@ -61,7 +60,7 @@ def _snippet_env(workdir: Path) -> dict:
 
 def test_tutorial_has_executable_snippets():
     blocks = _executable_blocks()
-    assert len(blocks) >= 6, "tutorial lost its executable snippets"
+    assert len(blocks) >= 5, "tutorial lost its executable snippets"
     assert any(language == "sh" for language, _ in blocks)
     assert any(language == "python" for language, _ in blocks)
 
@@ -97,7 +96,3 @@ def test_tutorial_snippets_execute_in_order(workdir):
     warm = json.loads((workdir / "dynamics-warm.json").read_text())
     assert cold["cache"]["computed"] > 0
     assert warm["cache"]["computed"] == 0
-    bench = json.loads(
-        (workdir / "bench-out" / "BENCH_dynamics.json").read_text()
-    )
-    assert bench["computed"] == 0

@@ -20,6 +20,7 @@ from repro.engine import (
     solve_grid,
 )
 from repro.exceptions import ModelError
+from repro.experiments.scenarios import section5_market
 
 PRICES = np.linspace(0.3, 1.2, 4)
 CAPS = np.array([0.0, 0.6])
@@ -171,6 +172,23 @@ class TestPriceSweep:
         assert results[0].state.revenue == pytest.approx(
             two_cp_market.with_price(0.7).solve().revenue
         )
+
+
+@pytest.mark.usefixtures("fresh_grid_cache")
+class TestSection5PriceSweep:
+    """A 19-price sweep of the §5 market on the default service."""
+
+    def test_price_sweep_warm_start(self):
+        market = section5_market()
+        prices = np.linspace(0.1, 1.9, 19)
+        results = price_sweep(market, prices, cap=1.0, warm_start=True)
+        assert len(results) == 19
+
+    def test_price_sweep_cold_start(self):
+        market = section5_market()
+        prices = np.linspace(0.1, 1.9, 19)
+        results = price_sweep(market, prices, cap=1.0, warm_start=False)
+        assert len(results) == 19
 
 
 class TestGridAccessors:

@@ -203,30 +203,3 @@ class TestQueries:
         assert len(payload) == 2
         assert list(payload[0]["metrics"]) == ["welfare"]
         assert payload[0]["index"] == 0
-
-
-class TestBenchSummary:
-    def test_missing_bench_dir_is_not_an_error(self, capsys, tmp_path):
-        code, out, _ = run_cli(
-            capsys,
-            "bench-summary", "--bench-dir", str(tmp_path / "missing"),
-        )
-        assert code == 0
-        assert "no bench records" in out
-
-    def test_empty_bench_dir_is_not_an_error(self, capsys, tmp_path):
-        code, out, _ = run_cli(
-            capsys, "bench-summary", "--bench-dir", str(tmp_path)
-        )
-        assert code == 0
-        assert "no bench records" in out
-
-    def test_missing_bench_dir_json_is_empty_array(self, capsys, tmp_path):
-        code, out, _ = run_cli(
-            capsys,
-            "bench-summary",
-            "--bench-dir", str(tmp_path / "missing"),
-            "--json",
-        )
-        assert code == 0
-        assert json.loads(out) == []

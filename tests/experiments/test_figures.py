@@ -1,9 +1,9 @@
 """Integration tests regenerating every figure on a coarse grid.
 
-Full-resolution regeneration (41 prices × 5 policies) lives in the
-benchmarks; here each experiment runs on a thinner price axis to keep the
-suite fast while still exercising the complete pipeline — equilibrium grid,
-series extraction, CSV output and the qualitative shape checks.
+Each experiment runs on the paper's price axis thinned 2x (21 prices × 5
+policies), exercising the complete pipeline — equilibrium grid, series
+extraction, CSV output and the qualitative shape checks.
+``test_paper_figures.py`` adds one quantitative anchor per figure.
 """
 
 import numpy as np

@@ -186,6 +186,23 @@ class TestOligopolyVerb:
         err = capsys.readouterr().err
         assert "invalid competition settings" in err
 
+    @pytest.mark.parametrize("key", ["max_sweeps", "grid_points"])
+    def test_infinite_count_in_scenario_file_exits_two(
+        self, scenario_file, tmp_path, key, capsys
+    ):
+        # JSON's ``Infinity`` parses to a float that int() overflows on.
+        doc = json.loads(open(scenario_file).read())
+        doc["metadata"][key] = float("inf")
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(doc))
+        assert "Infinity" in path.read_text()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["oligopoly", "--scenario-file", str(path)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid competition settings" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "flags",
         [
@@ -195,6 +212,8 @@ class TestOligopolyVerb:
             ["--grid-points", "2"],
             ["--xtol", "nan"],
             ["--xtol", "0"],
+            ["--tol", "inf"],
+            ["--tol", "nan"],
         ],
     )
     def test_malformed_search_flag_exits_two_without_traceback(
