@@ -35,6 +35,7 @@ from repro.engine.service import SolveService, SolveTask, default_service
 from repro.engine.cache import market_fingerprint
 from repro.exceptions import ModelError
 from repro.providers.market import Market
+from repro.solvers.scalar_opt import bisect_interval
 
 __all__ = [
     "Breakpoint",
@@ -132,22 +133,26 @@ def refine_breakpoint(
     Returns the breakpoint price and the partition on its far side, as a
     JSON-ready payload (the ``"json"`` codec round-trips floats exactly).
     """
-    warm = np.asarray(warm, dtype=float)
-    part_hi_key = tuple(tuple(int(i) for i in part) for part in part_hi_key)
+    chain = {
+        "warm": np.asarray(warm, dtype=float),
+        "after": tuple(tuple(int(i) for i in part) for part in part_hi_key),
+    }
     part_lo_key = tuple(tuple(int(i) for i in part) for part in part_lo_key)
-    while hi - lo > price_tol:
-        mid = 0.5 * (lo + hi)
+
+    def on_lo_side(mid: float) -> bool:
         game = SubsidizationGame(market.with_price(float(mid)), cap)
-        eq = solve_equilibrium(game, initial=warm)
-        part_mid = classify_providers(
-            game, eq.subsidies, boundary_tol=boundary_tol
+        eq = solve_equilibrium(game, initial=chain["warm"])
+        key = _partition_key(
+            classify_providers(game, eq.subsidies, boundary_tol=boundary_tol)
         )
-        warm = eq.subsidies
-        if _partition_key(part_mid) == part_lo_key:
-            lo = mid
-        else:
-            hi, part_hi_key = mid, _partition_key(part_mid)
-    return {"price": 0.5 * (lo + hi), "after": part_hi_key}
+        chain["warm"] = eq.subsidies
+        if key == part_lo_key:
+            return True
+        chain["after"] = key
+        return False
+
+    lo, hi = bisect_interval(on_lo_side, lo, hi, price_tol)
+    return {"price": 0.5 * (lo + hi), "after": chain["after"]}
 
 
 def trace_equilibrium_path(

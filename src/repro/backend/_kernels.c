@@ -1182,6 +1182,189 @@ static int eq_state(eq_ctx *c, const double *s, double *out, double *u) {
     return EQ_CONVERGED;
 }
 
+/* Constants of the revenue slope (dispatch.py's SLOPE_*). */
+#define SLOPE_BOUNDARY_TOL 1e-7
+#define SLOPE_STEP 6.055454452393343e-06
+
+/* u at one profile row under its own price and demand parameters,
+ * warm-started at phi0. Returns 0 when a population or the congestion
+ * root fails; m and dm are scratch. */
+static int eq_probe(eq_ctx *c, const double *srow, double price,
+                    const double *dparams, double phi0, double *u_out,
+                    double *m, double *dm) {
+    int64_t n = c->n;
+    if (!demand_row(srow, price, c->dtags, dparams, n, m, dm)) {
+        return 0;
+    }
+    double phi = 0.0, bad_lo = 0.0, bad_hi = 0.0;
+    int64_t evals = 0, expansions = 0;
+    int ok = marginal_row(srow, c->values, m, dm, c->rtags, c->rparams,
+                          c->mu, n, c->xtol, phi0, 1, u_out, c->tmp_r,
+                          c->tmp_dr, &phi, &bad_lo, &bad_hi, &evals,
+                          &expansions);
+    c->stats[0] += evals;
+    c->stats[1] += expansions;
+    return ok;
+}
+
+/* dR/dp at the certified state row (u at its profile) along a price move
+ * that scales every demand weight by d ln w/dp = rate: Theorem 7's
+ * eq. (13) with ds/dp from Theorem 6 on the interior block, plus the
+ * share term. Probes are central differences warm-started at the state's
+ * utilization, so the slope depends on the profile alone. NaN when a
+ * probe fails or the interior block is singular (kernels_py's
+ * _EquilibriumRun.slope). */
+static double eq_slope(eq_ctx *c, const double *state, const double *u,
+                       double rate) {
+    int64_t n = c->n;
+    double price = c->price;
+    double cap = c->cap;
+    const double *s = state;
+    const double *m = state + 2 * n;
+    const double *r = state + 3 * n;
+    const double *theta = state + 4 * n;
+    double phi = state[6 * n];
+    double gap = state[6 * n + 1];
+    double *work = (double *)malloc(
+        sizeof(double) * (size_t)(DEMAND_WIDTH * n + 9 * n + n * n));
+    int64_t *interior = (int64_t *)malloc(sizeof(int64_t) * (size_t)n);
+    double *weighted = work;
+    double *pop = weighted + DEMAND_WIDTH * n;
+    double *dm = pop + n;
+    double *u_hi = dm + n;
+    double *u_lo = u_hi + n;
+    double *fwd = u_lo + n;
+    double *bwd = fwd + n;
+    double *probe = bwd + n;
+    double *ds = probe + n;
+    double *rhs = ds + n;
+    double *block = rhs + n;
+    double result = NAN;
+    double ap = fabs(price);
+    double h = SLOPE_STEP * (ap > 1.0 ? ap : 1.0);
+    if (price - h < 0.0) {
+        h = (price > 0.0) ? price / 2.0 : SLOPE_STEP;
+    }
+    double p_at[2] = {price + h, clamp0(price - h)};
+    double *u_at[2] = {u_hi, u_lo};
+    memcpy(weighted, c->dparams, sizeof(double) * (size_t)(DEMAND_WIDTH * n));
+    for (int t = 0; t < 2; t++) {
+        double scale = exp(rate * (p_at[t] - price));
+        for (int64_t i = 0; i < n; i++) {
+            weighted[i * DEMAND_WIDTH + DEMAND_WIDTH - 1] =
+                c->dparams[i * DEMAND_WIDTH + DEMAND_WIDTH - 1] * scale;
+        }
+        if (!eq_probe(c, s, p_at[t], weighted, phi, u_at[t], pop, dm)) {
+            goto done;
+        }
+    }
+    int64_t k = 0;
+    for (int64_t i = 0; i < n; i++) {
+        ds[i] = 0.0;
+        if (SLOPE_BOUNDARY_TOL < s[i] && s[i] < cap - SLOPE_BOUNDARY_TOL) {
+            interior[k++] = i;
+        }
+    }
+    if (k > 0) {
+        memcpy(probe, s, sizeof(double) * (size_t)n);
+        for (int64_t col = 0; col < k; col++) {
+            int64_t j = interior[col];
+            double aj = fabs(s[j]);
+            double hj = SLOPE_STEP * (aj > 1.0 ? aj : 1.0);
+            double up = cap - s[j];
+            double down = s[j];
+            double room = (up > down) ? up : down;
+            if (room < hj) {
+                hj = room;
+            }
+            const double *f_fwd = u;
+            const double *f_bwd = u;
+            if (up >= hj) {
+                probe[j] = s[j] + hj;
+                if (!eq_probe(c, probe, price, c->dparams, phi, fwd, pop,
+                              dm)) {
+                    goto done;
+                }
+                f_fwd = fwd;
+            }
+            if (down >= hj) {
+                probe[j] = s[j] - hj;
+                if (!eq_probe(c, probe, price, c->dparams, phi, bwd, pop,
+                              dm)) {
+                    goto done;
+                }
+                f_bwd = bwd;
+            }
+            probe[j] = s[j];
+            double denominator = (up >= hj && down >= hj) ? 2.0 * hj : hj;
+            for (int64_t row = 0; row < k; row++) {
+                int64_t i = interior[row];
+                block[row * k + col] = (f_fwd[i] - f_bwd[i]) / denominator;
+            }
+        }
+        for (int64_t row = 0; row < k; row++) {
+            int64_t i = interior[row];
+            rhs[row] = -((u_hi[i] - u_lo[i]) / (p_at[0] - p_at[1]));
+        }
+        if (!lu_solve(block, rhs, k)) {
+            goto done;
+        }
+        for (int64_t row = 0; row < k; row++) {
+            ds[interior[row]] = rhs[row];
+        }
+    }
+    demand_row(s, price, c->dtags, c->dparams, n, pop, dm);
+    double acc = 0.0;
+    for (int64_t j = 0; j < n; j++) {
+        acc += r[j] * (rate * m[j] - dm[j] * (1.0 - ds[j]));
+    }
+    result = pairwise_sum(theta, n) + ((c->mu / gap) * price) * acc;
+
+done:
+    free(work);
+    free(interior);
+    return result;
+}
+
+/* The revenue slope at an equilibrium profile s solved elsewhere: the
+ * certified state at s, then eq_slope, so it equals the slope
+ * repro_equilibrium_solve reports for the same profile. out[0] takes the
+ * slope (NaN when the state or a probe fails); stats[2] as elsewhere. */
+void repro_revenue_slope(int64_t n, const double *s, double price,
+                         const double *values, const int64_t *dtags,
+                         const double *dparams, const int64_t *rtags,
+                         const double *rparams, double mu, double xtol_final,
+                         double cap, double share_rate, double *out,
+                         int64_t *stats) {
+    double *work = (double *)malloc(sizeof(double) * (size_t)(10 * n + 6));
+    eq_ctx c;
+    memset(&c, 0, sizeof(c));
+    c.n = n;
+    c.price = price;
+    c.values = values;
+    c.dtags = dtags;
+    c.dparams = dparams;
+    c.rtags = rtags;
+    c.rparams = rparams;
+    c.mu = mu;
+    c.xtol = xtol_final;
+    c.cap = cap;
+    c.tmp_dm = work;
+    c.tmp_r = work + n;
+    c.tmp_dr = work + 2 * n;
+    c.stats = stats;
+    c.bad = -1;
+    double *u = work + 3 * n;
+    double *row = work + 4 * n;
+    stats[0] = 0;
+    stats[1] = 0;
+    out[0] = NAN;
+    if (eq_state(&c, s, row, u) == EQ_CONVERGED) {
+        out[0] = eq_slope(&c, row, u, share_rate);
+    }
+    free(work);
+}
+
 /* The next count doubles of a workspace. */
 static double *carve(double **cursor, int64_t count) {
     double *head = *cursor;
@@ -1191,14 +1374,17 @@ static double *carve(double **cursor, int64_t count) {
 
 /* core/equilibrium.py's _vector_solve (damping 1) plus the certified
  * state, in one call. s0 is the starting profile, already in the box.
- * out (7n + 7 doubles): profile | the eq_state block (6n + 5) | fail_lo,
- * fail_hi. iout: stats[2] | iterations | status | bad index. */
+ * out (7n + 8 doubles): profile | the eq_state block (6n + 5) | revenue
+ * slope | fail_lo, fail_hi. The slope is NaN unless want_slope asks for
+ * it (then along d ln w/dp = share_rate). iout: stats[2] | iterations |
+ * status | bad index. */
 void repro_equilibrium_solve(int64_t n, const double *s0, double price,
                              const double *values, const int64_t *dtags,
                              const double *dparams, const int64_t *rtags,
                              const double *rparams, double mu,
                              double xtol_final, double cap, double tol,
-                             int64_t max_sweeps, double *out, int64_t *iout) {
+                             int64_t max_sweeps, int64_t want_slope,
+                             double share_rate, double *out, int64_t *iout) {
     int64_t wide = (n > LINESEARCH_STEPS) ? n : LINESEARCH_STEPS;
     int64_t cells = wide * n;
     double *work = (double *)malloc(
@@ -1254,6 +1440,7 @@ void repro_equilibrium_solve(int64_t n, const double *s0, double price,
 
     iout[0] = 0;
     iout[1] = 0;
+    out[7 * n + 5] = NAN;
     int64_t iterations = max_sweeps;
     int status = EQ_BUDGET;
     double residual_tol = (1e-12 > tol) ? 1e-12 : tol;
@@ -1313,12 +1500,15 @@ void repro_equilibrium_solve(int64_t n, const double *s0, double price,
     }
     if (status == EQ_CONVERGED) {
         status = eq_state(&c, s, out + n, u);
+        if (status == EQ_CONVERGED && want_slope) {
+            out[7 * n + 5] = eq_slope(&c, out + n, u, share_rate);
+        }
     }
 
 finish:
     memcpy(out, s, sizeof(double) * (size_t)n);
-    out[7 * n + 5] = c.bad_lo;
-    out[7 * n + 6] = c.bad_hi;
+    out[7 * n + 6] = c.bad_lo;
+    out[7 * n + 7] = c.bad_hi;
     iout[2] = iterations;
     iout[3] = status;
     iout[4] = c.bad;

@@ -148,7 +148,12 @@ class _Kernels:
         lib.repro_equilibrium_solve.restype = None
         lib.repro_equilibrium_solve.argtypes = [
             _i64, _ptr, _f64, _ptr, _ptr, _ptr, _ptr, _ptr,
-            _f64, _f64, _f64, _f64, _i64, _ptr, _ptr,
+            _f64, _f64, _f64, _f64, _i64, _i64, _f64, _ptr, _ptr,
+        ]
+        lib.repro_revenue_slope.restype = None
+        lib.repro_revenue_slope.argtypes = [
+            _i64, _ptr, _f64, _ptr, _ptr, _ptr, _ptr, _ptr,
+            _f64, _f64, _f64, _f64, _ptr, _ptr,
         ]
         self._vexp = lib.repro_vexp
         self._pair_dot = lib.repro_pair_dot
@@ -156,6 +161,7 @@ class _Kernels:
         self._marginal = lib.repro_marginal_batch
         self._best_response = lib.repro_best_response
         self._equilibrium = lib.repro_equilibrium_solve
+        self._revenue_slope = lib.repro_revenue_slope
 
     def exp_inplace(self, values: np.ndarray, out: np.ndarray) -> None:
         self._vexp(values.shape[0], _addr(values), _addr(out))
@@ -257,22 +263,36 @@ class _Kernels:
             iwork[:2], status, bad,
         )
 
-    def equilibrium_solve(self, bound, s0, cap, tol, max_sweeps):
+    def equilibrium_solve(self, bound, s0, cap, tol, max_sweeps,
+                          share_rate=None):
         price, values, dtags, dparams, rtags, rparams, mu, xtol = bound
         n = s0.shape[0]
-        # float64: profile | state row (6n + 5) | failing bracket (2)
+        # float64: profile | state row (6n + 6) | failing bracket (2)
         # int64:   stats[2] | iterations | status | bad index
-        fwork = np.empty(7 * n + 7)
+        fwork = np.empty(7 * n + 8)
         iwork = np.empty(5, dtype=np.int64)
         self._equilibrium(
             n, _addr(s0), price, values, dtags, dparams, rtags, rparams,
-            mu, xtol, cap, tol, max_sweeps, _addr(fwork), _addr(iwork),
+            mu, xtol, cap, tol, max_sweeps, share_rate is not None,
+            0.0 if share_rate is None else share_rate,
+            _addr(fwork), _addr(iwork),
         )
         iterations, status, bad = iwork[2:].tolist()
         return (
-            fwork[:n], fwork[n:7 * n + 5], iwork[:2], iterations, status,
-            bad, fwork[7 * n + 5:],
+            fwork[:n], fwork[n:7 * n + 6], iwork[:2], iterations, status,
+            bad, fwork[7 * n + 6:],
         )
+
+
+    def revenue_slope(self, bound, s, cap, share_rate):
+        price, values, dtags, dparams, rtags, rparams, mu, xtol = bound
+        fwork = np.empty(1)
+        iwork = np.empty(2, dtype=np.int64)
+        self._revenue_slope(
+            s.shape[0], _addr(s), price, values, dtags, dparams, rtags,
+            rparams, mu, xtol, cap, share_rate, _addr(fwork), _addr(iwork),
+        )
+        return float(fwork[0]), iwork
 
 
 _LOADED: _Kernels | None = None

@@ -46,10 +46,12 @@ same calls, so nothing here branches on the backend:
   ``(u, phi, stats, n_pop_bad, fail_rows, fail_lo, fail_hi)``
 * ``best_response_root(bound, s, cap, phi0, root_xtol)`` →
   ``(responses, u_zero, u_cap, phi_chain, stats, status, bad_row)``
-* ``equilibrium_solve(bound, s0, cap, tol, max_sweeps)`` →
-  ``(profile, state_row, stats, iterations, status, bad, bad_interval)``:
+* ``equilibrium_solve(bound, s0, cap, tol, max_sweeps, share_rate=None)``
+  → ``(profile, state_row, stats, iterations, status, bad, bad_interval)``:
   a whole warm-started equilibrium solve (``EQUILIBRIUM_*`` status words
   below; ``state_row`` is :func:`fused_equilibrium`'s layout)
+* ``revenue_slope(bound, s, cap, share_rate)`` → ``(slope, stats)``: the
+  state row's revenue slope at a profile solved elsewhere
 
 ``phi0`` is a contiguous warm-start vector or ``None``. Each call carves
 its outputs from one fresh float64 and one fresh int64 workspace; the
@@ -81,6 +83,7 @@ __all__ = [
     "fused_marginals",
     "fused_best_response",
     "fused_equilibrium",
+    "fused_revenue_slope",
     "EQUILIBRIUM_CONVERGED",
     "EQUILIBRIUM_BUDGET",
 ]
@@ -117,6 +120,14 @@ NEWTON_TRIGGER = 1e-3
 NEWTON_MAX_ITER = 15
 NEWTON_ACTIVE_TOL = 1e-12
 LINESEARCH_SCALES = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.015625)
+
+#: The revenue slope's Theorem 6 inputs, shared with ``core/dynamics.py``'s
+#: defaults (``_kernels.c`` repeats the numbers): a subsidy within
+#: ``SLOPE_BOUNDARY_TOL`` of a bound sits on it, and finite-difference
+#: probes step ``SLOPE_STEP * max(1, |x|)`` (the cube root of machine
+#: epsilon).
+SLOPE_BOUNDARY_TOL = 1e-7
+SLOPE_STEP = 6.055454452393343e-06
 
 #: Expansion budget mirrored from expand_bracket_batch's default.
 _MAX_EXPANSIONS = 200
@@ -321,6 +332,7 @@ def fused_equilibrium(
     cap: float,
     tol: float,
     max_sweeps: int,
+    share_rate: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
     """One whole equilibrium solve in a single kernel call.
 
@@ -332,9 +344,14 @@ def fused_equilibrium(
     then unset). ``state_row`` holds the solved state at the profile, with
     a cold congestion root as ``Market.solve`` takes it: subsidies,
     effective prices, populations, rates, throughputs and utilities
-    (``N`` each), then utilization, gap slope, revenue, welfare and the
-    natural-map KKT residual. Failures raise the exceptions the lockstep
-    path raises.
+    (``N`` each), then utilization, gap slope, revenue, welfare, the
+    natural-map KKT residual and the revenue slope ``dR/dp``. The slope
+    is NaN unless ``share_rate`` is given: it is then Theorem 7's
+    marginal revenue along a price move that scales every demand weight
+    by ``d ln w/dp = share_rate`` (``0.0`` for eq. 13 alone; see
+    :func:`repro.core.revenue.revenue_slope`), and NaN only where
+    Theorem 6 fails. Failures raise the exceptions the lockstep path
+    raises.
 
     Timed into the profiler's ``equilibrium_kernel_*`` counters, never
     ``kernel_calls``; its congestion evaluations count as residual evals.
@@ -344,7 +361,8 @@ def fused_equilibrium(
     began = perf_counter() if profiling.enabled else 0.0
     subsidies, row, stats, iterations, status, bad, interval = (
         kernels.equilibrium_solve(
-            plan.bound(kernels), s, float(cap), float(tol), int(max_sweeps)
+            plan.bound(kernels), s, float(cap), float(tol), int(max_sweeps),
+            None if share_rate is None else float(share_rate),
         )
     )
     if profiling.enabled:
@@ -364,3 +382,27 @@ def fused_equilibrium(
         f"marginal utility of player {bad} is not finite on "
         f"[0, {hi}] (degenerate model parameters?)"
     )
+
+
+def fused_revenue_slope(
+    backend: Backend,
+    plan: KernelPlan,
+    profile: np.ndarray,
+    cap: float,
+    share_rate: float,
+) -> float:
+    """The revenue slope :func:`fused_equilibrium` reports, at an
+    equilibrium ``profile`` solved elsewhere (NaN where it would be).
+
+    Timed into the profiler's ``kernel_*`` counters: it is no
+    equilibrium solve.
+    """
+    s = _contig(profile)
+    kernels = backend.kernels
+    began = perf_counter() if profiling.enabled else 0.0
+    slope, stats = kernels.revenue_slope(
+        plan.bound(kernels), s, float(cap), float(share_rate)
+    )
+    if profiling.enabled:
+        profiling.record_kernel(stats, perf_counter() - began)
+    return slope

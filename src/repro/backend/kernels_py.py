@@ -56,6 +56,8 @@ from repro.backend.dispatch import (
     NEWTON_TRIGGER,
     RATE_EXPONENTIAL,
     RATE_POWER,
+    SLOPE_BOUNDARY_TOL,
+    SLOPE_STEP,
 )
 
 __all__ = [
@@ -65,6 +67,7 @@ __all__ = [
     "best_response_root",
     "equilibrium_solve",
     "exp_inplace",
+    "revenue_slope",
     "pair_dot_batch",
 ]
 
@@ -1027,7 +1030,8 @@ class _EquilibriumRun:
 
         ``out`` takes the state row: subsidies | effective prices |
         populations | rates | throughputs | utilities | utilization, gap
-        slope, revenue, welfare, KKT residual.
+        slope, revenue, welfare, KKT residual, revenue slope (written by
+        :meth:`slope`, when asked).
         """
         n = self.n
         if not _subsidies_valid(s):
@@ -1072,12 +1076,125 @@ class _EquilibriumRun:
         out[6 * n + 4] = _natural_residual(s, u, self.cap, n, self.tmp_r)
         return EQUILIBRIUM_CONVERGED
 
+    def _probe(self, srow, price, dparams, phi0, u_out, m, dm):
+        """u at one profile row under its own price and demand parameters,
+        warm-started at ``phi0``; False when a population or the
+        congestion root fails."""
+        if not _demand_row(srow, price, self.dtags, dparams, m, dm):
+            return False
+        _phi, ok, _lo, _hi, evals, expansions = _marginal_row(
+            srow, self.values, m, dm, self.rtags, self.rparams, self.mu,
+            self.xtol, phi0, True, u_out, self.tmp_r, self.tmp_dr,
+        )
+        self.stats[0] += evals
+        self.stats[1] += expansions
+        return ok
 
-def _equilibrium_rows(bound, s0, cap, tol, max_sweeps, out, stats):
+    def slope(self, state, u, rate):
+        """``dR/dp`` at the certified state row ``state`` (``u`` at its
+        profile), along a price move that scales every demand weight by
+        ``d ln w/dp = rate``.
+
+        Theorem 7's eq. (13) with ``∂s/∂p`` from Theorem 6 on the
+        interior block, plus the share term: ``Σθ + Υ·p·Σ_j λ_j·dm_j/dp``
+        with ``Υ = µ/(dg/dφ)`` and ``dm_j/dp = rate·m_j + m'_j(1 − ∂s_j/∂p)``.
+        ``∂u/∂p`` along the move and the interior Jacobian are central
+        differences (``core/dynamics.py``'s steps and box rule), every
+        probe warm-started at the state's utilization, so the slope is a
+        function of the profile alone. NaN when a probe fails or the
+        interior block is singular.
+        """
+        n = self.n
+        price = self.price
+        cap = self.cap
+        s = state[:n]
+        m = state[2 * n:3 * n]
+        r = state[3 * n:4 * n]
+        theta = state[4 * n:5 * n]
+        phi = state[6 * n]
+        gap = state[6 * n + 1]
+        pop = np.empty(n)
+        dm = np.empty(n)
+        width = DEMAND_WIDTH - 1
+        h = SLOPE_STEP * (abs(price) if abs(price) > 1.0 else 1.0)
+        if price - h < 0.0:
+            h = price / 2.0 if price > 0.0 else SLOPE_STEP
+        p_hi = price + h
+        p_lo = _clamp0(price - h)
+        u_hi = np.empty(n)
+        u_lo = np.empty(n)
+        weighted = self.dparams.copy()
+        for p_at, u_at in ((p_hi, u_hi), (p_lo, u_lo)):
+            scale = math.exp(rate * (p_at - price))
+            for i in range(n):
+                weighted[i, width] = self.dparams[i, width] * scale
+            if not self._probe(s, p_at, weighted, phi, u_at, pop, dm):
+                return math.nan
+        interior = [
+            i for i in range(n)
+            if SLOPE_BOUNDARY_TOL < s[i] < cap - SLOPE_BOUNDARY_TOL
+        ]
+        ds = np.zeros(n)
+        k = len(interior)
+        if k:
+            block = np.empty((k, k))
+            rhs = np.empty(k)
+            fwd = np.empty(n)
+            bwd = np.empty(n)
+            probe = s.copy()
+            for col, j in enumerate(interior):
+                hj = SLOPE_STEP * (abs(s[j]) if abs(s[j]) > 1.0 else 1.0)
+                up = cap - s[j]
+                down = s[j]
+                room = up if up > down else down
+                if room < hj:
+                    hj = room
+                f_fwd = u
+                f_bwd = u
+                if up >= hj:
+                    probe[j] = s[j] + hj
+                    if not self._probe(probe, price, self.dparams, phi, fwd,
+                                       pop, dm):
+                        return math.nan
+                    f_fwd = fwd
+                if down >= hj:
+                    probe[j] = s[j] - hj
+                    if not self._probe(probe, price, self.dparams, phi, bwd,
+                                       pop, dm):
+                        return math.nan
+                    f_bwd = bwd
+                probe[j] = s[j]
+                denominator = 2.0 * hj if up >= hj and down >= hj else hj
+                for row, i in enumerate(interior):
+                    block[row, col] = (f_fwd[i] - f_bwd[i]) / denominator
+            for row, i in enumerate(interior):
+                rhs[row] = -((u_hi[i] - u_lo[i]) / (p_hi - p_lo))
+            if not _lu_solve(block, rhs, k):
+                return math.nan
+            for row, i in enumerate(interior):
+                ds[i] = rhs[row]
+        _demand_row(s, price, self.dtags, self.dparams, pop, dm)
+        acc = 0.0
+        for j in range(n):
+            acc += r[j] * (rate * m[j] - dm[j] * (1.0 - ds[j]))
+        return _pairwise_sum(theta, n) + ((self.mu / gap) * price) * acc
+
+
+def _certify(run, s, out, u, rate):
+    """The state row at ``s`` into ``out``, and its revenue slope when
+    ``rate`` is not None."""
+    status = run.state(s, out, u)
+    if status == EQUILIBRIUM_CONVERGED and rate is not None:
+        out[6 * run.n + 5] = run.slope(out, u, rate)
+    return status
+
+
+def _equilibrium_rows(bound, s0, cap, tol, max_sweeps, rate, out, stats):
     """The Jacobi + Newton solve; returns ``(status, iterations, run)``.
 
     ``out[:n]`` receives the final profile and, on convergence,
-    ``out[n:]`` the state row (see ``_EquilibriumRun.state``).
+    ``out[n:]`` the state row (see ``_EquilibriumRun.state``), with the
+    revenue slope in its last slot when ``rate`` is not None.
     """
     n = s0.shape[0]
     run = _EquilibriumRun(bound, cap, n, stats)
@@ -1103,7 +1220,7 @@ def _equilibrium_rows(bound, s0, cap, tol, max_sweeps, out, stats):
             if status != EQUILIBRIUM_CONVERGED:
                 return status, max_sweeps, run
             if polished:
-                status = run.state(s, out[n:], u[0])
+                status = _certify(run, s, out[n:], u[0], rate)
                 return status, sweep - 1 + newton_iters, run
             # Newton stalled: sweep until the change shrinks a lot.
             barrier = largest_change / 4.0
@@ -1121,7 +1238,7 @@ def _equilibrium_rows(bound, s0, cap, tol, max_sweeps, out, stats):
             if status != EQUILIBRIUM_CONVERGED:
                 return status, max_sweeps, run
             if _natural_residual(s, u[0], cap, n, scratch) <= residual_tol:
-                status = run.state(s, out[n:], u[0])
+                status = _certify(run, s, out[n:], u[0], rate)
                 return status, sweep, run
     return EQUILIBRIUM_BUDGET, max_sweeps, run
 
@@ -1207,17 +1324,32 @@ def best_response_root(bound, s, cap, phi0, root_xtol):
     return responses, u_zero, u_cap, phi_io, iwork, status, bad
 
 
-def equilibrium_solve(bound, s0, cap, tol, max_sweeps):
+def revenue_slope(bound, s, cap, share_rate):
+    """The revenue slope at an equilibrium profile solved elsewhere: the
+    certified state at ``s``, then ``_EquilibriumRun.slope`` (NaN when the
+    state fails). Returns ``(slope, stats)``."""
+    n = s.shape[0]
+    stats = np.zeros(2, dtype=np.int64)
+    run = _EquilibriumRun(bound, cap, n, stats)
+    row = np.empty(6 * n + 6)
+    u = np.empty(n)
+    if run.state(s, row, u) != EQUILIBRIUM_CONVERGED:
+        return math.nan, stats
+    return run.slope(row, u, share_rate), stats
+
+
+def equilibrium_solve(bound, s0, cap, tol, max_sweeps, share_rate=None):
     """One whole equilibrium solve (see ``_equilibrium_rows``)."""
     n = s0.shape[0]
-    fwork = np.zeros(7 * n + 7)
+    fwork = np.zeros(7 * n + 8)
+    fwork[7 * n + 5] = math.nan
     iwork = np.zeros(2, dtype=np.int64)
     status, iterations, run = _equilibrium_rows(
-        bound, s0, cap, tol, max_sweeps, fwork, iwork
+        bound, s0, cap, tol, max_sweeps, share_rate, fwork, iwork
     )
-    fwork[7 * n + 5] = run.bad_lo
-    fwork[7 * n + 6] = run.bad_hi
+    fwork[7 * n + 6] = run.bad_lo
+    fwork[7 * n + 7] = run.bad_hi
     return (
-        fwork[:n], fwork[n:7 * n + 5], iwork, iterations, status, run.bad,
-        fwork[7 * n + 5:],
+        fwork[:n], fwork[n:7 * n + 6], iwork, iterations, status, run.bad,
+        fwork[7 * n + 6:],
     )

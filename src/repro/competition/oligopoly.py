@@ -33,13 +33,13 @@ Every per-carrier best-response price search runs as one content-keyed
 :class:`~repro.engine.service.SolveTask`
 (:func:`solve_oligopoly_sweep`) on the shared
 :class:`~repro.engine.service.SolveService`: candidate-price revenue
-evaluations chained through a warm-start profile, golden-section polish at
-the end. The inner equilibrium solves go through
-:func:`~repro.core.equilibrium.solve_equilibrium`, whose default
+and revenue-slope evaluations chained through a warm-start profile, a
+certified slope polish at the end. The inner equilibrium solves go
+through :func:`~repro.core.equilibrium.solve_equilibrium`, whose default
 vectorized sweep evaluates each CP's candidate caps ``s_i ∈ [0, q]`` as
 one batch — so an oligopoly sweep is a batch of batches. Under a kernel
-backend each candidate after the first reprices the sweep's kernel plan
-instead and solves it in one compiled call (see
+backend each candidate reprices the sweep's kernel plan instead and
+solves it, slope included, in one compiled call (see
 :func:`solve_oligopoly_sweep`). With a persistent store configured,
 re-running a competition replays every sweep from cache with **zero**
 equilibrium solves.
@@ -77,20 +77,22 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 import numpy as np
 
 from repro.backend import get_backend
+from repro.backend.dispatch import SLOPE_BOUNDARY_TOL
 from repro.core.equilibrium import (
     EquilibriumResult,
     certified_fused_equilibrium,
     solve_equilibrium,
 )
 from repro.core.game import SubsidizationGame
+from repro.core.revenue import revenue_slope
 from repro.engine.cache import market_fingerprint
 from repro.engine.service import SolveService, SolveTask, default_service
-from repro.exceptions import ConvergenceError, ModelError
+from repro.exceptions import ConvergenceError, EquilibriumError, ModelError
 from repro.network.demand import ScaledDemand
 from repro.providers.content_provider import ContentProvider
 from repro.providers.isp import AccessISP
 from repro.providers.market import Market
-from repro.solvers.scalar_opt import grid_polish_maximize
+from repro.solvers.scalar_opt import BOUND, INTERIOR, KINK, certified_maximize
 
 if TYPE_CHECKING:  # type-only: the scenarios package imports back through
     # repro.experiments, so a runtime import here would close a cycle.
@@ -120,12 +122,16 @@ __all__ = [
 COMPETITION_DEFAULTS: Mapping[str, Any] = {
     "iteration_mode": "gauss-seidel",
     "damping": 0.7,
-    "tol": 1e-5,
+    "tol": 1e-10,
     "max_sweeps": 60,
     "price_range": (0.0, 3.0),
     "grid_points": 32,
     "xtol": 1e-7,
 }
+
+#: A sweep outcome's certificate kinds, stored as their index (the
+#: ``"ndarrays"`` codec keeps numbers); ``None`` is an uncertified search.
+CERTIFICATES = (None, INTERIOR, BOUND, KINK)
 
 
 def oligopoly_shares(
@@ -180,6 +186,17 @@ def _with_candidate(
     return prices[:index] + (candidate,) + prices[index + 1 :]
 
 
+def _piece(subsidies: np.ndarray, cap: float) -> tuple[int, ...]:
+    """The ``N−``/``Ñ``/``N+`` partition of a profile as one code per CP
+    (0, 1, 2): the smooth piece of the revenue curve it lies on."""
+    return tuple(
+        0 if s <= SLOPE_BOUNDARY_TOL
+        else 2 if s >= cap - SLOPE_BOUNDARY_TOL
+        else 1
+        for s in subsidies.tolist()
+    )
+
+
 def solve_oligopoly_sweep(
     providers: tuple[ContentProvider, ...],
     isp: AccessISP,
@@ -191,64 +208,99 @@ def solve_oligopoly_sweep(
     hi: float,
     grid_points: int,
     xtol: float,
+    tol: float,
     warm0: np.ndarray | None,
+    start: float | None = None,
+    guess: float | None = None,
 ) -> dict[str, np.ndarray]:
-    """One carrier's full best-response price search, as a pure task.
+    """One carrier's certified best-response price search, as a pure task.
 
-    Carrier ``index``'s equilibrium revenue is evaluated over the candidate price
-    grid (rival entries of ``prices`` held fixed) and the best bracket is
-    polished, with every equilibrium solve warm-started from the previous
-    candidate's profile. Returns the maximizer, its revenue, the
-    evaluation/solve counts and the final warm profile as arrays, so the
-    result persists bit-exactly under the ``"ndarrays"`` codec.
+    Carrier ``index``'s equilibrium revenue and its slope ``dR/dp`` (rival
+    entries of ``prices`` held fixed) drive
+    :func:`~repro.solvers.scalar_opt.certified_maximize`: the full grid
+    and a slope polish of the best bracket, or — given the carrier's own
+    price ``start`` and its previous certified price ``guess`` — a
+    bracketed local search from ``start`` first. The slope is Theorem 7's
+    eq. (13) plus the share term, ``d ln w/dp = −σ(1 − w)`` for the
+    carrier's logit share ``w``. Every equilibrium solve is warm-started
+    from the previous candidate's profile. Returns the certified price,
+    its revenue and slope, the certificate (an index into
+    :data:`CERTIFICATES`), whether the grid ran, the solve counts and the
+    profile at the certified price as arrays, so the result persists
+    bit-exactly under the ``"ndarrays"`` codec.
 
     Under a kernel backend with ``cap > 0`` the first candidate builds its
-    carrier market and keeps that market's kernel plan; each later
-    candidate reprices the plan
-    (:meth:`~repro.backend.dispatch.KernelPlan.repriced`) and solves it in
-    one compiled call (:func:`certified_fused_equilibrium`). A candidate
-    whose call is not certified at once, and every candidate of an
-    ineligible market, builds its market and runs
-    :func:`solve_equilibrium`; both routes give the same bits.
+    carrier market and keeps that market's kernel plan; each candidate
+    reprices the plan (:meth:`~repro.backend.dispatch.KernelPlan.repriced`)
+    and solves it in one compiled call that also returns the slope
+    (:func:`certified_fused_equilibrium`). A candidate whose call is not
+    certified at once, and every candidate of an ineligible market, builds
+    its market and runs :func:`solve_equilibrium` (handed the failed call)
+    and :func:`~repro.core.revenue.revenue_slope`; both routes give the
+    same bits.
     """
     state = {
         "warm": None if warm0 is None else np.asarray(warm0, dtype=float),
         "solves": 0,
         "plan": None,
+        "planned": not (cap > 0.0 and get_backend().kernels is not None),
     }
-    use_plan = cap > 0.0 and get_backend().kernels is not None
+    profiles: dict[float, np.ndarray] = {}
     n = len(providers)
 
-    def revenue(p: float) -> float:
+    def evaluate(p: float) -> tuple[float, float, tuple[int, ...]]:
         at = _with_candidate(prices, index, p)
         share = oligopoly_shares(switching, at)[index]
+        rate = -switching * (1.0 - share)
         state["solves"] += 1
-        plan = state["plan"]
-        if plan is not None:
-            solved = certified_fused_equilibrium(
-                plan.repriced(p, share), cap, state["warm"]
-            )
-            if solved is not None:
-                state["warm"], row = solved
-                return float(row[6 * n + 2])
-        market = scaled_carrier_market(providers, isp, share, at[index])
-        equilibrium = solve_equilibrium(
-            SubsidizationGame(market, cap), initial=state["warm"]
-        )
-        if use_plan and plan is None:
+        market = None
+        if not state["planned"]:
+            market = scaled_carrier_market(providers, isp, share, at[index])
             state["plan"] = market.kernel_plan()
-        state["warm"] = equilibrium.subsidies
-        return equilibrium.state.revenue
+            state["planned"] = True
+        attempt = None
+        if state["plan"] is not None:
+            attempt = certified_fused_equilibrium(
+                state["plan"].repriced(p, share), cap, state["warm"], rate
+            )
+        if attempt is not None and attempt.certified:
+            subsidies, row, _ = attempt.solved
+            revenue, slope = float(row[6 * n + 2]), float(row[6 * n + 5])
+        else:
+            if market is None:
+                market = scaled_carrier_market(
+                    providers, isp, share, at[index]
+                )
+            game = SubsidizationGame(market, cap)
+            equilibrium = solve_equilibrium(
+                game, initial=state["warm"], attempt=attempt
+            )
+            subsidies = equilibrium.subsidies
+            revenue = equilibrium.state.revenue
+            slope = revenue_slope(game, subsidies, rate)
+        if not math.isfinite(slope):
+            raise EquilibriumError(
+                f"revenue slope of carrier {index} is not finite at price "
+                f"{p} (Theorem 6 regularity fails)"
+            )
+        state["warm"] = profiles[p] = subsidies
+        return revenue, slope, _piece(subsidies, cap)
 
-    result = grid_polish_maximize(
-        revenue, lo, hi, grid_points=grid_points, xtol=xtol
+    result = certified_maximize(
+        evaluate, lo, hi, grid_points=grid_points, xtol=xtol, tol=tol,
+        start=start, guess=guess,
     )
     return {
         "price": np.asarray(result.x, dtype=float),
         "value": np.asarray(result.value, dtype=float),
+        "slope": np.asarray(result.slope, dtype=float),
+        "certificate": np.asarray(
+            CERTIFICATES.index(result.certificate), dtype=np.int64
+        ),
+        "grid": np.asarray(result.grid, dtype=np.int64),
         "evaluations": np.asarray(result.evaluations, dtype=np.int64),
         "solves": np.asarray(state["solves"], dtype=np.int64),
-        "warm": np.asarray(state["warm"], dtype=float),
+        "warm": np.asarray(profiles[result.x], dtype=float),
     }
 
 
@@ -340,7 +392,9 @@ class IterationPolicy:
         Cycling is possible for extreme switching sensitivities — damp
         harder there.
     tol:
-        Convergence threshold on the largest per-sweep price change.
+        Certificate tolerance on the revenue slope: an interior best
+        response has ``|dR_k/dp_k| ≤ tol``. The iteration stops when every
+        carrier's price is a certified best response to its rivals.
     max_sweeps:
         Iteration budget; exhausting it raises
         :class:`~repro.exceptions.ConvergenceError` (the documented
@@ -465,18 +519,24 @@ def competition_settings(
 
 @dataclass
 class CarrierStats:
-    """Per-carrier convergence counters of one competition solve."""
+    """Per-carrier convergence counters of one competition solve, and the
+    certificate of the carrier's final price (``"interior"``,
+    ``"bound"`` or ``"kink"``; ``None`` while uncertified)."""
 
     sweeps: int = 0
+    grid_sweeps: int = 0
     solves: int = 0
     evaluations: int = 0
+    certificate: str | None = None
 
     def as_dict(self) -> dict:
         """JSON-ready view (the CLI's per-carrier counters)."""
         return {
             "sweeps": self.sweeps,
+            "grid_sweeps": self.grid_sweeps,
             "solves": self.solves,
             "evaluations": self.evaluations,
+            "certificate": self.certificate,
         }
 
 
@@ -697,15 +757,21 @@ class OligopolyGame:
         price_range: tuple[float, float],
         grid_points: int,
         xtol: float,
+        tol: float,
+        start: float | None = None,
+        guess: float | None = None,
     ) -> SolveTask:
         """The content-keyed task for one best-response price search."""
         warm0 = self._warm.get(index)
         warm_arg = None if warm0 is None else np.asarray(warm0, dtype=float)
-        # The carrier's own entry never enters the sweep (every candidate
-        # replaces it), so it is masked out of the args and the key —
-        # otherwise two searches differing only in the own entry would
-        # needlessly miss the cache.
+        # The carrier's own entry of the price vector never enters the
+        # sweep (every candidate replaces it; its own price enters only
+        # as ``start``), so it is masked out of the args and the key —
+        # otherwise two searches differing only there would needlessly
+        # miss the cache.
         prices = _with_candidate(prices, index, 0.0)
+        start = None if start is None else float(start)
+        guess = None if guess is None else float(guess)
         return SolveTask(
             fn=solve_oligopoly_sweep,
             args=(
@@ -719,10 +785,13 @@ class OligopolyGame:
                 float(price_range[1]),
                 int(grid_points),
                 float(xtol),
+                float(tol),
                 warm_arg,
+                start,
+                guess,
             ),
             key=(
-                "oligopoly-br/1",
+                "oligopoly-br/2",
                 self._carrier_fingerprint(index),
                 float(self._switching),
                 float(self._cap),
@@ -733,6 +802,9 @@ class OligopolyGame:
                 float(price_range[1]),
                 int(grid_points),
                 float(xtol),
+                float(tol),
+                start,
+                guess,
                 None if warm_arg is None else warm_arg.tobytes(),
             ),
             codec="ndarrays",
@@ -746,15 +818,18 @@ class OligopolyGame:
         price_range: tuple[float, float] = COMPETITION_DEFAULTS["price_range"],
         grid_points: int = COMPETITION_DEFAULTS["grid_points"],
         xtol: float = COMPETITION_DEFAULTS["xtol"],
+        tol: float = COMPETITION_DEFAULTS["tol"],
     ) -> float:
         """Carrier ``index``'s revenue-maximizing price against a price vector.
 
         The carrier's own entry of ``prices`` is ignored (it is swept);
-        rival entries are held fixed. Runs as one solve-service task
-        (cache/store/pool-eligible), warm-start chain preserved exactly.
+        rival entries are held fixed. The full certified search runs as
+        one solve-service task (cache/store/pool-eligible), warm-start
+        chain preserved exactly.
         """
         outcome = self._best_response_outcome(
-            index, self._check_prices(prices), price_range, grid_points, xtol
+            index, self._check_prices(prices), price_range, grid_points,
+            xtol, tol,
         )
         return float(outcome["price"])
 
@@ -765,10 +840,15 @@ class OligopolyGame:
         price_range: tuple[float, float],
         grid_points: int,
         xtol: float,
+        tol: float,
+        start: float | None = None,
+        guess: float | None = None,
     ) -> dict[str, np.ndarray]:
         """Run one sweep task and thread its warm profile; returns the raw
         outcome dict (the competition loop reads its counters)."""
-        task = self._sweep_task(index, vector, price_range, grid_points, xtol)
+        task = self._sweep_task(
+            index, vector, price_range, grid_points, xtol, tol, start, guess
+        )
         outcome = self._resolve_service().run(task)
         self._warm[index] = outcome["warm"]
         return outcome
@@ -780,6 +860,7 @@ class OligopolyGame:
         price_range: tuple[float, float] = COMPETITION_DEFAULTS["price_range"],
         grid_points: int = COMPETITION_DEFAULTS["grid_points"],
         xtol: float = COMPETITION_DEFAULTS["xtol"],
+        tol: float = COMPETITION_DEFAULTS["tol"],
         workers: int | None = None,
     ) -> tuple["np.ndarray", ...]:
         """All carriers' best responses to one price vector (Jacobi round).
@@ -788,12 +869,32 @@ class OligopolyGame:
         prices, so they are scheduled as one
         :meth:`~repro.engine.service.SolveService.map` batch — with
         ``workers > 1`` they solve on a process pool, bitwise-identically.
-        Returns each carrier's raw sweep outcome dict (``price``,
-        ``value``, ``evaluations``, ``solves``, ``warm``).
+        Returns each carrier's raw sweep outcome dict (see
+        :func:`solve_oligopoly_sweep`).
         """
-        vector = self._check_prices(prices)
+        return self._jacobi_round(
+            self._check_prices(prices), price_range, grid_points, xtol, tol,
+            (None,) * self.n_carriers, workers=workers,
+        )
+
+    def _jacobi_round(
+        self,
+        vector: tuple[float, ...],
+        price_range: tuple[float, float],
+        grid_points: int,
+        xtol: float,
+        tol: float,
+        guesses: Sequence[float | None],
+        *,
+        starts: Sequence[float | None] | None = None,
+        workers: int | None = None,
+    ) -> tuple["np.ndarray", ...]:
+        starts = (None,) * self.n_carriers if starts is None else starts
         tasks = [
-            self._sweep_task(k, vector, price_range, grid_points, xtol)
+            self._sweep_task(
+                k, vector, price_range, grid_points, xtol, tol, starts[k],
+                guesses[k],
+            )
             for k in range(self.n_carriers)
         ]
         outcomes = self._resolve_service().map(tasks, workers=workers)
@@ -813,12 +914,14 @@ class OligopolyCompetitionResult:
     iterations:
         Best-response sweeps used.
     residual:
-        Final maximum price change per sweep.
+        The largest ``|dR_k/dp_k|`` among the carriers whose price is an
+        interior certified best response (``0.0`` when none is).
     mode:
         The iteration mode that produced the equilibrium.
     carrier_stats:
-        Per-carrier convergence counters (sweeps, equilibrium solves,
-        revenue evaluations) — the CLI surfaces these in ``--json``.
+        Per-carrier convergence counters (sweeps, grid sweeps, equilibrium
+        solves, revenue evaluations) and each final price's certificate —
+        the CLI surfaces these in ``--json``.
     """
 
     state: OligopolyState
@@ -842,67 +945,96 @@ def solve_oligopoly_competition(
     xtol: float = COMPETITION_DEFAULTS["xtol"],
     policy: IterationPolicy | None = None,
 ) -> OligopolyCompetitionResult:
-    """Damped best-response iteration on the carriers' prices.
+    """Damped best-response iteration on the carriers' prices, stopped on
+    a certificate.
 
     Each sweep lets every carrier re-price — against the freshest prices
     (Gauss-Seidel, the default) or the start-of-sweep vector (Jacobi,
-    pool-parallel across carriers). Convergence is declared when the
-    largest per-sweep price change falls below ``policy.tol``; exhausting
-    ``policy.max_sweeps`` raises
-    :class:`~repro.exceptions.ConvergenceError` — the iteration never
-    loops forever (cycling is possible for extreme switching
-    sensitivities; damp harder there). Every best-response search runs as
-    a content-keyed service task, so against a warm persistent store a
-    repeated competition replays without equilibrium solves.
+    pool-parallel across carriers) — by a certified best-response search
+    (:func:`solve_oligopoly_sweep`) that starts at the carrier's own
+    price, with ``policy.tol`` the slope tolerance and ``xtol`` the price
+    width that locates a kink. A carrier runs the full price grid on the
+    first sweep and on verifying sweeps; in between its search is local,
+    from its previous certified price. When a local sweep leaves every
+    price where it was (each is already a certified best response), the
+    next sweep verifies on the full grid, and the competition has
+    converged when that sweep moves no price either. Exhausting
+    ``policy.max_sweeps`` raises :class:`~repro.exceptions.ConvergenceError`
+    — the iteration never loops forever (cycling is possible for extreme
+    switching sensitivities; damp harder there). Initial prices outside
+    ``price_range`` start at its nearest end. Every best-response search
+    runs as a content-keyed service task, so against a warm persistent
+    store a repeated competition replays without equilibrium solves.
     """
     policy = policy if policy is not None else IterationPolicy()
     n = game.n_carriers
     if initial_prices is None:
-        prices = [1.0] * n
-    else:
-        prices = [float(p) for p in initial_prices]
-        if len(prices) != n:
-            raise ModelError(
-                f"expected {n} initial price(s), got {len(prices)}"
-            )
+        initial_prices = [1.0] * n
+    if len(initial_prices) != n:
+        raise ModelError(
+            f"expected {n} initial price(s), got {len(initial_prices)}"
+        )
+    # Only prices in the range can be certified best responses.
+    lo, hi = price_range
+    prices = [min(max(float(p), lo), hi) for p in initial_prices]
     stats = tuple(CarrierStats() for _ in range(n))
+    guesses: list[float | None] = [None] * n
+    slopes = [0.0] * n
+    search = (price_range, grid_points, xtol, policy.tol)
 
-    def record(index: int, outcome: dict) -> float:
+    def update(index: int, outcome: dict, start: float) -> float:
+        """Record one search and move the carrier; the step taken."""
+        response = float(outcome["price"])
         stats[index].sweeps += 1
+        stats[index].grid_sweeps += int(outcome["grid"])
         stats[index].solves += int(outcome["solves"])
         stats[index].evaluations += int(outcome["evaluations"])
-        return float(outcome["price"])
+        stats[index].certificate = CERTIFICATES[int(outcome["certificate"])]
+        slopes[index] = float(outcome["slope"])
+        guesses[index] = response
+        step = policy.damping * (response - start)
+        prices[index] = start + step
+        return abs(step)
 
+    full = True
     largest_change = np.inf
     for sweep in range(1, policy.max_sweeps + 1):
         largest_change = 0.0
+        previous = [None] * n if full else list(guesses)
         if policy.mode == "jacobi":
-            outcomes = game.best_response_prices(
-                tuple(prices), price_range=price_range,
-                grid_points=grid_points, xtol=xtol,
+            starts = tuple(prices)
+            outcomes = game._jacobi_round(
+                starts, *search, previous, starts=starts
             )
-            responses = [record(k, outcomes[k]) for k in range(n)]
             for k in range(n):
-                step = policy.damping * (responses[k] - prices[k])
-                largest_change = max(largest_change, abs(step))
-                prices[k] += step
+                largest_change = max(
+                    largest_change, update(k, outcomes[k], starts[k])
+                )
         else:
             for k in range(n):
+                start = prices[k]
                 outcome = game._best_response_outcome(
-                    k, tuple(prices), price_range, grid_points, xtol
+                    k, tuple(prices), *search, start, previous[k]
                 )
-                response = record(k, outcome)
-                step = policy.damping * (response - prices[k])
-                largest_change = max(largest_change, abs(step))
-                prices[k] += step
-        if largest_change <= policy.tol:
+                largest_change = max(largest_change, update(k, outcome, start))
+        settled = largest_change == 0.0 and all(
+            s.certificate is not None for s in stats
+        )
+        if settled and full:
             return OligopolyCompetitionResult(
                 state=game.solve(tuple(prices)),
                 iterations=sweep,
-                residual=largest_change,
+                residual=max(
+                    (
+                        abs(slopes[k]) for k in range(n)
+                        if stats[k].certificate == INTERIOR
+                    ),
+                    default=0.0,
+                ),
                 mode=policy.mode,
                 carrier_stats=stats,
             )
+        full = settled
     raise ConvergenceError(
         f"oligopoly price competition ({n} carriers, {policy.mode}) not "
         f"converged in {policy.max_sweeps} sweeps "

@@ -58,6 +58,7 @@ from repro.solvers.vi import extragradient_box
 
 __all__ = [
     "EquilibriumResult",
+    "FusedAttempt",
     "certified_fused_equilibrium",
     "kkt_residuals_batch",
     "natural_map_residuals",
@@ -298,7 +299,13 @@ def _vector_solve(
 
 
 def _fused_attempt(
-    plan, s: np.ndarray, cap: float, *, tol: float, max_sweeps: int
+    plan,
+    s: np.ndarray,
+    cap: float,
+    *,
+    tol: float,
+    max_sweeps: int,
+    share_rate: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int] | None:
     """One compiled equilibrium solve from the in-box profile ``s``.
 
@@ -306,28 +313,75 @@ def _fused_attempt(
     sweep budget runs out.
     """
     subsidies, row, iterations, status = fused_equilibrium(
-        get_backend(), plan, s, cap, tol, max_sweeps
+        get_backend(), plan, s, cap, tol, max_sweeps, share_rate
     )
     if status == EQUILIBRIUM_BUDGET:
         return None
     return subsidies, row, iterations
 
 
+@dataclass(frozen=True)
+class FusedAttempt:
+    """:func:`solve_equilibrium`'s first attempt, made as one compiled call
+    on a kernel plan (see :func:`certified_fused_equilibrium`).
+
+    Attributes
+    ----------
+    solved:
+        ``(subsidies, state_row, iterations)`` as
+        :func:`~repro.backend.dispatch.fused_equilibrium` lays them out;
+        ``None`` when the sweep budget ran out or the call raised.
+    error:
+        The :class:`~repro.exceptions.ReproError` the call raised, if any.
+    """
+
+    solved: tuple[np.ndarray, np.ndarray, int] | None
+    error: ReproError | None = None
+
+    @property
+    def certified(self) -> bool:
+        """Solved with a KKT residual within :data:`DEFAULT_CERTIFY_TOL`."""
+        if self.solved is None:
+            return False
+        subsidies, row, _ = self.solved
+        return bool(row[6 * subsidies.shape[0] + 4] <= DEFAULT_CERTIFY_TOL)
+
+    def replay(self) -> tuple[np.ndarray, np.ndarray, int] | None:
+        """The attempt's outcome as the call gave it: raises its error."""
+        if self.error is not None:
+            raise self.error
+        return self.solved
+
+
 def _fused_solve(
-    game: SubsidizationGame, plan, s: np.ndarray, *, tol: float, max_sweeps: int
+    game: SubsidizationGame,
+    plan,
+    s: np.ndarray,
+    *,
+    tol: float,
+    max_sweeps: int,
+    attempt: FusedAttempt | None = None,
 ) -> EquilibriumResult | None:
     """:func:`_vector_solve` at damping 1 as one compiled call.
 
     The kernel also returns the solved state and KKT residual at the
     solution, so no second market solve or certificate runs here. Returns
-    ``None`` when the sweep budget runs out.
+    ``None`` when the sweep budget runs out. A given ``attempt`` is that
+    call, already made.
     """
-    attempt = _fused_attempt(plan, s, game.cap, tol=tol, max_sweeps=max_sweeps)
-    if attempt is None:
+    if attempt is not None:
+        solved = attempt.replay()
+    else:
+        solved = _fused_attempt(
+            plan, s, game.cap, tol=tol, max_sweeps=max_sweeps
+        )
+    if solved is None:
         return None
-    subsidies, row, iterations = attempt
+    subsidies, row, iterations = solved
     n = game.size
-    utilization, gap_slope, revenue, welfare, residual = row[6 * n:].tolist()
+    utilization, gap_slope, revenue, welfare, residual = (
+        row[6 * n:6 * n + 5].tolist()
+    )
     state = MarketState(
         subsidies=row[:n],
         effective_prices=row[n:2 * n],
@@ -455,8 +509,10 @@ def _best_response_solve(
     tol: float,
     max_sweeps: int,
     sweep: str,
+    attempt: FusedAttempt | None = None,
 ) -> EquilibriumResult:
-    """:func:`solve_equilibrium_best_response` on validated arguments."""
+    """:func:`solve_equilibrium_best_response` on validated arguments
+    (``attempt``: the compiled first call, already made)."""
     if game.cap == 0.0:
         return _zero_cap_result(game)
     iterations = 0
@@ -473,7 +529,10 @@ def _best_response_solve(
             else None
         )
         if plan is not None:
-            result = _fused_solve(game, plan, s, tol=tol, max_sweeps=jacobi_budget)
+            result = _fused_solve(
+                game, plan, s, tol=tol, max_sweeps=jacobi_budget,
+                attempt=attempt,
+            )
             if result is not None:
                 return result
         else:
@@ -553,6 +612,7 @@ def solve_equilibrium(
     initial=None,
     tol: float = _SOLVE_TOL,
     certify_tol: float = DEFAULT_CERTIFY_TOL,
+    attempt: FusedAttempt | None = None,
 ) -> EquilibriumResult:
     """Solve and certify a Nash equilibrium.
 
@@ -565,6 +625,11 @@ def solve_equilibrium(
     front for an ``initial`` that is not a NaN-free ``(N,)`` profile, a
     ``tol`` that is not finite and non-negative, or a ``certify_tol`` that
     is not finite and positive.
+
+    ``attempt`` is the compiled first attempt
+    :func:`certified_fused_equilibrium` already made from ``initial`` on
+    this market's kernel plan, at the default ``tol``; it stands in for
+    that call, so a failed attempt is not repeated.
     """
     _check_tol(tol)
     if not (np.isfinite(certify_tol) and certify_tol > 0.0):
@@ -584,6 +649,7 @@ def solve_equilibrium(
                 tol=tol,
                 max_sweeps=_MAX_SWEEPS,
                 sweep="auto",
+                attempt=attempt if damping == 1.0 else None,
             )
         except ReproError as exc:
             # Any library failure (non-convergence, degenerate marginals,
@@ -615,33 +681,29 @@ def solve_equilibrium(
 
 
 def certified_fused_equilibrium(
-    plan, cap: float, initial
-) -> tuple[np.ndarray, np.ndarray] | None:
+    plan, cap: float, initial, share_rate: float | None = None
+) -> FusedAttempt:
     """:func:`solve_equilibrium`'s first attempt, without a market or game.
 
     For a kernel-eligible market's ``plan`` under a kernel backend and a
     positive ``cap``, that attempt is one compiled call at the default
-    ``tol`` and the Jacobi sweep budget. When it converges with a KKT
-    residual within :data:`DEFAULT_CERTIFY_TOL` it is the answer, and this
-    returns ``(subsidies, state_row)`` (the row laid out as in
-    :func:`~repro.backend.dispatch.fused_equilibrium`). Otherwise
-    (``initial`` rejected, a spent budget, a raised
-    :class:`~repro.exceptions.ReproError`, a residual above the
-    tolerance) it returns ``None``, and the caller runs
-    :func:`solve_equilibrium` on the market: that repeats the attempt and
-    goes on down the fallback chain, so every outcome stays its outcome.
+    ``tol`` and the Jacobi sweep budget; ``share_rate`` asks the call for
+    the revenue slope as well (see
+    :func:`~repro.backend.dispatch.fused_equilibrium`). When the attempt
+    is :attr:`~FusedAttempt.certified` it is the answer. Otherwise the
+    caller passes it to :func:`solve_equilibrium` on the market as
+    ``attempt``, which goes on down the fallback chain without repeating
+    the call, so every outcome stays its outcome. An ``initial`` that is
+    not a NaN-free profile raises :func:`solve_equilibrium`'s
+    :class:`~repro.exceptions.ModelError`.
     """
+    s = _initial_profile(plan.values.shape[0], cap, initial)
     try:
-        s = _initial_profile(plan.values.shape[0], cap, initial)
-        attempt = _fused_attempt(
+        solved = _fused_attempt(
             plan, s, cap, tol=_SOLVE_TOL,
             max_sweeps=min(_MAX_SWEEPS, _JACOBI_BUDGET),
+            share_rate=share_rate,
         )
-    except ReproError:
-        return None
-    if attempt is None:
-        return None
-    subsidies, row, _ = attempt
-    if not row[-1] <= DEFAULT_CERTIFY_TOL:
-        return None
-    return subsidies, row
+    except ReproError as exc:
+        return FusedAttempt(None, exc)
+    return FusedAttempt(solved)

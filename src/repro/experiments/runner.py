@@ -641,7 +641,8 @@ def build_oligopoly_parser() -> argparse.ArgumentParser:
         prog="repro-experiments oligopoly",
         description="Solve an N-carrier oligopoly price competition over a "
         "scenario's market: damped best-response iteration on the carriers' "
-        "prices, each carrier's best-response sweep running as a "
+        "prices until every price is a certified best response, each "
+        "carrier's best-response search running as a "
         "content-keyed task on the shared solve service (resumable against "
         "a warm --cache-dir store). Explicit flags override the scenario's "
         "metadata (an oligopoly(...) generator scenario records carriers, "
@@ -702,7 +703,9 @@ def build_oligopoly_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="T",
-        help="convergence threshold on the largest per-sweep price change "
+        help="certificate tolerance on the revenue slope: a price is an "
+        "interior best response when |dR/dp| <= T, and the competition "
+        "stops when every carrier's price is a certified best response "
         f"(default: metadata, else {COMPETITION_DEFAULTS['tol']:g})",
     )
     parser.add_argument(
@@ -718,15 +721,16 @@ def build_oligopoly_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="G",
-        help="candidate prices per best-response sweep (default: metadata, "
-        f"else {COMPETITION_DEFAULTS['grid_points']})",
+        help="candidate prices of a best-response search's full grid "
+        f"(default: metadata, else {COMPETITION_DEFAULTS['grid_points']})",
     )
     parser.add_argument(
         "--xtol",
         type=float,
         default=None,
         metavar="X",
-        help="price tolerance of the sweep's golden-section polish "
+        help="price tolerance of the search: a slope sign change across a "
+        "bracket this narrow certifies a kink maximum "
         f"(default: metadata, else {COMPETITION_DEFAULTS['xtol']:g})",
     )
     parser.add_argument(

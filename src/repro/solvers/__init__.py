@@ -39,22 +39,27 @@ from repro.solvers.rootfind import (
     solve_increasing,
 )
 from repro.solvers.scalar_opt import (
+    CertifiedMax,
     ScalarMaxResult,
+    bisect_interval,
+    certified_maximize,
     golden_section_maximize,
     grid_polish_maximize,
-    maximize_on_interval,
 )
 from repro.solvers.vi import VIResult, extragradient_box, projection_method_box
 
 __all__ = [
     "BracketResult",
+    "CertifiedMax",
     "FixedPointResult",
     "ScalarMaxResult",
     "VIResult",
     "anderson_fixed_point",
     "bisect_increasing",
+    "bisect_interval",
     "bracket_increasing",
     "bracketed_root_batch",
+    "certified_maximize",
     "clip_scalar",
     "damped_fixed_point",
     "derivative",
@@ -64,7 +69,6 @@ __all__ = [
     "gradient",
     "grid_polish_maximize",
     "jacobian",
-    "maximize_on_interval",
     "newton_polish_batch",
     "project_box",
     "projection_method_box",

@@ -128,29 +128,51 @@ def test_mixed_scalar_solve_bitwise_across_implementations():
     assert phi_py == phi_c
 
 
+#: Share rates the slope is asked along: none (the row's slope slot stays
+#: NaN), eq. (13) alone, and an oligopoly carrier's logit share term.
+SHARE_RATES = (None, 0.0, -1.3)
+
+
 def _equilibrium_bitwise(market, cap, starts):
-    """``equilibrium_solve`` outputs, pyloops vs cext, from each start.
+    """``equilibrium_solve`` outputs, pyloops vs cext, from each start and
+    share rate, and the ``revenue_slope`` entry at each solution.
 
     The state row is compared only where the solve converged: a spent
-    budget leaves it unset.
+    budget leaves it unset. Rows are compared as bytes, NaN slot included.
     """
     plan = market.kernel_plan()
 
     def solve(backend):
         bound = plan.bound(backend.kernels)
-        return [
-            backend.kernels.equilibrium_solve(bound, s0, cap, 1e-10, 120)
-            for s0 in starts
-        ]
+        runs = []
+        for s0 in starts:
+            for rate in SHARE_RATES:
+                run = backend.kernels.equilibrium_solve(
+                    bound, s0, cap, 1e-10, 120, rate
+                )
+                slope = None
+                if rate is not None:
+                    slope = backend.kernels.revenue_slope(
+                        bound, run[0], cap, rate
+                    )
+                runs.append((run, slope))
+        return runs
 
     runs_py, runs_c = _both(solve)
-    for run_py, run_c in zip(runs_py, runs_c):
+    for (run_py, slope_py), (run_c, slope_c) in zip(runs_py, runs_c):
         profile, row, stats, iterations, status, bad, interval = run_py
         assert status == EQUILIBRIUM_CONVERGED
-        assert np.array_equal(profile, run_c[0])
-        assert np.array_equal(row, run_c[1])
+        assert profile.tobytes() == run_c[0].tobytes()
+        assert row.tobytes() == run_c[1].tobytes()
         assert np.array_equal(stats, run_c[2])
         assert (iterations, status, bad) == run_c[3:6]
+        if slope_py is None:
+            assert np.isnan(row[-1])
+            continue
+        # The slope entry recomputes the row's slope from the profile.
+        assert np.isfinite(row[-1])
+        assert slope_py[0] == slope_c[0] == row[-1]
+        assert np.array_equal(slope_py[1], slope_c[1])
 
 
 def _warm_and_cold(market, cap):

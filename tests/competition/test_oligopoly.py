@@ -196,11 +196,14 @@ def assert_competition_matches(result, golden):
     assert_state_matches(result.state, golden)
 
 
-#: Frozen N=2 outputs under the numpy backend, recorded from the former
-#: two-carrier module (whose results this game reproduced bitwise) before
-#: it was folded into :class:`OligopolyGame`.
+#: Frozen N=2 outputs under the numpy backend. The states at fixed prices
+#: were recorded from the former two-carrier module (whose results this
+#: game reproduced bitwise) before it was folded into
+#: :class:`OligopolyGame`; the best responses and competitions were
+#: re-recorded when the search became the certified slope search (each new
+#: revenue is at least the old one's, against the same rival prices).
 GOLDEN_NUMPY = {
-    "best_responses_g10": ["0.613338579787", "0.545970044402", "0.580208873164"],
+    "best_responses_g10": ["0.613338721075", "0.545970092422", "0.580210125205"],
     "state": {
         "prices": ["0.9", "1.1"],
         "shares": ["0.598687660112", "0.401312339888"],
@@ -209,51 +212,65 @@ GOLDEN_NUMPY = {
         "subsidies": [["0.298135079252", "0.3"], ["0.3", "0.3"]],
     },
     "competition_cheap": {
-        "iterations": 5,
-        "residual": "0.000530745091085",
-        "prices": ["0.673678232598", "0.673551496795"],
-        "shares": ["0.499936632099", "0.500063367901"],
-        "revenues": ["0.0858518204984", "0.0858572177826"],
-        "welfare": "0.254906845599",
-        "subsidies": [["0.245125146267"], ["0.245061162536"]],
+        "iterations": 21,
+        "residual": "9.58538234896e-10",
+        "prices": ["0.673311308482", "0.673311308739"],
+        "shares": ["0.500000000129", "0.499999999871"],
+        "revenues": ["0.0858416295801", "0.0858416295691"],
+        "welfare": "0.254983477856",
+        "subsidies": [["0.245016522079"], ["0.245016522209"]],
     },
-    "section5_best_responses": ["0.683538730157", "0.613584507291"],
+    "section5_best_responses": ["0.683535526353", "0.613583384694"],
     "section5_state": {
         "prices": ["0.8", "1.2"],
         "shares": ["0.689974481128", "0.310025518872"],
-        "revenues": ["0.215409075726", "0.128617728158"],
-        "welfare": "0.321107534541",
+        "revenues": ["0.215409075726", "0.128617728153"],
+        "welfare": "0.32110753454",
         "subsidies": [
             ["0", "0", "0.293455585962", "0.296746512163", "0.392740029982",
-             "0.445907916002", "0.5", "0.5"],
-            ["0", "0", "0.298910379782", "0.298568072889", "0.439933603734",
+             "0.445907916003", "0.5", "0.5"],
+            ["0", "0", "0.298910379787", "0.29856807178", "0.439933603737",
              "0.42141771423", "0.5", "0.5"],
         ],
     },
-    "best_responses_g12": ["0.613336259823", "0.545971599501", "0.580210004335"],
+    "best_responses_g12": ["0.613338721079", "0.545970092526", "0.580210125237"],
     "competition": {
-        "iterations": 10,
-        "residual": "5.66711527345e-05",
-        "prices": ["0.51397415184", "0.513960934899"],
-        "shares": ["0.499993391529", "0.500006608471"],
-        "revenues": ["0.100877767991", "0.100878391226"],
-        "welfare": "0.350280313932",
-        "subsidies": [["0.282171323157", "0.3"], ["0.282169107962", "0.3"]],
+        "iterations": 26,
+        "residual": "4.32128118011e-10",
+        "prices": ["0.513939915079", "0.513939914888"],
+        "shares": ["0.499999999904", "0.500000000096"],
+        "revenues": ["0.100876777319", "0.100876777328"],
+        "welfare": "0.350292542788",
+        "subsidies": [["0.282169985691", "0.3"], ["0.282169985659", "0.3"]],
     },
 }
 
-#: The kernel backends evaluate ``exp`` with libm rather than NumPy, which
-#: moves one case in the tenth digit (recorded on cext; pyloops agrees).
+#: The kernel backends compute the revenue slope in the compiled call
+#: (the NumPy backend in Python, with other operation orders) and evaluate
+#: ``exp`` with libm, so the searches land on prices that differ in the
+#: last digits (recorded on cext; pyloops agrees).
 GOLDEN_KERNEL = {
     **GOLDEN_NUMPY,
+    "best_responses_g10": ["0.613338721075", "0.545970092422", "0.580210125203"],
+    "best_responses_g12": ["0.613338721076", "0.545970092523", "0.580210125238"],
+    "section5_best_responses": ["0.683535526353", "0.613583384695"],
+    "competition_cheap": {
+        "iterations": 21,
+        "residual": "9.62604662647e-10",
+        "prices": ["0.673311308478", "0.673311308748"],
+        "shares": ["0.500000000135", "0.499999999865"],
+        "revenues": ["0.0858416295804", "0.085841629569"],
+        "welfare": "0.254983477855",
+        "subsidies": [["0.245016522077"], ["0.245016522213"]],
+    },
     "competition": {
-        "iterations": 10,
-        "residual": "5.66711527345e-05",
-        "prices": ["0.51397415184", "0.513960934775"],
-        "shares": ["0.499993391467", "0.500006608533"],
-        "revenues": ["0.100877767985", "0.100878391226"],
-        "welfare": "0.350280313959",
-        "subsidies": [["0.282171323167", "0.3"], ["0.282169107952", "0.3"]],
+        "iterations": 26,
+        "residual": "4.3232303848e-10",
+        "prices": ["0.513939915079", "0.513939914883"],
+        "shares": ["0.499999999902", "0.500000000098"],
+        "revenues": ["0.100876777318", "0.100876777328"],
+        "welfare": "0.350292542789",
+        "subsidies": [["0.282169985691", "0.3"], ["0.282169985658", "0.3"]],
     },
 }
 
@@ -299,7 +316,7 @@ class TestTwoCarrierGolden:
             initial_prices=(0.7, 0.7),
             price_range=(0.05, 2.0),
             grid_points=10,
-            policy=IterationPolicy(tol=1e-3),
+            policy=IterationPolicy(tol=1e-9),
         )
         assert_competition_matches(result, golden("competition_cheap"))
 
@@ -308,7 +325,7 @@ class TestTwoCarrierGolden:
             game_of(2, capacity=0.5),
             price_range=(0.05, 2.0),
             grid_points=12,
-            policy=IterationPolicy(tol=1e-4),
+            policy=IterationPolicy(tol=1e-9),
         )
         assert_competition_matches(result, golden("competition"))
 
@@ -667,25 +684,25 @@ class TestFromScenario:
 #: A three-carrier Gauss-Seidel competition on the §5 market under the
 #: fused kernels, frozen as exact floats (``float.hex``) and counters.
 #: Every CP equilibrium here is one whole-equilibrium kernel call (Jacobi
-#: sweeps, Newton polish, certified state); the values were first recorded
-#: on the per-batch kernels driven from Python and the one-call kernel
-#: reproduces them bit for bit. Any change to a floating-point operation
-#: or summation order on that path shows up here.
+#: sweeps, Newton polish, certified state and revenue slope). Re-recorded
+#: when the best-response search became the certified slope search; any
+#: change to a floating-point operation or summation order on that path
+#: shows up here.
 FROZEN_KERNEL_N3 = {
-    "iterations": 9,
-    "residual": "0x1.c03d60b7effffp-15",
+    "iterations": 22,
+    "residual": "0x1.08b9d60000000p-30",
     "prices": [
-        "0x1.12b5234200ea2p-1", "0x1.12b40995c3fa1p-1",
-        "0x1.12b359f09ba64p-1",
+        "0x1.12b1072301ccap-1", "0x1.12b10723fab74p-1",
+        "0x1.12b10727fd8abp-1",
     ],
     "revenues": [
-        "0x1.ea202d7ab0e0ep-4", "0x1.ea2071bc559c3p-4",
-        "0x1.ea209c4b345bbp-4",
+        "0x1.ea1ee2d9dcb03p-4", "0x1.ea1ee2d9a0651p-4",
+        "0x1.ea1ee2d8a7ad4p-4",
     ],
-    "welfare": "0x1.26770c7a9e5c8p-1",
-    "carrier_stats": [(9, 324, 324)] * 3,
+    "welfare": "0x1.26799044fc3afp-1",
+    "carrier_stats": [(22, 92, 92), (22, 91, 91), (22, 88, 88)],
     "subsidies_sha256": (
-        "37194ae68a3f56aecc7d260aba4ee9e9fbf965c3b8235542f1c32ba9e5504f17"
+        "b46e40310d31f0fb98d2040e903cb8ca8c087458e455c7c2ba4eee3d3ad409e1"
     ),
 }
 
@@ -716,7 +733,7 @@ class TestFrozenKernelCompetition:
                 price_range=(0.05, 2.0),
                 grid_points=8,
                 xtol=1e-5,
-                policy=IterationPolicy(tol=1e-4),
+                policy=IterationPolicy(tol=1e-9),
             )
         frozen = FROZEN_KERNEL_N3
         assert result.iterations == frozen["iterations"]
@@ -747,7 +764,7 @@ def section5_sweep(cps, n, index, *, warm0=None):
     return oligopoly.solve_oligopoly_sweep(
         cps, isp, 2.0, 0.5, index,
         oligopoly._with_candidate(prices, index, 0.0),
-        0.05, 2.0, 8, 1e-5, warm0,
+        0.05, 2.0, 8, 1e-5, 1e-9, warm0,
     )
 
 
@@ -865,6 +882,24 @@ class TestRepricedPlanRoute:
         assert float(got["price"]) == float(want["price"])
         assert_outcomes_identical(got, want)
 
+    def test_uncertified_candidate_makes_one_kernel_call(
+        self, name, monkeypatch
+    ):
+        # A candidate whose compiled call spends its Jacobi budget hands
+        # that call to solve_equilibrium, which goes on to Gauss-Seidel
+        # without repeating it: one equilibrium kernel call per solve.
+        from repro.backend import profiling
+        from repro.core import equilibrium
+
+        monkeypatch.setattr(equilibrium, "_JACOBI_BUDGET", 1)
+        with use_backend(name):
+            profiling.reset()
+            with profiling.profiled():
+                outcome = section5_sweep(section5_providers(), 2, 0)
+            counts = profiling.snapshot()
+        assert counts["equilibrium_fallbacks"] > 0
+        assert counts["equilibrium_kernel_calls"] == int(outcome["solves"])
+
     def test_invalid_share_on_a_later_candidate_raises_the_market_route_error(
         self, name, monkeypatch
     ):
@@ -876,7 +911,8 @@ class TestRepricedPlanRoute:
 
         def sweep():
             return oligopoly.solve_oligopoly_sweep(
-                cps, isp, 1e308, 0.5, 0, (0.0, 2.0), 0.0, 3.0, 8, 1e-5, None
+                cps, isp, 1e308, 0.5, 0, (0.0, 2.0), 0.0, 3.0, 8, 1e-5, 1e-9,
+                None,
             )
 
         with use_backend(name):
@@ -906,3 +942,122 @@ class TestRepricedPlanRoute:
                     section5_sweep(cps, 2, 0, warm0=warm0)
                 errors.append(str(caught.value))
         assert errors[0] == errors[1]
+
+
+def single_cp_sweep(cap, *, lo=0.05, hi=2.0):
+    """One carrier's full certified search on a one-CP market it owns."""
+    return oligopoly.solve_oligopoly_sweep(
+        (exponential_cp(2.0, 2.0, value=1.0),),
+        AccessISP(price=1.0, capacity=1.0), 2.0, cap, 0, (0.0,), lo, hi, 16,
+        1e-9, 1e-10, None,
+    )
+
+
+def certificate_of(outcome):
+    return oligopoly.CERTIFICATES[int(outcome["certificate"])]
+
+
+@pytest.mark.parametrize("name", ["numpy", *KERNEL_BACKENDS])
+class TestCertificates:
+    """Each certificate kind, reached on a constructed market."""
+
+    def test_interior_zero_of_the_slope(self, name):
+        with use_backend(name):
+            outcome = single_cp_sweep(0.5)
+        assert certificate_of(outcome) == "interior"
+        assert abs(float(outcome["slope"])) <= 1e-10
+        # The subsidy is interior too: a smooth piece of R(p).
+        assert 0.0 < float(outcome["warm"][0]) < 0.5
+
+    def test_range_bound_with_an_outward_slope(self, name):
+        with use_backend(name):
+            outcome = single_cp_sweep(0.5, hi=0.6)
+        assert certificate_of(outcome) == "bound"
+        assert float(outcome["price"]) == 0.6
+        assert float(outcome["slope"]) > 0.0
+
+    def test_kink_where_the_subsidy_reaches_its_cap(self, name):
+        # With q = 0.275 the CP's subsidy reaches the cap at the revenue
+        # peak: R'(p) jumps from + to − there, and no price has a zero
+        # slope.
+        with use_backend(name):
+            outcome = single_cp_sweep(0.275)
+        assert certificate_of(outcome) == "kink"
+        assert float(outcome["price"]) == pytest.approx(0.795827, abs=1e-5)
+        assert abs(float(outcome["slope"])) > 1e-3
+
+
+class TestCertifiedCompetition:
+    def test_jacobi_and_gauss_seidel_reach_one_certified_equilibrium(self):
+        def solve(mode):
+            return solve_oligopoly_competition(
+                game_of(3, cps=cheap_providers()),
+                initial_prices=(0.6, 0.6, 0.6),
+                price_range=(0.05, 2.0),
+                grid_points=8,
+                policy=IterationPolicy(mode=mode, tol=1e-9),
+            )
+
+        gs, jacobi = solve("gauss-seidel"), solve("jacobi")
+        np.testing.assert_allclose(
+            jacobi.state.prices, gs.state.prices, atol=1e-8
+        )
+        for result in (gs, jacobi):
+            assert all(
+                s.certificate == "interior" for s in result.carrier_stats
+            )
+            assert result.residual <= 1e-9
+
+    def test_four_identical_carriers_agree(self):
+        from repro.backend import profiling
+        from repro.scenarios import get_scenario
+
+        with use_backend("compiled") as backend:
+            if not backend.compiled:
+                pytest.skip(f"no kernel backend: {backend.fallback_reason}")
+            game = OligopolyGame.from_scenario(
+                get_scenario("oligopoly-4"),
+                service=SolveService(cache=SolveCache()),
+            )
+            profiling.reset()
+            with profiling.profiled():
+                result = solve_oligopoly_competition(game)
+            counts = profiling.snapshot()
+        prices = result.state.prices
+        assert max(prices) - min(prices) <= 1e-9
+        # The prices the price-change stop rule reported before the
+        # certified search, which spread by 1.9e-6.
+        before = (
+            0.5202149223732289, 0.5202141454919634, 0.5202134526038319,
+            0.5202130241487855,
+        )
+        np.testing.assert_allclose(prices, before, atol=1e-5)
+        assert counts["equilibrium_kernel_calls"] <= 1000
+        assert counts["equilibrium_fallbacks"] == 0
+        for stats in result.carrier_stats:
+            assert stats.certificate == "interior"
+            # The full grid on the first and the verifying sweep; local
+            # searches in between.
+            assert 2 <= stats.grid_sweeps < stats.sweeps
+
+
+@pytest.mark.parametrize(
+    "cap, price_range, kind",
+    [(0.3, (0.05, 0.4), "bound"), (0.275, (0.05, 2.0), "kink")],
+)
+def test_competition_settles_on_bound_and_kink_certificates(
+    cap, price_range, kind
+):
+    # A damped price only approaches a bound or kink geometrically; a
+    # price within xtol of one is certified, so the iteration stops.
+    game = OligopolyGame(
+        (exponential_cp(2.0, 2.0, value=1.0),),
+        carrier_isps(1, 1.0),
+        switching=2.0,
+        cap=cap,
+        service=SolveService(cache=SolveCache()),
+    )
+    result = solve_oligopoly_competition(game, price_range=price_range)
+    assert result.carrier_stats[0].certificate == kind
+    assert result.iterations < 20
+    assert price_range[0] <= result.state.prices[0] <= price_range[1]

@@ -2,17 +2,27 @@
 
 Each test recomputes one figure (every equilibrium on its grid) on the
 paper's price axis thinned 2x, asserts the experiment's shape checks, and
-pins the paper's headline observation for that figure. Each starts from a
-cold default service.
+pins the paper's headline observation for that figure. The module starts
+from one cold default service: fig07–fig11 share the §5 grid, so the
+first of them solves it and the rest read its memoized rows.
 """
 
 import numpy as np
 import pytest
 
+from repro.engine.service import default_service
 from repro.experiments import fig04, fig05, fig07, fig08, fig09, fig10, fig11
 from repro.experiments.scenarios import POLICY_LEVELS, SECTION5_PARAMETERS
 
-pytestmark = pytest.mark.usefixtures("fresh_grid_cache")
+
+@pytest.fixture(scope="module", autouse=True)
+def cold_service():
+    """Clear the default service's memory tier before the module's first
+    figure and after its last."""
+    default_service().clear_memory()
+    default_service().reset_counters()
+    yield
+    default_service().clear_memory()
 
 #: The paper's price axis, thinned 2x.
 PRICES = np.round(np.linspace(0.0, 2.0, 21), 10)

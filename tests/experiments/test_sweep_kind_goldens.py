@@ -100,7 +100,7 @@ def _oligopoly_scenario() -> ScenarioSpec:
         {
             "grid_points": 6,
             "xtol": 1e-3,
-            "tol": 1e-2,
+            "tol": 1e-8,
             "price_range": [0.05, 2.0],
         }
     )
@@ -253,16 +253,16 @@ CSV_DIGESTS: dict[str, dict[str, str]] = {
     },
     "market_structure": {
         "golden-olig-industry_revenue.csv": (
-            "60723233a02461ecabb8ff0b819ed060f3086c091ce01928d2642acdeffbd584"
+            "a571f396e7b0d43c06df36eabdc8acfe64ee68c30f8af14e7fc10130ffcc239f"
         ),
         "golden-olig-industry_welfare.csv": (
-            "81a67ac8ce5fcdd3c17413cbe32cc1ddf0b6dc0ad1b45752b840fa7a6290c82e"
+            "02e8a3165867b16b9d5fef8cce6af14892bea5339a321c1f13db62f0347b81b7"
         ),
         "golden-olig-mean_price.csv": (
-            "0ba8b166a62283dc28929d84736e7a1880b7c2bbcbdd322c41a7680528604ce2"
+            "f86ab1d3884c263b53131e0cd7607b40ae24e982cce6215267a1aa1cadb14663"
         ),
         "golden-olig-mean_utilization.csv": (
-            "d765cdc81c034deb5486e3f770fb0f7ade0047ec0e9aa42f9fbc708c820276f3"
+            "3827ac2747c59b9c8475ae409f9fcad400609220926e723083fee5fbe716a47b"
         ),
     },
     "dynamics": {
@@ -371,19 +371,19 @@ WAREHOUSE_ROWS: dict[str, list[list[tuple[str, str]]]] = {
     ],
     "market_structure": [
         [
-            ("welfare", "0.10980195981"),
-            ("industry_revenue", "0.242468735318"),
-            ("mean_price", "1.09800207317"),
-            ("mean_utilization", "0.220827210843"),
+            ("welfare", "0.109874738822"),
+            ("industry_revenue", "0.242469436475"),
+            ("mean_price", "1.09615624335"),
+            ("mean_utilization", "0.221199703915"),
             ("hhi", "1"),
             ("carriers", "1"),
         ],
         [
-            ("welfare", "0.132466223073"),
-            ("industry_revenue", "0.201590572292"),
-            ("mean_price", "0.64057815987"),
-            ("mean_utilization", "0.314700976276"),
-            ("hhi", "0.333333333334"),
+            ("welfare", "0.132616973206"),
+            ("industry_revenue", "0.201170193661"),
+            ("mean_price", "0.638211936387"),
+            ("mean_utilization", "0.315209074277"),
+            ("hhi", "0.333333333333"),
             ("carriers", "3"),
         ],
     ],

@@ -5,9 +5,13 @@ import math
 import pytest
 
 from repro.solvers.scalar_opt import (
+    BOUND,
+    INTERIOR,
+    KINK,
+    bisect_interval,
+    certified_maximize,
     golden_section_maximize,
     grid_polish_maximize,
-    maximize_on_interval,
 )
 
 
@@ -62,16 +66,88 @@ class TestGridPolish:
         assert grid.x == pytest.approx(golden.x, abs=1e-7)
 
 
-class TestDispatch:
-    def test_unimodal_path(self):
-        result = maximize_on_interval(lambda x: -(x**2), -1.0, 1.0)
-        assert result.x == pytest.approx(0.0, abs=1e-9)
+def smooth(x):
+    """``x·e^{−x}``: one interior maximum at 1, one smooth piece."""
+    return x * math.exp(-x), (1.0 - x) * math.exp(-x), None
 
-    def test_multimodal_path(self):
-        def nasty(x):
-            return math.sin(5.0 * x) + 0.5 * x
 
-        grid = maximize_on_interval(nasty, 0.0, 3.0, unimodal=False)
-        brute = max(nasty(0.001 * k) for k in range(3001))
-        # The polished optimum must match or beat a fine brute-force grid.
-        assert grid.value >= brute - 1e-9
+def tent(x):
+    """A tent with its peak (a kink) at 0.7: two pieces."""
+    if x < 0.7:
+        return x, 1.0, "left"
+    return 1.4 - x, -1.0, "right"
+
+
+class TestCertifiedMaximize:
+    def test_interior_maximum_is_certified_by_its_slope(self):
+        result = certified_maximize(
+            smooth, 0.0, 3.0, grid_points=8, xtol=1e-9, tol=1e-12
+        )
+        assert result.certificate == INTERIOR
+        assert abs(result.slope) <= 1e-12
+        assert result.x == pytest.approx(1.0, abs=1e-11)
+        assert result.grid
+        # The secant polish needs a handful of points past the grid.
+        assert result.evaluations <= 8 + 8
+
+    @pytest.mark.parametrize(
+        "lo, hi, end", [(0.0, 0.5, 0.5), (1.5, 3.0, 1.5)]
+    )
+    def test_range_end_with_an_outward_slope_is_a_bound(self, lo, hi, end):
+        result = certified_maximize(
+            smooth, lo, hi, grid_points=5, xtol=1e-9, tol=1e-12
+        )
+        assert result.certificate == BOUND
+        assert result.x == end
+        assert result.evaluations == 5
+
+    def test_slope_sign_change_across_pieces_is_a_located_kink(self):
+        result = certified_maximize(
+            tent, 0.0, 1.0, grid_points=6, xtol=1e-8, tol=1e-9
+        )
+        assert result.certificate == KINK
+        assert result.x == pytest.approx(0.7, abs=1e-8)
+
+    def test_certified_start_is_returned_itself(self):
+        result = certified_maximize(
+            smooth, 0.0, 3.0, grid_points=8, xtol=1e-9, tol=1e-6,
+            start=1.0 + 1e-7,
+        )
+        assert result.x == 1.0 + 1e-7
+        assert result.certificate == INTERIOR
+        assert result.grid
+
+    def test_local_search_skips_the_grid(self):
+        result = certified_maximize(
+            smooth, 0.0, 3.0, grid_points=32, xtol=1e-9, tol=1e-12,
+            start=0.95, guess=1.02,
+        )
+        assert not result.grid
+        assert result.certificate == INTERIOR
+        assert result.x == pytest.approx(1.0, abs=1e-11)
+        assert result.evaluations <= 6
+
+    def test_local_search_that_leaves_its_window_falls_back_to_the_grid(self):
+        # From 2.5 the slope is nearly flat: the secant step overshoots
+        # far beyond one grid step, so the grid scan runs.
+        result = certified_maximize(
+            smooth, 0.0, 3.0, grid_points=32, xtol=1e-9, tol=1e-12,
+            start=2.5, guess=2.45,
+        )
+        assert result.grid
+        assert result.certificate == INTERIOR
+        assert result.x == pytest.approx(1.0, abs=1e-11)
+
+    def test_degenerate_range_is_its_own_bound(self):
+        result = certified_maximize(
+            smooth, 1.5, 1.5, grid_points=5, xtol=1e-9, tol=1e-12
+        )
+        assert (result.x, result.certificate, result.evaluations) == (
+            1.5, BOUND, 1,
+        )
+
+
+def test_bisect_interval_keeps_the_change_inside():
+    lo, hi = bisect_interval(lambda x: x < 0.3, 0.0, 1.0, 1e-6)
+    assert hi - lo <= 1e-6
+    assert lo < 0.3 <= hi
