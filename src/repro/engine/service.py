@@ -379,6 +379,19 @@ class SolveService:
             self._store.read_seconds = 0.0
             self._store.write_seconds = 0.0
 
+    def counter_snapshot(self) -> dict:
+        """The solve counters plus the store's, without touching the disk.
+
+        What a run's before/after delta needs (see the runner's
+        ``--json`` summary); :meth:`stats` adds the store's footprint.
+        """
+        with self._lock:
+            payload = self.counters.as_dict()
+        payload["store"] = (
+            self._store.counters() if self._store is not None else None
+        )
+        return payload
+
     def stats(self) -> dict:
         """Hit/miss/latency/inflight counters across both tiers, JSON-ready."""
         with self._lock:

@@ -9,46 +9,41 @@ performs zero equilibrium solves.
 
 Layout
 ------
-One entry is two files, named by the SHA-256 digest of the canonically
-encoded key and *sharded* into a subdirectory named by the digest's first
-byte (``<root>/<digest[:2]>/``), so many concurrent writers — the
-``repro serve`` daemon's whole point — fan out across 256 directories
-instead of contending on one:
-
-* ``<digest[:2]>/<digest>.npz`` — every float array of the artifact,
-  bit-exact (``numpy`` binary format; ``allow_pickle`` stays off, so
-  loading a store entry can never execute code), written first;
-* ``<digest[:2]>/<digest>.json`` — the manifest (codec name, version,
-  scalar metadata), written last via an atomic rename, so its presence
-  marks a committed entry.
-
-Stores written before sharding kept both files directly under the root.
-Reads fall back to that flat layout transparently, and a flat entry that
-hits is *migrated* into its shard on the way out (two atomic renames,
-npz first), so old stores upgrade themselves in place without a rebuild.
+One entry is one file, ``<root>/<digest[:2]>/<digest>.npz``: named by the
+SHA-256 digest of the canonically encoded key and *sharded* into a
+subdirectory named by the digest's first byte, so many concurrent writers
+— the ``repro serve`` daemon's whole point — fan out across 256
+directories instead of contending on one. The file is a ``numpy`` npz
+archive holding every float array of the artifact bit-exact, plus one
+``uint8`` member carrying the JSON manifest (codec name, format version,
+scalar metadata, array names). It is written to a temp file in its shard
+and committed by one atomic rename, so a reader sees either the whole
+entry or none of it, and it is loaded with ``allow_pickle`` off, so
+loading a store entry can never execute code.
 
 Corruption tolerance
 --------------------
 A store can be shared between processes, interrupted mid-write, or
 hand-edited; *any* failure to decode an entry — missing file, truncated
-npz, garbage JSON, unknown codec, wrong version, a writer killed between
-the artifact and its sidecar — is a cache **miss**, never an exception.
-:meth:`SolveStore.get` repairs nothing and crashes never; the caller
-simply recomputes and :meth:`SolveStore.put` overwrites the entry.
+archive, garbage or missing manifest, unknown codec, wrong version (an
+entry of an older format), a missing array — is a cache **miss**, never
+an exception. :meth:`SolveStore.get` repairs nothing and crashes never;
+the caller simply recomputes and :meth:`SolveStore.put` overwrites the
+entry.
 
 Maintenance and observability
 -----------------------------
-``clear``/``prune``/``rebuild_index`` serialize against each other across
-processes through an advisory file lock (``<root>/.lock``, ``flock``), so
-two daemons pruning one store cannot race each other's directory walks.
-:meth:`rebuild_index` scans the entry files and writes ``index.json`` — a
-derived, always-rebuildable catalog (digest → codec/version/bytes) that
-lets ``/stats`` and tooling enumerate a large store without a full
-directory walk; it is advisory only, never consulted on the read path.
+``clear``/``prune`` serialize against each other across processes
+through an advisory file lock (``<root>/.lock``, ``flock``), so two
+daemons pruning one store cannot race each other's directory walks. Both
+sweep stray temp files (a writer killed before its rename) and the
+digest-named ``.json``/``.npz`` leftovers of the older two-file format.
 Counters (``hits``, ``misses``, ``writes``, ``write_errors``) plus
 cumulative ``read_seconds``/``write_seconds`` make the disk tier
 observable in ``service.stats()``, the runner's ``--json`` summary and
-the server's ``/stats`` endpoint.
+the server's ``/stats`` endpoint; :meth:`SolveStore.counters` reads them
+without walking the directory tree, :meth:`SolveStore.stats` adds the
+on-disk footprint.
 
 Codecs
 ------
@@ -107,33 +102,38 @@ __all__ = ["CODECS", "SolveStore", "key_digest"]
 _CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Store format version; bumping it invalidates every existing entry.
-_STORE_VERSION = 1
+_STORE_VERSION = 2
 
-#: Name of the derived (always-rebuildable) entry catalog at the root.
-_INDEX_NAME = "index.json"
+#: Name of the npz member holding an entry's JSON manifest (codec array
+#: names are ``"subsidies"``, ``"state.*"``, ``"v.*"``..., never this).
+_MANIFEST = "__manifest__"
 
 #: Name of the advisory maintenance lock file at the root.
 _LOCK_NAME = ".lock"
 
-#: Entry files are named by a SHA-256 hex digest; maintenance operations
-#: (``clear``, ``prune``, ``stats``, ``__len__``) only ever touch files
-#: matching this shape, so ``cache clear --cache-dir <wrong path>`` cannot
-#: eat foreign JSON/npz files.
-_ENTRY_STEM = re.compile(r"^[0-9a-f]{64}$")
+#: Files named by a SHA-256 hex digest. Maintenance operations (``clear``,
+#: ``prune``, ``stats``, ``__len__``) only ever touch files of this shape
+#: and this store's temp files, so ``cache clear --cache-dir <wrong path>``
+#: cannot eat foreign JSON/npz files.
+_DIGEST_NAME = re.compile(r"^[0-9a-f]{64}\.(npz|json)$")
 
 #: Shard directories are the first byte of the digest, in hex.
 _SHARD_DIR = re.compile(r"^[0-9a-f]{2}$")
 
 
-def _is_entry_file(path: Path) -> bool:
-    return path.suffix in {".json", ".npz"} and bool(
-        _ENTRY_STEM.match(path.stem)
-    )
+def _classify(name: str, *, in_shard: bool) -> str | None:
+    """What a store file is: ``"entry"``, ``"orphan"``, ``"temp"`` or None.
 
-
-def _is_stray_temp(path: Path) -> bool:
-    # tempfile.mkstemp(dir=..., suffix=".tmp") names: tmp<random>.tmp
-    return path.suffix == ".tmp" and path.stem.startswith("tmp")
+    An entry is ``<shard>/<digest>.npz``. Orphans are the digest-named
+    leftovers of the older two-file format: any ``<digest>.json``
+    manifest, and a ``<digest>.npz`` directly under the root. Temp files
+    are ``tempfile.mkstemp(suffix=".tmp")`` names (``tmp<random>.tmp``).
+    """
+    if name.startswith("tmp") and name.endswith(".tmp"):
+        return "temp"
+    if not _DIGEST_NAME.match(name):
+        return None
+    return "entry" if in_shard and name.endswith(".npz") else "orphan"
 
 
 def _encode_key_part(part: Any) -> bytes:
@@ -322,50 +322,43 @@ class SolveStore:
         """The store's root directory."""
         return self._root
 
-    @property
-    def index_path(self) -> Path:
-        """Where :meth:`rebuild_index` writes the derived entry catalog."""
-        return self._root / _INDEX_NAME
+    def _entry_path(self, digest: str) -> Path:
+        return self._root / digest[:2] / f"{digest}.npz"
 
-    def _shard_dir(self, digest: str) -> Path:
-        return self._root / digest[:2]
+    def _scan(self) -> tuple[list[tuple[str, os.DirEntry]], list[str]]:
+        """Every store file, classified (see :func:`_classify`), and the shards.
 
-    def _manifest_path(self, digest: str) -> Path:
-        return self._shard_dir(digest) / f"{digest}.json"
-
-    def _arrays_path(self, digest: str) -> Path:
-        return self._shard_dir(digest) / f"{digest}.npz"
-
-    def _entry_dirs(self) -> list[Path]:
-        """Every directory that may hold entry files: shards + flat root."""
-        dirs = [self._root]
+        The one directory walk behind ``__len__``, ``stats``, ``clear`` and
+        ``prune``: one ``scandir`` of the root and one per shard.
+        """
+        files: list[tuple[str, os.DirEntry]] = []
+        shards: list[str] = []
         try:
-            for child in self._root.iterdir():
-                if child.is_dir() and _SHARD_DIR.match(child.name):
-                    dirs.append(child)
+            with os.scandir(self._root) as items:
+                for item in items:
+                    if _SHARD_DIR.match(item.name) and item.is_dir():
+                        shards.append(item.path)
+                    elif kind := _classify(item.name, in_shard=False):
+                        files.append((kind, item))
         except OSError:
-            pass
-        return dirs
-
-    def _manifests(self) -> list[Path]:
-        """Every committed manifest, sharded and legacy-flat."""
-        found = []
-        for directory in self._entry_dirs():
+            return files, shards
+        for shard in shards:
             try:
-                for path in directory.iterdir():
-                    if path.suffix == ".json" and _is_entry_file(path):
-                        found.append(path)
+                with os.scandir(shard) as items:
+                    for item in items:
+                        if kind := _classify(item.name, in_shard=True):
+                            files.append((kind, item))
             except OSError:
                 continue
-        return found
+        return files, shards
 
     def __len__(self) -> int:
-        """Number of committed entries (manifests) on disk."""
-        return len(self._manifests())
+        """Number of committed entries on disk."""
+        return sum(kind == "entry" for kind, _ in self._scan()[0])
 
     # ------------------------------------------------------------------
-    # maintenance locking: clear/prune/rebuild_index serialize across
-    # processes through an advisory flock on <root>/.lock
+    # maintenance locking: clear/prune serialize across processes
+    # through an advisory flock on <root>/.lock
     # ------------------------------------------------------------------
     @contextmanager
     def _locked(self):
@@ -395,69 +388,30 @@ class SolveStore:
 
         Missing, truncated, corrupted, version-skewed, unknown-codec and
         half-written entries all miss identically; the store never raises
-        from a read. Entries found in the pre-sharding flat layout are
-        decoded normally and migrated into their shard on the way out.
+        from a read.
         """
         start = time.perf_counter()
-        value = None
-        hit = False
         try:
-            digest = key_digest(key)
+            value, hit = self._read_entry(key_digest(key)), True
         except Exception:
-            digest = None
-        if digest is not None:
-            try:
-                value = self._read_entry(self._shard_dir(digest), digest)
-                hit = True
-            except Exception:
-                try:
-                    value = self._read_entry(self._root, digest)
-                    hit = True
-                except Exception:
-                    pass
-                else:
-                    self._migrate_entry(digest)
+            value, hit = None, False
         with self._metrics_lock:
             if hit:
                 self.hits += 1
             else:
                 self.misses += 1
             self.read_seconds += time.perf_counter() - start
-        return value if hit else None
+        return value
 
-    def _read_entry(self, directory: Path, digest: str) -> Any:
-        """Decode one committed entry from ``directory`` (raises on failure)."""
-        with open(directory / f"{digest}.json", "rb") as handle:
-            manifest = json.loads(handle.read())
-        if manifest["version"] != _STORE_VERSION:
-            raise ValueError(f"store version {manifest['version']}")
-        decode = CODECS[manifest["codec"]][1]
-        names = manifest["arrays"]
-        arrays: dict[str, np.ndarray] = {}
-        if names:
-            with np.load(directory / f"{digest}.npz") as payload:
-                arrays = {name: payload[name] for name in names}
+    def _read_entry(self, digest: str) -> Any:
+        """Decode one committed entry (raises on any failure)."""
+        with np.load(self._entry_path(digest), allow_pickle=False) as payload:
+            manifest = json.loads(payload[_MANIFEST].tobytes())
+            if manifest["version"] != _STORE_VERSION:
+                raise ValueError(f"store version {manifest['version']}")
+            decode = CODECS[manifest["codec"]][1]
+            arrays = {name: payload[name] for name in manifest["arrays"]}
         return decode(manifest["meta"], arrays)
-
-    def _migrate_entry(self, digest: str) -> None:
-        """Relocate a flat-layout entry into its shard (best effort).
-
-        npz first, manifest last — the same commit order as writes, so a
-        crash mid-migration leaves at worst a manifest-less artifact (a
-        miss) plus the still-readable flat manifest-less remainder, never
-        a torn committed entry.
-        """
-        try:
-            shard = self._shard_dir(digest)
-            shard.mkdir(parents=True, exist_ok=True)
-            flat_npz = self._root / f"{digest}.npz"
-            if flat_npz.is_file():
-                os.replace(flat_npz, shard / f"{digest}.npz")
-            os.replace(
-                self._root / f"{digest}.json", shard / f"{digest}.json"
-            )
-        except OSError:
-            pass
 
     # ------------------------------------------------------------------
     # write path: best-effort, atomic commit
@@ -468,108 +422,75 @@ class SolveStore:
         Encoding errors (unknown codec, value/codec mismatch) raise — they
         are caller bugs. I/O errors are swallowed and counted: a full disk
         degrades the store to a smaller cache, it never fails a solve.
-        Writes land in the entry's shard; any same-digest leftovers in the
-        legacy flat layout are removed after the commit so the two layouts
-        cannot disagree about one key.
         """
         if codec not in CODECS:
             raise KeyError(
                 f"unknown store codec {codec!r}; registered: {sorted(CODECS)}"
             )
         meta, arrays = CODECS[codec][0](value)
-        digest = key_digest(key)
         manifest = {
             "version": _STORE_VERSION,
             "codec": codec,
             "meta": meta,
             "arrays": sorted(arrays),
         }
+        arrays[_MANIFEST] = np.frombuffer(
+            json.dumps(manifest, sort_keys=True).encode(), dtype=np.uint8
+        )
+        path = self._entry_path(key_digest(key))
         start = time.perf_counter()
         try:
-            shard = self._shard_dir(digest)
-            shard.mkdir(parents=True, exist_ok=True)
-            if arrays:
-                self._write_atomic(
-                    shard,
-                    self._arrays_path(digest),
-                    lambda handle: np.savez(handle, **arrays),
-                )
-            self._write_atomic(
-                shard,
-                self._manifest_path(digest),
-                lambda handle: handle.write(
-                    json.dumps(manifest, sort_keys=True).encode()
-                ),
-            )
+            path.parent.mkdir(parents=True, exist_ok=True)
+            # The temp file lives in the shard so the final os.replace is
+            # a same-filesystem atomic rename: the commit point.
+            fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "wb") as handle:
+                    np.savez(handle, **arrays)
+                os.replace(tmp_name, path)
+            except BaseException:
+                try:
+                    os.unlink(tmp_name)
+                except OSError:
+                    pass
+                raise
         except OSError:
             with self._metrics_lock:
                 self.write_errors += 1
                 self.write_seconds += time.perf_counter() - start
             return False
-        # The sharded entry now shadows any flat-layout predecessor.
-        for suffix in (".json", ".npz"):
-            try:
-                os.unlink(self._root / f"{digest}{suffix}")
-            except OSError:
-                pass
         with self._metrics_lock:
             self.writes += 1
             self.write_seconds += time.perf_counter() - start
         return True
 
-    def _write_atomic(self, directory: Path, path: Path, write) -> None:
-        # The temp file lives in the destination directory so the final
-        # os.replace is a same-filesystem atomic rename.
-        fd, tmp_name = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                write(handle)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
     def clear(self) -> int:
-        """Remove every entry (and stray temp file); returns entries removed.
+        """Remove every entry and leftover file; returns entries removed.
 
-        Holds the maintenance lock. Only digest-named artifact files,
-        shard directories emptied by the sweep, the derived index and
-        this store's temp files are touched — pointing ``clear`` at a
-        directory that is not a store removes nothing of consequence.
+        Holds the maintenance lock. Only digest-named files, shard
+        directories emptied by the sweep and this store's temp files are
+        touched — pointing ``clear`` at a directory that is not a store
+        removes nothing of consequence.
         """
         if not self._root.is_dir():
             return 0
         removed = 0
         with self._locked():
-            for directory in self._entry_dirs():
+            files, shards = self._scan()
+            for kind, item in files:
                 try:
-                    children = list(directory.iterdir())
+                    os.unlink(item.path)
                 except OSError:
                     continue
-                for path in children:
-                    if not (_is_entry_file(path) or _is_stray_temp(path)):
-                        continue
-                    is_entry = path.suffix == ".json"
-                    try:
-                        path.unlink()
-                    except OSError:
-                        continue
-                    removed += int(is_entry)
-                if directory != self._root:
-                    try:
-                        directory.rmdir()  # only succeeds once empty
-                    except OSError:
-                        pass
-            try:
-                self.index_path.unlink()  # a cleared store has no catalog
-            except OSError:
-                pass
+                removed += int(kind == "entry")
+            for shard in shards:
+                try:
+                    os.rmdir(shard)  # only succeeds once empty
+                except OSError:
+                    pass
         return removed
 
     def prune(
@@ -580,12 +501,12 @@ class SolveStore:
     ) -> dict:
         """Sweep garbage and evict oldest entries beyond the given bounds.
 
-        Holds the maintenance lock. Always removes stray temp files and
-        *orphaned* artifacts (an ``.npz`` with no committed manifest — the
-        footprint of a writer killed between artifact and sidecar). With
-        ``max_entries``/``max_bytes`` set, committed entries are then
-        evicted oldest-manifest-first until the store fits both bounds.
-        Returns ``{"entries", "orphans", "temp_files"}`` removal counts.
+        Holds the maintenance lock. Always removes stray temp files (the
+        footprint of a writer killed before its rename) and *orphans* (the
+        digest-named leftovers of the older two-file format). With
+        ``max_entries``/``max_bytes`` set, entries are then evicted
+        oldest-first until the store fits both bounds. Returns
+        ``{"entries", "orphans", "temp_files"}`` removal counts.
         """
         if (max_entries is not None and max_entries < 0) or (
             max_bytes is not None and max_bytes < 0
@@ -595,169 +516,45 @@ class SolveStore:
         if not self._root.is_dir():
             return summary
         with self._locked():
-            committed: list[tuple[float, int, str, Path]] = []
-            manifest_stems = set()
-            npz_files: list[Path] = []
-            for directory in self._entry_dirs():
+            entries: list[tuple[float, int, str]] = []
+            for kind, item in self._scan()[0]:
+                if kind == "entry":
+                    try:
+                        stat = item.stat()
+                    except OSError:
+                        continue
+                    entries.append((stat.st_mtime, stat.st_size, item.path))
+                    continue
                 try:
-                    children = list(directory.iterdir())
+                    os.unlink(item.path)
                 except OSError:
                     continue
-                for path in children:
-                    if _is_stray_temp(path):
-                        try:
-                            path.unlink()
-                            summary["temp_files"] += 1
-                        except OSError:
-                            pass
-                    elif _is_entry_file(path):
-                        if path.suffix == ".npz":
-                            npz_files.append(path)
-                        else:
-                            manifest_stems.add(path.stem)
-                            try:
-                                stat = path.stat()
-                            except OSError:
-                                continue
-                            size = stat.st_size
-                            sibling = path.with_suffix(".npz")
-                            try:
-                                size += sibling.stat().st_size
-                            except OSError:
-                                pass
-                            committed.append(
-                                (stat.st_mtime, size, path.stem, path)
-                            )
-            for path in npz_files:
-                if path.stem not in manifest_stems:
-                    try:
-                        path.unlink()
-                        summary["orphans"] += 1
-                    except OSError:
-                        pass
+                summary["orphans" if kind == "orphan" else "temp_files"] += 1
             if max_entries is None and max_bytes is None:
                 return summary
-            committed.sort()  # oldest manifest first
-            total_bytes = sum(size for _, size, _, _ in committed)
-            remaining = len(committed)
-            for _, size, _, manifest in committed:
+            entries.sort()  # oldest first
+            total_bytes = sum(size for _, size, _ in entries)
+            remaining = len(entries)
+            for _, size, path in entries:
                 over_entries = (
                     max_entries is not None and remaining > max_entries
                 )
                 over_bytes = max_bytes is not None and total_bytes > max_bytes
                 if not (over_entries or over_bytes):
                     break
-                # Manifest first: the entry stops being committed before
-                # its artifact disappears, so a concurrent reader can
-                # never decode a half-removed entry.
                 try:
-                    manifest.unlink()
+                    os.unlink(path)
                 except OSError:
                     continue
-                try:
-                    manifest.with_suffix(".npz").unlink()
-                except OSError:
-                    pass
                 summary["entries"] += 1
                 remaining -= 1
                 total_bytes -= size
         return summary
 
-    # ------------------------------------------------------------------
-    # the derived index
-    # ------------------------------------------------------------------
-    def scan_entries(self) -> dict[str, dict]:
-        """Catalog every committed entry straight off the directory tree.
-
-        The ground truth :meth:`rebuild_index` snapshots: digest →
-        ``{"codec", "version", "bytes"}``. Unreadable manifests are
-        skipped (they are misses on the read path too).
-        """
-        entries: dict[str, dict] = {}
-        for manifest_path in self._manifests():
-            try:
-                manifest = json.loads(manifest_path.read_bytes())
-                size = manifest_path.stat().st_size
-            except (OSError, ValueError):
-                continue
-            sibling = manifest_path.with_suffix(".npz")
-            try:
-                size += sibling.stat().st_size
-            except OSError:
-                pass
-            entries[manifest_path.stem] = {
-                "codec": manifest.get("codec"),
-                "version": manifest.get("version"),
-                "bytes": size,
-            }
-        return entries
-
-    def rebuild_index(self) -> dict:
-        """Scan the store and (re)write ``index.json``; returns the index.
-
-        Holds the maintenance lock, so concurrent rebuilds serialize and
-        a rebuild never interleaves with ``clear``/``prune`` sweeps. The
-        index is purely derived state: deleting it costs nothing but this
-        rescan.
-        """
-        with self._locked():
-            index = {
-                "version": _STORE_VERSION,
-                "entries": self.scan_entries(),
-            }
-            try:
-                self._root.mkdir(parents=True, exist_ok=True)
-                self._write_atomic(
-                    self._root,
-                    self.index_path,
-                    lambda handle: handle.write(
-                        json.dumps(index, sort_keys=True).encode()
-                    ),
-                )
-            except OSError:
-                pass
-        return index
-
-    def load_index(self) -> dict | None:
-        """The committed ``index.json``, or ``None`` if absent/unreadable."""
-        try:
-            index = json.loads(self.index_path.read_bytes())
-        except (OSError, ValueError):
-            return None
-        if (
-            not isinstance(index, dict)
-            or index.get("version") != _STORE_VERSION
-            or not isinstance(index.get("entries"), dict)
-        ):
-            return None
-        return index
-
-    def stats(self) -> dict:
-        """Counters plus on-disk footprint, JSON-ready."""
-        entries = 0
-        flat_entries = 0
-        size = 0
-        shards = 0
-        for directory in self._entry_dirs():
-            if directory != self._root:
-                shards += 1
-            try:
-                children = list(directory.iterdir())
-            except OSError:
-                continue
-            for path in children:
-                if not _is_entry_file(path):
-                    continue
-                if path.suffix == ".json":
-                    entries += 1
-                    if directory == self._root:
-                        flat_entries += 1
-                try:
-                    size += path.stat().st_size
-                except OSError:
-                    pass
+    def counters(self) -> dict:
+        """The read/write counters and latencies, without touching the disk."""
         with self._metrics_lock:
-            counters = {
+            return {
                 "hits": self.hits,
                 "misses": self.misses,
                 "writes": self.writes,
@@ -765,11 +562,27 @@ class SolveStore:
                 "read_seconds": self.read_seconds,
                 "write_seconds": self.write_seconds,
             }
+
+    def stats(self) -> dict:
+        """Counters plus on-disk footprint, JSON-ready.
+
+        The footprint walks every shard; :meth:`counters` alone does not.
+        """
+        files, shards = self._scan()
+        entries = 0
+        size = 0
+        for kind, item in files:
+            if kind != "entry":
+                continue
+            entries += 1
+            try:
+                size += item.stat().st_size
+            except OSError:
+                pass
         return {
             "path": str(self._root),
             "entries": entries,
-            "flat_entries": flat_entries,
-            "shards": shards,
+            "shards": len(shards),
             "bytes": size,
-            **counters,
+            **self.counters(),
         }

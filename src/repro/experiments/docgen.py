@@ -166,7 +166,7 @@ def generate_cli_reference() -> str:
         _render_parser(
             "cache",
             "python -m repro.experiments cache "
-            "{stats,path,clear,prune,rebuild-index} [options]",
+            "{stats,path,clear,prune} [options]",
             build_cache_parser(),
         ),
         _render_parser(

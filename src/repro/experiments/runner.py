@@ -51,8 +51,9 @@ equilibrium solves. ``--no-cache`` runs purely in memory, ignoring any
 configured directory. The ``cache`` verb inspects and maintains the
 store: ``cache stats`` / ``cache path`` / ``cache clear`` /
 ``cache prune`` (garbage sweep + oldest-first eviction under
-``--max-entries``/``--max-bytes``) / ``cache rebuild-index`` (rescan into
-the derived ``index.json`` catalog).
+``--max-entries``/``--max-bytes``). A run's ``--json`` summary reads the
+solve counters before and after it, but walks the store's files only
+once, at the end, for the footprint it reports.
 
 The ``serve`` verb runs the long-lived solve daemon — an asyncio
 HTTP/JSON front end over one warm solve service (submit-scenario → job id
@@ -323,7 +324,11 @@ _COUNTER_KEYS = ("memory_hits", "store_hits", "computed")
 
 
 def _cache_delta(before: dict, after: dict) -> dict:
-    """This run's solve/cache counters (service totals may span runs)."""
+    """This run's solve/cache counters (service totals may span runs).
+
+    ``before`` is a :meth:`SolveService.counter_snapshot`, ``after`` a
+    full :meth:`SolveService.stats` (the footprint is read once).
+    """
     summary = {key: after[key] - before[key] for key in _COUNTER_KEYS}
     store_after = after.get("store")
     if store_after is not None:
@@ -785,7 +790,7 @@ def _main_oligopoly(argv: Sequence[str]) -> int:
         parser.error(str(exc))
 
     service_changed = _apply_runtime_options(parser, args)
-    cache_before = default_service().stats()
+    cache_before = default_service().counter_snapshot()
     try:
         try:
             game = OligopolyGame.from_scenario(
@@ -1028,7 +1033,7 @@ def _main_dynamics(argv: Sequence[str]) -> int:
         parser.error(str(exc))
 
     service_changed = _apply_runtime_options(parser, args)
-    cache_before = default_service().stats()
+    cache_before = default_service().counter_snapshot()
     try:
         try:
             trajectory = run_trajectory(scn.market, dspec)
@@ -1108,12 +1113,12 @@ def build_cache_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "action",
-        choices=("stats", "path", "clear", "prune", "rebuild-index"),
+        choices=("stats", "path", "clear", "prune"),
         help="stats: entry count and footprint (JSON); path: the store "
         "directory; clear: remove every stored artifact; prune: sweep "
-        "stray temp files and orphaned artifacts, optionally evicting "
-        "oldest entries past --max-entries/--max-bytes; rebuild-index: "
-        "rescan the entries and rewrite the derived index.json catalog",
+        "stray temp files and leftovers of the older two-file format, "
+        "optionally evicting oldest entries past "
+        "--max-entries/--max-bytes",
     )
     parser.add_argument(
         "--cache-dir",
@@ -1180,18 +1185,6 @@ def _main_cache(argv: Sequence[str]) -> int:
             print(str(exc), file=sys.stderr)
             return 2
         print(json.dumps({"path": str(store.path), **summary}, indent=2))
-    elif args.action == "rebuild-index":
-        index = store.rebuild_index()
-        print(
-            json.dumps(
-                {
-                    "path": str(store.path),
-                    "index": str(store.index_path),
-                    "entries": len(index["entries"]),
-                },
-                indent=2,
-            )
-        )
     else:
         removed = store.clear()
         noun = "entry" if removed == 1 else "entries"
@@ -1458,7 +1451,7 @@ def _main_campaign(argv: Sequence[str]) -> int:
         try:
             campaign = spec.digest()
             if args.action == "run":
-                cache_before = service.stats()
+                cache_before = service.counter_snapshot()
                 try:
                     report = run_campaign(
                         spec,
@@ -1918,7 +1911,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 2
     refine = _resolve_refine_spec(parser, args)
     service_changed = _apply_runtime_options(parser, args)
-    cache_before = default_service().stats()
+    cache_before = default_service().counter_snapshot()
     try:
         results = run_experiments(
             names,

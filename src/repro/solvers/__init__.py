@@ -20,21 +20,10 @@ from repro.solvers.batch_rootfind import (
     expand_bracket_batch,
     newton_polish_batch,
 )
-from repro.solvers.differentiation import (
-    derivative,
-    gradient,
-    jacobian,
-    second_derivative,
-)
-from repro.solvers.fixed_point import (
-    FixedPointResult,
-    anderson_fixed_point,
-    damped_fixed_point,
-)
+from repro.solvers.differentiation import derivative, jacobian
 from repro.solvers.projection import clip_scalar, project_box
 from repro.solvers.rootfind import (
     BracketResult,
-    bisect_increasing,
     bracket_increasing,
     solve_increasing,
 )
@@ -46,32 +35,25 @@ from repro.solvers.scalar_opt import (
     golden_section_maximize,
     grid_polish_maximize,
 )
-from repro.solvers.vi import VIResult, extragradient_box, projection_method_box
+from repro.solvers.vi import VIResult, extragradient_box
 
 __all__ = [
     "BracketResult",
     "CertifiedMax",
-    "FixedPointResult",
     "ScalarMaxResult",
     "VIResult",
-    "anderson_fixed_point",
-    "bisect_increasing",
     "bisect_interval",
     "bracket_increasing",
     "bracketed_root_batch",
     "certified_maximize",
     "clip_scalar",
-    "damped_fixed_point",
     "derivative",
     "expand_bracket_batch",
     "extragradient_box",
     "golden_section_maximize",
-    "gradient",
     "grid_polish_maximize",
     "jacobian",
     "newton_polish_batch",
     "project_box",
-    "projection_method_box",
-    "second_derivative",
     "solve_increasing",
 ]

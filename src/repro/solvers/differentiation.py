@@ -1,4 +1,4 @@
-"""Finite-difference derivatives, gradients and Jacobians.
+"""Finite-difference derivatives and Jacobians.
 
 Theorems 1, 2, 6, 7 and 8 of the paper are comparative-statics formulas. The
 library implements each formula analytically *and* validates it against the
@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["derivative", "second_derivative", "gradient", "jacobian"]
+__all__ = ["derivative", "jacobian"]
 
 #: Cube root of machine epsilon — the optimal central-difference step scale.
 _STEP_SCALE = float(np.finfo(float).eps) ** (1.0 / 3.0)
@@ -36,41 +36,6 @@ def derivative(
     """Central-difference first derivative ``f'(x)``."""
     h = _step_for(x, rel_step)
     return (func(x + h) - func(x - h)) / (2.0 * h)
-
-
-def second_derivative(
-    func: Callable[[float], float],
-    x: float,
-    *,
-    rel_step: float | None = None,
-) -> float:
-    """Central-difference second derivative ``f''(x)``.
-
-    Uses a larger step (fourth root of eps) since the truncation/rounding
-    trade-off differs from the first derivative.
-    """
-    scale = rel_step if rel_step is not None else float(np.finfo(float).eps) ** 0.25
-    h = scale * max(1.0, abs(x))
-    return (func(x + h) - 2.0 * func(x) + func(x - h)) / (h * h)
-
-
-def gradient(
-    func: Callable[[np.ndarray], float],
-    x: np.ndarray,
-    *,
-    rel_step: float | None = None,
-) -> np.ndarray:
-    """Central-difference gradient of a scalar field."""
-    x = np.asarray(x, dtype=float)
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        h = _step_for(x[i], rel_step)
-        forward = x.copy()
-        backward = x.copy()
-        forward[i] += h
-        backward[i] -= h
-        grad[i] = (func(forward) - func(backward)) / (2.0 * h)
-    return grad
 
 
 def jacobian(

@@ -19,7 +19,6 @@ from repro.exceptions import BracketError
 __all__ = [
     "BracketResult",
     "bracket_increasing",
-    "bisect_increasing",
     "solve_increasing",
 ]
 
@@ -94,38 +93,6 @@ def bracket_increasing(
         f"no sign change found after {max_expansions} expansions "
         f"(last interval [{lo}, {hi}])"
     )
-
-
-def bisect_increasing(
-    func: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    xtol: float = _DEFAULT_XTOL,
-    max_iter: int = 200,
-) -> float:
-    """Plain bisection on a strictly increasing function.
-
-    Kept alongside the Brent path as an independent cross-check used by the
-    test suite; production code should prefer :func:`solve_increasing`.
-    """
-    if hi < lo:
-        raise ValueError(f"invalid interval [{lo}, {hi}]")
-    f_lo = func(lo)
-    if f_lo >= 0.0:
-        return lo
-    f_hi = func(hi)
-    if f_hi < 0.0:
-        raise BracketError(f"func({hi}) = {f_hi} < 0: interval does not bracket a root")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= xtol:
-            return mid
-        if func(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def solve_increasing(

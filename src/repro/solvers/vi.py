@@ -2,15 +2,10 @@
 
 Theorem 6's proof recasts the Nash equilibrium of the subsidization game as
 the solution of ``VI(F, K)`` with ``F = −u`` (negated marginal utilities) and
-``K = [0, q]^N``, following Facchinei & Pang. We implement two classical
-first-order schemes:
-
-* the *projection method* ``x ← Π_K(x − γ F(x))`` — linearly convergent when
-  ``F`` is strongly monotone (the paper's P-function condition (10) is the
-  non-smooth analogue), and
-* the *extragradient method* of Korpelevich — convergent under plain
-  monotonicity, used as the robust fallback and as an independent
-  cross-check of the best-response solver.
+``K = [0, q]^N``, following Facchinei & Pang. We implement the
+*extragradient method* of Korpelevich — convergent under plain
+monotonicity, used as the robust fallback and as an independent
+cross-check of the best-response solver.
 
 Convergence is measured by the step-size-independent *natural residual*
 ``‖x − Π_K(x − F(x))‖_∞``, which is zero exactly at solutions. The step
@@ -31,7 +26,6 @@ from repro.solvers.projection import project_box
 __all__ = [
     "VIResult",
     "natural_residual",
-    "projection_method_box",
     "extragradient_box",
 ]
 
@@ -72,48 +66,6 @@ def natural_residual(
     if x.size == 0:
         return 0.0
     return float(np.max(np.abs(x - project_box(x - fx, lo, hi))))
-
-
-def projection_method_box(
-    operator: Callable[[np.ndarray], np.ndarray],
-    x0: np.ndarray,
-    lo: np.ndarray | float,
-    hi: np.ndarray | float,
-    *,
-    step: float = 0.25,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-    shrink: float = 0.5,
-    min_step: float = 1e-6,
-    raise_on_failure: bool = True,
-) -> VIResult:
-    """Projected-operator (basic projection) method for VI(F, box).
-
-    ``x ← Π_K(x − γ·F(x))`` with the divergence-guarded step described in
-    the module docstring. Requires strong monotonicity of ``F`` for
-    guaranteed convergence; prefer :func:`extragradient_box` when unsure.
-    """
-    x = project_box(np.asarray(x0, dtype=float), lo, hi)
-    gamma = step
-    previous_residual = np.inf
-    residual = np.inf
-    for iteration in range(1, max_iter + 1):
-        fx = np.asarray(operator(x), dtype=float)
-        residual = natural_residual(fx, x, lo, hi)
-        if residual <= tol:
-            return VIResult(x, iteration, residual, True)
-        if residual > previous_residual * 1.5 and gamma > min_step:
-            gamma = max(gamma * shrink, min_step)
-        previous_residual = residual
-        x = project_box(x - gamma * fx, lo, hi)
-    if raise_on_failure:
-        raise ConvergenceError(
-            f"projection method not converged in {max_iter} iterations "
-            f"(residual {residual:.3e})",
-            iterations=max_iter,
-            residual=residual,
-        )
-    return VIResult(x, max_iter, residual, False)
 
 
 def extragradient_box(

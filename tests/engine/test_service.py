@@ -100,6 +100,37 @@ class TestTwoTierResolution:
         assert stats["store"]["entries"] == 1
         assert SolveService().stats()["store"] is None
 
+    def test_counter_snapshot_matches_stats_without_the_footprint(
+        self, tmp_path
+    ):
+        service = SolveService(cache=SolveCache(), store=SolveStore(tmp_path))
+        service.run(_square_task(1.0))
+        service.clear_memory()
+        service.run(_square_task(1.0))
+        snapshot = service.counter_snapshot()
+        stats = service.stats()
+        for key in ("memory_hits", "store_hits", "computed"):
+            assert snapshot[key] == stats[key]
+        assert snapshot["store_hits"] == 1 and snapshot["computed"] == 1
+        assert snapshot["store"] == {
+            key: stats["store"][key] for key in snapshot["store"]
+        }
+        assert "entries" not in snapshot["store"]
+        assert SolveService().counter_snapshot()["store"] is None
+
+    def test_counter_snapshot_never_walks_the_store(
+        self, tmp_path, monkeypatch
+    ):
+        service = SolveService(cache=SolveCache(), store=SolveStore(tmp_path))
+        service.run(_square_task(2.0))
+
+        def no_walk(store):
+            raise AssertionError("counter_snapshot walked the store")
+
+        monkeypatch.setattr(SolveStore, "_scan", no_walk)
+        monkeypatch.setattr(SolveStore, "stats", no_walk)
+        assert service.counter_snapshot()["store"]["writes"] == 1
+
     def test_reset_counters(self, tmp_path):
         service = SolveService(cache=SolveCache(), store=SolveStore(tmp_path))
         service.run(_square_task(1.0))

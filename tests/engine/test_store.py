@@ -26,19 +26,57 @@ def solved_row():
     )
 
 
-def entry_files(root):
-    """(manifests, arrays) across both the sharded and flat layouts."""
-    manifests = sorted(
-        p for p in root.rglob("*.json") if len(p.stem) == 64
-    )
-    arrays = sorted(p for p in root.rglob("*.npz") if len(p.stem) == 64)
-    return manifests, arrays
+def sole_entry(root):
+    """The one entry file under ``root``."""
+    entries = [p for p in root.rglob("*") if p.is_file() and p.name != ".lock"]
+    assert len(entries) == 1
+    return entries[0]
 
 
-def sole_manifest(root):
-    manifests, _ = entry_files(root)
-    assert len(manifests) == 1
-    return manifests[0]
+def rewrite_entry(path, edit):
+    """Rewrite an entry file in place after ``edit`` mutates its members."""
+    with np.load(path) as payload:
+        members = {name: payload[name] for name in payload.files}
+    edit(members)
+    with open(path, "wb") as handle:
+        np.savez(handle, **members)
+
+
+def set_manifest_bytes(raw):
+    def edit(members):
+        members["__manifest__"] = np.frombuffer(raw, dtype=np.uint8)
+
+    return edit
+
+
+def edit_manifest(**changes):
+    def edit(members):
+        manifest = json.loads(members["__manifest__"].tobytes())
+        set_manifest_bytes(json.dumps({**manifest, **changes}).encode())(
+            members
+        )
+
+    return edit
+
+
+def drop_member(name):
+    return lambda members: members.pop(name)
+
+
+def old_format_put(root, key, value, *, codec, flat=False):
+    """Write ``key`` as the older two-file format did: a version-1
+    ``.json`` manifest beside an ``.npz`` of the bare arrays, in the
+    key's shard or (``flat``) directly under the root."""
+    meta, arrays = CODECS[codec][0](value)
+    digest = key_digest(key)
+    directory = root if flat else root / digest[:2]
+    directory.mkdir(parents=True, exist_ok=True)
+    if arrays:
+        with open(directory / f"{digest}.npz", "wb") as handle:
+            np.savez(handle, **arrays)
+    manifest = {"version": 1, "codec": codec, "meta": meta,
+                "arrays": sorted(arrays)}
+    (directory / f"{digest}.json").write_text(json.dumps(manifest))
 
 
 def assert_rows_bitwise_equal(a, b):
@@ -153,17 +191,12 @@ class TestRoundTrip:
 class TestCorruptionTolerance:
     """Bad entry -> miss, never crash; recompute-and-put repairs."""
 
-    def _entry_paths(self, tmp_path):
-        manifests, arrays = entry_files(tmp_path)
-        assert len(manifests) == 1 and len(arrays) == 1
-        return manifests[0], arrays[0]
-
     def test_truncated_npz_is_a_miss_then_repairable(self, tmp_path):
         store = SolveStore(tmp_path)
         row = solved_row()
         key = ("row", 1)
         store.put(key, row, codec="grid-row")
-        _, npz = self._entry_paths(tmp_path)
+        npz = sole_entry(tmp_path)
         npz.write_bytes(npz.read_bytes()[:20])
         assert store.get(key) is None
         assert store.misses == 1
@@ -174,33 +207,42 @@ class TestCorruptionTolerance:
     def test_garbage_manifest_is_a_miss(self, tmp_path):
         store = SolveStore(tmp_path)
         store.put(("k",), solved_row(), codec="grid-row")
-        manifest, _ = self._entry_paths(tmp_path)
-        manifest.write_text("{not json at all")
+        rewrite_entry(sole_entry(tmp_path), set_manifest_bytes(b"{not json"))
+        assert store.get(("k",)) is None
+
+    def test_missing_manifest_member_is_a_miss(self, tmp_path):
+        store = SolveStore(tmp_path)
+        store.put(("k",), solved_row(), codec="grid-row")
+        rewrite_entry(sole_entry(tmp_path), drop_member("__manifest__"))
         assert store.get(("k",)) is None
 
     def test_manifest_without_arrays_is_a_miss(self, tmp_path):
         store = SolveStore(tmp_path)
         store.put(("k",), solved_row(), codec="grid-row")
-        _, npz = self._entry_paths(tmp_path)
-        npz.unlink()
+        rewrite_entry(sole_entry(tmp_path), drop_member("subsidies"))
         assert store.get(("k",)) is None
 
     def test_version_skew_is_a_miss(self, tmp_path):
         store = SolveStore(tmp_path)
         store.put(("k",), {"v": 1}, codec="json")
-        manifest = sole_manifest(tmp_path)
-        payload = json.loads(manifest.read_text())
-        payload["version"] = 999
-        manifest.write_text(json.dumps(payload))
+        rewrite_entry(sole_entry(tmp_path), edit_manifest(version=999))
         assert store.get(("k",)) is None
 
     def test_unknown_codec_in_manifest_is_a_miss(self, tmp_path):
         store = SolveStore(tmp_path)
         store.put(("k",), {"v": 1}, codec="json")
-        manifest = sole_manifest(tmp_path)
-        payload = json.loads(manifest.read_text())
-        payload["codec"] = "no-such-codec"
-        manifest.write_text(json.dumps(payload))
+        rewrite_entry(sole_entry(tmp_path), edit_manifest(codec="no-codec"))
+        assert store.get(("k",)) is None
+
+    def test_pickled_member_is_a_miss(self, tmp_path):
+        # Entries load with allow_pickle off: an object array is refused.
+        store = SolveStore(tmp_path)
+        store.put(("k",), {"x": np.arange(3.0)}, codec="ndarrays")
+
+        def pickled(members):
+            members["v.x"] = np.array([object()], dtype=object)
+
+        rewrite_entry(sole_entry(tmp_path), pickled)
         assert store.get(("k",)) is None
 
     def test_unwritable_root_degrades_to_no_store(self, tmp_path):
@@ -246,6 +288,50 @@ class TestMaintenance:
         assert stats["path"] == str(tmp_path)
         assert {"hits", "misses", "writes", "write_errors"} <= set(stats)
 
+    def test_stats_carries_no_flat_layout_key(self, tmp_path):
+        store = SolveStore(tmp_path)
+        store.put(("a",), {"v": 1}, codec="json")
+        assert set(store.stats()) == {
+            "path", "entries", "shards", "bytes", *store.counters(),
+        }
+
+    def test_counters_do_not_walk_the_store(self, tmp_path, monkeypatch):
+        store = SolveStore(tmp_path)
+        store.put(("a",), {"v": 1}, codec="json")
+        store.get(("a",))
+        store.get(("b",))
+
+        def no_walk(self):
+            raise AssertionError("counters() walked the store")
+
+        monkeypatch.setattr(SolveStore, "_scan", no_walk)
+        counters = store.counters()
+        assert (counters["hits"], counters["misses"], counters["writes"]) == (
+            1, 1, 1,
+        )
+
+    def test_len_counts_committed_entries_only(self, tmp_path):
+        store = SolveStore(tmp_path)
+        store.put(("a",), {"v": 1}, codec="json")
+        shard = sole_entry(tmp_path).parent
+        (shard / "tmpwriter.tmp").write_bytes(b"half written")
+        (shard / ("e" * 64 + ".json")).write_text("{}")
+        (tmp_path / ("d" * 64 + ".npz")).write_bytes(b"flat leftover")
+        assert len(store) == 1
+        assert store.stats()["entries"] == 1
+
+    def test_clear_leaves_foreign_files_alone(self, tmp_path):
+        store = SolveStore(tmp_path)
+        store.put(("a",), {"v": 1}, codec="json")
+        (tmp_path / "notes.json").write_text("{}")
+        (tmp_path / "data.npz").write_bytes(b"not a store entry")
+        (tmp_path / "ab").mkdir(exist_ok=True)
+        (tmp_path / "ab" / "keep.txt").write_text("mine")
+        assert store.clear() == 1
+        assert (tmp_path / "notes.json").read_text() == "{}"
+        assert (tmp_path / "data.npz").exists()
+        assert (tmp_path / "ab" / "keep.txt").read_text() == "mine"
+
     def test_from_env(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         assert SolveStore.from_env() is None
@@ -257,63 +343,24 @@ class TestMaintenance:
         assert set(CODECS) == {"grid-row", "ndarrays", "json"}
 
 
-def flat_put(root, key, value, *, codec):
-    """Write an entry in the pre-sharding flat layout (legacy stores)."""
-    staging = SolveStore(root / "_staging")
-    assert staging.put(key, value, codec=codec)
-    digest = key_digest(key)
-    for suffix in (".npz", ".json"):
-        sharded = root / "_staging" / digest[:2] / f"{digest}{suffix}"
-        if sharded.is_file():
-            sharded.rename(root / f"{digest}{suffix}")
-    return digest
-
-
 class TestShardedLayout:
     def test_entries_land_in_first_byte_shards(self, tmp_path):
         store = SolveStore(tmp_path)
         key = ("sharded", 1)
         store.put(key, {"v": 1}, codec="json")
         digest = key_digest(key)
-        assert (tmp_path / digest[:2] / f"{digest}.json").is_file()
-        assert not (tmp_path / f"{digest}.json").exists()
-
-    def test_flat_legacy_entry_reads_and_migrates(self, tmp_path):
-        key = ("legacy", 1)
-        row = solved_row()
-        digest = flat_put(tmp_path, key, row, codec="grid-row")
-        store = SolveStore(tmp_path)
-        loaded = store.get(key)
-        assert_rows_bitwise_equal(row, loaded)
-        assert store.hits == 1
-        # The hit migrated the entry into its shard.
-        assert (tmp_path / digest[:2] / f"{digest}.json").is_file()
         assert (tmp_path / digest[:2] / f"{digest}.npz").is_file()
-        assert not (tmp_path / f"{digest}.json").exists()
         assert not (tmp_path / f"{digest}.npz").exists()
-        # And it still reads after migration.
-        assert_rows_bitwise_equal(row, store.get(key))
 
-    def test_put_shadows_flat_predecessor(self, tmp_path):
-        key = ("shadow", 1)
-        digest = flat_put(tmp_path, key, {"v": "old"}, codec="json")
+    def test_put_leaves_one_file_in_its_shard(self, tmp_path):
         store = SolveStore(tmp_path)
-        store.put(key, {"v": "new"}, codec="json")
-        assert store.get(key)["v"] == "new"
-        assert not (tmp_path / f"{digest}.json").exists()
-        assert len(store) == 1
-
-    def test_len_clear_and_stats_span_both_layouts(self, tmp_path):
-        flat_put(tmp_path, ("flat",), {"v": 1}, codec="json")
-        store = SolveStore(tmp_path)
-        store.put(("sharded",), {"v": 2}, codec="json")
-        assert len(store) == 2
-        stats = store.stats()
-        assert stats["entries"] == 2
-        assert stats["flat_entries"] == 1
-        assert stats["shards"] >= 1
-        assert store.clear() == 2
-        assert len(store) == 0
+        key = ("one-file", 1)
+        assert store.put(key, solved_row(), codec="grid-row")
+        digest = key_digest(key)
+        shard = tmp_path / digest[:2]
+        assert [p.name for p in shard.iterdir()] == [f"{digest}.npz"]
+        assert store.put(key, solved_row(), codec="grid-row")  # overwrite
+        assert [p.name for p in shard.iterdir()] == [f"{digest}.npz"]
 
     def test_corrupt_sharded_entry_is_a_miss(self, tmp_path):
         store = SolveStore(tmp_path)
@@ -328,37 +375,98 @@ class TestShardedLayout:
         assert store.get(key) is not None
 
 
-class TestIndex:
-    def test_rebuild_index_matches_directory_scan(self, tmp_path):
+class TestEntryFormat:
+    def test_manifest_member_names_codec_version_and_arrays(self, tmp_path):
         store = SolveStore(tmp_path)
-        store.put(("a",), {"v": 1}, codec="json")
-        store.put(("b",), solved_row(), codec="grid-row")
-        flat_put(tmp_path, ("c",), {"v": 3}, codec="json")
-        index = store.rebuild_index()
-        assert set(index["entries"]) == set(store.scan_entries())
-        assert len(index["entries"]) == 3
-        for record in index["entries"].values():
-            assert record["codec"] in CODECS
-            assert record["bytes"] > 0
-        # The written catalog round-trips.
-        assert store.load_index() == index
+        store.put(("k",), {"x": np.arange(3.0), "y": np.ones(2)}, codec="ndarrays")
+        with np.load(sole_entry(tmp_path), allow_pickle=False) as payload:
+            members = set(payload.files)
+            raw = payload["__manifest__"]
+            manifest = json.loads(raw.tobytes())
+        assert raw.dtype == np.uint8
+        assert manifest == {
+            "version": 2,
+            "codec": "ndarrays",
+            "meta": {"names": ["x", "y"]},
+            "arrays": ["v.x", "v.y"],
+        }
+        assert members == {"__manifest__", "v.x", "v.y"}
 
-    def test_load_index_absent_or_garbage_is_none(self, tmp_path):
+    def test_grid_row_entry_holds_no_object_arrays(self, tmp_path):
         store = SolveStore(tmp_path)
-        assert store.load_index() is None
-        tmp_path.mkdir(exist_ok=True)
-        store.index_path.write_text("{broken")
-        assert store.load_index() is None
+        store.put(("row",), solved_row(), codec="grid-row")
+        with np.load(sole_entry(tmp_path), allow_pickle=False) as payload:
+            dtypes = {name: payload[name].dtype for name in payload.files}
+        assert all(dtype != object for dtype in dtypes.values())
+        assert dtypes["iterations"] == np.int64
 
-    def test_index_never_shadows_entries(self, tmp_path):
-        # index.json is not digest-named, so clear/len ignore it as an
-        # entry but clear still removes the stale catalog.
+    def test_json_codec_entry_is_one_file_holding_only_the_manifest(
+        self, tmp_path
+    ):
         store = SolveStore(tmp_path)
-        store.put(("a",), {"v": 1}, codec="json")
-        store.rebuild_index()
-        assert len(store) == 1
-        store.clear()
-        assert not store.index_path.exists()
+        store.put(("j",), {"after": [1, 2.5]}, codec="json")
+        entry = sole_entry(tmp_path)
+        assert entry.suffix == ".npz"
+        with np.load(entry, allow_pickle=False) as payload:
+            assert payload.files == ["__manifest__"]
+        assert store.get(("j",)) == {"after": [1, 2.5]}
+
+    def test_failed_commit_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        import os as _os
+
+        store = SolveStore(tmp_path)
+
+        def failing_replace(src, dst):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(_os, "replace", failing_replace)
+        assert store.put(("k",), {"v": 1}, codec="json") is False
+        assert store.write_errors == 1 and store.writes == 0
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+        monkeypatch.undo()
+        assert store.put(("k",), {"v": 1}, codec="json")
+        assert store.get(("k",)) == {"v": 1}
+
+
+class TestOldFormat:
+    """Stores of the older two-file format miss, heal and clear."""
+
+    KEYS = [(("old", i), {"v": [i, 0.1 + i]}, "json") for i in range(2)] + [
+        (("old-row", i), None, "grid-row") for i in range(2)
+    ]
+
+    def _populate(self, root):
+        for i, (key, value, codec) in enumerate(self.KEYS):
+            value = solved_row() if value is None else value
+            old_format_put(root, key, value, codec=codec, flat=i % 2 == 1)
+
+    def test_reads_as_misses_recompute_overwrites_and_clear_empties(
+        self, tmp_path
+    ):
+        self._populate(tmp_path)
+        store = SolveStore(tmp_path)
+        for key, _, _ in self.KEYS:
+            assert store.get(key) is None
+        assert store.misses == len(self.KEYS) and store.hits == 0
+        for key, value, codec in self.KEYS:
+            value = solved_row() if value is None else value
+            assert store.put(key, value, codec=codec)
+        assert store.get(("old", 1))["v"] == [1, 1.1]
+        assert_rows_bitwise_equal(solved_row(), store.get(("old-row", 0)))
+        assert len(store) == store.stats()["entries"] == len(self.KEYS)
+        assert store.clear() == len(self.KEYS)
+        assert [p.name for p in tmp_path.rglob("*")] == [".lock"]
+
+    def test_prune_sweeps_the_leftovers(self, tmp_path):
+        self._populate(tmp_path)
+        leftovers = len(list(tmp_path.rglob("*.json"))) + len(
+            list(tmp_path.glob("*.npz"))
+        )
+        store = SolveStore(tmp_path)
+        summary = store.prune()
+        assert summary == {"entries": 0, "orphans": leftovers, "temp_files": 0}
+        assert not list(tmp_path.rglob("*.json"))
+        assert not list(tmp_path.glob("*.npz"))
 
 
 class TestPrune:
@@ -367,12 +475,21 @@ class TestPrune:
         store.put(("keep",), solved_row(), codec="grid-row")
         digest = key_digest(("keep",))
         shard = tmp_path / digest[:2]
-        # An orphan artifact: a writer died before the manifest rename.
-        (shard / ("f" * 64 + ".npz")).write_bytes(b"partial")
+        # An orphan: a manifest left over from the older two-file format.
+        (shard / ("f" * 64 + ".json")).write_text("{}")
         (shard / "tmpabc123.tmp").write_bytes(b"scratch")
         summary = store.prune()
         assert summary == {"entries": 0, "orphans": 1, "temp_files": 1}
         assert store.get(("keep",)) is not None
+
+    def test_root_level_digest_npz_is_an_orphan(self, tmp_path):
+        store = SolveStore(tmp_path)
+        store.put(("keep",), {"v": 1}, codec="json")
+        flat = tmp_path / ("c" * 64 + ".npz")
+        flat.write_bytes(b"older flat layout")
+        assert store.prune() == {"entries": 0, "orphans": 1, "temp_files": 0}
+        assert not flat.exists()
+        assert store.get(("keep",)) == {"v": 1}
 
     def test_prune_max_entries_evicts_oldest(self, tmp_path):
         import os as _os
@@ -381,10 +498,10 @@ class TestPrune:
         for i in range(4):
             key = (f"k{i}",)
             store.put(key, {"v": i}, codec="json")
-            manifest = tmp_path / key_digest(key)[:2] / (
-                key_digest(key) + ".json"
+            entry = tmp_path / key_digest(key)[:2] / (
+                key_digest(key) + ".npz"
             )
-            _os.utime(manifest, (1000.0 + i, 1000.0 + i))
+            _os.utime(entry, (1000.0 + i, 1000.0 + i))
         summary = store.prune(max_entries=2)
         assert summary["entries"] == 2
         assert len(store) == 2

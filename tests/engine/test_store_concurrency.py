@@ -4,21 +4,20 @@ The serve daemon's load story rests on two claims about
 :class:`~repro.engine.store.SolveStore`:
 
 * **Many concurrent writers are safe.** N processes hammering one store
-  with overlapping key sets leave no torn entries (every committed
-  manifest decodes), no duplicates (one entry per distinct key), and a
-  directory tree the index rebuild reproduces exactly — after which a
-  warm replay of the whole key set performs zero solves.
+  with overlapping key sets leave no torn entries (every key reads back),
+  no duplicates (one entry file per distinct key) and no stray temp
+  files — after which a warm replay of the whole key set performs zero
+  solves.
 * **Any corruption is a miss, never a crash.** The parametrized matrix
-  covers truncated artifacts, mismatched sidecars, version skew, unknown
-  codecs and a writer genuinely killed between the artifact and its
-  sidecar; every case must miss-and-recompute on the sharded layout,
+  covers a truncated file, a garbage or missing manifest member, version
+  skew, an unknown codec, a missing array member and a writer genuinely
+  killed before its commit rename; every case must miss-and-recompute,
   under the numpy and compiled backends alike.
 
 Heavy variants (more processes, more keys) are marked ``slow`` and run
 only when ``$REPRO_SLOW_TESTS`` is set (see ``tests/conftest.py``).
 """
 
-import json
 import multiprocessing
 import os
 
@@ -28,7 +27,12 @@ import pytest
 from repro.backend import available_backends, use_backend
 from repro.engine import SolveCache, SolveService, SolveStore, key_digest
 from repro.engine.service import SolveTask, _effective_key
-from repro.engine.store import CODECS
+from tests.engine.test_store import (
+    drop_member,
+    edit_manifest,
+    rewrite_entry,
+    set_manifest_bytes,
+)
 
 
 def _backends() -> list[str]:
@@ -71,22 +75,14 @@ def _writer(root: str, indices: list[int]) -> None:
 
 
 def _crashing_writer(root: str, i: int) -> None:
-    """A writer killed between the artifact and its sidecar.
+    """A writer killed before its commit rename.
 
-    Patches the store's atomic-write helper so the manifest rename —
-    the commit point — never happens: the process dies with the ``.npz``
-    on disk and no ``.json``, the exact footprint of a mid-write crash.
+    Patches ``os.replace`` in this child so the rename — the commit
+    point — never happens: the process dies with the fully written temp
+    file on disk and no entry, the exact footprint of a mid-write crash.
     """
-    store = SolveStore(root)
-    original = store._write_atomic
-
-    def dying(directory, path, write):
-        if str(path).endswith(".json"):
-            os._exit(1)
-        return original(directory, path, write)
-
-    store._write_atomic = dying
-    store.put(_key_for(i), _value_for(i), codec="ndarrays")
+    os.replace = lambda src, dst: os._exit(1)
+    SolveStore(root).put(_key_for(i), _value_for(i), codec="ndarrays")
     os._exit(0)  # unreachable
 
 
@@ -114,7 +110,7 @@ def _overlapping_slices(keys: int, writers: int) -> list[list[int]]:
 
 
 def _assert_settled(root, keys: int) -> None:
-    """No torn entries, no duplicates, index == scan, replay == 0 solves."""
+    """No torn entries, no duplicates, no stray temp files."""
     store = SolveStore(root)
     # Every key decodes to exactly the content any single writer produced.
     for i in range(keys):
@@ -126,12 +122,12 @@ def _assert_settled(root, keys: int) -> None:
     # One committed entry per key — concurrent writers never duplicated.
     assert len(store) == keys
     assert store.stats()["entries"] == keys
-    # The rebuilt index is exactly the directory scan.
-    index = store.rebuild_index()
-    scan = store.scan_entries()
-    assert index["entries"] == scan
-    assert set(scan) == {key_digest(_key_for(i)) for i in range(keys)}
-    assert store.load_index() == index
+    # The files on disk are exactly the keys' entries: every writer
+    # renamed its temp file into place or removed it.
+    assert {p.name for p in root.rglob("*.npz")} == {
+        f"{key_digest(_key_for(i))}.npz" for i in range(keys)
+    }
+    assert not list(root.rglob("*.tmp"))
 
 
 class TestConcurrentWriters:
@@ -170,49 +166,32 @@ class TestConcurrentWriters:
         _assert_settled(tmp_path, keys)
 
 
-def _corrupt_truncate_npz(root, digest):
-    path = root / digest[:2] / f"{digest}.npz"
+def _entry(root, digest):
+    return root / digest[:2] / f"{digest}.npz"
+
+
+def _corrupt_truncate(root, digest):
+    path = _entry(root, digest)
     path.write_bytes(path.read_bytes()[:24])
 
 
-def _corrupt_mismatched_sidecar(root, digest):
-    # The manifest promises arrays the artifact does not hold.
-    path = root / digest[:2] / f"{digest}.json"
-    manifest = json.loads(path.read_text())
-    manifest["arrays"] = ["v.v", "v.i", "v.ghost"]
-    manifest["meta"]["names"] = ["v", "i", "ghost"]
-    path.write_text(json.dumps(manifest))
-
-
-def _corrupt_version_skew(root, digest):
-    path = root / digest[:2] / f"{digest}.json"
-    manifest = json.loads(path.read_text())
-    manifest["version"] = 999
-    path.write_text(json.dumps(manifest))
-
-
-def _corrupt_unknown_codec(root, digest):
-    path = root / digest[:2] / f"{digest}.json"
-    manifest = json.loads(path.read_text())
-    manifest["codec"] = "not-a-codec"
-    path.write_text(json.dumps(manifest))
-
-
-def _corrupt_garbage_manifest(root, digest):
-    (root / digest[:2] / f"{digest}.json").write_text("{torn mid-write")
-
-
-def _corrupt_missing_artifact(root, digest):
-    (root / digest[:2] / f"{digest}.npz").unlink()
-
-
 CORRUPTIONS = {
-    "truncated-npz": _corrupt_truncate_npz,
-    "mismatched-sidecar": _corrupt_mismatched_sidecar,
-    "version-skew": _corrupt_version_skew,
-    "unknown-codec": _corrupt_unknown_codec,
-    "garbage-manifest": _corrupt_garbage_manifest,
-    "missing-artifact": _corrupt_missing_artifact,
+    "truncated-file": _corrupt_truncate,
+    "garbage-manifest": lambda root, digest: rewrite_entry(
+        _entry(root, digest), set_manifest_bytes(b"{torn mid-write")
+    ),
+    "missing-manifest": lambda root, digest: rewrite_entry(
+        _entry(root, digest), drop_member("__manifest__")
+    ),
+    "version-skew": lambda root, digest: rewrite_entry(
+        _entry(root, digest), edit_manifest(version=999)
+    ),
+    "unknown-codec": lambda root, digest: rewrite_entry(
+        _entry(root, digest), edit_manifest(codec="not-a-codec")
+    ),
+    "missing-array": lambda root, digest: rewrite_entry(
+        _entry(root, digest), drop_member("v.i")
+    ),
 }
 
 
@@ -247,24 +226,26 @@ class TestFaultInjection:
             )
             proc.start()
             proc.join(120)
-            assert proc.exitcode == 1  # died between artifact and sidecar
-            digest = key_digest(_key_for(7))
-            assert (tmp_path / digest[:2] / f"{digest}.npz").is_file()
-            assert not (tmp_path / digest[:2] / f"{digest}.json").exists()
+            assert proc.exitcode == 1  # died before the commit rename
+            shard = tmp_path / key_digest(_key_for(7))[:2]
+            (leftover,) = shard.iterdir()
+            assert leftover.name.startswith("tmp")
+            assert leftover.suffix == ".tmp"
             store = SolveStore(tmp_path)
             assert store.get(_key_for(7)) is None  # uncommitted = miss
             assert len(store) == 0
-            # prune sweeps the orphan; a recompute then lands cleanly.
-            assert store.prune()["orphans"] == 1
-            assert not (tmp_path / digest[:2] / f"{digest}.npz").exists()
+            # prune sweeps the temp file; a recompute then lands cleanly.
+            summary = store.prune()
+            assert summary == {"entries": 0, "orphans": 0, "temp_files": 1}
+            assert not leftover.exists()
             assert store.put(_key_for(7), _value_for(7), codec="ndarrays")
             assert store.get(_key_for(7)) is not None
 
 
 class TestMaintenanceUnderLock:
-    def test_concurrent_rebuilds_and_writes(self, tmp_path):
-        """Index rebuilds racing writers must never crash and the final
-        rebuild must match the final tree."""
+    def test_concurrent_prunes_and_writes(self, tmp_path):
+        """Locked sweeps and footprint walks racing writers never crash,
+        and the store settles to every key once."""
         keys = 16
         writers = _overlapping_slices(keys, 3)
         procs = [
@@ -274,10 +255,33 @@ class TestMaintenanceUnderLock:
         for proc in procs:
             proc.start()
         store = SolveStore(tmp_path)
-        for _ in range(10):  # rebuild while writers are live
-            store.rebuild_index()
+        for _ in range(10):  # sweep while writers are live
+            store.prune()
+            store.stats()
         for proc in procs:
             proc.join(120)
             assert proc.exitcode == 0
         _writer(str(tmp_path), list(range(keys)))
         _assert_settled(tmp_path, keys)
+
+    def test_concurrent_clears_and_writes(self, tmp_path):
+        """Locked clears racing writers never crash a writer, and a
+        straggler pass settles the store to every key once."""
+        keys = 16
+        writers = _overlapping_slices(keys, 3)
+        procs = [
+            _CTX.Process(target=_writer, args=(str(tmp_path), list(chunk)))
+            for chunk in writers
+        ]
+        for proc in procs:
+            proc.start()
+        store = SolveStore(tmp_path)
+        for _ in range(10):  # clear while writers are live
+            store.clear()
+        for proc in procs:
+            proc.join(120)
+            assert proc.exitcode == 0
+        _writer(str(tmp_path), list(range(keys)))
+        _assert_settled(tmp_path, keys)
+        assert store.clear() == keys
+        assert len(store) == 0

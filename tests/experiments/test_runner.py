@@ -376,6 +376,46 @@ class TestCacheVerb:
         assert main(["cache", "stats"]) == 2
         assert "no cache directory configured" in capsys.readouterr().err
 
+    def test_rebuild_index_is_an_invalid_choice(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cache", "rebuild-index", "--cache-dir", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_prune_prints_its_summary(self, tmp_path, capsys):
+        from repro.engine import SolveStore, key_digest
+
+        store_dir = tmp_path / "store"
+        store = SolveStore(store_dir)
+        for i in range(3):
+            store.put(("p", i), {"v": i}, codec="json")
+        shard = store_dir / key_digest(("p", 0))[:2]
+        (shard / "tmpdead.tmp").write_bytes(b"killed writer")
+        (shard / ("a" * 64 + ".json")).write_text("{}")
+        args = ["cache", "prune", "--cache-dir", str(store_dir)]
+        assert main([*args, "--max-entries", "1"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "path": str(store_dir),
+            "entries": 2,
+            "orphans": 1,
+            "temp_files": 1,
+        }
+        assert len(SolveStore(store_dir)) == 1
+
+    def test_prune_rejects_a_negative_bound(self, tmp_path, capsys):
+        code = main(
+            ["cache", "prune", "--cache-dir", str(tmp_path), "--max-bytes", "-1"]
+        )
+        assert code == 2
+        assert "non-negative" in capsys.readouterr().err
+
+    def test_bounds_only_apply_to_prune(self, tmp_path, capsys):
+        code = main(
+            ["cache", "clear", "--cache-dir", str(tmp_path), "--max-entries", "1"]
+        )
+        assert code == 2
+        assert "only apply to the prune action" in capsys.readouterr().err
+
 
 class TestCacheFlags:
     def test_warm_store_rerun_reports_zero_solves(self, tmp_path, capsys):
@@ -391,6 +431,26 @@ class TestCacheFlags:
         assert warm["computed"] == 0
         assert warm["store_hits"] > 0
         assert warm["store"]["entries"] == cold["store"]["entries"]
+
+    def test_json_run_walks_the_store_once(self, tmp_path, capsys, monkeypatch):
+        # The summary's "before" snapshot reads counters only; the store's
+        # files are walked once, for the footprint printed at the end.
+        from repro.engine import SolveStore
+
+        walks = []
+        footprint = SolveStore.stats
+
+        def spy(store):
+            walks.append(store.path)
+            return footprint(store)
+
+        monkeypatch.setattr(SolveStore, "stats", spy)
+        store = tmp_path / "store"
+        args = ["all", "--out", str(tmp_path), "--json", "--cache-dir", str(store)]
+        assert main(args) == 0
+        summary = json.loads(capsys.readouterr().out)["cache"]
+        assert walks == [store]
+        assert summary["store"]["entries"] == len(SolveStore(store)) > 0
 
     def test_no_cache_ignores_environment_dir(
         self, tmp_path, monkeypatch, capsys

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
-from repro.solvers.fixed_point import damped_fixed_point
 from repro.solvers.projection import project_box
 from repro.solvers.rootfind import solve_increasing
 from repro.solvers.scalar_opt import golden_section_maximize
+from repro.solvers.vi import extragradient_box, natural_residual
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -30,6 +30,12 @@ class TestRootfindProperties:
         # phi = a * e^{-b phi} always has a unique root; residual must be 0.
         phi = solve_increasing(lambda x: x - a * math.exp(-b * x))
         assert phi == pytest.approx(a * math.exp(-b * phi), abs=1e-9)
+
+    @given(lo=st.floats(-50.0, 50.0), offset=st.floats(1e-3, 1e3))
+    def test_root_above_any_lower_bound(self, lo, offset):
+        root = lo + offset
+        found = solve_increasing(lambda x: math.tanh(x - root), lo=lo)
+        assert found == pytest.approx(root, rel=1e-9, abs=1e-9)
 
 
 class TestProjectionProperties:
@@ -54,18 +60,6 @@ class TestProjectionProperties:
         assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-9
 
 
-class TestFixedPointProperties:
-    @given(
-        factor=st.floats(0.0, 0.9),
-        target=st.floats(-100.0, 100.0),
-    )
-    @settings(max_examples=50)
-    def test_converges_for_any_contraction_factor(self, factor, target):
-        mapping = lambda x: target + factor * (x - target)  # noqa: E731
-        result = damped_fixed_point(mapping, np.array([0.0]), tol=1e-12)
-        assert result.x[0] == pytest.approx(target, abs=1e-8)
-
-
 class TestGoldenSectionProperties:
     @given(
         peak=st.floats(-5.0, 5.0),
@@ -78,3 +72,26 @@ class TestGoldenSectionProperties:
             lambda x: -curvature * (x - peak) ** 2, lo, hi
         )
         assert result.x == pytest.approx(peak, abs=1e-7)
+
+
+class TestExtragradientProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        curvature=npst.arrays(float, 3, elements=st.floats(0.2, 3.0)),
+        target=npst.arrays(float, 3, elements=st.floats(-3.0, 3.0)),
+        lo=st.floats(-2.0, 0.0),
+        width=st.floats(0.1, 2.0),
+    )
+    def test_solves_any_separable_strongly_monotone_vi(
+        self, curvature, target, lo, width
+    ):
+        # F(x) = D (x - t) with D > 0 diagonal: the VI solution on the box
+        # is t clipped to it, coordinate by coordinate.
+        hi = lo + width
+        operator = lambda x: curvature * (x - target)  # noqa: E731
+        result = extragradient_box(operator, np.zeros(3), lo, hi, tol=1e-10)
+        assert result.converged
+        assert natural_residual(operator(result.x), result.x, lo, hi) <= 1e-10
+        np.testing.assert_allclose(
+            result.x, np.clip(target, lo, hi), atol=1e-8
+        )

@@ -6,7 +6,7 @@ import pytest
 
 from repro.exceptions import BracketError
 from repro.solvers.rootfind import (
-    bisect_increasing,
+    BracketResult,
     bracket_increasing,
     solve_increasing,
 )
@@ -39,36 +39,18 @@ class TestBracketIncreasing:
         with pytest.raises(ValueError):
             bracket_increasing(lambda x: x, initial_width=0.0)
 
-
-class TestBisectIncreasing:
-    def test_finds_linear_root(self):
-        root = bisect_increasing(lambda x: x - 2.0, 0.0, 10.0, xtol=1e-12)
-        assert root == pytest.approx(2.0, abs=1e-10)
-
-    def test_finds_transcendental_root(self):
-        # x = e^{-x} has the Omega constant as its root.
-        root = bisect_increasing(lambda x: x - math.exp(-x), 0.0, 1.0, xtol=1e-12)
-        assert root == pytest.approx(0.5671432904097838, abs=1e-9)
-
-    def test_returns_lo_when_already_non_negative(self):
-        assert bisect_increasing(lambda x: x + 5.0, 0.0, 1.0) == 0.0
-
-    def test_raises_without_sign_change(self):
-        with pytest.raises(BracketError):
-            bisect_increasing(lambda x: x - 100.0, 0.0, 1.0)
-
-    def test_rejects_inverted_interval(self):
-        with pytest.raises(ValueError):
-            bisect_increasing(lambda x: x, 1.0, 0.0)
+    def test_contains_root_reports_the_sign_change(self):
+        bracket = bracket_increasing(lambda x: x - 2.5)
+        assert bracket.contains_root()
+        assert bracket.f_lo == bracket.lo - 2.5
+        assert bracket.f_hi == bracket.hi - 2.5
+        assert not BracketResult(lo=0.0, hi=1.0, f_lo=1.0, f_hi=2.0).contains_root()
 
 
 class TestSolveIncreasing:
-    def test_agrees_with_bisection(self):
-        func = lambda x: x**3 - 7.0  # noqa: E731
-        brent = solve_increasing(func)
-        bisect = bisect_increasing(func, 0.0, 10.0, xtol=1e-13)
-        assert brent == pytest.approx(bisect, abs=1e-9)
-        assert brent == pytest.approx(7.0 ** (1.0 / 3.0), abs=1e-10)
+    def test_finds_cubic_root(self):
+        root = solve_increasing(lambda x: x**3 - 7.0)
+        assert root == pytest.approx(7.0 ** (1.0 / 3.0), abs=1e-10)
 
     def test_root_exactly_at_zero(self):
         assert solve_increasing(lambda x: x) == 0.0
@@ -86,3 +68,21 @@ class TestSolveIncreasing:
     def test_tiny_root_with_large_initial_width(self):
         root = solve_increasing(lambda x: x - 1e-9, initial_width=100.0)
         assert root == pytest.approx(1e-9, abs=1e-12)
+
+    def test_finds_transcendental_root(self):
+        # x = cos(x): the Dottie number.
+        root = solve_increasing(lambda x: x - math.cos(x))
+        assert root == pytest.approx(0.7390851332151607, abs=1e-11)
+
+    def test_root_above_a_nonzero_lower_bound(self):
+        root = solve_increasing(lambda x: x - 12.5, lo=10.0)
+        assert root == pytest.approx(12.5, abs=1e-10)
+
+    def test_returns_lo_when_already_non_negative(self):
+        # Lemma 1's boundary case: a gap already non-negative at lo puts
+        # the root at lo, whatever lies below it.
+        assert solve_increasing(lambda x: x + 1.0, lo=0.5) == 0.5
+
+    def test_raises_without_sign_change(self):
+        with pytest.raises(BracketError):
+            solve_increasing(lambda x: -1.0 - math.atan(x), max_expansions=30)

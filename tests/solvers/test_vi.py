@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConvergenceError
-from repro.solvers.vi import extragradient_box, natural_residual, projection_method_box
+from repro.solvers.vi import extragradient_box, natural_residual
 
 
 def strongly_monotone(x):
@@ -35,29 +35,8 @@ class TestNaturalResidual:
         fx = np.array([1.0])
         assert natural_residual(fx, x, 0.0, 1.0) > 0.0
 
-
-class TestProjectionMethod:
-    def test_interior_solution(self):
-        result = projection_method_box(
-            strongly_monotone, np.zeros(2), -10.0, 10.0, tol=1e-11
-        )
-        assert result.converged
-        np.testing.assert_allclose(result.x, [1.0, -2.0], atol=1e-9)
-
-    def test_boundary_solution(self):
-        # Unconstrained solution (1, -2) projected into [0, 10]^2 clamps x2.
-        result = projection_method_box(
-            strongly_monotone, np.ones(2), 0.0, 10.0, tol=1e-11
-        )
-        assert result.converged
-        assert result.x[1] == pytest.approx(0.0, abs=1e-9)
-
-    def test_raises_on_budget_exhaustion(self):
-        with pytest.raises(ConvergenceError):
-            projection_method_box(
-                rotation, np.array([5.0, 5.0]), -10.0, 10.0,
-                tol=1e-14, max_iter=50,
-            )
+    def test_empty_vector_is_zero(self):
+        assert natural_residual(np.zeros(0), np.zeros(0), 0.0, 1.0) == 0.0
 
 
 class TestExtragradient:
@@ -77,14 +56,41 @@ class TestExtragradient:
         assert result.converged
         np.testing.assert_allclose(result.x, [0.0, 0.0], atol=1e-7)
 
-    def test_agrees_with_projection_method(self):
-        a = projection_method_box(
-            strongly_monotone, np.zeros(2), 0.0, 10.0, tol=1e-11
+    def test_boundary_solution(self):
+        # x* = (1, -2) lies outside [0, 0.5]^2; with a diagonal operator the
+        # VI solution is x* clipped to the box.
+        def diagonal(x):
+            return np.array([2.0, 1.0]) * (x - np.array([1.0, -2.0]))
+
+        result = extragradient_box(diagonal, np.full(2, 0.25), 0.0, 0.5)
+        assert result.converged
+        np.testing.assert_allclose(result.x, [0.5, 0.0], atol=1e-9)
+
+    def test_infeasible_start_is_projected_and_iterates_stay_in_box(self):
+        def guarded(x):
+            assert np.all(x >= -1.0) and np.all(x <= 1.0), x
+            return strongly_monotone(x)
+
+        result = extragradient_box(guarded, np.array([50.0, -50.0]), -1.0, 1.0)
+        assert result.converged
+        # x_2 sits at its lower bound (F_2 = 0.875 > 0 there) and x_1
+        # solves F_1(x_1, -1) = 2(x_1 - 1) + 0.5 = 0.
+        np.testing.assert_allclose(result.x, [0.75, -1.0], atol=1e-9)
+
+    def test_reported_residual_meets_tolerance(self):
+        result = extragradient_box(
+            strongly_monotone, np.zeros(2), -10.0, 10.0, tol=1e-8
         )
-        b = extragradient_box(
-            strongly_monotone, np.zeros(2), 0.0, 10.0, tol=1e-11
-        )
-        np.testing.assert_allclose(a.x, b.x, atol=1e-8)
+        fx = strongly_monotone(result.x)
+        assert result.residual <= 1e-8
+        assert natural_residual(fx, result.x, -10.0, 10.0) == result.residual
+
+    def test_raises_on_budget_exhaustion(self):
+        with pytest.raises(ConvergenceError):
+            extragradient_box(
+                rotation, np.array([5.0, 5.0]), -10.0, 10.0,
+                tol=1e-14, max_iter=10,
+            )
 
     def test_unconverged_result_returned_when_not_raising(self):
         result = extragradient_box(
