@@ -7,8 +7,8 @@ grids, oligopoly best-response sweeps, continuation refinements) resolved by
 a :class:`SolveService` on one persistent :class:`PoolExecutor` (inline
 at one worker) — and the *memoization* of every keyed result through two
 tiers: the in-process :class:`SolveCache` and the persistent,
-content-addressed :class:`SolveStore` (npz+json artifacts under
-``$REPRO_CACHE_DIR``). The worker count resolves in one place — per-call
+content-addressed :class:`SolveStore` (one raw ``.bin`` file per entry
+under ``$REPRO_CACHE_DIR``). The worker count resolves in one place — per-call
 ``workers``, else :func:`set_default_workers` / ``$REPRO_WORKERS``,
 else 1. Sequential, pooled and cache-fed schedules are bitwise
 interchangeable, so ``workers`` and the cache tiers are purely

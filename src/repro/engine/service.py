@@ -13,7 +13,7 @@ memoizes every keyed result through two tiers:
 1. the in-memory :class:`~repro.engine.cache.SolveCache` (process-local,
    object identity preserved),
 2. the persistent :class:`~repro.engine.store.SolveStore` (content-
-   addressed npz+json artifacts, shared across processes and runs).
+   addressed raw-buffer entries, shared across processes and runs).
 
 Because tasks are pure and content-keyed, a cache hit is bit-for-bit the
 value the task would have computed, so the cached, pooled and sequential

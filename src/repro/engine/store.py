@@ -9,35 +9,47 @@ performs zero equilibrium solves.
 
 Layout
 ------
-One entry is one file, ``<root>/<digest[:2]>/<digest>.npz``: named by the
+One entry is one file, ``<root>/<digest[:2]>/<digest>.bin``: named by the
 SHA-256 digest of the canonically encoded key and *sharded* into a
 subdirectory named by the digest's first byte, so many concurrent writers
 — the ``repro serve`` daemon's whole point — fan out across 256
-directories instead of contending on one. The file is a ``numpy`` npz
-archive holding every float array of the artifact bit-exact, plus one
-``uint8`` member carrying the JSON manifest (codec name, format version,
-scalar metadata, array names). It is written to a temp file in its shard
-and committed by one atomic rename, so a reader sees either the whole
-entry or none of it, and it is loaded with ``allow_pickle`` off, so
-loading a store entry can never execute code.
+directories instead of contending on one. The file is one raw buffer:
+
+* an 8-byte magic;
+* the header length, a little-endian ``u64``;
+* a JSON header — ``version``, ``codec``, scalar ``meta``, the data
+  section's ``nbytes`` and an ``arrays`` table of
+  ``[name, dtype, shape, offset]`` rows;
+* every array's C-contiguous bytes, 8-byte aligned and concatenated.
+
+Array dtypes come from a closed allowlist (:data:`DTYPES`), so an entry
+holds no object arrays and reading one can never unpickle or execute
+code. A read is one ``read`` of the file, one ``json.loads`` of the
+header and one ``np.frombuffer`` view per array — the returned arrays
+are writable views of a buffer private to that read. An entry is
+written to a temp file in its shard and committed by one atomic rename,
+so a reader sees either the whole entry or none of it.
 
 Corruption tolerance
 --------------------
 A store can be shared between processes, interrupted mid-write, or
-hand-edited; *any* failure to decode an entry — missing file, truncated
-archive, garbage or missing manifest, unknown codec, wrong version (an
-entry of an older format), a missing array — is a cache **miss**, never
-an exception. :meth:`SolveStore.get` repairs nothing and crashes never;
-the caller simply recomputes and :meth:`SolveStore.put` overwrites the
-entry.
+hand-edited; *any* failure to decode an entry — missing file, a size
+other than header plus ``nbytes`` (truncation, trailing garbage), a bad
+magic, garbage or missing header, unknown codec or dtype, wrong version
+(an entry of an older format), an array table overrunning the data, a
+missing array — is a cache **miss**, never an exception.
+:meth:`SolveStore.get` repairs nothing and crashes never; the caller
+simply recomputes and :meth:`SolveStore.put` overwrites the entry.
 
 Maintenance and observability
 -----------------------------
 ``clear``/``prune`` serialize against each other across processes
 through an advisory file lock (``<root>/.lock``, ``flock``), so two
 daemons pruning one store cannot race each other's directory walks. Both
-sweep stray temp files (a writer killed before its rename) and the
-digest-named ``.json``/``.npz`` leftovers of the older two-file format.
+sweep stray temp files (a writer killed before its rename; ``prune``
+spares those younger than :data:`_TEMP_GRACE_SECONDS`, which may belong
+to a live writer) and *orphans*: the digest-named ``.json``/``.npz``
+files of the older npz formats.
 Counters (``hits``, ``misses``, ``writes``, ``write_errors``) plus
 cumulative ``read_seconds``/``write_seconds`` make the disk tier
 observable in ``service.stats()``, the runner's ``--json`` summary and
@@ -77,6 +89,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import tempfile
@@ -96,26 +109,42 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 from repro.core.equilibrium import EquilibriumResult
 from repro.providers.market import MarketState
 
-__all__ = ["CODECS", "SolveStore", "key_digest"]
+__all__ = ["CODECS", "DTYPES", "SolveStore", "key_digest"]
 
 #: Environment variable naming the default on-disk store directory.
 _CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Store format version; bumping it invalidates every existing entry.
-_STORE_VERSION = 2
+_STORE_VERSION = 3
 
-#: Name of the npz member holding an entry's JSON manifest (codec array
-#: names are ``"subsidies"``, ``"state.*"``, ``"v.*"``..., never this).
-_MANIFEST = "__manifest__"
+#: First bytes of every entry file.
+_MAGIC = b"\x89REPRO\r\n"
+
+#: Bytes before the JSON header: the magic, then its u64 length.
+_PREFIX = len(_MAGIC) + 8
+
+#: Alignment of the data section and of every array in it.
+_ALIGN = 8
+
+#: The closed set of array dtypes an entry may hold, by ``dtype.str``.
+#: ``put`` refuses any other (object arrays included); at read an unknown
+#: dtype is a miss.
+DTYPES: dict[str, np.dtype] = {
+    name: np.dtype(name) for name in ("<f8", "<i8", "|b1")
+}
 
 #: Name of the advisory maintenance lock file at the root.
 _LOCK_NAME = ".lock"
 
+#: ``prune`` sweeps only temp files at least this old (seconds): a younger
+#: one may belong to a writer between its ``mkstemp`` and its rename.
+_TEMP_GRACE_SECONDS = 600.0
+
 #: Files named by a SHA-256 hex digest. Maintenance operations (``clear``,
 #: ``prune``, ``stats``, ``__len__``) only ever touch files of this shape
 #: and this store's temp files, so ``cache clear --cache-dir <wrong path>``
-#: cannot eat foreign JSON/npz files.
-_DIGEST_NAME = re.compile(r"^[0-9a-f]{64}\.(npz|json)$")
+#: cannot eat foreign files.
+_DIGEST_NAME = re.compile(r"^[0-9a-f]{64}\.(bin|npz|json)$")
 
 #: Shard directories are the first byte of the digest, in hex.
 _SHARD_DIR = re.compile(r"^[0-9a-f]{2}$")
@@ -124,16 +153,17 @@ _SHARD_DIR = re.compile(r"^[0-9a-f]{2}$")
 def _classify(name: str, *, in_shard: bool) -> str | None:
     """What a store file is: ``"entry"``, ``"orphan"``, ``"temp"`` or None.
 
-    An entry is ``<shard>/<digest>.npz``. Orphans are the digest-named
-    leftovers of the older two-file format: any ``<digest>.json``
-    manifest, and a ``<digest>.npz`` directly under the root. Temp files
-    are ``tempfile.mkstemp(suffix=".tmp")`` names (``tmp<random>.tmp``).
+    An entry is ``<shard>/<digest>.bin``. Orphans are every other
+    digest-named file: the ``.json``/``.npz`` files of the older npz
+    formats, in a shard or at the root, and a ``.bin`` at the root. Temp
+    files are ``tempfile.mkstemp(suffix=".tmp")`` names
+    (``tmp<random>.tmp``).
     """
     if name.startswith("tmp") and name.endswith(".tmp"):
         return "temp"
     if not _DIGEST_NAME.match(name):
         return None
-    return "entry" if in_shard and name.endswith(".npz") else "orphan"
+    return "entry" if in_shard and name.endswith(".bin") else "orphan"
 
 
 def _encode_key_part(part: Any) -> bytes:
@@ -205,7 +235,9 @@ def _encode_grid_row(row: Any) -> tuple[dict, dict[str, np.ndarray]]:
         raise TypeError("grid-row codec expects a tuple of EquilibriumResult")
     arrays: dict[str, np.ndarray] = {
         "subsidies": np.stack([r.subsidies for r in results]),
-        "kkt_residual": np.array([r.kkt_residual for r in results]),
+        "kkt_residual": np.array(
+            [r.kkt_residual for r in results], dtype=float
+        ),
         "iterations": np.array([r.iterations for r in results], dtype=np.int64),
     }
     for field in _STATE_VECTORS:
@@ -214,7 +246,7 @@ def _encode_grid_row(row: Any) -> tuple[dict, dict[str, np.ndarray]]:
         )
     for field in _STATE_SCALARS:
         arrays[f"state.{field}"] = np.array(
-            [getattr(r.state, field) for r in results]
+            [getattr(r.state, field) for r in results], dtype=float
         )
     meta = {"methods": [r.method for r in results], "count": len(results)}
     return meta, arrays
@@ -225,25 +257,26 @@ def _decode_grid_row(meta: dict, arrays: dict[str, np.ndarray]) -> Any:
     count = int(meta["count"])
     if len(methods) != count:
         raise ValueError("grid-row manifest/count mismatch")
-    results = []
-    for j in range(count):
-        state = MarketState(
-            **{field: arrays[f"state.{field}"][j] for field in _STATE_VECTORS},
-            **{
-                field: float(arrays[f"state.{field}"][j])
-                for field in _STATE_SCALARS
-            },
+    vectors = {field: arrays[f"state.{field}"] for field in _STATE_VECTORS}
+    scalars = {
+        field: arrays[f"state.{field}"].tolist() for field in _STATE_SCALARS
+    }
+    subsidies = arrays["subsidies"]
+    kkt_residuals = arrays["kkt_residual"].tolist()
+    iterations = arrays["iterations"].tolist()
+    return tuple(
+        EquilibriumResult(
+            subsidies=subsidies[j],
+            state=MarketState(
+                **{field: rows[j] for field, rows in vectors.items()},
+                **{field: values[j] for field, values in scalars.items()},
+            ),
+            kkt_residual=kkt_residuals[j],
+            iterations=iterations[j],
+            method=str(methods[j]),
         )
-        results.append(
-            EquilibriumResult(
-                subsidies=arrays["subsidies"][j],
-                state=state,
-                kkt_residual=float(arrays["kkt_residual"][j]),
-                iterations=int(arrays["iterations"][j]),
-                method=str(methods[j]),
-            )
-        )
-    return tuple(results)
+        for j in range(count)
+    )
 
 
 def _encode_ndarrays(value: Any) -> tuple[dict, dict[str, np.ndarray]]:
@@ -282,6 +315,69 @@ CODECS: dict[
     "ndarrays": (_encode_ndarrays, _decode_ndarrays),
     "json": (_encode_json, _decode_json),
 }
+
+
+def _encode_entry(
+    codec: str, meta: dict, arrays: dict[str, np.ndarray]
+) -> bytes:
+    """One entry's bytes: magic, header length, JSON header, array data."""
+    table: list[list] = []
+    chunks: list[bytes] = []
+    offset = 0
+    for name in sorted(arrays):
+        array = arrays[name]
+        if array.dtype.str not in DTYPES:
+            raise TypeError(
+                f"store array {name!r} has dtype {array.dtype.str}; "
+                f"allowed: {sorted(DTYPES)}"
+            )
+        data = array.tobytes()
+        table.append([name, array.dtype.str, list(array.shape), offset])
+        chunks.append(data + bytes(-len(data) % _ALIGN))
+        offset += len(chunks[-1])
+    header = json.dumps(
+        {
+            "version": _STORE_VERSION,
+            "codec": codec,
+            "meta": meta,
+            "nbytes": offset,
+            "arrays": table,
+        },
+        sort_keys=True,
+    ).encode()
+    header += b" " * (-(_PREFIX + len(header)) % _ALIGN)
+    return b"".join(
+        [_MAGIC, len(header).to_bytes(8, "little"), header, *chunks]
+    )
+
+
+def _decode_entry(buf: bytearray) -> Any:
+    """Rebuild the artifact from one entry's bytes (raises on any defect).
+
+    The arrays are writable ``np.frombuffer`` views of ``buf``.
+    """
+    if buf[: len(_MAGIC)] != _MAGIC:
+        raise ValueError("not a store entry")
+    start = _PREFIX + int.from_bytes(buf[len(_MAGIC) : _PREFIX], "little")
+    header = json.loads(buf[_PREFIX:start])
+    if header["version"] != _STORE_VERSION:
+        raise ValueError(f"store version {header['version']}")
+    decode = CODECS[header["codec"]][1]
+    nbytes = header["nbytes"]
+    if len(buf) != start + nbytes:
+        raise ValueError("entry size does not match its header")
+    arrays: dict[str, np.ndarray] = {}
+    for name, dtype_str, shape, offset in header["arrays"]:
+        dtype = DTYPES[dtype_str]
+        if any(dim < 0 for dim in shape):
+            raise ValueError(f"bad shape {shape!r}")
+        count = math.prod(shape)
+        if not 0 <= offset <= nbytes - count * dtype.itemsize:
+            raise ValueError(f"array {name!r} overruns the entry")
+        arrays[name] = np.frombuffer(
+            buf, dtype, count, start + offset
+        ).reshape(shape)
+    return decode(header["meta"], arrays)
 
 
 class SolveStore:
@@ -323,7 +419,7 @@ class SolveStore:
         return self._root
 
     def _entry_path(self, digest: str) -> Path:
-        return self._root / digest[:2] / f"{digest}.npz"
+        return self._root / digest[:2] / f"{digest}.bin"
 
     def _scan(self) -> tuple[list[tuple[str, os.DirEntry]], list[str]]:
         """Every store file, classified (see :func:`_classify`), and the shards.
@@ -405,13 +501,11 @@ class SolveStore:
 
     def _read_entry(self, digest: str) -> Any:
         """Decode one committed entry (raises on any failure)."""
-        with np.load(self._entry_path(digest), allow_pickle=False) as payload:
-            manifest = json.loads(payload[_MANIFEST].tobytes())
-            if manifest["version"] != _STORE_VERSION:
-                raise ValueError(f"store version {manifest['version']}")
-            decode = CODECS[manifest["codec"]][1]
-            arrays = {name: payload[name] for name in manifest["arrays"]}
-        return decode(manifest["meta"], arrays)
+        with open(self._entry_path(digest), "rb", buffering=0) as handle:
+            buf = bytearray(os.fstat(handle.fileno()).st_size)
+            if handle.readinto(buf) != len(buf):
+                raise ValueError("short read")
+        return _decode_entry(buf)
 
     # ------------------------------------------------------------------
     # write path: best-effort, atomic commit
@@ -419,24 +513,16 @@ class SolveStore:
     def put(self, key: tuple, value: Any, *, codec: str) -> bool:
         """Persist ``value`` under ``key``; returns whether it committed.
 
-        Encoding errors (unknown codec, value/codec mismatch) raise — they
-        are caller bugs. I/O errors are swallowed and counted: a full disk
-        degrades the store to a smaller cache, it never fails a solve.
+        Encoding errors (unknown codec, value/codec mismatch, an array
+        dtype outside :data:`DTYPES`) raise — they are caller bugs. I/O
+        errors are swallowed and counted: a full disk degrades the store
+        to a smaller cache, it never fails a solve.
         """
         if codec not in CODECS:
             raise KeyError(
                 f"unknown store codec {codec!r}; registered: {sorted(CODECS)}"
             )
-        meta, arrays = CODECS[codec][0](value)
-        manifest = {
-            "version": _STORE_VERSION,
-            "codec": codec,
-            "meta": meta,
-            "arrays": sorted(arrays),
-        }
-        arrays[_MANIFEST] = np.frombuffer(
-            json.dumps(manifest, sort_keys=True).encode(), dtype=np.uint8
-        )
+        payload = _encode_entry(codec, *CODECS[codec][0](value))
         path = self._entry_path(key_digest(key))
         start = time.perf_counter()
         try:
@@ -446,7 +532,7 @@ class SolveStore:
             fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             try:
                 with os.fdopen(fd, "wb") as handle:
-                    np.savez(handle, **arrays)
+                    handle.write(payload)
                 os.replace(tmp_name, path)
             except BaseException:
                 try:
@@ -502,10 +588,11 @@ class SolveStore:
         """Sweep garbage and evict oldest entries beyond the given bounds.
 
         Holds the maintenance lock. Always removes stray temp files (the
-        footprint of a writer killed before its rename) and *orphans* (the
-        digest-named leftovers of the older two-file format). With
-        ``max_entries``/``max_bytes`` set, entries are then evicted
-        oldest-first until the store fits both bounds. Returns
+        footprint of a writer killed before its rename) at least
+        :data:`_TEMP_GRACE_SECONDS` old — a younger one may be a live
+        writer's — and *orphans* (the digest-named files of the older npz
+        formats). With ``max_entries``/``max_bytes`` set, entries are then
+        evicted oldest-first until the store fits both bounds. Returns
         ``{"entries", "orphans", "temp_files"}`` removal counts.
         """
         if (max_entries is not None and max_entries < 0) or (
@@ -517,14 +604,20 @@ class SolveStore:
             return summary
         with self._locked():
             entries: list[tuple[float, int, str]] = []
+            swept_before = time.time() - _TEMP_GRACE_SECONDS
             for kind, item in self._scan()[0]:
-                if kind == "entry":
+                if kind != "orphan":
                     try:
                         stat = item.stat()
                     except OSError:
                         continue
-                    entries.append((stat.st_mtime, stat.st_size, item.path))
-                    continue
+                    if kind == "entry":
+                        entries.append(
+                            (stat.st_mtime, stat.st_size, item.path)
+                        )
+                        continue
+                    if stat.st_mtime > swept_before:
+                        continue  # possibly a live writer's temp file
                 try:
                     os.unlink(item.path)
                 except OSError:

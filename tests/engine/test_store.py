@@ -1,13 +1,20 @@
 """Unit tests for the persistent content-addressed solve store."""
 
 import json
+import os
+import time
+import zipfile
 
 import numpy as np
 import pytest
 
 from repro.engine.grid_engine import solve_cap_row
-from repro.engine.store import CODECS, SolveStore, key_digest
+from repro.engine.store import CODECS, DTYPES, SolveStore, key_digest
 from repro.providers import AccessISP, Market, exponential_cp
+
+#: An entry's magic, then its little-endian u64 header length.
+MAGIC = b"\x89REPRO\r\n"
+PREFIX = len(MAGIC) + 8
 
 
 def small_market():
@@ -33,34 +40,60 @@ def sole_entry(root):
     return entries[0]
 
 
+def split_entry(raw):
+    """An entry's bytes as (header bytes, data section bytes)."""
+    assert raw[: len(MAGIC)] == MAGIC
+    start = PREFIX + int.from_bytes(raw[len(MAGIC) : PREFIX], "little")
+    return raw[PREFIX:start], raw[start:]
+
+
+def read_header(path):
+    return json.loads(split_entry(path.read_bytes())[0])
+
+
 def rewrite_entry(path, edit):
-    """Rewrite an entry file in place after ``edit`` mutates its members."""
-    with np.load(path) as payload:
-        members = {name: payload[name] for name in payload.files}
-    edit(members)
-    with open(path, "wb") as handle:
-        np.savez(handle, **members)
+    """Rewrite an entry file in place after ``edit`` mutates its parts.
+
+    ``edit`` receives ``{"header": bytes, "data": bytes}``; the file is
+    reassembled with the header length prefix matching the new header.
+    """
+    header, data = split_entry(path.read_bytes())
+    parts = {"header": header, "data": data}
+    edit(parts)
+    path.write_bytes(
+        MAGIC
+        + len(parts["header"]).to_bytes(8, "little")
+        + parts["header"]
+        + parts["data"]
+    )
 
 
 def set_manifest_bytes(raw):
-    def edit(members):
-        members["__manifest__"] = np.frombuffer(raw, dtype=np.uint8)
+    """Replace the JSON header with ``raw`` (``b""``: no header at all)."""
+
+    def edit(parts):
+        parts["header"] = raw
 
     return edit
 
 
 def edit_manifest(**changes):
-    def edit(members):
-        manifest = json.loads(members["__manifest__"].tobytes())
-        set_manifest_bytes(json.dumps({**manifest, **changes}).encode())(
-            members
-        )
+    def edit(parts):
+        header = json.loads(parts["header"])
+        parts["header"] = json.dumps({**header, **changes}).encode()
 
     return edit
 
 
 def drop_member(name):
-    return lambda members: members.pop(name)
+    """Remove array ``name`` from the header's table (its bytes stay)."""
+
+    def edit(parts):
+        header = json.loads(parts["header"])
+        header["arrays"] = [row for row in header["arrays"] if row[0] != name]
+        parts["header"] = json.dumps(header).encode()
+
+    return edit
 
 
 def old_format_put(root, key, value, *, codec, flat=False):
@@ -77,6 +110,30 @@ def old_format_put(root, key, value, *, codec, flat=False):
     manifest = {"version": 1, "codec": codec, "meta": meta,
                 "arrays": sorted(arrays)}
     (directory / f"{digest}.json").write_text(json.dumps(manifest))
+
+
+def npz_format_put(root, key, value, *, codec):
+    """Write ``key`` as the version-2 one-file format did: one
+    ``<shard>/<digest>.npz`` holding the arrays and a ``__manifest__``
+    uint8 member carrying the JSON manifest."""
+    meta, arrays = CODECS[codec][0](value)
+    manifest = {"version": 2, "codec": codec, "meta": meta,
+                "arrays": sorted(arrays)}
+    arrays["__manifest__"] = np.frombuffer(
+        json.dumps(manifest).encode(), dtype=np.uint8
+    )
+    digest = key_digest(key)
+    path = root / digest[:2] / f"{digest}.npz"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "wb") as handle:
+        np.savez(handle, **arrays)
+    return path
+
+
+def backdate(path, seconds=3600.0):
+    """Age ``path`` past the prune grace period of live temp files."""
+    then = time.time() - seconds
+    os.utime(path, (then, then))
 
 
 def assert_rows_bitwise_equal(a, b):
@@ -191,32 +248,39 @@ class TestRoundTrip:
 class TestCorruptionTolerance:
     """Bad entry -> miss, never crash; recompute-and-put repairs."""
 
-    def test_truncated_npz_is_a_miss_then_repairable(self, tmp_path):
+    def test_truncated_entry_is_a_miss_then_repairable(self, tmp_path):
         store = SolveStore(tmp_path)
         row = solved_row()
         key = ("row", 1)
         store.put(key, row, codec="grid-row")
-        npz = sole_entry(tmp_path)
-        npz.write_bytes(npz.read_bytes()[:20])
+        entry = sole_entry(tmp_path)
+        entry.write_bytes(entry.read_bytes()[:20])
         assert store.get(key) is None
         assert store.misses == 1
         # The caller recomputes and overwrites; the entry works again.
         assert store.put(key, row, codec="grid-row")
         assert_rows_bitwise_equal(row, store.get(key))
 
-    def test_garbage_manifest_is_a_miss(self, tmp_path):
+    def test_trailing_garbage_is_a_miss(self, tmp_path):
+        store = SolveStore(tmp_path)
+        store.put(("k",), solved_row(), codec="grid-row")
+        entry = sole_entry(tmp_path)
+        entry.write_bytes(entry.read_bytes() + b"\x00" * 8)
+        assert store.get(("k",)) is None
+
+    def test_garbage_header_is_a_miss(self, tmp_path):
         store = SolveStore(tmp_path)
         store.put(("k",), solved_row(), codec="grid-row")
         rewrite_entry(sole_entry(tmp_path), set_manifest_bytes(b"{not json"))
         assert store.get(("k",)) is None
 
-    def test_missing_manifest_member_is_a_miss(self, tmp_path):
+    def test_missing_header_is_a_miss(self, tmp_path):
         store = SolveStore(tmp_path)
         store.put(("k",), solved_row(), codec="grid-row")
-        rewrite_entry(sole_entry(tmp_path), drop_member("__manifest__"))
+        rewrite_entry(sole_entry(tmp_path), set_manifest_bytes(b""))
         assert store.get(("k",)) is None
 
-    def test_manifest_without_arrays_is_a_miss(self, tmp_path):
+    def test_header_without_arrays_is_a_miss(self, tmp_path):
         store = SolveStore(tmp_path)
         store.put(("k",), solved_row(), codec="grid-row")
         rewrite_entry(sole_entry(tmp_path), drop_member("subsidies"))
@@ -228,22 +292,47 @@ class TestCorruptionTolerance:
         rewrite_entry(sole_entry(tmp_path), edit_manifest(version=999))
         assert store.get(("k",)) is None
 
-    def test_unknown_codec_in_manifest_is_a_miss(self, tmp_path):
+    def test_unknown_codec_in_header_is_a_miss(self, tmp_path):
         store = SolveStore(tmp_path)
         store.put(("k",), {"v": 1}, codec="json")
         rewrite_entry(sole_entry(tmp_path), edit_manifest(codec="no-codec"))
         assert store.get(("k",)) is None
 
-    def test_pickled_member_is_a_miss(self, tmp_path):
-        # Entries load with allow_pickle off: an object array is refused.
+    @pytest.mark.parametrize(
+        "row",
+        [
+            ["v.x", "<f8", [3], 8],  # runs one element past the data
+            ["v.x", "<f8", [4], 0],
+            ["v.x", "<f8", [3], -8],  # would read the header
+            ["v.x", "<f8", [-1], 0],  # -1 would mean "infer"
+            ["v.x", "<f8", [3], 0.0],
+        ],
+    )
+    def test_array_table_overrunning_the_data_is_a_miss(self, tmp_path, row):
         store = SolveStore(tmp_path)
         store.put(("k",), {"x": np.arange(3.0)}, codec="ndarrays")
-
-        def pickled(members):
-            members["v.x"] = np.array([object()], dtype=object)
-
-        rewrite_entry(sole_entry(tmp_path), pickled)
+        rewrite_entry(sole_entry(tmp_path), edit_manifest(arrays=[row]))
         assert store.get(("k",)) is None
+
+    def test_object_dtype_in_header_is_a_miss(self, tmp_path):
+        # Only allowlisted dtypes are ever viewed: nothing is unpickled.
+        store = SolveStore(tmp_path)
+        store.put(("k",), {"x": np.arange(3.0)}, codec="ndarrays")
+        rewrite_entry(
+            sole_entry(tmp_path), edit_manifest(arrays=[["v.x", "|O", [3], 0]])
+        )
+        assert store.get(("k",)) is None
+
+    def test_put_of_an_object_array_raises(self, tmp_path):
+        store = SolveStore(tmp_path)
+        with pytest.raises(TypeError):
+            store.put(
+                ("k",), {"x": np.array([object()], dtype=object)},
+                codec="ndarrays",
+            )
+        with pytest.raises(TypeError):
+            store.put(("k",), {"x": np.array(["a"])}, codec="ndarrays")
+        assert store.writes == 0 and not list(tmp_path.rglob("*"))
 
     def test_unwritable_root_degrades_to_no_store(self, tmp_path):
         blocker = tmp_path / "blocker"
@@ -316,7 +405,9 @@ class TestMaintenance:
         shard = sole_entry(tmp_path).parent
         (shard / "tmpwriter.tmp").write_bytes(b"half written")
         (shard / ("e" * 64 + ".json")).write_text("{}")
+        (shard / ("b" * 64 + ".npz")).write_bytes(b"npz-format entry")
         (tmp_path / ("d" * 64 + ".npz")).write_bytes(b"flat leftover")
+        (tmp_path / ("a" * 64 + ".bin")).write_bytes(b"not in a shard")
         assert len(store) == 1
         assert store.stats()["entries"] == 1
 
@@ -349,8 +440,8 @@ class TestShardedLayout:
         key = ("sharded", 1)
         store.put(key, {"v": 1}, codec="json")
         digest = key_digest(key)
-        assert (tmp_path / digest[:2] / f"{digest}.npz").is_file()
-        assert not (tmp_path / f"{digest}.npz").exists()
+        assert (tmp_path / digest[:2] / f"{digest}.bin").is_file()
+        assert not (tmp_path / f"{digest}.bin").exists()
 
     def test_put_leaves_one_file_in_its_shard(self, tmp_path):
         store = SolveStore(tmp_path)
@@ -358,17 +449,17 @@ class TestShardedLayout:
         assert store.put(key, solved_row(), codec="grid-row")
         digest = key_digest(key)
         shard = tmp_path / digest[:2]
-        assert [p.name for p in shard.iterdir()] == [f"{digest}.npz"]
+        assert [p.name for p in shard.iterdir()] == [f"{digest}.bin"]
         assert store.put(key, solved_row(), codec="grid-row")  # overwrite
-        assert [p.name for p in shard.iterdir()] == [f"{digest}.npz"]
+        assert [p.name for p in shard.iterdir()] == [f"{digest}.bin"]
 
     def test_corrupt_sharded_entry_is_a_miss(self, tmp_path):
         store = SolveStore(tmp_path)
         key = ("corrupt-shard", 1)
         store.put(key, solved_row(), codec="grid-row")
         digest = key_digest(key)
-        npz = tmp_path / digest[:2] / f"{digest}.npz"
-        npz.write_bytes(npz.read_bytes()[:16])
+        entry = tmp_path / digest[:2] / f"{digest}.bin"
+        entry.write_bytes(entry.read_bytes()[:16])
         assert store.get(key) is None
         # Recompute-and-put repairs in place.
         assert store.put(key, solved_row(), codec="grid-row")
@@ -376,40 +467,64 @@ class TestShardedLayout:
 
 
 class TestEntryFormat:
-    def test_manifest_member_names_codec_version_and_arrays(self, tmp_path):
+    def test_header_names_codec_version_and_arrays(self, tmp_path):
         store = SolveStore(tmp_path)
         store.put(("k",), {"x": np.arange(3.0), "y": np.ones(2)}, codec="ndarrays")
-        with np.load(sole_entry(tmp_path), allow_pickle=False) as payload:
-            members = set(payload.files)
-            raw = payload["__manifest__"]
-            manifest = json.loads(raw.tobytes())
-        assert raw.dtype == np.uint8
-        assert manifest == {
-            "version": 2,
+        entry = sole_entry(tmp_path)
+        header, data = split_entry(entry.read_bytes())
+        assert json.loads(header) == {
+            "version": 3,
             "codec": "ndarrays",
             "meta": {"names": ["x", "y"]},
-            "arrays": ["v.x", "v.y"],
+            "nbytes": 40,
+            "arrays": [["v.x", "<f8", [3], 0], ["v.y", "<f8", [2], 24]],
         }
-        assert members == {"__manifest__", "v.x", "v.y"}
+        assert (PREFIX + len(header)) % 8 == 0  # the data is 8-byte aligned
+        assert data == np.arange(3.0).tobytes() + np.ones(2).tobytes()
+        assert entry.stat().st_size == PREFIX + len(header) + 40
 
-    def test_grid_row_entry_holds_no_object_arrays(self, tmp_path):
+    def test_arrays_are_aligned_after_a_bool_array(self, tmp_path):
+        store = SolveStore(tmp_path)
+        value = {"a": np.array([True, False, True]), "b": np.arange(2.0)}
+        store.put(("k",), value, codec="ndarrays")
+        table = read_header(sole_entry(tmp_path))["arrays"]
+        assert table == [["v.a", "|b1", [3], 0], ["v.b", "<f8", [2], 8]]
+        loaded = store.get(("k",))
+        assert loaded["a"].tolist() == [True, False, True]
+        assert loaded["b"].flags.aligned
+
+    def test_grid_row_entry_holds_only_allowed_dtypes(self, tmp_path):
         store = SolveStore(tmp_path)
         store.put(("row",), solved_row(), codec="grid-row")
-        with np.load(sole_entry(tmp_path), allow_pickle=False) as payload:
-            dtypes = {name: payload[name].dtype for name in payload.files}
-        assert all(dtype != object for dtype in dtypes.values())
-        assert dtypes["iterations"] == np.int64
+        table = read_header(sole_entry(tmp_path))["arrays"]
+        dtypes = {name: dtype for name, dtype, _, _ in table}
+        assert set(dtypes.values()) <= set(DTYPES)
+        assert dtypes["iterations"] == "<i8"
+        assert dtypes["state.revenue"] == "<f8"
 
-    def test_json_codec_entry_is_one_file_holding_only_the_manifest(
+    def test_json_codec_entry_is_one_file_holding_only_the_header(
         self, tmp_path
     ):
         store = SolveStore(tmp_path)
         store.put(("j",), {"after": [1, 2.5]}, codec="json")
         entry = sole_entry(tmp_path)
-        assert entry.suffix == ".npz"
-        with np.load(entry, allow_pickle=False) as payload:
-            assert payload.files == ["__manifest__"]
+        assert entry.suffix == ".bin"
+        header, data = split_entry(entry.read_bytes())
+        assert json.loads(header)["arrays"] == [] and data == b""
         assert store.get(("j",)) == {"after": [1, 2.5]}
+
+    def test_get_never_opens_a_zip(self, tmp_path, monkeypatch):
+        store = SolveStore(tmp_path)
+        row = solved_row()
+        store.put(("row",), row, codec="grid-row")
+
+        def no_zip(*args, **kwargs):
+            raise AssertionError("a store read opened a zip archive")
+
+        monkeypatch.setattr(zipfile, "ZipFile", no_zip)
+        monkeypatch.setattr(np, "load", no_zip)
+        assert_rows_bitwise_equal(row, store.get(("row",)))
+        assert store.hits == 1 and store.misses == 0
 
     def test_failed_commit_leaves_no_temp_file(self, tmp_path, monkeypatch):
         import os as _os
@@ -429,22 +544,32 @@ class TestEntryFormat:
 
 
 class TestOldFormat:
-    """Stores of the older two-file format miss, heal and clear."""
+    """Stores of the older npz formats miss, heal and clear: the
+    two-file version 1 (in a shard or flat under the root) and the
+    one-file version 2 ``<shard>/<digest>.npz``."""
 
-    KEYS = [(("old", i), {"v": [i, 0.1 + i]}, "json") for i in range(2)] + [
-        (("old-row", i), None, "grid-row") for i in range(2)
+    LAYOUTS = ("v1-shard", "v1-flat", "v2")
+    KEYS = [(("old", i), {"v": [i, 0.1 + i]}, "json") for i in range(3)] + [
+        (("old-row", i), None, "grid-row") for i in range(3)
     ]
 
     def _populate(self, root):
         for i, (key, value, codec) in enumerate(self.KEYS):
             value = solved_row() if value is None else value
-            old_format_put(root, key, value, codec=codec, flat=i % 2 == 1)
+            layout = self.LAYOUTS[i % len(self.LAYOUTS)]
+            if layout == "v2":
+                npz_format_put(root, key, value, codec=codec)
+            else:
+                old_format_put(
+                    root, key, value, codec=codec, flat=layout == "v1-flat"
+                )
 
     def test_reads_as_misses_recompute_overwrites_and_clear_empties(
         self, tmp_path
     ):
         self._populate(tmp_path)
         store = SolveStore(tmp_path)
+        assert len(store) == 0
         for key, _, _ in self.KEYS:
             assert store.get(key) is None
         assert store.misses == len(self.KEYS) and store.hits == 0
@@ -460,13 +585,29 @@ class TestOldFormat:
     def test_prune_sweeps_the_leftovers(self, tmp_path):
         self._populate(tmp_path)
         leftovers = len(list(tmp_path.rglob("*.json"))) + len(
-            list(tmp_path.glob("*.npz"))
+            list(tmp_path.rglob("*.npz"))
         )
         store = SolveStore(tmp_path)
         summary = store.prune()
         assert summary == {"entries": 0, "orphans": leftovers, "temp_files": 0}
         assert not list(tmp_path.rglob("*.json"))
-        assert not list(tmp_path.glob("*.npz"))
+        assert not list(tmp_path.rglob("*.npz"))
+
+    def test_v2_npz_entry_is_an_orphan(self, tmp_path, capsys):
+        from repro.experiments.runner import main
+
+        npz_format_put(tmp_path, ("v2",), {"x": np.arange(3.0)}, codec="ndarrays")
+        store = SolveStore(tmp_path)
+        assert len(store) == 0
+        assert store.stats()["entries"] == 0
+        assert store.get(("v2",)) is None
+        assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["entries"] == 0
+        assert store.prune() == {"entries": 0, "orphans": 1, "temp_files": 0}
+        assert not list(tmp_path.rglob("*.npz"))
+        npz_format_put(tmp_path, ("v2",), {"x": np.arange(3.0)}, codec="ndarrays")
+        assert store.clear() == 0
+        assert [p.name for p in tmp_path.rglob("*")] == [".lock"]
 
 
 class TestPrune:
@@ -477,10 +618,24 @@ class TestPrune:
         shard = tmp_path / digest[:2]
         # An orphan: a manifest left over from the older two-file format.
         (shard / ("f" * 64 + ".json")).write_text("{}")
-        (shard / "tmpabc123.tmp").write_bytes(b"scratch")
+        stale = shard / "tmpabc123.tmp"
+        stale.write_bytes(b"scratch")
+        backdate(stale)
         summary = store.prune()
         assert summary == {"entries": 0, "orphans": 1, "temp_files": 1}
         assert store.get(("keep",)) is not None
+
+    def test_prune_spares_young_temp_files(self, tmp_path):
+        store = SolveStore(tmp_path)
+        store.put(("keep",), {"v": 1}, codec="json")
+        shard = sole_entry(tmp_path).parent
+        young = shard / "tmplive.tmp"
+        young.write_bytes(b"a writer is still writing")
+        old = shard / "tmpdead.tmp"
+        old.write_bytes(b"a writer died")
+        backdate(old)
+        assert store.prune() == {"entries": 0, "orphans": 0, "temp_files": 1}
+        assert young.exists() and not old.exists()
 
     def test_root_level_digest_npz_is_an_orphan(self, tmp_path):
         store = SolveStore(tmp_path)
@@ -499,7 +654,7 @@ class TestPrune:
             key = (f"k{i}",)
             store.put(key, {"v": i}, codec="json")
             entry = tmp_path / key_digest(key)[:2] / (
-                key_digest(key) + ".npz"
+                key_digest(key) + ".bin"
             )
             _os.utime(entry, (1000.0 + i, 1000.0 + i))
         summary = store.prune(max_entries=2)

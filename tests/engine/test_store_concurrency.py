@@ -9,9 +9,9 @@ The serve daemon's load story rests on two claims about
   files — after which a warm replay of the whole key set performs zero
   solves.
 * **Any corruption is a miss, never a crash.** The parametrized matrix
-  covers a truncated file, a garbage or missing manifest member, version
-  skew, an unknown codec, a missing array member and a writer genuinely
-  killed before its commit rename; every case must miss-and-recompute,
+  covers a truncated file, a garbage or missing JSON header, version
+  skew, an unknown codec, a missing array and a writer genuinely killed
+  before its commit rename; every case must miss-and-recompute,
   under the numpy and compiled backends alike.
 
 Heavy variants (more processes, more keys) are marked ``slow`` and run
@@ -20,6 +20,8 @@ only when ``$REPRO_SLOW_TESTS`` is set (see ``tests/conftest.py``).
 
 import multiprocessing
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from repro.backend import available_backends, use_backend
 from repro.engine import SolveCache, SolveService, SolveStore, key_digest
 from repro.engine.service import SolveTask, _effective_key
 from tests.engine.test_store import (
+    backdate,
     drop_member,
     edit_manifest,
     rewrite_entry,
@@ -124,8 +127,8 @@ def _assert_settled(root, keys: int) -> None:
     assert store.stats()["entries"] == keys
     # The files on disk are exactly the keys' entries: every writer
     # renamed its temp file into place or removed it.
-    assert {p.name for p in root.rglob("*.npz")} == {
-        f"{key_digest(_key_for(i))}.npz" for i in range(keys)
+    assert {p.name for p in root.rglob("*.bin")} == {
+        f"{key_digest(_key_for(i))}.bin" for i in range(keys)
     }
     assert not list(root.rglob("*.tmp"))
 
@@ -167,7 +170,7 @@ class TestConcurrentWriters:
 
 
 def _entry(root, digest):
-    return root / digest[:2] / f"{digest}.npz"
+    return root / digest[:2] / f"{digest}.bin"
 
 
 def _corrupt_truncate(root, digest):
@@ -177,11 +180,11 @@ def _corrupt_truncate(root, digest):
 
 CORRUPTIONS = {
     "truncated-file": _corrupt_truncate,
-    "garbage-manifest": lambda root, digest: rewrite_entry(
+    "garbage-header": lambda root, digest: rewrite_entry(
         _entry(root, digest), set_manifest_bytes(b"{torn mid-write")
     ),
-    "missing-manifest": lambda root, digest: rewrite_entry(
-        _entry(root, digest), drop_member("__manifest__")
+    "missing-header": lambda root, digest: rewrite_entry(
+        _entry(root, digest), set_manifest_bytes(b"")
     ),
     "version-skew": lambda root, digest: rewrite_entry(
         _entry(root, digest), edit_manifest(version=999)
@@ -234,7 +237,9 @@ class TestFaultInjection:
             store = SolveStore(tmp_path)
             assert store.get(_key_for(7)) is None  # uncommitted = miss
             assert len(store) == 0
-            # prune sweeps the temp file; a recompute then lands cleanly.
+            # prune sweeps the temp file once it is past the grace period
+            # of live writers; a recompute then lands cleanly.
+            backdate(leftover)
             summary = store.prune()
             assert summary == {"entries": 0, "orphans": 0, "temp_files": 1}
             assert not leftover.exists()
@@ -243,6 +248,38 @@ class TestFaultInjection:
 
 
 class TestMaintenanceUnderLock:
+    def test_prune_never_eats_a_live_writers_temp_file(self, tmp_path):
+        """A writer thread's puts all commit while prune loops beside it:
+        prune leaves a temp file alone until it is past the grace period."""
+        store = SolveStore(tmp_path)
+        done = threading.Event()
+
+        def write():
+            try:
+                for i in range(100):
+                    store.put(_key_for(i), _value_for(i), codec="ndarrays")
+            finally:
+                done.set()
+
+        def sweep():
+            while not done.is_set():
+                store.prune()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=f) for f in (write, sweep)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert store.write_errors == 0
+        assert store.writes == 100
+        _assert_settled(tmp_path, 100)
+
     def test_concurrent_prunes_and_writes(self, tmp_path):
         """Locked sweeps and footprint walks racing writers never crash,
         and the store settles to every key once."""

@@ -1,6 +1,7 @@
 """Unit tests for the experiments CLI."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -390,7 +391,9 @@ class TestCacheVerb:
         for i in range(3):
             store.put(("p", i), {"v": i}, codec="json")
         shard = store_dir / key_digest(("p", 0))[:2]
-        (shard / "tmpdead.tmp").write_bytes(b"killed writer")
+        dead = shard / "tmpdead.tmp"
+        dead.write_bytes(b"killed writer")
+        os.utime(dead, (1000.0, 1000.0))  # past prune's grace for live writers
         (shard / ("a" * 64 + ".json")).write_text("{}")
         args = ["cache", "prune", "--cache-dir", str(store_dir)]
         assert main([*args, "--max-entries", "1"]) == 0
