@@ -39,7 +39,6 @@ from repro.core import (
     marginal_welfare_criterion,
     optimal_price,
     policy_effect,
-    revenue_curve,
     solve_equilibrium,
     solve_equilibrium_best_response,
     solve_equilibrium_vi,
@@ -134,7 +133,6 @@ __all__ = [
     "marginal_welfare_criterion",
     "optimal_price",
     "policy_effect",
-    "revenue_curve",
     "solve_equilibrium",
     "solve_equilibrium_best_response",
     "solve_equilibrium_vi",

@@ -3,30 +3,21 @@
 The environment regenerates the paper's figures as *data*: named series
 (:mod:`repro.analysis.series`), rendered as ASCII charts
 (:mod:`repro.analysis.ascii_plot`) and plain-text tables / CSV files
-(:mod:`repro.analysis.reporting`). :mod:`repro.analysis.continuation`
-traces equilibrium paths along the price axis. The (price × policy)
-grids themselves are solved by :func:`repro.engine.solve_grid` and
+(:mod:`repro.analysis.reporting`). The (price × policy) grids
+themselves are solved by :func:`repro.engine.solve_grid` and
 :func:`repro.engine.price_sweep`; :class:`EquilibriumGrid`, their result
 type, is re-exported here.
 """
 
 from repro.analysis.ascii_plot import render_chart
-from repro.analysis.continuation import (
-    Breakpoint,
-    EquilibriumPath,
-    trace_equilibrium_path,
-)
 from repro.analysis.reporting import format_table, write_csv
 from repro.analysis.series import FigureData, Series
 from repro.engine import EquilibriumGrid
 
 __all__ = [
-    "Breakpoint",
     "EquilibriumGrid",
-    "EquilibriumPath",
     "FigureData",
     "Series",
-    "trace_equilibrium_path",
     "format_table",
     "render_chart",
     "write_csv",

@@ -20,10 +20,11 @@
    any instant recoverable: the manifest never names a partial row.
 
 Each row kind is an entry of
-:data:`repro.experiments.kinds.SWEEP_KINDS`: the driver solves a row with
-the same per-kind solve the experiment pipeline runs and computes the
-kind's metric columns (:data:`SWEEP_METRICS`) from the solved view, so a
-campaign's warehouse columns are knowable from its spec.
+:data:`repro.experiments.kinds.ROW_KINDS`: the driver solves a row with
+the kind's solve (``price`` and ``grid`` rows share the experiment
+pipeline's) and computes the kind's metric columns
+(:data:`SWEEP_METRICS`) from the solved result, so a campaign's
+warehouse columns are knowable from its spec.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from repro.campaigns.warehouse import CampaignWarehouse
 from repro.engine.service import SolveService, default_service
 from repro.experiments.kinds import (
     CAMPAIGN_METRICS,
-    SWEEP_KINDS,
+    ROW_KINDS,
     SWEEP_METRICS,
 )
 
@@ -71,9 +72,7 @@ def warehouse_for_service(service: SolveService) -> CampaignWarehouse:
 def _row_metrics(
     row: CampaignRow, service: SolveService, workers: int | None
 ) -> dict[str, float]:
-    # The same per-kind solve the experiment pipeline runs, on the
-    # campaign's service.
-    kind = SWEEP_KINDS[row.sweep]
+    kind = ROW_KINDS[row.sweep]
     return kind.row_metrics(kind.solve(row.scenario, service, workers=workers))
 
 

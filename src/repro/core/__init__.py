@@ -63,7 +63,6 @@ from repro.core.revenue import (
     marginal_revenue_decomposition,
     marginal_revenue_one_sided,
     optimal_price,
-    revenue_curve,
 )
 from repro.core.uniqueness import (
     is_off_diagonally_monotone,
@@ -71,7 +70,6 @@ from repro.core.uniqueness import (
 )
 from repro.core.welfare import (
     marginal_welfare_criterion,
-    user_surplus,
     welfare,
 )
 
@@ -105,12 +103,10 @@ __all__ = [
     "p_function_violations",
     "policy_effect",
     "profitability_comparative_static",
-    "revenue_curve",
     "solve_equilibrium",
     "solve_equilibrium_best_response",
     "solve_equilibrium_newton",
     "solve_equilibrium_vi",
     "thresholds",
-    "user_surplus",
     "welfare",
 ]

@@ -11,8 +11,7 @@ with ``∂s_i/∂p`` from Theorem 6 — and ``∂s_i/∂p = 0`` recovering the
 one-sided-pricing case of §3.2. :func:`revenue_slope` adds the share term
 of a carrier whose demands all scale with its market share ``w(p)`` (the
 oligopoly's best-response search runs on it). The module also provides
-the revenue curve ``R(p)`` under equilibrium response (Figures 4 and 7)
-and the ISP's revenue-optimal price.
+the ISP's revenue-optimal price.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ __all__ = [
     "marginal_revenue_decomposition",
     "revenue_slope",
     "share_revenue_derivative",
-    "revenue_curve",
     "optimal_price",
     "OptimalPrice",
 ]
@@ -204,31 +202,6 @@ def revenue_slope(
     if share_rate != 0.0:
         slope += share_rate * share_revenue_derivative(game, s, sensitivity)
     return slope
-
-
-def revenue_curve(
-    market: Market,
-    prices,
-    *,
-    cap: float = 0.0,
-    warm_start: bool = True,
-) -> list[EquilibriumResult]:
-    """Equilibrium results along a price sweep (the data behind Figs 4/7).
-
-    For each price the subsidization game under policy ``cap`` is solved;
-    ``cap = 0`` reduces to the one-sided model. With ``warm_start`` each
-    solve starts from the previous equilibrium, which keeps dense sweeps
-    cheap and continuous branches coherent.
-    """
-    results: list[EquilibriumResult] = []
-    initial = None
-    for p in prices:
-        game = SubsidizationGame(market.with_price(float(p)), cap)
-        result = solve_equilibrium(game, initial=initial)
-        results.append(result)
-        if warm_start:
-            initial = result.subsidies
-    return results
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,7 @@ when ``dφ/dq > 0``, the marginal welfare ``dW/dq`` is positive iff
     w_i = λ_i·dm_i/dq,   ε^{λ_i}_{m_i} = m_i·λ'_i(φ)/(dg/dφ)    (14)
 
 i.e. the population-driven welfare gain (left) must outweigh the
-congestion-driven loss (right). As an extension we also provide a
-consumer-surplus-style metric (area under each demand curve above the
-effective price, weighted by per-user rate).
+congestion-driven loss (right).
 """
 
 from __future__ import annotations
@@ -21,13 +19,12 @@ import numpy as np
 
 from repro.core.policy import PolicyEffect
 from repro.exceptions import ModelError
-from repro.providers.market import Market, MarketState
+from repro.providers.market import Market
 
 __all__ = [
     "welfare",
     "WelfareCriterion",
     "marginal_welfare_criterion",
-    "user_surplus",
 ]
 
 
@@ -94,22 +91,3 @@ def marginal_welfare_criterion(
         dwelfare_dq=effect.dwelfare_dq,
         applicable=effect.dphi_dq > 0.0,
     )
-
-
-def user_surplus(market: Market, state: MarketState) -> float:
-    """Extension metric: consumer-surplus-style user welfare.
-
-    For each CP the surplus of its marginal users is the area under the
-    demand curve above the effective price, ``∫_{t_i}^∞ m_i(x) dx`` —
-    weighted by the per-user rate ``λ_i(φ)`` to convert populations into
-    traffic value. Not part of the paper's analysis; used in examples to
-    discuss distributional effects of subsidization.
-    """
-    from scipy.integrate import quad  # extension metric: keep off start-up
-
-    total = 0.0
-    for i, cp in enumerate(market.providers):
-        t = state.effective_prices[i]
-        area, _ = quad(cp.demand.population, t, np.inf, limit=200)
-        total += state.rates[i] * area
-    return total

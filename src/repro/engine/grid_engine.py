@@ -14,9 +14,9 @@ tier. Because each row's computation is a pure function of ``(market,
 prices, cap)``, every schedule — sequential, pooled, or cache-fed —
 returns bit-for-bit the same equilibria.
 
-The same ``"cap-row/1"`` tasks are issued by :func:`price_sweep` and the
-continuation tracer, so e.g. a path trace along a figure's price axis
-resolves entirely from the rows the figure already solved.
+The same ``"cap-row/1"`` tasks are issued by :func:`price_sweep`, so a
+price sweep along a figure's price axis resolves entirely from the rows
+the figure already solved.
 """
 
 from __future__ import annotations
@@ -131,8 +131,8 @@ def cap_row_task(
     """The content-keyed solve task for one policy row.
 
     The single definition of the cap-row key — grids, price sweeps and
-    continuation traces all build their row tasks here, which is what lets
-    them share cache and store entries.
+    refinement all build their row tasks here, which is what lets them
+    share cache and store entries.
     """
     prices = np.ascontiguousarray(np.asarray(prices, dtype=float))
     return SolveTask(

@@ -1,8 +1,7 @@
 """The solve service: one scheduler + two-tier cache for every solve path.
 
 Every analysis in the reproduction — §5 figure grids, oligopoly price
-competition, equilibrium-path continuation, scenario sweeps, market
-trajectories — is a batch of
+competition, scenario sweeps, market trajectories — is a batch of
 *pure solve tasks*: functions of picklable inputs whose outputs depend on
 nothing else. :class:`SolveTask` names one such unit (function + arguments
 + content key + store codec); :class:`SolveService` schedules collections
@@ -26,9 +25,9 @@ a memory tier and, when ``$REPRO_CACHE_DIR`` is set, a disk store). Every
 solve entry point takes ``service=`` and resolves ``None`` to it at call
 time — :func:`~repro.engine.grid_engine.solve_grid` and
 :func:`~repro.engine.grid_engine.price_sweep`, oligopoly competition,
-continuation, refinement and trajectories — so a continuation trace can
-hit the very rows a figure grid solved, and the memory tier is the only
-in-process cache of them.
+refinement and trajectories — so a price sweep can hit the very rows a
+figure grid solved, and the memory tier is the only in-process cache of
+them.
 
 Example — one keyed task, resolved twice against a memory tier (the
 second resolution is a hit, not a recomputation):
@@ -428,7 +427,7 @@ def default_service() -> SolveService:
 
     Backed by a memory tier and, when ``$REPRO_CACHE_DIR`` is set, the
     persistent store at that directory. Grid solves and price sweeps,
-    oligopoly, continuation and trajectories all default to this
+    oligopoly, refinement and trajectories all default to this
     instance, so their solves share one cache.
     """
     global _DEFAULT_SERVICE

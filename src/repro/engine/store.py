@@ -4,7 +4,7 @@ The second tier of the solve service's cache: where the in-memory
 :class:`~repro.engine.cache.SolveCache` dies with the process, the
 :class:`SolveStore` keeps solved artifacts on disk under a digest of their
 *content key* — the same key the memory tier uses — so a re-run of any
-figure, oligopoly competition or continuation trace against a warm store
+figure, oligopoly competition or trajectory against a warm store
 performs zero equilibrium solves.
 
 Layout
@@ -46,10 +46,10 @@ Maintenance and observability
 ``clear``/``prune`` serialize against each other across processes
 through an advisory file lock (``<root>/.lock``, ``flock``), so two
 daemons pruning one store cannot race each other's directory walks. Both
-sweep stray temp files (a writer killed before its rename; ``prune``
-spares those younger than :data:`_TEMP_GRACE_SECONDS`, which may belong
-to a live writer) and *orphans*: the digest-named ``.json``/``.npz``
-files of the older npz formats.
+sweep stray temp files (a writer killed before its rename) older than
+:data:`_TEMP_GRACE_SECONDS` — a younger one may belong to a live writer,
+so a write that races a clear commits — and *orphans*: the digest-named
+``.json``/``.npz`` files of the older npz formats.
 Counters (``hits``, ``misses``, ``writes``, ``write_errors``) plus
 cumulative ``read_seconds``/``write_seconds`` make the disk tier
 observable in ``service.stats()``, the runner's ``--json`` summary and
@@ -64,13 +64,13 @@ explicit codec registry (:data:`CODECS`):
 
 ``"grid-row"``
     ``tuple[EquilibriumResult, ...]`` — one solved cap row, the unit of
-    work of the grid engine, oligopoly states and continuation traces.
+    work of the grid engine, oligopoly states and refinement.
 ``"ndarrays"``
     ``dict[str, np.ndarray]`` — generic named-array bundles (oligopoly
     best-response sweeps, dynamics trajectory segments).
 ``"json"``
-    Any JSON-serializable value (continuation breakpoint refinements).
-    Bit-exact for floats: ``json`` round-trips ``repr(float)`` exactly.
+    Any JSON-serializable value. Bit-exact for floats: ``json``
+    round-trips ``repr(float)`` exactly.
 
 Example — persist a named-array bundle and read it back bit-exactly:
 
@@ -136,9 +136,13 @@ DTYPES: dict[str, np.dtype] = {
 #: Name of the advisory maintenance lock file at the root.
 _LOCK_NAME = ".lock"
 
-#: ``prune`` sweeps only temp files at least this old (seconds): a younger
-#: one may belong to a writer between its ``mkstemp`` and its rename.
+#: ``clear`` and ``prune`` sweep only temp files at least this old
+#: (seconds): a younger one may belong to a writer between its ``mkstemp``
+#: and its rename.
 _TEMP_GRACE_SECONDS = 600.0
+
+#: The removal count each kind of swept file lands in.
+_SWEPT = {"entry": "entries", "orphan": "orphans", "temp": "temp_files"}
 
 #: Files named by a SHA-256 hex digest. Maintenance operations (``clear``,
 #: ``prune``, ``stats``, ``__len__``) only ever touch files of this shape
@@ -553,31 +557,55 @@ class SolveStore:
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
-    def clear(self) -> int:
-        """Remove every entry and leftover file; returns entries removed.
+    def _sweep(
+        self, *, entries: bool
+    ) -> tuple[dict, list[tuple[float, int, str]]]:
+        """Remove garbage, and every entry when ``entries``; the caller
+        holds the maintenance lock.
 
-        Holds the maintenance lock. Only digest-named files, shard
-        directories emptied by the sweep and this store's temp files are
-        touched — pointing ``clear`` at a directory that is not a store
-        removes nothing of consequence.
+        Garbage is *orphans* (the digest-named files of the older npz
+        formats) and temp files at least :data:`_TEMP_GRACE_SECONDS` old:
+        a younger one may be a live writer's, between its ``mkstemp`` and
+        its commit rename. Returns the removal counts
+        ``{"entries", "orphans", "temp_files"}`` and the entries left on
+        disk as ``(mtime, size, path)``.
+        """
+        summary = {"entries": 0, "orphans": 0, "temp_files": 0}
+        kept: list[tuple[float, int, str]] = []
+        swept_before = time.time() - _TEMP_GRACE_SECONDS
+        for kind, item in self._scan()[0]:
+            if kind == "temp" or (kind == "entry" and not entries):
+                try:
+                    stat = item.stat()
+                except OSError:
+                    continue
+                if kind == "entry":
+                    kept.append((stat.st_mtime, stat.st_size, item.path))
+                    continue
+                if stat.st_mtime > swept_before:
+                    continue  # possibly a live writer's temp file
+            try:
+                os.unlink(item.path)
+            except OSError:
+                continue
+            summary[_SWEPT[kind]] += 1
+        return summary, kept
+
+    def clear(self) -> int:
+        """Remove every entry and garbage file; returns entries removed.
+
+        Holds the maintenance lock and sweeps like :meth:`prune`, so a
+        temp file younger than :data:`_TEMP_GRACE_SECONDS` is spared.
+        Shard directories stay: a writer creates its shard just before
+        its temp file. A write that races a clear therefore commits, and
+        its entry may outlive the clear. Only digest-named files and this
+        store's temp files are touched — pointing ``clear`` at a
+        directory that is not a store removes nothing of consequence.
         """
         if not self._root.is_dir():
             return 0
-        removed = 0
         with self._locked():
-            files, shards = self._scan()
-            for kind, item in files:
-                try:
-                    os.unlink(item.path)
-                except OSError:
-                    continue
-                removed += int(kind == "entry")
-            for shard in shards:
-                try:
-                    os.rmdir(shard)  # only succeeds once empty
-                except OSError:
-                    pass
-        return removed
+            return self._sweep(entries=True)[0]["entries"]
 
     def prune(
         self,
@@ -599,30 +627,10 @@ class SolveStore:
             max_bytes is not None and max_bytes < 0
         ):
             raise ValueError("prune bounds must be non-negative")
-        summary = {"entries": 0, "orphans": 0, "temp_files": 0}
         if not self._root.is_dir():
-            return summary
+            return {"entries": 0, "orphans": 0, "temp_files": 0}
         with self._locked():
-            entries: list[tuple[float, int, str]] = []
-            swept_before = time.time() - _TEMP_GRACE_SECONDS
-            for kind, item in self._scan()[0]:
-                if kind != "orphan":
-                    try:
-                        stat = item.stat()
-                    except OSError:
-                        continue
-                    if kind == "entry":
-                        entries.append(
-                            (stat.st_mtime, stat.st_size, item.path)
-                        )
-                        continue
-                    if stat.st_mtime > swept_before:
-                        continue  # possibly a live writer's temp file
-                try:
-                    os.unlink(item.path)
-                except OSError:
-                    continue
-                summary["orphans" if kind == "orphan" else "temp_files"] += 1
+            summary, entries = self._sweep(entries=False)
             if max_entries is None and max_bytes is None:
                 return summary
             entries.sort()  # oldest first

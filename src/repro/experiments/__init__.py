@@ -32,7 +32,6 @@ from repro.experiments.pipeline import (
     ExperimentSpec,
     PanelSpec,
     check,
-    market_structure_experiment,
     run_spec,
     scenario_experiment,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "RefinementReport",
     "ShapeCheck",
     "check",
-    "market_structure_experiment",
     "refine_grid",
     "run_spec",
     "scenario_experiment",

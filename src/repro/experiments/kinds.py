@@ -1,29 +1,28 @@
-"""The sweep-kind table: one entry per axis the paper reads its results over.
+"""The sweep-kind tables: what the pipeline and the campaign driver decide
+per kind.
 
-An experiment (:class:`~repro.experiments.pipeline.ExperimentSpec`) and a
-campaign row (:class:`~repro.campaigns.CampaignRow`) both name a *sweep
-kind*. :data:`SWEEP_KINDS` maps each name to a :class:`SweepKind` that
-owns everything decided per kind: the panel quantities it accepts, its
-x-axis label, how it solves, how its panels become figures and, for the
-kinds a campaign row can run, its warehouse metric columns and the
-function computing them. The pipeline and the campaign driver read this
-table instead of branching on the name, and they share one solve per
-kind.
+:data:`SWEEP_KINDS` holds the sweeps an experiment
+(:class:`~repro.experiments.pipeline.ExperimentSpec`) runs, each a
+:class:`SweepKind` that owns its solve and its figure layout:
 
 ``"price"``
     Zero-subsidy price sweep (§3): a single-row grid at cap ``q = 0``,
     bitwise-identical to direct ``market.solve()`` calls.
 ``"grid"``
     Full (price × policy) equilibrium grid (§5).
+
+:data:`ROW_KINDS` holds the kinds a campaign row
+(:class:`~repro.campaigns.CampaignRow`) runs, each a :class:`RowKind`
+that owns its solve, its warehouse metric columns and the function
+computing them. ``price`` and ``grid`` rows share the figure sweeps'
+solves; the other two return their solver's own result:
+
 ``"dynamics"``
     The market trajectory the scenario's ``repro-dynamics/1`` metadata
-    declares (§6 time dynamics), against the period ``t``.
+    declares (§6 time dynamics).
 ``"market_structure"``
-    N-carrier oligopoly price competition under the scenario's metadata
-    settings (§6 carrier-count conjecture), against ``N``.
-``"campaign"``
-    A mass scenario campaign (:mod:`repro.campaigns`) run or resumed
-    against the warehouse next to the solve store, against the row index.
+    The scenario's N-carrier oligopoly price competition under its
+    metadata settings (§6 carrier-count conjecture).
 
 Every kind solves on the :class:`~repro.engine.SolveService` it is
 handed, so any configured persistent store makes every kind resumable.
@@ -33,14 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Collection,
-    Mapping,
-    NamedTuple,
-)
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 import numpy as np
 
@@ -62,25 +54,20 @@ from repro.simulation.trajectory import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover — annotations only
-    from repro.campaigns.spec import CampaignSpec
     from repro.experiments.pipeline import PanelSpec
     from repro.scenarios.spec import ScenarioSpec
 
 __all__ = [
     "SCALAR_QUANTITIES",
     "PROVIDER_QUANTITIES",
-    "MARKET_STRUCTURE_QUANTITIES",
-    "DYNAMICS_QUANTITIES",
-    "METRICS",
     "CAMPAIGN_METRICS",
-    "CAMPAIGN_QUANTITIES",
     "SWEEP_METRICS",
     "CAMPAIGN_SWEEPS",
-    "Metric",
     "SweepKind",
     "SWEEP_KINDS",
+    "RowKind",
+    "ROW_KINDS",
     "SweepView",
-    "AxisView",
 ]
 
 #: Scalar quantities a panel or check can read off each equilibrium.
@@ -102,101 +89,34 @@ PROVIDER_QUANTITIES: Mapping[str, Callable[[EquilibriumResult], np.ndarray]] = {
     "effective_prices": lambda eq: eq.state.effective_prices,
 }
 
-#: Industry-level quantities a ``market_structure`` panel or check can read
-#: off each carrier count's solved price competition.
-MARKET_STRUCTURE_QUANTITIES: Mapping[
-    str, Callable[[OligopolyCompetitionResult], float]
-] = {
-    "industry_revenue": lambda r: r.state.total_revenue,
-    "industry_welfare": lambda r: r.state.welfare,
-    "mean_price": lambda r: r.state.mean_price,
-    "mean_utilization": lambda r: r.state.mean_utilization,
-    "price_dispersion": lambda r: (
-        max(r.state.prices) - min(r.state.prices)
-    ),
-    "competition_sweeps": lambda r: float(r.iterations),
-    "equilibrium_solves": lambda r: float(r.total_solves),
-}
-
-#: Trajectory quantities a ``dynamics`` panel or check can read off the
-#: solved trajectory — one value per period, aligned with the step axis.
-DYNAMICS_QUANTITIES: Mapping[str, Callable[[DynamicsTrajectory], np.ndarray]] = {
-    "adoption": lambda tr: tr.adoption(),
-    "utilization": lambda tr: tr.utilizations,
-    "industry_revenue": lambda tr: tr.revenues,
-    "welfare": lambda tr: tr.welfares,
-    "aggregate_throughput": lambda tr: tr.aggregate_throughputs(),
-    "capacity": lambda tr: tr.capacities,
-    "price": lambda tr: tr.prices,
-    "mean_subsidy": lambda tr: tr.subsidies.mean(axis=1),
-}
-
-
-class Metric(NamedTuple):
-    """One warehouse metric: its meaning and its campaign panel labels."""
-
-    meaning: str
-    title: str
-    y_label: str
-
-
-#: Every metric a campaign row can emit, in column order: name, meaning,
-#: campaign panel title and y-axis label.
-METRICS: Mapping[str, Metric] = MappingProxyType(
+#: Every metric a campaign row can emit, in column order, with the
+#: one-line meaning the CLI and docs surface.
+CAMPAIGN_METRICS: Mapping[str, str] = MappingProxyType(
     {
-        name: Metric(meaning, title, y_label)
-        for name, meaning, title, y_label in (
-            ("welfare", "welfare W (at p*, final period, or equilibrium)",
-             "System welfare W", "W"),
-            ("revenue", "ISP revenue R (at p* or final period)",
-             "ISP revenue R", "R"),
-            ("utilization", "access utilization u at the revenue-optimal node",
-             "System utilization φ", "φ"),
-            ("aggregate_throughput",
-             "aggregate throughput at the revenue-optimal node",
-             "Aggregate throughput θ", "θ"),
-            ("price_star", "revenue-maximizing price p*",
-             "Revenue-optimal price p*", "p*"),
-            ("cap_star", "policy level q at the revenue-optimal node",
-             "Revenue-optimal policy q", "q"),
-            ("welfare_max", "maximum welfare over the solved grid",
-             "Grid-max welfare", "W"),
-            ("welfare_mean", "mean welfare over the solved grid",
-             "Grid-mean welfare", "W"),
-            ("kkt_max", "worst KKT residual over the solved grid",
-             "Worst KKT residual", "KKT"),
-            ("welfare_min", "minimum welfare over the trajectory",
-             "Trajectory-min welfare", "W"),
-            ("adoption_final", "total subscribed population at the horizon",
-             "Final adoption Σm", "Σm"),
-            ("capacity_final", "access capacity at the horizon",
-             "Final capacity µ", "µ"),
-            ("survived",
-             "1.0 if the trajectory stayed finite with positive adoption",
-             "Survival flag", "survived"),
-            ("industry_revenue",
-             "total carrier revenue at the price equilibrium",
-             "Industry revenue ΣR", "ΣR"),
-            ("mean_price", "mean equilibrium carrier price",
-             "Mean carrier price", "p"),
-            ("mean_utilization", "mean carrier utilization at equilibrium",
-             "Mean link utilization φ", "φ"),
-            ("hhi", "Herfindahl concentration of equilibrium shares",
-             "Herfindahl concentration", "HHI"),
-            ("carriers", "carrier count N of the oligopoly row",
-             "Carrier count N", "N"),
-        )
+        "welfare": "welfare W (at p*, final period, or equilibrium)",
+        "revenue": "ISP revenue R (at p* or final period)",
+        "utilization": "access utilization u at the revenue-optimal node",
+        "aggregate_throughput": (
+            "aggregate throughput at the revenue-optimal node"
+        ),
+        "price_star": "revenue-maximizing price p*",
+        "cap_star": "policy level q at the revenue-optimal node",
+        "welfare_max": "maximum welfare over the solved grid",
+        "welfare_mean": "mean welfare over the solved grid",
+        "kkt_max": "worst KKT residual over the solved grid",
+        "welfare_min": "minimum welfare over the trajectory",
+        "adoption_final": "total subscribed population at the horizon",
+        "capacity_final": "access capacity at the horizon",
+        "survived": (
+            "1.0 if the trajectory stayed finite with positive adoption"
+        ),
+        "industry_revenue": "total carrier revenue at the price equilibrium",
+        "mean_price": "mean equilibrium carrier price",
+        "mean_utilization": "mean carrier utilization at equilibrium",
+        "hhi": "Herfindahl concentration of equilibrium shares",
+        "carriers": "carrier count N of the oligopoly row",
     }
 )
-
-#: Metric name → one-line meaning, as the CLI and docs surface it.
-CAMPAIGN_METRICS: Mapping[str, str] = MappingProxyType(
-    {name: metric.meaning for name, metric in METRICS.items()}
-)
-
-#: The quantities a ``campaign`` panel can read: every warehouse metric
-#: (a campaign narrows them to its row kind's columns).
-CAMPAIGN_QUANTITIES: Mapping[str, str] = CAMPAIGN_METRICS
 
 
 class SweepView:
@@ -253,53 +173,8 @@ class SweepView:
         return self.grid.at(cap_index, price_index)
 
 
-class AxisView:
-    """Solved one-axis sweep with cached quantity extraction.
-
-    The ``dynamics``, ``market_structure`` and ``campaign`` kinds solve to
-    one value per point of a single axis — period ``t``, carrier count
-    ``N`` or campaign row — so :meth:`scalar` returns ``[point]`` vectors
-    aligned with :attr:`x`. The kind's raw solve output stays reachable
-    for checks as attributes: ``dynamics`` and ``trajectory``;
-    ``results`` (one competition result per carrier count); or
-    ``campaign``, ``report`` and ``records`` (the warehouse rows).
-    """
-
-    def __init__(
-        self,
-        kind: str,
-        x,
-        quantities: Collection[str],
-        read: Callable[[str], Any],
-        *,
-        scenario: ScenarioSpec | None = None,
-        **raw: Any,
-    ) -> None:
-        self.kind = kind
-        self.x = np.asarray(x, dtype=float)
-        self.scenario = scenario
-        self.market = None if scenario is None else scenario.market
-        self._quantities = quantities
-        self._read = read
-        self._cache: dict[str, np.ndarray] = {}
-        vars(self).update(raw)
-
-    def scalar(self, quantity: str) -> np.ndarray:
-        """``[point]`` vector of one of the kind's quantities."""
-        if quantity not in self._cache:
-            if quantity not in self._quantities:
-                raise ModelError(
-                    f"unknown {self.kind} quantity {quantity!r}; choose "
-                    f"from {sorted(self._quantities)}"
-                )
-            self._cache[quantity] = np.asarray(
-                self._read(quantity), dtype=float
-            )
-        return self._cache[quantity]
-
-
 # ----------------------------------------------------------------------
-# solves: (source, service, **options) -> view
+# solves: (scenario, service, **options) -> solved result
 # ----------------------------------------------------------------------
 def _solve_grid(
     scn: ScenarioSpec,
@@ -309,7 +184,6 @@ def _solve_grid(
     prices=None,
     caps=None,
     refine=None,
-    **_: Any,
 ) -> SweepView:
     """Solve the (price × policy) grid; ``prices``/``caps`` override the
     scenario's axes and ``refine`` switches to adaptive refinement."""
@@ -348,98 +222,39 @@ def _solve_price(
 
 def _solve_dynamics(
     scn: ScenarioSpec, service: SolveService, **_: Any
-) -> AxisView:
+) -> DynamicsTrajectory:
     """Run the trajectory the scenario's metadata declares.
 
     Malformed metadata (a scenario file is user input) raises
     :class:`~repro.exceptions.ModelError` before any solve runs; plain
     scenarios run under the defaults.
     """
-    dspec = dynamics_settings(scn.metadata)
-    trajectory = run_trajectory(scn.market, dspec, service=service)
-    return AxisView(
-        "dynamics",
-        trajectory.steps,
-        DYNAMICS_QUANTITIES,
-        lambda q: DYNAMICS_QUANTITIES[q](trajectory),
-        scenario=scn,
-        dynamics=dspec,
-        trajectory=trajectory,
+    return run_trajectory(
+        scn.market, dynamics_settings(scn.metadata), service=service
     )
 
 
 def _solve_market_structure(
-    scn: ScenarioSpec,
-    service: SolveService,
-    *,
-    carrier_counts=(None,),
-    **_: Any,
-) -> AxisView:
-    """Solve one price competition per carrier count.
+    scn: ScenarioSpec, service: SolveService, **_: Any
+) -> OligopolyCompetitionResult:
+    """Solve the scenario's carrier price competition.
 
-    ``None`` (the default axis) is the scenario's own carrier count.
     Competition parameters come from the scenario's metadata, so
     malformed metadata raises :class:`~repro.exceptions.ModelError`
-    before any solve runs. Each count's game is built fresh, so its
-    warm-start chain is self-contained and a warm store replays it.
+    before any solve runs.
     """
     settings = competition_settings(scn.metadata)
-    results = tuple(
-        solve_oligopoly_competition(
-            OligopolyGame.from_scenario(scn, carriers=n, service=service),
-            price_range=settings.price_range,
-            grid_points=settings.grid_points,
-            xtol=settings.xtol,
-            policy=settings.policy,
-        )
-        for n in carrier_counts
-    )
-    return AxisView(
-        "market_structure",
-        [len(result.state.shares) for result in results],
-        MARKET_STRUCTURE_QUANTITIES,
-        lambda q: [MARKET_STRUCTURE_QUANTITIES[q](r) for r in results],
-        scenario=scn,
-        results=results,
-    )
-
-
-def _solve_campaign(
-    cspec: CampaignSpec,
-    service: SolveService,
-    *,
-    workers: int | None = None,
-    **_: Any,
-) -> AxisView:
-    """Run (or resume) a campaign and load its warehouse rows.
-
-    The warehouse sits next to the service's persistent store, so a
-    re-run skips completed rows and a warm full replay solves nothing.
-    """
-    # The driver imports this module: load it on first use.
-    from repro.campaigns.driver import run_campaign, warehouse_for_service
-
-    warehouse = warehouse_for_service(service)
-    try:
-        report = run_campaign(
-            cspec, service=service, warehouse=warehouse, workers=workers
-        )
-        records = tuple(warehouse.rows(report.campaign))
-    finally:
-        warehouse.close()
-    return AxisView(
-        "campaign",
-        [record["index"] for record in records],
-        SWEEP_KINDS[cspec.sweep].metrics,
-        lambda q: [record["metrics"][q] for record in records],
-        campaign=cspec,
-        report=report,
-        records=records,
+    return solve_oligopoly_competition(
+        OligopolyGame.from_scenario(scn, service=service),
+        price_range=settings.price_range,
+        grid_points=settings.grid_points,
+        xtol=settings.xtol,
+        policy=settings.policy,
     )
 
 
 # ----------------------------------------------------------------------
-# row metrics: view -> {metric: value}
+# row metrics: solved result -> {metric: value}
 # ----------------------------------------------------------------------
 def _grid_metrics(view: SweepView) -> dict[str, float]:
     """The revenue-optimal node of the grid plus grid-level aggregates."""
@@ -461,9 +276,8 @@ def _grid_metrics(view: SweepView) -> dict[str, float]:
     }
 
 
-def _dynamics_metrics(view: AxisView) -> dict[str, float]:
+def _dynamics_metrics(trajectory: DynamicsTrajectory) -> dict[str, float]:
     """End-of-horizon outcomes plus a survival flag."""
-    trajectory = view.trajectory
     welfares = np.asarray(trajectory.welfares, dtype=float)
     revenues = np.asarray(trajectory.revenues, dtype=float)
     adoption = trajectory.adoption()
@@ -482,9 +296,11 @@ def _dynamics_metrics(view: AxisView) -> dict[str, float]:
     }
 
 
-def _structure_metrics(view: AxisView) -> dict[str, float]:
+def _structure_metrics(
+    result: OligopolyCompetitionResult,
+) -> dict[str, float]:
     """The oligopoly equilibrium and its concentration."""
-    state = view.results[0].state
+    state = result.state
     shares = np.asarray(state.shares, dtype=float)
     return {
         "welfare": float(state.welfare),
@@ -497,7 +313,7 @@ def _structure_metrics(view: AxisView) -> dict[str, float]:
 
 
 # ----------------------------------------------------------------------
-# layouts: (panel, view) -> [(figure_id, title, x, series)]
+# layouts: (panel, view) -> [(figure_id, title, series)]
 # ----------------------------------------------------------------------
 def _cap_series(view: SweepView, matrix: np.ndarray) -> tuple[Series, ...]:
     return tuple(
@@ -516,7 +332,7 @@ def _line_layout(panel: PanelSpec, view: SweepView) -> list[tuple]:
     else:
         name = panel.series_name or panel.quantity
         series = (Series(name, view.line(panel.quantity)),)
-    return [(panel.figure_id, panel.title, view.prices, series)]
+    return [(panel.figure_id, panel.title, series)]
 
 
 def _grid_layout(panel: PanelSpec, view: SweepView) -> list[tuple]:
@@ -524,144 +340,129 @@ def _grid_layout(panel: PanelSpec, view: SweepView) -> list[tuple]:
     per CP (the paper's 2×4 layouts)."""
     if not panel.per_provider:
         matrix = view.scalar(panel.quantity)  # [cap, price]
-        series = _cap_series(view, matrix)
-        return [(panel.figure_id, panel.title, view.prices, series)]
+        return [(panel.figure_id, panel.title, _cap_series(view, matrix))]
     values = view.provider(panel.quantity)  # [cap, price, cp]
     return [
         (
             f"{panel.figure_id}-{name}",
             panel.title.format(name=name),
-            view.prices,
             _cap_series(view, values[:, :, i]),
         )
         for i, name in enumerate(view.market.provider_names())
     ]
 
 
-def _axis_layout(panel: PanelSpec, view: AxisView) -> list[tuple]:
-    """One single-series figure over the view's axis."""
-    series = Series(
-        panel.series_name or panel.quantity, view.scalar(panel.quantity)
-    )
-    return [(panel.figure_id, panel.title, view.x, (series,))]
-
-
 @dataclass(frozen=True)
 class SweepKind:
-    """Everything the pipeline and the campaign driver decide per kind.
+    """A sweep an experiment runs: how it solves and lays out its panels.
 
     Attributes
     ----------
     name:
-        The kind's key in :data:`SWEEP_KINDS` (``ExperimentSpec.sweep``,
-        ``CampaignSpec.sweep``).
-    x_label:
-        The x-axis label of the kind's figures.
-    quantities:
-        The panel quantities the kind accepts.
+        The kind's key in :data:`SWEEP_KINDS` (``ExperimentSpec.sweep``).
     solve:
-        ``solve(source, service, **options) -> view``: solves a scenario
-        (a :class:`~repro.campaigns.CampaignSpec` for ``campaign``) on
-        the :class:`~repro.engine.SolveService` ``service``. Options a
-        kind does not use are ignored: ``workers``, ``prices``/``caps``
-        axis overrides, ``refine``, ``carrier_counts``.
+        ``solve(scenario, service, *, workers, prices, caps, refine) ->
+        SweepView`` on the :class:`~repro.engine.SolveService`
+        ``service``: worker count, price/cap axis overrides and an
+        optional adaptive-refinement spec.
     layout:
-        ``layout(panel, view)``: one ``(figure_id, title, x, series)``
-        tuple per figure the panel derives.
-    options:
-        The optional :class:`~repro.experiments.pipeline.ExperimentSpec`
-        fields the kind takes (``refine``, ``carrier_counts``,
-        ``campaign``); a kind that takes a campaign takes no scenario.
-    metrics:
-        The warehouse metric columns of a campaign row of this kind, in
-        column order (empty: campaigns cannot run the kind).
-    row_metrics:
-        ``row_metrics(view) -> {metric: value}`` for those columns.
+        ``layout(panel, view)``: one ``(figure_id, title, series)`` tuple
+        per figure the panel derives, every one against the price axis.
     """
 
     name: str
-    x_label: str
-    quantities: Mapping[str, Any]
-    solve: Callable[..., Any]
+    solve: Callable[..., SweepView]
     layout: Callable[..., list[tuple]]
-    options: frozenset[str] = frozenset()
-    metrics: tuple[str, ...] = ()
-    row_metrics: Callable[[Any], dict[str, float]] | None = None
 
-    def figures(self, panel: PanelSpec, view) -> list[FigureData]:
+    def figures(self, panel: PanelSpec, view: SweepView) -> list[FigureData]:
         """The figures one panel derives from a solved view."""
         return [
             FigureData(
                 figure_id=figure_id,
                 title=title,
-                x_label=self.x_label,
+                x_label="p",
                 y_label=panel.y_label,
-                x=x,
+                x=view.prices,
                 series=series,
                 notes=panel.notes,
             )
-            for figure_id, title, x, series in self.layout(panel, view)
+            for figure_id, title, series in self.layout(panel, view)
         ]
 
 
-_GRID_QUANTITIES: Mapping[str, Any] = MappingProxyType(
-    {**SCALAR_QUANTITIES, **PROVIDER_QUANTITIES}
+#: The experiment sweeps, in the order the docs list them.
+SWEEP_KINDS: Mapping[str, SweepKind] = MappingProxyType(
+    {
+        kind.name: kind
+        for kind in (
+            SweepKind("price", _solve_price, _line_layout),
+            SweepKind("grid", _solve_grid, _grid_layout),
+        )
+    }
 )
+
+
+@dataclass(frozen=True)
+class RowKind:
+    """A campaign row kind: how it solves and what it lands.
+
+    Attributes
+    ----------
+    name:
+        The kind's key in :data:`ROW_KINDS` (``CampaignSpec.sweep``).
+    solve:
+        ``solve(scenario, service, *, workers=None)``: solves one row's
+        scenario on the :class:`~repro.engine.SolveService` ``service``.
+    metrics:
+        The warehouse metric columns of the kind's rows, in column order.
+    row_metrics:
+        ``row_metrics(solved) -> {metric: value}`` for those columns.
+    """
+
+    name: str
+    solve: Callable[..., Any]
+    metrics: tuple[str, ...]
+    row_metrics: Callable[[Any], dict[str, float]]
+
 
 _GRID_METRICS = (
     "welfare", "revenue", "utilization", "aggregate_throughput", "price_star",
     "cap_star", "welfare_max", "welfare_mean", "kkt_max",
 )
 
-#: The sweep kinds, in the order the CLI lists them.
-SWEEP_KINDS: Mapping[str, SweepKind] = MappingProxyType(
+#: The campaign row kinds, in the order the CLI lists them.
+ROW_KINDS: Mapping[str, RowKind] = MappingProxyType(
     {
         kind.name: kind
         for kind in (
-            SweepKind(
-                "price", "p", _GRID_QUANTITIES, _solve_price, _line_layout,
-                options=frozenset({"refine"}),
-                metrics=_GRID_METRICS,
-                row_metrics=_grid_metrics,
-            ),
-            SweepKind(
-                "grid", "p", _GRID_QUANTITIES, _solve_grid, _grid_layout,
-                options=frozenset({"refine"}),
-                metrics=_GRID_METRICS,
-                row_metrics=_grid_metrics,
-            ),
-            SweepKind(
-                "dynamics", "t", DYNAMICS_QUANTITIES, _solve_dynamics,
-                _axis_layout,
-                metrics=(
+            RowKind("price", _solve_price, _GRID_METRICS, _grid_metrics),
+            RowKind("grid", _solve_grid, _GRID_METRICS, _grid_metrics),
+            RowKind(
+                "dynamics",
+                _solve_dynamics,
+                (
                     "welfare", "welfare_min", "revenue", "adoption_final",
                     "capacity_final", "survived",
                 ),
-                row_metrics=_dynamics_metrics,
+                _dynamics_metrics,
             ),
-            SweepKind(
-                "market_structure", "N", MARKET_STRUCTURE_QUANTITIES,
-                _solve_market_structure, _axis_layout,
-                options=frozenset({"carrier_counts"}),
-                metrics=(
+            RowKind(
+                "market_structure",
+                _solve_market_structure,
+                (
                     "welfare", "industry_revenue", "mean_price",
                     "mean_utilization", "hhi", "carriers",
                 ),
-                row_metrics=_structure_metrics,
-            ),
-            SweepKind(
-                "campaign", "row", CAMPAIGN_QUANTITIES, _solve_campaign,
-                _axis_layout,
-                options=frozenset({"campaign"}),
+                _structure_metrics,
             ),
         )
     }
 )
 
-#: Warehouse columns per row kind: the kinds a campaign row can run.
+#: Warehouse columns per row kind.
 SWEEP_METRICS: Mapping[str, tuple[str, ...]] = MappingProxyType(
-    {name: kind.metrics for name, kind in SWEEP_KINDS.items() if kind.metrics}
+    {name: kind.metrics for name, kind in ROW_KINDS.items()}
 )
 
 #: The sweep kinds a campaign row can run, in CLI order.
-CAMPAIGN_SWEEPS: tuple[str, ...] = tuple(SWEEP_METRICS)
+CAMPAIGN_SWEEPS: tuple[str, ...] = tuple(ROW_KINDS)

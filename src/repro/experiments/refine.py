@@ -6,9 +6,8 @@ near the partition-change kinks (Theorem 6's ``N−/N+/Ñ`` boundaries) and
 the revenue peak. :func:`refine_grid` starts from a coarse price axis,
 solves it, and then repeatedly *bisects only the interesting intervals* —
 those where the normalized welfare/revenue curvature exceeds a threshold,
-or where the equilibrium's bound partition changes across the interval
-(the same partition test the continuation tracer uses to locate its
-breakpoints). After ``levels`` rounds the flagged regions reach the
+or where the equilibrium's bound partition changes across the interval.
+After ``levels`` rounds the flagged regions reach the
 resolution of a uniform grid ``2**levels`` times finer, at a fraction of
 the solves.
 
@@ -37,8 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.continuation import _partition_key
-from repro.core.characterization import classify_providers
+from repro.core.characterization import ProviderPartition, classify_providers
 from repro.core.game import SubsidizationGame
 from repro.engine.grid_engine import EquilibriumGrid, cap_row_task
 from repro.engine.service import SolveService, default_service
@@ -96,7 +94,7 @@ class RefineSpec:
         ``utilization``).
     breakpoints:
         Also flag intervals across which any cap row's equilibrium bound
-        partition changes — the continuation tracer's kink test — so
+        partition changes (Theorem 6's ``N−/N+/Ñ`` classification), so
         Theorem 6 breakpoints refine even where curvature looks flat.
     boundary_tol:
         Bound-closeness tolerance of the partition classification.
@@ -242,23 +240,18 @@ def _partition_flags(
 ) -> np.ndarray:
     """Flag intervals across which any cap row's bound partition changes.
 
-    The continuation tracer's breakpoint test (classification keys from
-    :mod:`repro.analysis.continuation`), applied to already-solved nodes
+    Classifies already-solved nodes (Theorem 6's ``N−/N+/Ñ`` partition)
     — no extra equilibrium solves.
     """
 
-    def key_at(p: float, k: int) -> tuple:
+    def partition_at(p: float, k: int) -> ProviderPartition:
         node = (p, k)
         if node not in partition_cache:
             game = SubsidizationGame(
                 market.with_price(float(p)), float(caps[k])
             )
-            partition_cache[node] = _partition_key(
-                classify_providers(
-                    game,
-                    columns[p][k].subsidies,
-                    boundary_tol=boundary_tol,
-                )
+            partition_cache[node] = classify_providers(
+                game, columns[p][k].subsidies, boundary_tol=boundary_tol
             )
         return partition_cache[node]
 
@@ -266,7 +259,7 @@ def _partition_flags(
     for j in range(axis.size - 1):
         lo, hi = float(axis[j]), float(axis[j + 1])
         for k in range(caps.size):
-            if key_at(lo, k) != key_at(hi, k):
+            if partition_at(lo, k) != partition_at(hi, k):
                 flags[j] = True
                 break
     return flags

@@ -239,9 +239,7 @@ def resolve_experiments(
     the generic scenario experiment) and inline :class:`ExperimentSpec`
     objects; duplicates after canonicalization collapse to the first
     occurrence, preserving order. ``refine`` stamps an adaptive-refinement
-    spec onto every resolved experiment (the ``--refine`` flags); a sweep
-    kind that cannot refine raises
-    :class:`~repro.exceptions.ModelError` here, before anything runs.
+    spec onto every resolved experiment (the ``--refine`` flags).
     """
     resolved: list[tuple[str, Callable[[], ExperimentResult]]] = []
     seen: set = set()
@@ -1924,7 +1922,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(exc.args[0], file=sys.stderr)
         return 2
     except ReproError as exc:
-        # e.g. --refine on an experiment whose sweep kind cannot refine.
+        # A model or solve error: report it without a traceback.
         print(str(exc), file=sys.stderr)
         return 2
     finally:

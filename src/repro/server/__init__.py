@@ -18,10 +18,9 @@ memory LRU, shared content-addressed store) across every request:
 
 from repro.server.client import ServeClient, replay
 from repro.server.http import ServeApp, run_server
-from repro.server.jobs import JOB_STATES, TERMINAL_STATES, Job, JobManager
+from repro.server.jobs import TERMINAL_STATES, Job, JobManager
 
 __all__ = [
-    "JOB_STATES",
     "TERMINAL_STATES",
     "Job",
     "JobManager",

@@ -54,15 +54,11 @@ from repro.io import scenario_digest
 from repro.scenarios.spec import ScenarioSpec
 
 __all__ = [
-    "JOB_STATES",
     "TERMINAL_STATES",
     "Job",
     "JobManager",
     "experiment_payload",
 ]
-
-#: Every job state, in lifecycle order.
-JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 
 #: States no transition ever leaves.
 TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})

@@ -32,8 +32,6 @@ Example — declare a trajectory spec and read its canonical block:
 
 from repro.simulation.agents import (
     BestResponseStrategy,
-    FixedStrategy,
-    GradientStrategy,
     SubsidyStrategy,
 )
 from repro.simulation.capacity import expansion_step
@@ -56,8 +54,6 @@ __all__ = [
     "DYNAMICS_FORMAT",
     "DynamicsSpec",
     "DynamicsTrajectory",
-    "FixedStrategy",
-    "GradientStrategy",
     "MarketSimulation",
     "Shock",
     "SimulationConfig",

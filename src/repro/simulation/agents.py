@@ -20,9 +20,7 @@ from repro.solvers.projection import clip_scalar
 
 __all__ = [
     "SubsidyStrategy",
-    "FixedStrategy",
     "BestResponseStrategy",
-    "GradientStrategy",
 ]
 
 
@@ -38,28 +36,6 @@ class SubsidyStrategy(ABC):
         rng: np.random.Generator,
     ) -> float:
         """Propose the CP's next subsidy given the current profile."""
-
-
-class FixedStrategy(SubsidyStrategy):
-    """Never adapts: always plays a fixed subsidy (clipped to the cap).
-
-    Models contractual sponsored-data commitments, or a zero-subsidy
-    holdout CP.
-    """
-
-    def __init__(self, subsidy: float) -> None:
-        if subsidy < 0.0 or not np.isfinite(subsidy):
-            raise ModelError(f"subsidy must be finite and non-negative, got {subsidy}")
-        self._subsidy = float(subsidy)
-
-    def propose(
-        self,
-        game: SubsidizationGame,
-        index: int,
-        profile: np.ndarray,
-        rng: np.random.Generator,
-    ) -> float:
-        return clip_scalar(self._subsidy, 0.0, game.cap)
 
 
 class BestResponseStrategy(SubsidyStrategy):
@@ -93,38 +69,6 @@ class BestResponseStrategy(SubsidyStrategy):
     ) -> float:
         target = best_response(game, index, profile)
         proposal = profile[index] + self._damping * (target - profile[index])
-        if self._noise > 0.0:
-            proposal += rng.normal(0.0, self._noise)
-        return clip_scalar(proposal, 0.0, game.cap)
-
-
-class GradientStrategy(SubsidyStrategy):
-    """Projected gradient play: ``s_i ← Π_{[0,q]}(s_i + η·u_i(s))``.
-
-    A lower-information rule than best response — the CP only senses the
-    local marginal utility of its subsidy (e.g. from small A/B price
-    experiments) rather than optimizing globally.
-    """
-
-    def __init__(self, learning_rate: float = 0.5, noise: float = 0.0) -> None:
-        if learning_rate <= 0.0:
-            raise ModelError(
-                f"learning_rate must be positive, got {learning_rate}"
-            )
-        if noise < 0.0:
-            raise ModelError(f"noise must be non-negative, got {noise}")
-        self._learning_rate = learning_rate
-        self._noise = noise
-
-    def propose(
-        self,
-        game: SubsidizationGame,
-        index: int,
-        profile: np.ndarray,
-        rng: np.random.Generator,
-    ) -> float:
-        u_i = game.marginal_utility(index, profile)
-        proposal = profile[index] + self._learning_rate * u_i
         if self._noise > 0.0:
             proposal += rng.normal(0.0, self._noise)
         return clip_scalar(proposal, 0.0, game.cap)

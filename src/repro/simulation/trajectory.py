@@ -3,8 +3,8 @@
 The paper's equilibrium analysis is a snapshot; its economic story —
 subsidization shifting demand, carriers expanding capacity, welfare
 evolving under policy — is a *trajectory*. This module runs those
-trajectories through the shared solve service the same way grids, oligopoly
-sweeps and continuation traces already do:
+trajectories through the shared solve service the same way grids and
+oligopoly sweeps already do:
 
 * a :class:`DynamicsSpec` declares the trajectory as *data* — the step
   policy (``"subsidies"``: §6 off-equilibrium best-response play;

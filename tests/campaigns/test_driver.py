@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.campaigns import (
+    CAMPAIGN_METRICS,
     SWEEP_METRICS,
     CampaignSpec,
     CampaignWarehouse,
@@ -11,7 +12,21 @@ from repro.campaigns import (
     run_campaign,
     warehouse_for_service,
 )
+from repro.competition import (
+    OligopolyGame,
+    competition_settings,
+    solve_oligopoly_competition,
+)
 from repro.engine import SolveCache, SolveService, SolveStore
+from repro.exceptions import ModelError
+from repro.experiments.kinds import ROW_KINDS
+from repro.scenarios import (
+    ScenarioSpec,
+    oligopoly,
+    scaled_market,
+    trajectory_variant,
+)
+from repro.simulation import dynamics_settings, run_trajectory
 
 
 def price_spec(**overrides) -> CampaignSpec:
@@ -193,3 +208,93 @@ class TestSweepMetrics:
             assert carriers.tolist() == [1.0, 3.0]
             assert hhi[0] == pytest.approx(1.0)
             assert hhi[1] < 1.0
+
+
+def _with_metadata(scn: ScenarioSpec, **extra) -> ScenarioSpec:
+    return ScenarioSpec(
+        scenario_id=scn.scenario_id,
+        title=scn.title,
+        market=scn.market,
+        prices=scn.prices,
+        policy_levels=scn.policy_levels,
+        metadata={**scn.metadata, **extra},
+    )
+
+
+def _small_market() -> ScenarioSpec:
+    return scaled_market(
+        4, prices=(0.5, 1.0), policy_levels=(0.0,), scenario_id="drv-rows"
+    )
+
+
+class TestRowKinds:
+    def test_row_metric_columns_are_documented(self):
+        for name, kind in ROW_KINDS.items():
+            assert kind.metrics == SWEEP_METRICS[name]
+            for metric in kind.metrics:
+                assert metric in CAMPAIGN_METRICS, (name, metric)
+
+    @pytest.mark.parametrize(
+        "kind, scenario",
+        [
+            (
+                "market_structure",
+                lambda: _with_metadata(
+                    oligopoly(_small_market(), 2), price_range=[1.0]
+                ),
+            ),
+            (
+                "dynamics",
+                lambda: _with_metadata(
+                    _small_market(), dynamics={"format": "nope"}
+                ),
+            ),
+        ],
+    )
+    def test_malformed_metadata_fails_before_any_solve(self, kind, scenario):
+        service = SolveService(cache=SolveCache())
+        with pytest.raises(ModelError):
+            ROW_KINDS[kind].solve(scenario(), service)
+        assert service.counters.computed == 0
+
+    def test_malformed_competition_campaign_lands_nothing(self):
+        spec = CampaignSpec(
+            campaign_id="drv-bad",
+            generator="random_market",
+            sweep="market_structure",
+            base_params={"n_types": 4, "price_range": [1.0]},
+        )
+        service = SolveService(cache=SolveCache())
+        with CampaignWarehouse(":memory:") as wh:
+            with pytest.raises(ModelError, match="price_range"):
+                run_campaign(spec, service=service, warehouse=wh)
+            assert wh.count(spec.digest()) == 0
+        assert service.counters.computed == 0
+
+    def test_dynamics_row_is_the_declared_trajectory(self):
+        scn = trajectory_variant(
+            _small_market(), kind="capacity", horizon=3, segment_length=2,
+            cap=0.5,
+        )
+        row = ROW_KINDS["dynamics"].solve(scn, SolveService())
+        direct = run_trajectory(
+            scn.market, dynamics_settings(scn.metadata), service=SolveService()
+        )
+        for column in ("welfares", "revenues", "capacities", "subsidies"):
+            assert np.array_equal(getattr(row, column), getattr(direct, column))
+
+    def test_market_structure_row_is_the_scenarios_competition(self):
+        scn = _with_metadata(
+            oligopoly(_small_market(), 2), grid_points=5, xtol=1e-2
+        )
+        row = ROW_KINDS["market_structure"].solve(scn, SolveService())
+        settings = competition_settings(scn.metadata)
+        direct = solve_oligopoly_competition(
+            OligopolyGame.from_scenario(scn, service=SolveService()),
+            price_range=settings.price_range,
+            grid_points=settings.grid_points,
+            xtol=settings.xtol,
+            policy=settings.policy,
+        )
+        assert len(row.state.shares) == 2
+        assert row.state.prices == direct.state.prices

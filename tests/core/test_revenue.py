@@ -9,8 +9,8 @@ from repro.core.revenue import (
     marginal_revenue_decomposition,
     marginal_revenue_one_sided,
     optimal_price,
-    revenue_curve,
 )
+from repro.engine import price_sweep
 
 
 class TestOneSidedMarginalRevenue:
@@ -81,24 +81,28 @@ class TestEquilibriumMarginalRevenue:
 
 
 class TestRevenueCurve:
+    """The revenue curve R(p) under equilibrium response (Figs 4 and 7)."""
+
     def test_returns_one_result_per_price(self, two_cp_market):
         prices = [0.2, 0.6, 1.0]
-        results = revenue_curve(two_cp_market, prices, cap=0.5)
+        results = price_sweep(two_cp_market, prices, cap=0.5)
         assert len(results) == 3
         for result in results:
             assert result.kkt_residual < 1e-7
 
     def test_zero_cap_matches_one_sided_solve(self, two_cp_market):
-        results = revenue_curve(two_cp_market, [0.8], cap=0.0)
+        results = price_sweep(two_cp_market, [0.8], cap=0.0)
         assert results[0].state.revenue == pytest.approx(
             two_cp_market.with_price(0.8).solve().revenue
         )
 
     def test_deregulated_revenue_dominates_baseline(self, four_cp_market):
         prices = np.linspace(0.2, 1.6, 8)
-        base = [r.state.revenue for r in revenue_curve(four_cp_market, prices, cap=0.0)]
+        base = [
+            r.state.revenue for r in price_sweep(four_cp_market, prices, cap=0.0)
+        ]
         dereg = [
-            r.state.revenue for r in revenue_curve(four_cp_market, prices, cap=1.0)
+            r.state.revenue for r in price_sweep(four_cp_market, prices, cap=1.0)
         ]
         assert all(d >= b - 1e-9 for b, d in zip(base, dereg))
 

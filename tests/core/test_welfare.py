@@ -1,14 +1,10 @@
-"""Unit tests for repro.core.welfare — Corollary 2 and the surplus extension."""
+"""Unit tests for repro.core.welfare — Corollary 2."""
 
 import numpy as np
 import pytest
 
 from repro.core.policy import policy_effect
-from repro.core.welfare import (
-    marginal_welfare_criterion,
-    user_surplus,
-    welfare,
-)
+from repro.core.welfare import marginal_welfare_criterion, welfare
 from repro.exceptions import ModelError
 
 
@@ -58,25 +54,3 @@ class TestCorollaryTwo:
         a = marginal_welfare_criterion(four_cp_market, effect_a)
         b = marginal_welfare_criterion(four_cp_market, effect_b)
         assert a.loss_term == pytest.approx(b.loss_term, rel=1e-9)
-
-
-class TestUserSurplus:
-    def test_closed_form_for_exponential_demand(self, two_cp_market):
-        # For m = e^{-alpha t}: integral_t^inf m = m(t)/alpha.
-        state = two_cp_market.solve()
-        expected = sum(
-            state.rates[i]
-            * state.populations[i]
-            / two_cp_market.providers[i].demand.alpha
-            for i in range(2)
-        )
-        assert user_surplus(two_cp_market, state) == pytest.approx(
-            expected, rel=1e-8
-        )
-
-    def test_subsidies_raise_user_surplus(self, two_cp_market):
-        base = two_cp_market.solve()
-        subsidized = two_cp_market.solve([0.4, 0.2])
-        assert user_surplus(two_cp_market, subsidized) > user_surplus(
-            two_cp_market, base
-        )

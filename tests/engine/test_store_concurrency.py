@@ -247,38 +247,60 @@ class TestFaultInjection:
             assert store.get(_key_for(7)) is not None
 
 
+def _write_while(store: SolveStore, maintain, value=_value_for) -> None:
+    """One thread puts 100 keys while another loops ``maintain()``.
+
+    A tiny switch interval interleaves the two threads finely, so the
+    loop lands between a put's ``mkdir``, ``mkstemp`` and rename; a
+    larger ``value`` widens the window between ``mkstemp`` and rename.
+    """
+    done = threading.Event()
+
+    def write():
+        try:
+            for i in range(100):
+                store.put(_key_for(i), value(i), codec="ndarrays")
+        finally:
+            done.set()
+
+    def loop():
+        while not done.is_set():
+            maintain()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=f) for f in (write, loop)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+
+
 class TestMaintenanceUnderLock:
     def test_prune_never_eats_a_live_writers_temp_file(self, tmp_path):
         """A writer thread's puts all commit while prune loops beside it:
         prune leaves a temp file alone until it is past the grace period."""
         store = SolveStore(tmp_path)
-        done = threading.Event()
-
-        def write():
-            try:
-                for i in range(100):
-                    store.put(_key_for(i), _value_for(i), codec="ndarrays")
-            finally:
-                done.set()
-
-        def sweep():
-            while not done.is_set():
-                store.prune()
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [threading.Thread(target=f) for f in (write, sweep)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(120)
-                assert not thread.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
+        _write_while(store, store.prune)
         assert store.write_errors == 0
         assert store.writes == 100
         _assert_settled(tmp_path, 100)
+
+    def test_clear_never_loses_a_racing_write(self, tmp_path):
+        """A writer thread's puts all commit while clear loops beside it:
+        clear spares young temp files and keeps shard directories, so a
+        write that races a clear commits (its entry may outlive it)."""
+        store = SolveStore(tmp_path)
+        _write_while(
+            store, store.clear, lambda i: {"v": np.full(200_000, float(i))}
+        )
+        assert store.write_errors == 0
+        assert store.writes == 100
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_concurrent_prunes_and_writes(self, tmp_path):
         """Locked sweeps and footprint walks racing writers never crash,

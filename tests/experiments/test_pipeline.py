@@ -31,9 +31,14 @@ def scenario() -> ScenarioSpec:
 
 
 class TestPanelSpec:
-    def test_unknown_quantity_rejected(self):
-        with pytest.raises(ModelError):
-            PanelSpec(figure_id="x", title="x", quantity="nope", y_label="y")
+    # Trajectory, competition and warehouse quantities are read by
+    # direct calls, not through experiment panels.
+    @pytest.mark.parametrize(
+        "quantity", ["nope", "industry_revenue", "adoption", "hhi"]
+    )
+    def test_unknown_quantity_rejected(self, quantity):
+        with pytest.raises(ModelError, match=quantity):
+            PanelSpec(figure_id="x", title="x", quantity=quantity, y_label="y")
 
     def test_per_provider_classification(self):
         scalar = PanelSpec(figure_id="x", title="x", quantity="revenue", y_label="R")
@@ -43,13 +48,16 @@ class TestPanelSpec:
 
 
 class TestExperimentSpec:
-    def test_bad_sweep_rejected(self, scenario):
-        with pytest.raises(ModelError):
+    @pytest.mark.parametrize(
+        "sweep", ["diagonal", "dynamics", "market_structure", "campaign"]
+    )
+    def test_bad_sweep_rejected(self, scenario, sweep):
+        with pytest.raises(ModelError, match="'price', 'grid'"):
             ExperimentSpec(
                 experiment_id="x",
                 title="x",
                 scenario=scenario,
-                sweep="diagonal",
+                sweep=sweep,
                 panels=(
                     PanelSpec(
                         figure_id="x", title="x", quantity="revenue", y_label="R"

@@ -10,8 +10,7 @@ The acceptance contract of :mod:`repro.experiments.refine`:
 * refined results are content-keyed through the same store as any other
   sweep, so a warm replay reports ``computed == 0``;
 * the ``refine`` option on :class:`ExperimentSpec` (and the ``--refine``
-  CLI flags) routes price/grid sweeps through it and rejects sweep kinds
-  that cannot refine.
+  CLI flags) routes price and grid sweeps through it.
 """
 
 import dataclasses
@@ -29,10 +28,9 @@ from repro.experiments import (
     section5_market,
     uniform_pointwise_grid,
 )
-from repro.experiments.pipeline import ExperimentSpec, run_spec
+from repro.experiments.pipeline import ExperimentSpec, PanelSpec, run_spec
 from repro.experiments.refine import REFINE_DEFAULTS
 from repro.providers import AccessISP, Market, exponential_cp
-from repro.scenarios import get_scenario
 
 
 def fresh_service(store_dir=None) -> SolveService:
@@ -200,10 +198,37 @@ class TestRefinementMechanics:
 
 
 class TestExperimentSpecIntegration:
-    def test_refine_rejected_for_non_grid_sweeps(self):
-        base = scenario_experiment(get_scenario("oligopoly-4"))
-        with pytest.raises(ModelError, match="refine"):
-            dataclasses.replace(base, sweep="dynamics", refine=RefineSpec())
+    def test_refined_price_sweep_stays_on_the_zero_cap_row(self):
+        # A price sweep refines its q = 0 row only, whatever the
+        # scenario's policy axis.
+        from repro.scenarios import ScenarioSpec
+
+        prices = tuple(np.round(np.linspace(0.1, 1.3, 7), 10))
+        scn = ScenarioSpec(
+            scenario_id="refine-price",
+            title="tiny refined price sweep",
+            market=tiny_market(),
+            prices=prices,
+            policy_levels=(0.0, 0.5),
+        )
+        refine = RefineSpec(levels=1, threshold=0.002)
+        spec = ExperimentSpec(
+            experiment_id="refine-price",
+            title="refined price sweep",
+            scenario=scn,
+            sweep="price",
+            panels=(PanelSpec("refine-price-revenue", "R", "revenue", "R"),),
+            refine=refine,
+        )
+        (figure,) = run_spec(spec, service=fresh_service()).figures
+        grid, _ = refine_grid(
+            tiny_market(), prices, (0.0,), spec=refine, service=fresh_service()
+        )
+        assert set(prices) <= set(figure.x.tolist())
+        assert figure.x.tobytes() == grid.prices.tobytes()
+        (series,) = figure.series
+        revenue = grid.quantity(lambda eq: eq.state.revenue)[0]
+        assert series.y.tobytes() == revenue.tobytes()
 
     def test_refined_sweep_through_the_pipeline(self):
         # The refine option routes a grid sweep through refine_grid and

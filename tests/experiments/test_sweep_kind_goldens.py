@@ -1,9 +1,10 @@
 """Frozen outputs of every sweep kind: figure CSV digests and row metrics.
 
-One small experiment per sweep kind writes its figure CSVs, and one tiny
-campaign per row kind lands its warehouse metrics. The sha256 of every
-CSV, and every row's metric names (in column order) with their values at
-12 significant digits, must match the values recorded here. They pin the
+One small experiment per sweep kind (``price``, ``grid``) writes its
+figure CSVs, and one tiny campaign per row kind lands its warehouse
+metrics. The sha256 of every CSV, and every row's metric names (in
+column order) with their values at 12 significant digits, must match the
+values recorded here. They pin the
 layout, the x-axis, the series names and the numbers of each kind, so a
 change to how a kind dispatches cannot move any of them unnoticed.
 """
@@ -26,21 +27,8 @@ from repro.engine import (
     SolveStore,
     set_default_service,
 )
-from repro.experiments.pipeline import (
-    ExperimentSpec,
-    PanelSpec,
-    campaign_experiment,
-    dynamics_experiment,
-    market_structure_experiment,
-    run_spec,
-)
-from repro.providers import AccessISP, Market, exponential_cp
-from repro.scenarios import (
-    ScenarioSpec,
-    oligopoly,
-    scaled_market,
-    trajectory_variant,
-)
+from repro.experiments.pipeline import ExperimentSpec, PanelSpec, run_spec
+from repro.scenarios import ScenarioSpec, scaled_market
 
 
 def _store_service(path) -> SolveService:
@@ -83,54 +71,6 @@ def _axis_spec(sweep: str) -> ExperimentSpec:
     )
 
 
-def _oligopoly_scenario() -> ScenarioSpec:
-    base = ScenarioSpec(
-        scenario_id="golden-olig-base",
-        title="one CP type",
-        market=Market(
-            [exponential_cp(2.0, 2.0, value=1.0)],
-            AccessISP(price=1.0, capacity=1.0),
-        ),
-        prices=(0.5, 1.0),
-        policy_levels=(0.0,),
-    )
-    scn = oligopoly(base, 2, cap=0.3, scenario_id="golden-olig")
-    metadata = dict(scn.metadata)
-    metadata.update(
-        {
-            "grid_points": 6,
-            "xtol": 1e-3,
-            "tol": 1e-8,
-            "price_range": [0.05, 2.0],
-        }
-    )
-    return ScenarioSpec(
-        scenario_id=scn.scenario_id,
-        title=scn.title,
-        market=scn.market,
-        prices=scn.prices,
-        policy_levels=scn.policy_levels,
-        metadata=metadata,
-    )
-
-
-def _dynamics_scenario() -> ScenarioSpec:
-    base = scaled_market(
-        4,
-        prices=(0.5, 1.0, 1.5),
-        policy_levels=(0.0, 1.0),
-        scenario_id="golden-dyn-base",
-    )
-    return trajectory_variant(
-        base,
-        kind="capacity",
-        horizon=3,
-        segment_length=2,
-        cap=0.5,
-        scenario_id="golden-dyn",
-    )
-
-
 def _price_campaign(**overrides) -> CampaignSpec:
     fields = dict(
         campaign_id="golden-price",
@@ -142,16 +82,6 @@ def _price_campaign(**overrides) -> CampaignSpec:
     )
     fields.update(overrides)
     return CampaignSpec(**fields)
-
-
-def _experiment(kind: str) -> ExperimentSpec:
-    if kind in ("price", "grid"):
-        return _axis_spec(kind)
-    if kind == "market_structure":
-        return market_structure_experiment(_oligopoly_scenario(), (1, 2))
-    if kind == "dynamics":
-        return dynamics_experiment(_dynamics_scenario())
-    return campaign_experiment(_price_campaign())
 
 
 def _campaign(kind: str) -> CampaignSpec:
@@ -194,7 +124,7 @@ def _campaign(kind: str) -> CampaignSpec:
 
 def csv_digests(kind: str, out_dir) -> dict[str, str]:
     """``{csv name: sha256}`` of one kind's experiment output."""
-    result = run_spec(_experiment(kind))
+    result = run_spec(_axis_spec(kind))
     return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in result.write_csv(out_dir)
@@ -249,66 +179,6 @@ CSV_DIGESTS: dict[str, dict[str, str]] = {
         ),
         "golden-grid-throughputs-cp0003-a5b5.csv": (
             "a6876c8397b6ace8ef4883f20039727de56b61d40ecfdd7db648e6cd94737e35"
-        ),
-    },
-    "market_structure": {
-        "golden-olig-industry_revenue.csv": (
-            "a571f396e7b0d43c06df36eabdc8acfe64ee68c30f8af14e7fc10130ffcc239f"
-        ),
-        "golden-olig-industry_welfare.csv": (
-            "02e8a3165867b16b9d5fef8cce6af14892bea5339a321c1f13db62f0347b81b7"
-        ),
-        "golden-olig-mean_price.csv": (
-            "f86ab1d3884c263b53131e0cd7607b40ae24e982cce6215267a1aa1cadb14663"
-        ),
-        "golden-olig-mean_utilization.csv": (
-            "3827ac2747c59b9c8475ae409f9fcad400609220926e723083fee5fbe716a47b"
-        ),
-    },
-    "dynamics": {
-        "golden-dyn-adoption.csv": (
-            "7609196e0f118ebef6c5882b0ee18a7d6ce55815c3b1af4768b38f21d9ee107c"
-        ),
-        "golden-dyn-utilization.csv": (
-            "eecffd27528bb303d8065365550cf1f836fcb35f1be94477a32696ba6df140dd"
-        ),
-        "golden-dyn-industry_revenue.csv": (
-            "b01ab58e96f0232ddeaf47eb694f6dc348ce6b9763db65693360d7debab84c0a"
-        ),
-        "golden-dyn-welfare.csv": (
-            "15dea5718613fdce3c5b280571dd886e07499dafc86ac42075c9d6d46268c665"
-        ),
-        "golden-dyn-capacity.csv": (
-            "6f8a2c56f63ca2c23e5f0b7f8b9007f7264c81f366f95ca68760544f2eae9cad"
-        ),
-    },
-    "campaign": {
-        "golden-price-welfare.csv": (
-            "25c99d54295e065f8994cd5b7a1815be3c1a1e08bf2d39b04f3e4f34ba0dff25"
-        ),
-        "golden-price-revenue.csv": (
-            "e37b4e15aa38afbbf182c4f06f7061549ece7ff6f128b370f860ec7f397d2eb5"
-        ),
-        "golden-price-utilization.csv": (
-            "dbe34f176e9331106610f8018b1dbef986e6e7ec5dc0c72f9350990625bee57a"
-        ),
-        "golden-price-aggregate_throughput.csv": (
-            "fdebb21c47e9df0a76a61108f3306cabe579f67984dad544548024c0b840f7e7"
-        ),
-        "golden-price-price_star.csv": (
-            "dba00c8f76ab51ea1acc553b452681cb8a9b65c632ad0fc0d95e3239ab99ef6e"
-        ),
-        "golden-price-cap_star.csv": (
-            "3465ba01e1eec7614d9a1efdfa4de729abf9fa33cb5c1b2d287c3a6487f6bb1b"
-        ),
-        "golden-price-welfare_max.csv": (
-            "63ca6d984f2f92c6d1ae0deef19822bfb9f85c853348f04ffad54332f4d6f873"
-        ),
-        "golden-price-welfare_mean.csv": (
-            "bb20a6ba14fb14433c8ff3a0e0c41270cd4a04f81c4f9c543549e6d4e565710d"
-        ),
-        "golden-price-kkt_max.csv": (
-            "48ce7fcc0b4868bca8e152c0fa3067d87d85e91275131dceea523087ccb84b7c"
         ),
     },
 }

@@ -6,28 +6,9 @@ import pytest
 from repro.core.best_response import best_response
 from repro.core.game import SubsidizationGame
 from repro.exceptions import ModelError
-from repro.simulation.agents import (
-    BestResponseStrategy,
-    FixedStrategy,
-    GradientStrategy,
-)
+from repro.simulation.agents import BestResponseStrategy
 
 RNG = np.random.default_rng(0)
-
-
-class TestFixedStrategy:
-    def test_always_returns_value(self, two_cp_market):
-        game = SubsidizationGame(two_cp_market, 1.0)
-        strategy = FixedStrategy(0.3)
-        assert strategy.propose(game, 0, np.zeros(2), RNG) == 0.3
-
-    def test_clipped_to_cap(self, two_cp_market):
-        game = SubsidizationGame(two_cp_market, 0.2)
-        assert FixedStrategy(0.9).propose(game, 0, np.zeros(2), RNG) == 0.2
-
-    def test_rejects_negative(self):
-        with pytest.raises(ModelError):
-            FixedStrategy(-0.1)
 
 
 class TestBestResponseStrategy:
@@ -68,30 +49,3 @@ class TestBestResponseStrategy:
             BestResponseStrategy(damping=0.0)
         with pytest.raises(ModelError):
             BestResponseStrategy(noise=-1.0)
-
-
-class TestGradientStrategy:
-    def test_moves_along_marginal_utility(self, two_cp_market):
-        game = SubsidizationGame(two_cp_market, 1.0)
-        profile = np.array([0.0, 0.0])
-        u0 = game.marginal_utility(0, profile)
-        proposal = GradientStrategy(learning_rate=0.5).propose(
-            game, 0, profile, RNG
-        )
-        assert proposal == pytest.approx(min(max(0.5 * u0, 0.0), 1.0))
-
-    def test_fixed_point_is_interior_optimum(self, two_cp_market):
-        # At the equilibrium, u_i = 0, so gradient play proposes no change.
-        from repro.core.equilibrium import solve_equilibrium
-
-        game = SubsidizationGame(two_cp_market, 1.0)
-        eq = solve_equilibrium(game)
-        for i in range(2):
-            proposal = GradientStrategy(learning_rate=1.0).propose(
-                game, i, eq.subsidies, RNG
-            )
-            assert proposal == pytest.approx(eq.subsidies[i], abs=1e-7)
-
-    def test_validation(self):
-        with pytest.raises(ModelError):
-            GradientStrategy(learning_rate=0.0)

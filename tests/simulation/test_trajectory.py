@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.engine import SolveCache, SolveService, SolveStore
 from repro.exceptions import ModelError
 from repro.providers import AccessISP, Market, exponential_cp
+from repro.scenarios import scaled_market, shocked_market, trajectory_variant
 from repro.simulation import (
     DYNAMICS_FORMAT,
     DynamicsSpec,
@@ -517,3 +518,54 @@ class TestTrajectoryObject:
             two_cp_market, spec, 0, 2, True, s, m, 2.0, 1.0
         )
         assert task_c.key != task_a.key
+
+
+class TestScenarioTrajectories:
+    """The trajectory a scenario's own metadata declares, run directly."""
+
+    @pytest.fixture(scope="class")
+    def shocked(self):
+        base = scaled_market(
+            4,
+            prices=(0.5, 1.0),
+            policy_levels=(0.0,),
+            scenario_id="dyn-shock-base",
+        )
+        scn = shocked_market(
+            base, seed=11, horizon=4, segment_length=2, n_shocks=2,
+            scenario_id="dyn-shock",
+        )
+        spec = dynamics_settings(scn.metadata)
+        return spec, run_trajectory(scn.market, spec, service=fresh_service())
+
+    def test_shocked_trajectory_covers_its_horizon(self, shocked):
+        spec, trajectory = shocked
+        assert spec.shocks
+        assert trajectory.horizon == spec.horizon
+
+    @pytest.mark.parametrize("column", COLUMNS)
+    def test_shocked_trajectory_stays_finite(self, shocked, column):
+        assert np.all(np.isfinite(getattr(shocked[1], column)))
+
+    def test_shocked_trajectory_keeps_utilization_non_negative(self, shocked):
+        _, trajectory = shocked
+        assert np.all(trajectory.utilizations >= 0.0)
+        assert np.all(trajectory.adoption() >= 0.0)
+
+    def test_unshocked_reinvestment_never_shrinks_capacity(self):
+        base = scaled_market(
+            4,
+            prices=(0.5, 1.0, 1.5),
+            policy_levels=(0.0, 1.0),
+            scenario_id="dyn-grow-base",
+        )
+        scn = trajectory_variant(
+            base, kind="capacity", horizon=3, segment_length=2, cap=0.5,
+            scenario_id="dyn-grow",
+        )
+        spec = dynamics_settings(scn.metadata)
+        assert spec.kind == "capacity"
+        assert not spec.shocks and spec.depreciation == 0.0
+        trajectory = run_trajectory(scn.market, spec, service=fresh_service())
+        assert trajectory.horizon == 3
+        assert np.all(np.diff(trajectory.capacities) >= -1e-12)
