@@ -36,7 +36,6 @@ from repro.core.dynamics import (
 )
 from repro.core.equilibrium import (
     EquilibriumResult,
-    kkt_residuals_batch,
     solve_equilibrium,
     solve_equilibrium_best_response,
     solve_equilibrium_vi,
@@ -46,7 +45,6 @@ from repro.core.game import (
     BatchedProfileEvaluator,
     SubsidizationGame,
 )
-from repro.core.newton import solve_equilibrium_newton
 from repro.core.investment import (
     InvestmentOutcome,
     investment_incentive,
@@ -95,7 +93,6 @@ __all__ = [
     "is_equilibrium",
     "is_off_diagonally_monotone",
     "kkt_residual",
-    "kkt_residuals_batch",
     "marginal_revenue_decomposition",
     "marginal_revenue_one_sided",
     "marginal_welfare_criterion",
@@ -105,7 +102,6 @@ __all__ = [
     "profitability_comparative_static",
     "solve_equilibrium",
     "solve_equilibrium_best_response",
-    "solve_equilibrium_newton",
     "solve_equilibrium_vi",
     "thresholds",
     "welfare",

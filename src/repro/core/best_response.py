@@ -8,7 +8,8 @@ Player ``i`` maximizes ``U_i(s_i; s_-i) = (v_i − s_i)·θ_i(s)`` over
   ``[0, min(q, v_i)]``;
 * under the paper's concavity condition the marginal utility ``u_i`` is
   decreasing in own strategy, so the best response is the root of ``u_i``
-  clipped to the interval — found by Brent in a handful of solves.
+  clipped to the interval — found by Brent's method
+  (:func:`repro.solvers.rootfind.root_in_bracket`) in a handful of solves.
 
 The root path is the fast default; when ``u_i`` fails the monotonicity
 sanity checks (possible for exotic functional families) we fall back to
@@ -24,6 +25,7 @@ from repro.backend.dispatch import fused_best_response
 from repro.core.game import BatchedProfileEvaluator, SubsidizationGame
 from repro.exceptions import EquilibriumError
 from repro.solvers.batch_rootfind import bracketed_root_batch
+from repro.solvers.rootfind import root_in_bracket
 from repro.solvers.scalar_opt import grid_polish_maximize
 
 __all__ = [
@@ -106,9 +108,10 @@ def best_response(
         if u_hi >= 0.0:
             # Still worth subsidizing at the cap (or at full margin).
             return hi
-        from scipy.optimize import brentq  # scalar path only: keep off start-up
-
-        root = float(brentq(u, 0.0, hi, xtol=xtol))
+        # ``u`` falls in own strategy; the bracketed solver takes ``−u``.
+        root = root_in_bracket(
+            lambda si: -u(si), 0.0, hi, -u_lo, -u_hi, xtol=xtol
+        )
         if method == "root":
             return root
         # Concavity sanity check: the root must beat both corners.

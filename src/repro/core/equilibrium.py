@@ -5,17 +5,15 @@ Primary solver: damped best-response iteration. The default sweep is the
 profile is found in one batched root solve (one ``(N, N)`` trial batch per
 root iteration, congestion roots warm-started across iterations) and the
 profile moves by a damped simultaneous step. The scalar *Gauss–Seidel*
-sweep (players updated in order against the freshest profile, one Brent
-solve each) is retained both as an explicit option and as the automatic
-fallback when the Jacobi iteration fails to contract; under the paper's
-uniqueness condition (Theorem 4) both iterations converge to the unique
-equilibrium. Secondary solver: extragradient on the equivalent variational
-inequality ``VI(−u, [0, q]^N)`` (the reformulation used in Theorem 6's
-proof). The public entry point :func:`solve_equilibrium` runs the primary
-path and certifies the result with the Theorem 3 KKT residual, falling back
-to the VI solver when certification fails. :func:`kkt_residuals_batch`
-certifies whole profile batches (e.g. every equilibrium of a grid row) in
-one vectorized evaluation.
+sweep (players updated in order against the freshest profile, one bracketed
+root solve each) is retained both as an explicit option and as the
+automatic fallback when the Jacobi iteration fails to contract; under the
+paper's uniqueness condition (Theorem 4) both iterations converge to the
+unique equilibrium. Secondary solver: extragradient on the equivalent
+variational inequality ``VI(−u, [0, q]^N)`` (the reformulation used in
+Theorem 6's proof). The public entry point :func:`solve_equilibrium` runs
+the primary path and certifies the result with the Theorem 3 KKT residual,
+falling back to the VI solver when certification fails.
 
 Under a kernel backend the undamped Jacobi + Newton solve of a
 kernel-eligible market, with its solved state and KKT residual, is one
@@ -60,7 +58,6 @@ __all__ = [
     "EquilibriumResult",
     "FusedAttempt",
     "certified_fused_equilibrium",
-    "kkt_residuals_batch",
     "natural_map_residuals",
     "solve_equilibrium",
     "solve_equilibrium_best_response",
@@ -121,21 +118,6 @@ def _kkt_residual(game: SubsidizationGame, subsidies: np.ndarray) -> float:
     )
 
 
-def kkt_residuals_batch(game: SubsidizationGame, profiles) -> np.ndarray:
-    """Natural-map residuals for a ``(B, N)`` profile batch, shape ``(B,)``.
-
-    One batched marginal-utility evaluation certifies every profile at once
-    — this is how the grid engine re-checks a whole row of equilibria.
-    """
-    s = np.asarray(profiles, dtype=float)
-    if s.ndim == 1:
-        s = s[None, :]
-    if s.size == 0:
-        return np.zeros(s.shape[0])
-    u = game.marginal_utilities_batch(s)
-    return natural_map_residuals(s, u, game.cap)
-
-
 def _zero_cap_result(game: SubsidizationGame) -> EquilibriumResult:
     """The degenerate ``q = 0`` equilibrium (the regulated baseline).
 
@@ -192,12 +174,11 @@ def _newton_polish(
 ) -> tuple[np.ndarray, int] | None:
     """Semismooth Newton on the natural map with batched linear algebra.
 
-    The scalar sibling (:func:`repro.core.newton.solve_equilibrium_newton`)
-    pays ``2N`` market solves per finite-difference Jacobian; here the whole
-    Jacobian is one ``(N, N)`` batched evaluation (row ``j`` perturbs player
-    ``j``) and the backtracking line search checks every candidate scale in
-    a second. Returns ``(profile, evaluations)`` once the residual is at or
-    below ``tol``, or ``None`` if Newton stalls (caller resumes sweeping).
+    The whole Jacobian is one ``(N, N)`` batched evaluation (row ``j``
+    perturbs player ``j``) and the backtracking line search checks every
+    candidate scale in a second. Returns ``(profile, evaluations)`` once
+    the residual is at or below ``tol``, or ``None`` if Newton stalls
+    (caller resumes sweeping).
     """
     n = game.size
     q = game.cap

@@ -112,12 +112,6 @@ class PoolExecutor:
                 return self._pool
             if self._pool is not None:
                 self._pool.shutdown(wait=True, cancel_futures=True)
-            if backend.kernels is None:
-                # Without kernels the workers solve on the scalar brentq
-                # path; load scipy once here so forked workers inherit it
-                # instead of each importing it on its first task.
-                import scipy.optimize  # noqa: F401
-
             self._pool = ProcessPoolExecutor(
                 max_workers=key[0], initializer=_pool_init, initargs=(key[1],)
             )

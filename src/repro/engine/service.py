@@ -32,12 +32,15 @@ them.
 Example — one keyed task, resolved twice against a memory tier (the
 second resolution is a hit, not a recomputation):
 
+>>> import numpy as np
 >>> from repro.engine.cache import SolveCache
 >>> from repro.engine.service import SolveService, SolveTask
+>>> def squares(n):
+...     return {"x": np.arange(n) ** 2}
 >>> service = SolveService(cache=SolveCache())
->>> task = SolveTask(fn=abs, args=(-3,), key=("docs-abs", -3), codec="json")
->>> service.run(task), service.run(task)
-(3, 3)
+>>> task = SolveTask(fn=squares, args=(3,), key=("sq", 3), codec="ndarrays")
+>>> [service.run(task)["x"].tolist() for _ in range(2)]
+[[0, 1, 4], [0, 1, 4]]
 >>> service.counters.computed, service.counters.memory_hits
 (1, 1)
 """

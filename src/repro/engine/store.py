@@ -68,9 +68,9 @@ explicit codec registry (:data:`CODECS`):
 ``"ndarrays"``
     ``dict[str, np.ndarray]`` — generic named-array bundles (oligopoly
     best-response sweeps, dynamics trajectory segments).
-``"json"``
-    Any JSON-serializable value. Bit-exact for floats: ``json``
-    round-trips ``repr(float)`` exactly.
+
+An entry naming any other codec (such as the retired ``"json"``) reads as
+a miss.
 
 Example — persist a named-array bundle and read it back bit-exactly:
 
@@ -296,15 +296,6 @@ def _decode_ndarrays(meta: dict, arrays: dict[str, np.ndarray]) -> Any:
     return {name: arrays[f"v.{name}"] for name in meta["names"]}
 
 
-def _encode_json(value: Any) -> tuple[dict, dict[str, np.ndarray]]:
-    # Serialize now so an unserializable value fails at put(), not decode.
-    return {"payload": json.loads(json.dumps(value))}, {}
-
-
-def _decode_json(meta: dict, arrays: dict[str, np.ndarray]) -> Any:
-    return meta["payload"]
-
-
 #: Codec registry: name -> (encode, decode). Explicit and closed, like the
 #: serialization registry in :mod:`repro.io` — a store entry can only ever
 #: rebuild these known artifact shapes.
@@ -317,7 +308,6 @@ CODECS: dict[
 ] = {
     "grid-row": (_encode_grid_row, _decode_grid_row),
     "ndarrays": (_encode_ndarrays, _decode_ndarrays),
-    "json": (_encode_json, _decode_json),
 }
 
 

@@ -176,7 +176,7 @@ class CongestionSystem:
     capacity:
         Capacity ``µ > 0``.
     xtol:
-        Absolute tolerance of the Brent solve for ``φ``.
+        Absolute bracket tolerance of the scalar root solve for ``φ``.
 
     Examples
     --------

@@ -11,8 +11,7 @@ The paper's model stacks three nested numerical problems:
 3. *sensitivity analysis* of that equilibrium (Theorem 6) — which needs
    Jacobians of marginal-utility maps (:mod:`repro.solvers.differentiation`).
 
-Everything here is deliberately dependency-light (numpy + scipy only) and
-deterministic.
+Everything here depends on numpy alone and is deterministic.
 """
 
 from repro.solvers.batch_rootfind import (
@@ -25,6 +24,7 @@ from repro.solvers.projection import clip_scalar, project_box
 from repro.solvers.rootfind import (
     BracketResult,
     bracket_increasing,
+    root_in_bracket,
     solve_increasing,
 )
 from repro.solvers.scalar_opt import (
@@ -55,5 +55,6 @@ __all__ = [
     "jacobian",
     "newton_polish_batch",
     "project_box",
+    "root_in_bracket",
     "solve_increasing",
 ]

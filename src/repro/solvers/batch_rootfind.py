@@ -17,7 +17,7 @@ Three primitives:
   (modified regula falsi) iterations on per-row sign-change brackets;
 * :func:`newton_polish_batch` — safeguarded Newton refinement to machine
   precision given an analytic slope, used to make batched congestion roots
-  agree with the scalar Brent path to well below 1e-12.
+  agree with the scalar bracketed path to well below 1e-12.
 """
 
 from __future__ import annotations

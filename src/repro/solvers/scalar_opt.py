@@ -4,8 +4,8 @@ Two consumers inside the library:
 
 * **Best responses** (Definition 3): each CP maximizes ``U_i(s_i; s_-i)``
   over ``s_i ∈ [0, q]``. Under condition (10) the utility is concave in own
-  strategy, so golden-section search is exact; we still polish with a short
-  Brent pass on the derivative when available.
+  strategy, so the best response is a root of the marginal utility; the
+  golden-section search here is the fallback when that root fails.
 * **ISP pricing** (Section 5): the ISP maximizes its revenue ``R(p)`` which
   is single-peaked in the paper's examples (Figure 4) but not guaranteed
   concave — hence :func:`grid_polish_maximize`, a coarse-grid scan followed

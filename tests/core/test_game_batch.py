@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.equilibrium import kkt_residuals_batch, solve_equilibrium
+from repro.core.equilibrium import natural_map_residuals, solve_equilibrium
 from repro.core.game import BatchedProfileEvaluator, SubsidizationGame
 
 
@@ -48,13 +48,20 @@ class TestBatchedMarginals:
         )
 
 
+def batch_residuals(game, profiles):
+    """Natural-map residuals of a profile batch from one batched ``u``."""
+    return natural_map_residuals(
+        profiles, game.marginal_utilities_batch(profiles), game.cap
+    )
+
+
 class TestKKTResidualsBatch:
     def test_matches_scalar_residual(self, game):
         from repro.core.equilibrium import _kkt_residual
 
         rng = np.random.default_rng(2)
         profiles = rng.uniform(0.0, 1.0, size=(10, game.size))
-        batched = kkt_residuals_batch(game, profiles)
+        batched = batch_residuals(game, profiles)
         for b in range(10):
             assert batched[b] == pytest.approx(
                 _kkt_residual(game, profiles[b]), abs=1e-12
@@ -62,11 +69,11 @@ class TestKKTResidualsBatch:
 
     def test_zero_at_equilibrium(self, game):
         eq = solve_equilibrium(game)
-        residuals = kkt_residuals_batch(game, eq.subsidies[None, :])
+        residuals = batch_residuals(game, eq.subsidies[None, :])
         assert residuals[0] <= 1e-8
 
     def test_one_dimensional_input(self, game):
-        residuals = kkt_residuals_batch(game, np.zeros(game.size))
+        residuals = batch_residuals(game, np.zeros(game.size))
         assert residuals.shape == (1,)
 
 

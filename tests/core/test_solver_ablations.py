@@ -1,7 +1,6 @@
 """Ablations of the library's own design choices on the §5 market.
 
-* best-response iteration vs extragradient VI vs semismooth Newton as the
-  Nash solver;
+* best-response iteration vs extragradient VI as the Nash solver;
 * sensitivity of the qualitative results to the utilization metric
   (linear vs M/M/1) and to the congestion fixed-point tolerance.
 """
@@ -15,7 +14,6 @@ from repro.core.equilibrium import (
     solve_equilibrium_vi,
 )
 from repro.core.game import SubsidizationGame
-from repro.core.newton import solve_equilibrium_newton
 from repro.experiments.scenarios import section5_market
 from repro.network.system import CongestionSystem
 from repro.network.utilization import LinearUtilization, MM1Utilization
@@ -33,13 +31,6 @@ def test_solver_extragradient():
     result = solve_equilibrium_vi(game, tol=1e-9)
     reference = solve_equilibrium_best_response(game, tol=1e-10)
     np.testing.assert_allclose(result.subsidies, reference.subsidies, atol=1e-6)
-
-
-def test_solver_newton():
-    game = SubsidizationGame(section5_market(), 1.0)
-    result = solve_equilibrium_newton(game)
-    reference = solve_equilibrium_best_response(game, tol=1e-10)
-    np.testing.assert_allclose(result.subsidies, reference.subsidies, atol=1e-7)
 
 
 @pytest.mark.parametrize("metric", ["linear", "mm1"])

@@ -224,13 +224,24 @@ class TestRoundTrip:
             assert loaded[name].tobytes() == value[name].tobytes()
             assert loaded[name].dtype == value[name].dtype
 
-    def test_json_round_trip_exact_floats(self, tmp_path):
+    def test_entry_of_the_removed_json_codec_is_a_miss(self, tmp_path):
+        # Byte for byte what the retired "json" codec wrote: a header
+        # carrying the payload and no array data.
+        key = ("j",)
+        header = json.dumps(
+            {"version": 3, "codec": "json", "meta": {"payload": {"v": 1}},
+             "nbytes": 0, "arrays": []},
+            sort_keys=True,
+        ).encode()
+        digest = key_digest(key)
+        entry = tmp_path / digest[:2] / f"{digest}.bin"
+        entry.parent.mkdir()
+        entry.write_bytes(MAGIC + len(header).to_bytes(8, "little") + header)
         store = SolveStore(tmp_path)
-        value = {"price": 0.1 + 0.2, "after": [[0, 1], [2], []]}
-        store.put(("j",), value, codec="json")
-        loaded = store.get(("j",))
-        assert loaded["price"] == value["price"]  # repr round-trip is exact
-        assert loaded["after"] == value["after"]
+        assert store.get(key) is None
+        assert store.misses == 1 and store.hits == 0
+        assert store.put(key, {"v": np.ones(1)}, codec="ndarrays")
+        assert store.get(key)["v"].tolist() == [1.0]
 
     def test_missing_key_misses(self, tmp_path):
         store = SolveStore(tmp_path)
@@ -239,9 +250,9 @@ class TestRoundTrip:
 
     def test_overwrite_replaces(self, tmp_path):
         store = SolveStore(tmp_path)
-        store.put(("k",), {"v": [1]}, codec="json")
-        store.put(("k",), {"v": [2]}, codec="json")
-        assert store.get(("k",))["v"] == [2]
+        store.put(("k",), {"v": np.array([1.0])}, codec="ndarrays")
+        store.put(("k",), {"v": np.array([2.0])}, codec="ndarrays")
+        assert store.get(("k",))["v"].tolist() == [2.0]
         assert len(store) == 1
 
 
@@ -288,13 +299,13 @@ class TestCorruptionTolerance:
 
     def test_version_skew_is_a_miss(self, tmp_path):
         store = SolveStore(tmp_path)
-        store.put(("k",), {"v": 1}, codec="json")
+        store.put(("k",), {"v": np.ones(1)}, codec="ndarrays")
         rewrite_entry(sole_entry(tmp_path), edit_manifest(version=999))
         assert store.get(("k",)) is None
 
     def test_unknown_codec_in_header_is_a_miss(self, tmp_path):
         store = SolveStore(tmp_path)
-        store.put(("k",), {"v": 1}, codec="json")
+        store.put(("k",), {"v": np.ones(1)}, codec="ndarrays")
         rewrite_entry(sole_entry(tmp_path), edit_manifest(codec="no-codec"))
         assert store.get(("k",)) is None
 
@@ -338,7 +349,7 @@ class TestCorruptionTolerance:
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
         store = SolveStore(blocker / "sub")
-        assert store.put(("k",), {"v": 1}, codec="json") is False
+        assert store.put(("k",), {"v": np.ones(1)}, codec="ndarrays") is False
         assert store.write_errors == 1
         assert store.get(("k",)) is None  # still just a miss
 
@@ -358,7 +369,7 @@ class TestMaintenance:
 
     def test_clear_removes_everything(self, tmp_path):
         store = SolveStore(tmp_path)
-        store.put(("a",), {"v": 1}, codec="json")
+        store.put(("a",), {"v": np.ones(1)}, codec="ndarrays")
         store.put(("b",), solved_row(), codec="grid-row")
         assert len(store) == 2
         assert store.clear() == 2
@@ -367,7 +378,7 @@ class TestMaintenance:
 
     def test_clear_shares_prunes_temp_file_rule(self, tmp_path):
         store = SolveStore(tmp_path)
-        store.put(("a",), {"v": 1}, codec="json")
+        store.put(("a",), {"v": np.ones(1)}, codec="ndarrays")
         shard = sole_entry(tmp_path).parent
         young = shard / "tmpyoung.tmp"
         old = shard / "tmpold.tmp"
@@ -384,7 +395,7 @@ class TestMaintenance:
 
     def test_stats_shape(self, tmp_path):
         store = SolveStore(tmp_path)
-        store.put(("a",), {"v": 1}, codec="json")
+        store.put(("a",), {"v": np.ones(1)}, codec="ndarrays")
         stats = store.stats()
         assert stats["entries"] == 1
         assert stats["bytes"] > 0
@@ -393,14 +404,14 @@ class TestMaintenance:
 
     def test_stats_carries_no_flat_layout_key(self, tmp_path):
         store = SolveStore(tmp_path)
-        store.put(("a",), {"v": 1}, codec="json")
+        store.put(("a",), {"v": np.ones(1)}, codec="ndarrays")
         assert set(store.stats()) == {
             "path", "entries", "shards", "bytes", *store.counters(),
         }
 
     def test_counters_do_not_walk_the_store(self, tmp_path, monkeypatch):
         store = SolveStore(tmp_path)
-        store.put(("a",), {"v": 1}, codec="json")
+        store.put(("a",), {"v": np.ones(1)}, codec="ndarrays")
         store.get(("a",))
         store.get(("b",))
 
@@ -415,7 +426,7 @@ class TestMaintenance:
 
     def test_len_counts_committed_entries_only(self, tmp_path):
         store = SolveStore(tmp_path)
-        store.put(("a",), {"v": 1}, codec="json")
+        store.put(("a",), {"v": np.ones(1)}, codec="ndarrays")
         shard = sole_entry(tmp_path).parent
         (shard / "tmpwriter.tmp").write_bytes(b"half written")
         (shard / ("e" * 64 + ".json")).write_text("{}")
@@ -427,7 +438,7 @@ class TestMaintenance:
 
     def test_clear_leaves_foreign_files_alone(self, tmp_path):
         store = SolveStore(tmp_path)
-        store.put(("a",), {"v": 1}, codec="json")
+        store.put(("a",), {"v": np.ones(1)}, codec="ndarrays")
         (tmp_path / "notes.json").write_text("{}")
         (tmp_path / "data.npz").write_bytes(b"not a store entry")
         (tmp_path / "ab").mkdir(exist_ok=True)
@@ -445,14 +456,14 @@ class TestMaintenance:
         assert store is not None and store.path == tmp_path
 
     def test_codec_registry_is_closed(self):
-        assert set(CODECS) == {"grid-row", "ndarrays", "json"}
+        assert set(CODECS) == {"grid-row", "ndarrays"}
 
 
 class TestShardedLayout:
     def test_entries_land_in_first_byte_shards(self, tmp_path):
         store = SolveStore(tmp_path)
         key = ("sharded", 1)
-        store.put(key, {"v": 1}, codec="json")
+        store.put(key, {"v": np.ones(1)}, codec="ndarrays")
         digest = key_digest(key)
         assert (tmp_path / digest[:2] / f"{digest}.bin").is_file()
         assert not (tmp_path / f"{digest}.bin").exists()
@@ -516,16 +527,16 @@ class TestEntryFormat:
         assert dtypes["iterations"] == "<i8"
         assert dtypes["state.revenue"] == "<f8"
 
-    def test_json_codec_entry_is_one_file_holding_only_the_header(
+    def test_empty_bundle_entry_is_one_file_holding_only_the_header(
         self, tmp_path
     ):
         store = SolveStore(tmp_path)
-        store.put(("j",), {"after": [1, 2.5]}, codec="json")
+        store.put(("j",), {}, codec="ndarrays")
         entry = sole_entry(tmp_path)
         assert entry.suffix == ".bin"
         header, data = split_entry(entry.read_bytes())
         assert json.loads(header)["arrays"] == [] and data == b""
-        assert store.get(("j",)) == {"after": [1, 2.5]}
+        assert store.get(("j",)) == {}
 
     def test_get_never_opens_a_zip(self, tmp_path, monkeypatch):
         store = SolveStore(tmp_path)
@@ -549,12 +560,12 @@ class TestEntryFormat:
             raise OSError("disk gone")
 
         monkeypatch.setattr(_os, "replace", failing_replace)
-        assert store.put(("k",), {"v": 1}, codec="json") is False
+        assert store.put(("k",), {"v": np.ones(1)}, codec="ndarrays") is False
         assert store.write_errors == 1 and store.writes == 0
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
         monkeypatch.undo()
-        assert store.put(("k",), {"v": 1}, codec="json")
-        assert store.get(("k",)) == {"v": 1}
+        assert store.put(("k",), {"v": np.ones(1)}, codec="ndarrays")
+        assert store.get(("k",))["v"].tolist() == [1.0]
 
 
 class TestOldFormat:
@@ -563,7 +574,10 @@ class TestOldFormat:
     one-file version 2 ``<shard>/<digest>.npz``."""
 
     LAYOUTS = ("v1-shard", "v1-flat", "v2")
-    KEYS = [(("old", i), {"v": [i, 0.1 + i]}, "json") for i in range(3)] + [
+    KEYS = [
+        (("old", i), {"v": np.array([i, 0.1 + i])}, "ndarrays")
+        for i in range(3)
+    ] + [
         (("old-row", i), None, "grid-row") for i in range(3)
     ]
 
@@ -590,7 +604,7 @@ class TestOldFormat:
         for key, value, codec in self.KEYS:
             value = solved_row() if value is None else value
             assert store.put(key, value, codec=codec)
-        assert store.get(("old", 1))["v"] == [1, 1.1]
+        assert store.get(("old", 1))["v"].tolist() == [1.0, 1.1]
         assert_rows_bitwise_equal(solved_row(), store.get(("old-row", 0)))
         assert len(store) == store.stats()["entries"] == len(self.KEYS)
         assert store.clear() == len(self.KEYS)
@@ -643,7 +657,7 @@ class TestPrune:
 
     def test_prune_spares_young_temp_files(self, tmp_path):
         store = SolveStore(tmp_path)
-        store.put(("keep",), {"v": 1}, codec="json")
+        store.put(("keep",), {"v": np.ones(1)}, codec="ndarrays")
         shard = sole_entry(tmp_path).parent
         young = shard / "tmplive.tmp"
         young.write_bytes(b"a writer is still writing")
@@ -655,12 +669,12 @@ class TestPrune:
 
     def test_root_level_digest_npz_is_an_orphan(self, tmp_path):
         store = SolveStore(tmp_path)
-        store.put(("keep",), {"v": 1}, codec="json")
+        store.put(("keep",), {"v": np.ones(1)}, codec="ndarrays")
         flat = tmp_path / ("c" * 64 + ".npz")
         flat.write_bytes(b"older flat layout")
         assert store.prune() == {"entries": 0, "orphans": 1, "temp_files": 0}
         assert not flat.exists()
-        assert store.get(("keep",)) == {"v": 1}
+        assert store.get(("keep",))["v"].tolist() == [1.0]
 
     def test_prune_max_entries_evicts_oldest(self, tmp_path):
         import os as _os
@@ -668,7 +682,7 @@ class TestPrune:
         store = SolveStore(tmp_path)
         for i in range(4):
             key = (f"k{i}",)
-            store.put(key, {"v": i}, codec="json")
+            store.put(key, {"v": np.full(1, float(i))}, codec="ndarrays")
             entry = tmp_path / key_digest(key)[:2] / (
                 key_digest(key) + ".bin"
             )
@@ -683,7 +697,7 @@ class TestPrune:
     def test_prune_max_bytes(self, tmp_path):
         store = SolveStore(tmp_path)
         for i in range(3):
-            store.put((f"k{i}",), {"v": "x" * 64}, codec="json")
+            store.put((f"k{i}",), {"v": np.zeros(8)}, codec="ndarrays")
         assert store.prune(max_bytes=0)["entries"] == 3
         assert len(store) == 0
 

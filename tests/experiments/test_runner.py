@@ -350,7 +350,9 @@ class TestCacheVerb:
         from repro.engine import SolveStore
 
         store_dir = tmp_path / "store"
-        SolveStore(store_dir).put(("seed",), {"v": 1}, codec="json")
+        SolveStore(store_dir).put(
+            ("seed",), {"v": np.ones(1)}, codec="ndarrays"
+        )
 
         assert main(["cache", "path", "--cache-dir", str(store_dir)]) == 0
         assert capsys.readouterr().out.strip() == str(store_dir)
@@ -389,7 +391,7 @@ class TestCacheVerb:
         store_dir = tmp_path / "store"
         store = SolveStore(store_dir)
         for i in range(3):
-            store.put(("p", i), {"v": i}, codec="json")
+            store.put(("p", i), {"v": np.full(1, float(i))}, codec="ndarrays")
         shard = store_dir / key_digest(("p", 0))[:2]
         dead = shard / "tmpdead.tmp"
         dead.write_bytes(b"killed writer")

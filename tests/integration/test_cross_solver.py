@@ -133,15 +133,3 @@ class TestPublicApi:
         import repro
 
         assert repro.__version__ == "1.0.0"
-
-
-class TestThreeSolverAgreement:
-    def test_br_vi_and_newton_coincide(self):
-        from repro.core.newton import solve_equilibrium_newton
-
-        game = SubsidizationGame(mixed_family_market(), 0.6)
-        br = solve_equilibrium_best_response(game, tol=1e-11)
-        vi = solve_equilibrium_vi(game, tol=1e-9)
-        newton = solve_equilibrium_newton(game)
-        np.testing.assert_allclose(newton.subsidies, br.subsidies, atol=1e-7)
-        np.testing.assert_allclose(newton.subsidies, vi.subsidies, atol=1e-6)

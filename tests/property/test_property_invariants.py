@@ -1,8 +1,7 @@
 """Property-based tests on cross-module invariants.
 
 Randomized markets from the paper's family; the properties tie together
-serialization, the Theorem 3 characterization and the independent Nash
-solvers.
+serialization and the Theorem 3 characterization.
 """
 
 import numpy as np
@@ -13,8 +12,6 @@ from hypothesis import strategies as st
 from repro.core.characterization import thresholds
 from repro.core.equilibrium import solve_equilibrium
 from repro.core.game import SubsidizationGame
-from repro.core.newton import solve_equilibrium_newton
-from repro.exceptions import ConvergenceError
 from repro.io import market_from_dict, market_to_dict
 from repro.providers import AccessISP, Market, exponential_cp
 
@@ -60,21 +57,4 @@ class TestTheoremThreeProperty:
         tau = thresholds(game, eq.subsidies)
         np.testing.assert_allclose(
             eq.subsidies, np.minimum(tau, cap), atol=1e-6
-        )
-
-
-class TestSolverAgreementProperty:
-    @given(market=markets(max_size=3), cap=caps)
-    @settings(max_examples=12, deadline=None)
-    def test_newton_agrees_with_certified_solver(self, market, cap):
-        game = SubsidizationGame(market, cap)
-        reference = solve_equilibrium(game)
-        try:
-            newton = solve_equilibrium_newton(game)
-        except ConvergenceError:
-            # Newton's basin can exclude extreme random instances; the
-            # certified front-end remains the robust path there.
-            return
-        np.testing.assert_allclose(
-            newton.subsidies, reference.subsidies, atol=1e-6
         )
