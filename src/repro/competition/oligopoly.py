@@ -29,20 +29,26 @@ games into the ISPs' price competition for any ``N``:
 
 Engine routing
 --------------
-Every per-carrier best-response price search runs as one content-keyed
-:class:`~repro.engine.service.SolveTask`
-(:func:`solve_oligopoly_sweep`) on the shared
-:class:`~repro.engine.service.SolveService`: candidate-price revenue
-and revenue-slope evaluations chained through a warm-start profile, a
-certified slope polish at the end. The inner equilibrium solves go
-through :func:`~repro.core.equilibrium.solve_equilibrium`, whose default
-vectorized sweep evaluates each CP's candidate caps ``s_i ∈ [0, q]`` as
-one batch — so an oligopoly sweep is a batch of batches. Under a kernel
-backend each candidate reprices the sweep's kernel plan instead and
-solves it, slope included, in one compiled call (see
-:func:`solve_oligopoly_sweep`). With a persistent store configured,
-re-running a competition replays every sweep from cache with **zero**
-equilibrium solves.
+A whole competition is one content-keyed
+:class:`~repro.engine.service.SolveTask` (key ``oligopoly/1``) on the
+shared :class:`~repro.engine.service.SolveService`; its entry holds the
+final prices, the iteration count and residual, the per-carrier
+counters and certificates, and the final warm-start profiles. The
+equilibrium state at the final prices is ``N`` further tasks
+(``oligopoly-eq/1``, one per carrier), seeded with those profiles. With
+a persistent store configured, re-running a competition replays those
+``N + 1`` entries with **zero** equilibrium solves.
+
+Inside the competition each per-carrier best-response price search
+(:func:`solve_oligopoly_sweep`) is unkeyed — a plain call, or a keyless
+task of a Jacobi round — and never persisted: candidate-price revenue and revenue-slope evaluations chained through a warm-start
+profile, a certified slope polish at the end. The inner equilibrium
+solves go through :func:`~repro.core.equilibrium.solve_equilibrium`,
+whose default vectorized sweep evaluates each CP's candidate caps
+``s_i ∈ [0, q]`` as one batch — so an oligopoly sweep is a batch of
+batches. Under a kernel backend each candidate reprices the sweep's
+kernel plan instead and solves it, slope included, in one compiled call
+(see :func:`solve_oligopoly_sweep`).
 
 Iteration modes
 ---------------
@@ -54,9 +60,10 @@ updates the price vector:
     including this sweep's updates of carriers ``< k``.
 ``"jacobi"``
     Simultaneous: all carriers best-respond to the same start-of-sweep
-    price vector. The ``N`` sweep tasks are independent, so they are
-    scheduled through :meth:`~repro.engine.service.SolveService.map` and
-    parallelize across worker processes.
+    price vector. The ``N`` searches of a round are independent, so they
+    are scheduled as one keyless
+    :meth:`~repro.engine.service.SolveService.map` batch and parallelize
+    across worker processes.
 
 Two-carrier shares
 ------------------
@@ -213,10 +220,10 @@ def solve_oligopoly_sweep(
     start: float | None = None,
     guess: float | None = None,
 ) -> dict[str, np.ndarray]:
-    """One carrier's certified best-response price search, as a pure task.
+    """One carrier's certified best-response price search, as a pure function.
 
     Carrier ``index``'s equilibrium revenue and its slope ``dR/dp`` (rival
-    entries of ``prices`` held fixed) drive
+    entries of ``prices`` held fixed; its own entry is ignored) drive
     :func:`~repro.solvers.scalar_opt.certified_maximize`: the full grid
     and a slope polish of the best bracket, or — given the carrier's own
     price ``start`` and its previous certified price ``guess`` — a
@@ -226,8 +233,7 @@ def solve_oligopoly_sweep(
     from the previous candidate's profile. Returns the certified price,
     its revenue and slope, the certificate (an index into
     :data:`CERTIFICATES`), whether the grid ran, the solve counts and the
-    profile at the certified price as arrays, so the result persists
-    bit-exactly under the ``"ndarrays"`` codec.
+    profile at the certified price, as arrays.
 
     Under a kernel backend with ``cap > 0`` the first candidate builds its
     carrier market and keeps that market's kernel plan; each candidate
@@ -555,10 +561,14 @@ class OligopolyGame:
     cap:
         Subsidization policy ``q`` (applies on every carrier).
     service:
-        Solve service resolving the sweep tasks; ``None`` (default)
-        resolves the shared
-        :func:`~repro.engine.service.default_service` at call time, so a
-        store configured process-wide makes oligopoly runs resumable.
+        Solve service resolving the competition task, the per-carrier
+        state tasks and the Jacobi rounds; ``None`` (default) resolves
+        the shared :func:`~repro.engine.service.default_service` at call
+        time, so a store configured process-wide makes a repeated
+        competition replay without solves.
+
+    The game holds no solve state between calls: a competition or a
+    state is a pure function of the game and the call's arguments.
     """
 
     def __init__(
@@ -585,10 +595,6 @@ class OligopolyGame:
         self._switching = float(switching)
         self._cap = float(cap)
         self._service = service
-        # Warm-start cache: last equilibrium subsidies per carrier. Purely a
-        # performance device — solutions are certified per solve, so a stale
-        # start cannot change the result, only the iteration count.
-        self._warm: dict[int, np.ndarray] = {}
         self._fingerprints: dict[int, str] = {}
 
     @classmethod
@@ -699,9 +705,14 @@ class OligopolyGame:
             self._providers, self._isps[index], w, vector[index]
         )
 
-    def _state_task(self, index: int, prices: tuple[float, ...]) -> SolveTask:
-        """The content-keyed task for one carrier's equilibrium solve."""
-        warm0 = self._warm.get(index)
+    def _state_task(
+        self,
+        index: int,
+        prices: tuple[float, ...],
+        warm0: np.ndarray | None,
+    ) -> SolveTask:
+        """The content-keyed task for one carrier's equilibrium solve,
+        warm-started from ``warm0`` (``None``: a cold start)."""
         warm_arg = None if warm0 is None else np.asarray(warm0, dtype=float)
         return SolveTask(
             fn=solve_oligopoly_state,
@@ -734,173 +745,27 @@ class OligopolyGame:
         given the prices), so solved states replay from a warm store.
         """
         vector = self._check_prices(prices)
-        shares = self.shares(vector)
+        return self._solve_state(vector, (None,) * self.n_carriers)
+
+    def _solve_state(
+        self,
+        vector: tuple[float, ...],
+        warm: Sequence[np.ndarray | None],
+    ) -> OligopolyState:
+        """The state at ``vector``, carrier ``k`` warm-started from
+        ``warm[k]``."""
         service = self._resolve_service()
-        equilibria = []
-        for k in range(self.n_carriers):
-            (equilibrium,) = service.run(self._state_task(k, vector))
-            self._warm[k] = equilibrium.subsidies
-            equilibria.append(equilibrium)
-        welfare = sum(eq.state.welfare for eq in equilibria)
+        equilibria = tuple(
+            service.run(self._state_task(k, vector, warm[k]))[0]
+            for k in range(self.n_carriers)
+        )
         return OligopolyState(
             prices=vector,
-            shares=shares,
-            equilibria=tuple(equilibria),
+            shares=self.shares(vector),
+            equilibria=equilibria,
             revenues=tuple(eq.state.revenue for eq in equilibria),
-            welfare=welfare,
+            welfare=sum(eq.state.welfare for eq in equilibria),
         )
-
-    def _sweep_task(
-        self,
-        index: int,
-        prices: tuple[float, ...],
-        price_range: tuple[float, float],
-        grid_points: int,
-        xtol: float,
-        tol: float,
-        start: float | None = None,
-        guess: float | None = None,
-    ) -> SolveTask:
-        """The content-keyed task for one best-response price search."""
-        warm0 = self._warm.get(index)
-        warm_arg = None if warm0 is None else np.asarray(warm0, dtype=float)
-        # The carrier's own entry of the price vector never enters the
-        # sweep (every candidate replaces it; its own price enters only
-        # as ``start``), so it is masked out of the args and the key —
-        # otherwise two searches differing only there would needlessly
-        # miss the cache.
-        prices = _with_candidate(prices, index, 0.0)
-        start = None if start is None else float(start)
-        guess = None if guess is None else float(guess)
-        return SolveTask(
-            fn=solve_oligopoly_sweep,
-            args=(
-                self._providers,
-                self._isps[index],
-                self._switching,
-                self._cap,
-                int(index),
-                prices,
-                float(price_range[0]),
-                float(price_range[1]),
-                int(grid_points),
-                float(xtol),
-                float(tol),
-                warm_arg,
-                start,
-                guess,
-            ),
-            key=(
-                "oligopoly-br/2",
-                self._carrier_fingerprint(index),
-                float(self._switching),
-                float(self._cap),
-                int(self.n_carriers),
-                int(index),
-                prices,
-                float(price_range[0]),
-                float(price_range[1]),
-                int(grid_points),
-                float(xtol),
-                float(tol),
-                start,
-                guess,
-                None if warm_arg is None else warm_arg.tobytes(),
-            ),
-            codec="ndarrays",
-        )
-
-    def best_response_price(
-        self,
-        index: int,
-        prices: Sequence[float],
-        *,
-        price_range: tuple[float, float] = COMPETITION_DEFAULTS["price_range"],
-        grid_points: int = COMPETITION_DEFAULTS["grid_points"],
-        xtol: float = COMPETITION_DEFAULTS["xtol"],
-        tol: float = COMPETITION_DEFAULTS["tol"],
-    ) -> float:
-        """Carrier ``index``'s revenue-maximizing price against a price vector.
-
-        The carrier's own entry of ``prices`` is ignored (it is swept);
-        rival entries are held fixed. The full certified search runs as
-        one solve-service task (cache/store/pool-eligible), warm-start
-        chain preserved exactly.
-        """
-        outcome = self._best_response_outcome(
-            index, self._check_prices(prices), price_range, grid_points,
-            xtol, tol,
-        )
-        return float(outcome["price"])
-
-    def _best_response_outcome(
-        self,
-        index: int,
-        vector: tuple[float, ...],
-        price_range: tuple[float, float],
-        grid_points: int,
-        xtol: float,
-        tol: float,
-        start: float | None = None,
-        guess: float | None = None,
-    ) -> dict[str, np.ndarray]:
-        """Run one sweep task and thread its warm profile; returns the raw
-        outcome dict (the competition loop reads its counters)."""
-        task = self._sweep_task(
-            index, vector, price_range, grid_points, xtol, tol, start, guess
-        )
-        outcome = self._resolve_service().run(task)
-        self._warm[index] = outcome["warm"]
-        return outcome
-
-    def best_response_prices(
-        self,
-        prices: Sequence[float],
-        *,
-        price_range: tuple[float, float] = COMPETITION_DEFAULTS["price_range"],
-        grid_points: int = COMPETITION_DEFAULTS["grid_points"],
-        xtol: float = COMPETITION_DEFAULTS["xtol"],
-        tol: float = COMPETITION_DEFAULTS["tol"],
-        workers: int | None = None,
-    ) -> tuple["np.ndarray", ...]:
-        """All carriers' best responses to one price vector (Jacobi round).
-
-        The ``N`` sweeps are independent given the shared start-of-sweep
-        prices, so they are scheduled as one
-        :meth:`~repro.engine.service.SolveService.map` batch — with
-        ``workers > 1`` they solve on a process pool, bitwise-identically.
-        Returns each carrier's raw sweep outcome dict (see
-        :func:`solve_oligopoly_sweep`).
-        """
-        return self._jacobi_round(
-            self._check_prices(prices), price_range, grid_points, xtol, tol,
-            (None,) * self.n_carriers, workers=workers,
-        )
-
-    def _jacobi_round(
-        self,
-        vector: tuple[float, ...],
-        price_range: tuple[float, float],
-        grid_points: int,
-        xtol: float,
-        tol: float,
-        guesses: Sequence[float | None],
-        *,
-        starts: Sequence[float | None] | None = None,
-        workers: int | None = None,
-    ) -> tuple["np.ndarray", ...]:
-        starts = (None,) * self.n_carriers if starts is None else starts
-        tasks = [
-            self._sweep_task(
-                k, vector, price_range, grid_points, xtol, tol, starts[k],
-                guesses[k],
-            )
-            for k in range(self.n_carriers)
-        ]
-        outcomes = self._resolve_service().map(tasks, workers=workers)
-        for k, outcome in enumerate(outcomes):
-            self._warm[k] = outcome["warm"]
-        return tuple(outcomes)
 
 
 @dataclass(frozen=True)
@@ -962,9 +827,10 @@ def solve_oligopoly_competition(
     ``policy.max_sweeps`` raises :class:`~repro.exceptions.ConvergenceError`
     — the iteration never loops forever (cycling is possible for extreme
     switching sensitivities; damp harder there). Initial prices outside
-    ``price_range`` start at its nearest end. Every best-response search
-    runs as a content-keyed service task, so against a warm persistent
-    store a repeated competition replays without equilibrium solves.
+    ``price_range`` start at its nearest end. The iteration runs as one
+    content-keyed service task and the final state as ``N`` more, so
+    against a warm persistent store a repeated competition replays
+    without equilibrium solves.
     """
     policy = policy if policy is not None else IterationPolicy()
     n = game.n_carriers
@@ -975,12 +841,78 @@ def solve_oligopoly_competition(
             f"expected {n} initial price(s), got {len(initial_prices)}"
         )
     # Only prices in the range can be certified best responses.
-    lo, hi = price_range
-    prices = [min(max(float(p), lo), hi) for p in initial_prices]
+    lo, hi = (float(x) for x in price_range)
+    prices = tuple(min(max(float(p), lo), hi) for p in initial_prices)
+    search = (lo, hi, int(grid_points), float(xtol))
+    task = SolveTask(
+        fn=_compete,
+        args=(game, prices, *search, policy),
+        key=(
+            "oligopoly/1",
+            tuple(game._carrier_fingerprint(k) for k in range(n)),
+            game.switching,
+            game.cap,
+            n,
+            prices,
+            *search,
+            policy.mode,
+            float(policy.damping),
+            float(policy.tol),
+            int(policy.max_sweeps),
+        ),
+        codec="ndarrays",
+    )
+    outcome = game._resolve_service().run(task)
+    return OligopolyCompetitionResult(
+        state=game._solve_state(
+            tuple(outcome["prices"].tolist()), outcome["warm"]
+        ),
+        iterations=int(outcome["iterations"]),
+        residual=float(outcome["residual"]),
+        mode=policy.mode,
+        carrier_stats=tuple(
+            CarrierStats(*counters, certificate=CERTIFICATES[code])
+            for counters, code in zip(
+                outcome["counters"].tolist(), outcome["certificates"].tolist()
+            )
+        ),
+    )
+
+
+def _compete(
+    game: OligopolyGame,
+    initial: tuple[float, ...],
+    lo: float,
+    hi: float,
+    grid_points: int,
+    xtol: float,
+    policy: IterationPolicy,
+) -> dict[str, np.ndarray]:
+    """The competition task: the iteration of
+    :func:`solve_oligopoly_competition`, from clipped initial prices.
+
+    Returns the final prices, the sweep count, the residual, each
+    carrier's counters (sweeps, grid sweeps, solves, evaluations) and
+    certificate index, and the final warm-start profiles, as arrays.
+    Every search of carrier ``k`` is warm-started from the profile of its
+    previous search. The task runs inline under
+    :meth:`~repro.engine.service.SolveService.run`, so ``game`` need not
+    pickle; a Jacobi round's searches are the tasks that reach the pool.
+    """
+    n = game.n_carriers
+    prices = list(initial)
     stats = tuple(CarrierStats() for _ in range(n))
     guesses: list[float | None] = [None] * n
     slopes = [0.0] * n
-    search = (price_range, grid_points, xtol, policy.tol)
+    warm: list[np.ndarray | None] = [None] * n
+
+    def search(k: int, vector: tuple[float, ...], guess: float | None) -> tuple:
+        """The arguments of carrier ``k``'s search from ``vector``."""
+        return (
+            game._providers, game._isps[k], game.switching, game.cap, k,
+            vector, lo, hi, grid_points, xtol, policy.tol, warm[k],
+            vector[k], guess,
+        )
 
     def update(index: int, outcome: dict, start: float) -> float:
         """Record one search and move the carrier; the step taken."""
@@ -992,6 +924,7 @@ def solve_oligopoly_competition(
         stats[index].certificate = CERTIFICATES[int(outcome["certificate"])]
         slopes[index] = float(outcome["slope"])
         guesses[index] = response
+        warm[index] = outcome["warm"]
         step = policy.damping * (response - start)
         prices[index] = start + step
         return abs(step)
@@ -1003,8 +936,14 @@ def solve_oligopoly_competition(
         previous = [None] * n if full else list(guesses)
         if policy.mode == "jacobi":
             starts = tuple(prices)
-            outcomes = game._jacobi_round(
-                starts, *search, previous, starts=starts
+            outcomes = game._resolve_service().map(
+                [
+                    SolveTask(
+                        fn=solve_oligopoly_sweep,
+                        args=search(k, starts, previous[k]),
+                    )
+                    for k in range(n)
+                ]
             )
             for k in range(n):
                 largest_change = max(
@@ -1012,28 +951,41 @@ def solve_oligopoly_competition(
                 )
         else:
             for k in range(n):
-                start = prices[k]
-                outcome = game._best_response_outcome(
-                    k, tuple(prices), *search, start, previous[k]
+                vector = tuple(prices)
+                outcome = solve_oligopoly_sweep(
+                    *search(k, vector, previous[k])
                 )
-                largest_change = max(largest_change, update(k, outcome, start))
+                largest_change = max(
+                    largest_change, update(k, outcome, vector[k])
+                )
         settled = largest_change == 0.0 and all(
             s.certificate is not None for s in stats
         )
         if settled and full:
-            return OligopolyCompetitionResult(
-                state=game.solve(tuple(prices)),
-                iterations=sweep,
-                residual=max(
-                    (
-                        abs(slopes[k]) for k in range(n)
-                        if stats[k].certificate == INTERIOR
-                    ),
-                    default=0.0,
+            residual = max(
+                (
+                    abs(slopes[k]) for k in range(n)
+                    if stats[k].certificate == INTERIOR
                 ),
-                mode=policy.mode,
-                carrier_stats=stats,
+                default=0.0,
             )
+            return {
+                "prices": np.asarray(prices, dtype=float),
+                "iterations": np.asarray(sweep, dtype=np.int64),
+                "residual": np.asarray(residual, dtype=float),
+                "counters": np.asarray(
+                    [
+                        (s.sweeps, s.grid_sweeps, s.solves, s.evaluations)
+                        for s in stats
+                    ],
+                    dtype=np.int64,
+                ),
+                "certificates": np.asarray(
+                    [CERTIFICATES.index(s.certificate) for s in stats],
+                    dtype=np.int64,
+                ),
+                "warm": np.stack(warm),
+            }
         full = settled
     raise ConvergenceError(
         f"oligopoly price competition ({n} carriers, {policy.mode}) not "

@@ -24,8 +24,9 @@ A third versioned block, ``repro-dynamics/1``, rides *inside* the scenario
 format: when ``metadata["dynamics"]`` is present it declares a market
 trajectory (step policy, horizon, investment rule, shock schedule — see
 :class:`~repro.simulation.DynamicsSpec`), and both directions of the
-scenario round trip validate it (:func:`dynamics_to_dict` /
-:func:`dynamics_from_dict`), so a malformed trajectory block fails at
+scenario round trip validate it
+(:meth:`~repro.simulation.DynamicsSpec.to_metadata` writes it,
+:func:`dynamics_from_dict` reads it), so a malformed trajectory block fails at
 load/save time with :class:`~repro.exceptions.ModelError`, never mid-run.
 
 A fourth versioned format, ``repro-campaign/1``, declares a *campaign* —
@@ -104,7 +105,6 @@ __all__ = [
     "scenario_from_dict",
     "save_scenario",
     "load_scenario",
-    "dynamics_to_dict",
     "dynamics_from_dict",
     "market_digest",
     "scenario_digest",
@@ -259,11 +259,6 @@ def scenario_digest(spec: ScenarioSpec) -> str:
         scenario_to_dict(spec), sort_keys=True, separators=(",", ":")
     )
     return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def dynamics_to_dict(spec: "DynamicsSpec") -> dict:
-    """JSON-ready ``repro-dynamics/1`` block for a trajectory spec."""
-    return spec.to_metadata()
 
 
 def dynamics_from_dict(payload: dict) -> "DynamicsSpec":

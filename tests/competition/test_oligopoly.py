@@ -52,6 +52,22 @@ def game_of(n, *, switching=2.0, cap=0.3, capacity=None, cps=None):
     )
 
 
+def best_response(
+    game, index, prices, *, price_range=COMPETITION_DEFAULTS["price_range"],
+    grid_points=COMPETITION_DEFAULTS["grid_points"],
+    xtol=COMPETITION_DEFAULTS["xtol"], warm0=None,
+):
+    """Carrier ``index``'s full certified search against ``prices`` on
+    ``game`` (the own entry is ignored), at the default slope tolerance,
+    warm-started from ``warm0``: the raw outcome arrays."""
+    lo, hi = price_range
+    return oligopoly.solve_oligopoly_sweep(
+        game._providers, game.isps[index], game.switching, game.cap, index,
+        tuple(prices), lo, hi, grid_points, xtol, COMPETITION_DEFAULTS["tol"],
+        warm0,
+    )
+
+
 class TestShares:
     def test_two_carriers_use_the_complement_form(self):
         # w_B = 1 - w_A exactly; an independently normalized softmax
@@ -168,10 +184,11 @@ class TestTwoCarrierPriceEquilibrium:
 
     def test_competition_result_is_a_mutual_best_response(self, equilibrium):
         prices = equilibrium.state.prices
-        br_a = game_of(2, capacity=0.5).best_response_price(
-            0, prices, price_range=(0.05, 2.0), grid_points=16
+        br_a = best_response(
+            game_of(2, capacity=0.5), 0, prices, price_range=(0.05, 2.0),
+            grid_points=16,
         )
-        assert br_a == pytest.approx(prices[0], abs=0.02)
+        assert float(br_a["price"]) == pytest.approx(prices[0], abs=0.02)
 
 
 def sig(x):
@@ -280,15 +297,19 @@ def golden(name):
     return table[name]
 
 
-def best_responses(game, calls, grid_points):
-    """Sequential best responses on one game (the warm-start chain
-    threads through them), at the 12-digit convention."""
-    out = []
+def best_responses(game, calls, grid_points, warm=None):
+    """Sequential best responses on one game, at the 12-digit convention;
+    each carrier's search is warm-started from its previous one, whose
+    profile ``warm`` keeps by carrier."""
+    out, warm = [], {} if warm is None else warm
     for index, rival in calls:
         prices = (1.0, rival) if index == 0 else (rival, 1.0)
-        out.append(sig(game.best_response_price(
-            index, prices, price_range=(0.05, 2.0), grid_points=grid_points
-        )))
+        outcome = best_response(
+            game, index, prices, price_range=(0.05, 2.0),
+            grid_points=grid_points, warm0=warm.get(index),
+        )
+        warm[index] = outcome["warm"]
+        out.append(sig(outcome["price"]))
     return out
 
 
@@ -342,10 +363,13 @@ class TestTwoCarrierGolden:
             cap=0.5,
             service=SolveService(cache=SolveCache()),
         )
+        warm = {}
         assert best_responses(
-            game, ((0, 1.2), (1, 0.8)), 8
+            game, ((0, 1.2), (1, 0.8)), 8, warm
         ) == golden("section5_best_responses")
-        assert_state_matches(game.solve((0.8, 1.2)), golden("section5_state"))
+        # The state was recorded warm-started from the searches' profiles.
+        state = game._solve_state((0.8, 1.2), (warm[0], warm[1]))
+        assert_state_matches(state, golden("section5_state"))
 
 
 class TestMonopolyDegeneration:
@@ -474,8 +498,6 @@ class TestEdgeCases:
         with pytest.raises(ModelError):
             game.solve((1.0, 1.0))
         with pytest.raises(ModelError):
-            game.best_response_price(0, (1.0,))
-        with pytest.raises(ModelError):
             solve_oligopoly_competition(game, initial_prices=(1.0, 1.0))
 
 
@@ -539,53 +561,60 @@ class TestCompetitionSettings:
         assert settings.price_range == (1.5, 1.5)
         assert settings.grid_points == 3
 
-    def test_game_search_defaults_are_the_competition_defaults(self):
+    def test_competition_search_defaults_are_the_competition_defaults(self):
         import inspect
 
-        for method in (
-            OligopolyGame.best_response_price,
-            OligopolyGame.best_response_prices,
-        ):
-            params = inspect.signature(method).parameters
-            for key in ("price_range", "grid_points", "xtol"):
-                assert params[key].default == COMPETITION_DEFAULTS[key]
+        params = inspect.signature(solve_oligopoly_competition).parameters
+        for key in ("price_range", "grid_points", "xtol"):
+            assert params[key].default == COMPETITION_DEFAULTS[key]
 
     def test_unknown_override_key_rejected(self):
         with pytest.raises(ModelError):
             competition_settings(overrides={"dampin": 0.5})
 
 
-class TestSweepTaskKey:
-    def test_own_price_entry_does_not_split_the_cache(self):
-        """The carrier's own entry never enters the sweep, so two searches
-        differing only there must resolve to one cached task.
-
-        Two fresh games share one service: both start from an empty warm
-        profile, so the only key difference left is the masked own entry.
-        (Within one game the warm-start chain legitimately changes the
-        key between calls.)
-        """
-        service = SolveService(cache=SolveCache())
-
-        def fresh_game():
-            return OligopolyGame(
-                cheap_providers(),
-                carrier_isps(2, 0.5),
-                switching=2.0,
-                cap=0.3,
-                service=service,
+class TestSweepOwnPriceEntry:
+    def test_own_price_entry_does_not_change_the_search(self):
+        """Every candidate replaces the carrier's own entry of the price
+        vector, so two searches differing only there agree bit for bit."""
+        game = OligopolyGame(
+            cheap_providers(), carrier_isps(2, 0.5), switching=2.0, cap=0.3
+        )
+        first, second = (
+            best_response(
+                game, 0, prices, price_range=(0.05, 2.0), grid_points=6,
+                xtol=1e-3,
             )
+            for prices in ((1.0, 1.1), (2.5, 1.1))
+        )
+        assert_outcomes_identical(second, first)
 
-        first = fresh_game().best_response_price(
-            0, (1.0, 1.1), price_range=(0.05, 2.0), grid_points=6, xtol=1e-3
+
+class TestCompetitionTask:
+    def test_keyed_on_the_clipped_arguments(self):
+        service = SolveService(cache=SolveCache())
+        game = OligopolyGame(
+            cheap_providers(), carrier_isps(2, 0.5), switching=2.0, cap=0.3,
+            service=service,
         )
-        computed = service.counters.computed
-        second = fresh_game().best_response_price(
-            0, (2.5, 1.1), price_range=(0.05, 2.0), grid_points=6, xtol=1e-3
-        )
-        assert second == first
-        assert service.counters.computed == computed
-        assert service.counters.memory_hits >= 1
+
+        def computed(initial, **policy):
+            before = service.counters.computed
+            solve_oligopoly_competition(
+                game, initial_prices=initial, price_range=(0.05, 2.0),
+                grid_points=6, xtol=1e-2,
+                policy=IterationPolicy(tol=2e-2, **policy),
+            )
+            return service.counters.computed - before
+
+        # The competition task and the two carriers' state tasks.
+        assert computed((2.0, 2.0)) == 3
+        assert computed((2.0, 2.0)) == 0
+        # Initial prices clip to the range before they enter the key.
+        assert computed((5.0, 9.0)) == 0
+        # Another budget is another competition, which lands on the same
+        # prices and profiles, so its states hit.
+        assert computed((2.0, 2.0), max_sweeps=59) == 1
 
 
 class TestWarmStoreReplay:

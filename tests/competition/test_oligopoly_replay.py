@@ -1,11 +1,16 @@
 """A 4-carrier competition cold, then replayed from a warm store.
 
 Solving the ``oligopoly-4`` price competition on the §5 market cold
-persists every best-response sweep; replaying the identical competition
-from a fresh process-equivalent (empty memory tiers, warm store) performs
-**zero** equilibrium solves and lands on the same prices.
+persists one entry for the competition and one state per carrier;
+replaying the identical competition from a fresh process-equivalent
+(empty memory tiers, warm store) performs **zero** equilibrium solves and
+lands on the same prices. Without any cache, solving it twice on one game
+returns the same bits: a competition is a pure function of its arguments.
 """
 
+import pytest
+
+from repro.backend import use_backend
 from repro.competition import (
     IterationPolicy,
     OligopolyGame,
@@ -27,11 +32,14 @@ SETTINGS = dict(
 )
 
 
-def _run(service):
-    game = OligopolyGame.from_scenario(
+def _game(service):
+    return OligopolyGame.from_scenario(
         get_scenario("oligopoly-4"), service=service
     )
-    return solve_oligopoly_competition(game, **SETTINGS)
+
+
+def _run(service):
+    return solve_oligopoly_competition(_game(service), **SETTINGS)
 
 
 def _service(store_dir):
@@ -43,8 +51,8 @@ def test_oligopoly_cold_solve_and_persist(tmp_path):
     result = _run(service)
     assert result.state.n_carriers == CARRIERS
     assert service.counters.computed > 0
-    # Every sweep task (plus the final per-carrier states) persisted.
-    assert len(service.store) == service.counters.computed
+    # One entry for the competition, one state per carrier.
+    assert len(service.store) == CARRIERS + 1
     assert sum(result.state.shares) == 1.0
 
 
@@ -56,3 +64,22 @@ def test_oligopoly_warm_replay(tmp_path):
     assert replay_service.counters.store_hits > 0
     assert warm.iterations == cold.iterations
     assert warm.state.prices == cold.state.prices
+
+
+@pytest.mark.parametrize("name", ["numpy", "compiled"])
+def test_repeated_competition_on_one_game_is_bit_identical(name):
+    with use_backend(name) as backend:
+        if name == "compiled" and not backend.compiled:
+            pytest.skip(f"no kernel backend: {backend.fallback_reason}")
+        # Compute-only: the second competition is solved again, not read
+        # back from a cache tier.
+        game = _game(SolveService())
+        first, second = (
+            solve_oligopoly_competition(game, **SETTINGS) for _ in range(2)
+        )
+    assert second.iterations == first.iterations
+    assert [p.hex() for p in second.state.prices] == [
+        p.hex() for p in first.state.prices
+    ]
+    for got, want in zip(second.state.equilibria, first.state.equilibria):
+        assert got.subsidies.tobytes() == want.subsidies.tobytes()

@@ -14,8 +14,9 @@ import time
 
 import numpy as np
 
-from repro.competition import OligopolyGame
-from repro.engine import SolveCache, SolveService
+from repro.competition import COMPETITION_DEFAULTS, OligopolyGame
+from repro.competition.oligopoly import solve_oligopoly_sweep
+from repro.engine import SolveCache, SolveService, SolveTask
 from repro.experiments import (
     POLICY_LEVELS,
     RefineSpec,
@@ -34,8 +35,9 @@ WORKERS = 8
 
 #: Damped Jacobi settings: cheap sweeps (uncongested carriers, coarse
 #: grid, loose polish) keep per-round work small so the measured gap is
-#: scheduling overhead, not equilibrium math.
-SWEEP = dict(price_range=(0.7, 0.9), grid_points=3, xtol=0.15)
+#: scheduling overhead, not equilibrium math. Each search's ``(lo, hi,
+#: grid_points, xtol, tol)``.
+SWEEP = (0.7, 0.9, 3, 0.15, COMPETITION_DEFAULTS["tol"])
 DAMPING = 0.5
 
 
@@ -53,14 +55,29 @@ def _game(service) -> OligopolyGame:
 
 
 def _jacobi_rounds(service, *, churn: bool) -> tuple[float, ...]:
-    """Run ROUNDS damped Jacobi rounds; churn tears the pool down per round."""
+    """Run ROUNDS damped Jacobi rounds; churn tears the pool down per round.
+
+    Each round is one keyless batch of full searches, every carrier's
+    warm-started from its search of the round before.
+    """
     game = _game(service)
-    prices = [0.75] * game.n_carriers
+    n = game.n_carriers
+    prices = [0.75] * n
+    warm = [None] * n
     for _ in range(ROUNDS):
-        outcomes = game.best_response_prices(
-            tuple(prices), workers=WORKERS, **SWEEP
-        )
+        tasks = [
+            SolveTask(
+                fn=solve_oligopoly_sweep,
+                args=(
+                    game._providers, game.isps[k], game.switching, game.cap,
+                    k, tuple(prices), *SWEEP, warm[k],
+                ),
+            )
+            for k in range(n)
+        ]
+        outcomes = service.map(tasks, workers=WORKERS)
         for k, outcome in enumerate(outcomes):
+            warm[k] = outcome["warm"]
             prices[k] += DAMPING * (float(outcome["price"]) - prices[k])
         if churn:
             service.close()  # the old per-map pool lifecycle

@@ -233,19 +233,16 @@ class TestDynamicsBlock:
     """The versioned repro-dynamics/1 block riding in scenario metadata."""
 
     def make_spec(self, **dynamics_kwargs) -> ScenarioSpec:
-        from repro.io import dynamics_to_dict
         from repro.simulation import DynamicsSpec, Shock
 
-        block = dynamics_to_dict(
-            DynamicsSpec(
-                kind="capacity",
-                horizon=6,
-                segment_length=2,
-                cap=0.5,
-                shocks=(Shock(3, "capacity", 0.8),),
-                **dynamics_kwargs,
-            )
-        )
+        block = DynamicsSpec(
+            kind="capacity",
+            horizon=6,
+            segment_length=2,
+            cap=0.5,
+            shocks=(Shock(3, "capacity", 0.8),),
+            **dynamics_kwargs,
+        ).to_metadata()
         return ScenarioSpec(
             scenario_id="io-dyn",
             title="dynamics round-trip scenario",
