@@ -50,6 +50,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -217,6 +218,11 @@ class SolveService:
         #: Cumulative wall-clock seconds spent inside executor batches
         #: and direct computes (cache hits contribute nothing).
         self.solve_seconds = 0.0
+        # Per thread: the inflight slots the running outermost compute
+        # still holds (None when none runs), so the tasks a compute
+        # resolves through the service (a competition's rounds) are
+        # neither timed nor gauged twice.
+        self._computing = threading.local()
 
     @property
     def cache(self) -> SolveCache | None:
@@ -296,15 +302,8 @@ class SolveService:
         hit = self._lookup(task)
         if hit.found:
             return hit.value
-        with self._lock:
-            self.inflight += 1
-        start = time.perf_counter()
-        try:
+        with self._outermost(1):
             value = run_task(task)
-        finally:
-            with self._lock:
-                self.inflight -= 1
-                self.solve_seconds += time.perf_counter() - start
         self._commit(task, value)
         return value
 
@@ -332,33 +331,47 @@ class SolveService:
         if not pending:
             return results
 
-        batch_committed = 0
+        with self._outermost(len(pending)) as outer:
 
-        def commit(index: int, value: Any) -> None:
-            nonlocal batch_committed
-            results[index] = value
-            self._commit(tasks[index], value)
-            batch_committed += 1
-            with self._lock:
-                self.inflight -= 1
+            def commit(index: int, value: Any) -> None:
+                results[index] = value
+                self._commit(tasks[index], value)
+                if outer:
+                    with self._lock:
+                        self.inflight -= 1
+                    self._computing.slots -= 1
 
-        with self._lock:
-            self.inflight += len(pending)
-        start = time.perf_counter()
-        try:
             self.executor.map_tasks(
                 [(index, tasks[index]) for index in pending],
                 commit,
                 workers=self.resolve_workers(workers),
             )
+        return results
+
+    @contextmanager
+    def _outermost(self, slots: int):
+        """Account a compute of ``slots`` tasks, unless one already runs.
+
+        Yields whether this is the thread's outermost compute. Only that
+        one occupies inflight slots and adds to ``solve_seconds``; slots
+        not released by the time it ends (a cancelled or failed batch
+        commits nothing more) are released then, so the gauge returns to
+        the truth.
+        """
+        if getattr(self._computing, "slots", None) is not None:
+            yield False
+            return
+        with self._lock:
+            self.inflight += slots
+        self._computing.slots = slots
+        start = time.perf_counter()
+        try:
+            yield True
         finally:
             with self._lock:
-                # A cancelled/failed batch never commits its remaining
-                # tasks; release their inflight slots so the gauge
-                # returns to the truth.
-                self.inflight -= len(pending) - batch_committed
+                self.inflight -= self._computing.slots
                 self.solve_seconds += time.perf_counter() - start
-        return results
+            self._computing.slots = None
 
     # ------------------------------------------------------------------
     # observability and isolation

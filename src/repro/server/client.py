@@ -1,13 +1,13 @@
 """A stdlib client for the ``repro serve`` daemon.
 
-:class:`ServeClient` wraps one request/response exchange per call over
-``http.client`` (the server closes each connection, matching its
-``Connection: close`` responses), and :func:`replay` is the traffic
-generator the serve replay test, the ``repro client replay`` verb and the
-CI smoke job share: N threads, each submitting an overlapping scenario
-set and polling every job to a terminal state, with requests/sec and the
-server-side stats deltas in the summary — the numbers that back the
-"zero redundant solves against a warm store" claim.
+:class:`ServeClient` makes one request/response exchange per call over
+``http.client``, reusing one keep-alive connection per thread, and
+:func:`replay` is the traffic generator the serve replay test, the
+``repro client replay`` verb and the CI smoke job share: N threads, each
+submitting an overlapping scenario set and polling every job to a
+terminal state, with requests/sec and the server-side stats deltas in
+the summary — the numbers that back the "zero redundant solves against a
+warm store" claim.
 """
 
 from __future__ import annotations
@@ -36,7 +36,11 @@ class ServeError(RuntimeError):
 
 
 class ServeClient:
-    """Talks JSON to one daemon at ``host:port``."""
+    """Talks JSON to one daemon at ``host:port``.
+
+    Each thread reuses its own keep-alive connection, so one client may
+    be shared across threads. :attr:`requests` counts the exchanges made.
+    """
 
     def __init__(
         self, host: str, port: int, *, timeout: float = 120.0
@@ -44,28 +48,45 @@ class ServeClient:
         self.host = host
         self.port = int(port)
         self.timeout = timeout
+        #: Request/response exchanges completed, over every thread.
+        self.requests = 0
+        self._lock = threading.Lock()
+        self._local = threading.local()
 
     def request(
         self, method: str, path: str, payload: dict | None = None
     ) -> Any:
         """One exchange; raises :class:`ServeError` on non-2xx."""
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
+        body = None
+        headers = {}
+        if payload is not None:
+            body = json.dumps(payload).encode()
+            headers["Content-Type"] = "application/json"
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = http.client.HTTPConnection(
+                self.host, self.port, timeout=self.timeout
+            )
+            self._local.connection = connection
+        reused = connection.sock is not None
         try:
-            body = None
-            headers = {}
-            if payload is not None:
-                body = json.dumps(payload).encode()
-                headers["Content-Type"] = "application/json"
-            connection.request(method, path, body=body, headers=headers)
-            response = connection.getresponse()
-            raw = response.read()
-            decoded = json.loads(raw) if raw else {}
-            if not 200 <= response.status < 300:
-                raise ServeError(response.status, decoded)
-            return decoded
-        finally:
+            status, raw = _exchange(connection, method, path, body, headers)
+        except (ConnectionError, http.client.BadStatusLine):
+            if not reused:
+                raise
+            # The daemon closed the idle connection: reconnect once.
+            status, raw = _exchange(connection, method, path, body, headers)
+        with self._lock:
+            self.requests += 1
+        decoded = json.loads(raw) if raw else {}
+        if not 200 <= status < 300:
+            raise ServeError(status, decoded)
+        return decoded
+
+    def close(self) -> None:
+        """Close the calling thread's connection (the next call reopens)."""
+        connection = getattr(self._local, "connection", None)
+        if connection is not None:
             connection.close()
 
     # ------------------------------------------------------------------
@@ -111,6 +132,26 @@ class ServeClient:
         return record
 
 
+def _exchange(
+    connection: http.client.HTTPConnection,
+    method: str,
+    path: str,
+    body: bytes | None,
+    headers: dict,
+) -> tuple[int, bytes]:
+    """Send one request and read its response; a failure drops the socket.
+
+    ``http.client`` reopens a closed connection on the next request.
+    """
+    try:
+        connection.request(method, path, body=body, headers=headers)
+        response = connection.getresponse()
+        return response.status, response.read()
+    except BaseException:
+        connection.close()
+        raise
+
+
 def replay(
     host: str,
     port: int,
@@ -123,37 +164,34 @@ def replay(
 
     Every client thread submits every scenario (staggered start offsets
     so the interleavings overlap rather than convoy) and polls each job
-    to a terminal state. Returns a JSON-ready summary: request count and
-    requests/sec, per-state job outcomes, and the server-side ``computed``
-    / store-writes deltas across the replay — a warm store must show
-    ``computed_delta == 0``.
+    to a terminal state. Returns a JSON-ready summary: the exchanges the
+    threads made and requests/sec, per-state job outcomes, and the
+    server-side ``computed`` / store-writes deltas across the replay — a
+    warm store must show ``computed_delta == 0``.
     """
     if clients < 1:
         raise ValueError(f"clients must be at least 1, got {clients}")
     scenarios = list(scenarios)
     if not scenarios:
         raise ValueError("need at least one scenario to replay")
-    before = ServeClient(host, port).stats()
-    requests = 0
+    client = ServeClient(host, port)  # shared: one connection per thread
+    before = client.stats()
     outcomes: dict[str, int] = {}
     failures: list[str] = []
     tally_lock = threading.Lock()
 
     def one_client(offset: int) -> None:
-        nonlocal requests
-        client = ServeClient(host, port)
         ordered = scenarios[offset:] + scenarios[:offset]
         for scenario in ordered:
             try:
                 record = client.run(scenario, timeout=timeout)
                 with tally_lock:
-                    # submit + the >=1 polls run() performed
-                    requests += 2
                     state = record["state"]
                     outcomes[state] = outcomes.get(state, 0) + 1
             except Exception as exc:
                 with tally_lock:
                     failures.append(f"{type(exc).__name__}: {exc}")
+        client.close()
 
     threads = [
         threading.Thread(target=one_client, args=(i % len(scenarios),))
@@ -165,7 +203,9 @@ def replay(
     for thread in threads:
         thread.join()
     elapsed = time.perf_counter() - start
-    after = ServeClient(host, port).stats()
+    requests = client.requests - 1  # all but the ``before`` probe
+    after = client.stats()
+    client.close()
 
     def counter(stats: dict, *path: str) -> float:
         node: Any = stats

@@ -2,11 +2,18 @@
 
 Stdlib only: an ``asyncio.start_server`` stream handler plus a
 hand-rolled request parser — the container bakes in no web framework, and
-the API (five JSON routes, short bodies, ``Connection: close``) does not
-need one. Solves never run on the event loop: the handler answers from
-the :class:`~repro.server.jobs.JobManager`'s tables, and the only
-blocking call (``?wait=`` long-polling) is pushed to the default thread
-pool so a slow solve never stalls ``/health``.
+the API (five JSON routes, short ``Content-Length`` bodies) does not need
+one. Connections are persistent: a client sends request after request on
+one socket until it asks for ``Connection: close``, speaks HTTP/1.0, or
+the daemon shuts down (which closes every idle connection).
+
+Solves never run on the event loop. Most routes only read or update the
+:class:`~repro.server.jobs.JobManager`'s tables, so the loop answers them
+directly; the two that can block — a ``?wait=`` long-poll and ``/stats``
+(which walks every store shard) — go to the default thread pool, so a
+slow solve never stalls ``/health``. A submitted body is resolved to its
+scenario and digest once per daemon: a byte-identical resubmit skips the
+parse and the digest.
 
 Routes
 ------
@@ -31,9 +38,11 @@ too large).
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
-from typing import Any
+from typing import Any, NamedTuple
 
+from repro.engine.cache import SolveCache
 from repro.server.jobs import TERMINAL_STATES, JobManager
 
 __all__ = ["ServeApp", "run_server"]
@@ -45,6 +54,9 @@ MAX_BODY_BYTES = 1 << 20
 
 #: Longest honored ``?wait=`` long-poll, seconds.
 MAX_WAIT_SECONDS = 60.0
+
+#: Resolved submit bodies kept per daemon (see :meth:`ServeApp._submit`).
+RESOLVED_BODIES = 1024
 
 _REASONS = {
     200: "OK",
@@ -88,6 +100,20 @@ def _resolve_scenario(document: Any):
     raise _HttpError(400, "scenario must be a registry id or a document")
 
 
+def _resolve_body(body: bytes) -> tuple:
+    """A ``POST /jobs`` body as ``(scenario, scenario digest)``."""
+    from repro.io import scenario_digest
+
+    try:
+        payload = json.loads(body or b"{}")
+    except ValueError as exc:
+        raise _HttpError(400, f"body is not JSON: {exc}") from exc
+    if not isinstance(payload, dict) or "scenario" not in payload:
+        raise _HttpError(400, 'body must be {"scenario": <id or doc>}')
+    scn = _resolve_scenario(payload["scenario"])
+    return scn, scenario_digest(scn)
+
+
 class ServeApp:
     """Routing and JSON semantics, separated from socket handling.
 
@@ -97,6 +123,10 @@ class ServeApp:
 
     def __init__(self, manager: JobManager) -> None:
         self.manager = manager
+        # SHA-256 of a submit body -> (scenario, digest): clients replay
+        # the same documents, and parsing plus digesting one costs more
+        # than the rest of the request.
+        self._resolved = SolveCache(maxsize=RESOLVED_BODIES)
 
     # ------------------------------------------------------------------
     # routes (each returns (status, payload))
@@ -150,14 +180,13 @@ class ServeApp:
         }
 
     def _submit(self, body: bytes) -> tuple[int, dict]:
-        try:
-            payload = json.loads(body or b"{}")
-        except ValueError as exc:
-            raise _HttpError(400, f"body is not JSON: {exc}") from exc
-        if not isinstance(payload, dict) or "scenario" not in payload:
-            raise _HttpError(400, 'body must be {"scenario": <id or doc>}')
-        scn = _resolve_scenario(payload["scenario"])
-        job, coalesced = self.manager.submit(scn)
+        key = hashlib.sha256(body).digest()
+        resolved = self._resolved.get(key)
+        if resolved is None:
+            resolved = _resolve_body(body)
+            self._resolved.put(key, resolved)
+        scn, digest = resolved
+        job, coalesced = self.manager.submit(scn, digest=digest)
         record = job.describe()
         record["coalesced"] = coalesced
         return (200 if coalesced else 202), record
@@ -210,79 +239,151 @@ def _wait_seconds(query: str) -> float:
 # ----------------------------------------------------------------------
 
 
-async def _read_request(reader: asyncio.StreamReader):
-    """Parse one HTTP/1.1 request: (method, path, body) or None on EOF."""
+class _Request(NamedTuple):
+    method: str
+    path: str
+    body: bytes
+    keep_alive: bool
+
+
+async def _read_request(reader: asyncio.StreamReader) -> _Request | None:
+    """Parse one request off the stream, or ``None`` at end of stream.
+
+    A parse error raises :class:`_HttpError`; the connection then closes,
+    since the unread rest of the request would desync the stream.
+    """
     try:
         request_line = await reader.readline()
-    except (ConnectionError, asyncio.LimitOverrunError):
+    except ConnectionError:
         return None
+    except ValueError:  # a line past the stream limit
+        raise _HttpError(400, "request line too long")
     if not request_line.strip():
         return None
     try:
-        method, path, _ = request_line.decode("latin-1").split(" ", 2)
+        method, path, version = request_line.decode("latin-1").split()
     except ValueError:
         raise _HttpError(400, "malformed request line")
+    keep_alive = version.upper() != "HTTP/1.0"
     content_length = 0
     while True:
-        line = await reader.readline()
+        try:
+            line = await reader.readline()
+        except ValueError:
+            raise _HttpError(400, "header line too long")
         if line in (b"\r\n", b"\n", b""):
             break
         name, _, value = line.decode("latin-1").partition(":")
-        if name.strip().lower() == "content-length":
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length":
             try:
-                content_length = int(value.strip())
+                content_length = int(value)
             except ValueError:
                 raise _HttpError(400, "bad Content-Length")
+            if content_length < 0:
+                raise _HttpError(400, "bad Content-Length")
+        elif name == "transfer-encoding":
+            raise _HttpError(400, "send a Content-Length body, not chunks")
+        elif name == "connection":
+            tokens = {token.strip() for token in value.lower().split(",")}
+            keep_alive = keep_alive and "close" not in tokens
     if content_length > MAX_BODY_BYTES:
         raise _HttpError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
     body = (
         await reader.readexactly(content_length) if content_length else b""
     )
-    return method.upper(), path, body
+    return _Request(method.upper(), path, body, keep_alive)
 
 
-def _render_response(status: int, payload: dict) -> bytes:
+def _render_response(status: int, payload: dict, *, close: bool) -> bytes:
     body = json.dumps(payload).encode()
     reason = _REASONS.get(status, "Unknown")
     head = (
         f"HTTP/1.1 {status} {reason}\r\n"
         f"Content-Type: application/json\r\n"
         f"Content-Length: {len(body)}\r\n"
-        f"Connection: close\r\n\r\n"
+        + ("Connection: close\r\n" if close else "")
+        + "\r\n"
     )
     return head.encode("latin-1") + body
 
 
-async def _handle_connection(
+def _blocks(path: str) -> bool:
+    """Whether a request may block: a ``?wait=`` long-poll or ``/stats``."""
+    path, _, query = path.partition("?")
+    return path.strip("/") == "stats" or "wait=" in query
+
+
+class _Connections:
+    """The daemon's open connections, so a shutdown can close them.
+
+    On Python 3.12+ ``Server.wait_closed()`` waits for every connection,
+    so a client idling on a keep-alive socket would hold the daemon open.
+    """
+
+    def __init__(self) -> None:
+        #: Writers of connections waiting for their next request.
+        self.idle: set[asyncio.StreamWriter] = set()
+        #: The handler task of every open connection.
+        self.handlers: set[asyncio.Task] = set()
+        self.closing = False
+
+    async def close(self) -> None:
+        """Close idle connections now and busy ones once they answer;
+        return when every handler has finished."""
+        self.closing = True
+        for writer in self.idle:
+            writer.close()
+        if self.handlers:
+            await asyncio.wait(set(self.handlers))
+
+
+async def _serve_connection(
     app: ServeApp,
+    connections: _Connections,
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
 ) -> None:
+    """Answer requests on one connection until either side closes it."""
+    loop = asyncio.get_running_loop()
     try:
-        try:
-            request = await _read_request(reader)
-        except _HttpError as exc:
-            writer.write(_render_response(exc.status, {"error": exc.message}))
+        while not connections.closing:
+            connections.idle.add(writer)
+            try:
+                request = await _read_request(reader)
+            except _HttpError as exc:
+                writer.write(
+                    _render_response(
+                        exc.status, {"error": exc.message}, close=True
+                    )
+                )
+                await writer.drain()
+                return
+            except asyncio.IncompleteReadError:
+                return
+            finally:
+                connections.idle.discard(writer)
+            if request is None:
+                return
+            method, path, body, keep_alive = request
+            if _blocks(path):
+                status, payload = await loop.run_in_executor(
+                    None, app.handle, method, path, body
+                )
+            else:
+                status, payload = app.handle(method, path, body)
+            close = not keep_alive or connections.closing
+            writer.write(_render_response(status, payload, close=close))
             await writer.drain()
-            return
-        except asyncio.IncompleteReadError:
-            return
-        if request is None:
-            return
-        method, path, body = request
-        # handle() may block on a solve wait; keep it off the event loop.
-        status, payload = await asyncio.get_running_loop().run_in_executor(
-            None, app.handle, method, path, body
-        )
-        writer.write(_render_response(status, payload))
-        await writer.drain()
-    except (ConnectionError, BrokenPipeError):
+            if close:
+                return
+    except ConnectionError:
         pass
     finally:
         try:
             writer.close()
             await writer.wait_closed()
-        except (ConnectionError, BrokenPipeError):
+        except ConnectionError:
             pass
 
 
@@ -300,11 +401,18 @@ async def run_server(
     for in-process embedders, the optional ``ready`` future — fire once
     the socket is listening with the *actual* address, which is how the
     CLI's ``--port-file`` and the test harness learn where to connect.
+    Cancelling returns once the listener and every connection are closed.
     """
     app = ServeApp(manager)
+    connections = _Connections()
 
     async def handler(reader, writer):
-        await _handle_connection(app, reader, writer)
+        task = asyncio.current_task()
+        connections.handlers.add(task)
+        try:
+            await _serve_connection(app, connections, reader, writer)
+        finally:
+            connections.handlers.discard(task)
 
     server = await asyncio.start_server(handler, host=host, port=port)
     bound = server.sockets[0].getsockname()[:2]
@@ -312,8 +420,13 @@ async def run_server(
         on_bound(bound)
     if ready is not None and not ready.done():
         ready.set_result(bound)
-    async with server:
-        try:
-            await server.serve_forever()
-        except asyncio.CancelledError:
-            pass
+    try:
+        # Not serve_forever(): on cancel it waits for every connection to
+        # close (3.12+) before the idle ones could be closed here.
+        await asyncio.get_running_loop().create_future()
+    except asyncio.CancelledError:
+        pass
+    finally:
+        server.close()
+        await connections.close()
+        await server.wait_closed()

@@ -209,16 +209,20 @@ class JobManager:
     # ------------------------------------------------------------------
     # the public lifecycle API
     # ------------------------------------------------------------------
-    def submit(self, scn: ScenarioSpec) -> tuple[Job, bool]:
+    def submit(
+        self, scn: ScenarioSpec, *, digest: str | None = None
+    ) -> tuple[Job, bool]:
         """Enqueue ``scn``; returns ``(job, coalesced)``.
 
         A scenario whose digest already has a queued, running or done job
         coalesces onto it (``coalesced=True``) — the caller polls the
         same job id every other submitter of that scenario got. Failed
         and cancelled digests do *not* coalesce: resubmitting after
-        either starts a fresh attempt.
+        either starts a fresh attempt. ``digest`` is ``scn``'s
+        :func:`~repro.io.scenario_digest` when the caller already has it.
         """
-        digest = scenario_digest(scn)
+        if digest is None:
+            digest = scenario_digest(scn)
         with self._lock:
             if self._closed:
                 raise RuntimeError("JobManager is closed")

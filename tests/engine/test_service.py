@@ -1,5 +1,7 @@
 """Unit tests for the solve service (task scheduling + two-tier cache)."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,53 @@ class TestMap:
             SolveService().map([_square_task(1.0)], workers=0)
         with pytest.raises(ValueError):
             SolveService().resolve_workers(-3)
+
+
+class TestNestedCompute:
+    """A task that resolves further tasks through the same service (an
+    oligopoly competition and its Jacobi rounds) is timed and gauged
+    once."""
+
+    def test_jacobi_competition_is_counted_once(self, monkeypatch):
+        from repro.competition import (
+            IterationPolicy,
+            OligopolyGame,
+            solve_oligopoly_competition,
+        )
+        from repro.engine import executors
+
+        service = SolveService()
+        game = OligopolyGame(
+            [exponential_cp(2.0, 2.0, value=1.0)],
+            tuple(
+                AccessISP(price=1.0, capacity=0.5, name=f"isp-{k}")
+                for k in range(2)
+            ),
+            switching=2.0,
+            cap=0.3,
+            service=service,
+        )
+        gauge = []
+        run_one = executors._run_one
+
+        def gauged(task):
+            gauge.append(service.inflight)
+            return run_one(task)
+
+        monkeypatch.setattr(executors, "_run_one", gauged)
+        start = time.perf_counter()
+        result = solve_oligopoly_competition(
+            game,
+            price_range=(0.05, 2.0),
+            grid_points=6,
+            xtol=1e-2,
+            policy=IterationPolicy(mode="jacobi", tol=2e-2),
+        )
+        wall = time.perf_counter() - start
+        assert result.mode == "jacobi"
+        assert gauge and max(gauge) <= 1  # the rounds' tasks ran nested
+        assert 0 < service.solve_seconds <= wall
+        assert service.inflight == 0
 
 
 class TestDefaultService:

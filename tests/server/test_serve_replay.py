@@ -83,6 +83,7 @@ def test_serve_warm_store_replay(tmp_path):
         record = client.run(scenario, timeout=300)
         assert record["state"] == "done", record
     assert client.stats()["service"]["computed"] > 0  # the cold pass solved
+    client.close()
     warm.close()
     warm_service.close()
 
