@@ -7,13 +7,11 @@ one. Connections are persistent: a client sends request after request on
 one socket until it asks for ``Connection: close``, speaks HTTP/1.0, or
 the daemon shuts down (which closes every idle connection).
 
-Solves never run on the event loop. Most routes only read or update the
-:class:`~repro.server.jobs.JobManager`'s tables, so the loop answers them
-directly; the two that can block — a ``?wait=`` long-poll and ``/stats``
-(which walks every store shard) — go to the default thread pool, so a
-slow solve never stalls ``/health``. A submitted body is resolved to its
-scenario and digest once per daemon: a byte-identical resubmit skips the
-parse and the digest.
+Solves never run on the event loop: every request is handed to the
+default thread pool, so a ``?wait=`` long-poll, a ``/stats`` walk of the
+store or the parse of a large submitted document never stalls
+``/health``. A submitted body is resolved to its scenario and digest once
+per daemon: a byte-identical resubmit skips the parse and the digest.
 
 Routes
 ------
@@ -57,6 +55,11 @@ MAX_WAIT_SECONDS = 60.0
 
 #: Resolved submit bodies kept per daemon (see :meth:`ServeApp._submit`).
 RESOLVED_BODIES = 1024
+
+#: How long a shutdown lets a busy connection finish its answer before
+#: dropping it: a client that stops reading, or a long-poll, must not hold
+#: the daemon open.
+SHUTDOWN_GRACE_SECONDS = 1.0
 
 _REASONS = {
     200: "OK",
@@ -308,12 +311,6 @@ def _render_response(status: int, payload: dict, *, close: bool) -> bytes:
     return head.encode("latin-1") + body
 
 
-def _blocks(path: str) -> bool:
-    """Whether a request may block: a ``?wait=`` long-poll or ``/stats``."""
-    path, _, query = path.partition("?")
-    return path.strip("/") == "stats" or "wait=" in query
-
-
 class _Connections:
     """The daemon's open connections, so a shutdown can close them.
 
@@ -324,18 +321,29 @@ class _Connections:
     def __init__(self) -> None:
         #: Writers of connections waiting for their next request.
         self.idle: set[asyncio.StreamWriter] = set()
-        #: The handler task of every open connection.
-        self.handlers: set[asyncio.Task] = set()
+        #: The handler task of every open connection, and its writer.
+        self.handlers: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self.closing = False
 
     async def close(self) -> None:
-        """Close idle connections now and busy ones once they answer;
+        """Close idle connections now, give busy ones
+        :data:`SHUTDOWN_GRACE_SECONDS` to answer, then drop the rest;
         return when every handler has finished."""
         self.closing = True
         for writer in self.idle:
             writer.close()
-        if self.handlers:
-            await asyncio.wait(set(self.handlers))
+        if not self.handlers:
+            return
+        _, stuck = await asyncio.wait(
+            set(self.handlers), timeout=SHUTDOWN_GRACE_SECONDS
+        )
+        for task in stuck:
+            # abort(), not close(): close() would wait to flush an answer
+            # the client is not reading.
+            self.handlers[task].transport.abort()
+            task.cancel()
+        if stuck:
+            await asyncio.wait(stuck)
 
 
 async def _serve_connection(
@@ -366,12 +374,9 @@ async def _serve_connection(
             if request is None:
                 return
             method, path, body, keep_alive = request
-            if _blocks(path):
-                status, payload = await loop.run_in_executor(
-                    None, app.handle, method, path, body
-                )
-            else:
-                status, payload = app.handle(method, path, body)
+            status, payload = await loop.run_in_executor(
+                None, app.handle, method, path, body
+            )
             close = not keep_alive or connections.closing
             writer.write(_render_response(status, payload, close=close))
             await writer.drain()
@@ -408,11 +413,16 @@ async def run_server(
 
     async def handler(reader, writer):
         task = asyncio.current_task()
-        connections.handlers.add(task)
+        connections.handlers[task] = writer
         try:
             await _serve_connection(app, connections, reader, writer)
+        except asyncio.CancelledError:
+            # Dropped by a shutdown. Ending cancelled makes the stream
+            # callback of some Pythons (seen on 3.11.7 and 3.12.1) log a
+            # spurious traceback.
+            pass
         finally:
-            connections.handlers.discard(task)
+            del connections.handlers[task]
 
     server = await asyncio.start_server(handler, host=host, port=port)
     bound = server.sockets[0].getsockname()[:2]

@@ -21,7 +21,10 @@ from repro.providers import AccessISP, Market, exponential_cp
 from repro.scenarios.spec import ScenarioSpec
 from repro.server import JobManager, ServeApp, ServeClient, replay, run_server
 from repro.server.client import ServeError
-from repro.server.http import MAX_BODY_BYTES
+from repro.server.http import MAX_BODY_BYTES, SHUTDOWN_GRACE_SECONDS
+
+#: An answer size no pair of socket buffers absorbs.
+BIG = 16 << 20
 
 
 def tiny_scenario(sid="tiny-a"):
@@ -344,6 +347,23 @@ class TestKeepAlive:
             sock.settimeout(2)
             assert sock.recv(1) == b""
             assert time.monotonic() - start < 2
+
+    def test_shutdown_drops_a_client_that_stops_reading(
+        self, server, monkeypatch
+    ):
+        # An answer far larger than both sockets' buffers: the server
+        # waits in drain() for a client that never reads it.
+        monkeypatch.setattr(
+            ServeApp, "handle", lambda app, *request: (200, {"x": "x" * BIG})
+        )
+        with socket.socket() as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.connect((server.host, server.port))
+            sock.sendall(b"GET /health HTTP/1.1\r\nHost: t\r\n\r\n")
+            time.sleep(0.2)
+            start = time.monotonic()
+            server.stop()  # joins the loop thread, which must not hang
+            assert time.monotonic() - start < SHUTDOWN_GRACE_SECONDS + 2
 
     def test_one_client_shared_by_threads(self, server):
         client = ServeClient(server.host, server.port, timeout=30)
