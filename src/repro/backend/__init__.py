@@ -13,15 +13,14 @@ Backends
 --------
 ``numpy``
     The tested default. Pure NumPy lockstep; no fused kernels.
-``cext``
+``compiled``
     Fused kernels compiled on demand from the generated C source with the
-    system C compiler. Falls back to ``numpy`` when no compiler is found.
+    system C compiler; the resolved backend is named ``cext``. Falls back
+    to ``numpy`` when no compiler is found.
 ``pyloops``
     The fused kernels run as plain Python loops — identical arithmetic to
-    ``cext``, always available, slow. Exists so the compiled
-    trajectory is testable everywhere.
-``compiled``
-    Alias: ``cext`` when a C compiler is available, else ``numpy``.
+    the C kernels, always available, slow. Exists so the compiled
+    path is testable everywhere.
 
 Selection: ``REPRO_BACKEND`` environment variable (read once at first
 use), :func:`set_backend`, the :func:`use_backend` context manager, or the
@@ -52,7 +51,7 @@ __all__ = [
     "warm_kernels",
 ]
 
-BACKEND_NAMES = ("numpy", "cext", "pyloops", "compiled")
+BACKEND_NAMES = ("numpy", "pyloops", "compiled")
 
 # All kernel backends share one tag: they are bitwise interchangeable.
 # "libm2": every built-in demand/throughput family is fused (the first
@@ -71,10 +70,11 @@ class Backend:
     Attributes
     ----------
     name:
-        The resolved implementation (``numpy``/``cext``/``pyloops``) —
-        never the ``compiled`` alias.
+        The resolved implementation (``numpy``/``cext``/``pyloops``):
+        ``compiled`` resolves to ``cext``, or to ``numpy`` without a C
+        compiler.
     requested:
-        The name selection asked for (may be ``compiled``).
+        The name selection asked for.
     kernels:
         Object exposing the fused batch kernels (``bind``,
         ``congestion_batch``, ``marginal_batch``, ``best_response_root``,
@@ -111,7 +111,7 @@ def _resolve(requested: str) -> Backend:
         from repro.backend import kernels_py
 
         return Backend("pyloops", requested, kernels_py, _KERNEL_CACHE_TAG)
-    # "cext" and its "compiled" alias: the C kernels, else numpy.
+    # "compiled": the C kernels, else numpy.
     from repro.backend import cext
 
     try:

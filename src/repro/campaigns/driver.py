@@ -11,8 +11,8 @@
    :class:`~repro.engine.service.SolveService`. Rows are ordinary
    solve workloads — grid rows are the same content-keyed
    ``cap-row/1`` tasks the figure pipeline runs, dynamics rows the same
-   ``dynamics-seg/1`` segments, oligopoly rows the same best-response
-   sweeps — so a campaign shares the persistent store with every other
+   ``dynamics/1`` trajectory tasks, oligopoly rows the same
+   ``oligopoly/1`` competitions — so a campaign shares the persistent store with every other
    workload and a warm full replay reports ``computed == 0`` solves.
 4. **Land** each row's metrics in the
    :class:`~repro.campaigns.warehouse.CampaignWarehouse` atomically

@@ -434,7 +434,7 @@ class IterationPolicy:
             )
 
 
-def _whole_number(name: str, value: Any) -> int:
+def whole_number(name: str, value: Any) -> int:
     """``value`` as an ``int``: an integer, or a finite float with no
     fractional part. Booleans, strings and anything else raise
     ``ValueError`` rather than being truncated or coerced."""
@@ -495,7 +495,7 @@ def competition_settings(
             mode=str(pick("iteration_mode")),
             damping=float(pick("damping")),
             tol=float(pick("tol")),
-            max_sweeps=_whole_number("max_sweeps", pick("max_sweeps")),
+            max_sweeps=whole_number("max_sweeps", pick("max_sweeps")),
         )
         price_range = tuple(float(x) for x in pick("price_range"))
         if len(price_range) != 2:
@@ -507,7 +507,7 @@ def competition_settings(
             raise ValueError(
                 f"price_range must be finite with 0 <= lo <= hi, got {price_range}"
             )
-        grid_points = _whole_number("grid_points", pick("grid_points"))
+        grid_points = whole_number("grid_points", pick("grid_points"))
         if grid_points < 3:
             raise ValueError(f"grid_points must be at least 3, got {grid_points}")
         xtol = float(pick("xtol"))

@@ -3,7 +3,7 @@
 The engine layer sits between the Nash solvers (:mod:`repro.core`) and the
 figure/analysis layers. It owns the *scheduling* of pure solve work —
 content-keyed :class:`SolveTask` units (cap rows of (price × policy)
-grids, oligopoly competitions, trajectory segments) resolved by
+grids, oligopoly competitions, trajectories) resolved by
 a :class:`SolveService` on one persistent :class:`PoolExecutor` (inline
 at one worker) — and the *memoization* of every keyed result through two
 tiers: the in-process :class:`SolveCache` and the persistent,

@@ -1,7 +1,7 @@
 """The batch executor of the solve service: one persistent process pool.
 
-Round-structured workloads — oligopoly Jacobi sweeps, dynamics segment
-chains, repeated grid solves — issue many consecutive batches through
+Round-structured workloads — oligopoly Jacobi sweeps, repeated grid
+solves — issue many consecutive batches through
 :meth:`SolveService.map <repro.engine.service.SolveService.map>`. A pool
 built per batch would pay worker spawn plus backend/kernel warmup on
 every round, so :class:`PoolExecutor` keeps one *persistent, lazily

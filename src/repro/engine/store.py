@@ -67,7 +67,7 @@ explicit codec registry (:data:`CODECS`):
     work of the grid engine, oligopoly states and refinement.
 ``"ndarrays"``
     ``dict[str, np.ndarray]`` — generic named-array bundles (oligopoly
-    competitions, dynamics trajectory segments).
+    competitions, dynamics trajectories).
 
 An entry naming any other codec (such as the retired ``"json"``) reads as
 a miss.

@@ -74,10 +74,10 @@ The ``dynamics`` verb (also reachable as ``run dynamics``) runs a market
 trajectory — the §6 time-dynamics subsystem — over a scenario's market:
 the step policy, horizon, investment rule and shock schedule come from
 the scenario's ``repro-dynamics/1`` metadata block (flags override it),
-the trajectory resolves as content-keyed segments on the shared solve
-service (``--cache-dir`` runs are resumable: a warm re-run reports
-``"computed": 0`` in ``--json``), and the full per-period time series is
-written as one CSV into ``--out``.
+the trajectory resolves as one content-keyed task on the shared solve
+service (a warm ``--cache-dir`` re-run reports ``"computed": 0`` in
+``--json``), and the full per-period time series is written as one CSV
+into ``--out``.
 
 The ``campaign`` verb (also reachable as ``run campaign``) drives mass
 scenario campaigns — a frozen ``repro-campaign/1`` spec (scenario
@@ -882,10 +882,10 @@ def build_dynamics_parser() -> argparse.ArgumentParser:
         "rule and shock schedule come from the scenario's repro-dynamics/1 "
         "metadata block (a trajectory_variant(...) or shocked_market(...) "
         "generator scenario records it); explicit flags override it. The "
-        "trajectory resolves as content-keyed dynamics-seg/1 tasks on the "
-        "shared solve service, so a warm --cache-dir re-run replays with "
-        "zero equilibrium solves, and the per-period time series is "
-        "written as one CSV into --out.",
+        "trajectory resolves as one content-keyed task on the shared solve "
+        "service, so a warm --cache-dir re-run replays with zero "
+        "equilibrium solves, and the per-period time series is written as "
+        "one CSV into --out.",
     )
     parser.add_argument(
         "scenario",
@@ -915,14 +915,6 @@ def build_dynamics_parser() -> argparse.ArgumentParser:
         metavar="T",
         help="number of simulated periods "
         f"(default: metadata, else {DYNAMICS_DEFAULTS['horizon']})",
-    )
-    parser.add_argument(
-        "--segment-length",
-        type=int,
-        default=None,
-        metavar="L",
-        help="steps per content-keyed solve-service segment "
-        f"(default: metadata, else {DYNAMICS_DEFAULTS['segment_length']})",
     )
     parser.add_argument(
         "--cap",
@@ -996,7 +988,7 @@ def build_dynamics_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         help="print a machine-readable JSON summary (final-period "
-        "quantities, segment counts, cache counters)",
+        "quantities, cache counters)",
     )
     _add_runtime_options(parser)
     return parser
@@ -1016,7 +1008,6 @@ def _main_dynamics(argv: Sequence[str]) -> int:
             overrides={
                 "kind": args.kind,
                 "horizon": args.horizon,
-                "segment_length": args.segment_length,
                 "cap": args.cap,
                 "inertia": args.inertia,
                 "update": args.update,
@@ -1066,8 +1057,6 @@ def _main_dynamics(argv: Sequence[str]) -> int:
                     "scenario": scn.scenario_id,
                     "kind": dspec.kind,
                     "horizon": dspec.horizon,
-                    "segment_length": dspec.segment_length,
-                    "segments": trajectory.segments,
                     "records": int(trajectory.steps.size),
                     "shocks": len(dspec.shocks),
                     "final": final,
@@ -1083,10 +1072,6 @@ def _main_dynamics(argv: Sequence[str]) -> int:
         f"dynamics {scn.scenario_id}: {dspec.kind} trajectory, "
         f"{dspec.horizon} period(s), q={dspec.cap:g}, "
         f"{len(dspec.shocks)} shock(s)"
-    )
-    print(
-        f"resolved {trajectory.segments} segment(s) of <= "
-        f"{dspec.segment_length} step(s)"
     )
     print(
         f"final period: adoption {final['adoption']:.5f}, "

@@ -561,7 +561,6 @@ def _dynamics20() -> ScenarioSpec:
         section5_scenario(),
         kind="capacity",
         horizon=20,
-        segment_length=5,
         cap=1.0,
         reinvestment_rate=0.25,
         scenario_id="dynamics-20",

@@ -18,10 +18,10 @@ two things it cannot capture:
 
 :mod:`repro.simulation.trajectory` makes both first-class workloads: a
 declarative :class:`DynamicsSpec` (serialized as the ``repro-dynamics/1``
-scenario-metadata block) runs through the shared solve service as
-content-keyed ``dynamics-seg/1`` segment tasks, so trajectories are
-cacheable, resumable and poolable exactly like figure grids — and a warm
-store replays them with zero equilibrium solves.
+scenario-metadata block) runs through the shared solve service as one
+content-keyed ``dynamics/1`` task per trajectory, so trajectories are
+cacheable and poolable exactly like figure grids — and a warm store
+replays them with zero equilibrium solves.
 
 Example — declare a trajectory spec and read its canonical block:
 
@@ -44,8 +44,8 @@ from repro.simulation.trajectory import (
     Shock,
     dynamics_settings,
     run_trajectory,
-    solve_trajectory_segment,
-    trajectory_segment_task,
+    solve_trajectory,
+    trajectory_task,
 )
 
 __all__ = [
@@ -61,6 +61,6 @@ __all__ = [
     "dynamics_settings",
     "expansion_step",
     "run_trajectory",
-    "solve_trajectory_segment",
-    "trajectory_segment_task",
+    "solve_trajectory",
+    "trajectory_task",
 ]

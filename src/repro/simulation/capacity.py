@@ -18,7 +18,7 @@ path or stagnates — the quantity regulators care about in §6.
 One period of the loop is :func:`expansion_step` — a pure function of the
 current market. The dynamics subsystem runs the loop as the ``"capacity"``
 kind of :func:`~repro.simulation.trajectory.run_trajectory`, one step per
-period, chunked into content-keyed solve-service segments. Its per-period
+period, as one content-keyed solve-service task. Its per-period
 equilibrium runs through :func:`~repro.core.equilibrium.solve_equilibrium`,
 whose default sweep is the vectorized batch-evaluation core.
 

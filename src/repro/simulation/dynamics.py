@@ -19,8 +19,8 @@ points of this dynamic; the test-suite and EXPERIMENTS.md verify they are
 attractors from random initial conditions.
 
 The simulator is split into two phases so the dynamics subsystem
-(:mod:`repro.simulation.trajectory`) can chunk trajectories into
-content-keyed solve-service segments without changing a single bit:
+(:mod:`repro.simulation.trajectory`) can change the market at a shock
+mid-run without changing a single bit:
 
 * :meth:`MarketSimulation.advance` runs the inherently sequential
   strategy/population recursion and returns the raw ``(S, M)`` arrays;
@@ -29,8 +29,8 @@ content-keyed solve-service segments without changing a single bit:
   :meth:`~repro.network.system.CongestionSystem.solve_population_batch`
   call instead of scalar per-step solves. The batch
   solver's rows follow trajectories independent of batch composition, so
-  any chunking of the steps — one call for the whole run, or one per
-  trajectory segment — produces bitwise-identical records.
+  any windowing of the steps — one call for the whole run, or one per
+  shock-free window — produces bitwise-identical records.
 
 Example — two noiseless best-response CPs walked three periods forward
 (the trajectory holds the initial condition plus one row per period):
@@ -182,9 +182,9 @@ class MarketSimulation:
         Returns ``(S, M)`` arrays of shape ``(steps + 1, N)`` whose row 0
         is the given initial state. This is the sequential half of the
         simulator — congestion is not resolved here; hand the arrays to
-        :meth:`resolve_records` (or chunk them first: the recursion is a
-        pure function of its initial state, so a run split across
-        trajectory segments replays the exact same iterates).
+        :meth:`resolve_records` (or split them first: the recursion is a
+        pure function of its initial state, so a run split into shock
+        windows replays the exact same iterates).
         """
         if steps < 0:
             raise ModelError(f"steps must be non-negative, got {steps}")
@@ -227,10 +227,10 @@ class MarketSimulation:
         ``subsidies``/``populations`` are the ``(K + 1, N)`` arrays of
         :meth:`advance`; row ``t`` becomes the record of global step
         ``start_step + t`` (row 0 is skipped when ``include_initial`` is
-        false — a trajectory segment's first row duplicates the previous
-        segment's last). All rows resolve in one
+        false — a shock window's first row duplicates the previous
+        window's last). All rows resolve in one
         ``solve_population_batch`` call; the batch rows are independent,
-        so the records never depend on how a trajectory was chunked.
+        so the records never depend on how a trajectory was windowed.
 
         Returns the :class:`~repro.simulation.trace.DynamicsTrajectory`
         columns (``steps``, ``subsidies``, ..., ``capacities``,
@@ -281,6 +281,5 @@ class MarketSimulation:
         trajectory_s, trajectory_m = self.advance(s, m, steps)
         return DynamicsTrajectory(
             kind="subsidies",
-            segments=1,
             **self.resolve_records(trajectory_s, trajectory_m),
         )

@@ -11,7 +11,7 @@ Both the straight-line simulator (:meth:`MarketSimulation.run
 ...     populations=np.ones((2, 1)), utilizations=np.full(2, 0.5),
 ...     throughputs=np.ones((2, 1)), utilities=np.ones((2, 1)),
 ...     revenues=np.ones(2), welfares=np.ones(2), capacities=np.ones(2),
-...     prices=np.ones(2), segments=1)
+...     prices=np.ones(2))
 >>> trajectory.horizon, trajectory.size
 (1, 1)
 """
@@ -50,7 +50,6 @@ class DynamicsTrajectory:
     welfares: np.ndarray
     capacities: np.ndarray
     prices: np.ndarray
-    segments: int
 
     @property
     def horizon(self) -> int:

@@ -4,7 +4,7 @@ The paper's equilibrium analysis is a snapshot; its economic story —
 subsidization shifting demand, carriers expanding capacity, welfare
 evolving under policy — is a *trajectory*. This module runs those
 trajectories through the shared solve service the same way grids and
-oligopoly sweeps already do:
+oligopoly competitions already do:
 
 * a :class:`DynamicsSpec` declares the trajectory as *data* — the step
   policy (``"subsidies"``: §6 off-equilibrium best-response play;
@@ -12,26 +12,24 @@ oligopoly sweeps already do:
   the capacity/investment rule and an optional :class:`Shock` schedule —
   and round-trips through scenario metadata as the versioned
   ``repro-dynamics/1`` block (:func:`repro.io.dynamics_from_dict`);
-* :func:`run_trajectory` chunks the horizon into segments of
-  ``segment_length`` steps and resolves each as one content-keyed
-  :class:`~repro.engine.service.SolveTask` (``dynamics-seg/1``) on the
-  :class:`~repro.engine.service.SolveService`. Segment keys chain through
-  the previous segment's end state, so a warm persistent store replays a
-  ``T``-step trajectory with **zero** recomputed equilibrium solves — the
-  counters the CLI's ``dynamics --json`` verb and the CI resume smoke
-  assert;
-* the per-step inner solves are vectorized: every segment resolves its
-  congestion records in one
+* :func:`run_trajectory` resolves the whole horizon as one content-keyed
+  :class:`~repro.engine.service.SolveTask` (``dynamics/1``) on the
+  :class:`~repro.engine.service.SolveService`, keyed on the market, the
+  spec and the initial state, so a warm persistent store replays a
+  trajectory with **zero** recomputed equilibrium solves — the counters
+  the CLI's ``dynamics --json`` verb and the CI resume smoke assert;
+* the per-step inner solves are vectorized: the ``"subsidies"`` kind
+  resolves the congestion records of each shock-free window in one
   :meth:`~repro.network.system.CongestionSystem.solve_population_batch`
   call, and the ``"capacity"`` kind's per-period equilibria run through
   :func:`~repro.core.equilibrium.solve_equilibrium`'s batched sweep.
 
-Because the segment task replays the exact straight-line recursion of
+Because the task replays the exact straight-line recursion of
 :class:`~repro.simulation.dynamics.MarketSimulation` (``"subsidies"``) or
-of :func:`~repro.simulation.capacity.expansion_step` (``"capacity"``), and
-the batch congestion rows are independent of batch composition, a
-segmented, store-round-tripped trajectory is **bitwise-identical** to the
-single-segment run and to :meth:`MarketSimulation.run` — the tests in
+of :func:`~repro.simulation.capacity.expansion_step` (``"capacity"``), a
+store-round-tripped trajectory is **bitwise-identical** to the
+straight-line loops and, up to its first shock, to
+:meth:`MarketSimulation.run` — the tests in
 ``tests/simulation/test_trajectory.py`` hold this equality exactly against
 frozen ``float.hex`` values.
 
@@ -39,7 +37,7 @@ Example — declare a five-period capacity trajectory and inspect its
 canonical metadata block:
 
 >>> from repro.simulation.trajectory import DynamicsSpec
->>> spec = DynamicsSpec(kind="capacity", horizon=5, segment_length=2)
+>>> spec = DynamicsSpec(kind="capacity", horizon=5)
 >>> block = spec.to_metadata()
 >>> block["format"], block["horizon"]
 ('repro-dynamics/1', 5)
@@ -50,11 +48,13 @@ True
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
 import numpy as np
 
+from repro.competition.oligopoly import whole_number
 from repro.engine.cache import market_fingerprint
 from repro.engine.service import SolveService, SolveTask, default_service
 from repro.exceptions import ModelError
@@ -74,8 +74,8 @@ __all__ = [
     "DynamicsTrajectory",
     "dynamics_settings",
     "run_trajectory",
-    "solve_trajectory_segment",
-    "trajectory_segment_task",
+    "solve_trajectory",
+    "trajectory_task",
 ]
 
 #: Format tag of the dynamics metadata block (``repro.io`` re-exports it).
@@ -84,6 +84,12 @@ DYNAMICS_FORMAT = "repro-dynamics/1"
 #: Shockable market fields: the access capacity µ and the ISP price p.
 _SHOCK_FIELDS = ("capacity", "price")
 
+#: The float columns of a trajectory task's result, besides ``steps``.
+_RECORD_COLUMNS = (
+    "subsidies", "populations", "utilizations", "throughputs",
+    "utilities", "revenues", "welfares", "capacities", "prices",
+)
+
 #: The trajectory parameter defaults, in one place: the spec constructor,
 #: the metadata funnel and the CLI all resolve through
 #: :func:`dynamics_settings`, so changing a default here changes it
@@ -91,7 +97,6 @@ _SHOCK_FIELDS = ("capacity", "price")
 DYNAMICS_DEFAULTS: Mapping[str, Any] = {
     "kind": "capacity",
     "horizon": 20,
-    "segment_length": 5,
     "cap": 0.0,
     "inertia": 1.0,
     "update": "sequential",
@@ -103,6 +108,18 @@ DYNAMICS_DEFAULTS: Mapping[str, Any] = {
     "price_range": (0.0, 3.0),
     "shocks": (),
 }
+
+
+def _positive_whole(name: str, value: Any) -> int:
+    """``value`` as a positive ``int``: booleans, strings, NaN and
+    fractions raise :class:`~repro.exceptions.ModelError`."""
+    try:
+        number = whole_number(name, value)
+    except ValueError as exc:
+        raise ModelError(str(exc)) from exc
+    if number < 1:
+        raise ModelError(f"{name} must be positive, got {number}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -126,11 +143,9 @@ class Shock:
     scale: float
 
     def __post_init__(self) -> None:
-        if int(self.step) != self.step or self.step < 1:
-            raise ModelError(
-                f"shock step must be a positive integer, got {self.step!r}"
-            )
-        object.__setattr__(self, "step", int(self.step))
+        object.__setattr__(
+            self, "step", _positive_whole("shock step", self.step)
+        )
         if self.field not in _SHOCK_FIELDS:
             raise ModelError(
                 f"shock field must be one of {_SHOCK_FIELDS}, "
@@ -158,8 +173,6 @@ class DynamicsSpec:
     horizon:
         Number of simulated periods ``T`` (the trajectory holds ``T + 1``
         records; record 0 is the initial condition).
-    segment_length:
-        Steps per content-keyed solve-service segment.
     cap:
         Policy cap ``q`` in force throughout.
     inertia / update / damping:
@@ -179,7 +192,6 @@ class DynamicsSpec:
 
     kind: str = DYNAMICS_DEFAULTS["kind"]
     horizon: int = DYNAMICS_DEFAULTS["horizon"]
-    segment_length: int = DYNAMICS_DEFAULTS["segment_length"]
     cap: float = DYNAMICS_DEFAULTS["cap"]
     inertia: float = DYNAMICS_DEFAULTS["inertia"]
     update: str = DYNAMICS_DEFAULTS["update"]
@@ -196,19 +208,9 @@ class DynamicsSpec:
             raise ModelError(
                 f"kind must be 'subsidies' or 'capacity', got {self.kind!r}"
             )
-        if int(self.horizon) != self.horizon or self.horizon < 1:
-            raise ModelError(
-                f"horizon must be a positive integer, got {self.horizon!r}"
-            )
-        object.__setattr__(self, "horizon", int(self.horizon))
-        if int(self.segment_length) != self.segment_length or (
-            self.segment_length < 1
-        ):
-            raise ModelError(
-                f"segment_length must be a positive integer, "
-                f"got {self.segment_length!r}"
-            )
-        object.__setattr__(self, "segment_length", int(self.segment_length))
+        object.__setattr__(
+            self, "horizon", _positive_whole("horizon", self.horizon)
+        )
         if self.cap < 0.0 or not np.isfinite(self.cap):
             raise ModelError(
                 f"cap must be finite and non-negative, got {self.cap}"
@@ -233,12 +235,18 @@ class DynamicsSpec:
         )
         object.__setattr__(self, "capacity_cost", float(self.capacity_cost))
         object.__setattr__(self, "depreciation", float(self.depreciation))
-        object.__setattr__(self, "reoptimize_price", bool(self.reoptimize_price))
-        price_range = tuple(float(x) for x in self.price_range)
-        if len(price_range) != 2 or not price_range[0] < price_range[1]:
+        if not isinstance(self.reoptimize_price, bool):
             raise ModelError(
-                f"price_range must be an increasing (lo, hi) pair, "
-                f"got {self.price_range!r}"
+                f"reoptimize_price must be true or false, "
+                f"got {self.reoptimize_price!r}"
+            )
+        price_range = tuple(float(x) for x in self.price_range)
+        if len(price_range) != 2 or not (
+            0.0 <= price_range[0] < price_range[1] < math.inf
+        ):
+            raise ModelError(
+                f"price_range must be a finite (lo, hi) pair with "
+                f"0 <= lo < hi, got {self.price_range!r}"
             )
         object.__setattr__(self, "price_range", price_range)
         for shock in self.shocks:
@@ -283,7 +291,6 @@ class DynamicsSpec:
             "format": DYNAMICS_FORMAT,
             "kind": self.kind,
             "horizon": self.horizon,
-            "segment_length": self.segment_length,
             "cap": self.cap,
             "inertia": self.inertia,
             "update": self.update,
@@ -331,8 +338,6 @@ class DynamicsSpec:
             raise ModelError(f"malformed shock entry: {exc}") from exc
         try:
             return cls(shocks=shocks, **data)
-        except ModelError:
-            raise
         except (TypeError, ValueError) as exc:
             raise ModelError(f"invalid dynamics block: {exc}") from exc
 
@@ -378,8 +383,10 @@ def dynamics_settings(
         raise ModelError(f"invalid dynamics settings: {exc}") from exc
 
 
+
+
 # ----------------------------------------------------------------------
-# the segment task (the pure unit of work shipped to the solve service)
+# the trajectory task (the pure unit of work shipped to the solve service)
 # ----------------------------------------------------------------------
 
 def _shocked(
@@ -410,116 +417,60 @@ def _simulation(market: Market, spec: DynamicsSpec) -> MarketSimulation:
     )
 
 
-def _subsidy_segment_rows(
+def _subsidy_rows(
     providers: tuple[ContentProvider, ...],
     isp: AccessISP,
     spec: DynamicsSpec,
-    start_step: int,
-    n_steps: int,
-    include_initial: bool,
     subsidies0: np.ndarray,
     populations0: np.ndarray,
-    capacity0: float,
-    price0: float,
 ) -> dict[str, np.ndarray]:
-    """The ``"subsidies"`` kind: off-equilibrium play, chunked at shocks.
+    """The ``"subsidies"`` kind: off-equilibrium play, windowed at shocks.
 
-    Advances the exact :class:`MarketSimulation` recursion; shocks split
-    the window into sub-runs (the market changes, the (s, m) state carries
-    over). Returns the recorded columns plus the end state.
+    Advances the exact :class:`MarketSimulation` recursion; each shock
+    starts a new window (the market changes, the (s, m) state carries
+    over).
     """
-    end = start_step + n_steps
-    s = np.asarray(subsidies0, dtype=float).copy()
-    m = np.asarray(populations0, dtype=float).copy()
-    capacity, price = float(capacity0), float(price0)
-    boundaries = sorted(
-        {k.step for k in spec.shocks if start_step < k.step <= end}
+    s, m = subsidies0, populations0
+    capacity, price = isp.capacity, isp.price
+    edges = (
+        [0] + sorted({k.step - 1 for k in spec.shocks}) + [spec.horizon]
     )
-    edges = [start_step] + [b - 1 for b in boundaries] + [end]
     chunks = []
     for i in range(len(edges) - 1):
-        window_start, window_end = edges[i], edges[i + 1]
+        start, end = edges[i], edges[i + 1]
         if i > 0:
-            capacity, price = _shocked(
-                spec.shocks, window_start + 1, capacity, price
-            )
+            capacity, price = _shocked(spec.shocks, start + 1, capacity, price)
         market = Market(
             providers, isp.with_capacity(capacity).with_price(price)
         )
         sim = _simulation(market, spec)
-        trajectory_s, trajectory_m = sim.advance(s, m, window_end - window_start)
+        trajectory_s, trajectory_m = sim.advance(s, m, end - start)
         chunks.append(
             sim.resolve_records(
                 trajectory_s,
                 trajectory_m,
-                start_step=window_start,
-                include_initial=include_initial and i == 0,
+                start_step=start,
+                include_initial=i == 0,
             )
         )
-        s, m = trajectory_s[-1].copy(), trajectory_m[-1].copy()
-    result = {
+        s, m = trajectory_s[-1], trajectory_m[-1]
+    return {
         name: np.concatenate([chunk[name] for chunk in chunks])
         for name in chunks[0]
     }
-    result["end_subsidies"] = s
-    result["end_populations"] = m
-    result["end_capacity"] = np.asarray(capacity, dtype=float)
-    result["end_price"] = np.asarray(price, dtype=float)
-    return result
 
 
-def solve_trajectory_segment(
+def _capacity_rows(
     providers: tuple[ContentProvider, ...],
     isp: AccessISP,
-    payload: str,
-    start_step: int,
-    n_steps: int,
-    include_initial: bool,
-    subsidies0: np.ndarray,
-    populations0: np.ndarray,
-    capacity0: float,
-    price0: float,
+    spec: DynamicsSpec,
 ) -> dict[str, np.ndarray]:
-    """One trajectory segment, as a pure content-keyed task.
-
-    Advances the market from the given state through ``n_steps`` periods
-    and returns every recorded row (steps ``start_step + 1 ..
-    start_step + n_steps``, plus step ``start_step`` itself when
-    ``include_initial``) together with the end state the next segment
-    chains from — all as named float arrays, so the result persists
-    bit-exactly under the ``"ndarrays"`` store codec.
-
-    ``payload`` is the canonical JSON of the segment's
-    ``repro-dynamics/1`` block; ``isp`` is the scenario's ISP *template*
-    whose capacity/price are overridden by the evolving
-    ``capacity0``/``price0`` state.
-    """
-    spec = DynamicsSpec.from_dict(json.loads(payload))
-    if spec.kind == "subsidies":
-        return _subsidy_segment_rows(
-            providers,
-            isp,
-            spec,
-            start_step,
-            n_steps,
-            include_initial,
-            subsidies0,
-            populations0,
-            capacity0,
-            price0,
-        )
-
-    # "capacity" kind: the per-period equilibrium + reinvestment chain.
-    capacity, price = float(capacity0), float(price0)
-    first = start_step if include_initial else start_step + 1
-    end = start_step + n_steps
-    columns: dict[str, list] = {name: [] for name in (
-        "subsidies", "populations", "utilizations", "throughputs",
-        "utilities", "revenues", "welfares", "capacities", "prices",
-    )}
-    for step in range(first, end + 1):
-        if step >= 1:
-            capacity, price = _shocked(spec.shocks, step, capacity, price)
+    """The ``"capacity"`` kind: the per-period equilibrium + reinvestment
+    chain, one :func:`expansion_step` per period."""
+    capacity, price = isp.capacity, isp.price
+    rows = []
+    for step in range(spec.horizon + 1):
+        capacity, price = _shocked(spec.shocks, step, capacity, price)
         market = Market(
             providers, isp.with_capacity(capacity).with_price(price)
         )
@@ -534,78 +485,73 @@ def solve_trajectory_segment(
         )
         price = market.isp.price
         state = equilibrium.state
-        columns["subsidies"].append(equilibrium.subsidies.copy())
-        columns["populations"].append(state.populations.copy())
-        columns["utilizations"].append(state.utilization)
-        columns["throughputs"].append(state.throughputs.copy())
-        columns["utilities"].append(state.utilities.copy())
-        columns["revenues"].append(state.revenue)
-        columns["welfares"].append(state.welfare)
-        columns["capacities"].append(capacity)
-        columns["prices"].append(price)
+        rows.append((
+            equilibrium.subsidies.copy(), state.populations.copy(),
+            state.utilization, state.throughputs.copy(),
+            state.utilities.copy(), state.revenue, state.welfare,
+            capacity, price,
+        ))
         capacity = next_capacity
-    result = {"steps": np.arange(first, end + 1, dtype=np.int64)}
-    for name, values in columns.items():
-        result[name] = np.array(values, dtype=float)
-    result["end_subsidies"] = np.asarray(subsidies0, dtype=float)
-    result["end_populations"] = np.asarray(populations0, dtype=float)
-    result["end_capacity"] = np.asarray(capacity, dtype=float)
-    result["end_price"] = np.asarray(price, dtype=float)
+    result = {
+        name: np.array(column, dtype=float)
+        for name, column in zip(_RECORD_COLUMNS, zip(*rows))
+    }
+    result["steps"] = np.arange(spec.horizon + 1, dtype=np.int64)
     return result
 
 
-def _canonical_payload(spec: DynamicsSpec) -> str:
-    """The canonical JSON encoding of a spec (the key's spec component)."""
-    return json.dumps(spec.to_metadata(), sort_keys=True, separators=(",", ":"))
-
-
-def trajectory_segment_task(
-    market: Market,
-    spec: DynamicsSpec,
-    start_step: int,
-    n_steps: int,
-    include_initial: bool,
+def solve_trajectory(
+    providers: tuple[ContentProvider, ...],
+    isp: AccessISP,
+    payload: str,
     subsidies0: np.ndarray,
     populations0: np.ndarray,
-    capacity0: float,
-    price0: float,
-) -> SolveTask:
-    """The content-keyed ``dynamics-seg/1`` task for one segment.
+) -> dict[str, np.ndarray]:
+    """A whole trajectory, as a pure content-keyed task.
 
-    The single definition of the segment key: the base market's content
-    fingerprint, the canonical spec payload, the window, and the exact
-    start-state bytes. Keys chain — each segment's start state is the
-    previous segment's stored end state — so a warm store replays the
-    whole trajectory hit by hit.
+    Advances the market from its initial state through the spec's horizon
+    and returns every recorded row (steps ``0 .. horizon``) as named
+    arrays, so the result persists bit-exactly under the ``"ndarrays"``
+    store codec.
+
+    ``payload`` is the canonical JSON of the ``repro-dynamics/1`` block;
+    ``isp`` is the scenario's ISP, whose capacity and price the shocks and
+    the ``"capacity"`` kind's investment move. ``subsidies0`` and
+    ``populations0`` seed the ``"subsidies"`` kind; the ``"capacity"``
+    kind ignores them.
     """
-    payload = _canonical_payload(spec)
+    spec = DynamicsSpec.from_dict(json.loads(payload))
+    if spec.kind == "subsidies":
+        return _subsidy_rows(providers, isp, spec, subsidies0, populations0)
+    return _capacity_rows(providers, isp, spec)
+
+
+def trajectory_task(
+    market: Market,
+    spec: DynamicsSpec,
+    subsidies0: np.ndarray,
+    populations0: np.ndarray,
+) -> SolveTask:
+    """The content-keyed ``dynamics/1`` task for one trajectory.
+
+    The single definition of the trajectory key: the market's content
+    fingerprint, the canonical spec payload and the exact initial-state
+    bytes.
+    """
+    payload = json.dumps(
+        spec.to_metadata(), sort_keys=True, separators=(",", ":")
+    )
     subsidies0 = np.ascontiguousarray(np.asarray(subsidies0, dtype=float))
     populations0 = np.ascontiguousarray(np.asarray(populations0, dtype=float))
     return SolveTask(
-        fn=solve_trajectory_segment,
-        args=(
-            market.providers,
-            market.isp,
-            payload,
-            int(start_step),
-            int(n_steps),
-            bool(include_initial),
-            subsidies0,
-            populations0,
-            float(capacity0),
-            float(price0),
-        ),
+        fn=solve_trajectory,
+        args=(market.providers, market.isp, payload, subsidies0, populations0),
         key=(
-            "dynamics-seg/1",
+            "dynamics/1",
             market_fingerprint(market),
             payload,
-            int(start_step),
-            int(n_steps),
-            bool(include_initial),
             subsidies0.tobytes(),
             populations0.tobytes(),
-            float(capacity0),
-            float(price0),
         ),
         codec="ndarrays",
     )
@@ -619,15 +565,15 @@ def run_trajectory(
     initial_subsidies=None,
     initial_populations=None,
 ) -> DynamicsTrajectory:
-    """Run a declared trajectory through the solve service, segment by segment.
+    """Run a declared trajectory through the solve service as one task.
 
-    The horizon is chunked into windows of ``spec.segment_length`` steps;
-    each resolves as one content-keyed task on ``service`` (``None``: the
-    shared :func:`~repro.engine.service.default_service`, so a configured
-    persistent store makes trajectories resumable exactly like figure
-    grids). Only cheap demand evaluations happen outside the tasks —
-    every equilibrium/congestion solve is inside a segment, which is what
-    makes the warm-replay counter claim (``computed == 0``) exact.
+    The trajectory resolves as one content-keyed task on ``service``
+    (``None``: the shared :func:`~repro.engine.service.default_service`,
+    so a configured persistent store replays trajectories exactly like
+    figure grids). Only cheap demand evaluations happen outside the task —
+    every equilibrium/congestion solve is inside it, which is what makes
+    the warm-replay counter claim (``computed == 0``) exact. A run killed
+    mid-trajectory restarts from its initial state.
 
     ``initial_subsidies``/``initial_populations`` seed the ``"subsidies"``
     kind (same semantics as :meth:`MarketSimulation.run`); the
@@ -647,49 +593,15 @@ def run_trajectory(
             )
         s = np.zeros(market.size)
         m = np.zeros(market.size)
-    capacity = float(market.isp.capacity)
-    price = float(market.isp.price)
-
-    outputs = []
-    start = 0
-    while start < spec.horizon:
-        n_steps = min(spec.segment_length, spec.horizon - start)
-        task = trajectory_segment_task(
-            market, spec, start, n_steps, start == 0, s, m, capacity, price
-        )
-        # Segments chain (each key embeds the previous end state), so the
-        # batch is always one task — routed through `map` so it travels
-        # the executor layer's inline fast path like every other solve.
-        out = resolved.map([task])[0]
-        outputs.append(out)
-        s = np.asarray(out["end_subsidies"], dtype=float)
-        m = np.asarray(out["end_populations"], dtype=float)
-        capacity = float(out["end_capacity"])
-        price = float(out["end_price"])
-        start += n_steps
-
-    def stacked(name: str) -> np.ndarray:
-        return np.concatenate([out[name] for out in outputs])
-
+    out = resolved.run(trajectory_task(market, spec, s, m))
     trajectory = DynamicsTrajectory(
         kind=spec.kind,
-        steps=stacked("steps").astype(np.int64),
-        subsidies=stacked("subsidies"),
-        populations=stacked("populations"),
-        utilizations=stacked("utilizations"),
-        throughputs=stacked("throughputs"),
-        utilities=stacked("utilities"),
-        revenues=stacked("revenues"),
-        welfares=stacked("welfares"),
-        capacities=stacked("capacities"),
-        prices=stacked("prices"),
-        segments=len(outputs),
+        steps=out["steps"].astype(np.int64),
+        **{name: out[name] for name in _RECORD_COLUMNS},
     )
-    if trajectory.steps.size != spec.horizon + 1 or not np.array_equal(
-        trajectory.steps, np.arange(spec.horizon + 1)
-    ):
+    if not np.array_equal(trajectory.steps, np.arange(spec.horizon + 1)):
         raise ModelError(
-            f"trajectory segments assembled {trajectory.steps.size} row(s) "
+            f"trajectory task returned {trajectory.steps.size} row(s) "
             f"for horizon {spec.horizon}"
         )
     return trajectory

@@ -48,8 +48,8 @@ from repro.providers.market import Market
 
 def _kernel_backends() -> list[str]:
     names = ["pyloops"]
-    if available_backends()["cext"] == "resolves to cext":
-        names.append("cext")
+    if available_backends()["compiled"] == "resolves to cext":
+        names.append("compiled")
     return names
 
 

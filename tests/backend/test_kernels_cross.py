@@ -37,14 +37,14 @@ from tests.backend.test_golden_parity import (
 )
 
 pytestmark = pytest.mark.skipif(
-    available_backends()["cext"] != "resolves to cext",
+    available_backends()["compiled"] != "resolves to cext",
     reason="C kernel extension unavailable (no compiler)",
 )
 
 
 def _both(fn):
     results = []
-    for name in ("pyloops", "cext"):
+    for name in ("pyloops", "compiled"):
         with use_backend(name) as backend:
             results.append(fn(backend))
     return results
@@ -179,7 +179,7 @@ def _warm_and_cold(market, cap):
     """A cold start and a start near the equilibrium (as the oligopoly's
     candidate-price chain warm-starts)."""
     cold = np.zeros(market.size)
-    with use_backend("cext"):
+    with use_backend("compiled"):
         solution = solve_equilibrium(SubsidizationGame(market, cap)).subsidies
     warm = np.clip(solution * 0.97 + 0.01, 0.0, cap)
     return [cold, warm]

@@ -24,8 +24,14 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 class TestResolution:
     def test_backend_names_are_the_selection_surface(self):
-        assert BACKEND_NAMES == ("numpy", "cext", "pyloops", "compiled")
+        assert BACKEND_NAMES == ("numpy", "pyloops", "compiled")
         assert set(available_backends()) == set(BACKEND_NAMES)
+
+    def test_cext_is_not_a_selectable_name(self):
+        # "compiled" is the one name for the C kernels; the resolved
+        # backend still reports itself as "cext".
+        with pytest.raises(ValueError, match="unknown backend"):
+            set_backend("cext")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -65,7 +71,7 @@ class TestResolution:
 
     def test_kernel_backends_share_one_cache_tag(self):
         tags = set()
-        for name in ("cext", "pyloops", "compiled"):
+        for name in ("pyloops", "compiled"):
             with use_backend(name) as backend:
                 if backend.compiled:
                     tags.add(backend.cache_tag)

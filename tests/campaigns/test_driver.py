@@ -178,7 +178,6 @@ class TestSweepMetrics:
                 "n_shocks": 1,
                 "kind": "capacity",
                 "horizon": 3,
-                "segment_length": 2,
                 "cap": 0.5,
             },
         )
@@ -273,7 +272,7 @@ class TestRowKinds:
 
     def test_dynamics_row_is_the_declared_trajectory(self):
         scn = trajectory_variant(
-            _small_market(), kind="capacity", horizon=3, segment_length=2,
+            _small_market(), kind="capacity", horizon=3,
             cap=0.5,
         )
         row = ROW_KINDS["dynamics"].solve(scn, SolveService())

@@ -44,7 +44,7 @@ from repro.simulation import DynamicsSpec, run_trajectory
 
 def _backends() -> list[str]:
     names = ["numpy"]
-    if available_backends()["cext"] == "resolves to cext":
+    if available_backends()["compiled"] == "resolves to cext":
         names.append("compiled")
     return names
 
@@ -524,7 +524,7 @@ class TestExecutorParityMatrix:
 
     def test_dynamics_trajectory_parity(self, tmp_path, backend):
         market = small_market()
-        spec = DynamicsSpec(kind="capacity", horizon=20, segment_length=5)
+        spec = DynamicsSpec(kind="capacity", horizon=20)
         trajectories, services = {}, {}
         with use_backend(backend):
             for name, workers in SCHEDULES.items():

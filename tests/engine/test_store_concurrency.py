@@ -40,7 +40,7 @@ from tests.engine.test_store import (
 
 def _backends() -> list[str]:
     names = ["numpy"]
-    if available_backends()["cext"] == "resolves to cext":
+    if available_backends()["compiled"] == "resolves to cext":
         names.append("compiled")
     return names
 

@@ -21,7 +21,6 @@ def scenario_file(tmp_path):
         base,
         kind="capacity",
         horizon=4,
-        segment_length=2,
         cap=0.5,
         scenario_id="cli-dyn",
     )
@@ -51,9 +50,9 @@ class TestDynamicsVerb:
         assert payload["scenario"] == "cli-dyn"
         assert payload["kind"] == "capacity"
         assert payload["horizon"] == 4
-        assert payload["segments"] == 2
+        assert "segments" not in payload
         assert payload["records"] == 5
-        assert payload["cache"]["computed"] == 2
+        assert payload["cache"]["computed"] == 1
         assert set(payload["final"]) == {
             "step", "adoption", "utilization", "revenue", "welfare",
             "capacity", "price",
@@ -66,7 +65,7 @@ class TestDynamicsVerb:
             "dynamics",
             "--scenario-file", str(scenario_file),
             "--horizon", "2",
-            "--segment-length", "1",
+            "--cap", "1.0",
             "--json",
             "--out", str(tmp_path / "results"),
             "--no-cache",
@@ -74,7 +73,7 @@ class TestDynamicsVerb:
         assert code == 0
         payload = json.loads(out)
         assert payload["horizon"] == 2
-        assert payload["segments"] == 2
+        assert payload["records"] == 3
 
     def test_run_dynamics_alias_and_registered_scenario(
         self, capsys, tmp_path
@@ -83,7 +82,6 @@ class TestDynamicsVerb:
             capsys,
             "run", "dynamics", "dynamics-20",
             "--horizon", "2",
-            "--segment-length", "2",
             "--json",
             "--out", str(tmp_path / "results"),
             "--no-cache",
@@ -106,16 +104,17 @@ class TestDynamicsVerb:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         cold = json.loads(out)
-        assert cold["cache"]["computed"] == 2
+        assert cold["cache"]["computed"] == 1
+        assert cold["cache"]["store"]["entries"] == 1
 
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         warm = json.loads(out)
         assert warm["cache"]["computed"] == 0
-        assert warm["cache"]["store_hits"] == 2
+        assert warm["cache"]["store_hits"] == 1
         assert warm["final"] == cold["final"]
 
-    def test_human_output_mentions_segments_and_cache(
+    def test_human_output_mentions_the_trajectory_and_cache(
         self, capsys, tmp_path, scenario_file
     ):
         code, out, _ = run_cli(
@@ -127,7 +126,7 @@ class TestDynamicsVerb:
         )
         assert code == 0
         assert "capacity trajectory" in out
-        assert "2 segment(s)" in out
+        assert "segment" not in out
         assert "solve service:" in out
 
     def test_unknown_scenario_exits_2(self, capsys):

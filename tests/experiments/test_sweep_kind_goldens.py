@@ -108,7 +108,6 @@ def _campaign(kind: str) -> CampaignSpec:
                 "n_shocks": 1,
                 "kind": "capacity",
                 "horizon": 3,
-                "segment_length": 2,
                 "cap": 0.5,
             },
         )

@@ -20,7 +20,7 @@ from repro.scenarios.generators import random_market
 
 #: The C kernels when they build, else their pure-Python twin.
 KERNEL_BACKEND = (
-    "cext" if available_backends()["cext"] == "resolves to cext" else "pyloops"
+    "compiled" if available_backends()["compiled"] == "resolves to cext" else "pyloops"
 )
 
 

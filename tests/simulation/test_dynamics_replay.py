@@ -1,7 +1,7 @@
 """A 20-period trajectory cold, then replayed from a warm store.
 
 Running the registered ``dynamics-20`` capacity-expansion trajectory cold
-persists every ``dynamics-seg/1`` segment; replaying the identical
+persists it as one store entry; replaying the identical
 trajectory from a fresh process-equivalent (empty memory tiers, warm
 store) performs **zero** equilibrium solves and returns the same columns.
 """
@@ -30,10 +30,9 @@ def test_dynamics_cold_solve_and_persist(tmp_path):
     service = _service(tmp_path)
     spec, trajectory = _run(service)
     assert trajectory.horizon == spec.horizon
-    assert trajectory.segments == -(-spec.horizon // spec.segment_length)
-    assert service.counters.computed == trajectory.segments
-    # Every segment task persisted.
-    assert len(service.store) == service.counters.computed
+    assert service.counters.computed == 1
+    # The whole trajectory is one store entry.
+    assert len(service.store) == 1
     assert bool(trajectory.capacity_growth() > 0)
 
 
@@ -42,7 +41,7 @@ def test_dynamics_warm_replay(tmp_path):
     replay_service = _service(tmp_path)  # fresh memory tiers, warm store
     _, warm = _run(replay_service)
     assert replay_service.counters.computed == 0
-    assert replay_service.counters.store_hits == warm.segments
+    assert replay_service.counters.store_hits == 1
     assert np.array_equal(warm.capacities, cold.capacities)
     assert np.array_equal(warm.revenues, cold.revenues)
     assert np.array_equal(warm.welfares, cold.welfares)

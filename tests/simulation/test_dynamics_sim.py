@@ -73,8 +73,8 @@ class TestRunMechanics:
             )
 
     def test_resolve_records_without_the_initial_row(self, two_cp_market):
-        # A trajectory segment's first row repeats the previous segment's
-        # last, so it is skipped and the steps continue from start_step.
+        # A shock window's first row repeats the previous window's last,
+        # so it is skipped and the steps continue from start_step.
         sim = MarketSimulation(two_cp_market, cap=1.0)
         s, m = sim.advance(*sim.initial_state(), 3)
         full = sim.resolve_records(s, m, start_step=10)

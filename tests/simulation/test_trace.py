@@ -22,7 +22,6 @@ def make_trajectory():
         welfares=np.array([0.7, 0.8]),
         capacities=np.array([1.0, 1.5]),
         prices=np.array([1.0, 1.0]),
-        segments=1,
     )
 
 

@@ -1,18 +1,19 @@
-"""The dynamics subsystem: specs, segments, golden parity and resume.
+"""The dynamics subsystem: specs, the trajectory task, golden parity, replay.
 
-The tentpole guarantees, held exactly:
+The guarantees, held exactly:
 
-* a service-backed, segmented trajectory is **bitwise-identical** to the
-  frozen ``float.hex`` values of the straight-line loops, to the
-  single-segment run and (``"subsidies"`` kind) to ``MarketSimulation.run``,
-  for any segment length and shock schedule;
-* a warm persistent store replays a ``T >= 20``-step trajectory with
-  **zero** recomputed equilibrium solves (``computed == 0``) and
-  byte-identical arrays.
+* a service-backed trajectory is **bitwise-identical** to the frozen
+  ``float.hex`` values of the straight-line loops and (``"subsidies"``
+  kind) to ``MarketSimulation.run`` up to its first shock, for any
+  horizon and shock schedule;
+* a trajectory is one store entry, and a warm persistent store replays a
+  ``T >= 20``-step trajectory with **zero** recomputed equilibrium solves
+  (``computed == 0``) and byte-identical arrays.
 """
 
 import dataclasses
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from repro.simulation import (
     SimulationConfig,
     dynamics_settings,
     run_trajectory,
-    trajectory_segment_task,
+    trajectory_task,
 )
 from repro.simulation.agents import BestResponseStrategy
 
@@ -52,14 +53,13 @@ COLUMNS = (
 #: Frozen ``"subsidies"`` cases: the spec and the run's initial state.
 SUBSIDY_CASES = {
     "subsidies/default": (
-        DynamicsSpec(kind="subsidies", horizon=8, segment_length=3, cap=1.0),
+        DynamicsSpec(kind="subsidies", horizon=8, cap=1.0),
         {},
     ),
     "subsidies/damped": (
         DynamicsSpec(
             kind="subsidies",
             horizon=5,
-            segment_length=2,
             cap=0.8,
             damping=0.6,
             inertia=0.4,
@@ -69,12 +69,12 @@ SUBSIDY_CASES = {
     ),
     "subsidies/inertial": (
         DynamicsSpec(
-            kind="subsidies", horizon=6, segment_length=4, cap=1.0, inertia=0.3
+            kind="subsidies", horizon=6, cap=1.0, inertia=0.3
         ),
         {},
     ),
     "subsidies/initial": (
-        DynamicsSpec(kind="subsidies", horizon=4, segment_length=4, cap=1.0),
+        DynamicsSpec(kind="subsidies", horizon=4, cap=1.0),
         {"initial_subsidies": [0.3, 0.1], "initial_populations": [0.2, 0.2]},
     ),
 }
@@ -84,7 +84,6 @@ CAPACITY_CASES = {
     "capacity/fixed_price": DynamicsSpec(
         kind="capacity",
         horizon=6,
-        segment_length=2,
         cap=0.5,
         reinvestment_rate=0.3,
         depreciation=0.05,
@@ -92,7 +91,6 @@ CAPACITY_CASES = {
     "capacity/reoptimized_price": DynamicsSpec(
         kind="capacity",
         horizon=2,
-        segment_length=1,
         cap=0.5,
         reoptimize_price=True,
         price_range=(0.2, 2.0),
@@ -154,7 +152,8 @@ class TestDynamicsSpec:
         [
             {"kind": "nope"},
             {"horizon": 0},
-            {"segment_length": 0},
+            {"horizon": True},
+            {"horizon": 2.5},
             {"cap": -1.0},
             {"inertia": 0.0},
             {"update": "random"},
@@ -163,6 +162,9 @@ class TestDynamicsSpec:
             {"capacity_cost": 0.0},
             {"depreciation": 1.0},
             {"price_range": (2.0, 1.0)},
+            {"price_range": (0.0, float("inf"))},
+            {"price_range": (-1.0, 2.0)},
+            {"reoptimize_price": "no"},
         ],
     )
     def test_validation(self, kwargs):
@@ -191,7 +193,6 @@ class TestDynamicsSpec:
         spec = DynamicsSpec(
             kind="subsidies",
             horizon=7,
-            segment_length=3,
             cap=1.5,
             inertia=0.5,
             update="simultaneous",
@@ -202,19 +203,33 @@ class TestDynamicsSpec:
         assert block["format"] == DYNAMICS_FORMAT
         assert DynamicsSpec.from_dict(json.loads(json.dumps(block))) == spec
 
-    def test_from_dict_rejects_garbage(self):
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            "not a mapping",
+            {"format": "repro-dynamics/2"},
+            {"format": DYNAMICS_FORMAT, "unknown_knob": 1},
+            {"format": DYNAMICS_FORMAT, "segment_length": 5},
+            {"format": DYNAMICS_FORMAT, "shocks": [{"step": 1}]},
+            {
+                "format": DYNAMICS_FORMAT,
+                "shocks": [{"step": "x", "field": "price", "scale": 0.9}],
+            },
+            {
+                "format": DYNAMICS_FORMAT,
+                "shocks": [
+                    {"step": float("nan"), "field": "price", "scale": 0.9}
+                ],
+            },
+            {"format": DYNAMICS_FORMAT, "reoptimize_price": "no"},
+            {"format": DYNAMICS_FORMAT, "horizon": True},
+            {"format": DYNAMICS_FORMAT, "price_range": [0.0, float("inf")]},
+            {"format": DYNAMICS_FORMAT, "price_range": [-1.0, 2.0]},
+        ],
+    )
+    def test_from_dict_rejects_garbage(self, payload):
         with pytest.raises(ModelError):
-            DynamicsSpec.from_dict("not a mapping")
-        with pytest.raises(ModelError):
-            DynamicsSpec.from_dict({"format": "repro-dynamics/2"})
-        with pytest.raises(ModelError):
-            DynamicsSpec.from_dict(
-                {"format": DYNAMICS_FORMAT, "unknown_knob": 1}
-            )
-        with pytest.raises(ModelError):
-            DynamicsSpec.from_dict(
-                {"format": DYNAMICS_FORMAT, "shocks": [{"step": 1}]}
-            )
+            DynamicsSpec.from_dict(payload)
 
     def test_from_dict_wraps_unconvertible_values_as_model_error(self):
         # Conversion failures (ValueError, not just TypeError) must come
@@ -292,27 +307,26 @@ class TestMarketSimulationFrozen:
             spec.horizon, **initial
         )
         assert_frozen(case, lambda name: getattr(trajectory, name))
-        assert trajectory.kind == "subsidies" and trajectory.segments == 1
+        assert trajectory.kind == "subsidies"
         assert np.all(trajectory.capacities == two_cp_market.isp.capacity)
         assert np.all(trajectory.prices == two_cp_market.isp.price)
 
 
 class TestSubsidiesGolden:
     @pytest.mark.parametrize("case", sorted(SUBSIDY_CASES))
-    def test_segments_match_frozen_values(self, two_cp_market, case):
-        """Service-backed segments == the frozen straight-line loop."""
+    def test_task_matches_frozen_values(self, two_cp_market, case):
+        """The service-backed task == the frozen straight-line loop."""
         spec, initial = SUBSIDY_CASES[case]
         trajectory = run_trajectory(
             two_cp_market, spec, service=fresh_service(), **initial
         )
         assert_frozen(case, lambda name: getattr(trajectory, name))
-        assert trajectory.segments == -(-spec.horizon // spec.segment_length)
 
 
 class TestCapacityGolden:
     @pytest.mark.parametrize("case", sorted(CAPACITY_CASES))
-    def test_segments_match_frozen_values(self, two_cp_market, case):
-        """Service-backed segments == the frozen expansion loop."""
+    def test_task_matches_frozen_values(self, two_cp_market, case):
+        """The service-backed task == the frozen expansion loop."""
         spec = CAPACITY_CASES[case]
         trajectory = run_trajectory(
             two_cp_market, spec, service=fresh_service()
@@ -334,7 +348,6 @@ class TestShocks:
         spec = DynamicsSpec(
             kind="capacity",
             horizon=4,
-            segment_length=2,
             cap=0.5,
             shocks=(Shock(3, "capacity", 0.5),),
         )
@@ -353,7 +366,6 @@ class TestShocks:
         spec = DynamicsSpec(
             kind="subsidies",
             horizon=4,
-            segment_length=4,
             cap=1.0,
             shocks=(Shock(2, "price", 1.25),),
         )
@@ -377,23 +389,22 @@ SHOCK_SCHEDULES = st.lists(
 )
 
 
-class TestSegmentationProperty:
+class TestReplayProperty:
     @settings(max_examples=40, deadline=None)
     @given(
         kind=st.sampled_from(("subsidies", "capacity")),
         horizon=st.integers(1, 6),
-        segment_length=st.integers(1, 6),
         schedule=SHOCK_SCHEDULES,
     )
-    @example(kind="subsidies", horizon=6, segment_length=1, schedule=[])
+    @example(kind="subsidies", horizon=6, schedule=[])
     @example(
         kind="subsidies",
         horizon=6,
-        segment_length=2,
         schedule=[(3, "capacity", 0.8), (5, "price", 1.1)],
     )
-    def test_segments_replay_the_single_segment_run(
-        self, kind, horizon, segment_length, schedule
+    @example(kind="subsidies", horizon=3, schedule=[(1, "price", 0.8)])
+    def test_cold_run_equals_warm_replay_and_straight_line(
+        self, kind, horizon, schedule
     ):
         market = Market(
             [
@@ -410,22 +421,20 @@ class TestSegmentationProperty:
         spec = DynamicsSpec(
             kind=kind,
             horizon=horizon,
-            segment_length=segment_length,
             cap=0.5,
             shocks=tuple(Shock(*key, scale) for key, scale in shocks.items()),
         )
-        segmented = run_trajectory(market, spec, service=fresh_service())
-        whole = run_trajectory(
-            market,
-            dataclasses.replace(spec, segment_length=horizon),
-            service=fresh_service(),
-        )
+        with tempfile.TemporaryDirectory() as store_dir:
+            cold_service = fresh_service(store_dir)
+            cold = run_trajectory(market, spec, service=cold_service)
+            warm_service = fresh_service(store_dir)
+            warm = run_trajectory(market, spec, service=warm_service)
+        assert cold_service.counters.computed == 1
+        assert warm_service.counters.computed == 0
+        assert warm_service.counters.store_hits == 1
+        assert cold.steps.tolist() == list(range(horizon + 1))
         for name in COLUMNS:
-            assert np.array_equal(
-                getattr(segmented, name), getattr(whole, name)
-            ), name
-        assert segmented.segments == -(-horizon // segment_length)
-        assert whole.segments == 1
+            assert hexed(getattr(warm, name)) == hexed(getattr(cold, name)), name
         if kind == "subsidies":
             # The straight-line run holds the market fixed, so it agrees
             # up to the period before the first shock lands.
@@ -433,7 +442,7 @@ class TestSegmentationProperty:
             straight = simulation_for(market, spec).run(horizon)
             for name in COLUMNS:
                 assert np.array_equal(
-                    getattr(segmented, name)[:end], getattr(straight, name)[:end]
+                    getattr(cold, name)[:end], getattr(straight, name)[:end]
                 ), name
 
 
@@ -443,31 +452,32 @@ class TestWarmStoreResume:
     ):
         """The acceptance claim: T >= 20, warm replay, computed == 0."""
         spec = DynamicsSpec(
-            kind="capacity", horizon=20, segment_length=5, cap=0.5
+            kind="capacity", horizon=20, cap=0.5
         )
         cold_service = fresh_service(tmp_path)
         cold = run_trajectory(two_cp_market, spec, service=cold_service)
-        assert cold_service.counters.computed == 4
+        assert cold_service.counters.computed == 1
+        assert len(cold_service.store) == 1
 
         warm_service = fresh_service(tmp_path)  # fresh memory, warm store
         warm = run_trajectory(two_cp_market, spec, service=warm_service)
         assert warm_service.counters.computed == 0
-        assert warm_service.counters.store_hits == 4
+        assert warm_service.counters.store_hits == 1
         for name in COLUMNS:
             assert np.array_equal(getattr(warm, name), getattr(cold, name)), name
 
     def test_memory_tier_replay_within_one_service(self, two_cp_market):
-        spec = DynamicsSpec(kind="subsidies", horizon=4, segment_length=2)
+        spec = DynamicsSpec(kind="subsidies", horizon=4)
         service = fresh_service()
         run_trajectory(two_cp_market, spec, service=service)
         computed = service.counters.computed
         run_trajectory(two_cp_market, spec, service=service)
         assert service.counters.computed == computed
-        assert service.counters.memory_hits >= 2
+        assert service.counters.memory_hits == 1
 
     def test_spec_change_misses_the_cache(self, two_cp_market, tmp_path):
         service = fresh_service(tmp_path)
-        spec = DynamicsSpec(kind="capacity", horizon=4, segment_length=2)
+        spec = DynamicsSpec(kind="capacity", horizon=4)
         run_trajectory(two_cp_market, spec, service=service)
         before = service.counters.computed
         run_trajectory(
@@ -480,7 +490,7 @@ class TestWarmStoreResume:
 
 class TestTrajectoryObject:
     def test_shape_and_accessors(self, two_cp_market):
-        spec = DynamicsSpec(kind="subsidies", horizon=5, segment_length=2)
+        spec = DynamicsSpec(kind="subsidies", horizon=5)
         trajectory = run_trajectory(
             two_cp_market, spec, service=fresh_service()
         )
@@ -491,7 +501,7 @@ class TestTrajectoryObject:
         assert trajectory.aggregate_throughputs().shape == (6,)
 
     def test_to_csv(self, two_cp_market, tmp_path):
-        spec = DynamicsSpec(kind="capacity", horizon=2, segment_length=2)
+        spec = DynamicsSpec(kind="capacity", horizon=2)
         trajectory = run_trajectory(
             two_cp_market, spec, service=fresh_service()
         )
@@ -504,20 +514,19 @@ class TestTrajectoryObject:
             trajectory.to_csv(path, labels=["only-one"])
 
     def test_task_key_is_content_addressed(self, two_cp_market):
-        spec = DynamicsSpec(kind="capacity", horizon=4, segment_length=2)
+        spec = DynamicsSpec(kind="subsidies", horizon=4)
         s = np.zeros(2)
-        m = np.zeros(2)
-        task_a = trajectory_segment_task(
-            two_cp_market, spec, 0, 2, True, s, m, 1.0, 1.0
-        )
-        task_b = trajectory_segment_task(
-            two_cp_market, spec, 0, 2, True, s, m, 1.0, 1.0
-        )
+        m = np.full(2, 0.5)
+        task_a = trajectory_task(two_cp_market, spec, s, m)
+        task_b = trajectory_task(two_cp_market, spec, s.copy(), m.copy())
         assert task_a.key == task_b.key
-        task_c = trajectory_segment_task(
-            two_cp_market, spec, 0, 2, True, s, m, 2.0, 1.0
+        assert trajectory_task(two_cp_market, spec, s, m + 0.1).key != task_a.key
+        changed = dataclasses.replace(spec, cap=0.5)
+        assert trajectory_task(two_cp_market, changed, s, m).key != task_a.key
+        wider = Market(
+            two_cp_market.providers, two_cp_market.isp.with_capacity(2.0)
         )
-        assert task_c.key != task_a.key
+        assert trajectory_task(wider, spec, s, m).key != task_a.key
 
 
 class TestScenarioTrajectories:
@@ -532,7 +541,7 @@ class TestScenarioTrajectories:
             scenario_id="dyn-shock-base",
         )
         scn = shocked_market(
-            base, seed=11, horizon=4, segment_length=2, n_shocks=2,
+            base, seed=11, horizon=4, n_shocks=2,
             scenario_id="dyn-shock",
         )
         spec = dynamics_settings(scn.metadata)
@@ -560,7 +569,7 @@ class TestScenarioTrajectories:
             scenario_id="dyn-grow-base",
         )
         scn = trajectory_variant(
-            base, kind="capacity", horizon=3, segment_length=2, cap=0.5,
+            base, kind="capacity", horizon=3, cap=0.5,
             scenario_id="dyn-grow",
         )
         spec = dynamics_settings(scn.metadata)

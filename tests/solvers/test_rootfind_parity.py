@@ -42,8 +42,8 @@ from repro.solvers.rootfind import solve_increasing
 
 def _backends() -> list[str]:
     names = ["numpy", "pyloops"]
-    if available_backends()["cext"] == "resolves to cext":
-        names.append("cext")
+    if available_backends()["compiled"] == "resolves to cext":
+        names.append("compiled")
     return names
 
 

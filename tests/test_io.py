@@ -238,7 +238,6 @@ class TestDynamicsBlock:
         block = DynamicsSpec(
             kind="capacity",
             horizon=6,
-            segment_length=2,
             cap=0.5,
             shocks=(Shock(3, "capacity", 0.8),),
             **dynamics_kwargs,
