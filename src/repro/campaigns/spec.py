@@ -57,8 +57,12 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from repro.competition.oligopoly import COMPETITION_DEFAULTS
+from repro.competition.oligopoly import (
+    COMPETITION_DEFAULTS,
+    OLIGOPOLY_DEFAULTS,
+)
 from repro.exceptions import ModelError
+from repro.fields import choice, document, resolve, whole
 from repro.experiments.kinds import CAMPAIGN_SWEEPS
 # Cycle note: repro.io imports the scenario layer, which reaches the
 # experiments pipeline, which reaches this package. repro.io therefore
@@ -113,8 +117,7 @@ def _build_random(seed: int | None, params: dict) -> ScenarioSpec:
 
 def _build_scaled(seed: int | None, params: dict) -> ScenarioSpec:
     params = dict(params)
-    n_types = int(params.pop("n_types", 16))
-    return scaled_market(n_types, **params)
+    return scaled_market(params.pop("n_types", 16), **params)
 
 
 def _build_shocked(seed: int | None, params: dict) -> ScenarioSpec:
@@ -286,30 +289,17 @@ class CampaignSpec:
             )
         if not self.title:
             object.__setattr__(self, "title", self.campaign_id)
-        if self.generator not in CAMPAIGN_GENERATORS:
-            raise ModelError(
-                f"unknown campaign generator {self.generator!r}; choose "
-                f"from {sorted(CAMPAIGN_GENERATORS)}"
-            )
-        if self.sweep not in CAMPAIGN_SWEEPS:
-            raise ModelError(
-                f"campaign sweep must be one of {CAMPAIGN_SWEEPS}, "
-                f"got {self.sweep!r}"
-            )
-        if self.sampling not in ("product", "sampled"):
-            raise ModelError(
-                f"sampling must be 'product' or 'sampled', "
-                f"got {self.sampling!r}"
-            )
-        for name in ("seed_start", "seed_count", "n_samples", "sample_seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ModelError(
-                    f"{name} must be an integer, got {value!r}"
-                )
-        if self.seed_count < 1:
-            raise ModelError(
-                f"seed_count must be at least 1, got {self.seed_count}"
+        choice("generator", self.generator, CAMPAIGN_GENERATORS)
+        choice("sweep", self.sweep, CAMPAIGN_SWEEPS)
+        choice("sampling", self.sampling, ("product", "sampled"))
+        for name, at_least in (
+            ("seed_start", None),
+            ("seed_count", 1),
+            ("n_samples", 0),
+            ("sample_seed", None),
+        ):
+            object.__setattr__(
+                self, name, whole(name, getattr(self, name), at_least=at_least)
             )
         if self.sampling == "product" and self.n_samples != 0:
             raise ModelError(
@@ -342,6 +332,8 @@ class CampaignSpec:
 
     # ------------------------------------------------------------------
     def _validated_axes(self) -> dict[str, tuple]:
+        if not isinstance(self.axes, Mapping):
+            raise ModelError(f"axes must be a mapping, got {self.axes!r}")
         axes: dict[str, tuple] = {}
         for name in sorted(self.axes):
             values = self.axes[name]
@@ -358,9 +350,11 @@ class CampaignSpec:
                     f"the {_RESERVED_STRUCTURE!r} axis only applies to "
                     f"market_structure campaigns, not {self.sweep!r} ones"
                 )
+            if not isinstance(values, (list, tuple)) or not values:
+                raise ModelError(
+                    f"axis {name!r} must be a non-empty list, got {values!r}"
+                )
             values = tuple(values)
-            if not values:
-                raise ModelError(f"axis {name!r} must be non-empty")
             for value in values:
                 if not isinstance(value, _SCALAR_TYPES):
                     raise ModelError(
@@ -371,13 +365,10 @@ class CampaignSpec:
                     raise ModelError(
                         f"axis {name!r} values must be finite, got {value!r}"
                     )
-                if name == _RESERVED_STRUCTURE and (
-                    not isinstance(value, int) or value < 1
-                ):
-                    raise ModelError(
-                        f"{_RESERVED_STRUCTURE!r} axis values must be "
-                        f"positive integers, got {value!r}"
-                    )
+            if name == _RESERVED_STRUCTURE:
+                values = tuple(
+                    whole(name, value, at_least=1) for value in values
+                )
             if len(set(values)) != len(values):
                 raise ModelError(
                     f"axis {name!r} holds duplicate values: {values}"
@@ -386,6 +377,10 @@ class CampaignSpec:
         return axes
 
     def _validated_params(self) -> dict[str, Any]:
+        if not isinstance(self.base_params, Mapping):
+            raise ModelError(
+                f"base_params must be a mapping, got {self.base_params!r}"
+            )
         params: dict[str, Any] = {}
         for name in sorted(self.base_params):
             if not isinstance(name, str) or not name.isidentifier():
@@ -453,11 +448,13 @@ class CampaignSpec:
 
     def _build_scenario(
         self, seed: int | None, combo: Mapping[str, Any]
-    ) -> tuple[ScenarioSpec, int]:
+    ) -> ScenarioSpec:
         gen = CAMPAIGN_GENERATORS[self.generator]
         params = dict(self.base_params)
         params.update(combo)
-        carriers = int(params.pop(_RESERVED_STRUCTURE, 2))
+        carriers = params.pop(
+            _RESERVED_STRUCTURE, OLIGOPOLY_DEFAULTS[_RESERVED_STRUCTURE]
+        )
         oligopoly_kwargs = {}
         competition = {}
         if self.sweep == "market_structure":
@@ -495,7 +492,7 @@ class CampaignSpec:
                     scenario,
                     metadata={**dict(scenario.metadata), **competition},
                 )
-        return scenario, carriers
+        return scenario
 
     def expand(self) -> tuple[CampaignRow, ...]:
         """The deterministic row matrix (pure function of the spec).
@@ -509,7 +506,7 @@ class CampaignSpec:
         seen: dict[str, int] = {}
         names = sorted(self.axes)
         for index, (seed, combo) in enumerate(self._assignments()):
-            scenario, _ = self._build_scenario(seed, combo)
+            scenario = self._build_scenario(seed, combo)
             sdigest = scenario_digest(scenario)
             if sdigest in seen:
                 raise ModelError(
@@ -561,62 +558,14 @@ class CampaignSpec:
         :class:`~repro.exceptions.ModelError` — a campaign file is user
         input, and a typoed axis name must not silently vanish.
         """
-        if not isinstance(payload, Mapping):
-            raise ModelError(
-                f"campaign payload must be a mapping, got {type(payload).__name__}"
-            )
-        fmt = payload.get("format")
-        if fmt != CAMPAIGN_FORMAT:
-            raise ModelError(f"unsupported campaign format {fmt!r}")
-        known = {
-            "format",
-            "id",
-            "title",
-            "generator",
-            "sweep",
-            "seed_start",
-            "seed_count",
-            "axes",
-            "sampling",
-            "n_samples",
-            "sample_seed",
-            "base_params",
-        }
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ModelError(
-                f"unknown campaign field(s) {unknown}; known fields: "
-                f"{sorted(known - {'format'})}"
-            )
-        if "id" not in payload:
-            raise ModelError("malformed campaign payload: missing 'id'")
-        axes = payload.get("axes", CAMPAIGN_DEFAULTS["axes"])
-        if not isinstance(axes, Mapping):
-            raise ModelError(f"axes must be a mapping, got {axes!r}")
-        base_params = payload.get("base_params", CAMPAIGN_DEFAULTS["base_params"])
-        if not isinstance(base_params, Mapping):
-            raise ModelError(
-                f"base_params must be a mapping, got {base_params!r}"
-            )
-        return cls(
-            campaign_id=payload["id"],
-            title=payload.get("title", ""),
-            generator=payload.get("generator", CAMPAIGN_DEFAULTS["generator"]),
-            sweep=payload.get("sweep", CAMPAIGN_DEFAULTS["sweep"]),
-            seed_start=payload.get(
-                "seed_start", CAMPAIGN_DEFAULTS["seed_start"]
-            ),
-            seed_count=payload.get(
-                "seed_count", CAMPAIGN_DEFAULTS["seed_count"]
-            ),
-            axes={name: tuple(values) for name, values in axes.items()},
-            sampling=payload.get("sampling", CAMPAIGN_DEFAULTS["sampling"]),
-            n_samples=payload.get("n_samples", CAMPAIGN_DEFAULTS["n_samples"]),
-            sample_seed=payload.get(
-                "sample_seed", CAMPAIGN_DEFAULTS["sample_seed"]
-            ),
-            base_params=dict(base_params),
+        data = resolve(
+            {"id": None, "title": "", **CAMPAIGN_DEFAULTS},
+            document(payload, CAMPAIGN_FORMAT, "campaign payload"),
+            what="campaign field",
         )
+        if data["id"] is None:
+            raise ModelError("malformed campaign payload: missing 'id'")
+        return cls(campaign_id=data.pop("id"), **data)
 
     def digest(self) -> str:
         """SHA-256 of the canonical serialization — the warehouse key."""

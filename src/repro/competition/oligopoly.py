@@ -77,7 +77,6 @@ computed with the complement form; the frozen goldens in
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
@@ -95,6 +94,7 @@ from repro.core.revenue import revenue_slope
 from repro.engine.cache import market_fingerprint
 from repro.engine.service import SolveService, SolveTask, default_service
 from repro.exceptions import ConvergenceError, EquilibriumError, ModelError
+from repro.fields import choice, flag, interval, number, resolve, whole
 from repro.network.demand import ScaledDemand
 from repro.providers.content_provider import ContentProvider
 from repro.providers.isp import AccessISP
@@ -107,6 +107,8 @@ if TYPE_CHECKING:  # type-only: the scenarios package imports back through
 
 __all__ = [
     "COMPETITION_DEFAULTS",
+    "ITERATION_MODES",
+    "OLIGOPOLY_DEFAULTS",
     "CarrierStats",
     "CompetitionSettings",
     "IterationPolicy",
@@ -134,6 +136,19 @@ COMPETITION_DEFAULTS: Mapping[str, Any] = {
     "price_range": (0.0, 3.0),
     "grid_points": 32,
     "xtol": 1e-7,
+}
+
+#: The damped best-response iteration's update schedules.
+ITERATION_MODES = ("gauss-seidel", "jacobi")
+
+#: The game an ``oligopoly(...)`` scenario records: the generator's
+#: keyword defaults and the metadata keys
+#: :meth:`OligopolyGame.from_scenario` reads.
+OLIGOPOLY_DEFAULTS: Mapping[str, Any] = {
+    "carriers": 2,
+    "switching": 2.0,
+    "cap": 0.0,
+    "split_capacity": True,
 }
 
 #: A sweep outcome's certificate kinds, stored as their index (the
@@ -413,36 +428,16 @@ class IterationPolicy:
     max_sweeps: int = COMPETITION_DEFAULTS["max_sweeps"]
 
     def __post_init__(self) -> None:
-        if self.mode not in ("gauss-seidel", "jacobi"):
-            raise ValueError(
-                f"mode must be 'gauss-seidel' or 'jacobi', got {self.mode!r}"
-            )
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError(
-                f"damping must lie in (0, 1], got {self.damping}"
-            )
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError(f"tol must be finite and positive, got {self.tol}")
-        if (
-            isinstance(self.max_sweeps, bool)
-            or not isinstance(self.max_sweeps, numbers.Integral)
-            or self.max_sweeps < 1
-        ):
-            raise ValueError(
-                f"max_sweeps must be an integer of at least 1, "
-                f"got {self.max_sweeps!r}"
-            )
-
-
-def whole_number(name: str, value: Any) -> int:
-    """``value`` as an ``int``: an integer, or a finite float with no
-    fractional part. Booleans, strings and anything else raise
-    ``ValueError`` rather than being truncated or coerced."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    raise ValueError(f"{name} must be a whole number, got {value!r}")
+        choice("iteration_mode", self.mode, ITERATION_MODES)
+        object.__setattr__(
+            self, "damping", number("damping", self.damping, "(0, 1]")
+        )
+        object.__setattr__(self, "tol", number("tol", self.tol, "(0, inf)"))
+        object.__setattr__(
+            self,
+            "max_sweeps",
+            whole("max_sweeps", self.max_sweeps, at_least=1),
+        )
 
 
 @dataclass(frozen=True)
@@ -461,66 +456,39 @@ def competition_settings(
 ) -> CompetitionSettings:
     """Resolve competition parameters: overrides > metadata > defaults.
 
-    The one conversion/validation funnel for *untrusted* parameter
-    sources — scenario-file metadata and CLI flags. ``overrides`` entries
-    that are ``None`` fall through to ``metadata``, which falls through
-    to :data:`COMPETITION_DEFAULTS`; any malformed value (wrong type,
-    a ``price_range`` that is short, not finite or not ``0 <= lo <= hi``,
-    ``grid_points`` or ``max_sweeps`` that are not whole numbers, fewer
-    than 3 ``grid_points``, a ``tol`` or ``xtol`` that is not finite and
-    positive, out-of-range damping, unknown mode) raises
-    :class:`~repro.exceptions.ModelError` naming the offending setting,
-    never a bare ``ValueError``/``IndexError`` mid-solve.
+    The one funnel for *untrusted* parameter sources — scenario-file
+    metadata and CLI flags — through :func:`repro.fields.resolve`:
+    ``overrides`` entries that are ``None`` fall through to the metadata's
+    :data:`COMPETITION_DEFAULTS` keys, which fall through to the defaults.
+    A malformed value raises :class:`~repro.exceptions.ModelError` naming
+    the setting. ``price_range`` may be degenerate (``lo == hi``).
     """
     meta = metadata if metadata is not None else {}
-    given = {
-        key: value
-        for key, value in (overrides or {}).items()
-        if value is not None
-    }
-    unknown = set(given) - set(COMPETITION_DEFAULTS)
-    if unknown:
-        raise ModelError(
-            f"unknown competition setting(s) {sorted(unknown)}; "
-            f"known: {sorted(COMPETITION_DEFAULTS)}"
-        )
-
-    def pick(key: str) -> Any:
-        if key in given:
-            return given[key]
-        return meta.get(key, COMPETITION_DEFAULTS[key])
-
     try:
-        policy = IterationPolicy(
-            mode=str(pick("iteration_mode")),
-            damping=float(pick("damping")),
-            tol=float(pick("tol")),
-            max_sweeps=whole_number("max_sweeps", pick("max_sweeps")),
+        values = resolve(
+            COMPETITION_DEFAULTS,
+            {key: meta[key] for key in COMPETITION_DEFAULTS if key in meta},
+            overrides,
+            what="competition setting",
         )
-        price_range = tuple(float(x) for x in pick("price_range"))
-        if len(price_range) != 2:
-            raise ValueError(
-                f"price_range needs exactly two entries, got {price_range}"
-            )
-        lo, hi = price_range
-        if not 0.0 <= lo <= hi < math.inf:
-            raise ValueError(
-                f"price_range must be finite with 0 <= lo <= hi, got {price_range}"
-            )
-        grid_points = whole_number("grid_points", pick("grid_points"))
-        if grid_points < 3:
-            raise ValueError(f"grid_points must be at least 3, got {grid_points}")
-        xtol = float(pick("xtol"))
-        if not 0.0 < xtol < math.inf:
-            raise ValueError(f"xtol must be finite and positive, got {xtol}")
-    except (TypeError, ValueError) as exc:
+        return CompetitionSettings(
+            policy=IterationPolicy(
+                mode=values["iteration_mode"],
+                damping=values["damping"],
+                tol=values["tol"],
+                max_sweeps=values["max_sweeps"],
+            ),
+            price_range=interval(
+                "price_range", values["price_range"], "[0, inf)",
+                equal_ok=True,
+            ),
+            grid_points=whole(
+                "grid_points", values["grid_points"], at_least=3
+            ),
+            xtol=number("xtol", values["xtol"], "(0, inf)"),
+        )
+    except ModelError as exc:
         raise ModelError(f"invalid competition settings: {exc}") from exc
-    return CompetitionSettings(
-        policy=policy,
-        price_range=(lo, hi),
-        grid_points=grid_points,
-        xtol=xtol,
-    )
 
 
 @dataclass
@@ -580,20 +548,14 @@ class OligopolyGame:
         cap: float = 0.0,
         service: SolveService | None = None,
     ) -> None:
-        if switching < 0.0 or not np.isfinite(switching):
-            raise ModelError(
-                f"switching must be finite and non-negative, got {switching}"
-            )
-        if cap < 0.0 or not np.isfinite(cap):
-            raise ModelError(f"cap must be finite and non-negative, got {cap}")
         self._providers = tuple(providers)
         if not self._providers:
             raise ModelError("an oligopoly needs at least one content provider")
         self._isps = tuple(isps)
         if not self._isps:
             raise ModelError("an oligopoly needs at least one carrier")
-        self._switching = float(switching)
-        self._cap = float(cap)
+        self._switching = number("switching", switching, "[0, inf)")
+        self._cap = number("cap", cap, "[0, inf)")
         self._service = service
         self._fingerprints: dict[int, str] = {}
 
@@ -611,21 +573,25 @@ class OligopolyGame:
         """Build the game an ``oligopoly(...)`` scenario describes.
 
         Explicit arguments override the scenario's metadata; metadata
-        falls back to the generator's defaults: ``carriers`` (2),
+        falls back to :data:`OLIGOPOLY_DEFAULTS`: ``carriers`` (2),
         ``switching`` (2.0), ``cap`` (0.0) and ``split_capacity`` (True —
         the template ISP's capacity is divided evenly so total access
         capacity is invariant in ``N``).
         """
         meta = scenario.metadata
-        n = int(carriers if carriers is not None else meta.get("carriers", 2))
-        if n < 1:
-            raise ModelError(f"carriers must be at least 1, got {n}")
-        base = scenario.market.isp
-        split = bool(
-            split_capacity
-            if split_capacity is not None
-            else meta.get("split_capacity", True)
+        values = resolve(
+            OLIGOPOLY_DEFAULTS,
+            {key: meta[key] for key in OLIGOPOLY_DEFAULTS if key in meta},
+            {
+                "carriers": carriers,
+                "switching": switching,
+                "cap": cap,
+                "split_capacity": split_capacity,
+            },
         )
+        n = whole("carriers", values["carriers"], at_least=1)
+        base = scenario.market.isp
+        split = flag("split_capacity", values["split_capacity"])
         capacity = base.capacity / n if split else base.capacity
         name = base.name or "isp"
         isps = tuple(
@@ -640,12 +606,8 @@ class OligopolyGame:
         return cls(
             scenario.market.providers,
             isps,
-            switching=float(
-                switching
-                if switching is not None
-                else meta.get("switching", 2.0)
-            ),
-            cap=float(cap if cap is not None else meta.get("cap", 0.0)),
+            switching=values["switching"],
+            cap=values["cap"],
             service=service,
         )
 

@@ -41,6 +41,7 @@ from repro.core.game import SubsidizationGame
 from repro.engine.grid_engine import EquilibriumGrid, cap_row_task
 from repro.engine.service import SolveService, default_service
 from repro.exceptions import ModelError
+from repro.fields import choice, flag, number, whole
 from repro.providers.market import Market
 
 __all__ = [
@@ -107,28 +108,31 @@ class RefineSpec:
     boundary_tol: float = REFINE_DEFAULTS["boundary_tol"]
 
     def __post_init__(self) -> None:
-        if self.levels < 1:
-            raise ModelError(f"levels must be at least 1, got {self.levels}")
-        if not self.threshold > 0.0:
-            raise ModelError(
-                f"threshold must be positive, got {self.threshold}"
-            )
-        object.__setattr__(self, "quantities", tuple(self.quantities))
-        unknown = [q for q in self.quantities if q not in _REFINE_QUANTITIES]
-        if unknown:
-            raise ModelError(
-                f"unknown refinement quantities {unknown}; choose from "
-                f"{sorted(_REFINE_QUANTITIES)}"
-            )
+        object.__setattr__(
+            self, "levels", whole("levels", self.levels, at_least=1)
+        )
+        object.__setattr__(
+            self, "threshold", number("threshold", self.threshold, "(0, inf)")
+        )
+        object.__setattr__(
+            self,
+            "quantities",
+            tuple(
+                choice("quantities", q, _REFINE_QUANTITIES)
+                for q in self.quantities
+            ),
+        )
+        flag("breakpoints", self.breakpoints)
         if not self.quantities and not self.breakpoints:
             raise ModelError(
                 "refinement needs at least one trigger: a watched quantity "
                 "or breakpoints=True"
             )
-        if not self.boundary_tol > 0.0:
-            raise ModelError(
-                f"boundary_tol must be positive, got {self.boundary_tol}"
-            )
+        object.__setattr__(
+            self,
+            "boundary_tol",
+            number("boundary_tol", self.boundary_tol, "(0, inf)"),
+        )
 
 
 @dataclass(frozen=True)

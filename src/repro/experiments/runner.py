@@ -112,6 +112,7 @@ from typing import Callable, Sequence, Union
 
 from repro.competition.oligopoly import (
     COMPETITION_DEFAULTS,
+    ITERATION_MODES,
     OligopolyGame,
     competition_settings,
     solve_oligopoly_competition,
@@ -147,6 +148,7 @@ from repro.experiments.pipeline import (
     scenario_experiment,
 )
 from repro.experiments.refine import REFINE_DEFAULTS, RefineSpec
+from repro.fields import resolve
 from repro.io import load_campaign, load_scenario, save_campaign
 from repro.scenarios import (
     get_scenario,
@@ -582,6 +584,7 @@ def build_run_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--refine-levels",
+        dest="levels",
         type=int,
         default=None,
         metavar="L",
@@ -590,6 +593,7 @@ def build_run_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--refine-threshold",
+        dest="threshold",
         type=float,
         default=None,
         metavar="T",
@@ -605,24 +609,12 @@ def _resolve_refine_spec(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> RefineSpec | None:
     """The ``--refine*`` flags as one spec (sub-flags imply ``--refine``)."""
-    if not (
-        args.refine
-        or args.refine_levels is not None
-        or args.refine_threshold is not None
-    ):
+    overrides = {"levels": args.levels, "threshold": args.threshold}
+    if not args.refine and all(v is None for v in overrides.values()):
         return None
     try:
         return RefineSpec(
-            levels=(
-                args.refine_levels
-                if args.refine_levels is not None
-                else REFINE_DEFAULTS["levels"]
-            ),
-            threshold=(
-                args.refine_threshold
-                if args.refine_threshold is not None
-                else REFINE_DEFAULTS["threshold"]
-            ),
+            **resolve(REFINE_DEFAULTS, None, overrides, what="refine setting")
         )
     except ReproError as exc:
         parser.error(str(exc))
@@ -687,7 +679,8 @@ def build_oligopoly_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--mode",
-        choices=("gauss-seidel", "jacobi"),
+        dest="iteration_mode",
+        choices=ITERATION_MODES,
         default=None,
         help="iteration mode: sequential gauss-seidel (freshest rival "
         "prices) or simultaneous jacobi (carrier sweeps pool-parallel); "
@@ -774,15 +767,7 @@ def _main_oligopoly(argv: Sequence[str]) -> int:
     try:
         settings = competition_settings(
             scn.metadata,
-            overrides={
-                "iteration_mode": args.mode,
-                "damping": args.damping,
-                "tol": args.tol,
-                "max_sweeps": args.max_sweeps,
-                "price_range": args.price_range,
-                "grid_points": args.grid_points,
-                "xtol": args.xtol,
-            },
+            overrides={key: vars(args)[key] for key in COMPETITION_DEFAULTS},
         )
     except ReproError as exc:
         parser.error(str(exc))
@@ -949,6 +934,7 @@ def build_dynamics_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--reinvest",
+        dest="reinvestment_rate",
         type=float,
         default=None,
         metavar="F",
@@ -1006,16 +992,9 @@ def _main_dynamics(argv: Sequence[str]) -> int:
         dspec = dynamics_settings(
             scn.metadata,
             overrides={
-                "kind": args.kind,
-                "horizon": args.horizon,
-                "cap": args.cap,
-                "inertia": args.inertia,
-                "update": args.update,
-                "damping": args.damping,
-                "reinvestment_rate": args.reinvest,
-                "capacity_cost": args.capacity_cost,
-                "depreciation": args.depreciation,
-                "reoptimize_price": args.reoptimize_price,
+                key: value
+                for key, value in vars(args).items()
+                if key in DYNAMICS_DEFAULTS
             },
         )
     except ReproError as exc:

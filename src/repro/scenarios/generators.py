@@ -32,7 +32,13 @@ import numpy as np
 # campaign does not pay for it inside its first generated market.
 import numpy.random  # noqa: F401
 
+from repro.competition.oligopoly import (
+    COMPETITION_DEFAULTS,
+    ITERATION_MODES,
+    OLIGOPOLY_DEFAULTS,
+)
 from repro.exceptions import ModelError
+from repro.fields import choice, flag, interval, number, whole
 from repro.network.demand import (
     DemandFunction,
     ExponentialDemand,
@@ -101,8 +107,7 @@ def scaled_market(
     invariant in ``n_types``. This is the stress family for the engine:
     the same scenario shape from 8 CPs to thousands.
     """
-    if n_types < 1:
-        raise ModelError(f"n_types must be at least 1, got {n_types}")
+    n_types = whole("n_types", n_types, at_least=1)
     if total_demand <= 0.0:
         raise ModelError(f"total_demand must be positive, got {total_demand}")
     if not value_levels:
@@ -213,8 +218,7 @@ def random_market(
     and the seed is recorded in metadata so a round-tripped scenario keeps
     its provenance.
     """
-    if n_types < 1:
-        raise ModelError(f"n_types must be at least 1, got {n_types}")
+    n_types = whole("n_types", n_types, at_least=1)
     if not families:
         raise ModelError("families must be non-empty")
     if not throughput_families:
@@ -327,10 +331,10 @@ def oligopoly(
     base: ScenarioSpec,
     carriers: int,
     *,
-    switching: float = 2.0,
-    cap: float = 0.0,
-    split_capacity: bool = True,
-    iteration_mode: str = "gauss-seidel",
+    switching: float = OLIGOPOLY_DEFAULTS["switching"],
+    cap: float = OLIGOPOLY_DEFAULTS["cap"],
+    split_capacity: bool = OLIGOPOLY_DEFAULTS["split_capacity"],
+    iteration_mode: str = COMPETITION_DEFAULTS["iteration_mode"],
     scenario_id: str | None = None,
 ) -> ScenarioSpec:
     """An N-carrier competition scenario over ``base``'s CP population.
@@ -348,28 +352,18 @@ def oligopoly(
     ``repro-scenario/1`` with its full provenance and the CLI's
     ``oligopoly`` verb can rebuild the exact game from the file.
     """
-    if carriers < 1:
-        raise ModelError(f"carriers must be at least 1, got {carriers}")
-    if switching < 0.0 or not np.isfinite(switching):
-        raise ModelError(
-            f"switching must be finite and non-negative, got {switching}"
-        )
-    if cap < 0.0 or not np.isfinite(cap):
-        raise ModelError(f"cap must be finite and non-negative, got {cap}")
-    if iteration_mode not in ("gauss-seidel", "jacobi"):
-        raise ModelError(
-            f"iteration_mode must be 'gauss-seidel' or 'jacobi', "
-            f"got {iteration_mode!r}"
-        )
+    carriers = whole("carriers", carriers, at_least=1)
     metadata = dict(base.metadata)
     metadata.update(
         {
             "generator": "oligopoly",
-            "carriers": int(carriers),
-            "switching": float(switching),
-            "cap": float(cap),
-            "split_capacity": bool(split_capacity),
-            "iteration_mode": str(iteration_mode),
+            "carriers": carriers,
+            "switching": number("switching", switching, "[0, inf)"),
+            "cap": number("cap", cap, "[0, inf)"),
+            "split_capacity": flag("split_capacity", split_capacity),
+            "iteration_mode": choice(
+                "iteration_mode", iteration_mode, ITERATION_MODES
+            ),
             "variant_of": base.scenario_id,
         }
     )
@@ -444,15 +438,10 @@ def shocked_market(
     :func:`random_market`. Keyword arguments configure the underlying
     trajectory exactly as in :func:`trajectory_variant`.
     """
-    if n_shocks < 1:
-        raise ModelError(f"n_shocks must be at least 1, got {n_shocks}")
+    n_shocks = whole("n_shocks", n_shocks, at_least=1)
     if not fields:
         raise ModelError("fields must be non-empty")
-    if not 0.0 < scale_range[0] < scale_range[1]:
-        raise ModelError(
-            f"scale_range must be an increasing positive pair, "
-            f"got {scale_range}"
-        )
+    scale_range = interval("scale_range", scale_range, "(0, inf)")
     dspec = dynamics_settings(base.metadata, overrides=dynamics)
     if n_shocks > dspec.horizon:
         raise ModelError(

@@ -40,24 +40,9 @@ from __future__ import annotations
 from repro.core.equilibrium import EquilibriumResult, solve_equilibrium
 from repro.core.game import SubsidizationGame
 from repro.core.revenue import optimal_price
-from repro.exceptions import ModelError
 from repro.providers.market import Market
 
 __all__ = ["expansion_step"]
-
-
-def validate_expansion_params(
-    reinvestment_rate: float, capacity_cost: float, depreciation: float
-) -> None:
-    """Validate the investment-rule parameters (shared with the CLI funnel)."""
-    if not 0.0 <= reinvestment_rate <= 1.0:
-        raise ModelError(
-            f"reinvestment_rate must lie in [0, 1], got {reinvestment_rate}"
-        )
-    if capacity_cost <= 0.0:
-        raise ModelError(f"capacity_cost must be positive, got {capacity_cost}")
-    if not 0.0 <= depreciation < 1.0:
-        raise ModelError(f"depreciation must lie in [0, 1), got {depreciation}")
 
 
 def expansion_step(

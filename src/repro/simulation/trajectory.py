@@ -48,21 +48,28 @@ True
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 import numpy as np
 
-from repro.competition.oligopoly import whole_number
 from repro.engine.cache import market_fingerprint
 from repro.engine.service import SolveService, SolveTask, default_service
 from repro.exceptions import ModelError
+from repro.fields import (
+    choice,
+    document,
+    flag,
+    interval,
+    number,
+    resolve,
+    whole,
+)
 from repro.providers.content_provider import ContentProvider
 from repro.providers.isp import AccessISP
 from repro.providers.market import Market
 from repro.simulation.agents import BestResponseStrategy
-from repro.simulation.capacity import expansion_step, validate_expansion_params
+from repro.simulation.capacity import expansion_step
 from repro.simulation.dynamics import MarketSimulation, SimulationConfig
 from repro.simulation.trace import DynamicsTrajectory
 
@@ -83,6 +90,9 @@ DYNAMICS_FORMAT = "repro-dynamics/1"
 
 #: Shockable market fields: the access capacity µ and the ISP price p.
 _SHOCK_FIELDS = ("capacity", "price")
+
+#: The ``"subsidies"`` kind's CP update schedules.
+_UPDATES = ("sequential", "simultaneous")
 
 #: The float columns of a trajectory task's result, besides ``steps``.
 _RECORD_COLUMNS = (
@@ -110,18 +120,6 @@ DYNAMICS_DEFAULTS: Mapping[str, Any] = {
 }
 
 
-def _positive_whole(name: str, value: Any) -> int:
-    """``value`` as a positive ``int``: booleans, strings, NaN and
-    fractions raise :class:`~repro.exceptions.ModelError`."""
-    try:
-        number = whole_number(name, value)
-    except ValueError as exc:
-        raise ModelError(str(exc)) from exc
-    if number < 1:
-        raise ModelError(f"{name} must be positive, got {number}")
-    return number
-
-
 @dataclass(frozen=True)
 class Shock:
     """A multiplicative market disturbance landing at one trajectory step.
@@ -144,18 +142,25 @@ class Shock:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "step", _positive_whole("shock step", self.step)
+            self, "step", whole("shock step", self.step, at_least=1)
         )
-        if self.field not in _SHOCK_FIELDS:
-            raise ModelError(
-                f"shock field must be one of {_SHOCK_FIELDS}, "
-                f"got {self.field!r}"
-            )
-        if not (np.isfinite(self.scale) and self.scale > 0.0):
-            raise ModelError(
-                f"shock scale must be finite and positive, got {self.scale}"
-            )
-        object.__setattr__(self, "scale", float(self.scale))
+        choice("shock field", self.field, _SHOCK_FIELDS)
+        object.__setattr__(
+            self, "scale", number("shock scale", self.scale, "(0, inf)")
+        )
+
+
+def _shock(entry: Any) -> Shock:
+    """One ``{"step", "field", "scale"}`` entry of a dynamics block."""
+    if not isinstance(entry, Mapping):
+        raise ModelError(f"shock entries must be mappings, got {entry!r}")
+    try:
+        return Shock(**entry)
+    except TypeError as exc:
+        raise ModelError(
+            f"shock entries need exactly step, field and scale, got "
+            f"{sorted(entry)}"
+        ) from exc
 
 
 @dataclass(frozen=True)
@@ -188,6 +193,8 @@ class DynamicsSpec:
         order; duplicate (step, field) pairs are rejected, as are price
         shocks on a ``"capacity"`` trajectory with ``reoptimize_price``
         (the per-period re-optimization would discard them silently).
+
+    Every field follows the value rules of :mod:`repro.fields`.
     """
 
     kind: str = DYNAMICS_DEFAULTS["kind"]
@@ -204,51 +211,31 @@ class DynamicsSpec:
     shocks: tuple[Shock, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("subsidies", "capacity"):
-            raise ModelError(
-                f"kind must be 'subsidies' or 'capacity', got {self.kind!r}"
-            )
-        object.__setattr__(
-            self, "horizon", _positive_whole("horizon", self.horizon)
-        )
-        if self.cap < 0.0 or not np.isfinite(self.cap):
-            raise ModelError(
-                f"cap must be finite and non-negative, got {self.cap}"
-            )
-        object.__setattr__(self, "cap", float(self.cap))
-        if not 0.0 < self.inertia <= 1.0:
-            raise ModelError(f"inertia must lie in (0, 1], got {self.inertia}")
-        object.__setattr__(self, "inertia", float(self.inertia))
-        if self.update not in ("sequential", "simultaneous"):
-            raise ModelError(
-                f"update must be 'sequential' or 'simultaneous', "
-                f"got {self.update!r}"
-            )
-        if not 0.0 < self.damping <= 1.0:
-            raise ModelError(f"damping must lie in (0, 1], got {self.damping}")
-        object.__setattr__(self, "damping", float(self.damping))
-        validate_expansion_params(
-            self.reinvestment_rate, self.capacity_cost, self.depreciation
-        )
-        object.__setattr__(
-            self, "reinvestment_rate", float(self.reinvestment_rate)
-        )
-        object.__setattr__(self, "capacity_cost", float(self.capacity_cost))
-        object.__setattr__(self, "depreciation", float(self.depreciation))
-        if not isinstance(self.reoptimize_price, bool):
-            raise ModelError(
-                f"reoptimize_price must be true or false, "
-                f"got {self.reoptimize_price!r}"
-            )
-        price_range = tuple(float(x) for x in self.price_range)
-        if len(price_range) != 2 or not (
-            0.0 <= price_range[0] < price_range[1] < math.inf
-        ):
-            raise ModelError(
-                f"price_range must be a finite (lo, hi) pair with "
-                f"0 <= lo < hi, got {self.price_range!r}"
-            )
-        object.__setattr__(self, "price_range", price_range)
+        checked = {
+            "kind": choice("kind", self.kind, ("subsidies", "capacity")),
+            "horizon": whole("horizon", self.horizon, at_least=1),
+            "cap": number("cap", self.cap, "[0, inf)"),
+            "inertia": number("inertia", self.inertia, "(0, 1]"),
+            "update": choice("update", self.update, _UPDATES),
+            "damping": number("damping", self.damping, "(0, 1]"),
+            "reinvestment_rate": number(
+                "reinvestment_rate", self.reinvestment_rate, "[0, 1]"
+            ),
+            "capacity_cost": number(
+                "capacity_cost", self.capacity_cost, "(0, inf)"
+            ),
+            "depreciation": number(
+                "depreciation", self.depreciation, "[0, 1)"
+            ),
+            "reoptimize_price": flag(
+                "reoptimize_price", self.reoptimize_price
+            ),
+            "price_range": interval(
+                "price_range", self.price_range, "[0, inf)"
+            ),
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
         for shock in self.shocks:
             if not isinstance(shock, Shock):
                 raise ModelError(
@@ -312,34 +299,17 @@ class DynamicsSpec:
 
         The one validation funnel for *untrusted* blocks (scenario files
         are user input): a wrong format tag, unknown field or malformed
-        value raises :class:`~repro.exceptions.ModelError`, never a bare
-        ``TypeError``/``ValueError`` mid-solve.
+        value raises :class:`~repro.exceptions.ModelError` naming it.
         """
-        if not isinstance(payload, Mapping):
-            raise ModelError(
-                f"dynamics block must be a mapping, got {type(payload).__name__}"
-            )
-        data = dict(payload)
-        fmt = data.pop("format", None)
-        if fmt != DYNAMICS_FORMAT:
-            raise ModelError(f"unsupported dynamics format {fmt!r}")
-        unknown = set(data) - set(DYNAMICS_DEFAULTS)
-        if unknown:
-            raise ModelError(
-                f"unknown dynamics field(s) {sorted(unknown)}; "
-                f"known: {sorted(DYNAMICS_DEFAULTS)}"
-            )
-        try:
-            shocks = tuple(
-                Shock(step=item["step"], field=item["field"], scale=item["scale"])
-                for item in data.pop("shocks", ())
-            )
-        except (TypeError, KeyError) as exc:
-            raise ModelError(f"malformed shock entry: {exc}") from exc
-        try:
-            return cls(shocks=shocks, **data)
-        except (TypeError, ValueError) as exc:
-            raise ModelError(f"invalid dynamics block: {exc}") from exc
+        data = resolve(
+            DYNAMICS_DEFAULTS,
+            document(payload, DYNAMICS_FORMAT, "dynamics block"),
+            what="dynamics field",
+        )
+        shocks = data["shocks"]
+        if not isinstance(shocks, (list, tuple)):
+            raise ModelError(f"shocks must be a list, got {shocks!r}")
+        return cls(**{**data, "shocks": tuple(map(_shock, shocks))})
 
 
 def dynamics_settings(
@@ -348,41 +318,21 @@ def dynamics_settings(
 ) -> DynamicsSpec:
     """Resolve a trajectory spec: overrides > metadata block > defaults.
 
-    Mirrors :func:`repro.competition.oligopoly.competition_settings`: the
-    scenario's ``metadata["dynamics"]`` block (if any) is validated as a
-    ``repro-dynamics/1`` payload, explicit ``overrides`` entries that are
-    not ``None`` win over it, and everything else falls back to
-    :data:`DYNAMICS_DEFAULTS`. Malformed values from either untrusted
-    source raise :class:`~repro.exceptions.ModelError`.
+    The scenario's ``metadata["dynamics"]`` block (if any) is validated
+    as a ``repro-dynamics/1`` document on its own, then
+    :func:`repro.fields.resolve` lets the ``overrides`` that are not
+    ``None`` win over it. Malformed values from either untrusted source
+    raise :class:`~repro.exceptions.ModelError`.
     """
-    meta = metadata if metadata is not None else {}
-    block = meta.get("dynamics")
-    spec = (
-        DynamicsSpec.from_dict(block)
-        if block is not None
-        else DynamicsSpec()
-    )
-    given = {
-        key: value
-        for key, value in (overrides or {}).items()
-        if value is not None
-    }
-    if not given:
+    block = (metadata or {}).get("dynamics")
+    spec = DynamicsSpec() if block is None else DynamicsSpec.from_dict(block)
+    if not overrides:
         return spec
-    unknown = set(given) - set(DYNAMICS_DEFAULTS)
-    if unknown:
-        raise ModelError(
-            f"unknown dynamics setting(s) {sorted(unknown)}; "
-            f"known: {sorted(DYNAMICS_DEFAULTS)}"
+    return DynamicsSpec(
+        **resolve(
+            DYNAMICS_DEFAULTS, vars(spec), overrides, what="dynamics setting"
         )
-    if "shocks" in given:
-        given["shocks"] = tuple(given["shocks"])
-    try:
-        return replace(spec, **given)
-    except (TypeError, ValueError) as exc:
-        raise ModelError(f"invalid dynamics settings: {exc}") from exc
-
-
+    )
 
 
 # ----------------------------------------------------------------------

@@ -453,15 +453,15 @@ class TestEdgeCases:
         assert excinfo.value.residual > 1e-12
 
     def test_iteration_policy_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ModelError):
             IterationPolicy(mode="newton")
-        with pytest.raises(ValueError):
+        with pytest.raises(ModelError):
             IterationPolicy(damping=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ModelError):
             IterationPolicy(damping=1.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ModelError):
             IterationPolicy(tol=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ModelError):
             IterationPolicy(max_sweeps=0)
 
     @pytest.mark.parametrize(
@@ -470,7 +470,6 @@ class TestEdgeCases:
             {"tol": float("inf")},
             {"tol": float("nan")},
             {"max_sweeps": 2.5},
-            {"max_sweeps": 3.0},
             {"max_sweeps": True},
             {"max_sweeps": "3"},
         ],
@@ -480,8 +479,13 @@ class TestEdgeCases:
     ):
         # An infinite tol would report convergence after one sweep; a
         # fractional budget would only fail later, inside range().
-        with pytest.raises(ValueError):
+        with pytest.raises(ModelError):
             IterationPolicy(**kwargs)
+
+    def test_iteration_policy_accepts_an_integral_float_budget(self):
+        policy = IterationPolicy(max_sweeps=3.0)
+        assert policy.max_sweeps == 3
+        assert type(policy.max_sweeps) is int
 
     def test_game_validation(self):
         with pytest.raises(ModelError):

@@ -15,6 +15,7 @@ AUDITED_MODULES = (
     "repro",
     "repro.engine.service",
     "repro.engine.store",
+    "repro.fields",
     "repro.scenarios.spec",
     "repro.simulation",
     "repro.simulation.capacity",

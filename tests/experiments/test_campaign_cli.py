@@ -111,6 +111,17 @@ class TestRun:
                 "--cache-dir", str(tmp_path),
             ])
 
+    def test_a_non_boolean_flag_parameter_exits_two(self, capsys, tmp_path):
+        # "no" is not JSON, so it stays a string; it must not read as true.
+        code, _, err = run_cli(
+            capsys,
+            "campaign", "run", "--sweep", "market_structure",
+            "--generator", "scaled_market", "--param", "n_types=2",
+            "--param", "split_capacity=no", "--cache-dir", str(tmp_path),
+        )
+        assert code == 2
+        assert "split_capacity" in err
+
 
 class TestQueries:
     @pytest.fixture

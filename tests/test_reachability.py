@@ -9,6 +9,9 @@ definition is *reachable* when
 * its own module mentions it in module-level code (a registration call,
   say) or inside the body of a reachable definition.
 
+Only code mentions count: a name, or a word of a string literal (a
+``getattr`` or a patch target). Comments and docstrings do not.
+
 Every unreachable name must be listed in ``reachability_allowlist.txt``
 next to this file, one ``<module path> <name>: <category>: <reason>``
 line per name, with one of :data:`CATEGORIES`. The guard fails naming
@@ -20,7 +23,9 @@ from __future__ import annotations
 
 import ast
 import functools
+import io
 import re
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -50,34 +55,53 @@ def _defined_names(node: ast.stmt) -> list[str]:
     return []
 
 
-def _module_graph(text: str) -> tuple[dict[str, set[str]], set[str]]:
-    """``{defined name: words of its definition}`` and the words of the
-    module-level code outside every definition, docstring and
-    ``__all__``."""
-    lines = text.splitlines()
-    body = ast.parse(text).body
+def _code_words(text: str) -> list[tuple[int, str]]:
+    """``(line, word)`` for every name and every word of a string literal
+    in ``text``'s code; comments and docstrings (a string that is a whole
+    statement) say nothing."""
+    tokens = [
+        tok
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline)
+        if tok.type not in (tokenize.NL, tokenize.COMMENT)
+    ]
+    found = []
+    for index, tok in enumerate(tokens):
+        if tok.type == tokenize.NAME:
+            found.append((tok.start[0], tok.string))
+        elif tok.type == tokenize.STRING:
+            before = tokens[index - 1].type if index else tokenize.NEWLINE
+            after = tokens[index + 1].type
+            if not (
+                before in (tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT)
+                and after in (tokenize.NEWLINE, tokenize.ENDMARKER)
+            ):
+                found.extend(
+                    (tok.start[0], word) for word in _WORD.findall(tok.string)
+                )
+    return found
+
+
+def _module_graph(
+    text: str, words: list[tuple[int, str]]
+) -> tuple[dict[str, set[str]], set[str]]:
+    """``{defined name: code words of its definition}`` and the code words
+    of the module-level code outside every definition and ``__all__``."""
     defs: dict[str, set[str]] = {}
-    outside = [True] * len(lines)
-    for index, node in enumerate(body):
+    inside: set[int] = set()
+    for node in ast.parse(text).body:
         names = _defined_names(node)
-        is_docstring = (
-            index == 0
-            and isinstance(node, ast.Expr)
-            and isinstance(node.value, ast.Constant)
-        )
-        if not names and not is_docstring:
+        if not names:
             continue
         decorators = getattr(node, "decorator_list", [])
-        start = min([node.lineno] + [d.lineno for d in decorators]) - 1
-        segment = "\n".join(lines[start:node.end_lineno])
+        lines = range(
+            min([node.lineno] + [d.lineno for d in decorators]),
+            node.end_lineno + 1,
+        )
         for name in names:
-            defs[name] = set(_WORD.findall(segment))
-        outside[start:node.end_lineno] = [False] * (node.end_lineno - start)
+            defs[name] = {word for line, word in words if line in lines}
+        inside.update(lines)
     defs.pop("__all__", None)
-    module_code = "\n".join(
-        line for line, keep in zip(lines, outside) if keep
-    )
-    return defs, set(_WORD.findall(module_code))
+    return defs, {word for line, word in words if line not in inside}
 
 
 @functools.cache
@@ -93,11 +117,12 @@ def unreachable(root: Path = ROOT) -> frozenset[str]:
         + sorted((root / "examples").rglob("*.py"))
     )
     texts = {path: path.read_text() for path in readers}
-    words = {path: set(_WORD.findall(text)) for path, text in texts.items()}
+    code = {path: _code_words(text) for path, text in texts.items()}
+    words = {path: {word for _, word in found} for path, found in code.items()}
     mentions = Counter(word for found in words.values() for word in found)
     dead: set[str] = set()
     for path in modules:
-        defs, module_code = _module_graph(texts[path])
+        defs, module_code = _module_graph(texts[path], code[path])
         own = words[path]
         # Mentioned by another reader, or by this module's top-level code.
         frontier = [
@@ -207,6 +232,23 @@ class TestTheScan:
             "src/pkg/a.py": '"""See :func:`f`."""\n\ndef f():\n    pass\n',
         })
         assert unreachable(root) == {"src/pkg/a.py f"}
+
+    def test_docstring_and_comment_mentions_do_not_reach(self, tmp_path):
+        root = _tree(tmp_path, {
+            "src/pkg/a.py": "def f():\n    pass\n",
+            "src/pkg/b.py": (
+                'def g():\n    """Unlike :func:`f`, returns 1."""\n'
+                "    # f is not called here\n    return 1\n\nprint(g())\n"
+            ),
+        })
+        assert unreachable(root) == {"src/pkg/a.py f"}
+
+    def test_a_string_in_code_reaches(self, tmp_path):
+        root = _tree(tmp_path, {
+            "src/pkg/a.py": "def f():\n    pass\n",
+            "perfbench/run.py": 'import pkg.a\npatch(pkg.a, "f")\n',
+        })
+        assert unreachable(root) == set()
 
     def test_private_names_are_never_reported(self, tmp_path):
         root = _tree(tmp_path, {
