@@ -26,119 +26,72 @@ collects this module's doctests):
 True
 """
 
-from repro.core import (
-    EquilibriumResult,
-    SubsidizationGame,
-    best_response,
-    classify_providers,
-    equilibrium_sensitivity,
-    is_equilibrium,
-    kkt_residual,
-    marginal_revenue_decomposition,
-    marginal_revenue_one_sided,
-    marginal_welfare_criterion,
-    optimal_price,
-    policy_effect,
-    solve_equilibrium,
-    solve_equilibrium_best_response,
-    solve_equilibrium_vi,
-    thresholds,
-    welfare,
-)
-from repro.competition import (
-    IterationPolicy,
-    OligopolyGame,
-    solve_oligopoly_competition,
-)
-from repro.engine import (
-    SolveCache,
-    SolveService,
-    SolveStore,
-    SolveTask,
-    solve_grid,
-)
-from repro.exceptions import (
-    BracketError,
-    ConvergenceError,
-    EquilibriumError,
-    ModelError,
-    ReproError,
-)
-from repro.network import (
-    CongestionSystem,
-    ExponentialDemand,
-    ExponentialThroughput,
-    LinearDemand,
-    LinearUtilization,
-    LogitDemand,
-    MM1Utilization,
-    PowerLawThroughput,
-    PowerLawUtilization,
-    RationalThroughput,
-    ShiftedPowerDemand,
-    SystemState,
-    TrafficClass,
-)
-from repro.providers import (
-    AccessISP,
-    ContentProvider,
-    Market,
-    MarketState,
-    MarketStateBatch,
-    exponential_cp,
-)
+from repro._lazy import attach
+
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "repro.core": (
+        "EquilibriumResult",
+        "SubsidizationGame",
+        "best_response",
+        "classify_providers",
+        "equilibrium_sensitivity",
+        "is_equilibrium",
+        "kkt_residual",
+        "marginal_revenue_decomposition",
+        "marginal_revenue_one_sided",
+        "marginal_welfare_criterion",
+        "optimal_price",
+        "policy_effect",
+        "solve_equilibrium",
+        "solve_equilibrium_best_response",
+        "solve_equilibrium_vi",
+        "thresholds",
+        "welfare",
+    ),
+    "repro.competition": (
+        "IterationPolicy",
+        "OligopolyGame",
+        "solve_oligopoly_competition",
+    ),
+    "repro.engine": (
+        "SolveCache",
+        "SolveService",
+        "SolveStore",
+        "SolveTask",
+        "solve_grid",
+    ),
+    "repro.exceptions": (
+        "BracketError",
+        "ConvergenceError",
+        "EquilibriumError",
+        "ModelError",
+        "ReproError",
+    ),
+    "repro.network": (
+        "CongestionSystem",
+        "ExponentialDemand",
+        "ExponentialThroughput",
+        "LinearDemand",
+        "LinearUtilization",
+        "LogitDemand",
+        "MM1Utilization",
+        "PowerLawThroughput",
+        "PowerLawUtilization",
+        "RationalThroughput",
+        "ShiftedPowerDemand",
+        "SystemState",
+        "TrafficClass",
+    ),
+    "repro.providers": (
+        "AccessISP",
+        "ContentProvider",
+        "Market",
+        "MarketState",
+        "MarketStateBatch",
+        "exponential_cp",
+    ),
+})
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AccessISP",
-    "BracketError",
-    "CongestionSystem",
-    "ContentProvider",
-    "ConvergenceError",
-    "EquilibriumError",
-    "EquilibriumResult",
-    "IterationPolicy",
-    "OligopolyGame",
-    "ExponentialDemand",
-    "ExponentialThroughput",
-    "LinearDemand",
-    "LinearUtilization",
-    "LogitDemand",
-    "MM1Utilization",
-    "Market",
-    "MarketState",
-    "MarketStateBatch",
-    "ModelError",
-    "SolveCache",
-    "SolveService",
-    "SolveStore",
-    "SolveTask",
-    "PowerLawThroughput",
-    "PowerLawUtilization",
-    "RationalThroughput",
-    "ReproError",
-    "ShiftedPowerDemand",
-    "SubsidizationGame",
-    "SystemState",
-    "TrafficClass",
-    "best_response",
-    "classify_providers",
-    "equilibrium_sensitivity",
-    "exponential_cp",
-    "is_equilibrium",
-    "kkt_residual",
-    "marginal_revenue_decomposition",
-    "marginal_revenue_one_sided",
-    "marginal_welfare_criterion",
-    "optimal_price",
-    "policy_effect",
-    "solve_equilibrium",
-    "solve_equilibrium_best_response",
-    "solve_equilibrium_vi",
-    "solve_grid",
-    "solve_oligopoly_competition",
-    "thresholds",
-    "welfare",
-    "__version__",
-]
+__all__ += ["__version__"]

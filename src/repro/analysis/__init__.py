@@ -9,16 +9,11 @@ themselves are solved by :func:`repro.engine.solve_grid` and
 type, is re-exported here.
 """
 
-from repro.analysis.ascii_plot import render_chart
-from repro.analysis.reporting import format_table, write_csv
-from repro.analysis.series import FigureData, Series
-from repro.engine import EquilibriumGrid
+from repro._lazy import attach
 
-__all__ = [
-    "EquilibriumGrid",
-    "FigureData",
-    "Series",
-    "format_table",
-    "render_chart",
-    "write_csv",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "repro.analysis.ascii_plot": ("render_chart",),
+    "repro.analysis.reporting": ("format_table", "write_csv"),
+    "repro.analysis.series": ("FigureData", "Series"),
+    "repro.engine": ("EquilibriumGrid",),
+})

@@ -287,6 +287,8 @@ class CampaignSpec:
                 f"campaign_id must be a non-empty string, "
                 f"got {self.campaign_id!r}"
             )
+        if not isinstance(self.title, str):
+            raise ModelError(f"title must be a string, got {self.title!r}")
         if not self.title:
             object.__setattr__(self, "title", self.campaign_id)
         choice("generator", self.generator, CAMPAIGN_GENERATORS)

@@ -52,7 +52,6 @@ from repro.exceptions import (
 )
 from repro.providers.market import MarketState
 from repro.solvers.projection import project_box
-from repro.solvers.vi import extragradient_box
 
 __all__ = [
     "EquilibriumResult",
@@ -566,6 +565,10 @@ def solve_equilibrium_vi(
             iterations=0,
             method="vi",
         )
+    # Imported on first use: the VI solver runs only as a fallback and as
+    # the cross-check, so start-up does not load it.
+    from repro.solvers.vi import extragradient_box
+
     n = game.size
     x0 = np.zeros(n) if initial is None else np.asarray(initial, dtype=float)
     result = extragradient_box(

@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import queue
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Iterable, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Tuple
 
 from repro.backend import get_backend, set_backend, warm_kernels
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = ["PoolExecutor"]
 
@@ -104,6 +106,10 @@ class PoolExecutor:
         self._pool_lock = threading.Lock()
 
     def _ensure_pool(self, workers: int) -> ProcessPoolExecutor:
+        # Imported here: the multiprocessing chain costs start-up time in
+        # every process, and only a ``workers > 1`` batch spawns a pool.
+        from concurrent.futures import ProcessPoolExecutor
+
         backend = get_backend()
         key = (int(workers), backend.requested)
         with self._pool_lock:

@@ -104,6 +104,9 @@ from __future__ import annotations
 
 import argparse
 import json
+# argparse's messages import ``locale`` (through ``gettext``) on every
+# verb; load it with the runner, so no verb imports a module at run time.
+import locale  # noqa: F401
 import re
 import sys
 from dataclasses import replace

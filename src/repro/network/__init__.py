@@ -16,78 +16,52 @@ This package implements everything "below" the game:
 * :mod:`repro.network.aggregation` — CP aggregation/equivalence (Lemma 2).
 """
 
-from repro.network.aggregation import (
-    aggregate_equivalent_classes,
-    peak_demands,
-    rescale_class,
-)
-from repro.network.demand import (
-    DemandFunction,
-    DemandTable,
-    ExponentialDemand,
-    LinearDemand,
-    LogitDemand,
-    ScaledDemand,
-    ShiftedPowerDemand,
-)
-from repro.network.elasticity import chain_elasticity, elasticity_of, log_derivative
-from repro.network.sensitivity import (
-    PriceSensitivity,
-    SystemSensitivity,
-    price_sensitivity,
-    system_sensitivity,
-    throughput_increases_with_price,
-)
-from repro.network.system import (
-    BatchedSystemState,
-    CongestionSystem,
-    SystemState,
-    TrafficClass,
-)
-from repro.network.throughput import (
-    ExponentialThroughput,
-    ThroughputTable,
-    PowerLawThroughput,
-    RationalThroughput,
-    ThroughputFunction,
-)
-from repro.network.utilization import (
-    LinearUtilization,
-    MM1Utilization,
-    PowerLawUtilization,
-    UtilizationFunction,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "BatchedSystemState",
-    "CongestionSystem",
-    "DemandTable",
-    "DemandFunction",
-    "ExponentialDemand",
-    "ExponentialThroughput",
-    "LinearDemand",
-    "LinearUtilization",
-    "LogitDemand",
-    "MM1Utilization",
-    "PowerLawThroughput",
-    "PowerLawUtilization",
-    "PriceSensitivity",
-    "RationalThroughput",
-    "ScaledDemand",
-    "ShiftedPowerDemand",
-    "SystemSensitivity",
-    "SystemState",
-    "ThroughputFunction",
-    "ThroughputTable",
-    "TrafficClass",
-    "UtilizationFunction",
-    "aggregate_equivalent_classes",
-    "elasticity_of",
-    "chain_elasticity",
-    "log_derivative",
-    "peak_demands",
-    "price_sensitivity",
-    "rescale_class",
-    "system_sensitivity",
-    "throughput_increases_with_price",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "repro.network.aggregation": (
+        "aggregate_equivalent_classes",
+        "peak_demands",
+        "rescale_class",
+    ),
+    "repro.network.demand": (
+        "DemandFunction",
+        "DemandTable",
+        "ExponentialDemand",
+        "LinearDemand",
+        "LogitDemand",
+        "ScaledDemand",
+        "ShiftedPowerDemand",
+    ),
+    "repro.network.elasticity": (
+        "chain_elasticity",
+        "elasticity_of",
+        "log_derivative",
+    ),
+    "repro.network.sensitivity": (
+        "PriceSensitivity",
+        "SystemSensitivity",
+        "price_sensitivity",
+        "system_sensitivity",
+        "throughput_increases_with_price",
+    ),
+    "repro.network.system": (
+        "BatchedSystemState",
+        "CongestionSystem",
+        "SystemState",
+        "TrafficClass",
+    ),
+    "repro.network.throughput": (
+        "ExponentialThroughput",
+        "ThroughputTable",
+        "PowerLawThroughput",
+        "RationalThroughput",
+        "ThroughputFunction",
+    ),
+    "repro.network.utilization": (
+        "LinearUtilization",
+        "MM1Utilization",
+        "PowerLawUtilization",
+        "UtilizationFunction",
+    ),
+})

@@ -85,6 +85,20 @@ DEMAND_FAMILIES: tuple[str, ...] = ("exponential", "logit", "linear", "power")
 THROUGHPUT_FAMILIES: tuple[str, ...] = ("exponential", "power", "rational")
 
 
+def _check_knobs(price, capacity, total_demand, alpha_span, beta_span):
+    """Reject a mistyped or out-of-range market knob, naming it.
+
+    The callers use the values as given, not the floats these checks
+    return, so an ``int`` or a list keeps its spelling in the metadata
+    and the digest.
+    """
+    number("price", price, "[0, inf)")
+    number("capacity", capacity, "(0, inf)")
+    number("total_demand", total_demand, "(0, inf)")
+    interval("alpha_span", alpha_span, equal_ok=True)
+    interval("beta_span", beta_span, equal_ok=True)
+
+
 def scaled_market(
     n_types: int,
     *,
@@ -108,8 +122,7 @@ def scaled_market(
     the same scenario shape from 8 CPs to thousands.
     """
     n_types = whole("n_types", n_types, at_least=1)
-    if total_demand <= 0.0:
-        raise ModelError(f"total_demand must be positive, got {total_demand}")
+    _check_knobs(price, capacity, total_demand, alpha_span, beta_span)
     if not value_levels:
         raise ModelError("value_levels must be non-empty")
     side = math.ceil(math.sqrt(n_types))
@@ -223,8 +236,9 @@ def random_market(
         raise ModelError("families must be non-empty")
     if not throughput_families:
         raise ModelError("throughput_families must be non-empty")
-    if not 0.0 <= scaled_share <= 1.0:
-        raise ModelError(f"scaled_share must lie in [0, 1], got {scaled_share}")
+    _check_knobs(price, capacity, total_demand, alpha_span, beta_span)
+    number("scaled_share", scaled_share, "[0, 1]")
+    interval("value_range", value_range, equal_ok=True)
     rng = np.random.default_rng(seed)
     providers = []
     for i in range(n_types):

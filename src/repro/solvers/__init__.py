@@ -14,47 +14,29 @@ The paper's model stacks three nested numerical problems:
 Everything here depends on numpy alone and is deterministic.
 """
 
-from repro.solvers.batch_rootfind import (
-    bracketed_root_batch,
-    expand_bracket_batch,
-    newton_polish_batch,
-)
-from repro.solvers.differentiation import derivative, jacobian
-from repro.solvers.projection import clip_scalar, project_box
-from repro.solvers.rootfind import (
-    BracketResult,
-    bracket_increasing,
-    root_in_bracket,
-    solve_increasing,
-)
-from repro.solvers.scalar_opt import (
-    CertifiedMax,
-    ScalarMaxResult,
-    bisect_interval,
-    certified_maximize,
-    golden_section_maximize,
-    grid_polish_maximize,
-)
-from repro.solvers.vi import VIResult, extragradient_box
+from repro._lazy import attach
 
-__all__ = [
-    "BracketResult",
-    "CertifiedMax",
-    "ScalarMaxResult",
-    "VIResult",
-    "bisect_interval",
-    "bracket_increasing",
-    "bracketed_root_batch",
-    "certified_maximize",
-    "clip_scalar",
-    "derivative",
-    "expand_bracket_batch",
-    "extragradient_box",
-    "golden_section_maximize",
-    "grid_polish_maximize",
-    "jacobian",
-    "newton_polish_batch",
-    "project_box",
-    "root_in_bracket",
-    "solve_increasing",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "repro.solvers.batch_rootfind": (
+        "bracketed_root_batch",
+        "expand_bracket_batch",
+        "newton_polish_batch",
+    ),
+    "repro.solvers.differentiation": ("derivative", "jacobian"),
+    "repro.solvers.projection": ("clip_scalar", "project_box"),
+    "repro.solvers.rootfind": (
+        "BracketResult",
+        "bracket_increasing",
+        "root_in_bracket",
+        "solve_increasing",
+    ),
+    "repro.solvers.scalar_opt": (
+        "CertifiedMax",
+        "ScalarMaxResult",
+        "bisect_interval",
+        "certified_maximize",
+        "golden_section_maximize",
+        "grid_polish_maximize",
+    ),
+    "repro.solvers.vi": ("VIResult", "extragradient_box"),
+})

@@ -3,9 +3,9 @@
 One table of (document, field, bad value) probes. Each document is a
 place where values that users write reach the model: scenario metadata
 read by the competition and the oligopoly game, the ``repro-dynamics/1``
-block and its shock entries, the ``oligopoly(...)`` and
-``shocked_market(...)`` generators, the
-refinement spec, the ``repro-campaign/1`` file and a market-structure
+block and its shock entries, the ``oligopoly(...)``,
+``shocked_market(...)``, ``random_market(...)`` and ``scaled_market(...)``
+generators, the refinement spec, the ``repro-campaign/1`` file and a market-structure
 campaign's parameters. Every probe must raise
 :class:`~repro.exceptions.ModelError` whose message names the field:
 booleans, strings, NaN, infinities and fractional counts are never
@@ -21,9 +21,14 @@ from repro.campaigns import CampaignSpec
 from repro.competition.oligopoly import OligopolyGame, competition_settings
 from repro.exceptions import ModelError
 from repro.experiments.refine import RefineSpec
-from repro.io import CAMPAIGN_FORMAT
+from repro.io import CAMPAIGN_FORMAT, scenario_digest
 from repro.scenarios import get_scenario
-from repro.scenarios.generators import oligopoly, shocked_market
+from repro.scenarios.generators import (
+    oligopoly,
+    random_market,
+    scaled_market,
+    shocked_market,
+)
 from repro.simulation.trajectory import DYNAMICS_FORMAT, DynamicsSpec
 
 NAN = float("nan")
@@ -49,6 +54,14 @@ def _generator(field, value):
 
 def _shocked(field, value):
     shocked_market(get_scenario("section5"), 1, **{field: value})
+
+
+def _random(field, value):
+    random_market(1, 4, **{field: value})
+
+
+def _scaled(field, value):
+    scaled_market(4, **{field: value})
 
 
 def _game(field, value):
@@ -84,6 +97,8 @@ DOCUMENTS = {
     "shock": _shock,
     "oligopoly-generator": _generator,
     "shocked-generator": _shocked,
+    "random-generator": _random,
+    "scaled-generator": _scaled,
     "oligopoly-game": _game,
     "refine": _refine,
     "campaign": _campaign,
@@ -124,6 +139,21 @@ PROBES = [
     ("shocked-generator", "scale_range", ["0.7", "1.3"]),
     ("shocked-generator", "scale_range", [1.3, 0.7]),
     ("shocked-generator", "horizon", True),
+    ("random-generator", "scaled_share", True),
+    ("random-generator", "scaled_share", "0.5"),
+    ("random-generator", "total_demand", True),
+    ("random-generator", "value_range", ["0", "1"]),
+    ("random-generator", "value_range", [1.0, 0.0]),
+    ("random-generator", "alpha_span", [1.0, NAN]),
+    ("random-generator", "beta_span", "15"),
+    ("random-generator", "price", True),
+    ("random-generator", "capacity", "1"),
+    ("scaled-generator", "total_demand", True),
+    ("scaled-generator", "total_demand", 0.0),
+    ("scaled-generator", "alpha_span", [5.0, "1"]),
+    ("scaled-generator", "beta_span", True),
+    ("scaled-generator", "price", INF),
+    ("scaled-generator", "capacity", True),
     ("oligopoly-game", "carriers", True),
     ("oligopoly-game", "carriers", 2.7),
     ("oligopoly-game", "split_capacity", "no"),
@@ -140,10 +170,12 @@ PROBES = [
     ("campaign", "n_samples", True),
     ("campaign", "sample_seed", 0.5),
     ("campaign", "sampling", "grid"),
+    ("campaign", "title", 5),
     ("campaign-param", "n_types", True),
     ("campaign-param", "split_capacity", "no"),
     ("campaign-param", "carriers", True),
     ("campaign-param", "switching", "2"),
+    ("campaign-param", "total_demand", True),
 ]
 
 
@@ -191,3 +223,23 @@ def test_an_integral_float_seed_count_keeps_the_campaign_digest():
         CampaignSpec.from_dict({**payload, "seed_count": 3.0}).digest()
         == CampaignSpec.from_dict(payload).digest()
     )
+
+
+def test_valid_generator_knobs_keep_their_digests():
+    # Integers and lists where the defaults are floats and tuples, and
+    # degenerate spans: the market, its metadata and so its digest are
+    # what they were before the knobs went through the value rules.
+    digests = [
+        scenario_digest(random_market(
+            3, 5, total_demand=2, price=1, capacity=2, alpha_span=[1, 3],
+            beta_span=(2, 2), value_range=[0.5, 0.5], scaled_share=1,
+        )),
+        scenario_digest(scaled_market(
+            9, total_demand=3, price=0, capacity=1, alpha_span=[2, 2],
+            beta_span=(1.5, 4),
+        )),
+    ]
+    assert digests == [
+        "550f56b5efa011f3e29132aee908d59ac24dda5a30afb90a7a923386976bc189",
+        "b0b5961795df1906303a1edc4895be8cfa57620436270b8b8315c5029a7fbcdc",
+    ]
